@@ -44,6 +44,7 @@ fn swap_heavy_problem(n: usize) -> Problem {
                 reads_regs: RegSet::single(arg_reg((i + 1) % n)),
                 reads_params: 0,
                 complex: false,
+                move_of: Some(arg_reg((i + 1) % n)),
             })
             .collect(),
         temp_regs: RegSet::EMPTY,

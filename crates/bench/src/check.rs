@@ -16,7 +16,7 @@ use crate::suite_report::{DISPATCH_THROUGHPUT_TABLE, SERVICE_THROUGHPUT_TABLE, T
 
 /// The tables whose *values* are wall-clock-dependent and therefore
 /// excluded from the deterministic projection. Everything else in a
-/// report — including the `dispatch` fusion-statistics table and the
+/// report — including the `dispatch` code-size table and the
 /// `service_cache` accounting table — is covered by the gate.
 pub const WALL_CLOCK_TABLES: &[&str] = &[
     TIMING_TABLE,

@@ -25,13 +25,11 @@ use lesgs_exec::{map_ordered, PoolConfig, PoolStats};
 use lesgs_metrics::{ratio, Histogram, Registry};
 use lesgs_suite::measure::Measurement;
 use lesgs_suite::programs::Benchmark;
-use lesgs_suite::tables::{frac_pct, pct, Table};
+use lesgs_suite::tables::{pct, Table};
 use lesgs_suite::Scale;
 use lesgs_svc::loadgen::WorkloadConfig;
 use lesgs_svc::{BatchStats, Request, Service, ServiceConfig};
-use lesgs_vm::{
-    ClassicMachine, CostModel, DecodeStats, DispatchRunStats, Machine, FUSION_TABLE, TRIPLE_TABLE,
-};
+use lesgs_vm::{ClassicMachine, CostModel, DecodeStats, Machine};
 
 use crate::report::{run_record, Report};
 use crate::{mean, run_benchmark};
@@ -41,29 +39,15 @@ use crate::{mean, run_benchmark};
 /// timing-dependent; the shape is not).
 pub const TIMING_TABLE: &str = "timing";
 
-/// Name of the deterministic per-benchmark decode/fusion statistics
-/// table. Covered by the perf-regression gate: fusion counts only move
-/// when codegen or the fusion catalogue changes.
+/// Name of the deterministic per-benchmark static code-size table
+/// (source instructions and decoded ops). Covered by the
+/// perf-regression gate: the counts only move when codegen or the
+/// decoded layout changes.
 pub const DISPATCH_TABLE: &str = "dispatch";
 
 /// Name of the classic-vs-decoded throughput table — the other
 /// wall-clock table a determinism comparison must ignore.
 pub const DISPATCH_THROUGHPUT_TABLE: &str = "dispatch_throughput";
-
-/// Name of the deterministic runtime fusion/inline-cache table: per
-/// benchmark, how often each enabled superinstruction actually fired
-/// on the decoded engine and how stable every closure-call site's
-/// callee was (inline-cache hits/misses/hit rate). Pure counts from a
-/// deterministic run, so the perf-regression gate covers it.
-pub const DISPATCH_FUSION_TABLE: &str = "dispatch_fusion";
-
-/// Name of the deterministic speculative-dispatch accounting table:
-/// per benchmark, how often the decoded engine's speculative
-/// inline-cache fast path fired (`fast hits`), how often its closure
-/// guard failed, and how many sites were demoted to the observational
-/// slow path. Pure counts from a deterministic run, so the
-/// perf-regression gate covers it.
-pub const SPECULATION_TABLE: &str = "speculation";
 
 /// Name of the deterministic three-way shuffle-strategy table:
 /// paper-greedy vs. the exhaustive optimum vs. optimal shuffle code
@@ -198,8 +182,6 @@ pub fn build_suite_report(
          argument moves they subsume.",
     );
     report.add_table(DISPATCH_TABLE, &dispatch_table(&dispatches));
-    report.add_table(DISPATCH_FUSION_TABLE, &dispatch_fusion_table(&dispatches));
-    report.add_table(SPECULATION_TABLE, &speculation_table(&dispatches));
     report.add_table(
         DISPATCH_THROUGHPUT_TABLE,
         &dispatch_throughput_table(&dispatches),
@@ -209,21 +191,6 @@ pub fn build_suite_report(
          against the pre-decoded threaded dispatch loop on the paper-default \
          configuration; both engines observed identical counters and values \
          on every benchmark in this report.",
-    );
-    report.note(
-        "Dispatch fusion reports, per benchmark, how often each entry of the \
-         measured superinstruction table (crates/vm/src/fusion_table.rs, \
-         regenerated by lesgs-fusegen) fired on the decoded engine — pair \
-         and triple entries alike — and the monomorphic inline-cache \
-         accounting for closure-call sites.",
-    );
-    report.note(
-        "Speculation reports the speculative inline-cache dispatch \
-         accounting: fast-path hits that jumped straight to the cached \
-         callee's decoded code, closure-guard failures, and sites demoted \
-         to the observational slow path. Observable vm.* counters are \
-         byte-identical with speculation off; only these bookkeeping \
-         counters move.",
     );
     report.add_table(SERVICE_CACHE_TABLE, &service_cache_table(&service));
     report.add_table(
@@ -440,9 +407,6 @@ fn service_throughput_table(m: &ServiceMeasurement) -> Table {
 /// took to retire the same instruction stream.
 struct DispatchMeasurement {
     stats: DecodeStats,
-    /// Runtime fusion/IC accounting from the (deterministic) decoded
-    /// warm-up run.
-    dispatch: DispatchRunStats,
     instructions: u64,
     classic_ns: f64,
     decoded_ns: f64,
@@ -512,135 +476,32 @@ fn measure_dispatch(b: &Benchmark, scale: Scale) -> DispatchMeasurement {
     }
     DispatchMeasurement {
         stats: compiled.decoded.stats(),
-        dispatch: decoded.dispatch.clone(),
         instructions: decoded.stats.instructions,
         classic_ns,
         decoded_ns,
     }
 }
 
-/// The deterministic decode/fusion statistics table (one row per
-/// benchmark plus a total row).
+/// The deterministic static code-size table (one row per benchmark
+/// plus a total row).
 fn dispatch_table(dispatches: &[(String, DispatchMeasurement)]) -> Table {
-    // The column set follows the generated fusion table, so a
-    // regenerated catalogue reshapes this table (and the perf gate
-    // sees it as the schema change it is).
-    let mut header = vec![
-        "benchmark".to_string(),
+    let mut t = Table::new(vec![
+        "benchmark".into(),
         "source instrs".into(),
         "decoded ops".into(),
-        "fused pairs".into(),
-        "fused triples".into(),
-    ];
-    header.extend(FUSION_TABLE.iter().map(|e| e.kind.key().replace('_', "+")));
-    header.extend(TRIPLE_TABLE.iter().map(|e| e.kind.key().replace('_', "+")));
-    let mut t = Table::new(header);
+    ]);
     let mut total = DecodeStats::default();
     let row = |name: &str, s: &DecodeStats| {
-        let mut cells = vec![
+        vec![
             name.to_owned(),
             s.source_instructions.to_string(),
             s.decoded_ops.to_string(),
-            s.fused_pairs.to_string(),
-            s.fused_triples.to_string(),
-        ];
-        cells.extend(FUSION_TABLE.iter().map(|e| s.fused(e.kind).to_string()));
-        cells.extend(TRIPLE_TABLE.iter().map(|e| s.fused3(e.kind).to_string()));
-        cells
-    };
-    for (name, d) in dispatches {
-        let s = d.stats;
-        total.source_instructions += s.source_instructions;
-        total.decoded_ops += s.decoded_ops;
-        total.fused_pairs += s.fused_pairs;
-        total.fused_triples += s.fused_triples;
-        for (acc, n) in total.fused_by_kind.iter_mut().zip(s.fused_by_kind) {
-            *acc += n;
-        }
-        for (acc, n) in total.fused_by_triple.iter_mut().zip(s.fused_by_triple) {
-            *acc += n;
-        }
-        t.row(row(name, &s));
-    }
-    t.row(row("Total", &total));
-    t
-}
-
-/// The deterministic runtime fusion/inline-cache table: how often each
-/// enabled superinstruction fired on the decoded engine, and the
-/// closure-call inline-cache accounting, per benchmark.
-fn dispatch_fusion_table(dispatches: &[(String, DispatchMeasurement)]) -> Table {
-    let mut header = vec!["benchmark".to_string()];
-    header.extend(
-        FUSION_TABLE
-            .iter()
-            .map(|e| format!("{} fired", e.kind.key().replace('_', "+"))),
-    );
-    header.extend(
-        TRIPLE_TABLE
-            .iter()
-            .map(|e| format!("{} fired", e.kind.key().replace('_', "+"))),
-    );
-    header.extend([
-        "ic hits".to_string(),
-        "ic misses".into(),
-        "ic hit rate".into(),
-    ]);
-    let mut t = Table::new(header);
-    let mut total = DispatchRunStats::default();
-    let row = |name: &str, s: &DispatchRunStats| {
-        let mut cells = vec![name.to_owned()];
-        cells.extend(FUSION_TABLE.iter().map(|e| s.fused(e.kind).to_string()));
-        cells.extend(TRIPLE_TABLE.iter().map(|e| s.fused3(e.kind).to_string()));
-        cells.extend([
-            s.ic_hits.to_string(),
-            s.ic_misses.to_string(),
-            frac_pct(s.ic_hit_rate()),
-        ]);
-        cells
-    };
-    for (name, d) in dispatches {
-        total.ic_hits += d.dispatch.ic_hits;
-        total.ic_misses += d.dispatch.ic_misses;
-        for (acc, n) in total.fused_exec.iter_mut().zip(d.dispatch.fused_exec) {
-            *acc += n;
-        }
-        for (acc, n) in total.fused_exec3.iter_mut().zip(d.dispatch.fused_exec3) {
-            *acc += n;
-        }
-        t.row(row(name, &d.dispatch));
-    }
-    t.row(row("Total", &total));
-    t
-}
-
-/// The deterministic speculative-dispatch accounting table (one row per
-/// benchmark plus a total row): fast-path hits, closure-guard failures,
-/// and demotions from the decoded engine's warm-up run. The warm-up
-/// runs with speculation on (the engine default), so closure-heavy
-/// benchmarks show nonzero fast hits here while every observable
-/// counter stays byte-identical to the classic engine.
-fn speculation_table(dispatches: &[(String, DispatchMeasurement)]) -> Table {
-    let mut t = Table::new(vec![
-        "benchmark".into(),
-        "spec fast hits".into(),
-        "guard fails".into(),
-        "demotions".into(),
-    ]);
-    let mut total = DispatchRunStats::default();
-    let row = |name: &str, s: &DispatchRunStats| {
-        vec![
-            name.to_owned(),
-            s.spec_fast_hits.to_string(),
-            s.spec_guard_fails.to_string(),
-            s.spec_demotions.to_string(),
         ]
     };
     for (name, d) in dispatches {
-        total.spec_fast_hits += d.dispatch.spec_fast_hits;
-        total.spec_guard_fails += d.dispatch.spec_guard_fails;
-        total.spec_demotions += d.dispatch.spec_demotions;
-        t.row(row(name, &d.dispatch));
+        total.source_instructions += d.stats.source_instructions;
+        total.decoded_ops += d.stats.decoded_ops;
+        t.row(row(name, &d.stats));
     }
     t.row(row("Total", &total));
     t
@@ -775,9 +636,7 @@ mod tests {
         let tables = json.get("tables").and_then(|t| t.as_array()).unwrap();
         for name in [
             DISPATCH_TABLE,
-            DISPATCH_FUSION_TABLE,
             DISPATCH_THROUGHPUT_TABLE,
-            SPECULATION_TABLE,
             SHUFFLE_STRATEGIES_TABLE,
         ] {
             let table = tables

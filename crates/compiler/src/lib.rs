@@ -44,9 +44,9 @@ pub struct CompilerConfig {
     pub no_peephole: bool,
     /// Disable IR constant folding (on by default).
     pub no_fold: bool,
-    /// Disable speculative inline-cache dispatch (on by default; the
-    /// flag backs the CI speculation-differential gate and the
-    /// `lesgsc --no-speculation` switch).
+    /// Ignored: the VM has no speculative dispatch. Kept only because
+    /// `perfbench/src/programs.rs` still reads it; nothing in the
+    /// workspace sets or reads it.
     pub no_speculation: bool,
     /// Log pass boundaries (compile time) and call events (run time)
     /// to stderr — the `lesgsc --trace` switch.
@@ -102,8 +102,7 @@ impl Compiled {
     pub fn run(&self, config: &CompilerConfig) -> Result<VmOutcome, lesgs_vm::VmError> {
         let mut m = Machine::from_decoded(&self.decoded, config.cost)
             .with_poison(config.poison)
-            .with_trace(config.trace)
-            .with_speculation(!config.no_speculation);
+            .with_trace(config.trace);
         if config.fuel > 0 {
             m = m.with_fuel(config.fuel);
         }
@@ -251,8 +250,8 @@ pub fn compile_back_observed(
     times.codegen = t2.elapsed();
 
     // Pre-decode for the dispatch loop. The vm.dispatch.* counters are
-    // *static* load-time facts (decoded ops, fusion hits) — run-time
-    // vm.* counters keep their pre-decoding key set untouched.
+    // *static* load-time facts (source instructions, decoded ops) —
+    // run-time vm.* counters keep their pre-decoding key set untouched.
     let decode_span = reg.start_span("vm.dispatch.decode");
     let decoded = DecodedProgram::decode(&vm);
     reg.end_span(decode_span);
@@ -437,7 +436,7 @@ pub fn differential_check_detailed(
     configs: &[AllocConfig],
     fuel: u64,
 ) -> Result<(), DiffFailure> {
-    differential_check_jobs(src, configs, fuel, 1, false)
+    differential_check_parallel(src, configs, fuel, 1)
 }
 
 /// Runs the oracle, then judges one already-compiled configuration
@@ -447,7 +446,6 @@ fn judge_config(
     oracle: &lesgs_interp::Outcome,
     alloc: &AllocConfig,
     fuel: u64,
-    no_speculation: bool,
 ) -> Result<(), DiffFailure> {
     let fail = |kind: DiffKind| DiffFailure {
         config: Some(*alloc),
@@ -457,7 +455,6 @@ fn judge_config(
         alloc: *alloc,
         poison: true,
         fuel,
-        no_speculation,
         ..CompilerConfig::default()
     };
     let (compiled, _times) = compile_back_observed(front, &config, &mut Registry::new());
@@ -505,36 +502,6 @@ pub fn differential_check_parallel(
     fuel: u64,
     jobs: usize,
 ) -> Result<(), DiffFailure> {
-    differential_check_jobs(src, configs, fuel, jobs, false)
-}
-
-/// [`differential_check_parallel`] with speculative inline-cache
-/// dispatch forced off in every judged configuration — the second leg
-/// of the CI speculation-differential gate. The verdict must be
-/// identical to the speculating run on every program; a divergence is
-/// a speculation bug.
-///
-/// # Errors
-///
-/// Returns the first failure in matrix order, tagged with the
-/// offending configuration.
-pub fn differential_check_parallel_spec(
-    src: &str,
-    configs: &[AllocConfig],
-    fuel: u64,
-    jobs: usize,
-    no_speculation: bool,
-) -> Result<(), DiffFailure> {
-    differential_check_jobs(src, configs, fuel, jobs, no_speculation)
-}
-
-fn differential_check_jobs(
-    src: &str,
-    configs: &[AllocConfig],
-    fuel: u64,
-    jobs: usize,
-    no_speculation: bool,
-) -> Result<(), DiffFailure> {
     let oracle = match lesgs_interp::run_source(src, fuel) {
         Ok(o) => o,
         Err(e) => {
@@ -571,7 +538,7 @@ fn differential_check_jobs(
     };
     if jobs <= 1 {
         for alloc in configs {
-            judge_config(&front, &oracle, alloc, fuel, no_speculation)?;
+            judge_config(&front, &oracle, alloc, fuel)?;
         }
         return Ok(());
     }
@@ -580,7 +547,7 @@ fn differential_check_jobs(
         ..lesgs_exec::PoolConfig::with_workers(jobs)
     };
     let out = lesgs_exec::map_ordered(&pool, configs.to_vec(), |_i, alloc| {
-        judge_config(&front, &oracle, &alloc, fuel, no_speculation)
+        judge_config(&front, &oracle, &alloc, fuel)
     });
     for (alloc, result) in configs.iter().zip(out.results) {
         // A panic inside a configuration's compile/run is a compiler

@@ -5,9 +5,6 @@
 //! lesgsc compile  [options] -o <out.lbc> <file.scm|->  compile to serialized bytecode
 //! lesgsc stats    [options] <file.scm|file.lbc|->  execute and dump instrumentation
 //! lesgsc dis      [options] <file.scm|file.lbc|->  disassemble generated VM code
-//!                 (--decoded shows the pre-decoded dispatch stream:
-//!                 superinstructions from the measured fusion table and
-//!                 inline-cache site assignments)
 //! lesgsc ir       [options] <file.scm|->           dump the allocated IR
 //! lesgsc interp   <file.scm|->                     run the reference interpreter
 //! lesgsc check    [options] <file.scm|->           differential-check vs the interpreter
@@ -30,10 +27,6 @@
 //!                               program's own output moves to stderr)
 //!   --profile-out <file>        write the JSON profile to <file>
 //!   --trace                     log pass boundaries and VM call events
-//!   --no-speculation            disable speculative inline-cache dispatch
-//!                               (observable counters must not change; the
-//!                               CI speculation-differential gate diffs the
-//!                               two modes byte-for-byte)
 //!   --fuel <n>                  VM instruction budget
 //!   --jobs <n>                  worker threads for `check`'s 23-config
 //!                               matrix (default 1; verdicts identical)
@@ -51,7 +44,7 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use lesgs_compiler::{
-    compile_observed, config_matrix, differential_check_parallel_spec, CompilerConfig,
+    compile_observed, config_matrix, differential_check_parallel, CompilerConfig,
 };
 use lesgs_core::config::{Discipline, RestoreStrategy, SaveStrategy, ShuffleStrategy};
 use lesgs_core::AllocConfig;
@@ -82,7 +75,6 @@ struct Options {
     profile: ProfileMode,
     profile_out: Option<String>,
     jobs: usize,
-    decoded: bool,
 }
 
 fn usage() -> ! {
@@ -91,8 +83,8 @@ fn usage() -> ! {
          options: --save lazy|early|late  --restore eager|lazy\n\
          \x20        --shuffle greedy|fixed|permi  --callee-save  --regs <0..6>\n\
          \x20        --branch-prediction  --lift  --verify-bytecode  -o <file>\n\
-         \x20        --profile[=json]  --profile-out <file>  --trace  --decoded\n\
-         \x20        --no-speculation  --fuel <n>  --jobs <n>  -e <expr>"
+         \x20        --profile[=json]  --profile-out <file>  --trace\n\
+         \x20        --fuel <n>  --jobs <n>  -e <expr>"
     );
     std::process::exit(2);
 }
@@ -130,9 +122,7 @@ fn parse_args() -> Result<Options, String> {
     let mut profile = ProfileMode::Off;
     let mut profile_out: Option<String> = None;
     let mut trace = false;
-    let mut no_speculation = false;
     let mut jobs = 1usize;
-    let mut decoded = false;
     let mut input: Option<Input> = None;
     while let Some(a) = args.next() {
         let mut value = |what: &str| {
@@ -177,8 +167,6 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--trace" => trace = true,
-            "--no-speculation" => no_speculation = true,
-            "--decoded" => decoded = true,
             "--regs" => {
                 let n: usize = value("--regs")?
                     .parse()
@@ -228,9 +216,6 @@ fn parse_args() -> Result<Options, String> {
     if out.is_some() && command != "compile" {
         return Err("-o only applies to `compile`".to_owned());
     }
-    if decoded && command != "dis" {
-        return Err("--decoded only applies to `dis`".to_owned());
-    }
     if profile == ProfileMode::Json
         && profile_out.is_none()
         && !["run", "stats"].contains(&command.as_str())
@@ -245,7 +230,6 @@ fn parse_args() -> Result<Options, String> {
             fuel,
             lambda_lift,
             trace,
-            no_speculation,
             ..CompilerConfig::default()
         },
         verify_bytecode,
@@ -253,33 +237,7 @@ fn parse_args() -> Result<Options, String> {
         profile,
         profile_out,
         jobs,
-        decoded,
     })
-}
-
-/// The `dis --decoded` listing: the decode summary (fusion accounting
-/// and inline-cache site count) as a leading comment, then an explicit
-/// per-site inline-cache table (every through-`cp` call site with its
-/// assigned IC index, including sites adjacent to fused slots), then
-/// the pre-decoded op stream with fused superinstructions and `;ic=`
-/// site annotations.
-fn decoded_listing(decoded: &lesgs_vm::DecodedProgram) -> String {
-    use std::fmt::Write;
-    let header = decoded.describe();
-    let summary = header.lines().next().unwrap_or_default();
-    let mut s = format!("; {summary}\n");
-    let sites = decoded.ic_sites();
-    let _ = writeln!(s, "; ic sites: {}", sites.len());
-    for (pc, ic, is_tail) in sites {
-        let what = if is_tail {
-            "tailcall-closure"
-        } else {
-            "call-closure"
-        };
-        let _ = writeln!(s, ";   ic={ic} pc={pc:05} {what}");
-    }
-    s.push_str(&decoded.disassemble());
-    s
 }
 
 /// Assembles the `--profile` JSON document (schema in OBSERVABILITY.md).
@@ -393,11 +351,7 @@ fn main_blob(opts: &Options, bytes: &[u8]) -> ExitCode {
     let mut reg = Registry::new();
     match opts.command.as_str() {
         "dis" => {
-            if opts.decoded {
-                print!("{}", decoded_listing(program.decoded()));
-            } else {
-                print!("{}", program.disassemble());
-            }
+            print!("{}", program.disassemble());
             let doc = profile_document("dis", None, None, &reg);
             if let Err(e) = emit_profile(opts, &doc, &reg) {
                 return fail(e);
@@ -408,7 +362,6 @@ fn main_blob(opts: &Options, bytes: &[u8]) -> ExitCode {
             Ok(out) => {
                 report_outcome(opts, cmd, &out, None);
                 out.stats.record(&mut reg);
-                out.dispatch.record(&mut reg);
                 let doc = profile_document(cmd, Some(&out.value), Some(&out.output), &reg);
                 if let Err(e) = emit_profile(opts, &doc, &reg) {
                     return fail(e);
@@ -461,13 +414,7 @@ fn main() -> ExitCode {
             } else {
                 opts.config.fuel
             };
-            match differential_check_parallel_spec(
-                &source,
-                &config_matrix(),
-                fuel,
-                opts.jobs,
-                opts.config.no_speculation,
-            ) {
+            match differential_check_parallel(&source, &config_matrix(), fuel, opts.jobs) {
                 Ok(()) => {
                     println!(
                         "ok: interpreter and all {} configurations agree",
@@ -518,11 +465,7 @@ fn main() -> ExitCode {
                     ExitCode::SUCCESS
                 }
                 "dis" => {
-                    if opts.decoded {
-                        print!("{}", decoded_listing(&compiled.decoded));
-                    } else {
-                        print!("{}", compiled.vm.disassemble());
-                    }
+                    print!("{}", compiled.vm.disassemble());
                     let doc = profile_document(cmd, None, None, &reg);
                     if let Err(e) = emit_profile(&opts, &doc, &reg) {
                         return fail(e);
@@ -547,7 +490,6 @@ fn main() -> ExitCode {
                     Ok(out) => {
                         report_outcome(&opts, cmd, &out, Some(compiled.shuffle_stats()));
                         out.stats.record(&mut reg);
-                        out.dispatch.record(&mut reg);
                         let doc = profile_document(cmd, Some(&out.value), Some(&out.output), &reg);
                         if let Err(e) = emit_profile(&opts, &doc, &reg) {
                             return fail(e);

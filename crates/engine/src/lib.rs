@@ -185,8 +185,7 @@ impl Engine {
     pub fn execute(&self, program: &CompiledProgram) -> Result<VmOutcome, EngineError> {
         let mut m = Machine::from_decoded(&program.decoded, self.config.cost)
             .with_poison(self.config.poison)
-            .with_trace(self.config.trace)
-            .with_speculation(!self.config.no_speculation);
+            .with_trace(self.config.trace);
         if self.config.fuel > 0 {
             m = m.with_fuel(self.config.fuel);
         }

@@ -9,8 +9,6 @@
 //!   --max-size <n>     generator size budget          (default 160)
 //!   --fuel <n>         step/instruction budget        (default 20000000)
 //!   --jobs <n>         worker threads judging cases   (default 1)
-//!   --no-speculation   disable speculative IC dispatch in judged runs
-//!                      (stdout must stay byte-identical; CI diffs it)
 //!   --corpus-out <dir> write each shrunk find to <dir>/find-<seed>.scm
 //! ```
 //!
@@ -28,7 +26,7 @@ use lesgs_fuzz::{parse_cli, run_fuzz_observed, CaseOutcome, CaseReport};
 fn usage() -> ! {
     eprintln!(
         "usage: lesgs-fuzz [--seed <n>] [--cases <n>] [--max-size <n>]\n\
-         \x20                 [--fuel <n>] [--jobs <n>] [--no-speculation]\n\
+         \x20                 [--fuel <n>] [--jobs <n>]\n\
          \x20                 [--corpus-out <dir>]"
     );
     std::process::exit(2);

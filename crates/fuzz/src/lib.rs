@@ -116,7 +116,6 @@ pub fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliOptions, Strin
                 cli.opts.gen.max_size = num("--max-size", value("--max-size")?)? as usize
             }
             "--fuel" => cli.opts.oracle.fuel = num("--fuel", value("--fuel")?)?,
-            "--no-speculation" => cli.opts.oracle.no_speculation = true,
             "--jobs" => {
                 cli.opts.jobs = num("--jobs", value("--jobs")?)? as usize;
                 if cli.opts.jobs == 0 {
@@ -171,9 +170,6 @@ impl Find {
         }
         if opts.oracle.fuel != defaults.oracle.fuel {
             cmd.push_str(&format!(" --fuel {}", opts.oracle.fuel));
-        }
-        if opts.oracle.no_speculation {
-            cmd.push_str(" --no-speculation");
         }
         cmd
     }
@@ -445,11 +441,6 @@ mod tests {
             find.repro_command(&opts),
             "lesgs-fuzz --seed 77 --cases 1 --max-size 80 --fuel 50000"
         );
-        opts.oracle.no_speculation = true;
-        assert_eq!(
-            find.repro_command(&opts),
-            "lesgs-fuzz --seed 77 --cases 1 --max-size 80 --fuel 50000 --no-speculation"
-        );
     }
 
     #[test]
@@ -457,7 +448,6 @@ mod tests {
         let mut opts = FuzzOptions::default();
         opts.oracle.fuel = 123_456;
         opts.gen.max_size = 99;
-        opts.oracle.no_speculation = true;
         let cmd = dummy_find().repro_command(&opts);
         let args = cmd.split_whitespace().skip(1).map(str::to_owned);
         let cli = parse_cli(args).expect("printed command parses");
@@ -465,7 +455,6 @@ mod tests {
         assert_eq!(cli.opts.cases, 1);
         assert_eq!(cli.opts.oracle.fuel, 123_456);
         assert_eq!(cli.opts.gen.max_size, 99);
-        assert!(cli.opts.oracle.no_speculation);
     }
 
     #[test]

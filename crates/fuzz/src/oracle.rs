@@ -17,10 +17,7 @@
 //!   error, or an outcome mismatch. The offending [`AllocConfig`] rides
 //!   along in the [`DiffFailure`].
 
-use lesgs_compiler::{
-    config_matrix, differential_check_detailed, differential_check_parallel_spec, DiffFailure,
-    DiffKind,
-};
+use lesgs_compiler::{config_matrix, differential_check_detailed, DiffFailure, DiffKind};
 use lesgs_core::AllocConfig;
 
 /// Oracle settings: the configuration matrix and the shared fuel
@@ -31,11 +28,6 @@ pub struct OracleConfig {
     pub configs: Vec<AllocConfig>,
     /// Step/instruction budget per execution.
     pub fuel: u64,
-    /// Disable speculative inline-cache dispatch in the judged VM runs
-    /// (the `lesgs-fuzz --no-speculation` leg of the CI
-    /// speculation-differential gate; verdicts and stdout must be
-    /// byte-identical either way).
-    pub no_speculation: bool,
 }
 
 impl Default for OracleConfig {
@@ -43,7 +35,6 @@ impl Default for OracleConfig {
         OracleConfig {
             configs: config_matrix(),
             fuel: 20_000_000,
-            no_speculation: false,
         }
     }
 }
@@ -72,7 +63,7 @@ pub enum CaseOutcome {
 
 /// Judges one program source against the oracle configuration.
 pub fn check_source(src: &str, oc: &OracleConfig) -> CaseOutcome {
-    match differential_check_parallel_spec(src, &oc.configs, oc.fuel, 1, oc.no_speculation) {
+    match differential_check_detailed(src, &oc.configs, oc.fuel) {
         Ok(()) => CaseOutcome::Pass,
         Err(f) => match &f.kind {
             DiffKind::FuelExhausted => CaseOutcome::Skip(SkipReason::Fuel),

@@ -463,9 +463,6 @@ impl<'a> ClassicMachine<'a> {
                         value,
                         output: self.output,
                         stats: self.stats,
-                        // The classic engine has no dispatch tier; the
-                        // field exists only on the shared outcome type.
-                        dispatch: Default::default(),
                     });
                 }
             }

@@ -6,47 +6,23 @@
 //! instead translates the whole program **once, at load time** into a
 //! single flat `Vec<DecodedOp>`:
 //!
-//! * every function's code is laid out contiguously, one slot per
-//!   source instruction, with a [`DecodedOp::FuncEnd`] sentinel after
-//!   each function (running off the end reproduces the classic
+//! * every function's code is laid out contiguously, exactly one slot
+//!   per source instruction, with a [`DecodedOp::FuncEnd`] sentinel
+//!   after each function (running off the end reproduces the classic
 //!   "program counter out of range" error without a bounds check on
 //!   the hot path);
 //! * jump and branch targets are rewritten to **absolute** pcs into
 //!   that array (call and return targets resolve through the
 //!   [`FuncInfo`] base table so return addresses stay
 //!   function-relative and engine-independent);
-//! * operand lists become the fixed-size, `Copy` [`PrimArgs`], so the
-//!   dispatch loop never allocates;
-//! * adjacent pairs matching an *enabled* [`FusionKind`] template are
-//!   **fused** into superinstructions. Which templates are enabled is
-//!   not hard-coded: [`DecodedProgram::decode`] consults the generated
-//!   [`crate::fusion_table::FUSION_TABLE`], mined from measured
-//!   dynamic pair frequencies by the `lesgs-fusegen` binary (see
-//!   DESIGN.md's "Dispatch pipeline" for the miner → table → decode
-//!   flow). A fused op sits in the *first* instruction's slot; the
-//!   second instruction's slot keeps its plain decoding as a
-//!   jump-target fallback, so fusion needs no control-flow analysis
-//!   and cannot change where a branch may land. Fused handlers are
-//!   literal compositions of the two plain handlers (fuel check and
-//!   instruction/cycle accounting between the halves included), which
-//!   is why every `vm.*` counter is decode-invariant;
-//! * likewise, adjacent fall-through *triples* matching an enabled
-//!   [`TripleKind`] template — selected from the generated
-//!   [`crate::fusion_table::TRIPLE_TABLE`] — fuse into a three-op
-//!   superinstruction in the first slot, with the second **and** third
-//!   slots keeping their plain decodings. The greedy scan prefers an
-//!   enabled triple over an enabled pair at the same position;
-//! * every through-`cp` call site is assigned a monomorphic
-//!   inline-cache index (`ic`) so the executor can track per-site
-//!   callee stability (`vm.dispatch.ic.*`).
+//! * operand lists become the fixed-size, `Copy` [`PrimArgs`] and
+//!   [`PermiArgs`], so the dispatch loop never allocates.
 //!
 //! Decoding is total for verifier-clean programs. The only divergence
 //! for *unverifiable* code is that an out-of-function branch target is
 //! clamped to the function's end sentinel (the classic engine would
 //! report the original out-of-range pc; both still fail with the same
 //! message).
-
-use std::fmt;
 
 use lesgs_frontend::{Const, FuncId, Prim};
 use lesgs_ir::machine::MAX_PERMI_REGS;
@@ -165,239 +141,26 @@ pub struct FuncInfo {
     pub call_inevitable: bool,
 }
 
-/// The superinstruction *template catalogue*: every pair shape the
-/// decoder knows how to fuse and the executor has a composed handler
-/// for. Which templates actually fire is decided by the generated
-/// [`crate::fusion_table::FUSION_TABLE`] — the catalogue is the
-/// hand-written universe the miner selects from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FusionKind {
-    /// Register-only predicate followed by a conditional branch on its
-    /// result.
-    CmpBranch,
-    /// Back-to-back register moves (greedy-shuffle argument setup).
-    MovMov,
-    /// Back-to-back immediate loads.
-    ImmImm,
-    /// Immediate load followed by a register move.
-    ImmMov,
-    /// Register move followed by an immediate load.
-    MovImm,
-    /// Back-to-back stack loads (eager-restore runs after calls).
-    LoadLoad,
-    /// Back-to-back stack stores (lazy-save runs before calls).
-    StoreStore,
-}
-
-impl FusionKind {
-    /// Every template, in catalogue order (`fused_by_kind` index order).
-    pub const ALL: [FusionKind; 7] = [
-        FusionKind::CmpBranch,
-        FusionKind::MovMov,
-        FusionKind::ImmImm,
-        FusionKind::ImmMov,
-        FusionKind::MovImm,
-        FusionKind::LoadLoad,
-        FusionKind::StoreStore,
-    ];
-
-    /// Number of templates in the catalogue.
-    pub const COUNT: usize = FusionKind::ALL.len();
-
-    /// The stable snake_case key used in metric names
-    /// (`vm.dispatch.fused.<key>`), table columns, and the generated
-    /// fusion table.
-    pub fn key(self) -> &'static str {
-        match self {
-            FusionKind::CmpBranch => "cmp_branch",
-            FusionKind::MovMov => "mov_mov",
-            FusionKind::ImmImm => "imm_imm",
-            FusionKind::ImmMov => "imm_mov",
-            FusionKind::MovImm => "mov_imm",
-            FusionKind::LoadLoad => "load_load",
-            FusionKind::StoreStore => "store_store",
-        }
-    }
-}
-
-/// One row of the generated fusion table: an enabled template and the
-/// dynamic pair count the miner measured for it across the corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusionEntry {
-    /// The enabled template.
-    pub kind: FusionKind,
-    /// Measured dynamic executions of the pair across the fusegen
-    /// corpus (documentation + ranking; not consulted at decode time).
-    pub dynamic_count: u64,
-}
-
-/// FNV-1a over the table's `(key, dynamic_count)` sequence — the
-/// integrity mark `lesgs-fusegen` stamps into the generated file. A vm
-/// unit test recomputes it, so a hand-edited entry fails the build's
-/// tests even before CI's `lesgs-fusegen --check` regenerates the
-/// table from measurement.
-pub fn fusion_table_checksum(entries: &[FusionEntry]) -> u64 {
-    checksum(entries.iter().map(|e| (e.kind.key(), e.dynamic_count)))
-}
-
-/// The shared FNV-1a fold behind [`fusion_table_checksum`] and
-/// [`triple_table_checksum`]: both tables hash the same
-/// `(key, dynamic_count)` row shape.
-fn checksum(rows: impl Iterator<Item = (&'static str, u64)>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for (key, count) in rows {
-        eat(key.as_bytes());
-        eat(&count.to_le_bytes());
-        eat(b";");
-    }
-    h
-}
-
-/// The three-instruction superinstruction catalogue: every fall-through
-/// triple shape the decoder can fuse and the executor has a composed
-/// handler for. Like [`FusionKind`], the catalogue is the hand-written
-/// universe; which templates fire is decided by the generated
-/// [`crate::fusion_table::TRIPLE_TABLE`], mined from measured dynamic
-/// triple frequencies. The shapes are exactly the hottest fall-through
-/// triples the miner reports across the corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TripleKind {
-    /// Primitive, stack store of anything, register move (the
-    /// lazy-save tail of an evaluation).
-    PrimStoreMov,
-    /// Stack store, register move, primitive (save then shuffle then
-    /// compute).
-    StoreMovPrim,
-    /// Register move feeding a register-only predicate that a
-    /// conditional branch consumes — [`FusionKind::CmpBranch`] with its
-    /// argument shuffle folded in.
-    MovCmpBranch,
-    /// Register move, immediate load, primitive (binop setup).
-    MovImmPrim,
-    /// Three back-to-back stack loads (eager-restore runs).
-    LoadLoadLoad,
-    /// Three back-to-back stack stores (lazy-save runs).
-    StoreStoreStore,
-    /// Two stack loads then a stack store (restore + spill traffic).
-    LoadLoadStore,
-    /// Immediate load, primitive, register move (compute then place).
-    ImmPrimMov,
-}
-
-impl TripleKind {
-    /// Every template, in catalogue order (`fused_by_triple` index
-    /// order).
-    pub const ALL: [TripleKind; 8] = [
-        TripleKind::PrimStoreMov,
-        TripleKind::StoreMovPrim,
-        TripleKind::MovCmpBranch,
-        TripleKind::MovImmPrim,
-        TripleKind::LoadLoadLoad,
-        TripleKind::StoreStoreStore,
-        TripleKind::LoadLoadStore,
-        TripleKind::ImmPrimMov,
-    ];
-
-    /// Number of templates in the catalogue.
-    pub const COUNT: usize = TripleKind::ALL.len();
-
-    /// The stable snake_case key used in metric names
-    /// (`vm.dispatch.fused.<key>`), table columns, and the generated
-    /// triple table.
-    pub fn key(self) -> &'static str {
-        match self {
-            TripleKind::PrimStoreMov => "prim_store_mov",
-            TripleKind::StoreMovPrim => "store_mov_prim",
-            TripleKind::MovCmpBranch => "mov_cmp_branch",
-            TripleKind::MovImmPrim => "mov_imm_prim",
-            TripleKind::LoadLoadLoad => "load_load_load",
-            TripleKind::StoreStoreStore => "store_store_store",
-            TripleKind::LoadLoadStore => "load_load_store",
-            TripleKind::ImmPrimMov => "imm_prim_mov",
-        }
-    }
-}
-
-/// One row of the generated triple table: an enabled three-op template
-/// and the dynamic triple count the miner measured for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TripleEntry {
-    /// The enabled template.
-    pub kind: TripleKind,
-    /// Measured dynamic executions of the triple across the fusegen
-    /// corpus (documentation + ranking; not consulted at decode time).
-    pub dynamic_count: u64,
-}
-
-/// FNV-1a over the triple table's `(key, dynamic_count)` sequence —
-/// the same integrity discipline as [`fusion_table_checksum`], stamped
-/// as `TRIPLE_TABLE_CHECKSUM` in the generated file.
-pub fn triple_table_checksum(entries: &[TripleEntry]) -> u64 {
-    checksum(entries.iter().map(|e| (e.kind.key(), e.dynamic_count)))
-}
-
 /// What decoding did to one program — the static side of the
 /// `vm.dispatch.*` metrics namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecodeStats {
     /// Source instructions across all functions.
     pub source_instructions: u64,
-    /// Slots in the flat array (source slots plus one end sentinel per
-    /// function; fusion preserves slot count).
+    /// Slots in the flat array (one per source instruction plus one end
+    /// sentinel per function).
     pub decoded_ops: u64,
-    /// Fused pairs of any kind.
-    pub fused_pairs: u64,
-    /// Fused pairs by template, indexed by [`FusionKind`] discriminant
-    /// ([`FusionKind::ALL`] order).
-    pub fused_by_kind: [u64; FusionKind::COUNT],
-    /// Fused triples of any kind.
-    pub fused_triples: u64,
-    /// Fused triples by template, indexed by [`TripleKind`]
-    /// discriminant ([`TripleKind::ALL`] order).
-    pub fused_by_triple: [u64; TripleKind::COUNT],
 }
 
 impl DecodeStats {
-    /// Fused-pair count for one template.
-    pub fn fused(&self, kind: FusionKind) -> u64 {
-        self.fused_by_kind[kind as usize]
-    }
-
-    /// Fused-triple count for one template.
-    pub fn fused3(&self, kind: TripleKind) -> u64 {
-        self.fused_by_triple[kind as usize]
-    }
-
     /// Exports the counters under the stable `vm.dispatch.*` names
     /// documented in OBSERVABILITY.md. These are **load-time** facts
     /// about the program, recorded at compile time — run-time `vm.*`
     /// counters keep the exact key set they had before pre-decoding
-    /// existed. Every generated-table entry's counter is emitted, zero
-    /// included, so the key set (and with it profile JSON and bench
-    /// table shapes) is a fixed function of the committed table.
+    /// existed.
     pub fn record(&self, reg: &mut Registry) {
         reg.inc("vm.dispatch.source_instructions", self.source_instructions);
         reg.inc("vm.dispatch.decoded_ops", self.decoded_ops);
-        reg.inc("vm.dispatch.fused_pairs", self.fused_pairs);
-        reg.inc("vm.dispatch.fused_triples", self.fused_triples);
-        for entry in crate::fusion_table::FUSION_TABLE {
-            reg.inc(
-                &format!("vm.dispatch.fused.{}", entry.kind.key()),
-                self.fused(entry.kind),
-            );
-        }
-        for entry in crate::fusion_table::TRIPLE_TABLE {
-            reg.inc(
-                &format!("vm.dispatch.fused.{}", entry.kind.key()),
-                self.fused3(entry.kind),
-            );
-        }
     }
 }
 
@@ -481,8 +244,6 @@ pub enum DecodedOp {
     CallClosure {
         /// Caller frame size.
         frame_advance: u32,
-        /// Monomorphic inline-cache site index.
-        ic: u32,
     },
     /// Tail call of a known function.
     TailCallStatic {
@@ -490,10 +251,7 @@ pub enum DecodedOp {
         callee: FuncId,
     },
     /// Tail call through the closure in `cp`.
-    TailCallClosure {
-        /// Monomorphic inline-cache site index.
-        ic: u32,
-    },
+    TailCallClosure,
     /// Jump through the return address in `ret`, restoring `fp`.
     Return,
     /// Allocate a closure with `n_free` uninitialized slots.
@@ -550,545 +308,23 @@ pub enum DecodedOp {
     },
     /// Stop the machine; the program value is in `rv`.
     Halt,
-    /// Fused predicate + conditional branch (the branch consumes the
-    /// predicate's result in the same dispatch). Occupies the
-    /// predicate's slot; the branch's slot keeps a plain
-    /// [`DecodedOp::Branch`] as a jump-target fallback.
-    CmpBranch {
-        /// The predicate.
-        op: Prim,
-        /// Predicate destination register.
-        dst: Reg,
-        /// Predicate operands.
-        args: PrimArgs,
-        /// Branch condition register.
-        src: Reg,
-        /// Absolute branch target pc.
-        target: u32,
-        /// Static prediction of the fallthrough path.
-        likely: Option<bool>,
-        /// True for `brtrue`, false for `brfalse`.
-        on_true: bool,
-    },
-    /// Fused pair of register moves (greedy-shuffle argument setup).
-    MovMov {
-        /// First destination.
-        dst1: Reg,
-        /// First source.
-        src1: Reg,
-        /// Second destination.
-        dst2: Reg,
-        /// Second source (read after the first move writes).
-        src2: Reg,
-    },
-    /// Fused pair of immediate loads.
-    ImmImm {
-        /// First destination.
-        dst1: Reg,
-        /// First constant.
-        imm1: Imm,
-        /// Second destination.
-        dst2: Reg,
-        /// Second constant.
-        imm2: Imm,
-    },
-    /// Fused immediate load followed by a register move.
-    ImmMov {
-        /// Immediate destination.
-        dst1: Reg,
-        /// The constant.
-        imm1: Imm,
-        /// Move destination.
-        dst2: Reg,
-        /// Move source (read after the immediate lands).
-        src2: Reg,
-    },
-    /// Fused register move followed by an immediate load.
-    MovImm {
-        /// Move destination.
-        dst1: Reg,
-        /// Move source.
-        src1: Reg,
-        /// Immediate destination.
-        dst2: Reg,
-        /// The constant.
-        imm2: Imm,
-    },
-    /// Fused pair of stack loads (eager-restore runs after calls).
-    LoadLoad {
-        /// First destination.
-        dst1: Reg,
-        /// First frame offset.
-        slot1: u32,
-        /// First instrumentation class.
-        class1: SlotClass,
-        /// Second destination.
-        dst2: Reg,
-        /// Second frame offset.
-        slot2: u32,
-        /// Second instrumentation class.
-        class2: SlotClass,
-    },
-    /// Fused pair of stack stores (lazy-save runs before calls).
-    StoreStore {
-        /// First frame offset.
-        slot1: u32,
-        /// First source.
-        src1: Reg,
-        /// First instrumentation class.
-        class1: SlotClass,
-        /// Second frame offset.
-        slot2: u32,
-        /// Second source.
-        src2: Reg,
-        /// Second instrumentation class.
-        class2: SlotClass,
-    },
-    /// Fused triple: primitive, stack store, register move. Occupies
-    /// the primitive's slot; the second and third slots keep their
-    /// plain decodings as jump-target fallbacks (the same discipline
-    /// as every fused pair).
-    PrimStoreMov {
-        /// The primitive.
-        op: Prim,
-        /// Primitive destination.
-        dst1: Reg,
-        /// Primitive operands.
-        args: PrimArgs,
-        /// Store frame offset.
-        slot2: u32,
-        /// Store source.
-        src2: Reg,
-        /// Store instrumentation class.
-        class2: SlotClass,
-        /// Move destination.
-        dst3: Reg,
-        /// Move source.
-        src3: Reg,
-    },
-    /// Fused triple: stack store, register move, primitive.
-    StoreMovPrim {
-        /// Store frame offset.
-        slot1: u32,
-        /// Store source.
-        src1: Reg,
-        /// Store instrumentation class.
-        class1: SlotClass,
-        /// Move destination.
-        dst2: Reg,
-        /// Move source.
-        src2: Reg,
-        /// The primitive.
-        op: Prim,
-        /// Primitive destination.
-        dst3: Reg,
-        /// Primitive operands.
-        args: PrimArgs,
-    },
-    /// Fused triple: register move, register-only predicate,
-    /// conditional branch on the predicate's result.
-    MovCmpBranch {
-        /// Move destination.
-        dst1: Reg,
-        /// Move source.
-        src1: Reg,
-        /// The predicate.
-        op: Prim,
-        /// Predicate destination.
-        dst2: Reg,
-        /// Predicate operands.
-        args: PrimArgs,
-        /// Branch condition register.
-        src3: Reg,
-        /// Absolute branch target pc.
-        target: u32,
-        /// Static prediction of the fallthrough path.
-        likely: Option<bool>,
-        /// True for `brtrue`, false for `brfalse`.
-        on_true: bool,
-    },
-    /// Fused triple: register move, immediate load, primitive.
-    MovImmPrim {
-        /// Move destination.
-        dst1: Reg,
-        /// Move source.
-        src1: Reg,
-        /// Immediate destination.
-        dst2: Reg,
-        /// The constant.
-        imm2: Imm,
-        /// The primitive.
-        op: Prim,
-        /// Primitive destination.
-        dst3: Reg,
-        /// Primitive operands.
-        args: PrimArgs,
-    },
-    /// Fused triple of stack loads (eager-restore runs).
-    LoadLoadLoad {
-        /// First destination.
-        dst1: Reg,
-        /// First frame offset.
-        slot1: u32,
-        /// First instrumentation class.
-        class1: SlotClass,
-        /// Second destination.
-        dst2: Reg,
-        /// Second frame offset.
-        slot2: u32,
-        /// Second instrumentation class.
-        class2: SlotClass,
-        /// Third destination.
-        dst3: Reg,
-        /// Third frame offset.
-        slot3: u32,
-        /// Third instrumentation class.
-        class3: SlotClass,
-    },
-    /// Fused triple of stack stores (lazy-save runs).
-    StoreStoreStore {
-        /// First frame offset.
-        slot1: u32,
-        /// First source.
-        src1: Reg,
-        /// First instrumentation class.
-        class1: SlotClass,
-        /// Second frame offset.
-        slot2: u32,
-        /// Second source.
-        src2: Reg,
-        /// Second instrumentation class.
-        class2: SlotClass,
-        /// Third frame offset.
-        slot3: u32,
-        /// Third source.
-        src3: Reg,
-        /// Third instrumentation class.
-        class3: SlotClass,
-    },
-    /// Fused triple: two stack loads then a stack store.
-    LoadLoadStore {
-        /// First load destination.
-        dst1: Reg,
-        /// First load frame offset.
-        slot1: u32,
-        /// First load instrumentation class.
-        class1: SlotClass,
-        /// Second load destination.
-        dst2: Reg,
-        /// Second load frame offset.
-        slot2: u32,
-        /// Second load instrumentation class.
-        class2: SlotClass,
-        /// Store frame offset.
-        slot3: u32,
-        /// Store source.
-        src3: Reg,
-        /// Store instrumentation class.
-        class3: SlotClass,
-    },
-    /// Fused triple: immediate load, primitive, register move.
-    ImmPrimMov {
-        /// Immediate destination.
-        dst1: Reg,
-        /// The constant.
-        imm1: Imm,
-        /// The primitive.
-        op: Prim,
-        /// Primitive destination.
-        dst2: Reg,
-        /// Primitive operands.
-        args: PrimArgs,
-        /// Move destination.
-        dst3: Reg,
-        /// Move source.
-        src3: Reg,
-    },
     /// End-of-function sentinel: executing it is the classic "program
     /// counter out of range" error.
     FuncEnd,
 }
+
+// The largest variant, `Imm` (a 16-byte `Imm` beside its register),
+// fills 24 bytes with the tag; a new variant must not grow the op
+// array's stride, which every dispatch copies.
+const _: () = assert!(size_of::<DecodedOp>() <= 24);
 
 impl DecodedOp {
     /// The absolute jump target this op may transfer to, if any (the
     /// fixture tests' jump-target table).
     pub fn jump_target(&self) -> Option<u32> {
         match *self {
-            DecodedOp::Jump { target }
-            | DecodedOp::Branch { target, .. }
-            | DecodedOp::CmpBranch { target, .. }
-            | DecodedOp::MovCmpBranch { target, .. } => Some(target),
+            DecodedOp::Jump { target } | DecodedOp::Branch { target, .. } => Some(target),
             _ => None,
-        }
-    }
-}
-
-impl fmt::Display for DecodedOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let args = |f: &mut fmt::Formatter<'_>, args: &PrimArgs| {
-            for (i, a) in args.as_slice().iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{a}")?;
-            }
-            Ok(())
-        };
-        let likely = |f: &mut fmt::Formatter<'_>, l: &Option<bool>| match l {
-            Some(l) => write!(f, " ;likely={l}"),
-            None => Ok(()),
-        };
-        match self {
-            DecodedOp::Imm { dst, imm } => write!(f, "{dst} <- {imm:?}"),
-            DecodedOp::Const { dst, idx } => write!(f, "{dst} <- const[{idx}]"),
-            DecodedOp::Mov { dst, src } => write!(f, "{dst} <- {src}"),
-            DecodedOp::StackLoad { dst, slot, class } => {
-                write!(f, "{dst} <- fp[{slot}] ;{class}")
-            }
-            DecodedOp::StackStore { slot, src, class } => {
-                write!(f, "fp[{slot}] <- {src} ;{class}")
-            }
-            DecodedOp::Prim { op, dst, args: a } => {
-                write!(f, "{dst} <- {op}(")?;
-                args(f, a)?;
-                write!(f, ")")
-            }
-            DecodedOp::Jump { target } => write!(f, "jump @{target}"),
-            DecodedOp::Branch {
-                src,
-                target,
-                likely: l,
-                on_true,
-            } => {
-                let name = if *on_true { "brtrue" } else { "brfalse" };
-                write!(f, "{name} {src} -> @{target}")?;
-                likely(f, l)
-            }
-            DecodedOp::CallStatic {
-                callee,
-                frame_advance,
-            } => write!(f, "call {callee} (+{frame_advance})"),
-            DecodedOp::CallClosure { frame_advance, ic } => {
-                write!(f, "call cp (+{frame_advance}) ;ic={ic}")
-            }
-            DecodedOp::TailCallStatic { callee } => write!(f, "tailcall {callee}"),
-            DecodedOp::TailCallClosure { ic } => write!(f, "tailcall cp ;ic={ic}"),
-            DecodedOp::Return => write!(f, "return"),
-            DecodedOp::AllocClosure { dst, func, n_free } => {
-                write!(f, "{dst} <- closure {func} [{n_free}]")
-            }
-            DecodedOp::ClosureSlotSet { clo, index, src } => {
-                write!(f, "{clo}.free[{index}] <- {src}")
-            }
-            DecodedOp::LoadFree { dst, index } => write!(f, "{dst} <- cp.free[{index}]"),
-            DecodedOp::LoadGlobal { dst, index } => write!(f, "{dst} <- global[{index}]"),
-            DecodedOp::StoreGlobal { index, src } => write!(f, "global[{index}] <- {src}"),
-            DecodedOp::Swap { a, b } => write!(f, "swap {a}, {b}"),
-            DecodedOp::Permi { args: a } => {
-                write!(f, "permi [")?;
-                for (i, r) in a.regs().iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{r}")?;
-                }
-                write!(f, "] perm [")?;
-                for (i, p) in a.perm().iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                write!(f, "]")
-            }
-            DecodedOp::Halt => write!(f, "halt"),
-            DecodedOp::CmpBranch {
-                op,
-                dst,
-                args: a,
-                src,
-                target,
-                likely: l,
-                on_true,
-            } => {
-                let name = if *on_true { "brtrue" } else { "brfalse" };
-                write!(f, "{dst} <- {op}(")?;
-                args(f, a)?;
-                write!(f, ") ; fused {name} {src} -> @{target}")?;
-                likely(f, l)
-            }
-            DecodedOp::MovMov {
-                dst1,
-                src1,
-                dst2,
-                src2,
-            } => write!(f, "{dst1} <- {src1} ; fused {dst2} <- {src2}"),
-            DecodedOp::ImmImm {
-                dst1,
-                imm1,
-                dst2,
-                imm2,
-            } => write!(f, "{dst1} <- {imm1:?} ; fused {dst2} <- {imm2:?}"),
-            DecodedOp::ImmMov {
-                dst1,
-                imm1,
-                dst2,
-                src2,
-            } => write!(f, "{dst1} <- {imm1:?} ; fused {dst2} <- {src2}"),
-            DecodedOp::MovImm {
-                dst1,
-                src1,
-                dst2,
-                imm2,
-            } => write!(f, "{dst1} <- {src1} ; fused {dst2} <- {imm2:?}"),
-            DecodedOp::LoadLoad {
-                dst1,
-                slot1,
-                class1,
-                dst2,
-                slot2,
-                class2,
-            } => write!(
-                f,
-                "{dst1} <- fp[{slot1}] ;{class1} ; fused {dst2} <- fp[{slot2}] ;{class2}"
-            ),
-            DecodedOp::StoreStore {
-                slot1,
-                src1,
-                class1,
-                slot2,
-                src2,
-                class2,
-            } => write!(
-                f,
-                "fp[{slot1}] <- {src1} ;{class1} ; fused fp[{slot2}] <- {src2} ;{class2}"
-            ),
-            DecodedOp::PrimStoreMov {
-                op,
-                dst1,
-                args: a,
-                slot2,
-                src2,
-                class2,
-                dst3,
-                src3,
-            } => {
-                write!(f, "{dst1} <- {op}(")?;
-                args(f, a)?;
-                write!(
-                    f,
-                    ") ; fused fp[{slot2}] <- {src2} ;{class2} ; fused {dst3} <- {src3}"
-                )
-            }
-            DecodedOp::StoreMovPrim {
-                slot1,
-                src1,
-                class1,
-                dst2,
-                src2,
-                op,
-                dst3,
-                args: a,
-            } => {
-                write!(
-                    f,
-                    "fp[{slot1}] <- {src1} ;{class1} ; fused {dst2} <- {src2} ; fused {dst3} <- {op}("
-                )?;
-                args(f, a)?;
-                write!(f, ")")
-            }
-            DecodedOp::MovCmpBranch {
-                dst1,
-                src1,
-                op,
-                dst2,
-                args: a,
-                src3,
-                target,
-                likely: l,
-                on_true,
-            } => {
-                let name = if *on_true { "brtrue" } else { "brfalse" };
-                write!(f, "{dst1} <- {src1} ; fused {dst2} <- {op}(")?;
-                args(f, a)?;
-                write!(f, ") ; fused {name} {src3} -> @{target}")?;
-                likely(f, l)
-            }
-            DecodedOp::MovImmPrim {
-                dst1,
-                src1,
-                dst2,
-                imm2,
-                op,
-                dst3,
-                args: a,
-            } => {
-                write!(
-                    f,
-                    "{dst1} <- {src1} ; fused {dst2} <- {imm2:?} ; fused {dst3} <- {op}("
-                )?;
-                args(f, a)?;
-                write!(f, ")")
-            }
-            DecodedOp::LoadLoadLoad {
-                dst1,
-                slot1,
-                class1,
-                dst2,
-                slot2,
-                class2,
-                dst3,
-                slot3,
-                class3,
-            } => write!(
-                f,
-                "{dst1} <- fp[{slot1}] ;{class1} ; fused {dst2} <- fp[{slot2}] ;{class2} \
-                 ; fused {dst3} <- fp[{slot3}] ;{class3}"
-            ),
-            DecodedOp::StoreStoreStore {
-                slot1,
-                src1,
-                class1,
-                slot2,
-                src2,
-                class2,
-                slot3,
-                src3,
-                class3,
-            } => write!(
-                f,
-                "fp[{slot1}] <- {src1} ;{class1} ; fused fp[{slot2}] <- {src2} ;{class2} \
-                 ; fused fp[{slot3}] <- {src3} ;{class3}"
-            ),
-            DecodedOp::LoadLoadStore {
-                dst1,
-                slot1,
-                class1,
-                dst2,
-                slot2,
-                class2,
-                slot3,
-                src3,
-                class3,
-            } => write!(
-                f,
-                "{dst1} <- fp[{slot1}] ;{class1} ; fused {dst2} <- fp[{slot2}] ;{class2} \
-                 ; fused fp[{slot3}] <- {src3} ;{class3}"
-            ),
-            DecodedOp::ImmPrimMov {
-                dst1,
-                imm1,
-                op,
-                dst2,
-                args: a,
-                dst3,
-                src3,
-            } => {
-                write!(f, "{dst1} <- {imm1:?} ; fused {dst2} <- {op}(")?;
-                args(f, a)?;
-                write!(f, ") ; fused {dst3} <- {src3}")
-            }
-            DecodedOp::FuncEnd => write!(f, "func-end"),
         }
     }
 }
@@ -1106,54 +342,13 @@ pub struct DecodedProgram {
     pub(crate) constants: Vec<Const>,
     pub(crate) n_globals: u32,
     pub(crate) stats: DecodeStats,
-    pub(crate) n_ic_sites: u32,
 }
 
-/// True for the register-only predicates the decoder may fuse with a
-/// following branch. (Correctness would allow any primitive — the
-/// fused handler composes the plain ones — but the catalogue sticks to
-/// cheap compare-style ops so the fused slot stays branch-like.)
-fn fusible_predicate(p: Prim) -> bool {
-    use Prim::*;
-    matches!(
-        p,
-        IsZero
-            | IsPositive
-            | IsNegative
-            | IsEven
-            | IsOdd
-            | NumEq
-            | Lt
-            | Le
-            | Gt
-            | Ge
-            | IsEq
-            | IsEqv
-            | Not
-            | IsPair
-            | IsNull
-            | IsSymbol
-            | IsNumber
-            | IsBoolean
-            | IsProcedure
-            | IsVector
-            | IsString
-            | IsChar
-    )
-}
-
-/// Decodes one instruction (no fusion). `base` is the function's first
-/// absolute pc; `len` its source length — intra-function targets are
-/// rebased and clamped to the end sentinel. `next_ic` hands out
-/// inline-cache site indices to through-`cp` call sites in decode
-/// order.
-fn decode_one(instr: &Instr, base: u32, len: u32, next_ic: &mut u32) -> DecodedOp {
+/// Decodes one instruction. `base` is the function's first absolute
+/// pc; `len` its source length — intra-function targets are rebased
+/// and clamped to the end sentinel.
+fn decode_one(instr: &Instr, base: u32, len: u32) -> DecodedOp {
     let abs = |t: u32| base + t.min(len);
-    let mut take_ic = || {
-        let ic = *next_ic;
-        *next_ic += 1;
-        ic
-    };
     match instr {
         Instr::LoadImm { dst, imm } => DecodedOp::Imm {
             dst: *dst,
@@ -1215,12 +410,11 @@ fn decode_one(instr: &Instr, base: u32, len: u32, next_ic: &mut u32) -> DecodedO
             },
             CallTarget::ClosureCp => DecodedOp::CallClosure {
                 frame_advance: *frame_advance,
-                ic: take_ic(),
             },
         },
         Instr::TailCall { target } => match target {
             CallTarget::Func(id) => DecodedOp::TailCallStatic { callee: *id },
-            CallTarget::ClosureCp => DecodedOp::TailCallClosure { ic: take_ic() },
+            CallTarget::ClosureCp => DecodedOp::TailCallClosure,
         },
         Instr::Return => DecodedOp::Return,
         Instr::AllocClosure { dst, func, n_free } => DecodedOp::AllocClosure {
@@ -1253,415 +447,8 @@ fn decode_one(instr: &Instr, base: u32, len: u32, next_ic: &mut u32) -> DecodedO
     }
 }
 
-/// Matches the pair `(a, b)` against the template catalogue: which
-/// [`FusionKind`] *could* fuse it, independent of whether that kind is
-/// enabled in the generated table. Shared with `lesgs-fusegen`, whose
-/// miner attributes measured dynamic pair counts to exactly the
-/// templates this function recognizes.
-pub fn template_match(a: &Instr, b: &Instr) -> Option<FusionKind> {
-    match (a, b) {
-        (Instr::Prim { op, .. }, Instr::BranchFalse { .. } | Instr::BranchTrue { .. })
-            if fusible_predicate(*op) =>
-        {
-            Some(FusionKind::CmpBranch)
-        }
-        (Instr::Mov { .. }, Instr::Mov { .. }) => Some(FusionKind::MovMov),
-        (Instr::LoadImm { .. }, Instr::LoadImm { .. }) => Some(FusionKind::ImmImm),
-        (Instr::LoadImm { .. }, Instr::Mov { .. }) => Some(FusionKind::ImmMov),
-        (Instr::Mov { .. }, Instr::LoadImm { .. }) => Some(FusionKind::MovImm),
-        (Instr::StackLoad { .. }, Instr::StackLoad { .. }) => Some(FusionKind::LoadLoad),
-        (Instr::StackStore { .. }, Instr::StackStore { .. }) => Some(FusionKind::StoreStore),
-        _ => None,
-    }
-}
-
-/// Builds the fused op for a pair [`template_match`] accepted. The
-/// fused op replaces `a`'s slot only; `b`'s slot keeps its plain
-/// decoding.
-fn build_fused(kind: FusionKind, a: &Instr, b: &Instr, base: u32, len: u32) -> DecodedOp {
-    let abs = |t: u32| base + t.min(len);
-    match (kind, a, b) {
-        (
-            FusionKind::CmpBranch,
-            Instr::Prim { op, dst, args },
-            Instr::BranchFalse {
-                src,
-                target,
-                likely,
-            },
-        ) => DecodedOp::CmpBranch {
-            op: *op,
-            dst: *dst,
-            args: PrimArgs::from_slice(args),
-            src: *src,
-            target: abs(*target),
-            likely: *likely,
-            on_true: false,
-        },
-        (
-            FusionKind::CmpBranch,
-            Instr::Prim { op, dst, args },
-            Instr::BranchTrue {
-                src,
-                target,
-                likely,
-            },
-        ) => DecodedOp::CmpBranch {
-            op: *op,
-            dst: *dst,
-            args: PrimArgs::from_slice(args),
-            src: *src,
-            target: abs(*target),
-            likely: *likely,
-            on_true: true,
-        },
-        (
-            FusionKind::MovMov,
-            Instr::Mov { dst, src },
-            Instr::Mov {
-                dst: dst2,
-                src: src2,
-            },
-        ) => DecodedOp::MovMov {
-            dst1: *dst,
-            src1: *src,
-            dst2: *dst2,
-            src2: *src2,
-        },
-        (
-            FusionKind::ImmImm,
-            Instr::LoadImm { dst, imm },
-            Instr::LoadImm {
-                dst: dst2,
-                imm: imm2,
-            },
-        ) => DecodedOp::ImmImm {
-            dst1: *dst,
-            imm1: *imm,
-            dst2: *dst2,
-            imm2: *imm2,
-        },
-        (
-            FusionKind::ImmMov,
-            Instr::LoadImm { dst, imm },
-            Instr::Mov {
-                dst: dst2,
-                src: src2,
-            },
-        ) => DecodedOp::ImmMov {
-            dst1: *dst,
-            imm1: *imm,
-            dst2: *dst2,
-            src2: *src2,
-        },
-        (
-            FusionKind::MovImm,
-            Instr::Mov { dst, src },
-            Instr::LoadImm {
-                dst: dst2,
-                imm: imm2,
-            },
-        ) => DecodedOp::MovImm {
-            dst1: *dst,
-            src1: *src,
-            dst2: *dst2,
-            imm2: *imm2,
-        },
-        (
-            FusionKind::LoadLoad,
-            Instr::StackLoad { dst, slot, class },
-            Instr::StackLoad {
-                dst: dst2,
-                slot: slot2,
-                class: class2,
-            },
-        ) => DecodedOp::LoadLoad {
-            dst1: *dst,
-            slot1: *slot,
-            class1: *class,
-            dst2: *dst2,
-            slot2: *slot2,
-            class2: *class2,
-        },
-        (
-            FusionKind::StoreStore,
-            Instr::StackStore { slot, src, class },
-            Instr::StackStore {
-                slot: slot2,
-                src: src2,
-                class: class2,
-            },
-        ) => DecodedOp::StoreStore {
-            slot1: *slot,
-            src1: *src,
-            class1: *class,
-            slot2: *slot2,
-            src2: *src2,
-            class2: *class2,
-        },
-        _ => unreachable!("build_fused called with a pair template_match rejected"),
-    }
-}
-
-/// Matches the triple `(a, b, c)` against the three-op template
-/// catalogue: which [`TripleKind`] *could* fuse it, independent of
-/// whether that kind is enabled in the generated table. Shared with
-/// `lesgs-fusegen`, whose miner attributes measured dynamic triple
-/// counts to exactly the templates this function recognizes. Only
-/// fall-through shapes appear (the first two ops never transfer
-/// control), so — as with pairs — fusion needs no control-flow
-/// analysis.
-pub fn template_match3(a: &Instr, b: &Instr, c: &Instr) -> Option<TripleKind> {
-    match (a, b, c) {
-        (Instr::Prim { .. }, Instr::StackStore { .. }, Instr::Mov { .. }) => {
-            Some(TripleKind::PrimStoreMov)
-        }
-        (Instr::StackStore { .. }, Instr::Mov { .. }, Instr::Prim { .. }) => {
-            Some(TripleKind::StoreMovPrim)
-        }
-        (
-            Instr::Mov { .. },
-            Instr::Prim { op, .. },
-            Instr::BranchFalse { .. } | Instr::BranchTrue { .. },
-        ) if fusible_predicate(*op) => Some(TripleKind::MovCmpBranch),
-        (Instr::Mov { .. }, Instr::LoadImm { .. }, Instr::Prim { .. }) => {
-            Some(TripleKind::MovImmPrim)
-        }
-        (Instr::StackLoad { .. }, Instr::StackLoad { .. }, Instr::StackLoad { .. }) => {
-            Some(TripleKind::LoadLoadLoad)
-        }
-        (Instr::StackStore { .. }, Instr::StackStore { .. }, Instr::StackStore { .. }) => {
-            Some(TripleKind::StoreStoreStore)
-        }
-        (Instr::StackLoad { .. }, Instr::StackLoad { .. }, Instr::StackStore { .. }) => {
-            Some(TripleKind::LoadLoadStore)
-        }
-        (Instr::LoadImm { .. }, Instr::Prim { .. }, Instr::Mov { .. }) => {
-            Some(TripleKind::ImmPrimMov)
-        }
-        _ => None,
-    }
-}
-
-/// Builds the fused op for a triple [`template_match3`] accepted. The
-/// fused op replaces `a`'s slot only; `b`'s and `c`'s slots keep their
-/// plain decodings.
-fn build_fused3(
-    kind: TripleKind,
-    a: &Instr,
-    b: &Instr,
-    c: &Instr,
-    base: u32,
-    len: u32,
-) -> DecodedOp {
-    let abs = |t: u32| base + t.min(len);
-    match (kind, a, b, c) {
-        (
-            TripleKind::PrimStoreMov,
-            Instr::Prim { op, dst, args },
-            Instr::StackStore { slot, src, class },
-            Instr::Mov {
-                dst: dst3,
-                src: src3,
-            },
-        ) => DecodedOp::PrimStoreMov {
-            op: *op,
-            dst1: *dst,
-            args: PrimArgs::from_slice(args),
-            slot2: *slot,
-            src2: *src,
-            class2: *class,
-            dst3: *dst3,
-            src3: *src3,
-        },
-        (
-            TripleKind::StoreMovPrim,
-            Instr::StackStore { slot, src, class },
-            Instr::Mov {
-                dst: dst2,
-                src: src2,
-            },
-            Instr::Prim { op, dst, args },
-        ) => DecodedOp::StoreMovPrim {
-            slot1: *slot,
-            src1: *src,
-            class1: *class,
-            dst2: *dst2,
-            src2: *src2,
-            op: *op,
-            dst3: *dst,
-            args: PrimArgs::from_slice(args),
-        },
-        (
-            TripleKind::MovCmpBranch,
-            Instr::Mov { dst, src },
-            Instr::Prim {
-                op,
-                dst: dst2,
-                args,
-            },
-            Instr::BranchFalse {
-                src: src3,
-                target,
-                likely,
-            },
-        ) => DecodedOp::MovCmpBranch {
-            dst1: *dst,
-            src1: *src,
-            op: *op,
-            dst2: *dst2,
-            args: PrimArgs::from_slice(args),
-            src3: *src3,
-            target: abs(*target),
-            likely: *likely,
-            on_true: false,
-        },
-        (
-            TripleKind::MovCmpBranch,
-            Instr::Mov { dst, src },
-            Instr::Prim {
-                op,
-                dst: dst2,
-                args,
-            },
-            Instr::BranchTrue {
-                src: src3,
-                target,
-                likely,
-            },
-        ) => DecodedOp::MovCmpBranch {
-            dst1: *dst,
-            src1: *src,
-            op: *op,
-            dst2: *dst2,
-            args: PrimArgs::from_slice(args),
-            src3: *src3,
-            target: abs(*target),
-            likely: *likely,
-            on_true: true,
-        },
-        (
-            TripleKind::MovImmPrim,
-            Instr::Mov { dst, src },
-            Instr::LoadImm {
-                dst: dst2,
-                imm: imm2,
-            },
-            Instr::Prim {
-                op,
-                dst: dst3,
-                args,
-            },
-        ) => DecodedOp::MovImmPrim {
-            dst1: *dst,
-            src1: *src,
-            dst2: *dst2,
-            imm2: *imm2,
-            op: *op,
-            dst3: *dst3,
-            args: PrimArgs::from_slice(args),
-        },
-        (
-            TripleKind::LoadLoadLoad,
-            Instr::StackLoad { dst, slot, class },
-            Instr::StackLoad {
-                dst: dst2,
-                slot: slot2,
-                class: class2,
-            },
-            Instr::StackLoad {
-                dst: dst3,
-                slot: slot3,
-                class: class3,
-            },
-        ) => DecodedOp::LoadLoadLoad {
-            dst1: *dst,
-            slot1: *slot,
-            class1: *class,
-            dst2: *dst2,
-            slot2: *slot2,
-            class2: *class2,
-            dst3: *dst3,
-            slot3: *slot3,
-            class3: *class3,
-        },
-        (
-            TripleKind::StoreStoreStore,
-            Instr::StackStore { slot, src, class },
-            Instr::StackStore {
-                slot: slot2,
-                src: src2,
-                class: class2,
-            },
-            Instr::StackStore {
-                slot: slot3,
-                src: src3,
-                class: class3,
-            },
-        ) => DecodedOp::StoreStoreStore {
-            slot1: *slot,
-            src1: *src,
-            class1: *class,
-            slot2: *slot2,
-            src2: *src2,
-            class2: *class2,
-            slot3: *slot3,
-            src3: *src3,
-            class3: *class3,
-        },
-        (
-            TripleKind::LoadLoadStore,
-            Instr::StackLoad { dst, slot, class },
-            Instr::StackLoad {
-                dst: dst2,
-                slot: slot2,
-                class: class2,
-            },
-            Instr::StackStore {
-                slot: slot3,
-                src: src3,
-                class: class3,
-            },
-        ) => DecodedOp::LoadLoadStore {
-            dst1: *dst,
-            slot1: *slot,
-            class1: *class,
-            dst2: *dst2,
-            slot2: *slot2,
-            class2: *class2,
-            slot3: *slot3,
-            src3: *src3,
-            class3: *class3,
-        },
-        (
-            TripleKind::ImmPrimMov,
-            Instr::LoadImm { dst, imm },
-            Instr::Prim {
-                op,
-                dst: dst2,
-                args,
-            },
-            Instr::Mov {
-                dst: dst3,
-                src: src3,
-            },
-        ) => DecodedOp::ImmPrimMov {
-            dst1: *dst,
-            imm1: *imm,
-            op: *op,
-            dst2: *dst2,
-            args: PrimArgs::from_slice(args),
-            dst3: *dst3,
-            src3: *src3,
-        },
-        _ => unreachable!("build_fused3 called with a triple template_match3 rejected"),
-    }
-}
-
 impl DecodedProgram {
-    /// Decodes a linked program under the committed generated fusion
-    /// table ([`crate::fusion_table::FUSION_TABLE`]) — see the module
-    /// docs for the layout.
+    /// Decodes a linked program — see the module docs for the layout.
     ///
     /// # Panics
     ///
@@ -1669,92 +456,12 @@ impl DecodedProgram {
     /// operands — codegen never emits one and `verify_bytecode`
     /// rejects such programs.
     pub fn decode(program: &VmProgram) -> DecodedProgram {
-        DecodedProgram::decode_with_table(
-            program,
-            crate::fusion_table::FUSION_TABLE,
-            crate::fusion_table::TRIPLE_TABLE,
-        )
-    }
-
-    /// Decodes with explicit pair and triple fusion tables. Empty
-    /// tables disable fusion entirely — that is how the `lesgs-fusegen`
-    /// miner obtains the one-op-per-slot decoding it profiles pair and
-    /// triple frequencies on. The greedy scan prefers an enabled triple
-    /// over an enabled pair at the same position, mirroring the miner's
-    /// attribution order.
-    pub fn decode_with_table(
-        program: &VmProgram,
-        table: &[FusionEntry],
-        triples: &[TripleEntry],
-    ) -> DecodedProgram {
-        let enabled: [bool; FusionKind::COUNT] = {
-            let mut e = [false; FusionKind::COUNT];
-            for entry in table {
-                e[entry.kind as usize] = true;
-            }
-            e
-        };
-        let enabled3: [bool; TripleKind::COUNT] = {
-            let mut e = [false; TripleKind::COUNT];
-            for entry in triples {
-                e[entry.kind as usize] = true;
-            }
-            e
-        };
         let mut ops = Vec::with_capacity(program.code_size() + program.funcs.len());
         let mut funcs = Vec::with_capacity(program.funcs.len());
-        let mut stats = DecodeStats::default();
-        let mut next_ic = 0u32;
         for f in &program.funcs {
             let base = ops.len() as u32;
             let len = f.code.len() as u32;
-            stats.source_instructions += u64::from(len);
-            let mut i = 0usize;
-            while i < f.code.len() {
-                let fused3 = (i + 2 < f.code.len())
-                    .then(|| template_match3(&f.code[i], &f.code[i + 1], &f.code[i + 2]))
-                    .flatten()
-                    .filter(|kind| enabled3[*kind as usize]);
-                if let Some(kind) = fused3 {
-                    stats.fused_triples += 1;
-                    stats.fused_by_triple[kind as usize] += 1;
-                    ops.push(build_fused3(
-                        kind,
-                        &f.code[i],
-                        &f.code[i + 1],
-                        &f.code[i + 2],
-                        base,
-                        len,
-                    ));
-                    // The second and third slots keep their plain
-                    // decodings so a branch landing mid-triple behaves
-                    // exactly as before.
-                    ops.push(decode_one(&f.code[i + 1], base, len, &mut next_ic));
-                    ops.push(decode_one(&f.code[i + 2], base, len, &mut next_ic));
-                    i += 3;
-                    continue;
-                }
-                let fused = f
-                    .code
-                    .get(i + 1)
-                    .and_then(|next| template_match(&f.code[i], next))
-                    .filter(|kind| enabled[*kind as usize]);
-                match fused {
-                    Some(kind) => {
-                        stats.fused_pairs += 1;
-                        stats.fused_by_kind[kind as usize] += 1;
-                        ops.push(build_fused(kind, &f.code[i], &f.code[i + 1], base, len));
-                        // The second slot keeps its plain decoding so a
-                        // branch landing on it behaves exactly as before.
-                        ops.push(decode_one(&f.code[i + 1], base, len, &mut next_ic));
-                        i += 2;
-                    }
-                    None => {
-                        ops.push(decode_one(&f.code[i], base, len, &mut next_ic));
-                        i += 1;
-                    }
-                }
-            }
+            ops.extend(f.code.iter().map(|instr| decode_one(instr, base, len)));
             ops.push(DecodedOp::FuncEnd);
             funcs.push(FuncInfo {
                 name: f.name.clone(),
@@ -1766,7 +473,10 @@ impl DecodedProgram {
                 call_inevitable: f.call_inevitable,
             });
         }
-        stats.decoded_ops = ops.len() as u64;
+        let stats = DecodeStats {
+            source_instructions: program.code_size() as u64,
+            decoded_ops: ops.len() as u64,
+        };
         DecodedProgram {
             ops,
             funcs,
@@ -1774,7 +484,6 @@ impl DecodedProgram {
             constants: program.constants.clone(),
             n_globals: program.n_globals,
             stats,
-            n_ic_sites: next_ic,
         }
     }
 
@@ -1803,58 +512,17 @@ impl DecodedProgram {
         self.stats
     }
 
-    /// Number of through-`cp` call sites (the executor sizes its
-    /// inline-cache array from this).
-    pub fn n_ic_sites(&self) -> u32 {
-        self.n_ic_sites
-    }
-
-    /// Every through-`cp` call site as `(pc, ic, is_tail)`, in pc
-    /// order. This walks the flat array rather than re-deriving sites
-    /// from source, so it covers every site — including slots adjacent
-    /// to fused pairs and triples — and is guaranteed to agree with
-    /// [`DecodedProgram::n_ic_sites`]. The `lesgsc dis --decoded`
-    /// listing renders this table so no site annotation can be lost to
-    /// fusion.
-    pub fn ic_sites(&self) -> Vec<(u32, u32, bool)> {
-        let mut sites: Vec<(u32, u32, bool)> = self
-            .ops
-            .iter()
-            .enumerate()
-            .filter_map(|(pc, op)| match *op {
-                DecodedOp::CallClosure { ic, .. } => Some((pc as u32, ic, false)),
-                DecodedOp::TailCallClosure { ic } => Some((pc as u32, ic, true)),
-                _ => None,
-            })
-            .collect();
-        debug_assert_eq!(sites.len() as u32, self.n_ic_sites);
-        sites.sort_by_key(|&(_, ic, _)| ic);
-        sites
-    }
-
-    /// Renders the decoded layout — function table, per-op listing,
+    /// Renders the decoded layout — decode summary, function table,
     /// and the absolute jump-target table. This is the golden-fixture
-    /// format of `tests/decoded_fixtures.rs`: deterministic, and
-    /// line-diffable when codegen or the fusion catalogue changes.
+    /// format of `tests/decoded_dispatch.rs`: deterministic, and
+    /// line-diffable when codegen or the decoded layout changes.
     pub fn describe(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let s = self.stats;
-        let by_kind = crate::fusion_table::FUSION_TABLE
-            .iter()
-            .map(|e| format!("{} {}", e.kind.key(), s.fused(e.kind)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let by_triple = crate::fusion_table::TRIPLE_TABLE
-            .iter()
-            .map(|e| format!("{} {}", e.kind.key(), s.fused3(e.kind)))
-            .collect::<Vec<_>>()
-            .join(", ");
         let _ = writeln!(
             out,
-            "source_instructions {} decoded_ops {} fused_pairs {} ({by_kind}) \
-             fused_triples {} ({by_triple}) ic_sites {}",
-            s.source_instructions, s.decoded_ops, s.fused_pairs, s.fused_triples, self.n_ic_sites
+            "source_instructions {} decoded_ops {}",
+            self.stats.source_instructions, self.stats.decoded_ops
         );
         for (i, f) in self.funcs.iter().enumerate() {
             let _ = writeln!(
@@ -1867,20 +535,6 @@ impl DecodedProgram {
         for (pc, op) in self.ops.iter().enumerate() {
             if let Some(t) = op.jump_target() {
                 let _ = writeln!(out, "  @{pc} -> @{t}");
-            }
-        }
-        out
-    }
-
-    /// Renders a full disassembly of the decoded array (diagnostics).
-    pub fn disassemble(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (i, f) in self.funcs.iter().enumerate() {
-            let _ = writeln!(out, "f{i} ({}): base {} len {}", f.name, f.base, f.code_len);
-            let end = f.base + f.code_len;
-            for pc in f.base..=end {
-                let _ = writeln!(out, "  {pc:4}: {}", self.ops[pc as usize]);
             }
         }
         out

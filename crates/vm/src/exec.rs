@@ -2,8 +2,8 @@
 //! pre-decoded program.
 //!
 //! [`Machine`] executes the flat [`DecodedOp`] array built by
-//! [`DecodedProgram::decode`] (see that module for the layout and the
-//! fusion catalogue). The hot loop never touches the original
+//! [`DecodedProgram::decode`] (see that module for the layout), one
+//! op per source instruction. The hot loop never touches the original
 //! [`VmProgram`]: ops are `Copy`, operands are inline, jump targets are
 //! absolute, and the register file is a pair of fixed arrays — no
 //! per-iteration allocation or indirection. The classic
@@ -11,10 +11,7 @@
 //! [`crate::classic::ClassicMachine`]; differential tests hold the two
 //! to byte-identical outcomes and [`RunStats`], because the cost model
 //! and every `vm.*` counter must observe exactly the same event stream
-//! regardless of engine. Fused ops preserve that invariant by
-//! construction: their handlers are literal compositions of the plain
-//! handlers with the loop-top accounting ([`Machine::fetch_second_half`])
-//! replayed between the halves.
+//! regardless of engine.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -24,11 +21,8 @@ use lesgs_frontend::{FuncId, Prim};
 use lesgs_ir::machine::{CP, NUM_REGS, RET, RV};
 use lesgs_ir::Reg;
 
-use lesgs_metrics::{ratio, Registry};
-
 use crate::cost::CostModel;
-use crate::decode::{DecodedOp, DecodedProgram, FusionKind, PrimArgs, TripleKind};
-use crate::fusion_table::{FUSION_TABLE, TRIPLE_TABLE};
+use crate::decode::{DecodedOp, DecodedProgram, PrimArgs};
 use crate::instr::{Imm, SlotClass};
 use crate::prim::{eval_prim, ArgVals};
 use crate::program::VmProgram;
@@ -79,118 +73,9 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// Guard failures after which a speculative call site is demoted to
-/// polymorphic: plain dispatch, no further guessing. Demotion is
-/// absorbing — a demoted site never re-enters the fast path, so a
-/// megamorphic site costs at most this many failed guards per run.
-pub const SPEC_DEMOTE_AFTER: u32 = 4;
-
-/// Per-site speculative inline-cache state (one per through-`cp` call
-/// site, indexed by the op's `ic` field; per-run — a fresh run starts
-/// cold). The monomorphic → guard-fail → re-cache → demoted state
-/// machine lives here; transition counts land in
-/// [`DispatchRunStats`]'s `spec_*` fields.
-#[derive(Clone, Copy, Default)]
-struct IcSite {
-    /// Last callee observed at this site (the speculative guess).
-    callee: Option<FuncId>,
-    /// Cached decoded base pc of `callee` — what the fast path jumps
-    /// to without re-resolving through the function table.
-    base: u32,
-    /// Cumulative guard failures at this site.
-    fails: u32,
-    /// Site has been demoted to polymorphic (absorbing).
-    demoted: bool,
-}
-
-/// Run-time statistics of the *dispatch tier itself*: inline-cache
-/// hits/misses at through-`cp` call sites, speculative-dispatch state
-/// transitions, and per-template fused pair/triple executions. These
-/// are engine-internal — the classic engine has no caches and no fused
-/// ops, so they are deliberately **excluded from the
-/// classic-vs-decoded parity contract** (see [`VmOutcome`]'s
-/// `PartialEq`); the observable `vm.*` stream lives in [`RunStats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DispatchRunStats {
-    /// Closure-call sites whose cached callee matched.
-    pub ic_hits: u64,
-    /// Closure-call sites that missed (cold or megamorphic).
-    pub ic_misses: u64,
-    /// Monomorphic sites dispatched through the speculative fast path:
-    /// the closure-identity guard matched the cached callee and the
-    /// dispatch jumped straight to its cached decoded base, skipping
-    /// target re-resolution.
-    pub spec_fast_hits: u64,
-    /// Speculative guard failures: the site had a cached guess and the
-    /// incoming closure did not match it (a cold first call is a plain
-    /// miss, not a guard failure).
-    pub spec_guard_fails: u64,
-    /// Sites demoted to polymorphic (plain dispatch, no further
-    /// guessing) after [`SPEC_DEMOTE_AFTER`] guard failures.
-    pub spec_demotions: u64,
-    /// Fused-pair executions by template, indexed by [`FusionKind`]
-    /// discriminant.
-    pub fused_exec: [u64; FusionKind::COUNT],
-    /// Fused-triple executions by template, indexed by [`TripleKind`]
-    /// discriminant.
-    pub fused_exec3: [u64; TripleKind::COUNT],
-}
-
-impl DispatchRunStats {
-    /// Fused executions of one pair template.
-    pub fn fused(&self, kind: FusionKind) -> u64 {
-        self.fused_exec[kind as usize]
-    }
-
-    /// Fused executions of one triple template.
-    pub fn fused3(&self, kind: TripleKind) -> u64 {
-        self.fused_exec3[kind as usize]
-    }
-
-    /// Inline-cache hit rate in `[0, 1]` (0.0 when no closure calls).
-    pub fn ic_hit_rate(&self) -> f64 {
-        ratio(
-            self.ic_hits as f64,
-            (self.ic_hits + self.ic_misses) as f64,
-            0.0,
-        )
-    }
-
-    /// Exports the counters under `vm.dispatch.ic.*`,
-    /// `vm.dispatch.spec.*`, and `vm.dispatch.fused_exec.*`. Like the
-    /// static decode counters, every generated-table entry is emitted,
-    /// zero included, so the key set is a fixed function of the
-    /// committed fusion tables.
-    pub fn record(&self, reg: &mut Registry) {
-        reg.inc("vm.dispatch.ic.hits", self.ic_hits);
-        reg.inc("vm.dispatch.ic.misses", self.ic_misses);
-        reg.set_gauge("vm.dispatch.ic.hit_rate", self.ic_hit_rate());
-        reg.inc("vm.dispatch.spec.fast_hits", self.spec_fast_hits);
-        reg.inc("vm.dispatch.spec.guard_fails", self.spec_guard_fails);
-        reg.inc("vm.dispatch.spec.demotions", self.spec_demotions);
-        for entry in FUSION_TABLE {
-            reg.inc(
-                &format!("vm.dispatch.fused_exec.{}", entry.kind.key()),
-                self.fused(entry.kind),
-            );
-        }
-        for entry in TRIPLE_TABLE {
-            reg.inc(
-                &format!("vm.dispatch.fused_exec.{}", entry.kind.key()),
-                self.fused3(entry.kind),
-            );
-        }
-    }
-}
-
-/// The result of a successful run.
-///
-/// Equality deliberately covers `value`, `output`, and `stats` only:
-/// that triple is the engine-independent observable contract the
-/// classic-vs-decoded differential suite pins. The `dispatch` field is
-/// decoded-engine-internal (the classic engine always reports an empty
-/// one) and comparing it would make the contract unsatisfiable.
-#[derive(Debug, Clone)]
+/// The result of a successful run: the engine-independent observable
+/// contract the classic-vs-decoded differential suite pins.
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmOutcome {
     /// Final value (in `rv`), rendered in `write` style.
     pub value: String,
@@ -198,15 +83,6 @@ pub struct VmOutcome {
     pub output: String,
     /// Collected statistics.
     pub stats: RunStats,
-    /// Dispatch-tier statistics (IC hits, fused executions); empty for
-    /// the classic engine. Excluded from `PartialEq`.
-    pub dispatch: DispatchRunStats,
-}
-
-impl PartialEq for VmOutcome {
-    fn eq(&self, other: &VmOutcome) -> bool {
-        self.value == other.value && self.output == other.output && self.stats == other.stats
-    }
 }
 
 /// One entry of the shadow activation stack (for Table 2
@@ -245,14 +121,6 @@ pub struct Machine<'a> {
     globals: Vec<Value>,
     output: String,
     stats: RunStats,
-    dispatch: DispatchRunStats,
-    /// Monomorphic inline caches, one slot per through-`cp` call site
-    /// (indexed by the op's `ic` field). Carries the speculative state
-    /// machine when `speculate` is on; purely observational otherwise.
-    ic_sites: Vec<IcSite>,
-    /// Speculative IC dispatch: act on monomorphic caches (guarded
-    /// fast path to the cached callee) instead of only measuring them.
-    speculate: bool,
     shadow: Vec<Activation>,
     // Flat per-class tallies for the hot loop; folded into the
     // `RunStats` hash maps once, at exit. The decoded engine observes
@@ -288,7 +156,6 @@ impl<'a> Machine<'a> {
         let pc = prog.funcs[entry.index()].base;
         let constants = prog.constants.iter().map(const_to_value).collect();
         let n_globals = prog.n_globals as usize;
-        let n_ic_sites = prog.n_ic_sites as usize;
         Machine {
             code,
             cost,
@@ -308,9 +175,6 @@ impl<'a> Machine<'a> {
             globals: vec![Value::Void; n_globals],
             output: String::new(),
             stats: RunStats::default(),
-            dispatch: DispatchRunStats::default(),
-            ic_sites: vec![IcSite::default(); n_ic_sites],
-            speculate: true,
             shadow: Vec::new(),
             stack_loads_by_class: [0; SlotClass::ALL.len()],
             stack_stores_by_class: [0; SlotClass::ALL.len()],
@@ -341,15 +205,12 @@ impl<'a> Machine<'a> {
         self
     }
 
-    /// Toggles speculative IC dispatch (on by default). Off reverts
-    /// through-`cp` call sites to PR-era purely observational caches:
-    /// same `vm.dispatch.ic.*` stream, all `vm.dispatch.spec.*`
-    /// counters zero. The observable [`RunStats`] stream is identical
-    /// either way — speculation only skips the dispatch tier's own
-    /// target re-resolution, never a simulated event.
+    /// Ignored: the machine has no speculative dispatch, and every
+    /// closure call resolves through `cp`. Kept only because
+    /// `perfbench/src/programs.rs` still calls it; nothing in the
+    /// workspace does.
     #[must_use]
-    pub fn with_speculation(mut self, speculate: bool) -> Machine<'a> {
-        self.speculate = speculate;
+    pub fn with_speculation(self, _speculate: bool) -> Machine<'a> {
         self
     }
 
@@ -499,94 +360,6 @@ impl<'a> Machine<'a> {
                 format!("call of non-procedure `{}`", other.write_string()),
             )),
         }
-    }
-
-    /// Consults and updates the monomorphic inline cache of a
-    /// through-`cp` call site (the observational tier). The simulated
-    /// machine still resolves the callee through `cp`, so the cache
-    /// changes no observable behaviour — it measures per-site callee
-    /// stability, i.e. exactly the hit rate a native inline cache
-    /// would achieve.
-    #[inline]
-    fn ic_probe(&mut self, prog: &DecodedProgram, ic: u32, callee: FuncId) {
-        let site = &mut self.ic_sites[ic as usize];
-        match site.callee {
-            Some(f) if f == callee => self.dispatch.ic_hits += 1,
-            _ => {
-                self.dispatch.ic_misses += 1;
-                site.callee = Some(callee);
-                site.base = Machine::base(prog, callee);
-            }
-        }
-    }
-
-    /// Resolves a through-`cp` call site to `(callee, decoded base pc)`
-    /// with full inline-cache accounting — the speculative tier.
-    ///
-    /// With speculation on and the site not demoted, a monomorphic hit
-    /// takes the fast path: a closure-identity guard against the cached
-    /// callee (after the same `cp` stall the slow path pays), and on a
-    /// match the dispatch jumps straight to the cached decoded base,
-    /// skipping [`Machine::closure_callee`]'s re-resolution and the
-    /// function-table lookup. A guard failure falls back to the slow
-    /// path, re-caches, and after [`SPEC_DEMOTE_AFTER`] failures
-    /// demotes the site to polymorphic for the rest of the run.
-    ///
-    /// The `vm.dispatch.ic.{hits,misses}` stream is byte-identical in
-    /// every mode — fast-path guard hit ≡ observational hit, guard
-    /// failure ≡ re-caching miss, cold first call ≡ cold miss — so
-    /// toggling speculation moves work, never measurement.
-    #[inline]
-    fn closure_call_target(
-        &mut self,
-        prog: &DecodedProgram,
-        pc: u32,
-        ic: u32,
-    ) -> Result<(FuncId, u32)> {
-        if self.speculate {
-            let site = self.ic_sites[ic as usize];
-            if let (Some(expected), false) = (site.callee, site.demoted) {
-                // The guard: stall on `cp` exactly as the slow path
-                // would, then compare closure identity in place.
-                self.stall_on(CP);
-                if matches!(&self.regs[CP.index()], Value::Closure(c) if c.func == expected) {
-                    self.dispatch.ic_hits += 1;
-                    self.dispatch.spec_fast_hits += 1;
-                    return Ok((expected, site.base));
-                }
-                // Guard failure: slow path (which owns the
-                // non-procedure error), re-cache, maybe demote.
-                let callee = self.closure_callee(prog, pc)?;
-                self.dispatch.ic_misses += 1;
-                self.dispatch.spec_guard_fails += 1;
-                let base = Machine::base(prog, callee);
-                let site = &mut self.ic_sites[ic as usize];
-                site.callee = Some(callee);
-                site.base = base;
-                site.fails += 1;
-                if site.fails >= SPEC_DEMOTE_AFTER {
-                    site.demoted = true;
-                    self.dispatch.spec_demotions += 1;
-                }
-                return Ok((callee, base));
-            }
-            if !site.demoted {
-                // Cold site: install the first guess. A plain miss —
-                // there was no guess to fail.
-                let callee = self.closure_callee(prog, pc)?;
-                self.dispatch.ic_misses += 1;
-                let base = Machine::base(prog, callee);
-                let site = &mut self.ic_sites[ic as usize];
-                site.callee = Some(callee);
-                site.base = base;
-                return Ok((callee, base));
-            }
-        }
-        // Demoted or speculation off: plain dispatch, observational
-        // probe only.
-        let callee = self.closure_callee(prog, pc)?;
-        self.ic_probe(prog, ic, callee);
-        Ok((callee, Machine::base(prog, callee)))
     }
 
     fn poison(&mut self, prog: &DecodedProgram, func: FuncId) {
@@ -751,22 +524,6 @@ impl<'a> Machine<'a> {
 
     #[inline]
     fn do_call(&mut self, prog: &DecodedProgram, pc: &mut u32, callee: FuncId, frame_advance: u32) {
-        let base = Machine::base(prog, callee);
-        self.do_call_at(prog, pc, callee, base, frame_advance);
-    }
-
-    /// [`Machine::do_call`] with the callee's decoded base already in
-    /// hand — the speculative fast path supplies its cached base here
-    /// instead of re-resolving through the function table.
-    #[inline]
-    fn do_call_at(
-        &mut self,
-        prog: &DecodedProgram,
-        pc: &mut u32,
-        callee: FuncId,
-        base: u32,
-        frame_advance: u32,
-    ) {
         // Return addresses stay function-relative so the value is
         // engine-independent (differential tests compare rendered
         // values, and save slots hold these).
@@ -778,21 +535,13 @@ impl<'a> Machine<'a> {
         self.write(RET, Value::RetAddr(ra));
         self.fp += frame_advance;
         self.func = callee;
-        *pc = base;
+        *pc = Machine::base(prog, callee);
         self.enter_activation(prog, callee);
         self.poison(prog, callee);
     }
 
     #[inline]
     fn do_tail_call(&mut self, prog: &DecodedProgram, pc: &mut u32, callee: FuncId) {
-        let base = Machine::base(prog, callee);
-        self.do_tail_call_at(prog, pc, callee, base);
-    }
-
-    /// [`Machine::do_tail_call`] with the callee's decoded base
-    /// already in hand (the speculative fast path).
-    #[inline]
-    fn do_tail_call_at(&mut self, prog: &DecodedProgram, pc: &mut u32, callee: FuncId, base: u32) {
         self.stats.tail_calls += 1;
         if self.trace {
             eprintln!(
@@ -802,23 +551,8 @@ impl<'a> Machine<'a> {
             );
         }
         self.func = callee;
-        *pc = base;
+        *pc = Machine::base(prog, callee);
         // A tail call is a jump: same activation, same fp.
-    }
-
-    /// Replays the loop-top accounting between the two halves of a
-    /// fused op: fuel check, instruction/cycle counts, pc advance. This
-    /// is what makes a fused pair indistinguishable from the two plain
-    /// ops in every counter and error location.
-    #[inline]
-    fn fetch_second_half(&mut self, prog: &DecodedProgram, pc: &mut u32) -> Result<()> {
-        if self.stats.instructions >= self.max_instructions {
-            return Err(self.err(prog, *pc, FUEL_MESSAGE));
-        }
-        self.stats.instructions += 1;
-        self.stats.cycles += self.cost.instr_cost;
-        *pc += 1;
-        Ok(())
     }
 
     /// Runs the program to completion.
@@ -832,43 +566,14 @@ impl<'a> Machine<'a> {
         // by direct reference — no per-access enum match, and the op
         // array pointer stays hoisted across the whole loop.
         let code = std::mem::replace(&mut self.code, Code::Taken);
-        let mut no_profile = Vec::new();
         match &code {
-            Code::Owned(p) => self.run_on::<false>(p, &mut no_profile),
-            Code::Borrowed(p) => self.run_on::<false>(p, &mut no_profile),
+            Code::Owned(p) => self.run_on(p),
+            Code::Borrowed(p) => self.run_on(p),
             Code::Taken => unreachable!("machine run twice"),
         }
     }
 
-    /// Runs the program while counting executions of every decoded
-    /// slot. Returns the outcome plus one counter per op-array slot
-    /// (`profile[pc]` = times the op at `pc` was dispatched). This is
-    /// the `lesgs-fusegen` miner's data source: profiling an *unfused*
-    /// decoding gives exact dynamic adjacent-pair frequencies, because
-    /// executing a fallthrough op at `pc` implies the op at `pc + 1`
-    /// dispatches next. The profiled loop is a separate `const`
-    /// monomorphization, so [`Machine::run`] pays nothing for it.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Machine::run`].
-    pub fn run_profiled(mut self) -> Result<(VmOutcome, Vec<u64>)> {
-        let code = std::mem::replace(&mut self.code, Code::Taken);
-        let prog: &DecodedProgram = match &code {
-            Code::Owned(p) => p,
-            Code::Borrowed(p) => p,
-            Code::Taken => unreachable!("machine run twice"),
-        };
-        let mut profile = vec![0u64; prog.ops.len()];
-        let out = self.run_on::<true>(prog, &mut profile)?;
-        Ok((out, profile))
-    }
-
-    fn run_on<const PROFILE: bool>(
-        &mut self,
-        prog: &DecodedProgram,
-        profile: &mut [u64],
-    ) -> Result<VmOutcome> {
+    fn run_on(&mut self, prog: &DecodedProgram) -> Result<VmOutcome> {
         let ops: &[DecodedOp] = &prog.ops;
         // The pc lives in a local so the hottest state of the loop can
         // stay in a register; helpers that redirect control flow take
@@ -886,9 +591,6 @@ impl<'a> Machine<'a> {
             }
             self.stats.instructions += 1;
             self.stats.cycles += self.cost.instr_cost;
-            if PROFILE {
-                profile[pc as usize] += 1;
-            }
             // In range by construction: every function ends in a
             // FuncEnd sentinel and all targets are clamped into its
             // own span, so the pc cannot run off the array.
@@ -932,14 +634,14 @@ impl<'a> Machine<'a> {
                     callee,
                     frame_advance,
                 } => self.do_call(prog, &mut pc, callee, frame_advance),
-                DecodedOp::CallClosure { frame_advance, ic } => {
-                    let (callee, base) = self.closure_call_target(prog, pc, ic)?;
-                    self.do_call_at(prog, &mut pc, callee, base, frame_advance);
+                DecodedOp::CallClosure { frame_advance } => {
+                    let callee = self.closure_callee(prog, pc)?;
+                    self.do_call(prog, &mut pc, callee, frame_advance);
                 }
                 DecodedOp::TailCallStatic { callee } => self.do_tail_call(prog, &mut pc, callee),
-                DecodedOp::TailCallClosure { ic } => {
-                    let (callee, base) = self.closure_call_target(prog, pc, ic)?;
-                    self.do_tail_call_at(prog, &mut pc, callee, base);
+                DecodedOp::TailCallClosure => {
+                    let callee = self.closure_callee(prog, pc)?;
+                    self.do_tail_call(prog, &mut pc, callee);
                 }
                 DecodedOp::Return => match self.read(RET) {
                     Value::RetAddr(ra) => {
@@ -1048,284 +750,7 @@ impl<'a> Machine<'a> {
                         value,
                         output: std::mem::take(&mut self.output),
                         stats: std::mem::take(&mut self.stats),
-                        dispatch: std::mem::take(&mut self.dispatch),
                     });
-                }
-                DecodedOp::CmpBranch {
-                    op,
-                    dst,
-                    args,
-                    src,
-                    target,
-                    likely,
-                    on_true,
-                } => {
-                    self.dispatch.fused_exec[FusionKind::CmpBranch as usize] += 1;
-                    self.exec_prim(prog, pc, op, dst, &args)?;
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.exec_branch(&mut pc, src, target, likely, on_true);
-                }
-                DecodedOp::MovMov {
-                    dst1,
-                    src1,
-                    dst2,
-                    src2,
-                } => {
-                    self.dispatch.fused_exec[FusionKind::MovMov as usize] += 1;
-                    let v = self.read(src1);
-                    self.write(dst1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    let v = self.read(src2);
-                    self.write(dst2, v);
-                }
-                DecodedOp::ImmImm {
-                    dst1,
-                    imm1,
-                    dst2,
-                    imm2,
-                } => {
-                    self.dispatch.fused_exec[FusionKind::ImmImm as usize] += 1;
-                    self.write(dst1, Machine::imm_value(imm1));
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.write(dst2, Machine::imm_value(imm2));
-                }
-                DecodedOp::ImmMov {
-                    dst1,
-                    imm1,
-                    dst2,
-                    src2,
-                } => {
-                    self.dispatch.fused_exec[FusionKind::ImmMov as usize] += 1;
-                    self.write(dst1, Machine::imm_value(imm1));
-                    self.fetch_second_half(prog, &mut pc)?;
-                    let v = self.read(src2);
-                    self.write(dst2, v);
-                }
-                DecodedOp::MovImm {
-                    dst1,
-                    src1,
-                    dst2,
-                    imm2,
-                } => {
-                    self.dispatch.fused_exec[FusionKind::MovImm as usize] += 1;
-                    let v = self.read(src1);
-                    self.write(dst1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.write(dst2, Machine::imm_value(imm2));
-                }
-                DecodedOp::LoadLoad {
-                    dst1,
-                    slot1,
-                    class1,
-                    dst2,
-                    slot2,
-                    class2,
-                } => {
-                    self.dispatch.fused_exec[FusionKind::LoadLoad as usize] += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_loads_by_class[class1 as usize] += 1;
-                    let v = self.stack_load(prog, pc, slot1)?;
-                    self.write_loaded(dst1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_loads_by_class[class2 as usize] += 1;
-                    let v = self.stack_load(prog, pc, slot2)?;
-                    self.write_loaded(dst2, v);
-                }
-                DecodedOp::StoreStore {
-                    slot1,
-                    src1,
-                    class1,
-                    slot2,
-                    src2,
-                    class2,
-                } => {
-                    self.dispatch.fused_exec[FusionKind::StoreStore as usize] += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_stores_by_class[class1 as usize] += 1;
-                    let v = self.read(src1);
-                    self.stack_store(slot1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_stores_by_class[class2 as usize] += 1;
-                    let v = self.read(src2);
-                    self.stack_store(slot2, v);
-                }
-                DecodedOp::PrimStoreMov {
-                    op,
-                    dst1,
-                    args,
-                    slot2,
-                    src2,
-                    class2,
-                    dst3,
-                    src3,
-                } => {
-                    self.dispatch.fused_exec3[TripleKind::PrimStoreMov as usize] += 1;
-                    self.exec_prim(prog, pc, op, dst1, &args)?;
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_stores_by_class[class2 as usize] += 1;
-                    let v = self.read(src2);
-                    self.stack_store(slot2, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    let v = self.read(src3);
-                    self.write(dst3, v);
-                }
-                DecodedOp::StoreMovPrim {
-                    slot1,
-                    src1,
-                    class1,
-                    dst2,
-                    src2,
-                    op,
-                    dst3,
-                    args,
-                } => {
-                    self.dispatch.fused_exec3[TripleKind::StoreMovPrim as usize] += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_stores_by_class[class1 as usize] += 1;
-                    let v = self.read(src1);
-                    self.stack_store(slot1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    let v = self.read(src2);
-                    self.write(dst2, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.exec_prim(prog, pc, op, dst3, &args)?;
-                }
-                DecodedOp::MovCmpBranch {
-                    dst1,
-                    src1,
-                    op,
-                    dst2,
-                    args,
-                    src3,
-                    target,
-                    likely,
-                    on_true,
-                } => {
-                    self.dispatch.fused_exec3[TripleKind::MovCmpBranch as usize] += 1;
-                    let v = self.read(src1);
-                    self.write(dst1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.exec_prim(prog, pc, op, dst2, &args)?;
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.exec_branch(&mut pc, src3, target, likely, on_true);
-                }
-                DecodedOp::MovImmPrim {
-                    dst1,
-                    src1,
-                    dst2,
-                    imm2,
-                    op,
-                    dst3,
-                    args,
-                } => {
-                    self.dispatch.fused_exec3[TripleKind::MovImmPrim as usize] += 1;
-                    let v = self.read(src1);
-                    self.write(dst1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.write(dst2, Machine::imm_value(imm2));
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.exec_prim(prog, pc, op, dst3, &args)?;
-                }
-                DecodedOp::LoadLoadLoad {
-                    dst1,
-                    slot1,
-                    class1,
-                    dst2,
-                    slot2,
-                    class2,
-                    dst3,
-                    slot3,
-                    class3,
-                } => {
-                    self.dispatch.fused_exec3[TripleKind::LoadLoadLoad as usize] += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_loads_by_class[class1 as usize] += 1;
-                    let v = self.stack_load(prog, pc, slot1)?;
-                    self.write_loaded(dst1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_loads_by_class[class2 as usize] += 1;
-                    let v = self.stack_load(prog, pc, slot2)?;
-                    self.write_loaded(dst2, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_loads_by_class[class3 as usize] += 1;
-                    let v = self.stack_load(prog, pc, slot3)?;
-                    self.write_loaded(dst3, v);
-                }
-                DecodedOp::StoreStoreStore {
-                    slot1,
-                    src1,
-                    class1,
-                    slot2,
-                    src2,
-                    class2,
-                    slot3,
-                    src3,
-                    class3,
-                } => {
-                    self.dispatch.fused_exec3[TripleKind::StoreStoreStore as usize] += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_stores_by_class[class1 as usize] += 1;
-                    let v = self.read(src1);
-                    self.stack_store(slot1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_stores_by_class[class2 as usize] += 1;
-                    let v = self.read(src2);
-                    self.stack_store(slot2, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_stores_by_class[class3 as usize] += 1;
-                    let v = self.read(src3);
-                    self.stack_store(slot3, v);
-                }
-                DecodedOp::LoadLoadStore {
-                    dst1,
-                    slot1,
-                    class1,
-                    dst2,
-                    slot2,
-                    class2,
-                    slot3,
-                    src3,
-                    class3,
-                } => {
-                    self.dispatch.fused_exec3[TripleKind::LoadLoadStore as usize] += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_loads_by_class[class1 as usize] += 1;
-                    let v = self.stack_load(prog, pc, slot1)?;
-                    self.write_loaded(dst1, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_loads_by_class[class2 as usize] += 1;
-                    let v = self.stack_load(prog, pc, slot2)?;
-                    self.write_loaded(dst2, v);
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_stores_by_class[class3 as usize] += 1;
-                    let v = self.read(src3);
-                    self.stack_store(slot3, v);
-                }
-                DecodedOp::ImmPrimMov {
-                    dst1,
-                    imm1,
-                    op,
-                    dst2,
-                    args,
-                    dst3,
-                    src3,
-                } => {
-                    self.dispatch.fused_exec3[TripleKind::ImmPrimMov as usize] += 1;
-                    self.write(dst1, Machine::imm_value(imm1));
-                    self.fetch_second_half(prog, &mut pc)?;
-                    self.exec_prim(prog, pc, op, dst2, &args)?;
-                    self.fetch_second_half(prog, &mut pc)?;
-                    let v = self.read(src3);
-                    self.write(dst3, v);
                 }
                 DecodedOp::FuncEnd => {
                     // The classic engine reports the (unincremented)
@@ -1651,11 +1076,10 @@ mod tests {
         assert_eq!(mk(Some(false)).mispredicts, 1);
     }
 
-    /// A program whose hot loop contains every fusible pair: a
-    /// predicate+branch, back-to-back immediates, and back-to-back
-    /// moves, with a branch landing *on the second half* of the MovMov
-    /// pair to exercise the fallback slot.
-    fn fusion_program() -> VmProgram {
+    /// A counting loop (acc = 3 + 2 + 1) whose exit path jumps past the
+    /// first of two adjacent moves, so a jump landing mid-sequence must
+    /// land exactly where the classic engine does.
+    fn loop_program() -> VmProgram {
         let a0 = arg_reg(0);
         let a1 = arg_reg(1);
         let s0 = scratch_reg(0);
@@ -1663,7 +1087,7 @@ mod tests {
             id: FuncId(0),
             name: "entry".into(),
             code: vec![
-                // 0/1: ImmImm pair — counter = 3, acc = 0.
+                // 0/1: counter = 3, acc = 0.
                 Instr::LoadImm {
                     dst: a0,
                     imm: Imm::Fixnum(3),
@@ -1672,8 +1096,7 @@ mod tests {
                     dst: a1,
                     imm: Imm::Fixnum(0),
                 },
-                // 2/3: CmpBranch pair — loop exit test (the exit
-                // target, 7, is itself a fused head).
+                // 2/3: loop exit test.
                 Instr::Prim {
                     op: Prim::IsZero,
                     dst: s0,
@@ -1696,15 +1119,15 @@ mod tests {
                     dst: a0,
                     args: vec![a0],
                 },
-                // 6: back to the test — lands on slot 2 (fused head).
+                // 6: back to the test.
                 Instr::Jump { target: 2 },
-                // 7/8: MovMov pair, executed in full: rv <- s0 <- acc.
+                // 7/8: executed in full: rv <- s0 <- acc.
                 Instr::Mov { dst: s0, src: a1 },
                 Instr::Mov { dst: RV, src: s0 },
-                // 9: skip the head of the next pair.
+                // 9: skip the first move of the next two.
                 Instr::Jump { target: 11 },
-                // 10/11: MovMov pair entered *mid-pair* via the jump —
-                // only `s0 <- rv` runs; the head never executes.
+                // 10/11: entered mid-sequence via the jump — only
+                // `s0 <- rv` runs; slot 10 never executes.
                 Instr::Mov { dst: RV, src: a0 },
                 Instr::Mov { dst: s0, src: RV },
                 Instr::Halt,
@@ -1720,47 +1143,6 @@ mod tests {
             constants: vec![],
             n_globals: 0,
         }
-    }
-
-    #[test]
-    fn fused_pairs_execute_and_land_mid_pair() {
-        let p = fusion_program();
-        // Decode with the full catalogue enabled (not the generated
-        // table): this test pins the decode/handler mechanics of each
-        // template, independent of which templates measurement enabled.
-        let full: Vec<crate::decode::FusionEntry> = FusionKind::ALL
-            .iter()
-            .map(|&kind| crate::decode::FusionEntry {
-                kind,
-                dynamic_count: 1,
-            })
-            .collect();
-        let decoded = DecodedProgram::decode_with_table(&p, &full, &[]);
-        let stats = decoded.stats();
-        assert_eq!(
-            stats.fused(FusionKind::CmpBranch),
-            1,
-            "{}",
-            decoded.disassemble()
-        );
-        assert_eq!(stats.fused(FusionKind::ImmImm), 1);
-        assert_eq!(stats.fused(FusionKind::MovMov), 2);
-        assert_eq!(stats.fused_pairs, 4);
-        // Slot preservation: decoded slot count = source + sentinel.
-        assert_eq!(stats.decoded_ops, stats.source_instructions + 1);
-        let out = Machine::from_decoded(&decoded, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        // acc = 3 + 2 + 1 flows through the fully-executed MovMov into
-        // rv; the mid-pair landing only clobbers s0. Both engines must
-        // agree exactly — values, output, and every counter.
-        let classic = ClassicMachine::new(&p, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        assert_eq!(out.value, "6");
-        assert_eq!(out.value, classic.value);
-        assert_eq!(out.stats, classic.stats);
-        assert_eq!(out.output, classic.output);
     }
 
     /// A program exercising `swap` and `permi`: loads 10/20/30/40 into
@@ -1840,11 +1222,18 @@ mod tests {
         }
     }
 
-    /// Every tiny test program above must agree with the classic
-    /// engine in values, stats, output, and error coordinates.
+    /// Every tiny test program must agree with the classic engine in
+    /// values, stats, output, and error coordinates. The closure-call
+    /// program alternates callees at one `call cp` site, then repeats
+    /// one.
     #[test]
     fn classic_and_decoded_agree_on_hand_programs() {
-        let programs = [tiny_program(), fusion_program(), permutation_program()];
+        let programs = [
+            tiny_program(),
+            loop_program(),
+            permutation_program(),
+            poly_call_program(&[0, 1, 0, 1, 0, 0, 0, 0, 0]),
+        ];
         for p in &programs {
             for cost in [CostModel::alpha_like(), CostModel::unit()] {
                 let d = Machine::new(p, cost).with_poison(true).run().unwrap();
@@ -1860,10 +1249,10 @@ mod tests {
     }
 
     #[test]
-    fn fuel_error_between_fused_halves_matches_classic() {
-        // Budget runs out exactly between the two halves of the ImmImm
-        // pair at slots 0/1: both engines must report pc 1.
-        let p = fusion_program();
+    fn fuel_error_location_matches_classic() {
+        // Budget runs out after the first instruction: both engines
+        // must report pc 1.
+        let p = loop_program();
         let d = Machine::new(&p, CostModel::unit())
             .with_fuel(1)
             .run()
@@ -1910,8 +1299,7 @@ mod tests {
     /// Hand-assembled closure-call harness: one closure-call site (in
     /// `callit`) executed once per `pattern` element, with the closure
     /// in `cp` selecting `leaf0` (0) or `leaf1` (1). The per-call
-    /// callee sequence is exactly `pattern`, so IC/speculation state
-    /// transitions are fully scripted.
+    /// callee sequence is exactly `pattern`.
     fn poly_call_program(pattern: &[usize]) -> VmProgram {
         let s0 = scratch_reg(0);
         let s1 = scratch_reg(1);
@@ -1994,284 +1382,5 @@ mod tests {
             constants: vec![],
             n_globals: 0,
         }
-    }
-
-    /// The original three-call shape: twice the same callee, once a
-    /// different one (1 cold miss, 1 hit, 1 transition miss).
-    fn closure_call_program() -> VmProgram {
-        poly_call_program(&[0, 0, 1])
-    }
-
-    #[test]
-    fn inline_cache_counts_site_stability() {
-        let p = closure_call_program();
-        let d = Machine::new(&p, CostModel::alpha_like()).run().unwrap();
-        let c = ClassicMachine::new(&p, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        // Dispatch bookkeeping is invisible to the parity contract.
-        assert_eq!(d.value, c.value);
-        assert_eq!(d.stats, c.stats);
-        // One site, three executions: cold miss, hit, transition miss.
-        assert_eq!(d.dispatch.ic_hits, 1);
-        assert_eq!(d.dispatch.ic_misses, 2);
-        assert!((d.dispatch.ic_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        // With speculation on (the default) the hit was a guarded fast
-        // hit and the transition was a guard failure — but the ic.*
-        // stream above is byte-identical to the observational mode.
-        assert_eq!(d.dispatch.spec_fast_hits, 1);
-        assert_eq!(d.dispatch.spec_guard_fails, 1);
-        assert_eq!(d.dispatch.spec_demotions, 0);
-    }
-
-    /// Satellite: speculation off must reproduce the exact same ic.*
-    /// stream and `RunStats` with every `spec.*` counter at zero.
-    #[test]
-    fn speculation_off_matches_observational_counters() {
-        let p = closure_call_program();
-        let on = Machine::new(&p, CostModel::alpha_like()).run().unwrap();
-        let off = Machine::new(&p, CostModel::alpha_like())
-            .with_speculation(false)
-            .run()
-            .unwrap();
-        let c = ClassicMachine::new(&p, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        assert_eq!(off.value, c.value);
-        assert_eq!(off.stats, c.stats);
-        assert_eq!(off.stats, on.stats);
-        assert_eq!(off.dispatch.ic_hits, on.dispatch.ic_hits);
-        assert_eq!(off.dispatch.ic_misses, on.dispatch.ic_misses);
-        assert_eq!(off.dispatch.spec_fast_hits, 0);
-        assert_eq!(off.dispatch.spec_guard_fails, 0);
-        assert_eq!(off.dispatch.spec_demotions, 0);
-    }
-
-    /// Satellite: monomorphic → guard-fail → re-cache. After the guard
-    /// fails once the site re-caches the new callee, so an immediate
-    /// repeat of that callee is a fast hit again.
-    #[test]
-    fn guard_fail_recaches_and_fast_path_resumes() {
-        // A, A (fast hit), B (guard fail -> re-cache B), B (fast hit).
-        let p = poly_call_program(&[0, 0, 1, 1]);
-        let d = Machine::new(&p, CostModel::alpha_like()).run().unwrap();
-        let c = ClassicMachine::new(&p, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        assert_eq!(d.value, c.value);
-        assert_eq!(d.stats, c.stats);
-        assert_eq!(d.dispatch.ic_hits, 2);
-        assert_eq!(d.dispatch.ic_misses, 2);
-        assert_eq!(d.dispatch.spec_fast_hits, 2);
-        assert_eq!(d.dispatch.spec_guard_fails, 1);
-        assert_eq!(d.dispatch.spec_demotions, 0);
-    }
-
-    /// Satellite: `SPEC_DEMOTE_AFTER` cumulative guard failures demote
-    /// the site to polymorphic (plain observational dispatch).
-    #[test]
-    fn k_guard_failures_demote_site() {
-        // Alternating callees: cold miss, then every call flips the
-        // cached identity. Guard failures 1..=4 land on calls 2..=5;
-        // the fourth failure (call 5) demotes the site.
-        let p = poly_call_program(&[0, 1, 0, 1, 0]);
-        let d = Machine::new(&p, CostModel::alpha_like()).run().unwrap();
-        let c = ClassicMachine::new(&p, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        assert_eq!(d.value, c.value);
-        assert_eq!(d.stats, c.stats);
-        assert_eq!(d.dispatch.spec_fast_hits, 0);
-        assert_eq!(d.dispatch.spec_guard_fails, u64::from(SPEC_DEMOTE_AFTER));
-        assert_eq!(d.dispatch.spec_demotions, 1);
-        // The ic.* stream is what the observational mode would report
-        // for the same alternation: one cold miss + four transitions.
-        assert_eq!(d.dispatch.ic_hits, 0);
-        assert_eq!(d.dispatch.ic_misses, 5);
-    }
-
-    /// Satellite: a megamorphic site never re-enters the fast path.
-    /// After demotion, even a long monomorphic tail only grows the
-    /// observational hit count — `spec_fast_hits` stays frozen.
-    #[test]
-    fn megamorphic_site_never_reenters_fast_path() {
-        // 5 alternating calls demote the site, then 4 calls of the
-        // same callee would all be fast hits if the site re-armed.
-        let p = poly_call_program(&[0, 1, 0, 1, 0, 0, 0, 0, 0]);
-        let d = Machine::new(&p, CostModel::alpha_like()).run().unwrap();
-        let c = ClassicMachine::new(&p, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        assert_eq!(d.value, c.value);
-        assert_eq!(d.stats, c.stats);
-        assert_eq!(d.dispatch.spec_fast_hits, 0, "demoted site speculated");
-        assert_eq!(d.dispatch.spec_guard_fails, u64::from(SPEC_DEMOTE_AFTER));
-        assert_eq!(d.dispatch.spec_demotions, 1);
-        // Demoted dispatch still maintains the observational cache:
-        // the monomorphic tail is 4 plain hits.
-        assert_eq!(d.dispatch.ic_hits, 4);
-        assert_eq!(d.dispatch.ic_misses, 5);
-        // And the ic.* stream is identical with speculation disabled.
-        let off = Machine::new(&p, CostModel::alpha_like())
-            .with_speculation(false)
-            .run()
-            .unwrap();
-        assert_eq!(off.dispatch.ic_hits, d.dispatch.ic_hits);
-        assert_eq!(off.dispatch.ic_misses, d.dispatch.ic_misses);
-        assert_eq!(off.stats, d.stats);
-    }
-
-    #[test]
-    fn ic_site_count_matches_closure_call_sites() {
-        let p = closure_call_program();
-        let prog = DecodedProgram::decode(&p);
-        // Exactly one `call cp` site in `callit`; tail-call sites would
-        // count too, but this program has none.
-        assert_eq!(prog.n_ic_sites(), 1);
-    }
-
-    /// Satellite: the `vm.dispatch.*` key set is stable — every table
-    /// entry's counter is emitted (zero included) from both the static
-    /// decode stats and the per-run dispatch stats, alongside the IC
-    /// counters, no matter what the workload touched.
-    #[test]
-    fn dispatch_metric_key_sets_are_stable() {
-        use crate::fusion_table::{FUSION_TABLE, TRIPLE_TABLE};
-        use lesgs_metrics::Registry;
-
-        // A program with no fusible pairs and no closure calls at all.
-        let p = tiny_program();
-        let prog = DecodedProgram::decode(&p);
-        let out = Machine::new(&p, CostModel::unit()).run().unwrap();
-
-        let mut reg = Registry::new();
-        prog.stats().record(&mut reg);
-        out.dispatch.record(&mut reg);
-
-        let counters: std::collections::BTreeMap<String, u64> = reg
-            .counters()
-            .map(|(name, v)| (name.to_string(), v))
-            .collect();
-        for entry in FUSION_TABLE {
-            let key = entry.kind.key();
-            assert!(
-                counters.contains_key(&format!("vm.dispatch.fused.{key}")),
-                "missing static fused counter for {key}"
-            );
-            assert!(
-                counters.contains_key(&format!("vm.dispatch.fused_exec.{key}")),
-                "missing runtime fused counter for {key}"
-            );
-        }
-        for entry in TRIPLE_TABLE {
-            let key = entry.kind.key();
-            assert!(
-                counters.contains_key(&format!("vm.dispatch.fused.{key}")),
-                "missing static fused-triple counter for {key}"
-            );
-            assert!(
-                counters.contains_key(&format!("vm.dispatch.fused_exec.{key}")),
-                "missing runtime fused-triple counter for {key}"
-            );
-        }
-        assert!(counters.contains_key("vm.dispatch.ic.hits"));
-        assert!(counters.contains_key("vm.dispatch.ic.misses"));
-        assert!(counters.contains_key("vm.dispatch.spec.fast_hits"));
-        assert!(counters.contains_key("vm.dispatch.spec.guard_fails"));
-        assert!(counters.contains_key("vm.dispatch.spec.demotions"));
-        let gauges: Vec<&str> = reg.gauges().map(|(name, _)| name).collect();
-        assert!(gauges.contains(&"vm.dispatch.ic.hit_rate"));
-    }
-
-    /// Triple templates fuse on decode, execute as one op, and leave
-    /// mid-triple jump landings on the preserved plain slots.
-    #[test]
-    fn fused_triples_execute_and_land_mid_triple() {
-        let a0 = arg_reg(0);
-        let s0 = scratch_reg(0);
-        let s1 = scratch_reg(1);
-        let f = VmFunc {
-            id: FuncId(0),
-            name: "entry".into(),
-            code: vec![
-                // 0/1/2: ImmPrimMov triple, executed in full.
-                Instr::LoadImm {
-                    dst: a0,
-                    imm: Imm::Fixnum(7),
-                },
-                Instr::Prim {
-                    op: Prim::Add,
-                    dst: RV,
-                    args: vec![a0, a0],
-                },
-                Instr::Mov { dst: s0, src: RV },
-                // 3: land on the *third* slot of the next triple.
-                Instr::Jump { target: 6 },
-                // 4/5/6: ImmPrimMov triple entered mid-triple — only
-                // `s1 <- rv` runs; the head and middle never execute.
-                Instr::LoadImm {
-                    dst: a0,
-                    imm: Imm::Fixnum(100),
-                },
-                Instr::Prim {
-                    op: Prim::Mul,
-                    dst: RV,
-                    args: vec![a0, a0],
-                },
-                Instr::Mov { dst: s1, src: RV },
-                // 7: rv = s0 + a0 = 14 + 7 = 21.
-                Instr::Prim {
-                    op: Prim::Add,
-                    dst: RV,
-                    args: vec![s0, a0],
-                },
-                Instr::Halt,
-            ],
-            frame_size: 0,
-            n_incoming: 0,
-            syntactic_leaf: true,
-            call_inevitable: false,
-        };
-        let p = VmProgram {
-            funcs: vec![f],
-            entry: FuncId(0),
-            constants: vec![],
-            n_globals: 0,
-        };
-        let full3: Vec<crate::decode::TripleEntry> = crate::decode::TripleKind::ALL
-            .iter()
-            .map(|&kind| crate::decode::TripleEntry {
-                kind,
-                dynamic_count: 1,
-            })
-            .collect();
-        // Empty pair table: the scan must still find both triples.
-        let decoded = DecodedProgram::decode_with_table(&p, &[], &full3);
-        let stats = decoded.stats();
-        assert_eq!(
-            stats.fused3(crate::decode::TripleKind::ImmPrimMov),
-            2,
-            "{}",
-            decoded.disassemble()
-        );
-        assert_eq!(stats.fused_triples, 2);
-        // Slot preservation: decoded slot count = source + sentinel.
-        assert_eq!(stats.decoded_ops, stats.source_instructions + 1);
-        let out = Machine::from_decoded(&decoded, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        let classic = ClassicMachine::new(&p, CostModel::alpha_like())
-            .run()
-            .unwrap();
-        assert_eq!(out.value, "21");
-        assert_eq!(out.value, classic.value);
-        assert_eq!(out.stats, classic.stats);
-        assert_eq!(out.output, classic.output);
-        // Only the first triple ran fused; the second was entered
-        // mid-triple on a plain slot.
-        assert_eq!(
-            out.dispatch.fused3(crate::decode::TripleKind::ImmPrimMov),
-            1
-        );
     }
 }

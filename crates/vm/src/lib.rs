@@ -16,7 +16,6 @@ pub mod classic;
 pub mod cost;
 pub mod decode;
 pub mod exec;
-pub mod fusion_table;
 pub mod instr;
 mod prim;
 pub mod program;
@@ -26,13 +25,8 @@ pub mod verify;
 
 pub use classic::ClassicMachine;
 pub use cost::CostModel;
-pub use decode::{
-    fusion_table_checksum, template_match, template_match3, triple_table_checksum, DecodeStats,
-    DecodedOp, DecodedProgram, FuncInfo, FusionEntry, FusionKind, PrimArgs, TripleEntry,
-    TripleKind,
-};
-pub use exec::{DispatchRunStats, Machine, VmError, VmOutcome, SPEC_DEMOTE_AFTER};
-pub use fusion_table::{FUSION_TABLE, FUSION_TABLE_CHECKSUM, TRIPLE_TABLE, TRIPLE_TABLE_CHECKSUM};
+pub use decode::{DecodeStats, DecodedOp, DecodedProgram, FuncInfo, PrimArgs};
+pub use exec::{Machine, VmError, VmOutcome};
 pub use instr::{CallTarget, Imm, Instr, SlotClass};
 pub use program::{VmFunc, VmProgram};
 pub use stats::{ActivationClass, RunStats};

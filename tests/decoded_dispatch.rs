@@ -3,10 +3,10 @@
 //! under the full configuration matrix.
 //!
 //! The fixture (`tests/fixtures/decoded_programs.txt`) pins the decode
-//! summary of each example — instruction counts, fusion-pair counts by
-//! kind, per-function layout, and the absolute jump-target table — so a
-//! codegen or fusion-catalogue change that silently shifts decoded
-//! shape fails loudly. To regenerate after an *intentional* change:
+//! summary of each example — instruction and decoded-op counts,
+//! per-function layout, and the absolute jump-target table — so a
+//! codegen or decode change that silently shifts decoded shape fails
+//! loudly. To regenerate after an *intentional* change:
 //!
 //! ```text
 //! LESGS_UPDATE_FIXTURES=1 cargo test --test decoded_dispatch
