@@ -149,77 +149,88 @@ impl ClosedProgram {
 
 /// Computes the free variables of `e` in deterministic order.
 pub fn free_vars(e: &Expr<VarId>) -> BTreeSet<VarId> {
-    fn walk(e: &Expr<VarId>, bound: &mut HashSet<VarId>, out: &mut BTreeSet<VarId>) {
-        match e {
-            Expr::Const(_) | Expr::Global(_) => {}
-            Expr::Var(v) => {
-                if !bound.contains(v) {
-                    out.insert(*v);
-                }
-            }
-            Expr::Set(v, rhs) => {
-                if !bound.contains(v) {
-                    out.insert(*v);
-                }
-                walk(rhs, bound, out);
-            }
-            Expr::GlobalSet(_, rhs) => walk(rhs, bound, out),
-            Expr::If(c, t, el) => {
-                walk(c, bound, out);
-                walk(t, bound, out);
-                walk(el, bound, out);
-            }
-            Expr::Seq(es) => es.iter().for_each(|e| walk(e, bound, out)),
-            Expr::Lambda(l) => {
-                let added: Vec<VarId> = l
-                    .params
-                    .iter()
-                    .filter(|p| bound.insert(**p))
-                    .copied()
-                    .collect();
-                walk(&l.body, bound, out);
-                for p in added {
-                    bound.remove(&p);
-                }
-            }
-            Expr::Let(bs, b) => {
-                for (_, rhs) in bs {
-                    walk(rhs, bound, out);
-                }
-                let added: Vec<VarId> = bs
-                    .iter()
-                    .filter(|(v, _)| bound.insert(*v))
-                    .map(|(v, _)| *v)
-                    .collect();
-                walk(b, bound, out);
-                for v in added {
-                    bound.remove(&v);
-                }
-            }
-            Expr::Letrec(bs, b) => {
-                let added: Vec<VarId> = bs
-                    .iter()
-                    .filter(|(v, _)| bound.insert(*v))
-                    .map(|(v, _)| *v)
-                    .collect();
-                for (_, l) in bs {
-                    walk(&Expr::Lambda(l.clone()), bound, out);
-                }
-                walk(b, bound, out);
-                for v in added {
-                    bound.remove(&v);
-                }
-            }
-            Expr::App(f, args) => {
-                walk(f, bound, out);
-                args.iter().for_each(|a| walk(a, bound, out));
-            }
-            Expr::PrimApp(_, args) => args.iter().for_each(|a| walk(a, bound, out)),
-        }
-    }
     let mut out = BTreeSet::new();
-    walk(e, &mut HashSet::new(), &mut out);
+    walk_free(e, &mut HashSet::new(), &mut out);
     out
+}
+
+/// Computes the free variables of a lambda in deterministic order
+/// (the same set as [`free_vars`] of `Expr::Lambda(l)`).
+pub(crate) fn free_vars_lambda(l: &Lambda<VarId>) -> BTreeSet<VarId> {
+    let mut out = BTreeSet::new();
+    walk_free_lambda(l, &mut HashSet::new(), &mut out);
+    out
+}
+
+fn walk_free_lambda(l: &Lambda<VarId>, bound: &mut HashSet<VarId>, out: &mut BTreeSet<VarId>) {
+    let added: Vec<VarId> = l
+        .params
+        .iter()
+        .filter(|p| bound.insert(**p))
+        .copied()
+        .collect();
+    walk_free(&l.body, bound, out);
+    for p in added {
+        bound.remove(&p);
+    }
+}
+
+fn walk_free(e: &Expr<VarId>, bound: &mut HashSet<VarId>, out: &mut BTreeSet<VarId>) {
+    match e {
+        Expr::Const(_) | Expr::Global(_) => {}
+        Expr::Var(v) => {
+            if !bound.contains(v) {
+                out.insert(*v);
+            }
+        }
+        Expr::Set(v, rhs) => {
+            if !bound.contains(v) {
+                out.insert(*v);
+            }
+            walk_free(rhs, bound, out);
+        }
+        Expr::GlobalSet(_, rhs) => walk_free(rhs, bound, out),
+        Expr::If(c, t, el) => {
+            walk_free(c, bound, out);
+            walk_free(t, bound, out);
+            walk_free(el, bound, out);
+        }
+        Expr::Seq(es) => es.iter().for_each(|e| walk_free(e, bound, out)),
+        Expr::Lambda(l) => walk_free_lambda(l, bound, out),
+        Expr::Let(bs, b) => {
+            for (_, rhs) in bs {
+                walk_free(rhs, bound, out);
+            }
+            let added: Vec<VarId> = bs
+                .iter()
+                .filter(|(v, _)| bound.insert(*v))
+                .map(|(v, _)| *v)
+                .collect();
+            walk_free(b, bound, out);
+            for v in added {
+                bound.remove(&v);
+            }
+        }
+        Expr::Letrec(bs, b) => {
+            let added: Vec<VarId> = bs
+                .iter()
+                .filter(|(v, _)| bound.insert(*v))
+                .map(|(v, _)| *v)
+                .collect();
+            for (_, l) in bs {
+                walk_free_lambda(l, bound, out);
+            }
+            walk_free(b, bound, out);
+            for v in added {
+                bound.remove(&v);
+            }
+        }
+        Expr::App(f, args) => {
+            walk_free(f, bound, out);
+            args.iter().for_each(|a| walk_free(a, bound, out));
+        }
+        Expr::PrimApp(_, args) => args.iter().for_each(|a| walk_free(a, bound, out)),
+    }
 }
 
 /// Collects value-position and operator-position references to `names`.
@@ -323,15 +334,22 @@ impl Convert<'_> {
         id
     }
 
-    /// Converts a lambda into a function; returns its id and free list.
-    fn convert_function(&mut self, id: FuncId, name: String, lam: &Lambda<VarId>) -> Vec<VarId> {
-        let mut ctx = FnCtx::new(&lam.params);
-        let body = self.convert(&lam.body, &mut ctx, true);
-        let free = ctx.free_list.clone();
+    /// Converts a function with the given parameters and body; returns
+    /// its free list.
+    fn convert_function(
+        &mut self,
+        id: FuncId,
+        name: String,
+        params: &[VarId],
+        body: &Expr<VarId>,
+    ) -> Vec<VarId> {
+        let mut ctx = FnCtx::new(params);
+        let body = self.convert(body, &mut ctx, true);
+        let free = ctx.free_list;
         self.funcs[id.index()] = Some(ClosedFunc {
             id,
             name,
-            params: lam.params.clone(),
+            params: params.to_vec(),
             free: free.clone(),
             body,
         });
@@ -348,19 +366,25 @@ impl Convert<'_> {
         let group: HashSet<VarId> = bindings.iter().map(|(v, _)| *v).collect();
 
         // --- analysis -------------------------------------------------
-        let mut operator_refs = HashSet::new();
+        // refs_in[i] = brothers referenced from i's body (any position);
+        // value_refs = brothers referenced as values anywhere.
         let mut value_refs = HashSet::new();
-        for (_, l) in bindings {
-            reference_kinds(&l.body, &group, &mut operator_refs, &mut value_refs);
+        let mut refs_in: HashMap<VarId, BTreeSet<VarId>> = HashMap::new();
+        for (v, l) in bindings {
+            let mut op = HashSet::new();
+            let mut val = HashSet::new();
+            reference_kinds(&l.body, &group, &mut op, &mut val);
+            value_refs.extend(val.iter().copied());
+            refs_in.insert(*v, op.union(&val).copied().collect());
         }
-        reference_kinds(body, &group, &mut operator_refs, &mut value_refs);
+        reference_kinds(body, &group, &mut HashSet::new(), &mut value_refs);
 
         // needs_closure fixpoint: seed with escaping-or-capturing
         // procedures, propagate to everything that references them.
         let mut needs: HashMap<VarId, bool> = HashMap::new();
         let mut outer_free: HashMap<VarId, BTreeSet<VarId>> = HashMap::new();
         for (v, l) in bindings {
-            let mut fv = free_vars(&Expr::Lambda(l.clone()));
+            let mut fv = free_vars_lambda(l);
             // Neither group members nor enclosing *direct* procedures
             // are real captures: a direct call needs no environment.
             // (References to enclosing procedures that do have closures
@@ -378,15 +402,6 @@ impl Convert<'_> {
             let seed = !fv.is_empty() || value_refs.contains(v);
             outer_free.insert(*v, fv);
             needs.insert(*v, seed);
-        }
-        // refs_in[i] = brothers referenced from i's body (any position).
-        let mut refs_in: HashMap<VarId, BTreeSet<VarId>> = HashMap::new();
-        for (v, l) in bindings {
-            let mut op = HashSet::new();
-            let mut val = HashSet::new();
-            reference_kinds(&l.body, &group, &mut op, &mut val);
-            let all: BTreeSet<VarId> = op.union(&val).copied().collect();
-            refs_in.insert(*v, all);
         }
         loop {
             let mut changed = false;
@@ -438,7 +453,7 @@ impl Convert<'_> {
                 .name
                 .clone()
                 .unwrap_or_else(|| self.interner.name(*v).to_owned());
-            let free = self.convert_function(ids[v], name, l);
+            let free = self.convert_function(ids[v], name, &l.params, &l.body);
             free_lists.insert(*v, free);
         }
 
@@ -473,25 +488,46 @@ impl Convert<'_> {
 
         let converted_body = self.convert(body, ctx, tail);
 
-        let mut seq = Vec::new();
-        for (cv, slot, brother) in patches {
-            seq.push(CExpr::ClosureSet {
-                clo: Box::new(CExpr::Local(cv)),
-                index: slot,
-                value: Box::new(CExpr::Local(brother)),
-            });
-        }
-        seq.push(converted_body);
-        let mut result = CExpr::Seq(seq);
-        if let CExpr::Seq(s) = &result {
-            if s.len() == 1 {
-                result = s[0].clone();
-            }
-        }
+        let mut result = if patches.is_empty() {
+            converted_body
+        } else {
+            let mut seq: Vec<CExpr> = patches
+                .into_iter()
+                .map(|(cv, slot, brother)| CExpr::ClosureSet {
+                    clo: Box::new(CExpr::Local(cv)),
+                    index: slot,
+                    value: Box::new(CExpr::Local(brother)),
+                })
+                .collect();
+            seq.push(converted_body);
+            CExpr::Seq(seq)
+        };
         for (cv, mk) in creations.into_iter().rev() {
             result = CExpr::Let(cv, Box::new(mk), Box::new(result));
         }
         result
+    }
+
+    /// Converts `let` bindings and their body.
+    fn convert_let<'e>(
+        &mut self,
+        bindings: impl Iterator<Item = (VarId, &'e Expr<VarId>)>,
+        body: &Expr<VarId>,
+        ctx: &mut FnCtx,
+        tail: bool,
+    ) -> CExpr {
+        // Parallel by construction: after alpha renaming no RHS can see
+        // a sibling, so nested single lets are equivalent.
+        let rhss: Vec<(VarId, CExpr)> = bindings
+            .map(|(v, rhs)| (v, self.convert(rhs, ctx, false)))
+            .collect();
+        for (v, _) in &rhss {
+            ctx.locals.insert(*v);
+        }
+        let body = self.convert(body, ctx, tail);
+        rhss.into_iter().rev().fold(body, |acc, (v, rhs)| {
+            CExpr::Let(v, Box::new(rhs), Box::new(acc))
+        })
     }
 
     fn convert(&mut self, e: &Expr<VarId>, ctx: &mut FnCtx, tail: bool) -> CExpr {
@@ -533,39 +569,21 @@ impl Convert<'_> {
             Expr::Lambda(l) => {
                 let id = self.fresh_func_id();
                 let name = l.name.clone().unwrap_or_else(|| format!("lambda@{id}"));
-                let free = self.convert_function(id, name, l);
+                let free = self.convert_function(id, name, &l.params, &l.body);
                 let free_values = free.iter().map(|v| ctx.resolve(*v)).collect();
                 CExpr::MakeClosure {
                     func: id,
                     free: free_values,
                 }
             }
-            Expr::Let(bs, b) => {
-                // Parallel by construction: after alpha renaming no RHS
-                // can see a sibling, so nested single lets are
-                // equivalent.
-                let rhss: Vec<CExpr> = bs
-                    .iter()
-                    .map(|(_, rhs)| self.convert(rhs, ctx, false))
-                    .collect();
-                for (v, _) in bs {
-                    ctx.locals.insert(*v);
-                }
-                let body = self.convert(b, ctx, tail);
-                bs.iter().zip(rhss).rev().fold(body, |acc, ((v, _), rhs)| {
-                    CExpr::Let(*v, Box::new(rhs), Box::new(acc))
-                })
-            }
+            Expr::Let(bs, b) => self.convert_let(bs.iter().map(|(v, rhs)| (*v, rhs)), b, ctx, tail),
             Expr::Letrec(bs, b) => self.convert_letrec(bs, b, ctx, tail),
             Expr::App(f, args) => {
                 // Immediate application of a lambda: beta-reduce to let.
                 if let Expr::Lambda(l) = f.as_ref() {
                     if l.params.len() == args.len() {
-                        let let_expr = Expr::Let(
-                            l.params.iter().copied().zip(args.iter().cloned()).collect(),
-                            l.body.clone(),
-                        );
-                        return self.convert(&let_expr, ctx, tail);
+                        let bindings = l.params.iter().copied().zip(args);
+                        return self.convert_let(bindings, &l.body, ctx, tail);
                     }
                 }
                 let callee = match f.as_ref() {
@@ -611,12 +629,7 @@ pub fn close_program(e: &Expr<VarId>, mut interner: Interner, n_globals: u32) ->
         interner: &mut interner,
     };
     let main_id = c.fresh_func_id();
-    let main_lambda = Lambda {
-        params: Vec::new(),
-        body: Box::new(e.clone()),
-        name: Some("main".to_owned()),
-    };
-    let free = c.convert_function(main_id, "main".to_owned(), &main_lambda);
+    let free = c.convert_function(main_id, "main".to_owned(), &[], e);
     assert!(free.is_empty(), "main cannot capture");
     let funcs = c
         .funcs

@@ -25,7 +25,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use crate::ast::{Expr, Lambda};
-use crate::closure::free_vars;
+use crate::closure::free_vars_lambda;
 use crate::names::{Interner, VarId};
 
 /// Options for the lifting pass.
@@ -211,7 +211,7 @@ impl Lifter<'_> {
         // group (lifting it would make it escape).
         let mut free: BTreeSet<VarId> = BTreeSet::new();
         for (_, l) in bindings.iter() {
-            free.extend(free_vars(&Expr::Lambda(l.clone())));
+            free.extend(free_vars_lambda(l));
         }
         for v in &group {
             free.remove(v);

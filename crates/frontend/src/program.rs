@@ -17,9 +17,11 @@
 //! The standard prelude (list and vector utilities written in
 //! mini-Scheme) is appended automatically; unused prelude definitions
 //! are pruned by a reachability pass so they do not distort static
-//! statistics.
+//! statistics. The prelude is read, desugared and indexed once per
+//! process, so a compile's frontend work scales with the user's source.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 use lesgs_sexpr::{parse, Datum};
 
@@ -211,10 +213,47 @@ pub fn free_names(e: &SurfaceExpr, bound: &mut Vec<String>, out: &mut HashSet<St
     }
 }
 
-fn free_names_of(e: &SurfaceExpr) -> HashSet<String> {
-    let mut out = HashSet::new();
-    free_names(e, &mut Vec::new(), &mut out);
-    out
+/// One desugared prelude define.
+struct PreludeDefine {
+    name: String,
+    rhs: SurfaceExpr,
+    /// Indices of the prelude defines `rhs` names freely.
+    deps: Vec<usize>,
+}
+
+/// The prelude, desugared and indexed.
+struct Prelude {
+    /// Defines in prelude order.
+    defines: Vec<PreludeDefine>,
+    /// Name → index into `defines`.
+    index: HashMap<String, usize>,
+}
+
+/// The process-wide prelude, built by the first compile. A `OnceLock`
+/// rather than a thread-local: the service and the interpreter compile
+/// on threads they spawn per batch or per evaluation.
+fn prelude() -> &'static Prelude {
+    static PRELUDE_DEFINES: OnceLock<Prelude> = OnceLock::new();
+    PRELUDE_DEFINES.get_or_init(|| {
+        let mut defines = Vec::new();
+        let mut index = HashMap::new();
+        for form in parse(PRELUDE).expect("prelude parses") {
+            let items = form.as_slice().expect("prelude form is a list");
+            let (name, rhs) = desugar::split_define(items).expect("prelude desugars");
+            index.insert(name.clone(), defines.len());
+            defines.push((name, rhs));
+        }
+        let defines = defines
+            .into_iter()
+            .map(|(name, rhs)| {
+                let mut free = HashSet::new();
+                free_names(&rhs, &mut Vec::new(), &mut free);
+                let deps = free.iter().filter_map(|n| index.get(n).copied()).collect();
+                PreludeDefine { name, rhs, deps }
+            })
+            .collect();
+        Prelude { defines, index }
+    })
 }
 
 impl SurfaceProgram {
@@ -226,7 +265,6 @@ impl SurfaceProgram {
     /// Returns [`FrontError`] on reader or desugaring failures.
     pub fn from_source(src: &str) -> Result<SurfaceProgram, FrontError> {
         let user_forms = parse(src).map_err(|e| FrontError::Parse(e.to_string()))?;
-        let prelude_forms = parse(PRELUDE).expect("prelude parses");
 
         let mut set_targets = HashSet::new();
         for d in &user_forms {
@@ -235,61 +273,51 @@ impl SurfaceProgram {
 
         let mut defines: Vec<(String, SurfaceExpr)> = Vec::new();
         let mut mains = Vec::new();
-        let mut user_defined: HashSet<String> = HashSet::new();
-
         for form in &user_forms {
             if form.is_form("define") {
                 let items = form.as_slice().expect("define is a list");
-                let (name, rhs) = desugar::split_define(items)?;
-                user_defined.insert(name.clone());
-                defines.push((name, rhs));
+                defines.push(desugar::split_define(items)?);
             } else {
                 mains.push(desugar::expr(form)?);
             }
         }
 
         // Prune prelude definitions not transitively reachable from the
-        // user program.
-        let mut prelude_defs: Vec<(String, SurfaceExpr)> = Vec::new();
-        let mut prelude_index: HashMap<String, usize> = HashMap::new();
-        for form in &prelude_forms {
-            let items = form.as_slice().expect("prelude form is a list");
-            let (name, rhs) = desugar::split_define(items)?;
-            if user_defined.contains(&name) {
-                continue; // user definition shadows the prelude
+        // user program; a user definition shadows the prelude one of
+        // the same name, which is then neither reached nor kept.
+        let prelude = prelude();
+        // done[i]: prelude define i is shadowed or already reached.
+        let mut done = vec![false; prelude.defines.len()];
+        for (name, _) in &defines {
+            if let Some(&i) = prelude.index.get(name) {
+                done[i] = true;
             }
-            prelude_index.insert(name.clone(), prelude_defs.len());
-            prelude_defs.push((name, rhs));
         }
-
-        let mut wanted: Vec<String> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        let enqueue =
-            |names: HashSet<String>, wanted: &mut Vec<String>, seen: &mut HashSet<String>| {
-                for n in names {
-                    if prelude_index.contains_key(&n) && seen.insert(n.clone()) {
-                        wanted.push(n);
-                    }
-                }
-            };
-        for (_, rhs) in &defines {
-            enqueue(free_names_of(rhs), &mut wanted, &mut seen);
+        let mut user_free = HashSet::new();
+        for e in defines.iter().map(|(_, rhs)| rhs).chain(&mains) {
+            free_names(e, &mut Vec::new(), &mut user_free);
         }
-        for m in &mains {
-            enqueue(free_names_of(m), &mut wanted, &mut seen);
+        let mut stack: Vec<usize> = user_free
+            .iter()
+            .filter_map(|n| prelude.index.get(n).copied())
+            .collect();
+        let mut wanted = Vec::new();
+        while let Some(i) = stack.pop() {
+            if !done[i] {
+                done[i] = true;
+                wanted.push(i);
+                stack.extend(&prelude.defines[i].deps);
+            }
         }
-        let mut i = 0;
-        while i < wanted.len() {
-            let idx = prelude_index[&wanted[i]];
-            let names = free_names_of(&prelude_defs[idx].1);
-            enqueue(names, &mut wanted, &mut seen);
-            i += 1;
-        }
+        wanted.sort_unstable();
 
         // Keep prelude order for determinism, prepending before user code.
-        let mut all_defines: Vec<(String, SurfaceExpr)> = prelude_defs
+        let mut all_defines: Vec<(String, SurfaceExpr)> = wanted
             .into_iter()
-            .filter(|(n, _)| seen.contains(n))
+            .map(|i| {
+                let d = &prelude.defines[i];
+                (d.name.clone(), d.rhs.clone())
+            })
             .collect();
         all_defines.extend(defines);
 
@@ -308,26 +336,25 @@ impl SurfaceProgram {
     /// global names (top-level value defines and `set!` targets), in
     /// slot order. Globals live in dedicated locations rather than in
     /// boxed cells captured by closures, mirroring Chez's global cells.
-    pub fn assemble(&self) -> (SurfaceExpr, Vec<String>) {
+    pub fn assemble(self) -> (SurfaceExpr, Vec<String>) {
         let mut fun_defs: Vec<(String, Lambda<String>)> = Vec::new();
         let mut val_defs: Vec<(String, SurfaceExpr)> = Vec::new();
-        for (name, rhs) in &self.defines {
+        for (name, rhs) in self.defines {
             match rhs {
-                Expr::Lambda(l) if !self.set_targets.contains(name) => {
-                    let mut l = l.clone();
+                Expr::Lambda(mut l) if !self.set_targets.contains(&name) => {
                     l.name.get_or_insert_with(|| name.clone());
-                    fun_defs.push((name.clone(), l));
+                    fun_defs.push((name, l));
                 }
-                _ => val_defs.push((name.clone(), rhs.clone())),
+                rhs => val_defs.push((name, rhs)),
             }
         }
 
         let globals: Vec<String> = val_defs.iter().map(|(n, _)| n.clone()).collect();
         let mut seq: Vec<SurfaceExpr> = val_defs
-            .iter()
-            .map(|(n, rhs)| Expr::Set(n.clone(), Box::new(rhs.clone())))
+            .into_iter()
+            .map(|(n, rhs)| Expr::Set(n, Box::new(rhs)))
             .collect();
-        seq.extend(self.mains.iter().cloned());
+        seq.extend(self.mains);
         let mut body = Expr::seq(seq);
 
         if !fun_defs.is_empty() {

@@ -30,7 +30,7 @@ use crate::instr::{CallTarget, Imm, Instr};
 use crate::prim::{eval_prim, ArgVals};
 use crate::program::VmProgram;
 use crate::stats::{ActivationClass, RunStats};
-use crate::value::{const_to_value, RetAddr, Value, VmClosure};
+use crate::value::{const_to_value, PatchedClosures, RetAddr, Value, VmClosure};
 
 type Result<T> = std::result::Result<T, VmError>;
 
@@ -53,6 +53,7 @@ pub struct ClassicMachine<'a> {
     output: String,
     stats: RunStats,
     shadow: Vec<Activation>,
+    patched: PatchedClosures,
 }
 
 impl<'a> ClassicMachine<'a> {
@@ -78,6 +79,7 @@ impl<'a> ClassicMachine<'a> {
             output: String::new(),
             stats: RunStats::default(),
             shadow: Vec::new(),
+            patched: PatchedClosures::default(),
         }
     }
 
@@ -397,6 +399,7 @@ impl<'a> ClassicMachine<'a> {
                     match self.read(clo) {
                         Value::Closure(c) => {
                             c.free.borrow_mut()[index as usize] = v;
+                            self.patched.remember(&c);
                         }
                         other => {
                             return Err(

@@ -27,7 +27,7 @@ use crate::instr::{Imm, SlotClass};
 use crate::prim::{eval_prim, ArgVals};
 use crate::program::VmProgram;
 use crate::stats::{ActivationClass, RunStats};
-use crate::value::{const_to_value, RetAddr, Value, VmClosure};
+use crate::value::{const_to_value, PatchedClosures, RetAddr, Value, VmClosure};
 
 /// A runtime failure (type error, fuel exhaustion, VM invariant
 /// violation).
@@ -122,6 +122,7 @@ pub struct Machine<'a> {
     output: String,
     stats: RunStats,
     shadow: Vec<Activation>,
+    patched: PatchedClosures,
     // Flat per-class tallies for the hot loop; folded into the
     // `RunStats` hash maps once, at exit. The decoded engine observes
     // the same events as the classic one — it just counts them in
@@ -176,6 +177,7 @@ impl<'a> Machine<'a> {
             output: String::new(),
             stats: RunStats::default(),
             shadow: Vec::new(),
+            patched: PatchedClosures::default(),
             stack_loads_by_class: [0; SlotClass::ALL.len()],
             stack_stores_by_class: [0; SlotClass::ALL.len()],
             activations_by_class: [0; ActivationClass::ALL.len()],
@@ -676,6 +678,7 @@ impl<'a> Machine<'a> {
                     match &self.regs[clo.index()] {
                         Value::Closure(c) => {
                             c.free.borrow_mut()[index as usize] = v;
+                            self.patched.remember(c);
                         }
                         other => {
                             return Err(self.err(

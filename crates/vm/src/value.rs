@@ -2,7 +2,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use lesgs_frontend::{Const, FuncId};
 use lesgs_sexpr::Datum;
@@ -15,6 +15,38 @@ pub struct VmClosure {
     pub func: FuncId,
     /// Captured values.
     pub free: RefCell<Vec<Value>>,
+}
+
+/// The closures a machine has backpatched with `closure-set!`.
+///
+/// Backpatching ties a recursive group of closures into a reference
+/// cycle that `Rc` never frees. Each machine remembers every closure
+/// it patched as a [`Weak`]; dropping the set empties the free slots of
+/// those still alive, which breaks the cycles once the run is over.
+#[derive(Default)]
+pub(crate) struct PatchedClosures(Vec<Weak<VmClosure>>);
+
+impl PatchedClosures {
+    /// Records a patched closure.
+    pub(crate) fn remember(&mut self, clo: &Rc<VmClosure>) {
+        if self.0.len() == self.0.capacity() {
+            // Before growing, forget closures that died on their own,
+            // so the list stays proportional to the live ones.
+            self.0.retain(|w| w.strong_count() > 0);
+            self.0.reserve(self.0.len().max(16));
+        }
+        self.0.push(Rc::downgrade(clo));
+    }
+}
+
+impl Drop for PatchedClosures {
+    fn drop(&mut self) {
+        for clo in self.0.drain(..).filter_map(|w| w.upgrade()) {
+            if let Ok(mut free) = clo.free.try_borrow_mut() {
+                free.clear();
+            }
+        }
+    }
 }
 
 /// A return address: code position and the caller's frame pointer.
