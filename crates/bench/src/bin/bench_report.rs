@@ -1,105 +1,92 @@
-//! `bench-report` — machine-readable results for the whole suite.
+//! `bench-report` — every paper result and the suite-wide measurements
+//! as one report document.
 //!
-//! Runs every suite benchmark under the no-register baseline and the
-//! full-optimization (paper-default) configuration and writes one JSON
-//! document in the shared report schema (see `lesgs_bench::report` and
-//! OBSERVABILITY.md) to `BENCH_report.json`:
-//!
-//! ```text
-//! cargo run --release -p lesgs-bench --bin bench-report            # standard scale
-//! cargo run --release -p lesgs-bench --bin bench-report -- --small # CI-fast subset
-//! cargo run --release -p lesgs-bench --bin bench-report -- --jobs 4
-//! cargo run --release -p lesgs-bench --bin bench-report -- --out=path.json
-//! cargo run --release -p lesgs-bench --bin bench-report -- --check baseline.json
-//! ```
-//!
-//! The `runs` array holds one structured record per benchmark ×
-//! configuration with the full `vm.*`/`alloc.*` counter sets; the
-//! `comparisons` table summarizes the headline stack-reference
-//! reduction and speedup of full optimization over the baseline, and
-//! the `dispatch`/`dispatch_throughput` tables record what pre-decoding
-//! did to the code and how much faster the decoded engine retires it.
-//! `--jobs <n>` fans the benchmarks across `n` workers; everything in
-//! the document except the wall-clock tables (`timing`,
-//! `dispatch_throughput`) is byte-identical whatever the job count.
-//!
-//! `--check <baseline>` is the CI perf-regression gate: instead of
-//! writing a file, it builds the report and compares its deterministic
-//! fields (everything but the wall-clock tables) against the committed
-//! baseline, exiting 1 with the first divergent line on drift. Pass
-//! `--out=` as well to also write the fresh report.
+//! Prints each section of the paper's evaluation (Tables 1–5, Figures
+//! 1–2, the §3.1/§4/§6 statistics and the ablations) on stdout and
+//! writes them, with per-run records for the whole suite, as one JSON
+//! document in the shared report schema (OBSERVABILITY.md). The default
+//! file follows the scale — `BENCH_report.json`, or
+//! `BENCH_baseline_small.json` with `--small` — and `--out=PATH` picks
+//! another. `--jobs N` fans the runs across N workers; only the
+//! wall-clock tables (`lesgs_bench::check::WALL_CLOCK_TABLES`) depend
+//! on it. `--check BASELINE` is the CI perf-regression gate: it compares
+//! everything but the wall-clock tables with the baseline, writes
+//! nothing unless `--out=` is given, and exits 1 with the first
+//! divergent line on drift. Any other argument exits 2 with a usage
+//! line.
 
 use lesgs_bench::check::check_reports;
-use lesgs_bench::scale_from_args;
 use lesgs_bench::suite_report::build_suite_report;
-use lesgs_suite::all_benchmarks;
+use lesgs_suite::{all_benchmarks, Scale};
 
-fn out_path() -> Option<String> {
-    std::env::args().find_map(|a| a.strip_prefix("--out=").map(str::to_owned))
+const USAGE: &str = "usage: bench-report [--small] [--jobs N] [--out=PATH] [--check PATH]";
+
+struct Args {
+    scale: Scale,
+    jobs: usize,
+    out: Option<String>,
+    check: Option<String>,
 }
 
-fn check_path() -> Option<String> {
-    let mut args = std::env::args();
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
+        scale: Scale::Standard,
+        jobs: 1,
+        out: None,
+        check: None,
+    };
     while let Some(a) = args.next() {
-        if a == "--check" {
-            match args.next() {
-                Some(p) => return Some(p),
-                None => {
-                    eprintln!("bench-report: --check requires a baseline path");
-                    std::process::exit(2);
-                }
+        match a.as_str() {
+            "--small" => parsed.scale = Scale::Small,
+            "--jobs" => {
+                parsed.jobs = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
+                    .ok_or("--jobs requires a number >= 1")?;
             }
+            "--check" => {
+                parsed.check = Some(args.next().ok_or("--check requires a baseline path")?)
+            }
+            _ => match a.strip_prefix("--out=").filter(|p| !p.is_empty()) {
+                Some(path) => parsed.out = Some(path.to_owned()),
+                None => return Err(format!("unknown argument `{a}`")),
+            },
         }
     }
-    None
-}
-
-fn jobs_from_args() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--jobs" {
-            let jobs = args
-                .next()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0);
-            match jobs {
-                Some(n) => return n,
-                None => {
-                    eprintln!("bench-report: --jobs requires a number >= 1");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    1
+    Ok(parsed)
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = jobs_from_args();
-    let check = check_path();
-    // In --check mode nothing is written unless --out= asks for it.
-    let path = match (&check, out_path()) {
-        (_, Some(p)) => Some(p),
-        (None, None) => Some("BENCH_report.json".to_owned()),
-        (Some(_), None) => None,
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("bench-report: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let default = match args.scale {
+        Scale::Standard => "BENCH_report.json",
+        Scale::Small => "BENCH_baseline_small.json",
     };
+    // In --check mode nothing is written unless --out= asks for it.
+    let path = args
+        .out
+        .or_else(|| args.check.is_none().then(|| default.to_owned()));
 
-    let built = build_suite_report(all_benchmarks(), scale, jobs, |name| {
+    let built = build_suite_report(all_benchmarks(), args.scale, args.jobs, |name| {
         eprintln!("{name}: done");
     });
-    if jobs > 1 {
+    if args.jobs > 1 {
         eprintln!("bench-report: exec: {}", built.stats.summary());
     }
 
-    println!("{}", built.comparisons);
+    println!("Full-suite benchmark report ({:?} scale)\n", args.scale);
+    println!("{}", built.text.join("\n"));
     if let Some(path) = &path {
         std::fs::write(path, built.report.to_json().pretty())
             .unwrap_or_else(|e| panic!("{path}: {e}"));
         println!("wrote {path}");
     }
 
-    if let Some(baseline_path) = check {
+    if let Some(baseline_path) = args.check {
         let text = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
         let baseline = lesgs_metrics::parse_json(&text)

@@ -12,16 +12,20 @@
 
 use lesgs_metrics::Json;
 
+use crate::sections::COMPILE_TIME;
 use crate::suite_report::{DISPATCH_THROUGHPUT_TABLE, SERVICE_THROUGHPUT_TABLE, TIMING_TABLE};
 
 /// The tables whose *values* are wall-clock-dependent and therefore
 /// excluded from the deterministic projection. Everything else in a
-/// report — including the `dispatch` code-size table and the
-/// `service_cache` accounting table — is covered by the gate.
+/// report — including the `dispatch` code-size table, the
+/// `service_cache` accounting table and every paper section but
+/// `compile_time` — is covered by the gate. This is the one list of
+/// wall-clock tables; CI and the docs refer to it.
 pub const WALL_CLOCK_TABLES: &[&str] = &[
     TIMING_TABLE,
     DISPATCH_THROUGHPUT_TABLE,
     SERVICE_THROUGHPUT_TABLE,
+    COMPILE_TIME,
 ];
 
 /// Strips the wall-clock tables from a report document, leaving only
@@ -122,17 +126,18 @@ mod tests {
                 .map(|t| t.get("name").and_then(|n| n.as_str()).unwrap().to_owned())
                 .collect()
         };
-        let before = names(&report);
-        assert!(before.iter().any(|n| n == TIMING_TABLE));
-        assert!(before.iter().any(|n| n == DISPATCH_THROUGHPUT_TABLE));
-        assert!(before.iter().any(|n| n == SERVICE_THROUGHPUT_TABLE));
-        let after = names(&deterministic_projection(&report));
-        assert!(after
-            .iter()
-            .all(|n| !WALL_CLOCK_TABLES.contains(&n.as_str())));
-        assert!(after.iter().any(|n| n == "comparisons"));
-        assert!(after.iter().any(|n| n == "dispatch"));
-        assert!(after.iter().any(|n| n == "service_cache"));
+        let (before, after) = (names(&report), names(&deterministic_projection(&report)));
+        for table in WALL_CLOCK_TABLES {
+            assert!(before.iter().any(|n| n == table), "report carries {table}");
+        }
+        let kept: Vec<_> = before
+            .into_iter()
+            .filter(|n| !WALL_CLOCK_TABLES.contains(&n.as_str()))
+            .collect();
+        assert_eq!(after, kept);
+        for gated in ["comparisons", "dispatch", "service_cache", "table3"] {
+            assert!(after.iter().any(|n| n == gated), "{gated} is gated");
+        }
     }
 
     #[test]
@@ -159,5 +164,25 @@ mod tests {
         let err = check_reports(&a, &b).unwrap_err();
         assert!(err.contains("diverge at line"), "{err}");
         assert!(err.contains("vm.instructions"), "{err}");
+    }
+
+    #[test]
+    fn edited_table3_average_fails_at_that_line() {
+        let a = tiny_report();
+        // Work on the projection so line numbers are the gate's own.
+        let text = deterministic_projection(&a).pretty();
+        let table3 = text.find("\"name\": \"table3\"").expect("table3 is gated");
+        let average = table3 + text[table3..].find("\"Average\"").expect("Average row");
+        // The row's next cell: lazy's mean stack-ref reduction.
+        let start = average + text[average..].find('\n').unwrap() + 1;
+        let end = start + text[start..].find('\n').unwrap();
+        let line = text[..start].lines().count() + 1;
+        let mut edited = text.clone();
+        edited.replace_range(start..end, "            \"99%\",");
+        assert_ne!(edited, text, "the edit must change the cell");
+        let b = lesgs_metrics::parse_json(&edited).unwrap();
+        let err = check_reports(&a, &b).unwrap_err();
+        assert!(err.contains(&format!("diverge at line {line}:")), "{err}");
+        assert!(err.contains("\"99%\""), "{err}");
     }
 }

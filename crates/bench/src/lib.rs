@@ -1,105 +1,16 @@
-//! Shared machinery for the experiment harnesses.
+//! The paper's evaluation as one gated report.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper; see DESIGN.md's experiment index. This library holds the
-//! common runners.
+//! The `bench-report` binary builds every table and figure of the paper,
+//! the ablations, and the suite-wide dispatch and service measurements
+//! into one report document (see DESIGN.md's experiment index). [`runs`]
+//! makes each (benchmark, configuration) run once per build on a worker
+//! pool, [`sections`] turns the runs into the paper's tables,
+//! [`suite_report`] assembles the document, and [`check`] is the
+//! perf-regression gate behind `bench-report --check`.
 
 pub mod check;
 pub mod harness;
 pub mod report;
+pub mod runs;
+pub mod sections;
 pub mod suite_report;
-
-use lesgs_core::config::{Discipline, RestoreStrategy, SaveStrategy};
-use lesgs_core::AllocConfig;
-use lesgs_suite::{measure, programs, BenchmarkRun, Scale};
-
-/// Parses the conventional `--small` flag used by every harness.
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--small") {
-        Scale::Small
-    } else {
-        Scale::Standard
-    }
-}
-
-/// The three save strategies of Table 3 with their paper names.
-pub fn save_strategies() -> [(&'static str, SaveStrategy); 3] {
-    [
-        ("lazy", SaveStrategy::Lazy),
-        ("early", SaveStrategy::Early),
-        ("late", SaveStrategy::Late),
-    ]
-}
-
-/// Standard configurations used across the harnesses.
-pub fn config_with_save(save: SaveStrategy) -> AllocConfig {
-    AllocConfig {
-        save,
-        ..AllocConfig::paper_default()
-    }
-}
-
-/// The callee-save configuration modelling the C compilers of
-/// Tables 4/5.
-pub fn callee_save_config(save: SaveStrategy) -> AllocConfig {
-    AllocConfig {
-        discipline: Discipline::CalleeSave,
-        save,
-        ..AllocConfig::paper_default()
-    }
-}
-
-/// Lazy restores for the Figure 2 comparison.
-pub fn lazy_restore_config() -> AllocConfig {
-    AllocConfig {
-        restore: RestoreStrategy::Lazy,
-        ..AllocConfig::paper_default()
-    }
-}
-
-/// Runs one benchmark, aborting the harness on failure.
-pub fn run_benchmark(bench: &programs::Benchmark, scale: Scale, cfg: &AllocConfig) -> BenchmarkRun {
-    measure(bench, scale, cfg).unwrap_or_else(|e| panic!("benchmark {} failed: {e}", bench.name))
-}
-
-/// Geometric-mean helper for averaging ratios.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Arithmetic mean.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn means() {
-        assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn configs_differ() {
-        assert_ne!(
-            config_with_save(SaveStrategy::Lazy).save,
-            config_with_save(SaveStrategy::Early).save
-        );
-        assert_eq!(
-            callee_save_config(SaveStrategy::Lazy).discipline,
-            Discipline::CalleeSave
-        );
-        assert_eq!(lazy_restore_config().restore, RestoreStrategy::Lazy);
-    }
-}

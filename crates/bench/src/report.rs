@@ -1,12 +1,9 @@
-//! The shared JSON report schema emitted by every experiment harness.
+//! The shared JSON report schema.
 //!
-//! Each binary in `src/bin/` prints its human-readable table as before
-//! and *additionally* writes the same data as a JSON document when
-//! `--json` (default file `<experiment>_report.json`) or
-//! `--json=<path>` is passed. The `bench-report` binary aggregates
-//! structured per-run records for the whole suite into
-//! `BENCH_report.json`. The schema is documented in OBSERVABILITY.md
-//! ("Benchmark report schema").
+//! `bench-report` prints every section of the paper's evaluation as a
+//! human-readable table and writes the same data, plus structured
+//! per-run records for the whole suite, as one [`Report`] document. The
+//! schema is documented in OBSERVABILITY.md ("Benchmark report schema").
 //!
 //! Layout of a report document:
 //!
@@ -14,7 +11,7 @@
 //! {
 //!   "schema_version": 1,
 //!   "tool": "lesgs-bench",
-//!   "experiment": "table3",
+//!   "experiment": "bench-report",
 //!   "title": "...",
 //!   "scale": "standard",
 //!   "tables": [ {"name": "...", "columns": [...], "rows": [[...]]} ],
@@ -27,8 +24,7 @@
 //!
 //! `tables` mirrors the rendered text tables cell-for-cell (all cells
 //! are strings, exactly as printed). `runs` carries the raw counters a
-//! downstream tool would want instead of re-parsing formatted cells;
-//! it is only populated by harnesses that deal in whole benchmark runs.
+//! downstream tool would want instead of re-parsing formatted cells.
 
 use lesgs_metrics::{Json, Registry};
 use lesgs_suite::tables::Table;
@@ -44,14 +40,13 @@ pub struct Report {
     experiment: String,
     title: String,
     scale: String,
-    tables: Vec<(String, Vec<String>, Vec<Vec<String>>)>,
+    tables: Vec<(String, Table)>,
     runs: Vec<Json>,
     notes: Vec<String>,
 }
 
 impl Report {
-    /// Starts a report for the named experiment (the binary name, e.g.
-    /// `"table3"`).
+    /// Starts a report for the named experiment (e.g. `"bench-report"`).
     pub fn new(experiment: &str, title: &str, scale: Scale) -> Report {
         Report {
             experiment: experiment.to_owned(),
@@ -65,11 +60,7 @@ impl Report {
 
     /// Adds a rendered table under `name` (cells kept verbatim).
     pub fn add_table(&mut self, name: &str, table: &Table) {
-        self.tables.push((
-            name.to_owned(),
-            table.headers().to_vec(),
-            table.rows().to_vec(),
-        ));
+        self.tables.push((name.to_owned(), table.clone()));
     }
 
     /// Adds a structured per-run record (see [`run_record`]).
@@ -84,26 +75,14 @@ impl Report {
 
     /// Serializes the report.
     pub fn to_json(&self) -> Json {
-        let tables = self
-            .tables
-            .iter()
-            .map(|(name, columns, rows)| {
-                Json::object([
-                    ("name", Json::from(name.as_str())),
-                    (
-                        "columns",
-                        Json::array(columns.iter().map(|c| Json::from(c.as_str()))),
-                    ),
-                    (
-                        "rows",
-                        Json::array(
-                            rows.iter()
-                                .map(|r| Json::array(r.iter().map(|c| Json::from(c.as_str())))),
-                        ),
-                    ),
-                ])
-            })
-            .collect::<Vec<_>>();
+        let strings = |cells: &[String]| Json::array(cells.iter().map(|c| Json::from(c.as_str())));
+        let tables = self.tables.iter().map(|(name, table)| {
+            Json::object([
+                ("name", Json::from(name.as_str())),
+                ("columns", strings(table.headers())),
+                ("rows", Json::array(table.rows().iter().map(|r| strings(r)))),
+            ])
+        });
         Json::object([
             ("schema_version", Json::UInt(SCHEMA_VERSION)),
             ("tool", Json::from("lesgs-bench")),
@@ -112,42 +91,8 @@ impl Report {
             ("scale", Json::from(self.scale.as_str())),
             ("tables", Json::array(tables)),
             ("runs", Json::array(self.runs.iter().cloned())),
-            (
-                "notes",
-                Json::array(self.notes.iter().map(|n| Json::from(n.as_str()))),
-            ),
+            ("notes", strings(&self.notes)),
         ])
-    }
-
-    /// Honors the conventional `--json[=path]` flag: bare `--json`
-    /// writes `<experiment>_report.json` in the working directory;
-    /// `--json=<path>` writes to the given file. The human-readable
-    /// tables stay on stdout either way. Without the flag this is a
-    /// no-op, so every harness calls it unconditionally.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the output file cannot be written — a harness has
-    /// no useful way to continue.
-    pub fn emit(&self) {
-        let Some(path) = self.json_destination() else {
-            return;
-        };
-        std::fs::write(&path, self.to_json().pretty()).unwrap_or_else(|e| panic!("{path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-
-    /// The file `--json[=path]` asked for, if any.
-    fn json_destination(&self) -> Option<String> {
-        for a in std::env::args() {
-            if a == "--json" {
-                return Some(format!("{}_report.json", self.experiment));
-            }
-            if let Some(path) = a.strip_prefix("--json=") {
-                return Some(path.to_owned());
-            }
-        }
-        None
     }
 }
 
