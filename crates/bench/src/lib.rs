@@ -9,7 +9,6 @@
 //! perf-regression gate behind `bench-report --check`.
 
 pub mod check;
-pub mod harness;
 pub mod report;
 pub mod runs;
 pub mod sections;

@@ -123,7 +123,6 @@ pub fn run_record(config: &str, run: &BenchmarkRun) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lesgs_core::AllocConfig;
     use lesgs_metrics::parse_json;
     use lesgs_suite::programs::benchmark;
 
@@ -159,9 +158,9 @@ mod tests {
     #[test]
     fn run_record_is_deterministic() {
         let b = benchmark("tak").expect("tak exists");
-        let cfg = AllocConfig::paper_default();
-        let a = lesgs_suite::measure(&b, Scale::Small, &cfg).expect("runs");
-        let b2 = lesgs_suite::measure(&b, Scale::Small, &cfg).expect("runs");
+        let cfg = lesgs_suite::RunConfig::paper_default();
+        let a = lesgs_suite::measure(&b, Scale::Small, cfg).expect("runs");
+        let b2 = lesgs_suite::measure(&b, Scale::Small, cfg).expect("runs");
         assert_eq!(
             run_record("paper_default", &a).pretty(),
             run_record("paper_default", &b2).pretty()

@@ -9,44 +9,8 @@
 //! rest. Every run of one benchmark must produce the same value, whatever
 //! its configuration.
 
-use lesgs_compiler::{compile, CompilerConfig};
-use lesgs_core::AllocConfig;
 use lesgs_exec::{map_ordered, PoolConfig, PoolStats};
-use lesgs_suite::{Benchmark, BenchmarkRun, Scale};
-use lesgs_vm::CostModel;
-
-/// What one run varies: the allocator, the cost model, and the two
-/// compiler switches the ablations turn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunConfig {
-    /// Register allocator configuration.
-    pub alloc: AllocConfig,
-    /// VM cost model.
-    pub cost: CostModel,
-    /// Selective lambda lifting before closure conversion (§6).
-    pub lambda_lift: bool,
-    /// The backend peephole optimizer switched off.
-    pub no_peephole: bool,
-}
-
-impl From<AllocConfig> for RunConfig {
-    fn from(alloc: AllocConfig) -> RunConfig {
-        RunConfig {
-            alloc,
-            cost: CostModel::alpha_like(),
-            lambda_lift: false,
-            no_peephole: false,
-        }
-    }
-}
-
-impl RunConfig {
-    /// The paper's configuration: lazy saves, eager restores, greedy
-    /// shuffling, six argument registers, the `alpha_like` cost model.
-    pub fn paper_default() -> RunConfig {
-        AllocConfig::paper_default().into()
-    }
-}
+use lesgs_suite::{measure, Benchmark, BenchmarkRun, RunConfig, Scale};
 
 /// The runs made so far for one report build, keyed by benchmark name
 /// and configuration.
@@ -118,7 +82,12 @@ impl Runs {
             }
         }
         let scale = self.scale;
-        for made in self.fan_out(jobs, |(b, config)| (b.name, config, run(b, scale, config))) {
+        let run = |(b, config): (&Benchmark, RunConfig)| {
+            let made = measure(b, scale, config)
+                .unwrap_or_else(|e| panic!("benchmark {} failed: {e}", b.name));
+            (b.name, config, made)
+        };
+        for made in self.fan_out(jobs, run) {
             if let Some((name, other, first)) = self.made.iter().find(|(n, ..)| *n == made.0) {
                 assert_eq!(
                     first.value, made.2.value,
@@ -169,33 +138,5 @@ impl Runs {
             .into_iter()
             .map(|slot| slot.unwrap_or_else(|p| panic!("benchmark job panicked: {p}")))
             .collect()
-    }
-}
-
-/// Compiles and runs `b` under `config`, as [`lesgs_suite::measure`]
-/// does, checking the value against the benchmark's known answer at
-/// standard scale.
-fn run(b: &Benchmark, scale: Scale, config: RunConfig) -> BenchmarkRun {
-    let compiler = CompilerConfig {
-        alloc: config.alloc,
-        cost: config.cost,
-        fuel: 4_000_000_000,
-        lambda_lift: config.lambda_lift,
-        no_peephole: config.no_peephole,
-        ..CompilerConfig::default()
-    };
-    let compiled = compile(b.source(scale), &compiler)
-        .unwrap_or_else(|e| panic!("benchmark {} failed: {e}", b.name));
-    let out = compiled
-        .run(&compiler)
-        .unwrap_or_else(|e| panic!("benchmark {} failed: {e}", b.name));
-    if let (Scale::Standard, Some(expected)) = (scale, b.expected) {
-        assert_eq!(out.value, expected, "benchmark {} failed", b.name);
-    }
-    BenchmarkRun {
-        name: b.name.to_owned(),
-        value: out.value,
-        stats: out.stats,
-        shuffle: compiled.shuffle_stats(),
     }
 }

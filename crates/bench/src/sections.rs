@@ -18,9 +18,10 @@ use lesgs_ir::{MachineConfig, RegSet};
 use lesgs_suite::measure::Measurement;
 use lesgs_suite::programs::{benchmark, Benchmark};
 use lesgs_suite::tables::{frac_pct, pct, Table};
+use lesgs_suite::RunConfig;
 use lesgs_vm::{ActivationClass, RunStats};
 
-use crate::runs::{RunConfig, Runs};
+use crate::runs::Runs;
 
 /// Name of the wall-clock section: the allocation share of compile time.
 pub const COMPILE_TIME: &str = "compile_time";
@@ -153,44 +154,6 @@ pub fn comparisons(runs: &mut Runs) -> Section<(&'static str, Measurement)> {
     avg[3] = pct(mean_of(&s.rows, |(_, m)| m.stack_ref_reduction()));
     avg[6] = pct(mean_of(&s.rows, |(_, m)| m.speedup_percent()));
     s.table.row(avg);
-    s
-}
-
-/// Shuffle code per strategy: the paper's greedy temporaries, the
-/// exhaustive optimum, and optimal shuffle code with permutation
-/// instructions (after Buchwald, Mohr and Rutter) — its temporaries and
-/// the `swap`/`permi` instructions it emits with the moves they subsume.
-/// Rows: (benchmark, (greedy statistics, permutation-aware statistics)).
-pub fn shuffle_strategies(
-    runs: &mut Runs,
-) -> Section<(&'static str, (ShuffleStats, ShuffleStats))> {
-    let paper = RunConfig::paper_default();
-    // Under this strategy `greedy_temps` counts the temporaries the
-    // permutation-aware planner actually used.
-    let permi = paper_with(|c| c.alloc.shuffle = ShuffleStrategy::OptimalPermi);
-    let cells = |greedy: &ShuffleStats, permi: &ShuffleStats| {
-        counts([
-            greedy.call_sites,
-            greedy.greedy_temps,
-            greedy.optimal_temps,
-            permi.greedy_temps,
-            permi.perm_ops,
-            permi.perm_moves,
-        ])
-    };
-    let s = Section::new(
-        "shuffle_strategies",
-        "Shuffle strategies: greedy vs exhaustive optimum vs permutation instructions",
-        "benchmark, call sites, greedy temps, optimal temps, permi temps, perm ops, perm moves",
-    );
-    let mut s = per_benchmark(runs, &[paper, permi], s, |runs, b| {
-        let [greedy, permi] = [paper, permi].map(|c| runs.get(b, c).shuffle);
-        ((greedy, permi), cells(&greedy, &permi))
-    });
-    let greedy = total(s.rows.iter().map(|(_, r)| &r.0));
-    let permi = total(s.rows.iter().map(|(_, r)| &r.1));
-    s.table
-        .row([vec!["Total".to_owned()], cells(&greedy, &permi)].concat());
     s
 }
 
@@ -458,8 +421,6 @@ fn total<'a>(stats: impl IntoIterator<Item = &'a ShuffleStats>) -> ShuffleStats 
             sites_greedy_optimal: t.sites_greedy_optimal + s.sites_greedy_optimal,
             greedy_temps: t.greedy_temps + s.greedy_temps,
             optimal_temps: t.optimal_temps + s.optimal_temps,
-            perm_ops: t.perm_ops + s.perm_ops,
-            perm_moves: t.perm_moves + s.perm_moves,
             ..t
         })
 }
@@ -512,7 +473,6 @@ pub fn shuffle_stats(runs: &mut Runs) -> Section<(&'static str, ShuffleStats)> {
 pub fn register_sweep(runs: &mut Runs) -> Section<(&'static str, [f64; 7])> {
     let strategies = [
         ("greedy", ShuffleStrategy::Greedy),
-        ("optimal-permi", ShuffleStrategy::OptimalPermi),
         ("fixed-order", ShuffleStrategy::FixedOrder),
     ];
     let config = |c: usize, shuffle| {
@@ -537,9 +497,7 @@ pub fn register_sweep(runs: &mut Runs) -> Section<(&'static str, [f64; 7])> {
     s.note(
         "Expected shape: monotonic increase 0→6 with a small 5→6 step;\n\
          fixed-order evaluation flattens (or reverses) beyond ~2 registers\n\
-         because argument shuffling starts forcing temporaries. The\n\
-         optimal-permi row replaces cycle-breaking temporaries with\n\
-         swap/permi instructions where every argument is a register move.",
+         because argument shuffling starts forcing temporaries.",
     );
     s
 }

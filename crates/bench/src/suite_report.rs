@@ -101,10 +101,7 @@ pub fn build_suite_report(
             progress(s.name);
         )*};
     }
-    add!(
-        sections::comparisons(&mut runs),
-        sections::shuffle_strategies(&mut runs),
-    );
+    add!(sections::comparisons(&mut runs));
     for b in runs.benchmarks() {
         let [base, paper] = [AllocConfig::baseline(), AllocConfig::paper_default()];
         report.add_run(run_record("baseline", runs.get(b, base.into())));
@@ -140,11 +137,6 @@ pub fn build_suite_report(
     for note in [
         "Full optimization (lazy saves, eager restores, greedy shuffling, six \
          argument registers) vs the no-register baseline.",
-        "Shuffle strategies compares, per benchmark, the temporaries of the \
-         paper's greedy algorithm, the exhaustive optimum over argument \
-         orderings, and optimal shuffle code with permutation instructions \
-         (swap/permi), plus the permutation instructions emitted and the \
-         argument moves they subsume.",
         "Dispatch throughput compares the classic per-function interpreter \
          against the pre-decoded threaded dispatch loop on the paper-default \
          configuration; both engines observed identical counters and values \
@@ -565,11 +557,8 @@ mod tests {
             })
             .collect();
         assert_eq!(sections, seen, "progress names every section in order");
-        assert_eq!((seen.len(), built.text.len()), (16, 16));
-        for table in tables
-            .iter()
-            .filter(|t| name(t).starts_with("dispatch") || name(t) == "shuffle_strategies")
-        {
+        assert_eq!((seen.len(), built.text.len()), (15, 15));
+        for table in tables.iter().filter(|t| name(t).starts_with("dispatch")) {
             let rows = table.get("rows").and_then(|r| r.as_array()).unwrap();
             assert_eq!(rows.len(), 3, "{}: 2 benchmarks + total", name(table));
             assert_eq!(rows[2].as_array().unwrap()[0].as_str(), Some("Total"));

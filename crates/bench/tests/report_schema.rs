@@ -14,11 +14,10 @@
 //! ```
 
 use lesgs_bench::report::{run_record, Report, SCHEMA_VERSION};
-use lesgs_core::AllocConfig;
 use lesgs_metrics::parse_json;
 use lesgs_suite::programs::benchmark;
 use lesgs_suite::tables::Table;
-use lesgs_suite::{measure, Scale};
+use lesgs_suite::{measure, RunConfig, Scale};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -27,7 +26,7 @@ const FIXTURE: &str = concat!(
 
 fn golden_report() -> String {
     let tak = benchmark("tak").expect("tak exists");
-    let run = measure(&tak, Scale::Small, &AllocConfig::paper_default())
+    let run = measure(&tak, Scale::Small, RunConfig::paper_default())
         .expect("tak runs under paper defaults");
     let mut table = Table::new(vec!["benchmark".into(), "stack refs".into()]);
     table.row(vec![run.name.clone(), run.stats.stack_refs().to_string()]);

@@ -350,18 +350,6 @@ impl Emitter<'_> {
                         }
                     }
                 }
-                Step::Permute { regs, perm, .. } => {
-                    // A two-register permutation is always a swap; wider
-                    // ones need the general permi encoding.
-                    if let [a, b] = regs[..] {
-                        self.emit(Instr::Swap { a, b });
-                    } else {
-                        self.emit(Instr::Permi {
-                            regs: regs.clone(),
-                            perm: perm.clone(),
-                        });
-                    }
-                }
                 Step::Move { from, dst: d } => match from {
                     TempLoc::Reg(r) => self.store_to_dest(*r, d, plan_temp_base),
                     TempLoc::Frame(k) => {

@@ -492,11 +492,29 @@ fn judge_config(
 /// plain sequential loop (which also short-circuits at the first
 /// failure instead of finishing the matrix).
 ///
+/// The whole check — frontend, every configuration and the oracle —
+/// runs on stacks of [`lesgs_interp::wide_stack_bytes`], so a deeply
+/// nested program gets the same verdict at every job count and from
+/// every calling thread. A caller already on a marked wide-stack
+/// thread runs it inline.
+///
 /// # Errors
 ///
 /// Returns the first failure in matrix order, tagged with the
 /// offending configuration.
 pub fn differential_check_parallel(
+    src: &str,
+    configs: &[AllocConfig],
+    fuel: u64,
+    jobs: usize,
+) -> Result<(), DiffFailure> {
+    let (src, configs) = (src.to_owned(), configs.to_vec());
+    lesgs_interp::on_wide_stack(move || check_on_wide_stack(&src, &configs, fuel, jobs))
+}
+
+/// [`differential_check_parallel`]'s body, on a marked wide-stack
+/// thread.
+fn check_on_wide_stack(
     src: &str,
     configs: &[AllocConfig],
     fuel: u64,
@@ -543,8 +561,10 @@ pub fn differential_check_parallel(
         return Ok(());
     }
     let pool = lesgs_exec::PoolConfig {
+        workers: jobs,
+        stack_bytes: lesgs_interp::wide_stack_bytes(),
         name: "lesgs-diff".to_owned(),
-        ..lesgs_exec::PoolConfig::with_workers(jobs)
+        worker_init: Some(lesgs_interp::mark_wide_stack),
     };
     let out = lesgs_exec::map_ordered(&pool, configs.to_vec(), |_i, alloc| {
         judge_config(&front, &oracle, &alloc, fuel)
@@ -590,10 +610,6 @@ pub fn config_matrix() -> Vec<AllocConfig> {
     }
     out.push(AllocConfig {
         shuffle: ShuffleStrategy::FixedOrder,
-        ..AllocConfig::default()
-    });
-    out.push(AllocConfig {
-        shuffle: ShuffleStrategy::OptimalPermi,
         ..AllocConfig::default()
     });
     for save in [SaveStrategy::Lazy, SaveStrategy::Early] {
@@ -824,6 +840,18 @@ mod tests {
         let seq = differential_check_detailed(spin, &config_matrix(), 10_000).unwrap_err();
         let par = differential_check_parallel(spin, &config_matrix(), 10_000, 4).unwrap_err();
         assert_eq!(format!("{seq:?}"), format!("{par:?}"));
+
+        // 800 nested non-tail additions: every job count, and a caller
+        // on an ordinary test thread, must still answer Ok. Two
+        // configurations keep the unoptimized build fast.
+        let deep = format!(
+            "(define (f x) {}x{}) (f 0)",
+            "(+ 1 ".repeat(800),
+            ")".repeat(800)
+        );
+        let pair = &config_matrix()[..2];
+        differential_check_detailed(&deep, pair, 10_000_000).unwrap();
+        differential_check_parallel(&deep, pair, 10_000_000, 2).unwrap();
     }
 
     #[test]

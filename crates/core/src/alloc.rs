@@ -125,21 +125,6 @@ pub enum Step {
         /// Final destination.
         dst: Dest,
     },
-    /// Apply a register permutation in place: simultaneously set
-    /// `regs[i] <- old value of regs[perm[i]]`. Emitted only by the
-    /// optimal-with-permutations strategy; codegen lowers a
-    /// two-register permutation to `swap` and anything wider to
-    /// `permi`. `args` names the call arguments whose placement this
-    /// permutation realizes (each was a pure register-to-register
-    /// move), so passes that walk arguments per step still see them.
-    Permute {
-        /// Registers touched, in instruction-operand order.
-        regs: Vec<Reg>,
-        /// The permutation over `regs` indices.
-        perm: Vec<u8>,
-        /// The call arguments this permutation places.
-        args: Vec<ArgRef>,
-    },
 }
 
 /// The ordered argument-setup plan for one call site, plus the
@@ -159,12 +144,6 @@ pub struct ShufflePlan {
     pub frame_temps: u32,
     /// Number of register-targeted arguments (problem size).
     pub reg_args: u32,
-    /// Permutation instructions (`swap`/`permi`) in the plan.
-    pub perm_ops: u32,
-    /// Plain register moves the permutation instructions replaced
-    /// (pure register-to-register arguments resolved without a
-    /// temporary by the optimal-with-permutations strategy).
-    pub perm_moves: u32,
 }
 
 /// How the allocated call reaches its target.

@@ -43,12 +43,6 @@ pub enum ShuffleStrategy {
     /// baseline of §4: "the performance actually decreased after two
     /// argument registers").
     FixedOrder,
-    /// Greedy ordering, but register-permutation cycles among pure
-    /// register-to-register arguments are resolved with `swap` and
-    /// bounded `permi` instructions instead of moves through
-    /// temporaries — the optimal shuffle code of Buchwald, Mohr, and
-    /// Rutter (arXiv:1504.07073).
-    OptimalPermi,
 }
 
 /// Which register-save discipline user variables live under (§2.4).

@@ -228,38 +228,6 @@ impl Pass2 {
                                 pr = pr.insert(*r);
                             }
                         }
-                        Step::Permute {
-                            regs, args: placed, ..
-                        } => {
-                            // Writes every register it touches, then the
-                            // argument expressions (pure register reads
-                            // of those same registers) put them right
-                            // back in the referenced set — an earlier
-                            // call must restore them eagerly.
-                            for r in regs {
-                                pr = pr.remove(*r);
-                            }
-                            for arg in placed {
-                                let expr = match arg {
-                                    crate::alloc::ArgRef::Arg(i) => {
-                                        args[*i as usize].take().expect("arg placed once")
-                                    }
-                                    crate::alloc::ArgRef::Closure => {
-                                        *closure.take().expect("closure evaluated once")
-                                    }
-                                };
-                                let (e2, pr2) = self.process(expr, ss, pr);
-                                pr = pr2;
-                                match arg {
-                                    crate::alloc::ArgRef::Arg(i) => {
-                                        new_args[*i as usize] = Some(e2)
-                                    }
-                                    crate::alloc::ArgRef::Closure => {
-                                        new_closure = Some(Box::new(e2))
-                                    }
-                                }
-                            }
-                        }
                     }
                 }
                 node.args = new_args
@@ -457,22 +425,7 @@ fn lazy(e: AExpr, dirty_in: RegSet) -> (AExpr, RegSet) {
         AExpr::Call(mut node) => {
             // Arguments execute in plan order before the call.
             let steps = node.plan.steps.clone();
-            // A permutation instruction reads its registers implicitly —
-            // the pure register moves it replaces leave no ReadHome for
-            // a restore to anchor on — so any of them still dirty must
-            // be reloaded before the shuffle. Permutation plans exist
-            // only for call-free shuffles (see `permutation_steps`),
-            // so nothing re-dirties them before the instruction runs.
-            let mut perm_regs = RegSet::EMPTY;
-            for step in &steps {
-                if let Step::Permute { regs, .. } = step {
-                    for r in regs {
-                        perm_regs = perm_regs.insert(*r);
-                    }
-                }
-            }
-            let pre_restore = dirty_in & perm_regs;
-            let mut dirty = dirty_in - pre_restore;
+            let mut dirty = dirty_in;
             let mut args: Vec<Option<AExpr>> = node.args.drain(..).map(Some).collect();
             let mut closure = node.closure.take();
             let mut new_args: Vec<Option<AExpr>> = (0..args.len()).map(|_| None).collect();
@@ -506,30 +459,6 @@ fn lazy(e: AExpr, dirty_in: RegSet) -> (AExpr, RegSet) {
                             dirty = dirty.remove(*r);
                         }
                     }
-                    Step::Permute {
-                        regs, args: placed, ..
-                    } => {
-                        for arg in placed {
-                            let expr = match arg {
-                                crate::alloc::ArgRef::Arg(i) => {
-                                    args[*i as usize].take().expect("once")
-                                }
-                                crate::alloc::ArgRef::Closure => *closure.take().expect("once"),
-                            };
-                            // Sources were reloaded up front, so this
-                            // changes nothing; it keeps the walk total.
-                            let (e2, d) = lazy(expr, dirty);
-                            dirty = d;
-                            match arg {
-                                crate::alloc::ArgRef::Arg(i) => new_args[*i as usize] = Some(e2),
-                                crate::alloc::ArgRef::Closure => new_closure = Some(Box::new(e2)),
-                            }
-                        }
-                        // Every touched register now holds a fresh value.
-                        for r in regs {
-                            dirty = dirty.remove(*r);
-                        }
-                    }
                 }
             }
             node.args = new_args.into_iter().map(|a| a.expect("arg")).collect();
@@ -552,12 +481,7 @@ fn lazy(e: AExpr, dirty_in: RegSet) -> (AExpr, RegSet) {
                 // it is now dirty instead of restored.
                 dirty | eager | node.live_after
             };
-            let out = if pre_restore.is_empty() {
-                AExpr::Call(node)
-            } else {
-                AExpr::Seq(vec![AExpr::RestoreRegs(pre_restore), AExpr::Call(node)])
-            };
-            (out, dirty_out)
+            (AExpr::Call(node), dirty_out)
         }
         AExpr::MakeClosure { func, free } => {
             let mut dirty = dirty_in;

@@ -89,19 +89,6 @@ fn prim_never_false(p: Prim) -> bool {
     )
 }
 
-/// `Some(r)` when `e` is a variable homed in register `r`: evaluating
-/// it is a pure register-to-register copy, which the
-/// optimal-with-permutations shuffle strategy may fold into a
-/// `swap`/`permi` instruction.
-fn move_source(e: &Expr, homes: &Homes) -> Option<lesgs_ir::Reg> {
-    if let Expr::Var(v) = e {
-        if let Home::Reg(r) = homes.of(*v) {
-            return Some(r);
-        }
-    }
-    None
-}
-
 /// Incoming-parameter slots read by `e` (bit `i` = `Param(i)`).
 fn param_reads(e: &Expr, homes: &Homes) -> u64 {
     let mut out = 0u64;
@@ -169,7 +156,6 @@ impl Pass1<'_> {
                 reads_regs: reg_reads(a, self.homes) | reg_writes(a, self.homes),
                 reads_params: param_reads(a, self.homes),
                 complex: a.contains_call(),
-                move_of: move_source(a, self.homes),
             })
             .collect();
         let closure_expr = callee.closure_expr();
@@ -180,7 +166,6 @@ impl Pass1<'_> {
                 reads_regs: reg_reads(clo, self.homes) | reg_writes(clo, self.homes),
                 reads_params: param_reads(clo, self.homes),
                 complex: clo.contains_call(),
-                move_of: move_source(clo, self.homes),
             });
         }
         let temp_regs: RegSet = (0..MAX_ARG_REGS).map(arg_reg).collect();
@@ -188,21 +173,16 @@ impl Pass1<'_> {
         let plan: ShufflePlan = match self.cfg.shuffle {
             ShuffleStrategy::Greedy => shuffle::greedy(&problem),
             ShuffleStrategy::FixedOrder => shuffle::fixed_order(&problem),
-            ShuffleStrategy::OptimalPermi => shuffle::optimal_permi(&problem),
         };
         self.max_temps = self.max_temps.max(plan.frame_temps);
 
         // --- walk arguments in reverse evaluation order ----------------
-        // A Permute step places several arguments at once (each a pure
-        // register move); they come last in the plan, so their variable
-        // reads are walked first here.
         let eval_order: Vec<ArgRef> = plan
             .steps
             .iter()
-            .flat_map(|s| match s {
-                Step::Eval { arg, .. } => vec![*arg],
-                Step::Move { .. } => Vec::new(),
-                Step::Permute { args, .. } => args.clone(),
+            .filter_map(|s| match s {
+                Step::Eval { arg, .. } => Some(*arg),
+                Step::Move { .. } => None,
             })
             .collect();
         let mut live = if tail {

@@ -62,12 +62,6 @@ pub struct NodeSpec {
     pub reads_params: u64,
     /// True if the expression contains a non-tail call.
     pub complex: bool,
-    /// `Some(s)` when the argument is a pure register-to-register move
-    /// (a variable living in register `s`): its evaluation copies `s`
-    /// unchanged. These are the nodes the optimal-with-permutations
-    /// strategy may resolve with `swap`/`permi` instead of moves and
-    /// temporaries.
-    pub move_of: Option<Reg>,
 }
 
 /// The full shuffle problem at one call site.
@@ -134,185 +128,6 @@ fn emit(problem: &Problem, g: &GraphNode) -> Step {
 
 /// Runs the greedy shuffling algorithm, producing an executable plan.
 pub fn greedy(problem: &Problem) -> ShufflePlan {
-    plan_shuffle(problem, false)
-}
-
-/// Optimal shuffle code with permutation instructions (Buchwald, Mohr,
-/// Rutter — arXiv:1504.07073), adapted to this call-site problem:
-/// arguments that are pure register-to-register moves and form
-/// permutation cycles are resolved with `swap`/bounded-`permi`
-/// instructions instead of moves through temporaries; everything else
-/// (arbitrary expressions, stack targets, complex arguments) falls
-/// back to the greedy topological ordering.
-///
-/// The permutation steps run *after* every other step: cycle registers
-/// are written only by the cycle itself (targets are unique and the
-/// cycle registers are excluded from the temp pool), so their old
-/// values survive until the end, and every other reader of a cycle
-/// register has already evaluated by then.
-///
-/// Cycle-to-instruction assignment is optimal for any permutation the
-/// register file can express (≤ 8 moved registers): a cycle wider than
-/// [`MAX_PERMI_REGS`](lesgs_ir::machine::MAX_PERMI_REGS) is peeled —
-/// one full-width rotation reduces its length by `MAX_PERMI_REGS - 1`
-/// — and the remaining cycles are first-fit-decreasing packed into
-/// instructions of total support ≤ `MAX_PERMI_REGS`. The exhaustive
-/// harness in this module's tests proves the instruction count matches
-/// the brute-force optimum on every permutation.
-pub fn optimal_permi(problem: &Problem) -> ShufflePlan {
-    plan_shuffle(problem, true)
-}
-
-/// Finds the permutation cycles among pure register-to-register move
-/// arguments and compiles them into [`Step::Permute`] steps. Returns
-/// the steps (peels first, then packed instructions) and a per-node
-/// flag marking the arguments they resolve.
-fn permutation_steps(problem: &Problem) -> (Vec<Step>, Vec<bool>) {
-    use lesgs_ir::machine::MAX_PERMI_REGS;
-    use std::collections::HashMap;
-
-    let mut resolved = vec![false; problem.nodes.len()];
-    // A complex argument makes a call mid-shuffle, which can leave the
-    // cycle registers stale (saved homes awaiting a lazy restore); a
-    // permutation instruction reads them implicitly, with no expression
-    // left for the restore pass to anchor a reload on. Keep permutation
-    // plans to call-free shuffles, where the restore pass can reload
-    // everything up front.
-    if problem.nodes.iter().any(|n| n.complex) {
-        return (Vec::new(), resolved);
-    }
-    // Candidate moves: argument i copies register `src` unchanged into
-    // register target. `node_of_target` is well-defined because call
-    // targets are unique.
-    let mut node_of_target: HashMap<Reg, usize> = HashMap::new();
-    let mut cands: Vec<(usize, Reg)> = Vec::new(); // (node index, src)
-    for (i, n) in problem.nodes.iter().enumerate() {
-        if n.complex || n.reads_params != 0 {
-            continue;
-        }
-        let (Some(s), Target::Reg(t)) = (n.move_of, n.target) else {
-            continue;
-        };
-        if s != t && n.reads_regs == RegSet::single(s) {
-            node_of_target.insert(t, i);
-            cands.push((i, s));
-        }
-    }
-    let src_of = |i: usize| problem.nodes[i].move_of.expect("candidate is a move");
-
-    // Walk each candidate backwards through the unique writer of its
-    // source register; a closed walk is a permutation cycle. Node
-    // indices drive the iteration so the result is deterministic.
-    let mut visited = vec![false; problem.nodes.len()];
-    let mut cycles: Vec<Vec<Reg>> = Vec::new(); // registers in value-flow order
-    let mut arg_of_target: HashMap<Reg, ArgRef> = HashMap::new();
-    for &(start, _) in &cands {
-        if visited[start] {
-            continue;
-        }
-        let mut path: Vec<usize> = vec![start];
-        let cycle_at = loop {
-            let cur = *path.last().expect("path non-empty");
-            match node_of_target.get(&src_of(cur)) {
-                // Open chain: nothing writes the source — no cycle.
-                None => break None,
-                Some(&j) if visited[j] => break None,
-                Some(&j) => match path.iter().position(|&p| p == j) {
-                    // Closed back onto the walk: the suffix from `j`
-                    // is the cycle (any prefix is a dangling tail).
-                    Some(pos) => break Some(pos),
-                    None => path.push(j),
-                },
-            }
-        };
-        for &p in &path {
-            visited[p] = true;
-        }
-        if let Some(pos) = cycle_at {
-            // `path` runs backwards through the cycle (each step moves
-            // to the writer of the current source); reverse it to get
-            // value-flow order, where each node's target is the next
-            // node's source.
-            let mut nodes: Vec<usize> = path[pos..].to_vec();
-            nodes.reverse();
-            for &i in &nodes {
-                resolved[i] = true;
-                if let Target::Reg(t) = problem.nodes[i].target {
-                    arg_of_target.insert(t, problem.nodes[i].arg);
-                }
-            }
-            cycles.push(nodes.iter().map(|&i| src_of(i)).collect());
-        }
-    }
-    if cycles.is_empty() {
-        return (Vec::new(), resolved);
-    }
-
-    // Peel cycles wider than one instruction: a full-width rotation of
-    // the first MAX_PERMI_REGS registers leaves the residual cycle
-    // (c[0], c[MAX], c[MAX+1], ...), MAX_PERMI_REGS - 1 shorter.
-    let mut peels: Vec<Vec<Reg>> = Vec::new();
-    let mut small: Vec<Vec<Reg>> = Vec::new();
-    for mut c in cycles {
-        while c.len() > MAX_PERMI_REGS {
-            peels.push(c[..MAX_PERMI_REGS].to_vec());
-            let mut rest = vec![c[0]];
-            rest.extend_from_slice(&c[MAX_PERMI_REGS..]);
-            c = rest;
-        }
-        small.push(c);
-    }
-    // First-fit-decreasing: pack whole cycles into instructions of
-    // total support ≤ MAX_PERMI_REGS (a permi encodes any permutation
-    // of its operands, including products of disjoint cycles).
-    small.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    let mut bins: Vec<Vec<Vec<Reg>>> = Vec::new();
-    for c in small {
-        let fits = bins
-            .iter_mut()
-            .find(|b| b.iter().map(Vec::len).sum::<usize>() + c.len() <= MAX_PERMI_REGS);
-        match fits {
-            Some(b) => b.push(c),
-            None => bins.push(vec![c]),
-        }
-    }
-
-    // One Step::Permute per instruction. In cycle (r1 .. rk), the value
-    // of r_j flows to r_{j+1}: entry j takes its new value from entry
-    // j-1. A peel finalizes every register except its cycle head (the
-    // head's value is finished by the residual instruction later), so
-    // the head's argument is claimed by that later instruction instead.
-    let build =
-        |cycles: &[Vec<Reg>], skip_head: bool, arg_of_target: &HashMap<Reg, ArgRef>| -> Step {
-            let mut regs: Vec<Reg> = Vec::new();
-            let mut perm: Vec<u8> = Vec::new();
-            for c in cycles {
-                let o = regs.len();
-                let m = c.len();
-                for (j, &r) in c.iter().enumerate() {
-                    regs.push(r);
-                    perm.push((o + (j + m - 1) % m) as u8);
-                }
-            }
-            let args: Vec<ArgRef> = regs
-                .iter()
-                .enumerate()
-                .filter(|&(pos, _)| !(skip_head && pos == 0))
-                .filter_map(|(_, r)| arg_of_target.get(r).copied())
-                .collect();
-            Step::Permute { regs, perm, args }
-        };
-    let mut steps: Vec<Step> = Vec::new();
-    for p in &peels {
-        steps.push(build(std::slice::from_ref(p), true, &arg_of_target));
-    }
-    for b in &bins {
-        steps.push(build(b, false, &arg_of_target));
-    }
-    (steps, resolved)
-}
-
-fn plan_shuffle(problem: &Problem, permi: bool) -> ShufflePlan {
     let mut plan = ShufflePlan {
         reg_args: problem
             .nodes
@@ -364,23 +179,9 @@ fn plan_shuffle(problem: &Problem, permi: bool) -> ShufflePlan {
         });
     }
 
-    // --- permutation cycles (optimal-with-permutations only) ----------
-    // Resolved nodes leave the ordinary graph; their Permute steps run
-    // after everything else (see `optimal_permi`).
-    let (perm_steps, resolved) = if permi {
-        permutation_steps(problem)
-    } else {
-        (Vec::new(), vec![false; problem.nodes.len()])
-    };
-    if !perm_steps.is_empty() {
-        plan.had_cycle = true;
-        plan.perm_ops = perm_steps.len() as u32;
-        plan.perm_moves = resolved.iter().filter(|&&r| r).count() as u32;
-    }
-
     // --- step 4: dependency-ordered simples ----------------------------
     for (i, n) in problem.nodes.iter().enumerate() {
-        if !n.complex && !resolved[i] {
+        if !n.complex {
             graph.push(GraphNode::Eval(i));
         }
     }
@@ -463,7 +264,6 @@ fn plan_shuffle(problem: &Problem, permi: bool) -> ShufflePlan {
     plan.steps.extend(break_steps);
     plan.steps
         .extend(stack.iter().rev().map(|g| emit(problem, g)));
-    plan.steps.extend(perm_steps);
     plan.frame_temps = frame_temps;
     plan.optimal_temps = optimal_temp_count(problem) as u32;
     plan
@@ -621,20 +421,6 @@ mod tests {
             reads_regs: reads.iter().copied().collect(),
             reads_params: 0,
             complex,
-            move_of: None,
-        }
-    }
-
-    /// A pure register-to-register move: argument `i` copies `src`
-    /// unchanged into `target`.
-    pub(crate) fn move_spec(i: u16, target: Reg, src: Reg) -> NodeSpec {
-        NodeSpec {
-            arg: ArgRef::Arg(i),
-            target: Target::Reg(target),
-            reads_regs: RegSet::single(src),
-            reads_params: 0,
-            complex: false,
-            move_of: Some(src),
         }
     }
 
@@ -657,10 +443,6 @@ mod tests {
         let mut outs: HashMap<u32, String> = HashMap::new();
         let mut params: HashMap<u32, String> = HashMap::new();
         let eval = |node: &NodeSpec, regs: &HashMap<Reg, String>| -> String {
-            // A pure move copies its source register's current value.
-            if let Some(s) = node.move_of {
-                return regs.get(&s).cloned().unwrap_or_default();
-            }
             let mut parts: Vec<String> = node
                 .reads_regs
                 .iter()
@@ -709,16 +491,6 @@ mod tests {
                     };
                     write(dst, val, &mut regs, &mut temps, &mut outs, &mut params);
                 }
-                Step::Permute { regs: rs, perm, .. } => {
-                    // Simultaneous: regs[i] <- old value of regs[perm[i]].
-                    let olds: Vec<String> = rs
-                        .iter()
-                        .map(|r| regs.get(r).cloned().unwrap_or_default())
-                        .collect();
-                    for (i, r) in rs.iter().enumerate() {
-                        regs.insert(*r, olds[perm[i] as usize].clone());
-                    }
-                }
             }
         }
         // Every target must hold the value computed from OLD reads.
@@ -726,18 +498,14 @@ mod tests {
             if n.complex {
                 continue; // complex args modeled separately
             }
-            let expect = if let Some(s) = n.move_of {
-                old.get(&s).cloned().unwrap_or_default()
-            } else {
-                let mut parts: Vec<String> = n
-                    .reads_regs
-                    .iter()
-                    .map(|r| old.get(&r).cloned().unwrap_or_default())
-                    .collect();
-                parts.sort();
-                let ArgRef::Arg(i) = n.arg else { panic!() };
-                format!("arg{i}({})", parts.join(","))
-            };
+            let mut parts: Vec<String> = n
+                .reads_regs
+                .iter()
+                .map(|r| old.get(&r).cloned().unwrap_or_default())
+                .collect();
+            parts.sort();
+            let ArgRef::Arg(i) = n.arg else { panic!() };
+            let expect = format!("arg{i}({})", parts.join(","));
             let got = match n.target {
                 Target::Reg(r) => regs.get(&r),
                 Target::Out(i) => outs.get(&i),
@@ -1019,7 +787,6 @@ mod properties {
                             .collect(),
                         reads_params: 0,
                         complex: false,
-                        move_of: None,
                     }
                 })
                 .collect(),
@@ -1122,7 +889,6 @@ mod properties {
                         .collect(),
                     reads_params: 0,
                     complex: false,
-                    move_of: None,
                 })
                 .collect(),
             temp_regs: RegSet::EMPTY,
@@ -1202,325 +968,5 @@ mod properties {
             optimal * 100 >= total * 65,
             "greedy optimal in only {optimal}/{total} sampled graphs"
         );
-    }
-}
-
-/// The three-way exhaustive harness: paper-greedy vs. the
-/// exhaustive-optimal temp count vs. optimal-with-permutations, with a
-/// brute-force factorization search as the permutation-instruction
-/// oracle. Every permutation of n ≤ 5 registers is enumerated
-/// (n = 6–8 sampled); on each instance the harness proves:
-///
-/// * `optimal_permi` emits exactly the brute-force minimum number of
-///   instructions and zero temporaries;
-/// * its emitted sequence, executed on a model register file, realizes
-///   exactly the target permutation ([`tests::check_plan`]);
-/// * every argument is placed by exactly one step (the invariant the
-///   allocator's walk depends on);
-/// * paper-greedy stays within its known +2 bound of the
-///   feedback-vertex-set optimum on the same instance.
-#[cfg(test)]
-mod permi_properties {
-    use super::tests::{check_plan, move_spec};
-    use super::*;
-    use lesgs_ir::machine::{arg_reg, callee_reg, MAX_PERMI_REGS};
-    use lesgs_testkit::run_cases;
-
-    /// The `i`-th of up to 8 distinct shuffle registers (`a0`–`a5`,
-    /// then `k0`, `k1`) — wider than any single `permi`, so peeling
-    /// and packing are both exercised.
-    fn preg(i: usize) -> Reg {
-        if i < 6 {
-            arg_reg(i)
-        } else {
-            callee_reg(i - 6)
-        }
-    }
-
-    /// The shuffle problem realizing `pi`: the value in `preg(i)` must
-    /// end in `preg(pi[i])`, every argument a pure register move.
-    fn permutation_problem(pi: &[usize]) -> Problem {
-        let mut nodes = Vec::new();
-        for (src, &dst) in pi.iter().enumerate() {
-            if src != dst {
-                nodes.push(move_spec(nodes.len() as u16, preg(dst), preg(src)));
-            }
-        }
-        Problem {
-            nodes,
-            temp_regs: RegSet::EMPTY,
-        }
-    }
-
-    fn all_perms(n: usize) -> Vec<Vec<usize>> {
-        fn rec(rest: &mut Vec<usize>, acc: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-            if rest.is_empty() {
-                out.push(acc.clone());
-                return;
-            }
-            for i in 0..rest.len() {
-                let x = rest.remove(i);
-                acc.push(x);
-                rec(rest, acc, out);
-                acc.pop();
-                rest.insert(i, x);
-            }
-        }
-        let mut out = Vec::new();
-        rec(&mut (0..n).collect(), &mut Vec::new(), &mut out);
-        out
-    }
-
-    /// Number of registers the permutation moves.
-    fn support(pi: &[usize]) -> usize {
-        pi.iter().enumerate().filter(|&(i, &t)| i != t).count()
-    }
-
-    /// Every permutation a single instruction can realize: support
-    /// between 2 and [`MAX_PERMI_REGS`].
-    fn single_instr_perms(n: usize) -> Vec<Vec<usize>> {
-        all_perms(n)
-            .into_iter()
-            .filter(|g| (2..=MAX_PERMI_REGS).contains(&support(g)))
-            .collect()
-    }
-
-    /// Brute-force minimum number of permutation instructions composing
-    /// to `pi`: 0 and 1 by inspection, 2 by trying every possible first
-    /// instruction and checking one more finishes the job. Returns 3
-    /// if no two-instruction factorization exists (never reached for
-    /// n ≤ 8; asserting equality against the generator proves that).
-    fn brute_force_optimum(pi: &[usize], gens: &[Vec<usize>]) -> usize {
-        let s = support(pi);
-        if s == 0 {
-            return 0;
-        }
-        if s <= MAX_PERMI_REGS {
-            return 1;
-        }
-        // pi = second ∘ first: applying `g` sends the value at i to
-        // g[i], so the finisher must map g[i] to pi[i].
-        for g in gens {
-            let mut tau = vec![0usize; pi.len()];
-            for i in 0..pi.len() {
-                tau[g[i]] = pi[i];
-            }
-            if support(&tau) <= MAX_PERMI_REGS {
-                return 2;
-            }
-        }
-        3
-    }
-
-    /// Each argument is placed by exactly one step — the invariant the
-    /// allocator's per-step argument walk relies on.
-    fn assert_args_placed_once(problem: &Problem, plan: &ShufflePlan) {
-        let mut count = vec![0usize; problem.nodes.len()];
-        for step in &plan.steps {
-            match step {
-                Step::Eval {
-                    arg: ArgRef::Arg(i),
-                    ..
-                } => count[*i as usize] += 1,
-                Step::Permute { args, .. } => {
-                    for a in args {
-                        let ArgRef::Arg(i) = a else { panic!() };
-                        count[*i as usize] += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        assert!(
-            count.iter().all(|&c| c == 1),
-            "arguments must be placed exactly once, got {count:?}"
-        );
-    }
-
-    /// Every emitted permutation instruction is encodable: 2 to
-    /// [`MAX_PERMI_REGS`] distinct registers and a bijective index map.
-    fn assert_permutes_encodable(plan: &ShufflePlan) {
-        for step in &plan.steps {
-            let Step::Permute { regs, perm, .. } = step else {
-                continue;
-            };
-            assert!((2..=MAX_PERMI_REGS).contains(&regs.len()), "{step:?}");
-            assert_eq!(perm.len(), regs.len(), "{step:?}");
-            let mut rs = regs.clone();
-            rs.sort();
-            rs.dedup();
-            assert_eq!(rs.len(), regs.len(), "duplicate register: {step:?}");
-            let mut hit = vec![false; perm.len()];
-            for &p in perm {
-                assert!((p as usize) < perm.len(), "index out of range: {step:?}");
-                hit[p as usize] = true;
-            }
-            assert!(hit.iter().all(|&b| b), "non-bijective: {step:?}");
-        }
-    }
-
-    /// The full three-way comparison on one permutation instance.
-    fn check_permutation(pi: &[usize], gens: &[Vec<usize>]) {
-        let p = permutation_problem(pi);
-        let brute = brute_force_optimum(pi, gens);
-        assert!(brute <= 2, "two instructions always suffice for n ≤ 8");
-
-        let permi = optimal_permi(&p);
-        assert_eq!(
-            permi.steps.len(),
-            brute,
-            "pi={pi:?}: optimal_permi emitted {} instructions, brute-force optimum is {brute}",
-            permi.steps.len()
-        );
-        assert!(
-            permi
-                .steps
-                .iter()
-                .all(|s| matches!(s, Step::Permute { .. })),
-            "pi={pi:?}: a pure permutation needs no moves or evals"
-        );
-        assert_eq!(permi.cycle_temps, 0, "pi={pi:?}");
-        assert_eq!(permi.frame_temps, 0, "pi={pi:?}");
-        assert_eq!(permi.perm_ops as usize, brute, "pi={pi:?}");
-        assert_eq!(permi.perm_moves as usize, support(pi), "pi={pi:?}");
-        assert_permutes_encodable(&permi);
-        assert_args_placed_once(&p, &permi);
-        check_plan(&p, &permi);
-
-        // Three-way: greedy needs one instruction per moved register
-        // plus its cycle-breaking traffic, so the permutation strategy
-        // never costs more; greedy itself stays within the paper's +2
-        // of the exhaustive optimum (here one temp per cycle).
-        let greedy_plan = greedy(&p);
-        check_plan(&p, &greedy_plan);
-        assert!(
-            permi.steps.len() <= greedy_plan.steps.len(),
-            "pi={pi:?}: permi cost {} > greedy cost {}",
-            permi.steps.len(),
-            greedy_plan.steps.len()
-        );
-        let fvs = optimal_temp_count(&p);
-        assert_eq!(greedy_plan.optimal_temps as usize, fvs, "pi={pi:?}");
-        assert!(
-            (fvs..=fvs + 2).contains(&(greedy_plan.cycle_temps as usize)),
-            "pi={pi:?}: greedy used {} temps, optimum is {fvs}",
-            greedy_plan.cycle_temps
-        );
-    }
-
-    /// Every permutation of up to 5 registers (∑ n! = 154 instances).
-    #[test]
-    fn optimal_permi_matches_brute_force_exhaustively() {
-        for n in 2..=MAX_PERMI_REGS {
-            let gens = single_instr_perms(n);
-            for pi in all_perms(n) {
-                check_permutation(&pi, &gens);
-            }
-        }
-    }
-
-    /// Sampled permutations of 6–8 registers — wide enough that the
-    /// two-instruction peel/pack paths carry real weight.
-    #[test]
-    fn optimal_permi_matches_brute_force_sampled_wide() {
-        for n in 6..=8usize {
-            let gens = single_instr_perms(n);
-            let mut two_instr = 0usize;
-            run_cases(64, |rng| {
-                let mut pi: Vec<usize> = (0..n).collect();
-                for i in (1..n).rev() {
-                    pi.swap(i, rng.below(i + 1));
-                }
-                check_permutation(&pi, &gens);
-                two_instr += usize::from(support(&pi) > MAX_PERMI_REGS);
-            });
-            // Most uniform n ≥ 6 permutations move more than 5
-            // registers; make sure the sample really hit that path.
-            assert!(two_instr >= 16, "n={n}: only {two_instr}/64 wide samples");
-        }
-    }
-
-    /// The canonical cycle types one at a time, so a regression names
-    /// the exact shape it broke: every partition with support > 5 needs
-    /// exactly two instructions, everything smaller needs one.
-    #[test]
-    fn optimal_permi_known_cycle_types() {
-        // (cycle lengths, expected instructions)
-        let cases: &[(&[usize], usize)] = &[
-            (&[2], 1),
-            (&[3], 1),
-            (&[5], 1),
-            (&[2, 2], 1),
-            (&[3, 2], 1),
-            (&[2, 2, 2], 2), // support 6: 5 fit in one permi, one cycle left
-            (&[3, 3], 2),
-            (&[4, 2], 2),
-            (&[6], 2),
-            (&[7], 2),
-            (&[8], 2),
-            (&[4, 4], 2),
-            (&[5, 3], 2),
-            (&[3, 3, 2], 2),
-            (&[2, 2, 2, 2], 2),
-        ];
-        for &(lens, want) in cases {
-            let n: usize = lens.iter().sum();
-            let mut pi: Vec<usize> = (0..n).collect();
-            let mut base = 0;
-            for &len in lens {
-                for j in 0..len {
-                    pi[base + j] = base + (j + 1) % len;
-                }
-                base += len;
-            }
-            let gens = single_instr_perms(n);
-            assert_eq!(
-                brute_force_optimum(&pi, &gens),
-                want,
-                "cycle type {lens:?}: brute force disagrees with the analysis"
-            );
-            check_permutation(&pi, &gens);
-        }
-    }
-
-    /// Mixed call sites: pure moves interleaved with ordinary
-    /// expressions. The permutation strategy must stay correct when
-    /// cycles coexist with arbitrary readers and complex arguments
-    /// fall back to the greedy path.
-    #[test]
-    fn optimal_permi_correct_on_mixed_problems() {
-        run_cases(512, |rng| {
-            let n = 1 + rng.below(6);
-            let nodes: Vec<NodeSpec> = (0..n)
-                .map(|i| {
-                    if rng.below(2) == 0 {
-                        move_spec(i as u16, arg_reg(i), arg_reg(rng.below(6)))
-                    } else {
-                        let bits = rng.below(64);
-                        NodeSpec {
-                            arg: ArgRef::Arg(i as u16),
-                            target: Target::Reg(arg_reg(i)),
-                            reads_regs: (0..6)
-                                .filter(|b| bits & (1 << b) != 0)
-                                .map(arg_reg)
-                                .collect(),
-                            reads_params: 0,
-                            complex: false,
-                            move_of: None,
-                        }
-                    }
-                })
-                .collect();
-            let p = Problem {
-                nodes,
-                temp_regs: RegSet::EMPTY,
-            };
-            let plan = optimal_permi(&p);
-            assert_permutes_encodable(&plan);
-            assert_args_placed_once(&p, &plan);
-            check_plan(&p, &plan);
-            // Greedy stays correct on the same move-bearing problems.
-            check_plan(&p, &greedy(&p));
-        });
     }
 }

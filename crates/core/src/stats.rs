@@ -24,15 +24,6 @@ pub struct ShuffleStats {
     pub greedy_temps: usize,
     /// Total temporaries an optimal ordering would need.
     pub optimal_temps: usize,
-    /// Permutation instructions (`swap`/`permi`) planned across all
-    /// call sites (non-zero only under
-    /// [`crate::config::ShuffleStrategy::OptimalPermi`]).
-    pub perm_ops: usize,
-    /// Call sites that resolved at least one cycle with permutation
-    /// instructions.
-    pub perm_sites: usize,
-    /// Argument moves subsumed by permutation instructions.
-    pub perm_moves: usize,
     /// Save expressions surviving pass 2.
     pub save_sites: usize,
     /// Total registers stored by those saves.
@@ -77,9 +68,6 @@ impl ShuffleStats {
         );
         reg.inc("alloc.shuffle_temps", self.greedy_temps as u64);
         reg.inc("alloc.optimal_temps", self.optimal_temps as u64);
-        reg.inc("alloc.shuffle.perm_ops", self.perm_ops as u64);
-        reg.inc("alloc.shuffle.perm_sites", self.perm_sites as u64);
-        reg.inc("alloc.shuffle.perm_moves", self.perm_moves as u64);
         reg.inc("alloc.save_sites", self.save_sites as u64);
         reg.inc("alloc.saved_regs", self.saved_regs as u64);
         reg.inc("alloc.restored_regs", self.restored_regs as u64);
@@ -103,11 +91,6 @@ pub fn collect(program: &AllocatedProgram) -> ShuffleStats {
                 }
                 s.greedy_temps += c.plan.cycle_temps as usize;
                 s.optimal_temps += c.plan.optimal_temps as usize;
-                s.perm_ops += c.plan.perm_ops as usize;
-                if c.plan.perm_ops > 0 {
-                    s.perm_sites += 1;
-                }
-                s.perm_moves += c.plan.perm_moves as usize;
                 s.restored_regs += c.restore.len();
             }
             AExpr::Save { regs, .. } => {
@@ -142,31 +125,6 @@ mod tests {
         assert!(s.sites_with_cycles >= 1, "{s:?}");
         assert_eq!(s.greedy_temps, s.optimal_temps, "greedy optimal here");
         assert!(s.optimal_fraction() > 0.99);
-    }
-
-    #[test]
-    fn optimal_permi_resolves_swap_site_with_permutation() {
-        let src = "(define (f a b) (if (zero? a) b (f b a)))
-                   (f 10 0)";
-        let ir = lower_program(&pipeline::front_to_closed(src).unwrap());
-        let cfg = AllocConfig {
-            shuffle: crate::config::ShuffleStrategy::OptimalPermi,
-            ..AllocConfig::paper_default()
-        };
-        let s = collect(&allocate_program(&ir, &cfg));
-        assert!(s.perm_ops >= 1, "{s:?}");
-        assert!(s.perm_sites >= 1, "{s:?}");
-        assert_eq!(
-            s.perm_moves,
-            2 * s.perm_sites,
-            "one 2-cycle per site: {s:?}"
-        );
-        assert_eq!(s.greedy_temps, 0, "no temporaries with permutations: {s:?}");
-        let mut reg = Registry::new();
-        s.record(&mut reg);
-        assert_eq!(reg.counter("alloc.shuffle.perm_ops"), s.perm_ops as u64);
-        assert_eq!(reg.counter("alloc.shuffle.perm_sites"), s.perm_sites as u64);
-        assert_eq!(reg.counter("alloc.shuffle.perm_moves"), s.perm_moves as u64);
     }
 
     #[test]

@@ -159,16 +159,6 @@ impl Checker<'_> {
                                 st.valid = st.valid.insert(*r);
                             }
                         }
-                        Step::Permute { regs, .. } => {
-                            // Reads every register it permutes, then
-                            // overwrites the same set.
-                            for r in regs {
-                                self.check_read(*r, st, "permute");
-                            }
-                            for r in regs {
-                                st.valid = st.valid.insert(*r);
-                            }
-                        }
                     }
                 }
                 if c.tail {

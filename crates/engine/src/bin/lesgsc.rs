@@ -12,9 +12,7 @@
 //! options:
 //!   --save lazy|early|late      save strategy        (default lazy)
 //!   --restore eager|lazy        restore strategy     (default eager)
-//!   --shuffle greedy|fixed|permi argument shuffling  (default greedy;
-//!                               permi = greedy + optimal swap/permi
-//!                               shuffle code for register cycles)
+//!   --shuffle greedy|fixed      argument shuffling   (default greedy)
 //!   --callee-save               use the §2.4 callee-save discipline
 //!   --regs <0..6>               argument registers   (default 6)
 //!   --branch-prediction         enable §6 static branch prediction
@@ -28,7 +26,7 @@
 //!   --profile-out <file>        write the JSON profile to <file>
 //!   --trace                     log pass boundaries and VM call events
 //!   --fuel <n>                  VM instruction budget
-//!   --jobs <n>                  worker threads for `check`'s 23-config
+//!   --jobs <n>                  worker threads for `check`'s 22-config
 //!                               matrix (default 1; verdicts identical)
 //!   -e <expr>                   use <expr> as the program text
 //! ```
@@ -81,7 +79,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: lesgsc [run|compile|stats|dis|ir|interp|check] [options] <file.scm|file.lbc|->\n\
          options: --save lazy|early|late  --restore eager|lazy\n\
-         \x20        --shuffle greedy|fixed|permi  --callee-save  --regs <0..6>\n\
+         \x20        --shuffle greedy|fixed  --callee-save  --regs <0..6>\n\
          \x20        --branch-prediction  --lift  --verify-bytecode  -o <file>\n\
          \x20        --profile[=json]  --profile-out <file>  --trace\n\
          \x20        --fuel <n>  --jobs <n>  -e <expr>"
@@ -149,7 +147,6 @@ fn parse_args() -> Result<Options, String> {
                 alloc.shuffle = match value("--shuffle")?.as_str() {
                     "greedy" => ShuffleStrategy::Greedy,
                     "fixed" => ShuffleStrategy::FixedOrder,
-                    "permi" => ShuffleStrategy::OptimalPermi,
                     other => return Err(format!("unknown shuffle strategy `{other}`")),
                 }
             }
@@ -312,17 +309,10 @@ fn report_outcome(
             100.0 * s.effective_leaf_fraction()
         );
         if let Some(st) = shuffle {
-            eprint!(
+            eprintln!(
                 "shuffle: {} sites, {} with cycles, greedy {} temps (optimal {})",
                 st.call_sites, st.sites_with_cycles, st.greedy_temps, st.optimal_temps
             );
-            if st.perm_ops > 0 {
-                eprint!(
-                    ", {} perm ops at {} sites subsuming {} moves",
-                    st.perm_ops, st.perm_sites, st.perm_moves
-                );
-            }
-            eprintln!();
         }
     }
 }

@@ -28,7 +28,7 @@
 use lesgs_core::config::{Discipline, RestoreStrategy, SaveStrategy, ShuffleStrategy};
 use lesgs_core::AllocConfig;
 use lesgs_frontend::{Const, FuncId, Prim};
-use lesgs_ir::machine::{MAX_PERMI_REGS, NUM_REGS};
+use lesgs_ir::machine::NUM_REGS;
 use lesgs_ir::{MachineConfig, Reg};
 use lesgs_sexpr::Datum;
 use lesgs_vm::{CallTarget, Imm, Instr, SlotClass, VmFunc, VmProgram};
@@ -36,8 +36,10 @@ use lesgs_vm::{CallTarget, Imm, Instr, SlotClass, VmFunc, VmProgram};
 /// The four magic bytes every serialized program starts with.
 pub const MAGIC: [u8; 4] = *b"LBC\0";
 
-/// Current format version. Bumped on **any** change to the encoding —
-/// readers reject every other version rather than guessing.
+/// Current format version. Bumped on any change that adds an encoding
+/// or alters what an accepted byte means — readers reject every other
+/// version rather than guessing. Retiring a code only narrows what a
+/// reader accepts, so it keeps the version (BYTECODE.md).
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Size of the fixed header: magic + version + config fingerprint.
@@ -159,7 +161,6 @@ pub fn config_fingerprint(config: &AllocConfig) -> [u8; 8] {
     let shuffle = match config.shuffle {
         ShuffleStrategy::Greedy => 0,
         ShuffleStrategy::FixedOrder => 1,
-        ShuffleStrategy::OptimalPermi => 2,
     };
     let discipline = match config.discipline {
         Discipline::CallerSave => 0,
@@ -177,55 +178,59 @@ pub fn config_fingerprint(config: &AllocConfig) -> [u8; 8] {
     ]
 }
 
-/// Decodes a header fingerprint back into the [`AllocConfig`] it
-/// encodes.
+/// Decodes a header fingerprint that starts at stream offset `offset`
+/// back into the [`AllocConfig`] it encodes.
 ///
 /// # Errors
 ///
-/// [`BytecodeLoadError::Corrupt`] on any out-of-range byte.
+/// [`BytecodeLoadError::Corrupt`] on any out-of-range byte, naming
+/// that byte's own offset. Shuffle code 2 is retired (see BYTECODE.md)
+/// and rejected like any other unknown tag.
 pub fn config_from_fingerprint(
     bytes: &[u8; 8],
     offset: usize,
 ) -> Result<AllocConfig, BytecodeLoadError> {
-    let bad = |what: String| BytecodeLoadError::Corrupt { offset, what };
+    let bad = |byte: usize, what: String| BytecodeLoadError::Corrupt {
+        offset: offset + byte,
+        what,
+    };
     let save = match bytes[0] {
         0 => SaveStrategy::Lazy,
         1 => SaveStrategy::Early,
         2 => SaveStrategy::Late,
-        b => return Err(bad(format!("save strategy tag {b}"))),
+        b => return Err(bad(0, format!("save strategy tag {b}"))),
     };
     let restore = match bytes[1] {
         0 => RestoreStrategy::Eager,
         1 => RestoreStrategy::Lazy,
-        b => return Err(bad(format!("restore strategy tag {b}"))),
+        b => return Err(bad(1, format!("restore strategy tag {b}"))),
     };
     let shuffle = match bytes[2] {
         0 => ShuffleStrategy::Greedy,
         1 => ShuffleStrategy::FixedOrder,
-        2 => ShuffleStrategy::OptimalPermi,
-        b => return Err(bad(format!("shuffle strategy tag {b}"))),
+        b => return Err(bad(2, format!("shuffle strategy tag {b}"))),
     };
     let discipline = match bytes[3] {
         0 => Discipline::CallerSave,
         1 => Discipline::CalleeSave,
-        b => return Err(bad(format!("discipline tag {b}"))),
+        b => return Err(bad(3, format!("discipline tag {b}"))),
     };
     let branch_prediction = match bytes[4] {
         0 => false,
         1 => true,
-        b => return Err(bad(format!("branch-prediction flag {b}"))),
+        b => return Err(bad(4, format!("branch-prediction flag {b}"))),
     };
     let num_arg_regs = bytes[5] as usize;
     if num_arg_regs > lesgs_ir::machine::MAX_ARG_REGS {
-        return Err(bad(format!("argument register count {num_arg_regs}")));
+        return Err(bad(5, format!("argument register count {num_arg_regs}")));
     }
     let reg_homes = match bytes[6] {
         0 => false,
         1 => true,
-        b => return Err(bad(format!("register-homes flag {b}"))),
+        b => return Err(bad(6, format!("register-homes flag {b}"))),
     };
     if bytes[7] != 0 {
-        return Err(bad(format!("reserved fingerprint byte {}", bytes[7])));
+        return Err(bad(7, format!("reserved fingerprint byte {}", bytes[7])));
     }
     Ok(AllocConfig {
         machine: MachineConfig {
@@ -560,21 +565,7 @@ impl Writer {
                 self.u32(*index);
                 self.reg(*src);
             }
-            Instr::Swap { a, b } => {
-                self.u8(17);
-                self.reg(*a);
-                self.reg(*b);
-            }
-            Instr::Permi { regs, perm } => {
-                self.u8(18);
-                self.u8(regs.len() as u8);
-                for r in regs {
-                    self.reg(*r);
-                }
-                for p in perm {
-                    self.u8(*p);
-                }
-            }
+            // 17 and 18 are retired opcodes (BYTECODE.md).
             Instr::Halt => self.u8(19),
         }
     }
@@ -885,28 +876,7 @@ impl<'a> Reader<'a> {
                 index: self.u32("global index")?,
                 src: self.reg("global-store source")?,
             }),
-            17 => Ok(Instr::Swap {
-                a: self.reg("swap register")?,
-                b: self.reg("swap register")?,
-            }),
-            18 => {
-                let n_at = self.pos;
-                let n = self.u8("permi width")? as usize;
-                if !(2..=MAX_PERMI_REGS).contains(&n) {
-                    return Err(self.corrupt(n_at, format!("permi width {n}")));
-                }
-                let regs = (0..n)
-                    .map(|_| self.reg("permi register"))
-                    .collect::<Decode<Vec<_>>>()?;
-                let perm_at = self.pos;
-                let perm = self.take(n, "permi permutation")?.to_vec();
-                // Index-range check only; bijectivity is the bytecode
-                // verifier's re-validated invariant.
-                if let Some(&p) = perm.iter().find(|&&p| (p as usize) >= n) {
-                    return Err(self.corrupt(perm_at, format!("permi index {p} out of range")));
-                }
-                Ok(Instr::Permi { regs, perm })
-            }
+            // Retired opcodes 17 and 18 fall through to the error arm.
             19 => Ok(Instr::Halt),
             op => Err(self.corrupt(at, format!("opcode {op}"))),
         }
@@ -1053,7 +1023,7 @@ mod tests {
             AllocConfig::paper_default(),
             AllocConfig::baseline(),
             AllocConfig {
-                shuffle: ShuffleStrategy::OptimalPermi,
+                shuffle: ShuffleStrategy::FixedOrder,
                 branch_prediction: true,
                 ..AllocConfig::default()
             },
@@ -1150,9 +1120,7 @@ mod tests {
         let bytes = blob("(+ 1 2)");
         let mut corrupt = bytes.clone();
         corrupt[HEADER_LEN] = 0xEE; // entry function id, low byte
-        let end = corrupt.len() - 8;
-        let sum = fnv1a64(&corrupt[..end]);
-        corrupt[end..].copy_from_slice(&sum.to_le_bytes());
+        restamp(&mut corrupt);
         let err = deserialize_program(&corrupt).unwrap_err();
         assert!(
             matches!(
@@ -1163,29 +1131,65 @@ mod tests {
         );
     }
 
+    /// Re-stamps the trailing checksum after a patch.
+    fn restamp(blob: &mut [u8]) {
+        let end = blob.len() - 8;
+        let sum = fnv1a64(&blob[..end]);
+        blob[end..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// A paper-default blob with one function whose code is `instr`
+    /// then `halt`, and the offset of `instr`'s opcode byte.
+    fn hand_built(instr: &[u8]) -> (Vec<u8>, usize) {
+        let mut b = MAGIC.to_vec();
+        b.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        b.extend_from_slice(&config_fingerprint(&AllocConfig::paper_default()));
+        // entry, globals, constants, functions; then function 0's id,
+        // name, frame size and incoming count.
+        for word in [0u32, 0, 0, 1, 0] {
+            b.extend_from_slice(&word.to_le_bytes());
+        }
+        b.extend_from_slice(&4u32.to_le_bytes());
+        b.extend_from_slice(b"main");
+        for word in [0u32, 0] {
+            b.extend_from_slice(&word.to_le_bytes());
+        }
+        b.push(0); // flags
+        b.extend_from_slice(&2u32.to_le_bytes());
+        let at = b.len();
+        b.extend_from_slice(instr);
+        b.push(19); // halt
+        b.extend_from_slice(&[0; 8]);
+        restamp(&mut b);
+        (b, at)
+    }
+
+    /// Opcodes 17 (`swap`) and 18 (`permi`) and shuffle code 2 are
+    /// retired: a version-1 blob that still uses one is corrupt at the
+    /// offset of that byte, never misread.
     #[test]
-    fn swap_and_permi_round_trip() {
-        let config = AllocConfig {
-            shuffle: ShuffleStrategy::OptimalPermi,
-            ..AllocConfig::default()
-        };
-        let src = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../scheme-examples/permute.scm"
-        ))
-        .expect("permute example exists");
-        let prog = compile(&src, &CompilerConfig::with_alloc(config))
-            .expect("compiles")
-            .vm;
-        let has =
-            |pred: &dyn Fn(&Instr) -> bool| prog.funcs.iter().any(|f| f.code.iter().any(pred));
-        assert!(
-            has(&|i| matches!(i, Instr::Swap { .. })) && has(&|i| matches!(i, Instr::Permi { .. })),
-            "permute.scm must exercise swap and permi"
+    fn retired_codes_are_rejected_at_their_offset() {
+        let (a0, a1) = (
+            lesgs_ir::machine::arg_reg(0).0,
+            lesgs_ir::machine::arg_reg(1).0,
         );
-        let bytes = serialize_program(&prog, &config);
-        let (back, _) = deserialize_program(&bytes).expect("round-trips");
-        assert_eq!(back.disassemble(), prog.disassemble());
+        let (mov, _) = hand_built(&[2, a0, a1]);
+        deserialize_program(&mov).expect("the same blob with `mov a0, a1` loads");
+        let mut shuffle_two = mov.clone();
+        shuffle_two[10] = 2;
+        restamp(&mut shuffle_two);
+        for (what, (blob, at)) in [
+            ("opcode 17", hand_built(&[17, a0, a1])),
+            ("opcode 18", hand_built(&[18, 2, a0, a1, 1, 0])),
+            ("shuffle code 2", (shuffle_two, 10)),
+        ] {
+            match deserialize_program(&blob) {
+                Err(BytecodeLoadError::Corrupt { offset, .. }) => {
+                    assert_eq!(offset, at, "{what}");
+                }
+                other => panic!("{what}: expected Corrupt at {at}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@ use lesgs_fuzz::{generate, GenConfig};
 use lesgs_testkit::Rng;
 
 /// Engines covering the configuration axes the fingerprint encodes:
-/// the paper default, the stack-only baseline, and the permi shuffle
-/// (so `Swap`/`Permi` instructions cross the wire).
+/// the paper default, the stack-only baseline, and the fixed-order
+/// shuffle with branch prediction.
 fn engines() -> Vec<Engine> {
     use lesgs_core::config::ShuffleStrategy;
     use lesgs_core::AllocConfig;
@@ -17,7 +17,7 @@ fn engines() -> Vec<Engine> {
         AllocConfig::paper_default(),
         AllocConfig::baseline(),
         AllocConfig {
-            shuffle: ShuffleStrategy::OptimalPermi,
+            shuffle: ShuffleStrategy::FixedOrder,
             branch_prediction: true,
             ..AllocConfig::default()
         },

@@ -1,7 +1,7 @@
 //! The lesgs parallel job engine.
 //!
 //! Every heavy workload in the workspace — the fuzz campaign, the
-//! 23-configuration differential matrix, the benchmark suite — is a
+//! 22-configuration differential matrix, the benchmark suite — is a
 //! bag of independent jobs whose *results* must nevertheless be
 //! consumed in a deterministic order. This crate provides exactly that
 //! shape, with zero third-party dependencies:

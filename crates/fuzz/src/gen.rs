@@ -364,8 +364,8 @@ impl GenState<'_> {
         )];
         // Shuffle-heavy shape: pass the caller's own variables rotated,
         // so every argument is a register-resident variable and the
-        // call's shuffle is a genuine permutation cycle (the case the
-        // swap/permi strategy resolves without temporaries).
+        // call's shuffle is a genuine permutation cycle (the case
+        // greedy shuffling must break with a temporary).
         let own: Vec<&String> = scope.vars.iter().filter(|v| **v != guard).collect();
         if sig.extra >= 2 && own.len() >= sig.extra && self.rng.chance(1, 3) {
             let offset = 1 + self.rng.below(sig.extra - 1);

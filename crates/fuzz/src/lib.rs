@@ -287,7 +287,7 @@ pub struct CaseReport<'a> {
 /// The worker pool a campaign runs on: `opts.jobs` persistent
 /// wide-stack workers, each marked via
 /// [`lesgs_interp::mark_wide_stack`] so every oracle evaluation runs
-/// inline on its worker — a 500-case × 23-config campaign performs
+/// inline on its worker — a 500-case × 22-config campaign performs
 /// zero per-evaluation thread spawns.
 fn campaign_pool(opts: &FuzzOptions) -> lesgs_exec::PoolConfig {
     lesgs_exec::PoolConfig {

@@ -109,11 +109,11 @@ fn wide_stack_workers() -> &'static mpsc::Sender<Job> {
     })
 }
 
-/// Runs `f` on a stack wide enough for [`eval::MAX_EVAL_DEPTH`] nested
-/// evaluations: inline when the current thread is already wide
-/// ([`mark_wide_stack`]), otherwise on a persistent wide-stack worker.
-/// Panics propagate to the caller either way.
-fn on_interp_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+/// Runs `f` on a stack of at least [`wide_stack_bytes`]: inline when
+/// the current thread is already marked ([`mark_wide_stack`]),
+/// otherwise on a persistent wide-stack worker, which `f` then finds
+/// marked. Panics propagate to the caller either way.
+pub fn on_wide_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     if ON_WIDE_STACK.with(Cell::get) {
         return f();
     }
@@ -143,7 +143,7 @@ fn on_interp_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) ->
 /// depth).
 pub fn run_source(src: &str, fuel: u64) -> Result<Outcome, InterpError> {
     let src = src.to_owned();
-    on_interp_stack(move || {
+    on_wide_stack(move || {
         let program = lesgs_frontend::program::SurfaceProgram::from_source(&src)
             .map_err(|e| InterpError::new(e.to_string()))?;
         let (assembled, globals) = program.assemble();
@@ -166,7 +166,7 @@ pub fn run_source(src: &str, fuel: u64) -> Result<Outcome, InterpError> {
 /// Same as [`run_source`].
 pub fn run_source_converted(src: &str, fuel: u64) -> Result<Outcome, InterpError> {
     let src = src.to_owned();
-    on_interp_stack(move || {
+    on_wide_stack(move || {
         let (core, _names, n_globals) =
             pipeline::front_to_core_full(&src).map_err(|e| InterpError::new(e.to_string()))?;
         let mut interp = Interp::new(fuel).with_globals(n_globals);
@@ -229,7 +229,7 @@ mod tests {
     fn panics_propagate_to_the_caller_and_workers_survive() {
         for _ in 0..3 {
             let err =
-                std::panic::catch_unwind(|| on_interp_stack(|| -> u32 { panic!("deliberate") }))
+                std::panic::catch_unwind(|| on_wide_stack(|| -> u32 { panic!("deliberate") }))
                     .unwrap_err();
             let msg = err
                 .downcast_ref::<&str>()

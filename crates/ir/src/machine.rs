@@ -35,10 +35,6 @@ pub const MAX_ARG_REGS: usize = 6;
 /// Number of callee-save registers (used only by the callee-save
 /// discipline of §2.4 and the Table 4/5 experiments).
 pub const NUM_CALLEE_SAVE: usize = 6;
-/// Maximum registers a single `permi` permutation instruction may
-/// touch (the bounded-width assumption of Buchwald/Mohr/Rutter's
-/// optimal shuffle-code construction).
-pub const MAX_PERMI_REGS: usize = 5;
 /// Total size of the register file.
 pub const NUM_REGS: usize = 3 + NUM_SCRATCH + MAX_ARG_REGS + NUM_CALLEE_SAVE;
 

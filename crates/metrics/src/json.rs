@@ -1,10 +1,10 @@
 //! A minimal JSON document model: writer and parser, no dependencies.
 //!
 //! The observability layer emits machine-readable reports (`lesgsc
-//! --profile=json`, the benchmark harnesses' `--json`, and
-//! `bench-report`'s `BENCH_report.json`) and the test suite parses them
-//! back to assert schema stability. Both directions live here so the
-//! workspace stays free of third-party crates.
+//! --profile=json` and `bench-report`'s `BENCH_report.json`) and the
+//! test suite parses them back to assert schema stability. Both
+//! directions live here so the workspace stays free of third-party
+//! crates.
 //!
 //! Objects preserve insertion order, which keeps serialized reports
 //! diffable and lets golden tests compare rendered text directly.

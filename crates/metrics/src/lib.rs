@@ -10,8 +10,8 @@
 //!   ([`Registry::time`]) with optional trace logging of span
 //!   boundaries,
 //! * [`json`] — a minimal JSON document model (writer **and** parser)
-//!   used by `lesgsc --profile=json`, the benchmark harnesses'
-//!   `--json` reports, and the golden schema tests,
+//!   used by `lesgsc --profile=json`, `bench-report`'s JSON report,
+//!   and the golden schema tests,
 //! * [`ratio`] — the single shared zero-denominator-safe division all
 //!   derived fractions in the workspace go through.
 //!

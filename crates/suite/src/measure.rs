@@ -21,38 +21,56 @@ pub struct BenchmarkRun {
     pub shuffle: lesgs_core::stats::ShuffleStats,
 }
 
-/// Runs `bench` under `alloc` with the standard cost model.
-///
-/// # Errors
-///
-/// Compile or runtime failures, stringified.
-pub fn measure(
-    bench: &Benchmark,
-    scale: Scale,
-    alloc: &AllocConfig,
-) -> Result<BenchmarkRun, String> {
-    measure_with_cost(bench, scale, alloc, CostModel::alpha_like())
+/// What one run varies: the allocator, the cost model, and the two
+/// compiler switches the ablations turn.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunConfig {
+    /// Register allocator configuration.
+    pub alloc: AllocConfig,
+    /// VM cost model.
+    pub cost: CostModel,
+    /// Selective lambda lifting before closure conversion (§6).
+    pub lambda_lift: bool,
+    /// The backend peephole optimizer switched off.
+    pub no_peephole: bool,
 }
 
-/// Runs `bench` under `alloc` with an explicit cost model.
+impl From<AllocConfig> for RunConfig {
+    fn from(alloc: AllocConfig) -> RunConfig {
+        RunConfig {
+            alloc,
+            cost: CostModel::alpha_like(),
+            lambda_lift: false,
+            no_peephole: false,
+        }
+    }
+}
+
+impl RunConfig {
+    /// The paper's configuration: lazy saves, eager restores, greedy
+    /// shuffling, six argument registers, the `alpha_like` cost model.
+    pub fn paper_default() -> RunConfig {
+        AllocConfig::paper_default().into()
+    }
+}
+
+/// Compiles and runs `bench` under `config`, checking the value against
+/// the benchmark's known answer at standard scale.
 ///
 /// # Errors
 ///
-/// Compile or runtime failures, stringified.
-pub fn measure_with_cost(
-    bench: &Benchmark,
-    scale: Scale,
-    alloc: &AllocConfig,
-    cost: CostModel,
-) -> Result<BenchmarkRun, String> {
-    let config = CompilerConfig {
-        alloc: *alloc,
-        cost,
+/// Compile or runtime failures and wrong answers, stringified.
+pub fn measure(bench: &Benchmark, scale: Scale, config: RunConfig) -> Result<BenchmarkRun, String> {
+    let compiler = CompilerConfig {
+        alloc: config.alloc,
+        cost: config.cost,
         fuel: 4_000_000_000,
+        lambda_lift: config.lambda_lift,
+        no_peephole: config.no_peephole,
         ..CompilerConfig::default()
     };
-    let compiled = compile(bench.source(scale), &config).map_err(|e| e.to_string())?;
-    let out = compiled.run(&config).map_err(|e| e.to_string())?;
+    let compiled = compile(bench.source(scale), &compiler).map_err(|e| e.to_string())?;
+    let out = compiled.run(&compiler).map_err(|e| e.to_string())?;
     if let (Scale::Standard, Some(expected)) = (scale, bench.expected) {
         if out.value != expected {
             return Err(format!(
@@ -116,7 +134,7 @@ mod tests {
     #[test]
     fn measure_small_tak() {
         let b = benchmark("tak").unwrap();
-        let run = measure(&b, Scale::Small, &AllocConfig::paper_default()).unwrap();
+        let run = measure(&b, Scale::Small, RunConfig::paper_default()).unwrap();
         assert_eq!(run.value, "3"); // tak(8,4,2) = 3
         assert!(run.stats.calls > 0);
     }
@@ -148,8 +166,8 @@ mod tests {
     #[test]
     fn lazy_beats_baseline_on_small_tak() {
         let b = benchmark("tak").unwrap();
-        let base = measure(&b, Scale::Small, &AllocConfig::baseline()).unwrap();
-        let opt = measure(&b, Scale::Small, &AllocConfig::paper_default()).unwrap();
+        let base = measure(&b, Scale::Small, AllocConfig::baseline().into()).unwrap();
+        let opt = measure(&b, Scale::Small, RunConfig::paper_default()).unwrap();
         let m = Measurement::compare(&base, &opt);
         assert!(m.stack_ref_reduction() > 30.0, "{m:?}");
         assert!(m.speedup_percent() > 0.0, "{m:?}");

@@ -443,20 +443,6 @@ impl<'a> ClassicMachine<'a> {
                         None => return Err(self.err("global index out of range")),
                     }
                 }
-                Instr::Swap { a, b } => {
-                    self.stats.swaps += 1;
-                    let va = self.read(a);
-                    let vb = self.read(b);
-                    self.write(a, vb);
-                    self.write(b, va);
-                }
-                Instr::Permi { regs, perm } => {
-                    self.stats.permis += 1;
-                    let olds: Vec<Value> = regs.iter().map(|r| self.read(*r)).collect();
-                    for (i, r) in regs.iter().enumerate() {
-                        self.write(*r, olds[perm[i] as usize].clone());
-                    }
-                }
                 Instr::Halt => {
                     while !self.shadow.is_empty() {
                         self.leave_activation();

@@ -15,8 +15,8 @@
 //!   that array (call and return targets resolve through the
 //!   [`FuncInfo`] base table so return addresses stay
 //!   function-relative and engine-independent);
-//! * operand lists become the fixed-size, `Copy` [`PrimArgs`] and
-//!   [`PermiArgs`], so the dispatch loop never allocates.
+//! * operand lists become the fixed-size, `Copy` [`PrimArgs`], so the
+//!   dispatch loop never allocates.
 //!
 //! Decoding is total for verifier-clean programs. The only divergence
 //! for *unverifiable* code is that an out-of-function branch target is
@@ -25,7 +25,6 @@
 //! message).
 
 use lesgs_frontend::{Const, FuncId, Prim};
-use lesgs_ir::machine::MAX_PERMI_REGS;
 use lesgs_ir::Reg;
 use lesgs_metrics::Registry;
 
@@ -69,53 +68,6 @@ impl PrimArgs {
     /// The operands as a slice.
     pub fn as_slice(&self) -> &[Reg] {
         &self.regs[..self.len as usize]
-    }
-}
-
-/// A fixed-capacity, `Copy` encoding of a `permi` operand list
-/// (replaces the two heap-allocated `Vec`s of [`Instr::Permi`] on the
-/// hot path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PermiArgs {
-    len: u8,
-    regs: [Reg; MAX_PERMI_REGS],
-    perm: [u8; MAX_PERMI_REGS],
-}
-
-impl PermiArgs {
-    /// Packs the register list and permutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on more than [`MAX_PERMI_REGS`] registers or a length
-    /// mismatch — codegen never emits one and `verify_bytecode`
-    /// rejects such programs.
-    pub fn from_parts(regs: &[Reg], perm: &[u8]) -> PermiArgs {
-        assert!(
-            regs.len() <= MAX_PERMI_REGS && regs.len() == perm.len(),
-            "permi with {} registers / {} indices (max {MAX_PERMI_REGS})",
-            regs.len(),
-            perm.len()
-        );
-        let mut r = [Reg(0); MAX_PERMI_REGS];
-        let mut p = [0u8; MAX_PERMI_REGS];
-        r[..regs.len()].copy_from_slice(regs);
-        p[..perm.len()].copy_from_slice(perm);
-        PermiArgs {
-            len: regs.len() as u8,
-            regs: r,
-            perm: p,
-        }
-    }
-
-    /// The registers touched, in operand order.
-    pub fn regs(&self) -> &[Reg] {
-        &self.regs[..self.len as usize]
-    }
-
-    /// The permutation over register indices.
-    pub fn perm(&self) -> &[u8] {
-        &self.perm[..self.len as usize]
     }
 }
 
@@ -293,19 +245,6 @@ pub enum DecodedOp {
         /// Source.
         src: Reg,
     },
-    /// Exchange two registers in one instruction.
-    Swap {
-        /// First register.
-        a: Reg,
-        /// Second register.
-        b: Reg,
-    },
-    /// Apply a register permutation in place: simultaneously set
-    /// `regs[i] ← old regs[perm[i]]`.
-    Permi {
-        /// The packed register list and permutation.
-        args: PermiArgs,
-    },
     /// Stop the machine; the program value is in `rv`.
     Halt,
     /// End-of-function sentinel: executing it is the classic "program
@@ -438,10 +377,6 @@ fn decode_one(instr: &Instr, base: u32, len: u32) -> DecodedOp {
         Instr::StoreGlobal { index, src } => DecodedOp::StoreGlobal {
             index: *index,
             src: *src,
-        },
-        Instr::Swap { a, b } => DecodedOp::Swap { a: *a, b: *b },
-        Instr::Permi { regs, perm } => DecodedOp::Permi {
-            args: PermiArgs::from_parts(regs, perm),
         },
         Instr::Halt => DecodedOp::Halt,
     }

@@ -727,22 +727,6 @@ impl<'a> Machine<'a> {
                         None => return Err(self.err(prog, pc, "global index out of range")),
                     }
                 }
-                DecodedOp::Swap { a, b } => {
-                    self.stats.swaps += 1;
-                    let va = self.read(a);
-                    let vb = self.read(b);
-                    self.write(a, vb);
-                    self.write(b, va);
-                }
-                DecodedOp::Permi { args } => {
-                    self.stats.permis += 1;
-                    let regs = args.regs();
-                    let perm = args.perm();
-                    let olds: Vec<Value> = regs.iter().map(|r| self.read(*r)).collect();
-                    for (i, r) in regs.iter().enumerate() {
-                        self.write(*r, olds[perm[i] as usize].clone());
-                    }
-                }
                 DecodedOp::Halt => {
                     while !self.shadow.is_empty() {
                         self.leave_activation(prog);
@@ -1148,83 +1132,6 @@ mod tests {
         }
     }
 
-    /// A program exercising `swap` and `permi`: loads 10/20/30/40 into
-    /// a0..a3, swaps a0/a1, then rotates the cycle a1→a2→a3→a1,
-    /// leaving (a0,a1,a2,a3) = (20,40,10,30); rv = a1*a2 + a3 = 430.
-    fn permutation_program() -> VmProgram {
-        let a0 = arg_reg(0);
-        let a1 = arg_reg(1);
-        let a2 = arg_reg(2);
-        let a3 = arg_reg(3);
-        let f = VmFunc {
-            id: FuncId(0),
-            name: "entry".into(),
-            code: vec![
-                Instr::LoadImm {
-                    dst: a0,
-                    imm: Imm::Fixnum(10),
-                },
-                Instr::LoadImm {
-                    dst: a1,
-                    imm: Imm::Fixnum(20),
-                },
-                Instr::LoadImm {
-                    dst: a2,
-                    imm: Imm::Fixnum(30),
-                },
-                Instr::LoadImm {
-                    dst: a3,
-                    imm: Imm::Fixnum(40),
-                },
-                // (a0 a1) = (20 10)
-                Instr::Swap { a: a0, b: a1 },
-                // Rotate the cycle a1 -> a2 -> a3 -> a1: each new
-                // regs[i] takes old regs[perm[i]].
-                Instr::Permi {
-                    regs: vec![a1, a2, a3],
-                    perm: vec![2, 0, 1],
-                },
-                // Now (a0 a1 a2 a3) = (20 40 10 30).
-                Instr::Prim {
-                    op: Prim::Mul,
-                    dst: RV,
-                    args: vec![a1, a2],
-                },
-                Instr::Prim {
-                    op: Prim::Add,
-                    dst: RV,
-                    args: vec![RV, a3],
-                },
-                Instr::Halt,
-            ],
-            frame_size: 0,
-            n_incoming: 0,
-            syntactic_leaf: true,
-            call_inevitable: false,
-        };
-        VmProgram {
-            funcs: vec![f],
-            entry: FuncId(0),
-            constants: vec![],
-            n_globals: 0,
-        }
-    }
-
-    #[test]
-    fn swap_and_permi_agree_with_classic() {
-        let p = permutation_program();
-        for cost in [CostModel::alpha_like(), CostModel::unit()] {
-            let d = Machine::new(&p, cost).run().unwrap();
-            let c = ClassicMachine::new(&p, cost).run().unwrap();
-            // 40 * 10 + 30: the swap and the rotation both applied.
-            assert_eq!(d.value, "430");
-            assert_eq!(d.value, c.value);
-            assert_eq!(d.stats, c.stats);
-            assert_eq!(d.stats.swaps, 1);
-            assert_eq!(d.stats.permis, 1);
-        }
-    }
-
     /// Every tiny test program must agree with the classic engine in
     /// values, stats, output, and error coordinates. The closure-call
     /// program alternates callees at one `call cp` site, then repeats
@@ -1234,7 +1141,6 @@ mod tests {
         let programs = [
             tiny_program(),
             loop_program(),
-            permutation_program(),
             poly_call_program(&[0, 1, 0, 1, 0, 0, 0, 0, 0]),
         ];
         for p in &programs {

@@ -204,24 +204,6 @@ pub enum Instr {
         /// Source.
         src: Reg,
     },
-    /// Exchange two registers in one instruction.
-    Swap {
-        /// First register.
-        a: Reg,
-        /// Second register.
-        b: Reg,
-    },
-    /// Apply a register permutation in place: simultaneously set
-    /// `regs[i] ← old regs[perm[i]]`. At most
-    /// [`MAX_PERMI_REGS`](lesgs_ir::machine::MAX_PERMI_REGS) registers;
-    /// `perm` must be a bijection over `0..regs.len()` (the bytecode
-    /// verifier rejects anything else).
-    Permi {
-        /// Registers touched, in operand order.
-        regs: Vec<Reg>,
-        /// The permutation over `regs` indices.
-        perm: Vec<u8>,
-    },
     /// Stop the machine; the program value is in `rv`.
     Halt,
 }
@@ -288,24 +270,6 @@ impl fmt::Display for Instr {
             Instr::LoadFree { dst, index } => write!(f, "{dst} <- cp.free[{index}]"),
             Instr::LoadGlobal { dst, index } => write!(f, "{dst} <- global[{index}]"),
             Instr::StoreGlobal { index, src } => write!(f, "global[{index}] <- {src}"),
-            Instr::Swap { a, b } => write!(f, "swap {a}, {b}"),
-            Instr::Permi { regs, perm } => {
-                write!(f, "permi [")?;
-                for (i, r) in regs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{r}")?;
-                }
-                write!(f, "] perm [")?;
-                for (i, p) in perm.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                write!(f, "]")
-            }
             Instr::Halt => write!(f, "halt"),
         }
     }

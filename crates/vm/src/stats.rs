@@ -93,10 +93,6 @@ pub struct RunStats {
     pub heap_ops: u64,
     /// Closure objects allocated.
     pub closures_allocated: u64,
-    /// `swap` instructions executed (two-register exchanges).
-    pub swaps: u64,
-    /// `permi` instructions executed (wider register permutations).
-    pub permis: u64,
 }
 
 impl RunStats {
@@ -174,8 +170,6 @@ impl RunStats {
         reg.inc("vm.mispredicts", self.mispredicts);
         reg.inc("vm.heap_ops", self.heap_ops);
         reg.inc("vm.closures_allocated", self.closures_allocated);
-        reg.inc("vm.swaps", self.swaps);
-        reg.inc("vm.permis", self.permis);
         reg.set_gauge("vm.effective_leaf_fraction", self.effective_leaf_fraction());
         reg.set_gauge("vm.mispredict_rate", self.mispredict_rate());
         reg.set_gauge("vm.stalls_per_instruction", self.stalls_per_instruction());
@@ -252,8 +246,6 @@ mod tests {
         assert_eq!(reg.counter("vm.stack_refs"), 9);
         // Absent classes still export (as zero): the key set is stable.
         assert!(reg.counters().any(|(k, _)| k == "vm.stack_loads.spill"));
-        assert!(reg.counters().any(|(k, _)| k == "vm.swaps"));
-        assert!(reg.counters().any(|(k, _)| k == "vm.permis"));
         assert!(reg
             .counters()
             .any(|(k, _)| k == "vm.activations.syntactic_internal"));

@@ -53,7 +53,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use lesgs_ir::machine::{CP, MAX_PERMI_REGS, NUM_REGS, RET, RV};
+use lesgs_ir::machine::{CP, NUM_REGS, RET, RV};
 use lesgs_ir::Reg;
 
 use crate::instr::{CallTarget, Instr, SlotClass};
@@ -173,14 +173,6 @@ pub enum BytecodeErrorKind {
     /// A constant, global, or function index outside the program's
     /// tables.
     BadIndex,
-    /// A `permi` whose shape is malformed: too many or too few
-    /// registers, mismatched operand lists, or a permutation index
-    /// outside `0..regs.len()`.
-    PermIndexOutOfRange,
-    /// A `permi` whose index vector is not a bijection (or that names
-    /// the same register twice, which makes the simultaneous
-    /// assignment ill-defined).
-    PermNotBijective,
 }
 
 impl fmt::Display for BytecodeErrorKind {
@@ -199,8 +191,6 @@ impl fmt::Display for BytecodeErrorKind {
             BytecodeErrorKind::BadTarget => "bad-target",
             BytecodeErrorKind::FallsOffEnd => "falls-off-end",
             BytecodeErrorKind::BadIndex => "bad-index",
-            BytecodeErrorKind::PermIndexOutOfRange => "perm-index-out-of-range",
-            BytecodeErrorKind::PermNotBijective => "perm-not-bijective",
         };
         f.write_str(s)
     }
@@ -563,68 +553,6 @@ impl<'a> Verifier<'a> {
                         BytecodeErrorKind::BadIndex,
                         format!("global index {index} out of range"),
                     );
-                }
-            }
-            Instr::Swap { a, b } => {
-                read(self, st, *a);
-                read(self, st, *b);
-                let va = st.get(*a);
-                let vb = st.get(*b);
-                st.set(*a, vb);
-                st.set(*b, va);
-            }
-            Instr::Permi { regs, perm } => {
-                // The validity computation must not depend on `report`:
-                // the fixpoint and reporting passes have to apply the
-                // identical state effect.
-                let shape_ok = regs.len() == perm.len()
-                    && (2..=MAX_PERMI_REGS).contains(&regs.len())
-                    && perm.iter().all(|p| (*p as usize) < regs.len());
-                let bijective = shape_ok && {
-                    let mut seen_idx = [false; MAX_PERMI_REGS];
-                    let mut seen_reg = [false; NUM_REGS];
-                    perm.iter()
-                        .all(|p| !std::mem::replace(&mut seen_idx[*p as usize], true))
-                        && regs
-                            .iter()
-                            .all(|r| !std::mem::replace(&mut seen_reg[r.index()], true))
-                };
-                if report {
-                    if !shape_ok {
-                        self.error(
-                            pc,
-                            BytecodeErrorKind::PermIndexOutOfRange,
-                            format!(
-                                "permi with {} registers / {} indices (indices \
-                                 must lie in 0..{}, at most {MAX_PERMI_REGS} \
-                                 registers)",
-                                regs.len(),
-                                perm.len(),
-                                regs.len()
-                            ),
-                        );
-                    } else if !bijective {
-                        self.error(
-                            pc,
-                            BytecodeErrorKind::PermNotBijective,
-                            "permi whose index vector is not a bijection over \
-                             its registers"
-                                .to_owned(),
-                        );
-                    }
-                }
-                for r in regs {
-                    read(self, st, *r);
-                }
-                let olds: Vec<AbsVal> = regs.iter().map(|r| st.get(*r)).collect();
-                if shape_ok && bijective {
-                    for (i, r) in regs.iter().enumerate() {
-                        st.set(*r, olds[perm[i] as usize]);
-                    }
-                } else {
-                    for r in regs {
-                        st.set(*r, AbsVal::Val);
-                    }
                 }
             }
             Instr::Halt => {}

@@ -4,7 +4,7 @@
 
 use lesgs::allocator::alloc::ArgRef;
 use lesgs::allocator::shuffle::{
-    fixed_order, greedy, optimal_permi, optimal_temp_count, NodeSpec, Problem, Target,
+    fixed_order, greedy, optimal_temp_count, NodeSpec, Problem, Target,
 };
 use lesgs::ir::machine::arg_reg;
 use lesgs::ir::RegSet;
@@ -16,20 +16,6 @@ fn spec(i: u16, target: usize, reads: &[usize]) -> NodeSpec {
         reads_regs: reads.iter().map(|&r| arg_reg(r)).collect(),
         reads_params: 0,
         complex: false,
-        move_of: None,
-    }
-}
-
-/// A pure register-to-register move argument: the shape the
-/// permutation-aware strategy can resolve with `swap`/`permi`.
-fn move_spec(i: u16, target: usize, src: usize) -> NodeSpec {
-    NodeSpec {
-        arg: ArgRef::Arg(i),
-        target: Target::Reg(arg_reg(target)),
-        reads_regs: RegSet::single(arg_reg(src)),
-        reads_params: 0,
-        complex: false,
-        move_of: Some(arg_reg(src)),
     }
 }
 
@@ -89,23 +75,5 @@ fn main() {
     show(
         "three-register rotation — one temp breaks the cycle",
         &rotation,
-    );
-
-    // The same rotation, recognized as pure moves: the optimal
-    // shuffle-code strategy replaces the whole cycle with a single
-    // permi and zero temporaries.
-    let move_rotation = Problem {
-        nodes: vec![move_spec(0, 0, 1), move_spec(1, 1, 2), move_spec(2, 2, 0)],
-        temp_regs: RegSet::single(arg_reg(3)),
-    };
-    let plan = optimal_permi(&move_rotation);
-    println!("== same rotation under optimal shuffle code ==");
-    println!("plan ({} steps):", plan.steps.len());
-    for s in &plan.steps {
-        println!("  {s:?}");
-    }
-    println!(
-        "permutation instructions: {}, moves subsumed: {}, temps: {}",
-        plan.perm_ops, plan.perm_moves, plan.cycle_temps
     );
 }

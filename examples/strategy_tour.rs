@@ -45,7 +45,7 @@ fn main() {
             "stalls".into(),
         ]);
         for (label, cfg) in &configs {
-            let run = measure(&bench, Scale::Small, cfg).expect("benchmark runs");
+            let run = measure(&bench, Scale::Small, (*cfg).into()).expect("benchmark runs");
             t.row(vec![
                 label.clone(),
                 run.stats.cycles.to_string(),

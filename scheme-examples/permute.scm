@@ -1,18 +1,17 @@
 ;; Permutation-heavy tail calls: every loop below rotates or swaps its
-;; own arguments, so under the optimal shuffle-code strategy the whole
-;; shuffle compiles to one `swap`/`permi` instead of temp-breaking move
-;; chains. Try:
-;;   lesgsc stats --shuffle permi scheme-examples/permute.scm
-;;   lesgsc dis --shuffle permi scheme-examples/permute.scm
+;; own arguments, so each shuffle is a pure register cycle, the hardest
+;; case for greedy shuffling (§2.3): it must break every cycle with one
+;; temporary. Try:
+;;   lesgsc stats scheme-examples/permute.scm
+;;   lesgsc dis scheme-examples/permute.scm
 
 ;; A two-cycle: `zag` swaps its operands on every trip around the loop.
-;; Under --shuffle permi the swap is a single `swap` instruction.
 (define (zig n a b)
   (if (zero? n) (- a b) (zag (- n 1) a b)))
 (define (zag n a b)
   (zig n b a))
 
-;; A three-cycle: `turn` rotates (a b c) -> (b c a); one 3-wide `permi`.
+;; A three-cycle: `turn` rotates (a b c) -> (b c a).
 (define (spin n a b c)
   (if (zero? n)
       (+ a (+ (* 2 b) (* 4 c)))
@@ -20,7 +19,7 @@
 (define (turn n a b c)
   (spin n b c a))
 
-;; A five-cycle at the permi width limit: (a b c d e) -> (b c d e a).
+;; A five-cycle: (a b c d e) -> (b c d e a).
 (define (spin5 n a b c d e)
   (if (zero? n)
       (+ a (+ (* 2 b) (+ (* 3 c) (+ (* 4 d) (* 5 e)))))

@@ -7,7 +7,6 @@
 //! Each case first asserts the *unmutated* program verifies, so a
 //! rejection really is caused by the injected bug.
 
-use lesgs::allocator::config::ShuffleStrategy;
 use lesgs::allocator::{AllocConfig, SaveStrategy};
 use lesgs::compiler::{compile, CompilerConfig};
 use lesgs::ir::machine::RET;
@@ -212,55 +211,6 @@ fn skipped_shuffle_move_is_rejected() {
     assert!(
         kinds(&errors).contains(&BytecodeErrorKind::MissingArg),
         "expected missing-arg, got: {}",
-        render(&errors)
-    );
-}
-
-/// A tail call whose arguments rotate through three registers: under
-/// the optimal shuffle-code strategy the cycle compiles to one `permi`.
-const ROTATOR: &str = "
-(define (rot a b c) (if (zero? a) b (rot b c a)))
-(rot 10 1 2)
-";
-
-fn permi_vm() -> (VmProgram, usize, usize) {
-    let alloc = AllocConfig {
-        shuffle: ShuffleStrategy::OptimalPermi,
-        ..AllocConfig::paper_default()
-    };
-    let vm = compiled_vm(ROTATOR, alloc);
-    let rot = func_index(&vm, "rot");
-    let pc = find_pc(&vm, rot, |i| matches!(i, Instr::Permi { .. }));
-    (vm, rot, pc)
-}
-
-/// Corrupting a `permi` index to point outside its register list.
-#[test]
-fn permi_index_out_of_range_is_rejected() {
-    let (mut vm, rot, pc) = permi_vm();
-    if let Instr::Permi { perm, .. } = &mut vm.funcs[rot].code[pc] {
-        perm[0] = 7;
-    }
-    let errors = verify_bytecode(&vm);
-    assert!(
-        kinds(&errors).contains(&BytecodeErrorKind::PermIndexOutOfRange),
-        "expected perm-index-out-of-range, got: {}",
-        render(&errors)
-    );
-}
-
-/// Duplicating a `permi` index makes the map non-bijective: one
-/// register's value would be silently dropped.
-#[test]
-fn permi_non_bijective_is_rejected() {
-    let (mut vm, rot, pc) = permi_vm();
-    if let Instr::Permi { perm, .. } = &mut vm.funcs[rot].code[pc] {
-        perm[1] = perm[0];
-    }
-    let errors = verify_bytecode(&vm);
-    assert!(
-        kinds(&errors).contains(&BytecodeErrorKind::PermNotBijective),
-        "expected perm-not-bijective, got: {}",
         render(&errors)
     );
 }

@@ -1,14 +1,14 @@
-;; Shape-lock for the permutation-instruction shuffle path (generator
-;; v2 emits this family: recursive tail calls passing the caller's own
-;; parameters rotated). Not a shrunk bug find — promoted by hand when
-;; `swap`/`permi` and ShuffleStrategy::OptimalPermi were added, so the
-;; full oracle (all 23 configurations, including OptimalPermi and the
+;; Shape-lock for register-cycle shuffles (generator v2 emits this
+;; family: recursive tail calls passing the caller's own parameters
+;; rotated). Not a shrunk bug find — promoted by hand so the full oracle
+;; (all 22 configurations, including fixed-order shuffling and the
 ;; 2-register machines that push the tail onto the stack) re-judges a
 ;; known-permutation-heavy program on every `cargo test`.
 ;;
-;; The rotating 6-argument cycle compiles to a width-5 `permi` under
-;; --shuffle permi on the 6-register machine; under 2 registers the
-;; same rotation must route through stack parameter slots instead.
+;; The rotating 6-argument cycle is one register cycle on the
+;; 6-register machine, which greedy breaks with a single temporary;
+;; under 2 registers the same rotation must route through stack
+;; parameter slots instead.
 (define (whirl d a b c x y)
   (if (<= d 0)
       (+ a (+ (* 2 b) (+ (* 3 c) (+ (* 4 x) (* 5 y)))))

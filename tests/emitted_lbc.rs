@@ -2,7 +2,7 @@
 //!
 //! Every standard-scale suite benchmark and every `scheme-examples/`
 //! program is compiled with [`Engine::emit_program`] under each of the
-//! 23 `config_matrix` configurations plus lambda lifting; the
+//! 22 `config_matrix` configurations plus lambda lifting; the
 //! FNV-1a-64 of each blob is pinned by
 //! `tests/fixtures/emitted_lbc.txt`, one line per (program, config).
 //! A frontend or backend refactor that claims to change no emitted
@@ -69,7 +69,7 @@ fn configs() -> Vec<(String, CompilerConfig)> {
 #[test]
 fn emitted_bytes_match_golden_hashes() {
     let configs = configs();
-    assert_eq!(configs.len(), 24, "23 matrix configurations plus lifting");
+    assert_eq!(configs.len(), 23, "22 matrix configurations plus lifting");
     let mut got = String::new();
     for (program, src) in programs() {
         for (label, config) in &configs {

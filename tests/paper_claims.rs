@@ -7,9 +7,9 @@
 
 use lesgs::allocator::AllocConfig;
 use lesgs::ir::MachineConfig;
-use lesgs::suite::{all_benchmarks, Scale};
+use lesgs::suite::{all_benchmarks, RunConfig, Scale};
 use lesgs::vm::ActivationClass;
-use lesgs_bench::runs::{RunConfig, Runs};
+use lesgs_bench::runs::Runs;
 use lesgs_bench::sections;
 
 fn runs(scale: Scale) -> Runs {
