@@ -8,13 +8,14 @@
 
 use std::fmt;
 
-use lesgs_compiler::{compile_timed, CompilerConfig, PhaseTimes};
+use lesgs_compiler::{compile_observed, phase_ns, CompilerConfig};
 use lesgs_core::config::{Discipline, RestoreStrategy, SaveStrategy, ShuffleStrategy};
 use lesgs_core::stats::ShuffleStats;
 use lesgs_core::toy::{self, Toy};
 use lesgs_core::AllocConfig;
 use lesgs_ir::machine::arg_reg;
 use lesgs_ir::{MachineConfig, RegSet};
+use lesgs_metrics::{ratio, Registry};
 use lesgs_suite::measure::Measurement;
 use lesgs_suite::programs::{benchmark, Benchmark};
 use lesgs_suite::tables::{frac_pct, pct, Table};
@@ -658,27 +659,37 @@ pub fn branch_prediction(runs: &mut Runs) -> Ablation {
 
 /// §4: the share of compile time register allocation takes, best of 25
 /// compiles per benchmark. Wall-clock values, so the gate skips this
-/// table. Rows: (benchmark, phase times).
-pub fn compile_time(runs: &mut Runs) -> Section<(&'static str, PhaseTimes)> {
+/// table. Rows: (benchmark, [`phase_ns`] of the best compile).
+pub fn compile_time(runs: &mut Runs) -> Section<(&'static str, [f64; 3])> {
     let benchmarks = runs.benchmarks().to_vec();
     let scale = runs.scale();
     let times = runs.fan_out(benchmarks.iter().collect(), |b: &Benchmark| {
-        let compile = |_| compile_timed(b.source(scale), &CompilerConfig::default());
-        let times = (0..25).map(|i| compile(i).unwrap_or_else(|e| panic!("{}: {e}", b.name)).1);
-        times.min_by_key(PhaseTimes::total).expect("25 compiles")
+        // Each compile reads its phases from the spans of a fresh registry.
+        let compile = |_| {
+            let mut reg = Registry::new();
+            compile_observed(b.source(scale), &CompilerConfig::default(), &mut reg)
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            phase_ns(&reg)
+        };
+        let total = |ns: &[f64; 3]| ns.iter().sum::<f64>();
+        (0..25)
+            .map(compile)
+            .min_by(|x, y| total(x).total_cmp(&total(y)))
+            .expect("25 compiles")
     });
+    let alloc_share = |ns: &[f64; 3]| ratio(ns[1], ns.iter().sum(), 0.0);
     let mut s = Section::new(
         COMPILE_TIME,
         "§4: register allocation share of compile time (best of 25 reps)",
         "benchmark, frontend µs, allocation µs, codegen µs, alloc share",
     );
-    for (b, t) in benchmarks.iter().zip(times) {
-        let micros = [t.frontend, t.allocation, t.codegen].map(|d| d.as_micros().to_string());
-        let share = frac_pct(t.allocation_fraction());
+    for (b, ns) in benchmarks.iter().zip(times) {
+        let micros = ns.map(|t| ((t / 1e3) as u64).to_string());
+        let share = frac_pct(alloc_share(&ns));
         let cells = [&[b.name.to_owned()][..], &micros, &[share]].concat();
-        s.push((b.name, t), cells);
+        s.push((b.name, ns), cells);
     }
-    let share = mean_of(&s.rows, |(_, t)| t.allocation_fraction());
+    let share = mean_of(&s.rows, |(_, ns)| alloc_share(ns));
     s.note(format!(
         "Average allocation share: {} (paper: ~7% of overall compile time).",
         frac_pct(share)

@@ -10,6 +10,7 @@
 //! ([`crate::check::WALL_CLOCK_TABLES`]) is byte-identical whatever the
 //! job count.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use lesgs_compiler::{compile, CompilerConfig};
@@ -19,8 +20,8 @@ use lesgs_metrics::{ratio, Histogram, Registry};
 use lesgs_suite::programs::Benchmark;
 use lesgs_suite::tables::{pct, Table};
 use lesgs_suite::Scale;
-use lesgs_svc::loadgen::WorkloadConfig;
-use lesgs_svc::{BatchStats, Request, Service, ServiceConfig};
+use lesgs_svc::loadgen::{programs, requests, WorkloadConfig};
+use lesgs_svc::{BatchStats, Request, Response, Service, ServiceConfig};
 use lesgs_vm::{ClassicMachine, CostModel, DecodeStats, Machine};
 
 use crate::report::{run_record, Report};
@@ -145,8 +146,8 @@ pub fn build_suite_report(
          (lesgs-svc loadgen) through the batch service with its \
          content-keyed LRU program cache. Cache accounting is a pure \
          function of the workload (gated); throughput and latency are \
-         wall-clock for the current machine (not gated). Reproduce with \
-         the lesgs-load binary — see EXPERIMENTS.md.",
+         wall-clock for the current machine (not gated). Every response \
+         matched direct, uncached execution of its program.",
     ] {
         report.note(note);
     }
@@ -182,7 +183,6 @@ fn service_workload(scale: Scale) -> (WorkloadConfig, usize) {
             WorkloadConfig {
                 programs: 16,
                 requests: 600,
-                ..WorkloadConfig::default()
             },
             12,
         ),
@@ -190,7 +190,6 @@ fn service_workload(scale: Scale) -> (WorkloadConfig, usize) {
             WorkloadConfig {
                 programs: 96,
                 requests: 20_000,
-                ..WorkloadConfig::default()
             },
             64,
         ),
@@ -201,11 +200,14 @@ fn service_workload(scale: Scale) -> (WorkloadConfig, usize) {
 /// batches of 256 and collects both sides of the measurement. The
 /// request stream, and therefore every cache counter, is a pure
 /// function of `scale`.
+///
+/// Every build doubles as a check of the service: the replay must
+/// agree with direct execution ([`check_replay`]), or the build panics.
 fn measure_service(scale: Scale) -> ServiceMeasurement {
     let (workload, cache_capacity) = service_workload(scale);
     let workers = 4;
-    let pool = lesgs_svc::loadgen::programs(&workload);
-    let stream = lesgs_svc::loadgen::requests(&workload, &pool);
+    let pool = programs(&workload);
+    let stream = requests(&workload, &pool);
     let mut service = Service::new(ServiceConfig {
         workers,
         cache_capacity,
@@ -213,13 +215,17 @@ fn measure_service(scale: Scale) -> ServiceMeasurement {
     });
     let mut reg = Registry::new();
     let mut totals = BatchStats::default();
+    let mut responses = Vec::with_capacity(stream.len());
     let start = Instant::now();
     for batch in stream.chunks(256) {
-        let (_, stats) = service.process_batch(batch, &mut reg);
+        let (rs, stats) = service.process_batch(batch, &mut reg);
+        responses.extend(rs);
         totals.merge(&stats);
     }
     let wall_ns = start.elapsed().as_nanos() as f64;
-    assert_eq!(totals.errors, 0, "service workload programs must all run");
+    if let Err(e) = check_replay(&service, &pool, &stream, &responses) {
+        panic!("service replay disagrees with direct execution: {e}");
+    }
     let compile_requests = stream
         .iter()
         .filter(|r| matches!(r, Request::Compile { .. }))
@@ -237,6 +243,48 @@ fn measure_service(scale: Scale) -> ServiceMeasurement {
             .unwrap_or_default(),
         wall_ns,
     }
+}
+
+/// Checks `service`'s replay of `stream` over `pool` against direct
+/// execution under the service's compiler configuration: each `Ran`
+/// response must equal an uncached compile and run of its source, each
+/// `Compiled` response must carry that program's code size, and no
+/// request may fail. Returns the first disagreement.
+fn check_replay(
+    service: &Service,
+    pool: &[String],
+    stream: &[Request],
+    responses: &[Response],
+) -> Result<(), String> {
+    // One direct compile and run per distinct program, not per request.
+    let engine = service.engine();
+    let mut direct = HashMap::new();
+    for source in pool {
+        let program = engine.compile(source).map_err(|e| e.to_string())?;
+        let outcome = engine.execute(&program).map_err(|e| e.to_string())?;
+        direct.insert(source.as_str(), (program.code_size(), outcome));
+    }
+    if responses.len() != stream.len() {
+        return Err(format!(
+            "{} responses to {} requests",
+            responses.len(),
+            stream.len()
+        ));
+    }
+    for (i, (request, response)) in stream.iter().zip(responses).enumerate() {
+        let (code_size, outcome) = &direct[request.source()];
+        let agrees = match (request, response) {
+            (Request::Compile { .. }, Response::Compiled { code_size: got, .. }) => {
+                got == code_size
+            }
+            (Request::Run { .. }, Response::Ran { outcome: got, .. }) => **got == *outcome,
+            _ => false,
+        };
+        if !agrees {
+            return Err(format!("request {i} ({request:?}) got {response:?}"));
+        }
+    }
+    Ok(())
 }
 
 /// The deterministic service-cache accounting table. Every value is a
@@ -513,7 +561,10 @@ mod tests {
     #[test]
     fn service_throughput_table_shape_is_fixed() {
         let zero = ServiceMeasurement {
-            workload: WorkloadConfig::default(),
+            workload: WorkloadConfig {
+                programs: 0,
+                requests: 0,
+            },
             cache_capacity: 0,
             workers: 1,
             compile_requests: 0,
@@ -534,6 +585,36 @@ mod tests {
         }
         // The zero-wall degenerate case must not leak NaN/inf.
         assert_eq!(a.rows()[2][1], "0");
+    }
+
+    #[test]
+    fn replay_check_rejects_an_altered_outcome_and_a_failure() {
+        let workload = WorkloadConfig {
+            programs: 6,
+            requests: 48,
+        };
+        let pool = programs(&workload);
+        let stream = requests(&workload, &pool);
+        let mut service = Service::new(ServiceConfig::default());
+        let (responses, _) = service.process_batch(&stream, &mut Registry::new());
+        check_replay(&service, &pool, &stream, &responses).expect("a faithful replay passes");
+
+        let ran = responses
+            .iter()
+            .position(|r| matches!(r, Response::Ran { .. }))
+            .expect("the workload has run requests");
+        let mut altered = responses.clone();
+        if let Response::Ran { outcome, .. } = &mut altered[ran] {
+            outcome.value.push('0');
+        }
+        assert!(check_replay(&service, &pool, &stream, &altered).is_err());
+
+        let mut failed = responses;
+        failed[ran] = Response::Failed {
+            key: 0,
+            message: "injected".to_owned(),
+        };
+        assert!(check_replay(&service, &pool, &stream, &failed).is_err());
     }
 
     #[test]

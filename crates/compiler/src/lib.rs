@@ -18,8 +18,6 @@
 //! assert!(compiled.vm.code_size() > 0);
 //! ```
 
-use std::time::{Duration, Instant};
-
 use lesgs_core::{driver::allocate_program_observed, AllocConfig, AllocatedProgram};
 use lesgs_frontend::pipeline;
 use lesgs_ir::{lower_program, Program};
@@ -78,12 +76,10 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// The output of compilation: every intermediate stage is kept so
-/// experiments can inspect them.
+/// The output of compilation: the allocator's output and the code
+/// generated from it.
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// The IR after closure conversion and lowering.
-    pub ir: Program,
     /// The allocator's output.
     pub allocated: AllocatedProgram,
     /// Executable VM code.
@@ -115,73 +111,20 @@ impl Compiled {
     }
 }
 
-/// Per-phase compile times, for the §4 compile-time measurement
-/// ("register allocation accounts for an average of 7% of overall
-/// compile time").
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseTimes {
-    /// Reader + frontend passes + closure conversion + lowering.
-    pub frontend: Duration,
-    /// Register allocation (both passes).
-    pub allocation: Duration,
-    /// Code generation and linking.
-    pub codegen: Duration,
-}
-
-impl PhaseTimes {
-    /// Total compile time.
-    pub fn total(&self) -> Duration {
-        self.frontend + self.allocation + self.codegen
-    }
-
-    /// Fraction of compile time spent in register allocation (`0.0`
-    /// when nothing was timed).
-    pub fn allocation_fraction(&self) -> f64 {
-        ratio(
-            self.allocation.as_secs_f64(),
-            self.total().as_secs_f64(),
-            0.0,
-        )
-    }
-}
-
-/// Compiles `src`, timing each phase.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] on any frontend failure.
-pub fn compile_timed(
-    src: &str,
-    config: &CompilerConfig,
-) -> Result<(Compiled, PhaseTimes), CompileError> {
-    compile_observed(src, config, &mut Registry::new())
-}
-
-/// The compilation prefix shared by every allocator configuration:
-/// reader, frontend passes, closure conversion, lowering, and IR
-/// folding. None of those passes look at the allocator, so drivers
-/// that sweep a program across a configuration matrix (the
-/// differential oracle, the ablation harnesses) compute this **once
-/// per program** and reuse it for every configuration via
-/// [`compile_back_observed`].
+/// Runs the compilation prefix shared by every allocator
+/// configuration — reader, frontend passes, closure conversion,
+/// lowering, and IR folding — with full observability: the
+/// `frontend.*` and `ir.*` instruments plus the `phase.frontend` span.
+/// None of those passes look at the allocator, so drivers that sweep a
+/// program across a configuration matrix (the differential oracle, the
+/// ablation harnesses) compute this **once per program** and finish it
+/// for every configuration with [`compile_back_observed`].
 ///
 /// The prefix *does* depend on the frontend-relevant corner of
 /// [`CompilerConfig`]: `lambda_lift` (and, when lifting, the argument
 /// register count it sizes against) and `no_fold`. Callers sharing one
 /// prefix across configurations must hold those fixed — as every
 /// matrix driver in the workspace does.
-#[derive(Debug, Clone)]
-pub struct FrontendIr {
-    /// The IR after closure conversion, lowering, and folding.
-    pub ir: Program,
-    /// Wall time spent producing it (the [`PhaseTimes::frontend`]
-    /// component of any compile finished from this prefix).
-    pub frontend_time: Duration,
-}
-
-/// Runs the config-independent compilation prefix (see [`FrontendIr`])
-/// with full observability: the `frontend.*` and `ir.*` instruments
-/// plus the `phase.frontend` span.
 ///
 /// # Errors
 ///
@@ -190,9 +133,8 @@ pub fn compile_front_observed(
     src: &str,
     config: &CompilerConfig,
     reg: &mut Registry,
-) -> Result<FrontendIr, CompileError> {
+) -> Result<Program, CompileError> {
     reg.set_trace(config.trace);
-    let t0 = Instant::now();
     let frontend_span = reg.start_span("phase.frontend");
     let lift = config
         .lambda_lift
@@ -216,10 +158,7 @@ pub fn compile_front_observed(
     );
     reg.inc("ir.funcs", ir.funcs.len() as u64);
     reg.end_span(frontend_span);
-    Ok(FrontendIr {
-        ir,
-        frontend_time: t0.elapsed(),
-    })
+    Ok(ir)
 }
 
 /// Finishes a compilation from a shared prefix: register allocation
@@ -227,27 +166,18 @@ pub fn compile_front_observed(
 /// `codegen.*` instruments and `phase.*` spans recorded into `reg`.
 /// Infallible — only the frontend can reject a program.
 pub fn compile_back_observed(
-    front: &FrontendIr,
+    ir: &Program,
     config: &CompilerConfig,
     reg: &mut Registry,
-) -> (Compiled, PhaseTimes) {
+) -> Compiled {
     reg.set_trace(config.trace);
-    let mut times = PhaseTimes {
-        frontend: front.frontend_time,
-        ..PhaseTimes::default()
-    };
-
-    let t1 = Instant::now();
     let alloc_span = reg.start_span("phase.alloc");
-    let allocated = allocate_program_observed(&front.ir, &config.alloc, reg);
+    let allocated = allocate_program_observed(ir, &config.alloc, reg);
     reg.end_span(alloc_span);
-    times.allocation = t1.elapsed();
 
-    let t2 = Instant::now();
     let codegen_span = reg.start_span("phase.codegen");
     let vm = lesgs_codegen::compile_program_observed(&allocated, !config.no_peephole, reg);
     reg.end_span(codegen_span);
-    times.codegen = t2.elapsed();
 
     // Pre-decode for the dispatch loop. The vm.dispatch.* counters are
     // *static* load-time facts (source instructions, decoded ops) —
@@ -257,26 +187,36 @@ pub fn compile_back_observed(
     reg.end_span(decode_span);
     decoded.stats().record(reg);
 
-    reg.set_gauge("compile.alloc_fraction", times.allocation_fraction());
-    (
-        Compiled {
-            ir: front.ir.clone(),
-            allocated,
-            vm,
-            decoded,
-        },
-        times,
-    )
+    // Allocation's share of the compile time in this registry's spans
+    // (the paper's §4 "7%").
+    let ns = phase_ns(reg);
+    reg.set_gauge("compile.alloc_fraction", ratio(ns[1], ns.iter().sum(), 0.0));
+    Compiled {
+        allocated,
+        vm,
+        decoded,
+    }
+}
+
+/// The frontend, allocation and codegen wall times in nanoseconds,
+/// summed over the `phase.*` spans recorded in `reg`.
+pub fn phase_ns(reg: &Registry) -> [f64; 3] {
+    [
+        "phase.frontend.wall_ns",
+        "phase.alloc.wall_ns",
+        "phase.codegen.wall_ns",
+    ]
+    .map(|span| reg.histogram(span).map_or(0.0, |h| h.sum))
 }
 
 /// Compiles `src` with full observability: every pipeline pass records
 /// wall time and size metrics into `reg` (the `pass.*`, `frontend.*`,
 /// `ir.*`, `alloc.*`, and `codegen.*` instruments of OBSERVABILITY.md)
-/// plus the coarse `phase.*` spans behind [`PhaseTimes`]. With
-/// `config.trace`, every completed span also logs a `trace:` line.
+/// plus the coarse `phase.*` spans. With `config.trace`, every
+/// completed span also logs a `trace:` line.
 ///
-/// This is the engine behind `lesgsc --profile`; [`compile_timed`] is
-/// the same code with a throwaway registry. It is literally
+/// This is the engine behind `lesgsc --profile`; [`compile`] is the
+/// same code with a throwaway registry. It is literally
 /// [`compile_front_observed`] followed by [`compile_back_observed`] —
 /// matrix drivers call the halves directly to share the prefix across
 /// configurations.
@@ -288,9 +228,9 @@ pub fn compile_observed(
     src: &str,
     config: &CompilerConfig,
     reg: &mut Registry,
-) -> Result<(Compiled, PhaseTimes), CompileError> {
-    let front = compile_front_observed(src, config, reg)?;
-    Ok(compile_back_observed(&front, config, reg))
+) -> Result<Compiled, CompileError> {
+    let ir = compile_front_observed(src, config, reg)?;
+    Ok(compile_back_observed(&ir, config, reg))
 }
 
 /// Compiles `src` under `config`.
@@ -299,7 +239,7 @@ pub fn compile_observed(
 ///
 /// Returns [`CompileError`] on any frontend failure.
 pub fn compile(src: &str, config: &CompilerConfig) -> Result<Compiled, CompileError> {
-    compile_timed(src, config).map(|(c, _)| c)
+    compile_observed(src, config, &mut Registry::new())
 }
 
 /// Compiles and runs `src`.
@@ -442,7 +382,7 @@ pub fn differential_check_detailed(
 /// Runs the oracle, then judges one already-compiled configuration
 /// against it.
 fn judge_config(
-    front: &FrontendIr,
+    front: &Program,
     oracle: &lesgs_interp::Outcome,
     alloc: &AllocConfig,
     fuel: u64,
@@ -457,7 +397,7 @@ fn judge_config(
         fuel,
         ..CompilerConfig::default()
     };
-    let (compiled, _times) = compile_back_observed(front, &config, &mut Registry::new());
+    let compiled = compile_back_observed(front, &config, &mut Registry::new());
     let verify_errors = lesgs_vm::verify_bytecode(&compiled.vm);
     if !verify_errors.is_empty() {
         return Err(fail(DiffKind::VerifyFailed {
@@ -734,12 +674,20 @@ mod tests {
     }
 
     #[test]
-    fn phase_times_recorded() {
-        let (_, times) =
-            compile_timed("(define (f x) (+ x 1)) (f 1)", &CompilerConfig::default()).unwrap();
-        assert!(times.total() > Duration::ZERO);
-        assert!(times.allocation_fraction() >= 0.0);
-        assert!(times.allocation_fraction() <= 1.0);
+    fn phase_spans_and_alloc_fraction_recorded() {
+        let mut reg = Registry::new();
+        compile_observed(
+            "(define (f x) (+ x 1)) (f 1)",
+            &CompilerConfig::default(),
+            &mut reg,
+        )
+        .unwrap();
+        for phase in ["phase.frontend", "phase.alloc", "phase.codegen"] {
+            let span = reg.histogram(&format!("{phase}.wall_ns"));
+            assert_eq!(span.map(|h| h.count), Some(1), "{phase}");
+        }
+        let fraction = reg.gauge("compile.alloc_fraction").unwrap();
+        assert!((0.0..=1.0).contains(&fraction), "{fraction}");
     }
 
     #[test]
@@ -815,7 +763,7 @@ mod tests {
                 ..CompilerConfig::default()
             };
             let whole = compile(src, &config).unwrap();
-            let (split, _) = compile_back_observed(&front, &config, &mut Registry::new());
+            let split = compile_back_observed(&front, &config, &mut Registry::new());
             assert_eq!(
                 whole.vm.disassemble(),
                 split.vm.disassemble(),

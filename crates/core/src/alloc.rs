@@ -291,20 +291,14 @@ impl AExpr {
         n
     }
 
-    /// Total registers stored by save nodes (diagnostics/tests).
-    pub fn total_saved_regs(&self) -> usize {
-        let mut n = 0;
-        self.visit(&mut |e| {
-            if let AExpr::Save { regs, .. } = e {
-                n += regs.len();
-            }
-        });
-        n
-    }
-
     /// Depth-first visit of every node.
     pub fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a AExpr)) {
         f(self);
+        self.for_each_child(&mut |c| c.visit(f));
+    }
+
+    /// Calls `f` on each direct child, in evaluation order.
+    pub fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a AExpr)) {
         match self {
             AExpr::Const(_)
             | AExpr::ReadHome(_)
@@ -312,31 +306,31 @@ impl AExpr {
             | AExpr::Global(_)
             | AExpr::RestoreRegs(_)
             | AExpr::RegMove { .. } => {}
-            AExpr::GlobalSet { value, .. } => value.visit(f),
+            AExpr::GlobalSet { value, .. } => f(value),
             AExpr::If {
                 cond, then, els, ..
             } => {
-                cond.visit(f);
-                then.visit(f);
-                els.visit(f);
+                f(cond);
+                f(then);
+                f(els);
             }
-            AExpr::Seq(es) => es.iter().for_each(|e| e.visit(f)),
+            AExpr::Seq(es) => es.iter().for_each(f),
             AExpr::Bind { rhs, body, .. } => {
-                rhs.visit(f);
-                body.visit(f);
+                f(rhs);
+                f(body);
             }
-            AExpr::PrimApp(_, args) => args.iter().for_each(|e| e.visit(f)),
-            AExpr::Save { body, .. } => body.visit(f),
+            AExpr::PrimApp(_, args) => args.iter().for_each(f),
+            AExpr::Save { body, .. } => f(body),
             AExpr::Call(c) => {
                 if let Some(cl) = &c.closure {
-                    cl.visit(f);
+                    f(cl);
                 }
-                c.args.iter().for_each(|a| a.visit(f));
+                c.args.iter().for_each(f);
             }
-            AExpr::MakeClosure { free, .. } => free.iter().for_each(|e| e.visit(f)),
+            AExpr::MakeClosure { free, .. } => free.iter().for_each(f),
             AExpr::ClosureSet { clo, value, .. } => {
-                clo.visit(f);
-                value.visit(f);
+                f(clo);
+                f(value);
             }
         }
     }

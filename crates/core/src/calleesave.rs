@@ -22,6 +22,7 @@ use lesgs_ir::RegSet;
 
 use crate::alloc::{AExpr, AllocatedFunc, Home};
 use crate::config::{AllocConfig, Discipline, RestoreStrategy, SaveStrategy};
+use crate::driver;
 use crate::frame::FrameLayout;
 use crate::homes;
 use crate::pass2;
@@ -83,47 +84,10 @@ fn region_live_out_conflict(e: &AExpr, used_k: RegSet, inside: bool) -> bool {
         }
         _ => {
             let mut found = false;
-            visit_children(e, &mut |c| {
+            e.for_each_child(&mut |c| {
                 found = found || region_live_out_conflict(c, used_k, inside);
             });
             found
-        }
-    }
-}
-
-fn visit_children<'a>(e: &'a AExpr, f: &mut dyn FnMut(&'a AExpr)) {
-    match e {
-        AExpr::Const(_)
-        | AExpr::ReadHome(_)
-        | AExpr::FreeRef(_)
-        | AExpr::Global(_)
-        | AExpr::RestoreRegs(_)
-        | AExpr::RegMove { .. } => {}
-        AExpr::GlobalSet { value, .. } => f(value),
-        AExpr::If {
-            cond, then, els, ..
-        } => {
-            f(cond);
-            f(then);
-            f(els);
-        }
-        AExpr::Seq(es) => es.iter().for_each(f),
-        AExpr::Bind { rhs, body, .. } => {
-            f(rhs);
-            f(body);
-        }
-        AExpr::PrimApp(_, args) => args.iter().for_each(f),
-        AExpr::Save { body, .. } => f(body),
-        AExpr::Call(c) => {
-            if let Some(cl) = &c.closure {
-                f(cl);
-            }
-            c.args.iter().for_each(f);
-        }
-        AExpr::MakeClosure { free, .. } => free.iter().for_each(f),
-        AExpr::ClosureSet { clo, value, .. } => {
-            f(clo);
-            f(value);
         }
     }
 }
@@ -251,25 +215,7 @@ pub fn allocate_func(func: &Func, cfg: &AllocConfig) -> AllocatedFunc {
             discipline: Discipline::CallerSave,
             ..*cfg
         };
-        let homes = homes::assign(&de_tailed, &caller_cfg.machine, Discipline::CallerSave);
-        let r1 = savep::run(&de_tailed, &homes, &caller_cfg);
-        let r2 = pass2::run(r1.body, &caller_cfg);
-        return AllocatedFunc {
-            id: func.id,
-            name: func.name.clone(),
-            n_params: func.n_params,
-            n_free: func.n_free,
-            homes: homes.home,
-            body: r2.body,
-            frame: FrameLayout {
-                n_incoming: homes.n_incoming,
-                save_regs: r2.saved_regs,
-                n_spills: homes.n_spills,
-                n_temps: 0,
-            },
-            syntactic_leaf: true,
-            call_inevitable: false,
-        };
+        return driver::allocate_func(&de_tailed, &caller_cfg);
     }
 
     let homes = homes::assign(&de_tailed, &cfg.machine, Discipline::CalleeSave);
@@ -294,10 +240,10 @@ pub fn allocate_func(func: &Func, cfg: &AllocConfig) -> AllocatedFunc {
     };
 
     let body = if region_live_out_conflict(&body, used_k, false) {
-        // Fall back: one region around the whole body.
-        let inner = inject_all_inside(body);
+        // Fall back: one region around the whole body. Everything is
+        // inside it, and homes already name the callee-save registers.
         let mut seq = param_moves(n_reg_params);
-        seq.push(inner);
+        seq.push(body);
         AExpr::Save {
             regs: used_k,
             live_out: RegSet::single(RET),
@@ -324,11 +270,6 @@ pub fn allocate_func(func: &Func, cfg: &AllocConfig) -> AllocatedFunc {
         syntactic_leaf: func.is_syntactic_leaf(),
         call_inevitable: r1.call_inevitable,
     }
-}
-
-/// Fallback path: everything counts as inside the (single) region.
-fn inject_all_inside(e: AExpr) -> AExpr {
-    e // homes already reference callee-save registers everywhere
 }
 
 #[cfg(test)]

@@ -93,14 +93,6 @@ impl AllocConfig {
             ..AllocConfig::default()
         }
     }
-
-    /// Default configuration with a different save strategy.
-    pub fn with_save(save: SaveStrategy) -> AllocConfig {
-        AllocConfig {
-            save,
-            ..AllocConfig::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -121,6 +113,5 @@ mod tests {
     #[test]
     fn baseline_has_no_arg_regs() {
         assert_eq!(AllocConfig::baseline().machine.num_arg_regs, 0);
-        assert!(!AllocConfig::baseline().machine.reg_homes);
     }
 }

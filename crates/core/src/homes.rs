@@ -132,12 +132,9 @@ pub fn assign(func: &Func, machine: &MachineConfig, discipline: Discipline) -> H
     // disciplines: under callee-save, only *parameters* move to the
     // callee-save registers (see `calleesave`); locals keep the normal
     // caller-save treatment so the lazy region placement stays sound.
-    let pool: Vec<lesgs_ir::Reg> = if machine.reg_homes {
-        (0..c).map(arg_reg).collect()
-    } else {
-        Vec::new()
-    };
-    let _ = NUM_CALLEE_SAVE;
+    // With no argument registers (the Table 3 baseline) the pool is
+    // empty and every local lives on the stack.
+    let pool: Vec<lesgs_ir::Reg> = (0..c).map(arg_reg).collect();
     let mut a = Assign {
         home,
         n_spills: 0,

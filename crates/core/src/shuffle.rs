@@ -265,7 +265,10 @@ pub fn greedy(problem: &Problem) -> ShufflePlan {
     plan.steps
         .extend(stack.iter().rev().map(|g| emit(problem, g)));
     plan.frame_temps = frame_temps;
-    plan.optimal_temps = optimal_temp_count(problem) as u32;
+    // Without a cycle the optimum is zero: skip the exhaustive search.
+    if plan.had_cycle {
+        plan.optimal_temps = optimal_temp_count(problem) as u32;
+    }
     plan
 }
 
@@ -321,21 +324,39 @@ pub fn fixed_order(problem: &Problem) -> ShufflePlan {
 /// graph, by exhaustive search (§3.1: "We tried an exhaustive search
 /// and found that our greedy approach works optimally for the vast
 /// majority of all cases").
+///
+/// # Panics
+///
+/// Panics if 32 or more arguments have a target that another argument
+/// reads. The allocator's problems have at most seven: the argument
+/// registers and `cp`.
 pub fn optimal_temp_count(problem: &Problem) -> usize {
     // Only simple arguments participate; complex ones are temped by
     // construction.
     let simples: Vec<&NodeSpec> = problem.nodes.iter().filter(|n| !n.complex).collect();
-    let n = simples.len();
+    // edge u -> v: u reads v's target, so eval(u) must precede
+    // assign(v); deleting (temping) vertices must leave a DAG.
+    let edge = |u: usize, v: usize| {
+        let (nu, nv) = (simples[u], simples[v]);
+        u != v && reads_target((nu.reads_regs, nu.reads_params), nv.target)
+    };
+    // Only an argument whose target another one reads can lie on a
+    // cycle. The allocator targets registers and `Out` slots, and
+    // nothing reads an `Out` slot, so however many arguments a call
+    // passes, the search sees at most the few register targets.
+    let on_cycle: Vec<usize> = (0..simples.len())
+        .filter(|&v| (0..simples.len()).any(|u| edge(u, v)))
+        .collect();
+    let n = on_cycle.len();
     if n == 0 {
         return 0;
     }
-    // edge u -> v: u reads v's target, so eval(u) must precede
-    // assign(v); deleting (temping) vertices must leave a DAG.
+    assert!(n < 32, "{n} cycle candidates exceed the exhaustive search");
     let mut adj = vec![0u32; n];
-    for (u, nu) in simples.iter().enumerate() {
-        for (v, nv) in simples.iter().enumerate() {
-            if u != v && reads_target((nu.reads_regs, nu.reads_params), nv.target) {
-                adj[u] |= 1 << v;
+    for (a, &u) in on_cycle.iter().enumerate() {
+        for (b, &v) in on_cycle.iter().enumerate() {
+            if edge(u, v) {
+                adj[a] |= 1 << b;
             }
         }
     }
@@ -762,6 +783,28 @@ mod tests {
         assert!(!plan.had_cycle);
         assert_eq!(optimal_temp_count(&p), 0);
         check_plan(&p, &plan);
+    }
+
+    #[test]
+    fn forty_argument_call_searches_only_register_targets() {
+        // Six register arguments rotate (one cycle); 34 stack arguments
+        // read every register, but nothing reads their `Out` targets.
+        let regs: Vec<Reg> = (0..6).map(arg_reg).collect();
+        let nodes = (0..40u16)
+            .map(|i| match usize::from(i) {
+                r @ 0..=5 => spec(i, Target::Reg(regs[r]), &[regs[(r + 1) % 6]], false),
+                _ => spec(i, Target::Out(u32::from(i) - 6), &regs, false),
+            })
+            .collect();
+        let p = Problem {
+            nodes,
+            temp_regs: RegSet::EMPTY,
+        };
+        let plan = greedy(&p);
+        check_plan(&p, &plan);
+        assert!(plan.had_cycle);
+        assert_eq!(plan.optimal_temps, 1);
+        assert!(plan.optimal_temps <= plan.cycle_temps);
     }
 }
 

@@ -418,7 +418,7 @@ fn main() -> ExitCode {
         cmd => {
             let mut reg = Registry::new();
             let compiled = match compile_observed(&source, &opts.config, &mut reg) {
-                Ok((c, _times)) => c,
+                Ok(c) => c,
                 Err(e) => return fail(e.to_string()),
             };
             if opts.verify_bytecode {

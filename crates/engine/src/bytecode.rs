@@ -173,7 +173,8 @@ pub fn config_fingerprint(config: &AllocConfig) -> [u8; 8] {
         discipline,
         u8::from(config.branch_prediction),
         config.machine.num_arg_regs as u8,
-        u8::from(config.machine.reg_homes),
+        // Register homes: implied by byte 5, kept for the format.
+        u8::from(config.machine.num_arg_regs > 0),
         0, // reserved
     ]
 }
@@ -185,7 +186,8 @@ pub fn config_fingerprint(config: &AllocConfig) -> [u8; 8] {
 ///
 /// [`BytecodeLoadError::Corrupt`] on any out-of-range byte, naming
 /// that byte's own offset. Shuffle code 2 is retired (see BYTECODE.md)
-/// and rejected like any other unknown tag.
+/// and rejected like any other unknown tag, and a register-homes byte
+/// must be 1 exactly when the argument register count is non-zero.
 pub fn config_from_fingerprint(
     bytes: &[u8; 8],
     offset: usize,
@@ -224,19 +226,20 @@ pub fn config_from_fingerprint(
     if num_arg_regs > lesgs_ir::machine::MAX_ARG_REGS {
         return Err(bad(5, format!("argument register count {num_arg_regs}")));
     }
-    let reg_homes = match bytes[6] {
-        0 => false,
-        1 => true,
-        b => return Err(bad(6, format!("register-homes flag {b}"))),
-    };
+    if bytes[6] != u8::from(num_arg_regs > 0) {
+        return Err(bad(
+            6,
+            format!(
+                "register-homes flag {} with {num_arg_regs} argument registers",
+                bytes[6]
+            ),
+        ));
+    }
     if bytes[7] != 0 {
         return Err(bad(7, format!("reserved fingerprint byte {}", bytes[7])));
     }
     Ok(AllocConfig {
-        machine: MachineConfig {
-            num_arg_regs,
-            reg_homes,
-        },
+        machine: MachineConfig { num_arg_regs },
         save,
         restore,
         shuffle,
@@ -1189,6 +1192,29 @@ mod tests {
                 }
                 other => panic!("{what}: expected Corrupt at {at}, got {other:?}"),
             }
+        }
+    }
+
+    /// Fingerprint byte 6 (register homes) follows from byte 5 (the
+    /// argument register count): a blob whose two bytes disagree is
+    /// corrupt at byte 6, not loaded as a configuration nothing builds.
+    #[test]
+    fn register_homes_byte_must_follow_the_register_count() {
+        let (a0, a1) = (
+            lesgs_ir::machine::arg_reg(0).0,
+            lesgs_ir::machine::arg_reg(1).0,
+        );
+        let (mut blob, _) = hand_built(&[2, a0, a1]);
+        assert_eq!(
+            blob[13..16],
+            [6, 1, 0],
+            "paper default: six registers, homes on"
+        );
+        blob[14] = 0;
+        restamp(&mut blob);
+        match deserialize_program(&blob) {
+            Err(BytecodeLoadError::Corrupt { offset, .. }) => assert_eq!(offset, 14),
+            other => panic!("expected Corrupt at 14, got {other:?}"),
         }
     }
 

@@ -115,11 +115,6 @@ impl<V> Expr<V> {
         }
     }
 
-    /// True if the expression is a constant `#f`.
-    pub fn is_false(&self) -> bool {
-        matches!(self, Expr::Const(Const::Bool(false)))
-    }
-
     /// Counts AST nodes (used in tests and statistics).
     pub fn size(&self) -> usize {
         let children: usize = match self {

@@ -234,7 +234,7 @@ fn walk_free(e: &Expr<VarId>, bound: &mut HashSet<VarId>, out: &mut BTreeSet<Var
 }
 
 /// Collects value-position and operator-position references to `names`.
-fn reference_kinds(
+pub(crate) fn reference_kinds(
     e: &Expr<VarId>,
     names: &HashSet<VarId>,
     operator: &mut HashSet<VarId>,

@@ -25,7 +25,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use crate::ast::{Expr, Lambda};
-use crate::closure::free_vars_lambda;
+use crate::closure::{free_vars_lambda, reference_kinds};
 use crate::names::{Interner, VarId};
 
 /// Options for the lifting pass.
@@ -51,56 +51,6 @@ pub struct LiftStats {
     pub lifted: usize,
     /// Total variables turned into parameters.
     pub vars_lifted: usize,
-}
-
-/// Collects operator-position and value-position references to `names`.
-fn reference_kinds(
-    e: &Expr<VarId>,
-    names: &HashSet<VarId>,
-    operator: &mut HashSet<VarId>,
-    value: &mut HashSet<VarId>,
-) {
-    match e {
-        Expr::Const(_) | Expr::Global(_) => {}
-        Expr::Var(v) => {
-            if names.contains(v) {
-                value.insert(*v);
-            }
-        }
-        Expr::Set(_, rhs) | Expr::GlobalSet(_, rhs) => reference_kinds(rhs, names, operator, value),
-        Expr::If(c, t, el) => {
-            reference_kinds(c, names, operator, value);
-            reference_kinds(t, names, operator, value);
-            reference_kinds(el, names, operator, value);
-        }
-        Expr::Seq(es) => es
-            .iter()
-            .for_each(|e| reference_kinds(e, names, operator, value)),
-        Expr::Lambda(l) => reference_kinds(&l.body, names, operator, value),
-        Expr::Let(bs, b) => {
-            bs.iter()
-                .for_each(|(_, r)| reference_kinds(r, names, operator, value));
-            reference_kinds(b, names, operator, value);
-        }
-        Expr::Letrec(bs, b) => {
-            bs.iter()
-                .for_each(|(_, l)| reference_kinds(&l.body, names, operator, value));
-            reference_kinds(b, names, operator, value);
-        }
-        Expr::App(f, args) => {
-            match f.as_ref() {
-                Expr::Var(v) if names.contains(v) => {
-                    operator.insert(*v);
-                }
-                other => reference_kinds(other, names, operator, value),
-            }
-            args.iter()
-                .for_each(|a| reference_kinds(a, names, operator, value));
-        }
-        Expr::PrimApp(_, args) => args
-            .iter()
-            .for_each(|a| reference_kinds(a, names, operator, value)),
-    }
 }
 
 /// Appends `extra` variables as arguments at every call of `names`.

@@ -55,19 +55,6 @@ pub fn front_to_closed(src: &str) -> Result<ClosedProgram, FrontError> {
     front_to_closed_observed(src, None, &mut Registry::new())
 }
 
-/// Like [`front_to_closed`], with selective lambda lifting (§6)
-/// applied before closure conversion.
-///
-/// # Errors
-///
-/// Returns [`FrontError`] on parse, desugar, or scoping failures.
-pub fn front_to_closed_lifted(
-    src: &str,
-    options: LiftOptions,
-) -> Result<ClosedProgram, FrontError> {
-    front_to_closed_observed(src, Some(options), &mut Registry::new())
-}
-
 /// The instrumented frontend pipeline.
 ///
 /// Each pass runs under a span recorded in `reg` (`pass.parse`,

@@ -50,14 +50,6 @@ impl Callee {
             Callee::KnownClosure(_, e) | Callee::Computed(e) => Some(e),
         }
     }
-
-    /// The statically-known target, if any.
-    pub fn known_target(&self) -> Option<FuncId> {
-        match self {
-            Callee::Direct(f) | Callee::KnownClosure(f, _) => Some(*f),
-            Callee::Computed(_) => None,
-        }
-    }
 }
 
 /// An IR expression.

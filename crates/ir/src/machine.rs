@@ -108,15 +108,14 @@ impl fmt::Display for Reg {
 /// Configuration of the registers available to the allocator.
 ///
 /// `num_arg_regs` is the paper's `c`: how many of `a0`–`a5` carry call
-/// arguments. `reg_homes` enables giving user variables and compiler
-/// temporaries homes in unused argument registers (the paper's `l`
-/// registers); the baseline configuration of Table 3 disables both.
+/// arguments. User variables and compiler temporaries may also take
+/// homes in those registers (the paper's `l` registers); the baseline
+/// configuration of Table 3 has none, so every variable lives on the
+/// stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Number of argument registers (0–6), the paper's `c`.
     pub num_arg_regs: usize,
-    /// Whether user variables may live in registers.
-    pub reg_homes: bool,
 }
 
 impl MachineConfig {
@@ -124,21 +123,16 @@ impl MachineConfig {
     pub fn six_registers() -> MachineConfig {
         MachineConfig {
             num_arg_regs: MAX_ARG_REGS,
-            reg_homes: true,
         }
     }
 
     /// The Table 3 baseline: no argument registers, all variables on
     /// the stack.
     pub fn baseline() -> MachineConfig {
-        MachineConfig {
-            num_arg_regs: 0,
-            reg_homes: false,
-        }
+        MachineConfig { num_arg_regs: 0 }
     }
 
-    /// A configuration with `c` argument registers (register homes
-    /// enabled when `c > 0`).
+    /// A configuration with `c` argument registers.
     ///
     /// # Panics
     ///
@@ -148,10 +142,7 @@ impl MachineConfig {
             c <= MAX_ARG_REGS,
             "at most {MAX_ARG_REGS} argument registers"
         );
-        MachineConfig {
-            num_arg_regs: c,
-            reg_homes: c > 0,
-        }
+        MachineConfig { num_arg_regs: c }
     }
 
     /// The set of registers the save/restore analysis manages: `ret`,

@@ -127,16 +127,6 @@ impl Json {
         }
     }
 
-    /// The numeric payload as `f64`, if this is any number variant.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::UInt(n) => Some(*n as f64),
-            Json::Int(n) => Some(*n as f64),
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The numeric payload as `u64`, if losslessly representable.
     pub fn as_u64(&self) -> Option<u64> {
         match self {

@@ -88,11 +88,6 @@ impl Registry {
         self.trace = trace;
     }
 
-    /// True when span tracing is enabled.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace
-    }
-
     /// Adds `by` to the counter `name`, creating it at zero.
     pub fn inc(&mut self, name: &str, by: u64) {
         *self.counters.entry(name.to_owned()).or_insert(0) += by;

@@ -25,7 +25,7 @@ struct Entry {
 /// An LRU cache of compiled programs keyed by content hash.
 ///
 /// A capacity of zero disables caching: every lookup misses and
-/// nothing is stored (useful as a load-generator baseline).
+/// nothing is stored (a no-cache baseline).
 pub struct ProgramCache {
     capacity: usize,
     tick: u64,

@@ -20,7 +20,8 @@
 //! is logical-time LRU, the responses **and** every `svc.*` counter
 //! are a pure function of the request sequence — worker count only
 //! changes wall-clock time. That is what lets the bench report gate
-//! on the `service_cache` table and CI assert byte-identical outputs.
+//! on the `service_cache` table and check every response of its
+//! replay against direct execution.
 //!
 //! Metric names are documented in OBSERVABILITY.md; the `svc.*`
 //! section is the reference for everything recorded here.
@@ -162,23 +163,6 @@ impl BatchStats {
         self.evictions += other.evictions;
         self.errors += other.errors;
     }
-}
-
-/// True when processing `requests` as **one batch** must produce at
-/// least one cache hit, no matter how the cache is configured:
-/// within-batch coalescing (phase 1 of [`Service::process_batch`])
-/// turns every repeated content key into a hit even with
-/// `cache_capacity` 0, because the duplicate rides the first
-/// occurrence's compilation rather than the cache proper.
-///
-/// The load generator's `--check` mode uses this to decide whether
-/// "no hits at all" is a failure or simply what the workload implies
-/// (an all-unique mix, or caching disabled with no in-batch repeats).
-pub fn batch_guarantees_hits(engine: &Engine, requests: &[Request]) -> bool {
-    let mut seen = std::collections::HashSet::new();
-    requests
-        .iter()
-        .any(|r| !seen.insert(engine.content_key(r.source())))
 }
 
 /// The batch compile-and-run service.

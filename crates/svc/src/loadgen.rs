@@ -1,38 +1,29 @@
-//! Deterministic workload generation for the load-generator binary
-//! and the bench report's service tables.
+//! Deterministic workload generation for the bench report's service
+//! tables.
 //!
 //! A workload is a pool of distinct parametric programs plus a
 //! request sequence drawn from it with a skewed (quadratic) index
 //! distribution, so a small hot set dominates — the regime a
 //! compiled-program cache exists for. Everything is a pure function
-//! of [`WorkloadConfig`], so two runs with the same config replay the
-//! identical request stream (the property `lesgs-load --check` and
-//! the bench gate rely on).
+//! of [`WorkloadConfig`] and one fixed seed, so two runs with the same
+//! config replay the identical request stream (the property the
+//! bench gate relies on).
 
 use lesgs_testkit::Rng;
 
 use crate::Request;
 
-/// Workload shape: how many programs, how many requests, and the
-/// seed that fixes both.
+/// The seed that fixes every workload's program constants and request
+/// selection.
+const SEED: u64 = 0x5e71_ce00;
+
+/// Workload shape: how many programs and how many requests.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkloadConfig {
     /// Distinct programs in the pool.
     pub programs: usize,
     /// Total requests to generate.
     pub requests: usize,
-    /// Seed for program constants and request selection.
-    pub seed: u64,
-}
-
-impl Default for WorkloadConfig {
-    fn default() -> WorkloadConfig {
-        WorkloadConfig {
-            programs: 24,
-            requests: 1_000,
-            seed: 0x5e71_ce00,
-        }
-    }
 }
 
 /// Renders program `i` of the pool: one of six shapes, with the
@@ -77,7 +68,7 @@ fn program(i: usize, rng: &mut Rng) -> String {
 
 /// The workload's program pool, in index order.
 pub fn programs(cfg: &WorkloadConfig) -> Vec<String> {
-    let mut rng = Rng::new(cfg.seed);
+    let mut rng = Rng::new(SEED);
     (0..cfg.programs.max(1))
         .map(|i| program(i, &mut rng))
         .collect()
@@ -87,7 +78,7 @@ pub fn programs(cfg: &WorkloadConfig) -> Vec<String> {
 /// bare [`Request::Compile`]) over a quadratically skewed program
 /// choice, so low-index programs repeat often and the tail is cold.
 pub fn requests(cfg: &WorkloadConfig, pool: &[String]) -> Vec<Request> {
-    let mut rng = Rng::new(cfg.seed ^ 0x9e37_79b9);
+    let mut rng = Rng::new(SEED ^ 0x9e37_79b9);
     let n = pool.len();
     (0..cfg.requests)
         .map(|_| {
@@ -111,7 +102,10 @@ mod tests {
 
     #[test]
     fn workload_is_deterministic() {
-        let cfg = WorkloadConfig::default();
+        let cfg = WorkloadConfig {
+            programs: 24,
+            requests: 1_000,
+        };
         let a = programs(&cfg);
         let b = programs(&cfg);
         assert_eq!(a, b);
@@ -122,7 +116,7 @@ mod tests {
     fn programs_are_distinct() {
         let cfg = WorkloadConfig {
             programs: 96,
-            ..WorkloadConfig::default()
+            requests: 0,
         };
         let pool = programs(&cfg);
         let unique: std::collections::HashSet<&String> = pool.iter().collect();
@@ -133,7 +127,7 @@ mod tests {
     fn every_program_compiles_and_runs() {
         let cfg = WorkloadConfig {
             programs: 12,
-            ..WorkloadConfig::default()
+            requests: 0,
         };
         let engine = lesgs_engine::Engine::new();
         for (i, src) in programs(&cfg).iter().enumerate() {
@@ -148,7 +142,6 @@ mod tests {
         let cfg = WorkloadConfig {
             programs: 24,
             requests: 2_000,
-            ..WorkloadConfig::default()
         };
         let pool = programs(&cfg);
         let reqs = requests(&cfg, &pool);
