@@ -300,13 +300,6 @@ impl Emitter<'_> {
                 });
                 self.patches.push((idx, PatchKind::OutSlot(*j)));
             }
-            Dest::Param(i) => {
-                self.emit(Instr::StackStore {
-                    slot: *i,
-                    src,
-                    class: SlotClass::OutArg,
-                });
-            }
             Dest::Temp(TempLoc::Reg(r)) => {
                 if *r != src {
                     self.emit(Instr::Mov { dst: *r, src });

@@ -81,9 +81,6 @@ pub enum Dest {
     /// The `i`-th outgoing stack argument (parameter `c + i` of the
     /// callee), living just above the current frame.
     Out(u32),
-    /// The `i`-th incoming parameter slot of the *current* frame
-    /// (tail-call argument placement).
-    Param(u32),
     /// A temporary.
     Temp(TempLoc),
 }
@@ -93,7 +90,6 @@ impl fmt::Display for Dest {
         match self {
             Dest::Reg(r) => write!(f, "{r}"),
             Dest::Out(i) => write!(f, "out[{i}]"),
-            Dest::Param(i) => write!(f, "fp[param {i}]"),
             Dest::Temp(t) => write!(f, "{t}"),
         }
     }

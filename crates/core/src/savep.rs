@@ -89,24 +89,6 @@ fn prim_never_false(p: Prim) -> bool {
     )
 }
 
-/// Incoming-parameter slots read by `e` (bit `i` = `Param(i)`).
-fn param_reads(e: &Expr, homes: &Homes) -> u64 {
-    let mut out = 0u64;
-    collect_param_reads(e, homes, &mut out);
-    out
-}
-
-fn collect_param_reads(e: &Expr, homes: &Homes, out: &mut u64) {
-    match e {
-        Expr::Var(v) => {
-            if let Home::Slot(crate::alloc::Slot::Param(i)) = homes.of(*v) {
-                *out |= 1 << i.min(63);
-            }
-        }
-        other => other.for_each_child(&mut |c| collect_param_reads(c, homes, out)),
-    }
-}
-
 impl Pass1<'_> {
     fn allocatable(&self) -> RegSet {
         self.cfg.machine.allocatable()
@@ -154,7 +136,6 @@ impl Pass1<'_> {
                 // evaluation exactly like reads: the argument must run
                 // before the register it scribbles on is assigned.
                 reads_regs: reg_reads(a, self.homes) | reg_writes(a, self.homes),
-                reads_params: param_reads(a, self.homes),
                 complex: a.contains_call(),
             })
             .collect();
@@ -164,7 +145,6 @@ impl Pass1<'_> {
                 arg: ArgRef::Closure,
                 target: Target::Reg(CP),
                 reads_regs: reg_reads(clo, self.homes) | reg_writes(clo, self.homes),
-                reads_params: param_reads(clo, self.homes),
                 complex: clo.contains_call(),
             });
         }

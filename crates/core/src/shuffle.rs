@@ -29,11 +29,10 @@ use crate::alloc::{ArgRef, Dest, ShufflePlan, Step, TempLoc};
 pub enum Target {
     /// An argument register (or `cp`).
     Reg(Reg),
-    /// Outgoing stack argument `i` (non-tail call, callee's param
-    /// `c + i`).
+    /// Outgoing stack argument `i` (callee's param `c + i`); tail
+    /// calls copy these down into their parameter slots after the
+    /// shuffle.
     Out(u32),
-    /// Incoming parameter slot `i` of the current frame (tail call).
-    Param(u32),
 }
 
 impl Target {
@@ -41,7 +40,6 @@ impl Target {
         match self {
             Target::Reg(r) => Dest::Reg(r),
             Target::Out(i) => Dest::Out(i),
-            Target::Param(i) => Dest::Param(i),
         }
     }
 }
@@ -56,10 +54,6 @@ pub struct NodeSpec {
     /// Argument registers (and `cp`) whose old values the expression
     /// reads.
     pub reads_regs: RegSet,
-    /// Incoming parameter slots the expression reads (bit `i` set =
-    /// reads `Param(i)`); relevant for tail calls, whose targets
-    /// overlap these slots.
-    pub reads_params: u64,
     /// True if the expression contains a non-tail call.
     pub complex: bool,
 }
@@ -87,28 +81,25 @@ fn node_target(problem: &Problem, g: &GraphNode) -> Target {
     }
 }
 
-fn node_reads(problem: &Problem, g: &GraphNode) -> (RegSet, u64) {
+fn node_reads(problem: &Problem, g: &GraphNode) -> RegSet {
     match g {
-        GraphNode::Eval(i) => {
-            let n = &problem.nodes[*i];
-            (n.reads_regs, n.reads_params)
-        }
+        GraphNode::Eval(i) => problem.nodes[*i].reads_regs,
         GraphNode::Move {
             from: TempLoc::Reg(r),
             ..
-        } => (RegSet::single(*r), 0),
+        } => RegSet::single(*r),
         GraphNode::Move {
             from: TempLoc::Frame(_),
             ..
-        } => (RegSet::EMPTY, 0),
+        } => RegSet::EMPTY,
     }
 }
 
-/// Does `reader` read `target`?
-fn reads_target(reads: (RegSet, u64), target: Target) -> bool {
+/// Does a reader of `reads` read `target`? Nothing reads an `Out`
+/// slot.
+fn reads_target(reads: RegSet, target: Target) -> bool {
     match target {
-        Target::Reg(r) => reads.0.contains(r),
-        Target::Param(i) => reads.1 & (1 << i.min(63)) != 0,
+        Target::Reg(r) => reads.contains(r),
         Target::Out(_) => false,
     }
 }
@@ -145,18 +136,15 @@ pub fn greedy(problem: &Problem) -> ShufflePlan {
         .filter(|&i| problem.nodes[i].complex)
         .collect();
     // Choose the directly-evaluated complex argument: one whose target
-    // no simple argument reads. Param targets are never direct (they
-    // overlap frame slots other arguments may read).
-    let direct =
-        complex.iter().copied().find(|&i| {
-            let t = problem.nodes[i].target;
-            if matches!(t, Target::Param(_)) {
-                return false;
-            }
-            problem.nodes.iter().enumerate().all(|(j, n)| {
-                j == i || n.complex || !reads_target((n.reads_regs, n.reads_params), t)
-            })
-        });
+    // no simple argument reads.
+    let direct = complex.iter().copied().find(|&i| {
+        let t = problem.nodes[i].target;
+        problem
+            .nodes
+            .iter()
+            .enumerate()
+            .all(|(j, n)| j == i || n.complex || !reads_target(n.reads_regs, t))
+    });
     for &i in &complex {
         if Some(i) == direct {
             continue;
@@ -293,10 +281,10 @@ pub fn fixed_order(problem: &Problem) -> ShufflePlan {
         // old value, or if it contains a call — a call clobbers every
         // register AND the outgoing-argument area (callee frames are
         // built on top of it).
-        let conflict = problem.nodes[i + 1..].iter().any(|later| {
-            reads_target((later.reads_regs, later.reads_params), n.target) || later.complex
-        });
-        if n.complex || conflict || matches!(n.target, Target::Param(_)) {
+        let conflict = problem.nodes[i + 1..]
+            .iter()
+            .any(|later| reads_target(later.reads_regs, n.target) || later.complex);
+        if n.complex || conflict {
             let t = TempLoc::Frame(frame_temps);
             frame_temps += 1;
             plan.steps.push(Step::Eval {
@@ -338,7 +326,7 @@ pub fn optimal_temp_count(problem: &Problem) -> usize {
     // assign(v); deleting (temping) vertices must leave a DAG.
     let edge = |u: usize, v: usize| {
         let (nu, nv) = (simples[u], simples[v]);
-        u != v && reads_target((nu.reads_regs, nu.reads_params), nv.target)
+        u != v && reads_target(nu.reads_regs, nv.target)
     };
     // Only an argument whose target another one reads can lie on a
     // cycle. The allocator targets registers and `Out` slots, and
@@ -440,7 +428,6 @@ mod tests {
             arg: ArgRef::Arg(i),
             target,
             reads_regs: reads.iter().copied().collect(),
-            reads_params: 0,
             complex,
         }
     }
@@ -462,7 +449,6 @@ mod tests {
         let old = regs.clone();
         let mut temps: HashMap<u32, String> = HashMap::new();
         let mut outs: HashMap<u32, String> = HashMap::new();
-        let mut params: HashMap<u32, String> = HashMap::new();
         let eval = |node: &NodeSpec, regs: &HashMap<Reg, String>| -> String {
             let mut parts: Vec<String> = node
                 .reads_regs
@@ -477,17 +463,13 @@ mod tests {
                      val: String,
                      regs: &mut HashMap<Reg, String>,
                      temps: &mut HashMap<u32, String>,
-                     outs: &mut HashMap<u32, String>,
-                     params: &mut HashMap<u32, String>| {
+                     outs: &mut HashMap<u32, String>| {
             match dst {
                 Dest::Reg(r) => {
                     regs.insert(*r, val);
                 }
                 Dest::Out(i) => {
                     outs.insert(*i, val);
-                }
-                Dest::Param(i) => {
-                    params.insert(*i, val);
                 }
                 Dest::Temp(TempLoc::Reg(r)) => {
                     regs.insert(*r, val);
@@ -503,14 +485,14 @@ mod tests {
                     let ArgRef::Arg(i) = arg else { panic!() };
                     let node = &problem.nodes[*i as usize];
                     let val = eval(node, &regs);
-                    write(dst, val, &mut regs, &mut temps, &mut outs, &mut params);
+                    write(dst, val, &mut regs, &mut temps, &mut outs);
                 }
                 Step::Move { from, dst } => {
                     let val = match from {
                         TempLoc::Reg(r) => regs[r].clone(),
                         TempLoc::Frame(i) => temps[i].clone(),
                     };
-                    write(dst, val, &mut regs, &mut temps, &mut outs, &mut params);
+                    write(dst, val, &mut regs, &mut temps, &mut outs);
                 }
             }
         }
@@ -530,7 +512,6 @@ mod tests {
             let got = match n.target {
                 Target::Reg(r) => regs.get(&r),
                 Target::Out(i) => outs.get(&i),
-                Target::Param(i) => params.get(&i),
             };
             assert_eq!(got, Some(&expect), "target {:?}", n.target);
         }
@@ -712,50 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn tail_call_param_targets_use_temps_when_read() {
-        // Tail call writing Param(0) while another arg reads Param(0).
-        let mut n0 = spec(0, Target::Param(0), &[], false);
-        n0.reads_params = 0; // writes param 0
-        let mut n1 = spec(1, Target::Param(1), &[], false);
-        n1.reads_params = 1; // reads param 0
-        let p = Problem {
-            nodes: vec![n0, n1],
-            temp_regs: RegSet::EMPTY,
-        };
-        let plan = greedy(&p);
-        check_plan(&p, &plan);
-        // n1 must be evaluated before n0's assignment.
-        let pos =
-            |pred: &dyn Fn(&Step) -> bool| plan.steps.iter().position(pred).expect("step present");
-        let n1_eval = pos(&|s| {
-            matches!(
-                s,
-                Step::Eval {
-                    arg: ArgRef::Arg(1),
-                    ..
-                }
-            )
-        });
-        let n0_assign = plan
-            .steps
-            .iter()
-            .position(|s| {
-                matches!(
-                    s,
-                    Step::Eval {
-                        arg: ArgRef::Arg(0),
-                        dst: Dest::Param(0)
-                    } | Step::Move {
-                        dst: Dest::Param(0),
-                        ..
-                    }
-                )
-            })
-            .unwrap();
-        assert!(n1_eval < n0_assign);
-    }
-
-    #[test]
     fn optimal_counts() {
         // Complete bidirectional triangle: every pair swaps → FVS = 2.
         let p = Problem {
@@ -828,7 +765,6 @@ mod properties {
                             .filter(|b| bits & (1 << b) != 0)
                             .map(arg_reg)
                             .collect(),
-                        reads_params: 0,
                         complex: false,
                     }
                 })
@@ -892,7 +828,7 @@ mod properties {
                     let t = p.nodes[order[k]].target;
                     order[k + 1..]
                         .iter()
-                        .any(|&j| reads_target((p.nodes[j].reads_regs, p.nodes[j].reads_params), t))
+                        .any(|&j| reads_target(p.nodes[j].reads_regs, t))
                 })
                 .count()
         }
@@ -930,7 +866,6 @@ mod properties {
                         .filter(|v| adj & (1 << (u * n + v)) != 0)
                         .map(arg_reg)
                         .collect(),
-                    reads_params: 0,
                     complex: false,
                 })
                 .collect(),

@@ -357,6 +357,40 @@ mod tests {
         ));
     }
 
+    /// A frame header whose incoming parameters do not fit in the
+    /// frame is rejected on load; run with poisoning, such a program
+    /// would slice the stack out of order.
+    #[test]
+    fn load_rejects_incoming_parameters_outside_the_frame() {
+        let engine = Engine::with_config(CompilerConfig {
+            poison: true,
+            ..CompilerConfig::default()
+        });
+        let program = engine
+            .compile("(define (f a b c d e f g h) (+ a h)) (+ 1 (f 1 2 3 4 5 6 7 8))")
+            .expect("program compiles");
+        let mut vm = program.vm().clone();
+        let f = vm
+            .funcs
+            .iter_mut()
+            .find(|f| f.name == "f")
+            .expect("f exists");
+        assert_eq!(f.n_incoming, 2, "two of f's parameters are stack-passed");
+        f.frame_size = 0;
+        let blob = serialize_program(&vm, program.alloc());
+        match engine.load_program(&blob) {
+            Err(EngineError::Load(BytecodeLoadError::VerifyFailed { errors })) => {
+                assert!(
+                    errors
+                        .iter()
+                        .any(|e| e.starts_with("bytecode error [slot-out-of-bounds] at f+0:")),
+                    "{errors:?}"
+                );
+            }
+            other => panic!("expected verify failure, got {other:?}"),
+        }
+    }
+
     #[test]
     fn content_key_separates_sources_and_configs() {
         let engine = Engine::new();

@@ -45,12 +45,33 @@
 //!   are restored to their entry values before control leaves the
 //!   function, branch targets are in range, and no path falls off the
 //!   end of the code.
+//! * A function's frame holds its incoming parameters
+//!   (`n_incoming <= frame_size`); a header that breaks this is
+//!   reported at pc 0 ([`BytecodeErrorKind::SlotOutOfBounds`]) and the
+//!   function is not analysed further.
 //!
-//! The analysis is a standard monotone worklist fixpoint; afterwards a
-//! single reporting pass over the reachable instructions collects
-//! errors against the final states.
+//! # The fixpoint
+//!
+//! The analysis is a worklist fixpoint over basic blocks. Leaders are
+//! pc 0, every branch target, and every pc after a jump, branch,
+//! return, tail call or halt, so every other instruction has exactly
+//! one predecessor. Abstract states are kept only at block entries, in
+//! one flat arena per function; each block runs on one scratch state.
+//! A slot state is a vector over the function's *slot table*, the
+//! distinct slots its stores name. A slot no instruction stores is
+//! either an incoming parameter, written on every path (a call keeps
+//! every slot below the frame size), or never written. So the arena
+//! holds one cell per block and stored slot: the verifier's memory is
+//! bounded by code size, never by slot operands.
+//!
+//! Restoring is not monotone: a slot that saved a clobbered register
+//! restores `Clobbered`, the same slot lost at a join restores a plain
+//! value. Each save-class load therefore keeps the meet of every value
+//! it has restored, which makes every block-interior state equal to
+//! the one a per-instruction fixpoint computes. A single reporting
+//! pass then walks each reachable block once, in pc order, from its
+//! final entry state and collects errors.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use lesgs_ir::machine::{CP, NUM_REGS, RET, RV};
@@ -107,35 +128,21 @@ impl SlotAbs {
     }
 }
 
-/// The abstract machine state at one program point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct State {
-    regs: [AbsVal; NUM_REGS],
-    /// Written frame slots (absent = possibly uninitialized).
-    slots: BTreeMap<u32, SlotAbs>,
-}
+/// What an incoming-parameter slot that no instruction stores holds
+/// on every path.
+const PARAM: SlotAbs = SlotAbs {
+    class: Some(SlotClass::Param),
+    saved: None,
+};
 
-impl State {
-    fn meet(a: &State, b: &State) -> State {
-        let mut regs = [AbsVal::Clobbered; NUM_REGS];
-        for (i, r) in regs.iter_mut().enumerate() {
-            *r = AbsVal::meet(a.regs[i], b.regs[i]);
-        }
-        let slots = a
-            .slots
-            .iter()
-            .filter_map(|(k, va)| b.slots.get(k).map(|vb| (*k, SlotAbs::meet(*va, *vb))))
-            .collect();
-        State { regs, slots }
-    }
+/// The register half of an abstract state.
+type Regs = [AbsVal; NUM_REGS];
 
-    fn get(&self, r: Reg) -> AbsVal {
-        self.regs[r.index()]
-    }
+/// One frame slot's abstract state (`None` = possibly unwritten).
+type Slot = Option<SlotAbs>;
 
-    fn set(&mut self, r: Reg, v: AbsVal) {
-        self.regs[r.index()] = v;
-    }
+fn meet_slot(a: Slot, b: Slot) -> Slot {
+    Some(SlotAbs::meet(a?, b?))
 }
 
 /// The category of a bytecode-verification failure.
@@ -222,40 +229,67 @@ impl fmt::Display for BytecodeError {
 
 impl std::error::Error for BytecodeError {}
 
+/// Scratch space for verifying one function, reused across the
+/// functions of a program: verification allocates only when one of
+/// these grows, never per instruction or per join.
+#[derive(Default)]
+struct Buffers {
+    /// The sorted, distinct slots the function's `StackStore`s name.
+    table: Vec<u32>,
+    /// The first pc of every basic block, in pc order, then the code
+    /// length.
+    starts: Vec<u32>,
+    /// Block entry states: `in_regs[b]` is `None` until block `b` is
+    /// reached; its slots are `in_slots[b * w..(b + 1) * w]`, where
+    /// `w` is the table length.
+    in_regs: Vec<Option<Regs>>,
+    in_slots: Vec<Slot>,
+    /// The slots of the state carried through a block.
+    slots: Vec<Slot>,
+    /// Per pc: the meet of every value the save-class load there has
+    /// restored.
+    restored: Vec<Option<AbsVal>>,
+    /// Blocks whose entry state changed, last in first out.
+    work: Vec<u32>,
+    /// `reach[pc]`: a non-tail call is reachable from `pc`.
+    reach: Vec<bool>,
+}
+
 struct Verifier<'a> {
     program: &'a VmProgram,
     func: &'a VmFunc,
-    errors: Vec<BytecodeError>,
+    buf: &'a mut Buffers,
+    errors: &'a mut Vec<BytecodeError>,
+    /// The registers of the state carried through a block.
+    regs: Regs,
+    /// The first table index at or above the frame size: a call
+    /// releases `table[outside..]` to the callee.
+    outside: usize,
 }
 
 /// Instruction successors within the function (targets validated
-/// separately).
-fn successors(instr: &Instr, pc: u32, len: u32) -> Vec<u32> {
-    match instr {
-        Instr::Jump { target } => vec![*target],
+/// separately), branch target first.
+fn successors(instr: &Instr, pc: u32, len: u32) -> impl Iterator<Item = u32> {
+    let (target, falls_through) = match instr {
+        Instr::Jump { target } => (Some(*target), false),
         Instr::BranchFalse { target, .. } | Instr::BranchTrue { target, .. } => {
-            let mut s = vec![*target];
-            if pc + 1 < len {
-                s.push(pc + 1);
-            }
-            s
+            (Some(*target), true)
         }
-        Instr::Return | Instr::TailCall { .. } | Instr::Halt => Vec::new(),
-        _ => {
-            if pc + 1 < len {
-                vec![pc + 1]
-            } else {
-                Vec::new()
-            }
-        }
-    }
+        Instr::Return | Instr::TailCall { .. } | Instr::Halt => (None, false),
+        _ => (None, true),
+    };
+    target
+        .into_iter()
+        .chain((falls_through && pc + 1 < len).then_some(pc + 1))
 }
 
-/// `reach[pc]` = a non-tail call is reachable from `pc` (inclusive).
-/// Saves that cannot reach a call protect nothing and are flagged dead.
-fn call_reachability(code: &[Instr]) -> Vec<bool> {
+/// Fills `reach` so that `reach[pc]` = a non-tail call is reachable
+/// from `pc` (inclusive). Saves that cannot reach a call protect
+/// nothing and are flagged dead.
+fn call_reachability(code: &[Instr], reach: &mut Vec<bool>) {
     let len = code.len() as u32;
-    let mut reach = vec![false; code.len()];
+    reach.clear();
+    reach.resize(code.len(), false);
     // Iterate to fixpoint; the graph is tiny and mostly forward, so a
     // couple of reverse sweeps converge.
     loop {
@@ -265,21 +299,19 @@ fn call_reachability(code: &[Instr]) -> Vec<bool> {
                 continue;
             }
             let here = matches!(code[pc], Instr::Call { .. })
-                || successors(&code[pc], pc as u32, len)
-                    .into_iter()
-                    .any(|s| reach[s as usize]);
+                || successors(&code[pc], pc as u32, len).any(|s| reach[s as usize]);
             if here {
                 reach[pc] = true;
                 changed = true;
             }
         }
         if !changed {
-            return reach;
+            return;
         }
     }
 }
 
-impl<'a> Verifier<'a> {
+impl Verifier<'_> {
     fn error(&mut self, pc: u32, kind: BytecodeErrorKind, message: String) {
         self.errors.push(BytecodeError {
             func: self.func.name.clone(),
@@ -289,59 +321,172 @@ impl<'a> Verifier<'a> {
         });
     }
 
-    /// The abstract state on entry: `ret` holds the caller's return
-    /// address, callee-save registers the caller's values, argument
-    /// registers and `cp` the incoming arguments/closure; scratches and
-    /// `rv` hold nothing the function may rely on.
-    fn entry_state(&self) -> State {
-        let mut st = State {
-            regs: [AbsVal::Clobbered; NUM_REGS],
-            slots: BTreeMap::new(),
-        };
-        for i in 0..NUM_REGS {
+    fn get(&self, r: Reg) -> AbsVal {
+        self.regs[r.index()]
+    }
+
+    fn set(&mut self, r: Reg, v: AbsVal) {
+        self.regs[r.index()] = v;
+    }
+
+    fn read(&mut self, pc: u32, r: Reg, report: bool) {
+        if report && self.get(r) == AbsVal::Clobbered {
+            self.error(
+                pc,
+                BytecodeErrorKind::StaleRegister,
+                format!("read of register {r} clobbered by an earlier call"),
+            );
+        }
+    }
+
+    /// Frame slot `slot` in the carried state.
+    fn slot(&self, slot: u32) -> Slot {
+        match self.buf.table.binary_search(&slot) {
+            Ok(i) => self.buf.slots[i],
+            Err(_) => (slot < self.func.n_incoming).then_some(PARAM),
+        }
+    }
+
+    /// Meets `v` into the values the save-class load at `pc` has
+    /// restored so far, and returns the meet.
+    fn restored(&mut self, pc: u32, v: AbsVal) -> AbsVal {
+        let seen = &mut self.buf.restored[pc as usize];
+        let v = seen.map_or(v, |old| AbsVal::meet(old, v));
+        *seen = Some(v);
+        v
+    }
+
+    /// Splits the code into basic blocks, collects the slot table, and
+    /// sizes the buffers for this function.
+    fn prepare(&mut self) {
+        let func = self.func;
+        let len = func.code.len() as u32;
+        let buf = &mut *self.buf;
+        buf.starts.clear();
+        buf.starts.push(0);
+        buf.table.clear();
+        for (pc, instr) in func.code.iter().enumerate() {
+            let next = pc as u32 + 1;
+            match instr {
+                Instr::Jump { target }
+                | Instr::BranchFalse { target, .. }
+                | Instr::BranchTrue { target, .. } => buf.starts.extend([*target, next]),
+                Instr::Return | Instr::TailCall { .. } | Instr::Halt => buf.starts.push(next),
+                Instr::StackStore { slot, .. } => buf.table.push(*slot),
+                _ => {}
+            }
+        }
+        buf.starts.push(len);
+        buf.starts.sort_unstable();
+        buf.starts.dedup();
+        buf.table.sort_unstable();
+        buf.table.dedup();
+        let blocks = buf.starts.len() - 1;
+        let width = buf.table.len();
+        buf.in_regs.clear();
+        buf.in_regs.resize(blocks, None);
+        buf.in_slots.clear();
+        buf.in_slots.resize(blocks * width, None);
+        buf.slots.clear();
+        buf.slots.resize(width, None);
+        buf.restored.clear();
+        buf.restored.resize(func.code.len(), None);
+        buf.work.clear();
+        self.outside = buf.table.partition_point(|&s| s < func.frame_size);
+    }
+
+    /// The abstract state on entry, stored as block 0's: `ret` holds
+    /// the caller's return address, callee-save registers the caller's
+    /// values, argument registers and `cp` the incoming
+    /// arguments/closure; scratches and `rv` hold nothing the function
+    /// may rely on.
+    fn enter(&mut self) {
+        let mut regs = [AbsVal::Clobbered; NUM_REGS];
+        for (i, v) in regs.iter_mut().enumerate() {
             let r = Reg(i as u8);
             if r == RET {
-                st.set(r, AbsVal::RetAddr);
+                *v = AbsVal::RetAddr;
             } else if r.is_callee_save() {
-                st.set(r, AbsVal::Entry);
+                *v = AbsVal::Entry;
             } else if r == CP || r.is_arg() {
-                st.set(r, AbsVal::Val);
+                *v = AbsVal::Val;
             }
         }
         // The bootstrap entry function is jumped to, not called: it has
         // no return address and must halt rather than return.
         if self.func.id == self.program.entry {
-            st.set(RET, AbsVal::Clobbered);
+            regs[RET.index()] = AbsVal::Clobbered;
         }
-        for slot in 0..self.func.n_incoming {
-            st.slots.insert(
-                slot,
-                SlotAbs {
-                    class: Some(SlotClass::Param),
-                    saved: None,
-                },
-            );
+        let buf = &mut *self.buf;
+        buf.in_regs[0] = Some(regs);
+        let n_incoming = self.func.n_incoming;
+        for (s, &slot) in buf.in_slots.iter_mut().zip(&buf.table) {
+            *s = (slot < n_incoming).then_some(PARAM);
         }
-        st
     }
 
-    /// Applies `instr` to `st`, reporting violations when `report` is
-    /// set (the reporting pass); returns false if the instruction
-    /// terminates the path.
-    #[allow(clippy::too_many_lines)] // one arm per opcode, intentionally flat
-    fn transfer(&mut self, pc: u32, instr: &Instr, st: &mut State, report: bool) {
-        let frame_size = self.func.frame_size;
-        let read = |v: &mut Verifier<'a>, st: &State, r: Reg| {
-            if report && st.get(r) == AbsVal::Clobbered {
-                v.error(
-                    pc,
-                    BytecodeErrorKind::StaleRegister,
-                    format!("read of register {r} clobbered by an earlier call"),
-                );
+    /// The block starting at `pc`.
+    fn block_at(&self, pc: u32) -> usize {
+        self.buf
+            .starts
+            .binary_search(&pc)
+            .expect("branch targets and fall-throughs start blocks")
+    }
+
+    /// Meets the carried state into block `b`'s entry state; true if
+    /// that changed it.
+    fn merge_into(&mut self, b: usize) -> bool {
+        let buf = &mut *self.buf;
+        let width = buf.table.len();
+        let slots = &mut buf.in_slots[b * width..(b + 1) * width];
+        match &mut buf.in_regs[b] {
+            entry @ None => {
+                *entry = Some(self.regs);
+                slots.copy_from_slice(&buf.slots);
+                true
             }
-        };
+            Some(regs) => {
+                let mut changed = false;
+                for (old, new) in regs.iter_mut().zip(self.regs) {
+                    let m = AbsVal::meet(*old, new);
+                    changed |= m != *old;
+                    *old = m;
+                }
+                for (old, new) in slots.iter_mut().zip(&buf.slots) {
+                    let m = meet_slot(*old, *new);
+                    changed |= m != *old;
+                    *old = m;
+                }
+                changed
+            }
+        }
+    }
+
+    /// Carries block `b`'s entry state through its instructions,
+    /// reporting violations when `report` is set (the reporting pass).
+    fn run_block(&mut self, b: usize, report: bool) {
+        let buf = &mut *self.buf;
+        let width = buf.table.len();
+        self.regs = buf.in_regs[b].expect("only reached blocks run");
+        buf.slots
+            .copy_from_slice(&buf.in_slots[b * width..(b + 1) * width]);
+        let code = &self.func.code;
+        for pc in self.buf.starts[b]..self.buf.starts[b + 1] {
+            let instr = &code[pc as usize];
+            self.transfer(pc, instr, report);
+            if report {
+                self.check_exit(pc, instr);
+            }
+        }
+    }
+
+    /// Applies `instr` to the carried state, reporting violations when
+    /// `report` is set.
+    #[allow(clippy::too_many_lines)] // one arm per opcode, intentionally flat
+    fn transfer(&mut self, pc: u32, instr: &Instr, report: bool) {
+        let frame_size = self.func.frame_size;
         match instr {
-            Instr::LoadImm { dst, .. } => st.set(*dst, AbsVal::Val),
+            Instr::LoadImm { dst, .. } => self.set(*dst, AbsVal::Val),
             Instr::LoadConst { dst, idx } => {
                 if report && *idx as usize >= self.program.constants.len() {
                     self.error(
@@ -350,87 +495,81 @@ impl<'a> Verifier<'a> {
                         format!("constant index {idx} out of range"),
                     );
                 }
-                st.set(*dst, AbsVal::Val);
+                self.set(*dst, AbsVal::Val);
             }
             Instr::Mov { dst, src } => {
-                read(self, st, *src);
-                let v = st.get(*src);
-                st.set(*dst, v);
+                self.read(pc, *src, report);
+                let v = self.get(*src);
+                self.set(*dst, v);
             }
             Instr::StackLoad { dst, slot, class } => {
                 self.check_slot_bounds(pc, *slot, *class, false, report);
-                match st.slots.get(slot).copied() {
-                    None => {
-                        if report {
-                            self.error(
-                                pc,
-                                BytecodeErrorKind::UninitRead,
-                                format!(
-                                    "load of slot {slot} ({class}) not written on \
-                                     every path"
-                                ),
-                            );
-                        }
-                        st.set(*dst, AbsVal::Val);
-                    }
-                    Some(abs) => {
-                        if *class == SlotClass::Save {
-                            match abs.saved {
-                                Some((r, v)) if r == *dst => st.set(*dst, v),
-                                Some((r, _)) => {
-                                    if report {
-                                        self.error(
-                                            pc,
-                                            BytecodeErrorKind::RestoreMismatch,
-                                            format!(
-                                                "restore of {dst} from slot {slot} \
-                                                 which saved {r}"
-                                            ),
-                                        );
-                                    }
-                                    st.set(*dst, AbsVal::Val);
-                                }
-                                None => {
-                                    if report {
-                                        self.error(
-                                            pc,
-                                            BytecodeErrorKind::RestoreUnsaved,
-                                            format!(
-                                                "restore from slot {slot} not \
-                                                 save-stored on every path"
-                                            ),
-                                        );
-                                    }
-                                    st.set(*dst, AbsVal::Val);
-                                }
-                            }
-                        } else {
-                            st.set(*dst, AbsVal::Val);
-                        }
-                    }
+                let abs = self.slot(*slot);
+                if abs.is_none() && report {
+                    self.error(
+                        pc,
+                        BytecodeErrorKind::UninitRead,
+                        format!("load of slot {slot} ({class}) not written on every path"),
+                    );
                 }
+                let v = match (abs, class) {
+                    (Some(abs), SlotClass::Save) => match abs.saved {
+                        Some((r, v)) if r == *dst => v,
+                        Some((r, _)) => {
+                            if report {
+                                self.error(
+                                    pc,
+                                    BytecodeErrorKind::RestoreMismatch,
+                                    format!("restore of {dst} from slot {slot} which saved {r}"),
+                                );
+                            }
+                            AbsVal::Val
+                        }
+                        None => {
+                            if report {
+                                self.error(
+                                    pc,
+                                    BytecodeErrorKind::RestoreUnsaved,
+                                    format!(
+                                        "restore from slot {slot} not save-stored on every path"
+                                    ),
+                                );
+                            }
+                            AbsVal::Val
+                        }
+                    },
+                    _ => AbsVal::Val,
+                };
+                let v = if *class == SlotClass::Save {
+                    self.restored(pc, v)
+                } else {
+                    v
+                };
+                self.set(*dst, v);
             }
             Instr::StackStore { slot, src, class } => {
-                read(self, st, *src);
+                self.read(pc, *src, report);
                 self.check_slot_bounds(pc, *slot, *class, true, report);
-                let saved = (*class == SlotClass::Save).then(|| (*src, st.get(*src)));
-                st.slots.insert(
-                    *slot,
-                    SlotAbs {
-                        class: Some(*class),
-                        saved,
-                    },
-                );
+                let saved = (*class == SlotClass::Save).then(|| (*src, self.get(*src)));
+                let i = self
+                    .buf
+                    .table
+                    .binary_search(slot)
+                    .expect("the slot table holds every stored slot");
+                self.buf.slots[i] = Some(SlotAbs {
+                    class: Some(*class),
+                    saved,
+                });
             }
             Instr::Prim { dst, args, .. } => {
                 for a in args {
-                    read(self, st, *a);
+                    self.read(pc, *a, report);
                 }
-                st.set(*dst, AbsVal::Val);
+                self.set(*dst, AbsVal::Val);
             }
             Instr::Jump { .. } => {}
             Instr::BranchFalse { src, .. } | Instr::BranchTrue { src, .. } => {
-                read(self, st, *src);
+                self.read(pc, *src, report);
             }
             Instr::Call {
                 target,
@@ -447,37 +586,38 @@ impl<'a> Verifier<'a> {
                             ),
                         );
                     }
-                    self.check_call_target(pc, st, target, *frame_advance);
+                    self.check_call_target(pc, target, *frame_advance);
                 }
                 if let CallTarget::ClosureCp = target {
-                    read(self, st, CP);
+                    self.read(pc, CP, report);
                 }
                 // The callee owns the outgoing-argument region and every
                 // caller-save register from here on.
-                st.slots.retain(|slot, _| *slot < frame_size);
-                for i in 0..NUM_REGS {
-                    let r = Reg(i as u8);
-                    if !r.is_callee_save() {
-                        st.set(r, AbsVal::Clobbered);
+                let outside = self.outside;
+                self.buf.slots[outside..].fill(None);
+                for (i, v) in self.regs.iter_mut().enumerate() {
+                    if !Reg(i as u8).is_callee_save() {
+                        *v = AbsVal::Clobbered;
                     }
                 }
-                st.set(RV, AbsVal::Val);
+                self.set(RV, AbsVal::Val);
             }
             Instr::TailCall { target } => {
                 if let CallTarget::ClosureCp = target {
-                    read(self, st, CP);
+                    self.read(pc, CP, report);
                 }
                 if report {
-                    if st.get(RET) != AbsVal::RetAddr {
+                    if self.get(RET) != AbsVal::RetAddr {
                         self.error(
                             pc,
                             BytecodeErrorKind::BadReturnAddress,
                             "tail call without a return address in ret".to_owned(),
                         );
                     }
-                    self.check_callee_saves(pc, st, "tail call");
+                    self.check_callee_saves(pc, "tail call");
                     if let CallTarget::Func(f) = target {
-                        match self.program.funcs.get(f.index()) {
+                        let program = self.program;
+                        match program.funcs.get(f.index()) {
                             None => self.error(
                                 pc,
                                 BytecodeErrorKind::BadIndex,
@@ -488,7 +628,7 @@ impl<'a> Verifier<'a> {
                                 // parameters live at slots 0.. and must be
                                 // written (or inherited) on every path.
                                 for slot in 0..callee.n_incoming {
-                                    if !st.slots.contains_key(&slot) {
+                                    if self.slot(slot).is_none() {
                                         self.error(
                                             pc,
                                             BytecodeErrorKind::MissingArg,
@@ -507,14 +647,14 @@ impl<'a> Verifier<'a> {
             }
             Instr::Return => {
                 if report {
-                    if st.get(RET) != AbsVal::RetAddr {
+                    if self.get(RET) != AbsVal::RetAddr {
                         self.error(
                             pc,
                             BytecodeErrorKind::BadReturnAddress,
                             "return without a return address in ret".to_owned(),
                         );
                     }
-                    self.check_callee_saves(pc, st, "return");
+                    self.check_callee_saves(pc, "return");
                 }
             }
             Instr::AllocClosure { dst, func, .. } => {
@@ -525,15 +665,15 @@ impl<'a> Verifier<'a> {
                         format!("closure over unknown function {func}"),
                     );
                 }
-                st.set(*dst, AbsVal::Val);
+                self.set(*dst, AbsVal::Val);
             }
             Instr::ClosureSlotSet { clo, src, .. } => {
-                read(self, st, *clo);
-                read(self, st, *src);
+                self.read(pc, *clo, report);
+                self.read(pc, *src, report);
             }
             Instr::LoadFree { dst, .. } => {
-                read(self, st, CP);
-                st.set(*dst, AbsVal::Val);
+                self.read(pc, CP, report);
+                self.set(*dst, AbsVal::Val);
             }
             Instr::LoadGlobal { dst, index } => {
                 if report && *index >= self.program.n_globals {
@@ -543,10 +683,10 @@ impl<'a> Verifier<'a> {
                         format!("global index {index} out of range"),
                     );
                 }
-                st.set(*dst, AbsVal::Val);
+                self.set(*dst, AbsVal::Val);
             }
             Instr::StoreGlobal { index, src } => {
-                read(self, st, *src);
+                self.read(pc, *src, report);
                 if report && *index >= self.program.n_globals {
                     self.error(
                         pc,
@@ -561,9 +701,10 @@ impl<'a> Verifier<'a> {
 
     /// Direct calls must have written the callee's stack parameters in
     /// the outgoing region on every path.
-    fn check_call_target(&mut self, pc: u32, st: &State, target: &CallTarget, frame_advance: u32) {
+    fn check_call_target(&mut self, pc: u32, target: &CallTarget, frame_advance: u32) {
         let CallTarget::Func(f) = target else { return };
-        match self.program.funcs.get(f.index()) {
+        let program = self.program;
+        match program.funcs.get(f.index()) {
             None => self.error(
                 pc,
                 BytecodeErrorKind::BadIndex,
@@ -571,10 +712,11 @@ impl<'a> Verifier<'a> {
             ),
             Some(callee) => {
                 for j in 0..callee.n_incoming {
-                    let slot = frame_advance + j;
-                    let written = st
-                        .slots
-                        .get(&slot)
+                    // No store names a slot past `u32::MAX`.
+                    let slot = u64::from(frame_advance) + u64::from(j);
+                    let written = u32::try_from(slot)
+                        .ok()
+                        .and_then(|s| self.slot(s))
                         .is_some_and(|s| s.class == Some(SlotClass::OutArg) || s.class.is_none());
                     if !written {
                         self.error(
@@ -594,10 +736,10 @@ impl<'a> Verifier<'a> {
 
     /// Callee-save registers must hold their entry values whenever
     /// control leaves the function.
-    fn check_callee_saves(&mut self, pc: u32, st: &State, what: &str) {
+    fn check_callee_saves(&mut self, pc: u32, what: &str) {
         for i in 0..NUM_REGS {
             let r = Reg(i as u8);
-            if r.is_callee_save() && st.get(r) != AbsVal::Entry {
+            if r.is_callee_save() && self.get(r) != AbsVal::Entry {
                 self.error(
                     pc,
                     BytecodeErrorKind::CalleeSaveNotRestored,
@@ -644,9 +786,59 @@ impl<'a> Verifier<'a> {
         }
     }
 
+    /// Reporting-pass checks on how control leaves `pc`: falling off
+    /// the end, and saves from which no call is reachable.
+    fn check_exit(&mut self, pc: u32, instr: &Instr) {
+        let len = self.func.code.len() as u32;
+        // A reachable non-terminator at the end of the code lets
+        // control fall off the function.
+        let terminates = matches!(
+            instr,
+            Instr::Jump { .. } | Instr::Return | Instr::TailCall { .. } | Instr::Halt
+        );
+        if pc + 1 == len && !terminates {
+            self.error(
+                pc,
+                BytecodeErrorKind::FallsOffEnd,
+                "control falls off the end of the function".to_owned(),
+            );
+        }
+        // Dead-save analysis: a caller-save save that cannot reach a
+        // call protects nothing.
+        if let Instr::StackStore {
+            src,
+            slot,
+            class: SlotClass::Save,
+        } = instr
+        {
+            let protects = pc + 1 < len && self.buf.reach[pc as usize + 1];
+            if !src.is_callee_save() && !protects {
+                self.error(
+                    pc,
+                    BytecodeErrorKind::DeadSave,
+                    format!("save of {src} to slot {slot} with no call reachable"),
+                );
+            }
+        }
+    }
+
     fn verify(&mut self) {
-        let code = &self.func.code;
+        let func = self.func;
+        let code = func.code.as_slice();
         let len = code.len() as u32;
+        let first_error = self.errors.len();
+        // Calls keep only the slots below the frame size, so parameters
+        // outside the frame would be lost at the first call.
+        if func.n_incoming > func.frame_size {
+            self.error(
+                0,
+                BytecodeErrorKind::SlotOutOfBounds,
+                format!(
+                    "frame header names {} incoming parameter slots, frame size is {}",
+                    func.n_incoming, func.frame_size
+                ),
+            );
+        }
         if code.is_empty() {
             self.error(
                 0,
@@ -672,68 +864,31 @@ impl<'a> Verifier<'a> {
                 }
             }
         }
-        if !self.errors.is_empty() {
+        if self.errors.len() > first_error {
             return;
         }
 
-        // Monotone worklist fixpoint over the in-states.
-        let mut states: Vec<Option<State>> = vec![None; code.len()];
-        states[0] = Some(self.entry_state());
-        let mut work = vec![0u32];
-        while let Some(pc) = work.pop() {
-            let mut st = states[pc as usize].clone().expect("queued with a state");
-            let instr = &code[pc as usize];
-            self.transfer(pc, instr, &mut st, false);
-            for succ in successors(instr, pc, len) {
-                let slot = &mut states[succ as usize];
-                let merged = match slot {
-                    None => st.clone(),
-                    Some(old) => State::meet(old, &st),
-                };
-                if slot.as_ref() != Some(&merged) {
-                    *slot = Some(merged);
-                    work.push(succ);
+        // Worklist fixpoint over the block entry states.
+        self.prepare();
+        self.enter();
+        self.buf.work.push(0);
+        while let Some(b) = self.buf.work.pop() {
+            let b = b as usize;
+            self.run_block(b, false);
+            let end = self.buf.starts[b + 1] - 1;
+            for succ in successors(&code[end as usize], end, len) {
+                let s = self.block_at(succ);
+                if self.merge_into(s) {
+                    self.buf.work.push(s as u32);
                 }
             }
         }
 
         // Reporting pass against the fixpoint states.
-        let reach = call_reachability(code);
-        for pc in 0..code.len() {
-            let Some(mut st) = states[pc].clone() else {
-                continue;
-            };
-            let instr = &code[pc];
-            self.transfer(pc as u32, instr, &mut st, true);
-            // A reachable non-terminator at the end of the code lets
-            // control fall off the function.
-            let terminates = matches!(
-                instr,
-                Instr::Jump { .. } | Instr::Return | Instr::TailCall { .. } | Instr::Halt
-            );
-            if pc + 1 == code.len() && !terminates {
-                self.error(
-                    pc as u32,
-                    BytecodeErrorKind::FallsOffEnd,
-                    "control falls off the end of the function".to_owned(),
-                );
-            }
-            // Dead-save analysis: a caller-save save that cannot reach
-            // a call protects nothing.
-            if let Instr::StackStore {
-                src,
-                slot,
-                class: SlotClass::Save,
-            } = instr
-            {
-                let protects = pc + 1 < code.len() && reach[pc + 1];
-                if !src.is_callee_save() && !protects {
-                    self.error(
-                        pc as u32,
-                        BytecodeErrorKind::DeadSave,
-                        format!("save of {src} to slot {slot} with no call reachable"),
-                    );
-                }
+        call_reachability(code, &mut self.buf.reach);
+        for b in 0..self.buf.in_regs.len() {
+            if self.buf.in_regs[b].is_some() {
+                self.run_block(b, true);
             }
         }
     }
@@ -743,6 +898,7 @@ impl<'a> Verifier<'a> {
 /// found (empty = verified).
 pub fn verify_bytecode(program: &VmProgram) -> Vec<BytecodeError> {
     let mut errors = Vec::new();
+    let mut buf = Buffers::default();
     for (i, func) in program.funcs.iter().enumerate() {
         if func.id.index() != i {
             errors.push(BytecodeError {
@@ -752,13 +908,15 @@ pub fn verify_bytecode(program: &VmProgram) -> Vec<BytecodeError> {
                 message: format!("function id {} does not match table position {i}", func.id),
             });
         }
-        let mut v = Verifier {
+        Verifier {
             program,
             func,
-            errors: Vec::new(),
-        };
-        v.verify();
-        errors.extend(v.errors);
+            buf: &mut buf,
+            errors: &mut errors,
+            regs: [AbsVal::Clobbered; NUM_REGS],
+            outside: 0,
+        }
+        .verify();
     }
     if program.funcs.get(program.entry.index()).is_none() {
         errors.push(BytecodeError {
@@ -769,4 +927,97 @@ pub fn verify_bytecode(program: &VmProgram) -> Vec<BytecodeError> {
         });
     }
     errors
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::instr::Imm;
+    use lesgs_frontend::FuncId;
+    use lesgs_ir::machine::scratch_reg;
+
+    fn func(id: u32, name: &str, code: Vec<Instr>, frame_size: u32) -> VmFunc {
+        VmFunc {
+            id: FuncId(id),
+            name: name.to_owned(),
+            code,
+            frame_size,
+            n_incoming: 0,
+            syntactic_leaf: false,
+            call_inevitable: false,
+        }
+    }
+
+    /// `g` saves a register clobbered by its call, then loops over a
+    /// restore of it: the first pass restores `Clobbered`, the back
+    /// edge overwrites the slot with a spill, so the fixpoint state at
+    /// the restore no longer says what it saved. The `mov` after the
+    /// restore must still see `Clobbered`, the meet of everything the
+    /// restore produced, exactly as a per-instruction fixpoint does.
+    #[test]
+    fn a_restore_keeps_the_meet_of_every_value_it_restored() {
+        let (s0, s1, s2) = (scratch_reg(0), scratch_reg(1), scratch_reg(2));
+        let save = |slot, src| Instr::StackStore {
+            slot,
+            src,
+            class: SlotClass::Save,
+        };
+        let restore = |dst, slot| Instr::StackLoad {
+            dst,
+            slot,
+            class: SlotClass::Save,
+        };
+        let call_g = |frame_advance| Instr::Call {
+            target: CallTarget::Func(FuncId(1)),
+            frame_advance,
+        };
+        let g = vec![
+            save(0, RET),
+            call_g(2),
+            save(1, s0),
+            Instr::LoadImm {
+                dst: s1,
+                imm: Imm::Fixnum(0),
+            },
+            restore(s0, 1),
+            Instr::Mov { dst: s2, src: s0 },
+            Instr::StackStore {
+                slot: 1,
+                src: s1,
+                class: SlotClass::Spill,
+            },
+            Instr::BranchTrue {
+                src: s1,
+                target: 4,
+                likely: None,
+            },
+            restore(RET, 0),
+            Instr::Return,
+        ];
+        let program = VmProgram {
+            funcs: vec![
+                func(0, "main", vec![call_g(0), Instr::Halt], 0),
+                func(1, "g", g, 2),
+            ],
+            entry: FuncId(0),
+            constants: Vec::new(),
+            n_globals: 0,
+        };
+        let verdict: Vec<String> = verify_bytecode(&program)
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(
+            verdict,
+            [
+                "bytecode error [stale-register] at g+2: read of register s0 clobbered by an \
+                 earlier call",
+                "bytecode error [dead-save] at g+2: save of s0 to slot 1 with no call reachable",
+                "bytecode error [restore-unsaved] at g+4: restore from slot 1 not save-stored \
+                 on every path",
+                "bytecode error [stale-register] at g+5: read of register s0 clobbered by an \
+                 earlier call",
+            ]
+        );
+    }
 }

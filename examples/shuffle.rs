@@ -14,7 +14,6 @@ fn spec(i: u16, target: usize, reads: &[usize]) -> NodeSpec {
         arg: ArgRef::Arg(i),
         target: Target::Reg(arg_reg(target)),
         reads_regs: reads.iter().map(|&r| arg_reg(r)).collect(),
-        reads_params: 0,
         complex: false,
     }
 }
