@@ -714,9 +714,8 @@ fn compile_func(func: &AllocatedFunc, constants: &mut Vec<Const>) -> VmFunc {
 /// use lesgs_codegen::compile_program;
 /// use lesgs_core::{allocate_program, AllocConfig};
 /// use lesgs_frontend::pipeline;
-/// use lesgs_ir::lower_program;
 ///
-/// let ir = lower_program(&pipeline::front_to_closed("(+ 40 2)").unwrap());
+/// let ir = pipeline::front_to_closed("(+ 40 2)").unwrap();
 /// let allocated = allocate_program(&ir, &AllocConfig::paper_default());
 /// let vm = compile_program(&allocated);
 /// assert!(vm.code_size() > 0);
@@ -790,11 +789,10 @@ mod tests {
     use super::*;
     use lesgs_core::{allocate_program, AllocConfig};
     use lesgs_frontend::pipeline;
-    use lesgs_ir::lower_program;
     use lesgs_vm::{CostModel, Machine};
 
     fn run(src: &str, cfg: &AllocConfig) -> lesgs_vm::VmOutcome {
-        let ir = lower_program(&pipeline::front_to_closed(src).unwrap());
+        let ir = pipeline::front_to_closed(src).unwrap();
         let allocated = allocate_program(&ir, cfg);
         let vm = compile_program(&allocated);
         Machine::new(&vm, CostModel::alpha_like())

@@ -20,7 +20,7 @@
 
 use lesgs_core::{driver::allocate_program_observed, AllocConfig, AllocatedProgram};
 use lesgs_frontend::pipeline;
-use lesgs_ir::{lower_program, Program};
+use lesgs_ir::Program;
 use lesgs_metrics::{ratio, Registry};
 use lesgs_vm::{CostModel, DecodedProgram, Machine, VmOutcome, VmProgram};
 
@@ -112,8 +112,8 @@ impl Compiled {
 }
 
 /// Runs the compilation prefix shared by every allocator
-/// configuration — reader, frontend passes, closure conversion,
-/// lowering, and IR folding — with full observability: the
+/// configuration — reader, frontend passes, closure conversion, and
+/// IR folding — with full observability: the
 /// `frontend.*` and `ir.*` instruments plus the `phase.frontend` span.
 /// None of those passes look at the allocator, so drivers that sweep a
 /// program across a configuration matrix (the differential oracle, the
@@ -141,10 +141,9 @@ pub fn compile_front_observed(
         .then(|| lesgs_frontend::lift::LiftOptions {
             max_params: config.alloc.machine.num_arg_regs.max(1),
         });
-    let closed = pipeline::front_to_closed_observed(src, lift, reg).map_err(|e| CompileError {
+    let mut ir = pipeline::front_to_closed_observed(src, lift, reg).map_err(|e| CompileError {
         message: e.to_string(),
     })?;
-    let mut ir = reg.time("pass.lower", || lower_program(&closed));
     reg.inc(
         "ir.nodes",
         ir.funcs.iter().map(|f| f.body.size()).sum::<usize>() as u64,

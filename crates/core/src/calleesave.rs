@@ -16,9 +16,8 @@
 //! against), and `let`-bound locals keep the normal caller-save
 //! treatment so the region placement stays sound.
 
-use lesgs_ir::expr::{Expr, Func};
 use lesgs_ir::machine::{arg_reg, callee_reg, RET};
-use lesgs_ir::RegSet;
+use lesgs_ir::{Expr, Func, RegSet};
 
 use crate::alloc::{AExpr, AllocatedFunc, Home};
 use crate::config::{AllocConfig, Discipline, RestoreStrategy, SaveStrategy};
@@ -276,7 +275,6 @@ pub fn allocate_func(func: &Func, cfg: &AllocConfig) -> AllocatedFunc {
 mod tests {
     use super::*;
     use lesgs_frontend::pipeline;
-    use lesgs_ir::lower_program;
 
     const TAK: &str = "(define (tak x y z)
            (if (not (< y x))
@@ -292,7 +290,7 @@ mod tests {
             save,
             ..AllocConfig::paper_default()
         };
-        let p = lower_program(&pipeline::front_to_closed(src).unwrap());
+        let p = pipeline::front_to_closed(src).unwrap();
         let f = p.funcs.iter().find(|f| f.name == name).unwrap();
         allocate_func(f, &cfg)
     }

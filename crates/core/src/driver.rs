@@ -64,10 +64,9 @@ pub fn allocate_func_observed(
 /// ```
 /// use lesgs_core::{allocate_program, AllocConfig};
 /// use lesgs_frontend::pipeline;
-/// use lesgs_ir::lower_program;
 ///
-/// let ir = lower_program(&pipeline::front_to_closed(
-///     "(define (f x) (+ x 1)) (f 41)").unwrap());
+/// let ir = pipeline::front_to_closed(
+///     "(define (f x) (+ x 1)) (f 41)").unwrap();
 /// let allocated = allocate_program(&ir, &AllocConfig::paper_default());
 /// assert_eq!(allocated.funcs.len(), ir.funcs.len());
 /// ```
@@ -102,13 +101,9 @@ mod tests {
     use super::*;
     use crate::config::SaveStrategy;
     use lesgs_frontend::pipeline;
-    use lesgs_ir::lower_program;
 
     fn allocate(src: &str, cfg: &AllocConfig) -> AllocatedProgram {
-        allocate_program(
-            &lower_program(&pipeline::front_to_closed(src).unwrap()),
-            cfg,
-        )
+        allocate_program(&pipeline::front_to_closed(src).unwrap(), cfg)
     }
 
     const FACT: &str = "(define (fact n) (if (zero? n) 1 (* n (fact (- n 1))))) (fact 5)";

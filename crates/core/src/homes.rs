@@ -11,9 +11,8 @@
 //! callee-save registers instead; the save machinery inserts the
 //! parameter moves.
 
-use lesgs_ir::expr::{Expr, Func};
 use lesgs_ir::machine::{arg_reg, callee_reg, NUM_CALLEE_SAVE};
-use lesgs_ir::{MachineConfig, RegSet};
+use lesgs_ir::{Expr, Func, MachineConfig, RegSet};
 
 use crate::alloc::{Home, Slot};
 use crate::config::Discipline;
@@ -195,12 +194,11 @@ fn collect_writes(e: &Expr, homes: &Homes, out: &mut RegSet) {
 mod tests {
     use super::*;
     use lesgs_frontend::pipeline;
-    use lesgs_ir::lower_program;
     use lesgs_ir::machine::CP;
     use lesgs_ir::LocalId;
 
     fn homes_for(src: &str, name: &str, c: usize) -> (Homes, lesgs_ir::Program) {
-        let p = lower_program(&pipeline::front_to_closed(src).unwrap());
+        let p = pipeline::front_to_closed(src).unwrap();
         let f = p.funcs.iter().find(|f| f.name == name).unwrap();
         let machine = MachineConfig::with_arg_regs(c);
         (assign(f, &machine, Discipline::CallerSave), p.clone())
@@ -279,7 +277,7 @@ mod tests {
     #[test]
     fn reads_collects_homes_and_cp() {
         let src = "(define (f a) (lambda (x) (+ x a))) ((f 1) 2)";
-        let p = lower_program(&pipeline::front_to_closed(src).unwrap());
+        let p = pipeline::front_to_closed(src).unwrap();
         let lam = p
             .funcs
             .iter()
@@ -295,7 +293,7 @@ mod tests {
     #[test]
     fn callee_save_discipline_uses_k_registers() {
         let src = "(define (f a) (+ (f (- a 1)) 1)) (f 1)";
-        let p = lower_program(&pipeline::front_to_closed(src).unwrap());
+        let p = pipeline::front_to_closed(src).unwrap();
         let f = p.funcs.iter().find(|f| f.name == "f").unwrap();
         let machine = MachineConfig::six_registers();
         let h = assign(f, &machine, Discipline::CalleeSave);

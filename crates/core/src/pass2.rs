@@ -515,10 +515,9 @@ mod tests {
     use crate::homes;
     use crate::savep;
     use lesgs_frontend::pipeline;
-    use lesgs_ir::lower_program;
 
     fn alloc_body(src: &str, name: &str, cfg: &AllocConfig) -> Pass2Result {
-        let p = lower_program(&pipeline::front_to_closed(src).unwrap());
+        let p = pipeline::front_to_closed(src).unwrap();
         let f = p.funcs.iter().find(|f| f.name == name).unwrap();
         let h = homes::assign(f, &cfg.machine, cfg.discipline);
         let r1 = savep::run(f, &h, cfg);

@@ -15,9 +15,8 @@
 //! their return address.
 
 use lesgs_frontend::{Const, Prim};
-use lesgs_ir::expr::{Callee, Expr, Func};
 use lesgs_ir::machine::{arg_reg, CP, MAX_ARG_REGS, RET};
-use lesgs_ir::RegSet;
+use lesgs_ir::{Callee, Expr, Func, RegSet};
 
 use crate::alloc::{ACallee, AExpr, ArgRef, CallNode, Home, ShufflePlan, Step};
 use crate::config::{AllocConfig, SaveStrategy, ShuffleStrategy};
@@ -543,10 +542,9 @@ mod tests {
     use crate::config::AllocConfig;
     use crate::homes;
     use lesgs_frontend::pipeline;
-    use lesgs_ir::lower_program;
 
     fn pass1(src: &str, name: &str, cfg: &AllocConfig) -> Pass1Result {
-        let p = lower_program(&pipeline::front_to_closed(src).unwrap());
+        let p = pipeline::front_to_closed(src).unwrap();
         let f = p.funcs.iter().find(|f| f.name == name).unwrap();
         let h = homes::assign(f, &cfg.machine, cfg.discipline);
         run(f, &h, cfg)

@@ -109,10 +109,9 @@ mod tests {
     use crate::config::AllocConfig;
     use crate::driver::allocate_program;
     use lesgs_frontend::pipeline;
-    use lesgs_ir::lower_program;
 
     fn stats(src: &str) -> ShuffleStats {
-        let ir = lower_program(&pipeline::front_to_closed(src).unwrap());
+        let ir = pipeline::front_to_closed(src).unwrap();
         collect(&allocate_program(&ir, &AllocConfig::paper_default()))
     }
 

@@ -219,10 +219,9 @@ mod tests {
     use crate::config::{AllocConfig, Discipline, RestoreStrategy, SaveStrategy};
     use crate::driver::allocate_program;
     use lesgs_frontend::pipeline;
-    use lesgs_ir::lower_program;
 
     fn verify(src: &str, cfg: &AllocConfig) -> Vec<VerifyError> {
-        let ir = lower_program(&pipeline::front_to_closed(src).unwrap());
+        let ir = pipeline::front_to_closed(src).unwrap();
         verify_program(&allocate_program(&ir, cfg))
     }
 

@@ -6,7 +6,6 @@ use lesgs_core::alloc::{AExpr, AllocatedFunc};
 use lesgs_core::config::RestoreStrategy;
 use lesgs_core::{allocate_program, AllocConfig};
 use lesgs_frontend::pipeline;
-use lesgs_ir::lower_program;
 use lesgs_ir::machine::arg_reg;
 use lesgs_ir::RegSet;
 
@@ -15,7 +14,7 @@ fn allocate(src: &str, restore: RestoreStrategy) -> Vec<AllocatedFunc> {
         restore,
         ..AllocConfig::paper_default()
     };
-    let ir = lower_program(&pipeline::front_to_closed(src).unwrap());
+    let ir = pipeline::front_to_closed(src).unwrap();
     allocate_program(&ir, &cfg).funcs
 }
 

@@ -1,10 +1,15 @@
-//! Closure conversion: from lexically-scoped lambdas to a first-order
-//! program.
+//! Closure conversion: from lexically-scoped lambdas to the
+//! first-order IR the allocator runs on.
 //!
-//! Every lambda becomes a [`ClosedFunc`] whose body refers to captured
+//! Every lambda becomes a [`Func`] whose body refers to captured
 //! variables through an explicit free list (`FreeRef` indices resolved
 //! via the closure-pointer register at run time, mirroring the paper's
 //! run-time model).
+//!
+//! Each function's variables are numbered into dense [`LocalId`]s as
+//! conversion binds them: parameters first, in order; each `let`
+//! variable right after its own right-hand side; each `letrec` closure
+//! variable where its group binds it.
 //!
 //! `letrec`-bound procedures are analyzed as a group:
 //!
@@ -16,136 +21,10 @@
 //!   slots and backpatched (`ClosureSet`).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::fmt;
 
 use crate::ast::{Const, Expr, Lambda};
+use crate::first_order::{self as ir, Callee, Func, FuncId, LocalId, Program};
 use crate::names::{Interner, VarId};
-use crate::prim::Prim;
-
-/// Identifies a first-order function in a [`ClosedProgram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FuncId(pub u32);
-
-impl FuncId {
-    /// Index into [`ClosedProgram::funcs`].
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for FuncId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "f{}", self.0)
-    }
-}
-
-/// How a call site reaches its target.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Callee {
-    /// A known function with no closure: a plain jump/call to a label.
-    Direct(FuncId),
-    /// A known function whose closure (for its free variables) is the
-    /// given expression; the code label is still static.
-    KnownClosure(FuncId, Box<CExpr>),
-    /// An unknown procedure value; both code and environment come from
-    /// the closure object.
-    Computed(Box<CExpr>),
-}
-
-/// A closure-converted expression.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CExpr {
-    /// A constant.
-    Const(Const),
-    /// A parameter or let-bound variable of the current function.
-    Local(VarId),
-    /// The `i`-th captured variable, read through the closure pointer.
-    FreeRef(u32),
-    /// A top-level global location.
-    Global(u32),
-    /// Assignment to a global location.
-    GlobalSet(u32, Box<CExpr>),
-    /// Two-way conditional.
-    If(Box<CExpr>, Box<CExpr>, Box<CExpr>),
-    /// Sequencing; at least one expression.
-    Seq(Vec<CExpr>),
-    /// A single local binding.
-    Let(VarId, Box<CExpr>, Box<CExpr>),
-    /// Primitive application.
-    PrimApp(Prim, Vec<CExpr>),
-    /// A procedure call. `tail` is true when the call is in tail
-    /// position (a jump in the paper's model, not a call).
-    Call {
-        /// Call target.
-        callee: Callee,
-        /// Argument expressions, unevaluated and unordered — the
-        /// allocator's greedy shuffler picks the order.
-        args: Vec<CExpr>,
-        /// Tail position flag.
-        tail: bool,
-    },
-    /// Heap-allocates a closure for `func`, capturing the given values
-    /// (which line up with the function's free list).
-    MakeClosure {
-        /// Target function.
-        func: FuncId,
-        /// Captured values in free-list order.
-        free: Vec<CExpr>,
-    },
-    /// Backpatches slot `index` of a closure (used to tie recursive
-    /// knots among mutually recursive closures).
-    ClosureSet {
-        /// Expression yielding the closure to patch.
-        clo: Box<CExpr>,
-        /// Slot index in the closure's free list.
-        index: u32,
-        /// New value for the slot.
-        value: Box<CExpr>,
-    },
-}
-
-/// A first-order function produced by closure conversion.
-#[derive(Debug, Clone)]
-pub struct ClosedFunc {
-    /// This function's id (equal to its index in the program).
-    pub id: FuncId,
-    /// Diagnostic name.
-    pub name: String,
-    /// Parameters, left to right.
-    pub params: Vec<VarId>,
-    /// Captured variables, in `FreeRef` index order.
-    pub free: Vec<VarId>,
-    /// The body, with `tail` flags set.
-    pub body: CExpr,
-}
-
-impl ClosedFunc {
-    /// True if the function captures nothing and therefore needs no
-    /// closure object.
-    pub fn is_closed(&self) -> bool {
-        self.free.is_empty()
-    }
-}
-
-/// A complete closure-converted program.
-#[derive(Debug, Clone)]
-pub struct ClosedProgram {
-    /// All functions; `FuncId(i)` is `funcs[i]`.
-    pub funcs: Vec<ClosedFunc>,
-    /// The entry function (zero parameters, no free variables).
-    pub main: FuncId,
-    /// Variable names for diagnostics.
-    pub interner: Interner,
-    /// Number of top-level global locations.
-    pub n_globals: u32,
-}
-
-impl ClosedProgram {
-    /// Looks up a function by id.
-    pub fn func(&self, id: FuncId) -> &ClosedFunc {
-        &self.funcs[id.index()]
-    }
-}
 
 /// Computes the free variables of `e` in deterministic order.
 pub fn free_vars(e: &Expr<VarId>) -> BTreeSet<VarId> {
@@ -293,36 +172,53 @@ struct KnownBinding {
 }
 
 struct Convert<'a> {
-    funcs: Vec<Option<ClosedFunc>>,
+    funcs: Vec<Option<Func>>,
     known: HashMap<VarId, KnownBinding>,
     interner: &'a mut Interner,
 }
 
-/// Per-function conversion context tracking locals and captures.
+/// Per-function conversion context: the function's locals, numbered as
+/// they are bound, and its captures.
 struct FnCtx {
-    locals: HashSet<VarId>,
+    locals: HashMap<VarId, LocalId>,
     free_map: HashMap<VarId, u32>,
     free_list: Vec<VarId>,
 }
 
 impl FnCtx {
     fn new(params: &[VarId]) -> FnCtx {
-        FnCtx {
-            locals: params.iter().copied().collect(),
+        let mut ctx = FnCtx {
+            locals: HashMap::new(),
             free_map: HashMap::new(),
             free_list: Vec::new(),
+        };
+        for p in params {
+            ctx.bind(*p);
         }
+        ctx
     }
 
-    fn resolve(&mut self, v: VarId) -> CExpr {
-        if self.locals.contains(&v) {
-            CExpr::Local(v)
+    /// Numbers `v` as the function's next local.
+    fn bind(&mut self, v: VarId) -> LocalId {
+        let local = LocalId(self.locals.len() as u32);
+        let previous = self.locals.insert(v, local);
+        // A second binding would give the next local this number too.
+        assert!(
+            previous.is_none(),
+            "alpha renaming binds each variable once"
+        );
+        local
+    }
+
+    fn resolve(&mut self, v: VarId) -> ir::Expr {
+        if let Some(&local) = self.locals.get(&v) {
+            ir::Expr::Var(local)
         } else {
             let idx = *self.free_map.entry(v).or_insert_with(|| {
                 self.free_list.push(v);
                 (self.free_list.len() - 1) as u32
             });
-            CExpr::FreeRef(idx)
+            ir::Expr::FreeRef(idx)
         }
     }
 }
@@ -345,15 +241,15 @@ impl Convert<'_> {
     ) -> Vec<VarId> {
         let mut ctx = FnCtx::new(params);
         let body = self.convert(body, &mut ctx, true);
-        let free = ctx.free_list;
-        self.funcs[id.index()] = Some(ClosedFunc {
+        self.funcs[id.index()] = Some(Func {
             id,
             name,
-            params: params.to_vec(),
-            free: free.clone(),
+            n_params: params.len(),
+            n_locals: ctx.locals.len(),
+            n_free: ctx.free_list.len(),
             body,
         });
-        free
+        ctx.free_list
     }
 
     fn convert_letrec(
@@ -362,7 +258,7 @@ impl Convert<'_> {
         body: &Expr<VarId>,
         ctx: &mut FnCtx,
         tail: bool,
-    ) -> CExpr {
+    ) -> ir::Expr {
         let group: HashSet<VarId> = bindings.iter().map(|(v, _)| *v).collect();
 
         // --- analysis -------------------------------------------------
@@ -460,7 +356,7 @@ impl Convert<'_> {
         // --- emit closure creation + backpatching ----------------------
         let clo_var_set: HashSet<VarId> = clo_vars.values().copied().collect();
         let mut patches: Vec<(VarId, u32, VarId)> = Vec::new(); // (clo, slot, brother clo)
-        let mut creations: Vec<(VarId, CExpr)> = Vec::new();
+        let mut creations: Vec<(LocalId, ir::Expr)> = Vec::new();
         for (v, _) in bindings {
             if !needs[v] {
                 continue;
@@ -470,20 +366,17 @@ impl Convert<'_> {
             for (slot, fv) in free_lists[v].iter().enumerate() {
                 if clo_var_set.contains(fv) {
                     // Brother closure: placeholder now, patch below.
-                    free_values.push(CExpr::Const(Const::Void));
+                    free_values.push(ir::Expr::Const(Const::Void));
                     patches.push((cv, slot as u32, *fv));
                 } else {
                     free_values.push(ctx.resolve(*fv));
                 }
             }
-            creations.push((
-                cv,
-                CExpr::MakeClosure {
-                    func: ids[v],
-                    free: free_values,
-                },
-            ));
-            ctx.locals.insert(cv);
+            let make = ir::Expr::MakeClosure {
+                func: ids[v],
+                free: free_values,
+            };
+            creations.push((ctx.bind(cv), make));
         }
 
         let converted_body = self.convert(body, ctx, tail);
@@ -491,19 +384,23 @@ impl Convert<'_> {
         let mut result = if patches.is_empty() {
             converted_body
         } else {
-            let mut seq: Vec<CExpr> = patches
+            let mut seq: Vec<ir::Expr> = patches
                 .into_iter()
-                .map(|(cv, slot, brother)| CExpr::ClosureSet {
-                    clo: Box::new(CExpr::Local(cv)),
+                .map(|(cv, slot, brother)| ir::Expr::ClosureSet {
+                    clo: Box::new(ctx.resolve(cv)),
                     index: slot,
-                    value: Box::new(CExpr::Local(brother)),
+                    value: Box::new(ctx.resolve(brother)),
                 })
                 .collect();
             seq.push(converted_body);
-            CExpr::Seq(seq)
+            ir::Expr::Seq(seq)
         };
-        for (cv, mk) in creations.into_iter().rev() {
-            result = CExpr::Let(cv, Box::new(mk), Box::new(result));
+        for (var, make) in creations.into_iter().rev() {
+            result = ir::Expr::Let {
+                var,
+                rhs: Box::new(make),
+                body: Box::new(result),
+            };
         }
         result
     }
@@ -515,24 +412,29 @@ impl Convert<'_> {
         body: &Expr<VarId>,
         ctx: &mut FnCtx,
         tail: bool,
-    ) -> CExpr {
+    ) -> ir::Expr {
         // Parallel by construction: after alpha renaming no RHS can see
-        // a sibling, so nested single lets are equivalent.
-        let rhss: Vec<(VarId, CExpr)> = bindings
-            .map(|(v, rhs)| (v, self.convert(rhs, ctx, false)))
+        // a sibling, so nested single lets are equivalent, and each
+        // variable can be bound right after its own RHS.
+        let rhss: Vec<(LocalId, ir::Expr)> = bindings
+            .map(|(v, rhs)| {
+                let rhs = self.convert(rhs, ctx, false);
+                (ctx.bind(v), rhs)
+            })
             .collect();
-        for (v, _) in &rhss {
-            ctx.locals.insert(*v);
-        }
         let body = self.convert(body, ctx, tail);
-        rhss.into_iter().rev().fold(body, |acc, (v, rhs)| {
-            CExpr::Let(v, Box::new(rhs), Box::new(acc))
-        })
+        rhss.into_iter()
+            .rev()
+            .fold(body, |acc, (var, rhs)| ir::Expr::Let {
+                var,
+                rhs: Box::new(rhs),
+                body: Box::new(acc),
+            })
     }
 
-    fn convert(&mut self, e: &Expr<VarId>, ctx: &mut FnCtx, tail: bool) -> CExpr {
+    fn convert(&mut self, e: &Expr<VarId>, ctx: &mut FnCtx, tail: bool) -> ir::Expr {
         match e {
-            Expr::Const(c) => CExpr::Const(c.clone()),
+            Expr::Const(c) => ir::Expr::Const(c.clone()),
             Expr::Var(v) => {
                 if let Some(k) = self.known.get(v).copied() {
                     // A known procedure escaping as a value: use its
@@ -545,21 +447,21 @@ impl Convert<'_> {
                     ctx.resolve(*v)
                 }
             }
-            Expr::Global(g) => CExpr::Global(*g),
+            Expr::Global(g) => ir::Expr::Global(*g),
             Expr::GlobalSet(g, rhs) => {
-                CExpr::GlobalSet(*g, Box::new(self.convert(rhs, ctx, false)))
+                ir::Expr::GlobalSet(*g, Box::new(self.convert(rhs, ctx, false)))
             }
             Expr::Set(..) => {
                 unreachable!("assignment conversion must run before closure conversion")
             }
-            Expr::If(c, t, el) => CExpr::If(
+            Expr::If(c, t, el) => ir::Expr::If(
                 Box::new(self.convert(c, ctx, false)),
                 Box::new(self.convert(t, ctx, tail)),
                 Box::new(self.convert(el, ctx, tail)),
             ),
             Expr::Seq(es) => {
                 let n = es.len();
-                CExpr::Seq(
+                ir::Expr::Seq(
                     es.iter()
                         .enumerate()
                         .map(|(i, e)| self.convert(e, ctx, tail && i + 1 == n))
@@ -571,7 +473,7 @@ impl Convert<'_> {
                 let name = l.name.clone().unwrap_or_else(|| format!("lambda@{id}"));
                 let free = self.convert_function(id, name, &l.params, &l.body);
                 let free_values = free.iter().map(|v| ctx.resolve(*v)).collect();
-                CExpr::MakeClosure {
+                ir::Expr::MakeClosure {
                     func: id,
                     free: free_values,
                 }
@@ -600,13 +502,13 @@ impl Convert<'_> {
                     },
                     other => Callee::Computed(Box::new(self.convert(other, ctx, false))),
                 };
-                CExpr::Call {
+                ir::Expr::Call {
                     callee,
                     args: args.iter().map(|a| self.convert(a, ctx, false)).collect(),
                     tail,
                 }
             }
-            Expr::PrimApp(p, args) => CExpr::PrimApp(
+            Expr::PrimApp(p, args) => ir::Expr::PrimApp(
                 *p,
                 args.iter().map(|a| self.convert(a, ctx, false)).collect(),
             ),
@@ -615,18 +517,19 @@ impl Convert<'_> {
 }
 
 /// Closure-converts a whole program (the assembled, assignment-free
-/// core expression).
+/// core expression). `interner` names the closure variables conversion
+/// introduces.
 ///
 /// # Panics
 ///
 /// Panics if `e` still contains assignments (run
 /// [`assignconv`](crate::assignconv) first) or free variables.
-pub fn close_program(e: &Expr<VarId>, mut interner: Interner, n_globals: u32) -> ClosedProgram {
+pub fn close_program(e: &Expr<VarId>, interner: &mut Interner, n_globals: u32) -> Program {
     assert!(free_vars(e).is_empty(), "program expression must be closed");
     let mut c = Convert {
         funcs: Vec::new(),
         known: HashMap::new(),
-        interner: &mut interner,
+        interner,
     };
     let main_id = c.fresh_func_id();
     let free = c.convert_function(main_id, "main".to_owned(), &[], e);
@@ -636,10 +539,9 @@ pub fn close_program(e: &Expr<VarId>, mut interner: Interner, n_globals: u32) ->
         .into_iter()
         .map(|f| f.expect("every allocated function is filled"))
         .collect();
-    ClosedProgram {
+    Program {
         funcs,
         main: main_id,
-        interner,
         n_globals,
     }
 }
@@ -649,59 +551,49 @@ mod tests {
     use super::*;
     use crate::pipeline;
 
-    fn close(src: &str) -> ClosedProgram {
+    fn close(src: &str) -> Program {
         pipeline::front_to_closed(src).unwrap()
     }
 
-    fn find<'a>(p: &'a ClosedProgram, name: &str) -> &'a ClosedFunc {
+    fn find<'a>(p: &'a Program, name: &str) -> &'a Func {
         p.funcs
             .iter()
             .find(|f| f.name == name)
             .unwrap_or_else(|| panic!("no function named {name}"))
     }
 
-    fn count_calls(e: &CExpr, pred: &mut dyn FnMut(&Callee, bool)) {
-        match e {
-            CExpr::Const(_) | CExpr::Local(_) | CExpr::FreeRef(_) | CExpr::Global(_) => {}
-            CExpr::GlobalSet(_, rhs) => count_calls(rhs, pred),
-            CExpr::If(c, t, el) => {
-                count_calls(c, pred);
-                count_calls(t, pred);
-                count_calls(el, pred);
-            }
-            CExpr::Seq(es) => es.iter().for_each(|e| count_calls(e, pred)),
-            CExpr::Let(_, r, b) => {
-                count_calls(r, pred);
-                count_calls(b, pred);
-            }
-            CExpr::PrimApp(_, args) => args.iter().for_each(|a| count_calls(a, pred)),
-            CExpr::Call { callee, args, tail } => {
-                pred(callee, *tail);
-                if let Callee::Computed(e) | Callee::KnownClosure(_, e) = callee {
-                    count_calls(e, pred);
-                }
-                args.iter().for_each(|a| count_calls(a, pred));
-            }
-            CExpr::MakeClosure { free, .. } => free.iter().for_each(|f| count_calls(f, pred)),
-            CExpr::ClosureSet { clo, value, .. } => {
-                count_calls(clo, pred);
-                count_calls(value, pred);
-            }
-        }
+    /// Every node of `e`, in pre-order.
+    fn nodes(e: &ir::Expr) -> Vec<&ir::Expr> {
+        let mut out = vec![e];
+        e.for_each_child(&mut |c| out.extend(nodes(c)));
+        out
+    }
+
+    /// The callee and tail flag of every call in `e`, in pre-order.
+    fn calls(e: &ir::Expr) -> Vec<(&Callee, bool)> {
+        nodes(e)
+            .into_iter()
+            .filter_map(|n| match n {
+                ir::Expr::Call { callee, tail, .. } => Some((callee, *tail)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn tails(e: &ir::Expr) -> Vec<bool> {
+        calls(e).into_iter().map(|(_, tail)| tail).collect()
     }
 
     #[test]
     fn top_level_defines_become_direct_calls() {
         let p = close("(define (f x) (+ x 1)) (f 41)");
         let f = find(&p, "f");
-        assert!(f.is_closed());
+        assert_eq!(f.n_free, 0);
         let main = p.func(p.main);
-        let mut directs = 0;
-        count_calls(&main.body, &mut |c, _| {
-            if matches!(c, Callee::Direct(_)) {
-                directs += 1;
-            }
-        });
+        let directs = calls(&main.body)
+            .into_iter()
+            .filter(|(c, _)| matches!(c, Callee::Direct(_)))
+            .count();
         assert_eq!(directs, 1);
     }
 
@@ -709,14 +601,12 @@ mod tests {
     fn capturing_loop_gets_closure() {
         let p = close("(define (f a) (let loop ((i 0)) (if (= i a) i (loop (+ i 1))))) (f 3)");
         let loop_fn = find(&p, "loop");
-        assert!(!loop_fn.is_closed(), "loop captures `a`");
+        assert_ne!(loop_fn.n_free, 0, "loop captures `a`");
         let f = find(&p, "f");
-        let mut known_closure = 0;
-        count_calls(&f.body, &mut |c, _| {
-            if matches!(c, Callee::KnownClosure(..)) {
-                known_closure += 1;
-            }
-        });
+        let known_closure = calls(&f.body)
+            .into_iter()
+            .filter(|(c, _)| matches!(c, Callee::KnownClosure(..)))
+            .count();
         assert!(known_closure >= 1);
     }
 
@@ -724,38 +614,13 @@ mod tests {
     fn escaping_procedure_gets_closure() {
         let p = close("(define (apply1 f x) (f x)) (define (g y) y) (apply1 g 5)");
         let g = find(&p, "g");
-        assert!(g.is_closed(), "g captures nothing");
+        assert_eq!(g.n_free, 0, "g captures nothing");
         // g escapes as a value, so main must build a closure for it.
         let main = p.func(p.main);
-        let mut makes = 0;
-        fn walk(e: &CExpr, makes: &mut usize) {
-            match e {
-                CExpr::MakeClosure { .. } => *makes += 1,
-                CExpr::If(a, b, c) => {
-                    walk(a, makes);
-                    walk(b, makes);
-                    walk(c, makes);
-                }
-                CExpr::Seq(es) => es.iter().for_each(|e| walk(e, makes)),
-                CExpr::Let(_, r, b) => {
-                    walk(r, makes);
-                    walk(b, makes);
-                }
-                CExpr::PrimApp(_, args) => args.iter().for_each(|a| walk(a, makes)),
-                CExpr::Call { args, callee, .. } => {
-                    if let Callee::Computed(e) | Callee::KnownClosure(_, e) = callee {
-                        walk(e, makes);
-                    }
-                    args.iter().for_each(|a| walk(a, makes));
-                }
-                CExpr::ClosureSet { clo, value, .. } => {
-                    walk(clo, makes);
-                    walk(value, makes);
-                }
-                _ => {}
-            }
-        }
-        walk(&main.body, &mut makes);
+        let makes = nodes(&main.body)
+            .into_iter()
+            .filter(|n| matches!(n, ir::Expr::MakeClosure { .. }))
+            .count();
         assert!(makes >= 1, "closure for g must be allocated");
     }
 
@@ -766,8 +631,8 @@ mod tests {
              (define (odd2? n) (if (zero? n) #f (even2? (- n 1))))
              (even2? 10)",
         );
-        assert!(find(&p, "even2?").is_closed());
-        assert!(find(&p, "odd2?").is_closed());
+        assert_eq!(find(&p, "even2?").n_free, 0);
+        assert_eq!(find(&p, "odd2?").n_free, 0);
     }
 
     #[test]
@@ -781,26 +646,11 @@ mod tests {
         );
         // ping captures k (outer) and pong; pong captures ping.
         let ping = find(&p, "ping");
-        assert!(!ping.is_closed());
+        assert_ne!(ping.n_free, 0);
         let f = find(&p, "f");
-        let mut saw_patch = false;
-        fn walk(e: &CExpr, saw: &mut bool) {
-            match e {
-                CExpr::ClosureSet { .. } => *saw = true,
-                CExpr::If(a, b, c) => {
-                    walk(a, saw);
-                    walk(b, saw);
-                    walk(c, saw);
-                }
-                CExpr::Seq(es) => es.iter().for_each(|e| walk(e, saw)),
-                CExpr::Let(_, r, b) => {
-                    walk(r, saw);
-                    walk(b, saw);
-                }
-                _ => {}
-            }
-        }
-        walk(&f.body, &mut saw_patch);
+        let saw_patch = nodes(&f.body)
+            .into_iter()
+            .any(|n| matches!(n, ir::Expr::ClosureSet { .. }));
         assert!(saw_patch, "mutual closures require backpatching");
     }
 
@@ -808,22 +658,16 @@ mod tests {
     fn tail_positions_marked() {
         let p = close("(define (f n) (if (zero? n) 0 (f (- n 1)))) (f 5)");
         let f = find(&p, "f");
-        let mut tails = Vec::new();
-        count_calls(&f.body, &mut |_, t| tails.push(t));
-        assert_eq!(tails, vec![true], "self call is a tail call");
+        assert_eq!(tails(&f.body), vec![true], "self call is a tail call");
         let main = p.func(p.main);
-        let mut main_tails = Vec::new();
-        count_calls(&main.body, &mut |_, t| main_tails.push(t));
-        assert_eq!(main_tails, vec![true], "final call in main is tail");
+        assert_eq!(tails(&main.body), vec![true], "final call in main is tail");
     }
 
     #[test]
     fn non_tail_marked() {
         let p = close("(define (f n) (if (zero? n) 0 (+ 1 (f (- n 1))))) (f 5)");
         let f = find(&p, "f");
-        let mut tails = Vec::new();
-        count_calls(&f.body, &mut |_, t| tails.push(t));
-        assert_eq!(tails, vec![false]);
+        assert_eq!(tails(&f.body), vec![false]);
     }
 
     #[test]
@@ -843,13 +687,66 @@ mod tests {
         let p = close("(define (call f) (f 1)) (call (lambda (x) (* x 2)))");
         assert!(p.funcs.iter().any(|f| f.name.starts_with("lambda@")));
         let call = find(&p, "call");
-        let mut computed = 0;
-        count_calls(&call.body, &mut |c, _| {
-            if matches!(c, Callee::Computed(_)) {
-                computed += 1;
-            }
-        });
+        let computed = calls(&call.body)
+            .into_iter()
+            .filter(|(c, _)| matches!(c, Callee::Computed(_)))
+            .count();
         assert_eq!(computed, 1);
+    }
+
+    #[test]
+    fn params_get_low_indices() {
+        let p = close("(define (f a b) (+ a b)) (f 1 2)");
+        let f = p.funcs.iter().find(|f| f.name == "f").unwrap();
+        assert_eq!(f.n_params, 2);
+        assert_eq!(f.n_locals, 2);
+        assert_eq!(f.body.to_string(), "(%+ x0 x1)");
+    }
+
+    #[test]
+    fn let_vars_follow_params() {
+        let p = close("(define (f a) (let ((t (+ a 1))) (* t t))) (f 1)");
+        let f = p.funcs.iter().find(|f| f.name == "f").unwrap();
+        assert_eq!(f.n_params, 1);
+        assert_eq!(f.n_locals, 2);
+    }
+
+    #[test]
+    fn let_var_numbered_right_after_its_own_rhs() {
+        let p =
+            close("(define (f p) (let ((a (let ((b p)) b)) (c (let ((d p)) d))) (+ a c))) (f 1)");
+        assert_eq!(
+            find(&p, "f").to_string(),
+            "(define (f x0) (let ((x2 (let ((x1 x0)) x1))) \
+             (let ((x4 (let ((x3 x0)) x3))) (%+ x2 x4))))"
+        );
+    }
+
+    #[test]
+    fn syntactic_leaf_detection() {
+        let p = close(
+            "(define (leaf x) (+ x 1))
+             (define (internal x) (+ (leaf x) 1))
+             (define (tail-only x) (leaf x))
+             (internal (tail-only 1))",
+        );
+        let find = |n: &str| p.funcs.iter().find(|f| f.name == n).unwrap();
+        assert!(find("leaf").is_syntactic_leaf());
+        assert!(!find("internal").is_syntactic_leaf());
+        // Tail calls are jumps, not calls.
+        assert!(find("tail-only").is_syntactic_leaf());
+    }
+
+    #[test]
+    fn free_refs_survive() {
+        let p = close("(define (f a) (lambda (x) (+ x a))) ((f 1) 2)");
+        let lam = p
+            .funcs
+            .iter()
+            .find(|f| f.name.starts_with("lambda@"))
+            .unwrap();
+        assert_eq!(lam.n_free, 1);
+        assert!(lam.body.to_string().contains("(free 0)"));
     }
 
     #[test]

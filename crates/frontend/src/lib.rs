@@ -14,7 +14,9 @@
 //!    done, so there are no assignment expressions", §2) by boxing
 //!    mutable variables.
 //! 4. [`closure`] computes free variables and closure-converts the
-//!    program into a set of first-order functions ([`ClosedProgram`]).
+//!    program into the allocator's [`first_order`] IR: a set of
+//!    top-level functions whose variables are dense per-function
+//!    [`LocalId`](first_order::LocalId)s.
 //!
 //! # Examples
 //!
@@ -31,6 +33,7 @@ pub mod assignconv;
 pub mod ast;
 pub mod closure;
 pub mod desugar;
+pub mod first_order;
 pub mod lift;
 pub mod names;
 pub mod pipeline;
@@ -39,8 +42,8 @@ pub mod program;
 pub mod rename;
 
 pub use ast::{Const, Expr, Lambda};
-pub use closure::{CExpr, Callee, ClosedFunc, ClosedProgram, FuncId};
 pub use desugar::DesugarError;
+pub use first_order::FuncId;
 pub use names::{Interner, VarId};
 pub use prim::{Prim, PrimArity};
 pub use rename::RenameError;

@@ -290,12 +290,13 @@ pub fn lift(e: &mut Expr<VarId>, interner: &mut Interner, options: LiftOptions) 
 mod tests {
     use super::*;
     use crate::closure;
+    use crate::first_order::Program;
     use crate::pipeline;
 
-    fn lifted_closed(src: &str) -> (closure::ClosedProgram, LiftStats) {
+    fn lifted_closed(src: &str) -> (Program, LiftStats) {
         let (mut core, mut names) = pipeline::front_to_core(src).unwrap();
         let stats = lift(&mut core, &mut names, LiftOptions::default());
-        (closure::close_program(&core, names, 0), stats)
+        (closure::close_program(&core, &mut names, 0), stats)
     }
 
     #[test]
@@ -305,8 +306,8 @@ mod tests {
         assert_eq!(stats.lifted, 1);
         assert_eq!(stats.vars_lifted, 1);
         let loop_fn = p.funcs.iter().find(|f| f.name == "loop").unwrap();
-        assert!(loop_fn.is_closed(), "lifting removed the capture");
-        assert_eq!(loop_fn.params.len(), 2, "i plus lifted a");
+        assert_eq!(loop_fn.n_free, 0, "lifting removed the capture");
+        assert_eq!(loop_fn.n_params, 2, "i plus lifted a");
     }
 
     #[test]
@@ -319,7 +320,7 @@ mod tests {
         );
         assert_eq!(stats.lifted, 0, "g escapes into map");
         let g = p.funcs.iter().find(|f| f.name == "g").unwrap();
-        assert!(!g.is_closed());
+        assert_ne!(g.n_free, 0);
     }
 
     #[test]
@@ -345,18 +346,10 @@ mod tests {
              (f 0)",
         );
         assert_eq!(stats.lifted, 1);
-        assert!(p
-            .funcs
-            .iter()
-            .find(|f| f.name == "even2?")
-            .unwrap()
-            .is_closed());
-        assert!(p
-            .funcs
-            .iter()
-            .find(|f| f.name == "odd2?")
-            .unwrap()
-            .is_closed());
+        for name in ["even2?", "odd2?"] {
+            let func = p.funcs.iter().find(|f| f.name == name).unwrap();
+            assert_eq!(func.n_free, 0, "{name}");
+        }
     }
 
     #[test]

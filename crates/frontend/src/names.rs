@@ -35,7 +35,7 @@ impl fmt::Display for VarId {
 /// let x2 = names.fresh("x");
 /// assert_ne!(x, x2);
 /// assert_eq!(names.name(x), "x");
-/// assert_eq!(names.pretty(x2), "x.1");
+/// assert_eq!(names.name(x2), "x");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
@@ -64,19 +64,6 @@ impl Interner {
         &self.names[id.index()]
     }
 
-    /// A unique, human-readable rendering: the source name, suffixed
-    /// with the id when another variable with the same name exists
-    /// earlier in the table.
-    pub fn pretty(&self, id: VarId) -> String {
-        let name = self.name(id);
-        let first = self.names.iter().position(|n| n == name);
-        if first == Some(id.index()) {
-            name.to_owned()
-        } else {
-            format!("{name}.{}", id.0)
-        }
-    }
-
     /// Number of variables allocated so far.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -103,15 +90,6 @@ mod tests {
         assert_eq!(i.name(a), "a");
         assert_eq!(i.name(b), "a");
         assert_eq!(i.name(c), "c");
-    }
-
-    #[test]
-    fn pretty_disambiguates() {
-        let mut i = Interner::new();
-        let a = i.fresh("x");
-        let b = i.fresh("x");
-        assert_eq!(i.pretty(a), "x");
-        assert_eq!(i.pretty(b), "x.1");
     }
 
     #[test]

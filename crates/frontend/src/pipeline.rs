@@ -10,7 +10,8 @@ use lesgs_metrics::Registry;
 
 use crate::assignconv;
 use crate::ast::Expr;
-use crate::closure::{self, ClosedProgram};
+use crate::closure;
+use crate::first_order::Program;
 use crate::lift::LiftOptions;
 use crate::names::{Interner, VarId};
 use crate::program::SurfaceProgram;
@@ -46,12 +47,24 @@ pub fn front_to_core_full(src: &str) -> Result<(Expr<VarId>, Interner, u32), Fro
     front_to_core_observed(src, None, &mut Registry::new())
 }
 
-/// Runs the full frontend, producing a closure-converted program.
+/// Runs the full frontend, producing the closure-converted,
+/// first-order program the allocator runs on.
 ///
 /// # Errors
 ///
 /// Returns [`FrontError`] on parse, desugar, or scoping failures.
-pub fn front_to_closed(src: &str) -> Result<ClosedProgram, FrontError> {
+///
+/// # Examples
+///
+/// ```
+/// use lesgs_frontend::pipeline::front_to_closed;
+///
+/// let program = front_to_closed("(define (f x) (+ x 1)) (f 1)").unwrap();
+/// let f = program.funcs.iter().find(|f| f.name == "f").unwrap();
+/// assert_eq!(f.n_params, 1);
+/// assert_eq!(f.to_string(), "(define (f x0) (%+ x0 1))");
+/// ```
+pub fn front_to_closed(src: &str) -> Result<Program, FrontError> {
     front_to_closed_observed(src, None, &mut Registry::new())
 }
 
@@ -71,10 +84,10 @@ pub fn front_to_closed_observed(
     src: &str,
     lift: Option<LiftOptions>,
     reg: &mut Registry,
-) -> Result<ClosedProgram, FrontError> {
-    let (core, interner, n_globals) = front_to_core_observed(src, lift, reg)?;
+) -> Result<Program, FrontError> {
+    let (core, mut interner, n_globals) = front_to_core_observed(src, lift, reg)?;
     let closed = reg.time("pass.closure", || {
-        closure::close_program(&core, interner, n_globals)
+        closure::close_program(&core, &mut interner, n_globals)
     });
     reg.inc("frontend.funcs", closed.funcs.len() as u64);
     Ok(closed)

@@ -424,7 +424,16 @@ impl Interp {
                     match p {
                         Quotient => a.checked_div(b).ok_or_else(overflow),
                         Remainder => a.checked_rem(b).ok_or_else(overflow),
-                        _ => Ok(((a % b) + b) % b),
+                        _ => {
+                            // The floor remainder: `r + b` cannot
+                            // overflow, since `r` and `b` differ in sign.
+                            let r = a.wrapping_rem(b);
+                            Ok(if r != 0 && (r < 0) != (b < 0) {
+                                r + b
+                            } else {
+                                r
+                            })
+                        }
                     }
                 }
                 Min => Ok(a.min(b)),

@@ -14,7 +14,7 @@
 
 use lesgs_frontend::{Const, Prim};
 
-use crate::expr::{Callee, Expr, Func, Program};
+use crate::{Callee, Expr, Func, Program};
 
 /// Folding statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,7 +64,13 @@ fn eval_prim(p: Prim, args: &[Expr]) -> Option<Const> {
             if d == 0 {
                 return None;
             }
-            Const::Fixnum(((a()? % d) + d) % d)
+            // The floor remainder; never overflows for a nonzero `d`.
+            let r = a()?.wrapping_rem(d);
+            Const::Fixnum(if r != 0 && (r < 0) != (d < 0) {
+                r + d
+            } else {
+                r
+            })
         }
         Min => Const::Fixnum(a()?.min(b()?)),
         Max => Const::Fixnum(a()?.max(b()?)),
@@ -224,11 +230,10 @@ pub fn fold_program(program: &mut Program) -> FoldStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower_program;
     use lesgs_frontend::pipeline;
 
     fn folded(src: &str, name: &str) -> (Expr, FoldStats) {
-        let mut p = lower_program(&pipeline::front_to_closed(src).unwrap());
+        let mut p = pipeline::front_to_closed(src).unwrap();
         let stats = fold_program(&mut p);
         let f = p.funcs.iter().find(|f| f.name == name).unwrap();
         (f.body.clone(), stats)

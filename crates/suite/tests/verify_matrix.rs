@@ -4,7 +4,7 @@
 
 use lesgs_compiler::{compile, config_matrix, CompilerConfig};
 use lesgs_suite::programs::{all_benchmarks, Scale};
-use lesgs_vm::{verify_bytecode, CostModel, Machine, SlotClass};
+use lesgs_vm::{verify_bytecode, CostModel, Machine};
 
 /// Every benchmark × allocator configuration × peephole on/off
 /// compiles to bytecode the abstract interpreter accepts.
@@ -64,10 +64,7 @@ fn peephole_preserves_behaviour_and_verification() {
         let off = run(true);
         assert_eq!(on.value, off.value, "{}: final value differs", b.name);
         assert_eq!(on.output, off.output, "{}: output differs", b.name);
-        let refs = |o: &lesgs_vm::VmOutcome| {
-            let count = |m: &std::collections::HashMap<SlotClass, u64>| m.values().sum::<u64>();
-            count(&o.stats.stack_loads) + count(&o.stats.stack_stores)
-        };
+        let refs = |o: &lesgs_vm::VmOutcome| o.stats.stack_refs();
         assert!(
             refs(&on) <= refs(&off),
             "{}: peephole increased stack references ({} > {})",

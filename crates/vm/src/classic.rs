@@ -192,7 +192,7 @@ impl<'a> ClassicMachine<'a> {
                     self.shadow.len()
                 );
             }
-            *self.stats.activations.entry(class).or_insert(0) += 1;
+            self.stats.activations[class as usize] += 1;
         }
     }
 
@@ -288,13 +288,13 @@ impl<'a> ClassicMachine<'a> {
                 }
                 Instr::StackLoad { dst, slot, class } => {
                     self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    *self.stats.stack_loads.entry(class).or_insert(0) += 1;
+                    self.stats.stack_loads[class as usize] += 1;
                     let v = self.stack_load(slot)?;
                     self.write_loaded(dst, v);
                 }
                 Instr::StackStore { slot, src, class } => {
                     self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    *self.stats.stack_stores.entry(class).or_insert(0) += 1;
+                    self.stats.stack_stores[class as usize] += 1;
                     let v = self.read(src);
                     self.stack_store(slot, v);
                 }

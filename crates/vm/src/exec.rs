@@ -23,7 +23,7 @@ use lesgs_ir::Reg;
 
 use crate::cost::CostModel;
 use crate::decode::{DecodedOp, DecodedProgram, PrimArgs};
-use crate::instr::{Imm, SlotClass};
+use crate::instr::Imm;
 use crate::prim::{eval_prim, ArgVals};
 use crate::program::VmProgram;
 use crate::stats::{ActivationClass, RunStats};
@@ -123,13 +123,6 @@ pub struct Machine<'a> {
     stats: RunStats,
     shadow: Vec<Activation>,
     patched: PatchedClosures,
-    // Flat per-class tallies for the hot loop; folded into the
-    // `RunStats` hash maps once, at exit. The decoded engine observes
-    // the same events as the classic one — it just counts them in
-    // arrays instead of paying a hash per stack reference.
-    stack_loads_by_class: [u64; SlotClass::ALL.len()],
-    stack_stores_by_class: [u64; SlotClass::ALL.len()],
-    activations_by_class: [u64; ActivationClass::ALL.len()],
 }
 
 type Result<T> = std::result::Result<T, VmError>;
@@ -178,9 +171,6 @@ impl<'a> Machine<'a> {
             stats: RunStats::default(),
             shadow: Vec::new(),
             patched: PatchedClosures::default(),
-            stack_loads_by_class: [0; SlotClass::ALL.len()],
-            stack_stores_by_class: [0; SlotClass::ALL.len()],
-            activations_by_class: [0; ActivationClass::ALL.len()],
         }
     }
 
@@ -325,27 +315,7 @@ impl<'a> Machine<'a> {
                     self.shadow.len()
                 );
             }
-            self.activations_by_class[class as usize] += 1;
-        }
-    }
-
-    /// Folds the flat per-class tallies into the `RunStats` hash maps.
-    /// Only non-zero classes are inserted, matching the classic
-    /// engine's `entry(..).or_insert(0)` behaviour key for key.
-    fn fold_class_counters(&mut self) {
-        for (i, class) in SlotClass::ALL.iter().enumerate() {
-            if self.stack_loads_by_class[i] > 0 {
-                *self.stats.stack_loads.entry(*class).or_insert(0) += self.stack_loads_by_class[i];
-            }
-            if self.stack_stores_by_class[i] > 0 {
-                *self.stats.stack_stores.entry(*class).or_insert(0) +=
-                    self.stack_stores_by_class[i];
-            }
-        }
-        for (i, class) in ActivationClass::ALL.iter().enumerate() {
-            if self.activations_by_class[i] > 0 {
-                *self.stats.activations.entry(*class).or_insert(0) += self.activations_by_class[i];
-            }
+            self.stats.activations[class as usize] += 1;
         }
     }
 
@@ -612,13 +582,13 @@ impl<'a> Machine<'a> {
                 }
                 DecodedOp::StackLoad { dst, slot, class } => {
                     self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_loads_by_class[class as usize] += 1;
+                    self.stats.stack_loads[class as usize] += 1;
                     let v = self.stack_load(prog, pc, slot)?;
                     self.write_loaded(dst, v);
                 }
                 DecodedOp::StackStore { slot, src, class } => {
                     self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stack_stores_by_class[class as usize] += 1;
+                    self.stats.stack_stores[class as usize] += 1;
                     let v = self.read(src);
                     self.stack_store(slot, v);
                 }
@@ -731,7 +701,6 @@ impl<'a> Machine<'a> {
                     while !self.shadow.is_empty() {
                         self.leave_activation(prog);
                     }
-                    self.fold_class_counters();
                     let value = self.read(RV).write_string();
                     return Ok(VmOutcome {
                         value,
@@ -858,7 +827,10 @@ mod tests {
         assert_eq!(out.stats.saves(), 1);
         assert_eq!(out.stats.restores(), 1);
         // add is a syntactic leaf activation.
-        assert_eq!(out.stats.activations[&ActivationClass::SyntacticLeaf], 1);
+        assert_eq!(
+            out.stats.activations[ActivationClass::SyntacticLeaf as usize],
+            1
+        );
     }
 
     #[test]

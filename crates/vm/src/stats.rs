@@ -7,13 +7,12 @@
 //! documented in OBSERVABILITY.md. Derived fractions use
 //! [`lesgs_metrics::ratio`]: a fraction of zero activations is `0.0`.
 
-use std::collections::HashMap;
-
 use lesgs_metrics::{ratio, Registry};
 
 use crate::instr::SlotClass;
 
-/// The four activation classes of Table 2.
+/// The four activation classes of Table 2, numbered in Table 2 order
+/// (`class as usize` indexes [`RunStats::activations`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActivationClass {
     /// Made no calls, and its procedure contains none.
@@ -75,16 +74,16 @@ pub struct RunStats {
     pub cycles: u64,
     /// Cycles lost waiting on in-flight loads.
     pub stall_cycles: u64,
-    /// Stack loads by class.
-    pub stack_loads: HashMap<SlotClass, u64>,
-    /// Stack stores by class.
-    pub stack_stores: HashMap<SlotClass, u64>,
+    /// Stack loads per class, indexed by `class as usize`.
+    pub stack_loads: [u64; SlotClass::ALL.len()],
+    /// Stack stores per class, indexed by `class as usize`.
+    pub stack_stores: [u64; SlotClass::ALL.len()],
     /// Non-tail calls executed.
     pub calls: u64,
     /// Tail calls executed.
     pub tail_calls: u64,
-    /// Activations by class (Table 2).
-    pub activations: HashMap<ActivationClass, u64>,
+    /// Activations per class (Table 2), indexed by `class as usize`.
+    pub activations: [u64; ActivationClass::ALL.len()],
     /// Conditional branches executed.
     pub branches: u64,
     /// Mispredicted branches (when prediction is modeled).
@@ -99,29 +98,29 @@ impl RunStats {
     /// Total stack references (loads + stores), the paper's headline
     /// metric for Table 3.
     pub fn stack_refs(&self) -> u64 {
-        self.stack_loads.values().sum::<u64>() + self.stack_stores.values().sum::<u64>()
+        self.stack_loads.iter().sum::<u64>() + self.stack_stores.iter().sum::<u64>()
     }
 
     /// Save-slot stores.
     pub fn saves(&self) -> u64 {
-        *self.stack_stores.get(&SlotClass::Save).unwrap_or(&0)
+        self.stack_stores[SlotClass::Save as usize]
     }
 
     /// Save-slot loads (restores).
     pub fn restores(&self) -> u64 {
-        *self.stack_loads.get(&SlotClass::Save).unwrap_or(&0)
+        self.stack_loads[SlotClass::Save as usize]
     }
 
     /// Total activations.
     pub fn total_activations(&self) -> u64 {
-        self.activations.values().sum()
+        self.activations.iter().sum()
     }
 
     /// Fraction of activations in a class (`0.0` when there were no
     /// activations at all).
     pub fn activation_fraction(&self, class: ActivationClass) -> f64 {
         ratio(
-            *self.activations.get(&class).unwrap_or(&0) as f64,
+            self.activations[class as usize] as f64,
             self.total_activations() as f64,
             0.0,
         )
@@ -148,11 +147,11 @@ impl RunStats {
         for class in SlotClass::ALL {
             reg.inc(
                 &format!("vm.stack_loads.{class}"),
-                *self.stack_loads.get(&class).unwrap_or(&0),
+                self.stack_loads[class as usize],
             );
             reg.inc(
                 &format!("vm.stack_stores.{class}"),
-                *self.stack_stores.get(&class).unwrap_or(&0),
+                self.stack_stores[class as usize],
             );
         }
         reg.inc("vm.stack_refs", self.stack_refs());
@@ -163,7 +162,7 @@ impl RunStats {
         for class in ActivationClass::ALL {
             reg.inc(
                 &format!("vm.activations.{}", class.key()),
-                *self.activations.get(&class).unwrap_or(&0),
+                self.activations[class as usize],
             );
         }
         reg.inc("vm.branches", self.branches);
@@ -193,9 +192,9 @@ mod tests {
     #[test]
     fn stack_refs_sums_loads_and_stores() {
         let mut s = RunStats::default();
-        s.stack_loads.insert(SlotClass::Save, 3);
-        s.stack_stores.insert(SlotClass::Param, 4);
-        s.stack_stores.insert(SlotClass::Save, 2);
+        s.stack_loads[SlotClass::Save as usize] = 3;
+        s.stack_stores[SlotClass::Param as usize] = 4;
+        s.stack_stores[SlotClass::Save as usize] = 2;
         assert_eq!(s.stack_refs(), 9);
         assert_eq!(s.saves(), 2);
         assert_eq!(s.restores(), 3);
@@ -204,9 +203,9 @@ mod tests {
     #[test]
     fn activation_fractions() {
         let mut s = RunStats::default();
-        s.activations.insert(ActivationClass::SyntacticLeaf, 1);
-        s.activations.insert(ActivationClass::NonSyntacticLeaf, 2);
-        s.activations.insert(ActivationClass::SyntacticInternal, 1);
+        s.activations[ActivationClass::SyntacticLeaf as usize] = 1;
+        s.activations[ActivationClass::NonSyntacticLeaf as usize] = 2;
+        s.activations[ActivationClass::SyntacticInternal as usize] = 1;
         assert_eq!(s.total_activations(), 4);
         assert!((s.effective_leaf_fraction() - 0.75).abs() < 1e-9);
     }
@@ -235,9 +234,9 @@ mod tests {
             calls: 3,
             ..RunStats::default()
         };
-        s.stack_loads.insert(SlotClass::Save, 4);
-        s.stack_stores.insert(SlotClass::Save, 5);
-        s.activations.insert(ActivationClass::SyntacticLeaf, 2);
+        s.stack_loads[SlotClass::Save as usize] = 4;
+        s.stack_stores[SlotClass::Save as usize] = 5;
+        s.activations[ActivationClass::SyntacticLeaf as usize] = 2;
         let mut reg = Registry::new();
         s.record(&mut reg);
         assert_eq!(reg.counter("vm.instructions"), 10);

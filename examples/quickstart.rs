@@ -38,7 +38,7 @@ fn main() {
         println!(
             "  {:<24} {:>6}",
             class.label(),
-            out.stats.activations.get(&class).copied().unwrap_or(0)
+            out.stats.activations[class as usize]
         );
     }
     println!(

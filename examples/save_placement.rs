@@ -7,12 +7,12 @@ use lesgs::allocator::toy::{s_revised, s_simple, save_set, Toy};
 use lesgs::allocator::{allocate_program, AllocConfig, SaveStrategy};
 use lesgs::frontend::pipeline;
 use lesgs::ir::machine::arg_reg;
-use lesgs::ir::{lower_program, RegSet};
+use lesgs::ir::RegSet;
 
 fn show_allocated(src: &str, name: &str) {
     println!("  source: {}", src.lines().next().unwrap_or("").trim());
     for save in [SaveStrategy::Lazy, SaveStrategy::Early, SaveStrategy::Late] {
-        let ir = lower_program(&pipeline::front_to_closed(src).expect("compiles"));
+        let ir = pipeline::front_to_closed(src).expect("compiles");
         let cfg = AllocConfig {
             save,
             ..AllocConfig::paper_default()

@@ -21,7 +21,6 @@
 use lesgs::allocator::alloc::{AExpr, AllocatedFunc};
 use lesgs::allocator::{allocate_program, AllocConfig};
 use lesgs::frontend::pipeline;
-use lesgs::ir::lower_program;
 use lesgs::ir::machine::{arg_reg, RET};
 use lesgs::ir::RegSet;
 
@@ -35,7 +34,7 @@ fn allocated_f() -> AllocatedFunc {
                         (g x))
                     x))
                (f 3 4)";
-    let ir = lower_program(&pipeline::front_to_closed(src).unwrap());
+    let ir = pipeline::front_to_closed(src).unwrap();
     allocate_program(&ir, &AllocConfig::paper_default())
         .funcs
         .into_iter()
