@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn run_record_is_deterministic() {
         let b = benchmark("tak").expect("tak exists");
-        let cfg = lesgs_suite::RunConfig::paper_default();
+        let cfg = lesgs_compiler::CompilerConfig::default();
         let a = lesgs_suite::measure(&b, Scale::Small, cfg).expect("runs");
         let b2 = lesgs_suite::measure(&b, Scale::Small, cfg).expect("runs");
         assert_eq!(

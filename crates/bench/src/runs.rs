@@ -9,8 +9,9 @@
 //! rest. Every run of one benchmark must produce the same value, whatever
 //! its configuration.
 
+use lesgs_compiler::CompilerConfig;
 use lesgs_exec::{map_ordered, PoolConfig, PoolStats};
-use lesgs_suite::{measure, Benchmark, BenchmarkRun, RunConfig, Scale};
+use lesgs_suite::{measure, Benchmark, BenchmarkRun, Scale};
 
 /// The runs made so far for one report build, keyed by benchmark name
 /// and configuration.
@@ -19,7 +20,7 @@ pub struct Runs {
     scale: Scale,
     pool: PoolConfig,
     benchmarks: Vec<Benchmark>,
-    made: Vec<(&'static str, RunConfig, BenchmarkRun)>,
+    made: Vec<(&'static str, CompilerConfig, BenchmarkRun)>,
     stats: PoolStats,
 }
 
@@ -57,7 +58,7 @@ impl Runs {
     }
 
     /// Makes the run of every suite benchmark under each of `configs`.
-    pub(crate) fn run_suite(&mut self, configs: &[RunConfig]) {
+    pub(crate) fn run_suite(&mut self, configs: &[CompilerConfig]) {
         let benchmarks = std::mem::take(&mut self.benchmarks);
         let wanted = benchmarks
             .iter()
@@ -73,8 +74,11 @@ impl Runs {
     ///
     /// Panics when a run fails, or when two runs of one benchmark
     /// disagree on its value.
-    pub(crate) fn run<'a>(&mut self, wanted: impl IntoIterator<Item = (&'a Benchmark, RunConfig)>) {
-        let mut jobs: Vec<(&Benchmark, RunConfig)> = Vec::new();
+    pub(crate) fn run<'a>(
+        &mut self,
+        wanted: impl IntoIterator<Item = (&'a Benchmark, CompilerConfig)>,
+    ) {
+        let mut jobs: Vec<(&Benchmark, CompilerConfig)> = Vec::new();
         for (b, config) in wanted {
             let queued = jobs.iter().any(|(j, c)| j.name == b.name && *c == config);
             if !queued && self.find(b.name, config).is_none() {
@@ -82,7 +86,7 @@ impl Runs {
             }
         }
         let scale = self.scale;
-        let run = |(b, config): (&Benchmark, RunConfig)| {
+        let run = |(b, config): (&Benchmark, CompilerConfig)| {
             let made = measure(b, scale, config)
                 .unwrap_or_else(|e| panic!("benchmark {} failed: {e}", b.name));
             (b.name, config, made)
@@ -104,12 +108,12 @@ impl Runs {
     /// # Panics
     ///
     /// Panics when that run was never made.
-    pub fn get(&self, b: &Benchmark, config: RunConfig) -> &BenchmarkRun {
+    pub fn get(&self, b: &Benchmark, config: CompilerConfig) -> &BenchmarkRun {
         self.find(b.name, config)
             .unwrap_or_else(|| panic!("{}: no run made under {config:?}", b.name))
     }
 
-    fn find(&self, name: &str, config: RunConfig) -> Option<&BenchmarkRun> {
+    fn find(&self, name: &str, config: CompilerConfig) -> Option<&BenchmarkRun> {
         let made = self
             .made
             .iter()

@@ -19,7 +19,6 @@ use lesgs_metrics::{ratio, Registry};
 use lesgs_suite::measure::Measurement;
 use lesgs_suite::programs::{benchmark, Benchmark};
 use lesgs_suite::tables::{frac_pct, pct, Table};
-use lesgs_suite::RunConfig;
 use lesgs_vm::{ActivationClass, RunStats};
 
 use crate::runs::Runs;
@@ -82,7 +81,7 @@ impl<R> fmt::Display for Section<R> {
 /// its name.
 fn per_benchmark<R>(
     runs: &mut Runs,
-    configs: &[RunConfig],
+    configs: &[CompilerConfig],
     mut s: Section<(&'static str, R)>,
     row: impl Fn(&Runs, &Benchmark) -> (R, Vec<String>),
 ) -> Section<(&'static str, R)> {
@@ -104,7 +103,7 @@ fn mean_of<R>(rows: &[R], column: impl Fn(&R) -> f64) -> f64 {
 }
 
 /// The geometric mean over the suite of the cycle ratio `num / den`.
-fn cycle_ratio(runs: &Runs, num: RunConfig, den: RunConfig) -> f64 {
+fn cycle_ratio(runs: &Runs, num: CompilerConfig, den: CompilerConfig) -> f64 {
     let cycles = |b: &Benchmark, c| runs.get(b, c).stats.cycles as f64;
     mean_of(runs.benchmarks(), |b| {
         (cycles(b, num) / cycles(b, den)).ln()
@@ -122,21 +121,21 @@ fn counts<T: ToString, const N: usize>(values: [T; N]) -> Vec<String> {
 }
 
 /// The paper default with `change` applied.
-fn paper_with(change: impl FnOnce(&mut RunConfig)) -> RunConfig {
-    let mut config = RunConfig::paper_default();
+fn paper_with(change: impl FnOnce(&mut CompilerConfig)) -> CompilerConfig {
+    let mut config = CompilerConfig::default();
     change(&mut config);
     config
 }
 
-fn lazy_restores() -> RunConfig {
+fn lazy_restores() -> CompilerConfig {
     paper_with(|c| c.alloc.restore = RestoreStrategy::Lazy)
 }
 
 /// The headline: stack-reference reduction and speedup of the paper
 /// default over the no-register baseline.
 pub fn comparisons(runs: &mut Runs) -> Section<(&'static str, Measurement)> {
-    let base = RunConfig::from(AllocConfig::baseline());
-    let paper = RunConfig::paper_default();
+    let base = CompilerConfig::with_alloc(AllocConfig::baseline());
+    let paper = CompilerConfig::default();
     let s = Section::new(
         "comparisons",
         "Full optimization vs the no-register baseline",
@@ -182,7 +181,7 @@ pub fn table1(runs: &mut Runs) -> Section<(&'static str, usize)> {
 /// paper default. The paper: syntactic leaves are under one third of
 /// activations, effective leaves (both leaf classes) over two thirds.
 pub fn table2(runs: &mut Runs) -> Section<(&'static str, RunStats)> {
-    let paper = RunConfig::paper_default();
+    let paper = CompilerConfig::default();
     let fractions = |r: &RunStats| {
         let classes = ActivationClass::ALL.map(|c| r.activation_fraction(c));
         [&classes[..], &[r.effective_leaf_fraction()]].concat()
@@ -214,7 +213,7 @@ pub fn table3(runs: &mut Runs) -> Section<(&'static str, [Measurement; 3])> {
         ("early", SaveStrategy::Early),
         ("late", SaveStrategy::Late),
     ];
-    let base = RunConfig::from(AllocConfig::baseline());
+    let base = CompilerConfig::with_alloc(AllocConfig::baseline());
     let configs = saves.map(|(_, save)| paper_with(|c| c.alloc.save = save));
     let headers = saves.map(|(n, _)| format!("{n} stack-ref, {n} speedup"));
     let s = Section::new(
@@ -246,7 +245,7 @@ pub fn table3(runs: &mut Runs) -> Section<(&'static str, [Measurement; 3])> {
 }
 
 /// The paper default under another save discipline and strategy.
-fn discipline(discipline: Discipline, save: SaveStrategy) -> RunConfig {
+fn discipline(discipline: Discipline, save: SaveStrategy) -> CompilerConfig {
     paper_with(|c| (c.alloc.discipline, c.alloc.save) = (discipline, save))
 }
 
@@ -256,7 +255,7 @@ fn discipline(discipline: Discipline, save: SaveStrategy) -> RunConfig {
 pub fn table4(runs: &mut Runs) -> Section<(&'static str, u64)> {
     let tak = benchmark("tak").expect("tak is in the suite");
     let cc = discipline(Discipline::CalleeSave, SaveStrategy::Early);
-    let chez = RunConfig::paper_default();
+    let chez = CompilerConfig::default();
     let models = [
         ("cc -O3 (simulated)", "early callee-save", cc),
         ("Chez Scheme (this allocator)", "lazy caller-save", chez),
@@ -381,7 +380,7 @@ pub fn figure1() -> Section<(&'static str, RegSet, RegSet)> {
 /// Figure 2: eager vs lazy restore placement. Rows: (benchmark, (eager
 /// run, lazy run)).
 pub fn figure2(runs: &mut Runs) -> Section<(&'static str, (RunStats, RunStats))> {
-    let [eager, lazy] = [RunConfig::paper_default(), lazy_restores()];
+    let [eager, lazy] = [CompilerConfig::default(), lazy_restores()];
     let ratio = |e: &RunStats, l: &RunStats| l.cycles as f64 / e.cycles as f64;
     let s = Section::new(
         "figure2",
@@ -430,7 +429,7 @@ fn total<'a>(stats: impl IntoIterator<Item = &'a ShuffleStats>) -> ShuffleStats 
 /// those with register-move cycles, and greedy vs exhaustive-optimal
 /// temporaries. Rows: (benchmark, statistics).
 pub fn shuffle_stats(runs: &mut Runs) -> Section<(&'static str, ShuffleStats)> {
-    let paper = RunConfig::paper_default();
+    let paper = CompilerConfig::default();
     let cells = |st: &ShuffleStats| {
         let matched = st.sites_greedy_optimal as f64 / st.call_sites as f64;
         let n = [
@@ -508,7 +507,7 @@ pub fn register_sweep(runs: &mut Runs) -> Section<(&'static str, [f64; 7])> {
 pub fn latency_ablation(runs: &mut Runs) -> Section<(u64, f64)> {
     let latencies = [0, 1, 2, 3, 5, 8];
     let pair = |load_latency| {
-        [RunConfig::paper_default(), lazy_restores()].map(|mut c| {
+        [CompilerConfig::default(), lazy_restores()].map(|mut c| {
             c.cost.load_latency = load_latency;
             c
         })
@@ -554,7 +553,7 @@ const CYCLES: Metric = ("cycles", |r| r.cycles);
 fn on_off(
     runs: &mut Runs,
     (name, title): (&'static str, &'static str),
-    [off, on]: [RunConfig; 2],
+    [off, on]: [CompilerConfig; 2],
     metrics: [Metric; 2],
 ) -> (Ablation, f64) {
     let [a, b] = metrics.map(|(m, _)| m);
@@ -581,7 +580,7 @@ pub fn peephole_ablation(runs: &mut Runs) -> Ablation {
         ("peephole_ablation", "Backend ablation: peephole optimizer"),
         [
             paper_with(|c| c.no_peephole = true),
-            RunConfig::paper_default(),
+            CompilerConfig::default(),
         ],
         [CYCLES, ("stack refs", RunStats::stack_refs)],
     );
@@ -596,7 +595,7 @@ pub fn lambda_lift(runs: &mut Runs) -> Ablation {
         runs,
         ("lambda_lift", "§6 ablation: selective lambda lifting"),
         [
-            RunConfig::paper_default(),
+            CompilerConfig::default(),
             paper_with(|c| c.lambda_lift = true),
         ],
         [("closures", |r| r.closures_allocated), CYCLES],
@@ -621,7 +620,7 @@ const INVERTED_TAK: &str = "(define (tak x y z)
 /// §6: static prediction that paths without calls are taken. The paper:
 /// "a small (2–3%) but consistent improvement".
 pub fn branch_prediction(runs: &mut Runs) -> Ablation {
-    let off = RunConfig::paper_default();
+    let off = CompilerConfig::default();
     let on = paper_with(|c| c.alloc.branch_prediction = true);
     let (mut s, improvement) = on_off(
         runs,

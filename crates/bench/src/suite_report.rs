@@ -104,9 +104,12 @@ pub fn build_suite_report(
     }
     add!(sections::comparisons(&mut runs));
     for b in runs.benchmarks() {
-        let [base, paper] = [AllocConfig::baseline(), AllocConfig::paper_default()];
-        report.add_run(run_record("baseline", runs.get(b, base.into())));
-        report.add_run(run_record("paper_default", runs.get(b, paper.into())));
+        let base = CompilerConfig::with_alloc(AllocConfig::baseline());
+        report.add_run(run_record("baseline", runs.get(b, base)));
+        report.add_run(run_record(
+            "paper_default",
+            runs.get(b, CompilerConfig::default()),
+        ));
     }
     report.add_table(DISPATCH_TABLE, &dispatch_table(&dispatches));
     report.add_table(

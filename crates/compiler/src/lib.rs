@@ -25,7 +25,7 @@ use lesgs_metrics::{ratio, Registry};
 use lesgs_vm::{CostModel, DecodedProgram, Machine, VmOutcome, VmProgram};
 
 /// Complete compiler + execution configuration.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompilerConfig {
     /// Register allocator configuration.
     pub alloc: AllocConfig,
@@ -447,8 +447,7 @@ pub fn differential_check_parallel(
     fuel: u64,
     jobs: usize,
 ) -> Result<(), DiffFailure> {
-    let (src, configs) = (src.to_owned(), configs.to_vec());
-    lesgs_interp::on_wide_stack(move || check_on_wide_stack(&src, &configs, fuel, jobs))
+    lesgs_interp::on_wide_stack(|| check_on_wide_stack(src, configs, fuel, jobs))
 }
 
 /// [`differential_check_parallel`]'s body, on a marked wide-stack

@@ -330,6 +330,45 @@ impl AExpr {
             }
         }
     }
+
+    /// [`for_each_child`](AExpr::for_each_child) with mutable access, in
+    /// the same order.
+    pub fn for_each_child_mut(&mut self, f: &mut dyn FnMut(&mut AExpr)) {
+        match self {
+            AExpr::Const(_)
+            | AExpr::ReadHome(_)
+            | AExpr::FreeRef(_)
+            | AExpr::Global(_)
+            | AExpr::RestoreRegs(_)
+            | AExpr::RegMove { .. } => {}
+            AExpr::GlobalSet { value, .. } => f(value),
+            AExpr::If {
+                cond, then, els, ..
+            } => {
+                f(cond);
+                f(then);
+                f(els);
+            }
+            AExpr::Seq(es) => es.iter_mut().for_each(f),
+            AExpr::Bind { rhs, body, .. } => {
+                f(rhs);
+                f(body);
+            }
+            AExpr::PrimApp(_, args) => args.iter_mut().for_each(f),
+            AExpr::Save { body, .. } => f(body),
+            AExpr::Call(c) => {
+                if let Some(cl) = &mut c.closure {
+                    f(cl);
+                }
+                c.args.iter_mut().for_each(f);
+            }
+            AExpr::MakeClosure { free, .. } => free.iter_mut().for_each(f),
+            AExpr::ClosureSet { clo, value, .. } => {
+                f(clo);
+                f(value);
+            }
+        }
+    }
 }
 
 impl fmt::Display for AExpr {
@@ -442,5 +481,104 @@ impl AllocatedProgram {
     /// Looks up a function.
     pub fn func(&self, id: FuncId) -> &AllocatedFunc {
         &self.funcs[id.index()]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lesgs_ir::machine::{arg_reg, RET};
+
+    #[test]
+    fn mutable_traversal_reaches_the_same_children_in_order() {
+        // Every variant and callee kind; `Fixnum` leaves numbered in
+        // child order.
+        let mut next = -1;
+        let mut leaf = || {
+            next += 1;
+            Box::new(AExpr::Const(Const::Fixnum(next)))
+        };
+        let call = |callee, closure: Option<Box<AExpr>>, args: Vec<AExpr>| {
+            AExpr::Call(CallNode {
+                callee,
+                args,
+                closure,
+                plan: ShufflePlan::default(),
+                tail: false,
+                restore: RegSet::EMPTY,
+                live_after: RegSet::EMPTY,
+            })
+        };
+        let mut e = AExpr::Seq(vec![
+            AExpr::GlobalSet {
+                index: 0,
+                value: leaf(),
+            },
+            AExpr::If {
+                cond: leaf(),
+                then: leaf(),
+                els: leaf(),
+                predict: None,
+            },
+            AExpr::Bind {
+                home: Home::Reg(RET),
+                rhs: leaf(),
+                body: leaf(),
+            },
+            AExpr::PrimApp(Prim::Add, vec![*leaf(), *leaf()]),
+            AExpr::Save {
+                regs: RegSet::EMPTY,
+                live_out: RegSet::EMPTY,
+                exit_restore: RegSet::EMPTY,
+                body: leaf(),
+            },
+            call(
+                ACallee::KnownClosure(FuncId(0)),
+                Some(leaf()),
+                vec![*leaf()],
+            ),
+            call(ACallee::Computed, Some(leaf()), vec![*leaf()]),
+            call(ACallee::Direct(FuncId(0)), None, vec![*leaf()]),
+            AExpr::MakeClosure {
+                func: FuncId(1),
+                free: vec![*leaf(), *leaf()],
+            },
+            AExpr::ClosureSet {
+                clo: leaf(),
+                index: 0,
+                value: leaf(),
+            },
+            AExpr::ReadHome(Home::Reg(arg_reg(0))),
+            AExpr::FreeRef(0),
+            AExpr::Global(0),
+            AExpr::RestoreRegs(RegSet::EMPTY),
+            AExpr::RegMove {
+                src: arg_reg(0),
+                dst: RET,
+            },
+        ]);
+        fn reached_mut(e: &mut AExpr, out: &mut Vec<*const AExpr>) {
+            e.for_each_child_mut(&mut |c| {
+                out.push(c);
+                reached_mut(c, out);
+            });
+        }
+        let mut unique = Vec::new();
+        reached_mut(&mut e, &mut unique);
+        let mut shared = Vec::new();
+        e.visit(&mut |c| shared.push(c));
+        let shared_ptrs: Vec<*const AExpr> = shared[1..].iter().map(|&c| c as *const _).collect();
+        assert_eq!(shared_ptrs, unique);
+        let variants: std::collections::HashSet<_> =
+            shared.iter().copied().map(std::mem::discriminant).collect();
+        assert_eq!(variants.len(), 15, "every variant is in the tree");
+        let leaves: Vec<i64> = shared
+            .iter()
+            .filter_map(|c| match c {
+                AExpr::Const(Const::Fixnum(n)) => Some(*n),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(leaves, (0..18).collect::<Vec<_>>());
     }
 }

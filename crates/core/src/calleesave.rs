@@ -16,6 +16,7 @@
 //! against), and `let`-bound locals keep the normal caller-save
 //! treatment so the region placement stays sound.
 
+use lesgs_frontend::Const;
 use lesgs_ir::machine::{arg_reg, callee_reg, RET};
 use lesgs_ir::{Expr, Func, RegSet};
 
@@ -30,43 +31,11 @@ use crate::savep;
 /// Rewrites every tail call into an ordinary call (the C model has no
 /// tail calls, and region placement relies on every call sitting inside
 /// a `ret` save region).
-fn de_tail(e: &Expr) -> Expr {
-    match e {
-        Expr::Call { callee, args, .. } => Expr::Call {
-            callee: match callee {
-                lesgs_ir::Callee::Direct(f) => lesgs_ir::Callee::Direct(*f),
-                lesgs_ir::Callee::KnownClosure(f, c) => {
-                    lesgs_ir::Callee::KnownClosure(*f, Box::new(de_tail(c)))
-                }
-                lesgs_ir::Callee::Computed(c) => lesgs_ir::Callee::Computed(Box::new(de_tail(c))),
-            },
-            args: args.iter().map(de_tail).collect(),
-            tail: false,
-        },
-        Expr::Const(_) | Expr::Var(_) | Expr::FreeRef(_) | Expr::Global(_) => e.clone(),
-        Expr::GlobalSet(g, rhs) => Expr::GlobalSet(*g, Box::new(de_tail(rhs))),
-        Expr::If(c, t, el) => Expr::If(
-            Box::new(de_tail(c)),
-            Box::new(de_tail(t)),
-            Box::new(de_tail(el)),
-        ),
-        Expr::Seq(es) => Expr::Seq(es.iter().map(de_tail).collect()),
-        Expr::Let { var, rhs, body } => Expr::Let {
-            var: *var,
-            rhs: Box::new(de_tail(rhs)),
-            body: Box::new(de_tail(body)),
-        },
-        Expr::PrimApp(p, args) => Expr::PrimApp(*p, args.iter().map(de_tail).collect()),
-        Expr::MakeClosure { func, free } => Expr::MakeClosure {
-            func: *func,
-            free: free.iter().map(de_tail).collect(),
-        },
-        Expr::ClosureSet { clo, index, value } => Expr::ClosureSet {
-            clo: Box::new(de_tail(clo)),
-            index: *index,
-            value: Box::new(de_tail(value)),
-        },
+fn de_tail(e: &mut Expr) {
+    if let Expr::Call { tail, .. } = e {
+        *tail = false;
     }
+    e.for_each_child_mut(&mut de_tail);
 }
 
 /// True if any `ret`-save region has callee-save registers live past
@@ -103,109 +72,34 @@ fn param_moves(n_reg_params: usize) -> Vec<AExpr> {
 
 /// Injects callee-save saves + parameter moves at `ret` regions and
 /// remaps parameter reads outside regions back to argument registers.
-fn inject(e: AExpr, used_k: RegSet, n_reg_params: usize, inside: bool) -> AExpr {
+fn inject(e: &mut AExpr, used_k: RegSet, n_reg_params: usize, inside: bool) {
     match e {
         AExpr::Save {
             regs,
-            live_out,
             exit_restore,
             body,
+            ..
         } if regs.contains(RET) && !inside => {
-            let body = inject(*body, used_k, n_reg_params, true);
+            inject(body, used_k, n_reg_params, true);
             let mut seq = param_moves(n_reg_params);
-            seq.push(body);
-            AExpr::Save {
-                regs: regs | used_k,
-                live_out,
-                exit_restore: exit_restore | used_k,
-                body: Box::new(AExpr::seq(seq)),
-            }
+            seq.push(std::mem::replace(&mut **body, AExpr::Const(Const::Void)));
+            **body = AExpr::seq(seq);
+            *regs = *regs | used_k;
+            *exit_restore = *exit_restore | used_k;
         }
         AExpr::ReadHome(Home::Reg(r)) if !inside && r.is_callee_save() => {
             let i =
                 r.index() - lesgs_ir::machine::NUM_SCRATCH - lesgs_ir::machine::MAX_ARG_REGS - 3;
-            AExpr::ReadHome(Home::Reg(arg_reg(i)))
+            *r = arg_reg(i);
         }
-        AExpr::Const(_)
-        | AExpr::ReadHome(_)
-        | AExpr::FreeRef(_)
-        | AExpr::Global(_)
-        | AExpr::RestoreRegs(_)
-        | AExpr::RegMove { .. } => e,
-        AExpr::GlobalSet { index, value } => AExpr::GlobalSet {
-            index,
-            value: Box::new(inject(*value, used_k, n_reg_params, inside)),
-        },
-        AExpr::If {
-            cond,
-            then,
-            els,
-            predict,
-        } => AExpr::If {
-            cond: Box::new(inject(*cond, used_k, n_reg_params, inside)),
-            then: Box::new(inject(*then, used_k, n_reg_params, inside)),
-            els: Box::new(inject(*els, used_k, n_reg_params, inside)),
-            predict,
-        },
-        AExpr::Seq(es) => AExpr::Seq(
-            es.into_iter()
-                .map(|e| inject(e, used_k, n_reg_params, inside))
-                .collect(),
-        ),
-        AExpr::Bind { home, rhs, body } => AExpr::Bind {
-            home,
-            rhs: Box::new(inject(*rhs, used_k, n_reg_params, inside)),
-            body: Box::new(inject(*body, used_k, n_reg_params, inside)),
-        },
-        AExpr::PrimApp(p, args) => AExpr::PrimApp(
-            p,
-            args.into_iter()
-                .map(|a| inject(a, used_k, n_reg_params, inside))
-                .collect(),
-        ),
-        AExpr::Save {
-            regs,
-            live_out,
-            exit_restore,
-            body,
-        } => AExpr::Save {
-            regs,
-            live_out,
-            exit_restore,
-            body: Box::new(inject(*body, used_k, n_reg_params, inside)),
-        },
-        AExpr::Call(mut node) => {
-            node.args = node
-                .args
-                .into_iter()
-                .map(|a| inject(a, used_k, n_reg_params, inside))
-                .collect();
-            node.closure = node
-                .closure
-                .map(|c| Box::new(inject(*c, used_k, n_reg_params, inside)));
-            AExpr::Call(node)
-        }
-        AExpr::MakeClosure { func, free } => AExpr::MakeClosure {
-            func,
-            free: free
-                .into_iter()
-                .map(|a| inject(a, used_k, n_reg_params, inside))
-                .collect(),
-        },
-        AExpr::ClosureSet { clo, index, value } => AExpr::ClosureSet {
-            clo: Box::new(inject(*clo, used_k, n_reg_params, inside)),
-            index,
-            value: Box::new(inject(*value, used_k, n_reg_params, inside)),
-        },
+        _ => e.for_each_child_mut(&mut |c| inject(c, used_k, n_reg_params, inside)),
     }
 }
 
 /// Allocates one function under the callee-save discipline.
 pub fn allocate_func(func: &Func, cfg: &AllocConfig) -> AllocatedFunc {
-    let de_tailed = Func {
-        body: de_tail(&func.body),
-        ..func.clone()
-    };
+    let mut de_tailed = func.clone();
+    de_tail(&mut de_tailed.body);
 
     // A function that makes no calls at all keeps everything in
     // caller-save registers: no callee-save traffic.
@@ -233,7 +127,7 @@ pub fn allocate_func(func: &Func, cfg: &AllocConfig) -> AllocatedFunc {
     };
     let r1 = savep::run(&de_tailed, &homes, &place_cfg);
     let r2 = pass2::run(r1.body, &place_cfg);
-    let body = match cfg.restore {
+    let mut body = match cfg.restore {
         RestoreStrategy::Eager => r2.body,
         RestoreStrategy::Lazy => pass2::lazy_restores(r2.body),
     };
@@ -250,7 +144,8 @@ pub fn allocate_func(func: &Func, cfg: &AllocConfig) -> AllocatedFunc {
             body: Box::new(AExpr::seq(seq)),
         }
     } else {
-        inject(body, used_k, n_reg_params, false)
+        inject(&mut body, used_k, n_reg_params, false);
+        body
     };
 
     AllocatedFunc {

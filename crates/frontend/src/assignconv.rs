@@ -9,41 +9,17 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::ast::{Expr, Lambda};
+use crate::ast::{Const, Expr, Lambda};
 use crate::names::{Interner, VarId};
 use crate::prim::Prim;
 
 /// Collects all `set!` targets in `e`.
 pub fn mutated_vars(e: &Expr<VarId>) -> HashSet<VarId> {
     fn walk(e: &Expr<VarId>, out: &mut HashSet<VarId>) {
-        match e {
-            Expr::Const(_) | Expr::Var(_) | Expr::Global(_) => {}
-            Expr::Set(v, rhs) => {
-                out.insert(*v);
-                walk(rhs, out);
-            }
-            Expr::GlobalSet(_, rhs) => walk(rhs, out),
-            Expr::If(c, t, el) => {
-                walk(c, out);
-                walk(t, out);
-                walk(el, out);
-            }
-            Expr::Seq(es) => es.iter().for_each(|e| walk(e, out)),
-            Expr::Lambda(l) => walk(&l.body, out),
-            Expr::Let(bs, b) => {
-                bs.iter().for_each(|(_, e)| walk(e, out));
-                walk(b, out);
-            }
-            Expr::Letrec(bs, b) => {
-                bs.iter().for_each(|(_, l)| walk(&l.body, out));
-                walk(b, out);
-            }
-            Expr::App(f, args) => {
-                walk(f, out);
-                args.iter().for_each(|a| walk(a, out));
-            }
-            Expr::PrimApp(_, args) => args.iter().for_each(|a| walk(a, out)),
+        if let Expr::Set(v, _) = e {
+            out.insert(*v);
         }
+        e.for_each_child(&mut |c| walk(c, out));
     }
     let mut out = HashSet::new();
     walk(e, &mut out);
@@ -57,6 +33,11 @@ struct Converter<'a> {
     cells: HashMap<VarId, VarId>,
 }
 
+/// Moves `e` out, leaving a placeholder to be overwritten.
+fn take(e: &mut Expr<VarId>) -> Expr<VarId> {
+    std::mem::replace(e, Expr::Const(Const::Void))
+}
+
 impl Converter<'_> {
     fn cell_for(&mut self, v: VarId) -> VarId {
         if let Some(&c) = self.cells.get(&v) {
@@ -68,95 +49,59 @@ impl Converter<'_> {
         c
     }
 
-    fn convert_lambda(&mut self, l: &Lambda<VarId>) -> Lambda<VarId> {
-        let body = self.convert(&l.body);
+    fn convert_lambda(&mut self, l: &mut Lambda<VarId>) {
+        self.convert(&mut l.body);
         // Mutated parameters: keep the parameter, bind a cell around
         // the body: (lambda (x) body) => (lambda (x) (let ((xc (box x))) body)).
-        let mut wrapped = body;
         for p in l.params.iter().rev() {
             if self.mutated.contains(p) {
                 let cell = self.cell_for(*p);
-                wrapped = Expr::Let(
+                *l.body = Expr::Let(
                     vec![(cell, Expr::PrimApp(Prim::MakeCell, vec![Expr::Var(*p)]))],
-                    Box::new(wrapped),
+                    Box::new(take(&mut l.body)),
                 );
             }
         }
-        Lambda {
-            params: l.params.clone(),
-            body: Box::new(wrapped),
-            name: l.name.clone(),
-        }
     }
 
-    fn convert(&mut self, e: &Expr<VarId>) -> Expr<VarId> {
+    fn convert(&mut self, e: &mut Expr<VarId>) {
         match e {
-            Expr::Const(c) => Expr::Const(c.clone()),
-            Expr::Var(v) => {
-                if self.mutated.contains(v) {
-                    let cell = self.cell_for(*v);
-                    Expr::PrimApp(Prim::CellRef, vec![Expr::Var(cell)])
-                } else {
-                    Expr::Var(*v)
-                }
-            }
-            Expr::Global(g) => Expr::Global(*g),
-            Expr::Set(v, rhs) => {
-                let rhs = self.convert(rhs);
+            Expr::Var(v) if self.mutated.contains(v) => {
                 let cell = self.cell_for(*v);
-                Expr::PrimApp(Prim::CellSet, vec![Expr::Var(cell), rhs])
+                *e = Expr::PrimApp(Prim::CellRef, vec![Expr::Var(cell)]);
             }
-            Expr::GlobalSet(g, rhs) => {
-                // Globals live in dedicated locations; no boxing needed.
-                Expr::GlobalSet(*g, Box::new(self.convert(rhs)))
+            Expr::Set(v, rhs) => {
+                self.convert(rhs);
+                let cell = self.cell_for(*v);
+                *e = Expr::PrimApp(Prim::CellSet, vec![Expr::Var(cell), take(rhs)]);
             }
-            Expr::If(c, t, el) => Expr::If(
-                Box::new(self.convert(c)),
-                Box::new(self.convert(t)),
-                Box::new(self.convert(el)),
-            ),
-            Expr::Seq(es) => Expr::Seq(es.iter().map(|e| self.convert(e)).collect()),
-            Expr::Lambda(l) => Expr::Lambda(self.convert_lambda(l)),
+            Expr::Lambda(l) => self.convert_lambda(l),
             Expr::Let(bs, b) => {
                 // Mutated let-bound variables bind the cell directly:
                 // (let ((x e)) body) => (let ((xc (box e))) body).
-                let bindings = bs
-                    .iter()
-                    .map(|(v, rhs)| {
-                        let rhs = self.convert(rhs);
-                        if self.mutated.contains(v) {
-                            let cell = self.cell_for(*v);
-                            (cell, Expr::PrimApp(Prim::MakeCell, vec![rhs]))
-                        } else {
-                            (*v, rhs)
-                        }
-                    })
-                    .collect();
-                Expr::Let(bindings, Box::new(self.convert(b)))
+                for (v, rhs) in bs.iter_mut() {
+                    self.convert(rhs);
+                    if self.mutated.contains(v) {
+                        *v = self.cell_for(*v);
+                        *rhs = Expr::PrimApp(Prim::MakeCell, vec![take(rhs)]);
+                    }
+                }
+                self.convert(b);
             }
             Expr::Letrec(bs, b) => {
                 // Desugaring guarantees letrec-bound names are never
                 // assigned (assigned defines are demoted to values).
-                for (v, _) in bs {
+                for (v, l) in bs.iter_mut() {
                     assert!(
                         !self.mutated.contains(v),
                         "letrec-bound variable cannot be assigned"
                     );
+                    self.convert_lambda(l);
                 }
-                Expr::Letrec(
-                    bs.iter()
-                        .map(|(v, l)| (*v, self.convert_lambda(l)))
-                        .collect(),
-                    Box::new(self.convert(b)),
-                )
+                self.convert(b);
             }
-            Expr::App(f, args) => Expr::App(
-                Box::new(self.convert(f)),
-                args.iter().map(|a| self.convert(a)).collect(),
-            ),
-            Expr::PrimApp(p, args) => {
-                Expr::PrimApp(*p, args.iter().map(|a| self.convert(a)).collect())
-            }
+            // Globals live in dedicated locations; no boxing needed.
+            _ => e.for_each_child_mut(&mut |c| self.convert(c)),
         }
     }
 }
@@ -174,17 +119,17 @@ impl Converter<'_> {
 /// let surface = desugar::expr(&parse_one(
 ///     "(let ((x 1)) (begin (set! x 2) x))").unwrap()).unwrap();
 /// let mut r = Renamer::new();
-/// let renamed = r.rename(&surface).unwrap();
-/// let converted = assignconv::convert(&renamed, &mut r.interner);
+/// let mut converted = r.rename(&surface).unwrap();
+/// assignconv::convert(&mut converted, &mut r.interner);
 /// let s = converted.to_string();
 /// assert!(s.contains("%box"));
 /// assert!(s.contains("%set-box!"));
 /// assert!(s.contains("%unbox"));
 /// ```
-pub fn convert(e: &Expr<VarId>, interner: &mut Interner) -> Expr<VarId> {
+pub fn convert(e: &mut Expr<VarId>, interner: &mut Interner) {
     let mutated = mutated_vars(e);
     if mutated.is_empty() {
-        return e.clone();
+        return;
     }
     let mut c = Converter {
         interner,
@@ -210,8 +155,8 @@ mod tests {
     fn conv(src: &str) -> (Expr<VarId>, String) {
         let surface = desugar::expr(&parse_one(src).unwrap()).unwrap();
         let mut r = Renamer::new();
-        let renamed = r.rename(&surface).unwrap();
-        let converted = convert(&renamed, &mut r.interner);
+        let mut converted = r.rename(&surface).unwrap();
+        convert(&mut converted, &mut r.interner);
         let s = converted.to_string();
         (converted, s)
     }

@@ -115,20 +115,75 @@ impl<V> Expr<V> {
         }
     }
 
+    /// Calls `f` on each direct subexpression, in evaluation order: the
+    /// right-hand side of `Set`/`GlobalSet`; `If` test, then, else;
+    /// `Seq` elements; a `Lambda` body; `Let` right-hand sides, then the
+    /// body; `Letrec` lambda bodies, then the body; the `App` operator,
+    /// then its arguments; `PrimApp` arguments.
+    ///
+    /// Structural walkers recurse through this (or
+    /// [`for_each_child_mut`](Expr::for_each_child_mut)) and match only
+    /// the variants they act on. Passes that number what they meet —
+    /// assignment conversion's fresh cell names — depend on the order.
+    pub fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a Expr<V>)) {
+        match self {
+            Expr::Const(_) | Expr::Var(_) | Expr::Global(_) => {}
+            Expr::Set(_, e) | Expr::GlobalSet(_, e) => f(e),
+            Expr::If(c, t, e) => {
+                f(c);
+                f(t);
+                f(e);
+            }
+            Expr::Seq(es) | Expr::PrimApp(_, es) => es.iter().for_each(f),
+            Expr::Lambda(l) => f(&l.body),
+            Expr::Let(bs, b) => {
+                bs.iter().for_each(|(_, e)| f(e));
+                f(b);
+            }
+            Expr::Letrec(bs, b) => {
+                bs.iter().for_each(|(_, l)| f(&l.body));
+                f(b);
+            }
+            Expr::App(head, args) => {
+                f(head);
+                args.iter().for_each(f);
+            }
+        }
+    }
+
+    /// [`for_each_child`](Expr::for_each_child) with mutable access, in
+    /// the same order.
+    pub fn for_each_child_mut(&mut self, f: &mut dyn FnMut(&mut Expr<V>)) {
+        match self {
+            Expr::Const(_) | Expr::Var(_) | Expr::Global(_) => {}
+            Expr::Set(_, e) | Expr::GlobalSet(_, e) => f(e),
+            Expr::If(c, t, e) => {
+                f(c);
+                f(t);
+                f(e);
+            }
+            Expr::Seq(es) | Expr::PrimApp(_, es) => es.iter_mut().for_each(f),
+            Expr::Lambda(l) => f(&mut l.body),
+            Expr::Let(bs, b) => {
+                bs.iter_mut().for_each(|(_, e)| f(e));
+                f(b);
+            }
+            Expr::Letrec(bs, b) => {
+                bs.iter_mut().for_each(|(_, l)| f(&mut l.body));
+                f(b);
+            }
+            Expr::App(head, args) => {
+                f(head);
+                args.iter_mut().for_each(f);
+            }
+        }
+    }
+
     /// Counts AST nodes (used in tests and statistics).
     pub fn size(&self) -> usize {
-        let children: usize = match self {
-            Expr::Const(_) | Expr::Var(_) | Expr::Global(_) => 0,
-            Expr::Set(_, e) | Expr::GlobalSet(_, e) => e.size(),
-            Expr::If(c, t, e) => c.size() + t.size() + e.size(),
-            Expr::Seq(es) => es.iter().map(Expr::size).sum(),
-            Expr::Lambda(l) => l.body.size(),
-            Expr::Let(bs, b) => bs.iter().map(|(_, e)| e.size()).sum::<usize>() + b.size(),
-            Expr::Letrec(bs, b) => bs.iter().map(|(_, l)| l.body.size()).sum::<usize>() + b.size(),
-            Expr::App(f, args) => f.size() + args.iter().map(Expr::size).sum::<usize>(),
-            Expr::PrimApp(_, args) => args.iter().map(Expr::size).sum(),
-        };
-        children + 1
+        let mut n = 1;
+        self.for_each_child(&mut |c| n += c.size());
+        n
     }
 }
 
@@ -239,6 +294,78 @@ mod tests {
             vec![var("x"), Expr::Const(Const::Fixnum(1))],
         );
         assert_eq!(e.size(), 4);
+    }
+
+    /// One tree holding every variant, its `Fixnum` leaves numbered in
+    /// the documented child order.
+    fn every_variant() -> Expr<String> {
+        let mut next = -1;
+        let mut leaf = || {
+            next += 1;
+            Box::new(Expr::Const(Const::Fixnum(next)))
+        };
+        let lambda = |body| Lambda {
+            params: vec!["p".to_owned()],
+            body,
+            name: None,
+        };
+        Expr::Seq(vec![
+            Expr::Set("x".to_owned(), leaf()),
+            Expr::GlobalSet(0, leaf()),
+            Expr::If(leaf(), leaf(), leaf()),
+            Expr::Lambda(lambda(leaf())),
+            Expr::Let(
+                vec![("a".to_owned(), *leaf()), ("b".to_owned(), *leaf())],
+                leaf(),
+            ),
+            Expr::Letrec(
+                vec![
+                    ("f".to_owned(), lambda(leaf())),
+                    ("g".to_owned(), lambda(leaf())),
+                ],
+                leaf(),
+            ),
+            Expr::App(leaf(), vec![*leaf(), *leaf()]),
+            Expr::PrimApp(Prim::Add, vec![*leaf(), *leaf()]),
+            var("x"),
+            Expr::Global(0),
+        ])
+    }
+
+    #[test]
+    fn mutable_traversal_reaches_the_same_children_in_order() {
+        fn reached_mut(e: &mut Expr<String>, out: &mut Vec<*const Expr<String>>) {
+            e.for_each_child_mut(&mut |c| {
+                out.push(c);
+                reached_mut(c, out);
+            });
+        }
+        fn reached<'a>(e: &'a Expr<String>, out: &mut Vec<&'a Expr<String>>) {
+            e.for_each_child(&mut |c| {
+                out.push(c);
+                reached(c, out);
+            });
+        }
+        let mut e = every_variant();
+        let mut unique = Vec::new();
+        reached_mut(&mut e, &mut unique);
+        let mut shared = Vec::new();
+        reached(&e, &mut shared);
+        let shared_ptrs: Vec<*const Expr<String>> = shared.iter().map(|&c| c as *const _).collect();
+        assert_eq!(shared_ptrs, unique);
+        let variants: std::collections::HashSet<_> = std::iter::once(&e)
+            .chain(shared.iter().copied())
+            .map(std::mem::discriminant)
+            .collect();
+        assert_eq!(variants.len(), 12, "every variant is in the tree");
+        let leaves: Vec<i64> = shared
+            .iter()
+            .filter_map(|c| match c {
+                Expr::Const(Const::Fixnum(n)) => Some(*n),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(leaves, (0..17).collect::<Vec<_>>());
     }
 
     #[test]

@@ -21,13 +21,16 @@
 //!   slots and backpatched (`ClosureSet`).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::Hash;
 
 use crate::ast::{Const, Expr, Lambda};
 use crate::first_order::{self as ir, Callee, Func, FuncId, LocalId, Program};
 use crate::names::{Interner, VarId};
 
-/// Computes the free variables of `e` in deterministic order.
-pub fn free_vars(e: &Expr<VarId>) -> BTreeSet<VarId> {
+/// Computes the free variables of `e` in deterministic order. One
+/// analysis serves the surface AST (`V = String`, where inner binders
+/// may shadow outer ones) and the renamed AST (`V = VarId`).
+pub fn free_vars<V: Ord + Hash + Clone>(e: &Expr<V>) -> BTreeSet<V> {
     let mut out = BTreeSet::new();
     walk_free(e, &mut HashSet::new(), &mut out);
     out
@@ -35,80 +38,65 @@ pub fn free_vars(e: &Expr<VarId>) -> BTreeSet<VarId> {
 
 /// Computes the free variables of a lambda in deterministic order
 /// (the same set as [`free_vars`] of `Expr::Lambda(l)`).
-pub(crate) fn free_vars_lambda(l: &Lambda<VarId>) -> BTreeSet<VarId> {
+pub(crate) fn free_vars_lambda<V: Ord + Hash + Clone>(l: &Lambda<V>) -> BTreeSet<V> {
     let mut out = BTreeSet::new();
     walk_free_lambda(l, &mut HashSet::new(), &mut out);
     out
 }
 
-fn walk_free_lambda(l: &Lambda<VarId>, bound: &mut HashSet<VarId>, out: &mut BTreeSet<VarId>) {
-    let added: Vec<VarId> = l
-        .params
-        .iter()
-        .filter(|p| bound.insert(**p))
-        .copied()
-        .collect();
-    walk_free(&l.body, bound, out);
-    for p in added {
-        bound.remove(&p);
+/// Runs `walk` with `vars` added to `bound`; a variable that was
+/// already bound stays bound afterwards.
+fn with_bound<'a, V: Hash + Eq>(
+    vars: impl Iterator<Item = &'a V>,
+    bound: &mut HashSet<&'a V>,
+    walk: impl FnOnce(&mut HashSet<&'a V>),
+) {
+    let added: Vec<&V> = vars.filter(|v| bound.insert(v)).collect();
+    walk(bound);
+    for v in added {
+        bound.remove(v);
     }
 }
 
-fn walk_free(e: &Expr<VarId>, bound: &mut HashSet<VarId>, out: &mut BTreeSet<VarId>) {
+fn walk_free_lambda<'a, V: Ord + Hash + Clone>(
+    l: &'a Lambda<V>,
+    bound: &mut HashSet<&'a V>,
+    out: &mut BTreeSet<V>,
+) {
+    with_bound(l.params.iter(), bound, |bound| {
+        walk_free(&l.body, bound, out)
+    });
+}
+
+fn walk_free<'a, V: Ord + Hash + Clone>(
+    e: &'a Expr<V>,
+    bound: &mut HashSet<&'a V>,
+    out: &mut BTreeSet<V>,
+) {
     match e {
-        Expr::Const(_) | Expr::Global(_) => {}
-        Expr::Var(v) => {
-            if !bound.contains(v) {
-                out.insert(*v);
-            }
-        }
-        Expr::Set(v, rhs) => {
-            if !bound.contains(v) {
-                out.insert(*v);
-            }
-            walk_free(rhs, bound, out);
-        }
-        Expr::GlobalSet(_, rhs) => walk_free(rhs, bound, out),
-        Expr::If(c, t, el) => {
-            walk_free(c, bound, out);
-            walk_free(t, bound, out);
-            walk_free(el, bound, out);
-        }
-        Expr::Seq(es) => es.iter().for_each(|e| walk_free(e, bound, out)),
         Expr::Lambda(l) => walk_free_lambda(l, bound, out),
         Expr::Let(bs, b) => {
             for (_, rhs) in bs {
                 walk_free(rhs, bound, out);
             }
-            let added: Vec<VarId> = bs
-                .iter()
-                .filter(|(v, _)| bound.insert(*v))
-                .map(|(v, _)| *v)
-                .collect();
-            walk_free(b, bound, out);
-            for v in added {
-                bound.remove(&v);
-            }
+            with_bound(bs.iter().map(|(v, _)| v), bound, |bound| {
+                walk_free(b, bound, out)
+            });
         }
-        Expr::Letrec(bs, b) => {
-            let added: Vec<VarId> = bs
-                .iter()
-                .filter(|(v, _)| bound.insert(*v))
-                .map(|(v, _)| *v)
-                .collect();
+        Expr::Letrec(bs, b) => with_bound(bs.iter().map(|(v, _)| v), bound, |bound| {
             for (_, l) in bs {
                 walk_free_lambda(l, bound, out);
             }
             walk_free(b, bound, out);
-            for v in added {
-                bound.remove(&v);
+        }),
+        _ => {
+            if let Expr::Var(v) | Expr::Set(v, _) = e {
+                if !bound.contains(v) {
+                    out.insert(v.clone());
+                }
             }
+            e.for_each_child(&mut |c| walk_free(c, bound, out));
         }
-        Expr::App(f, args) => {
-            walk_free(f, bound, out);
-            args.iter().for_each(|a| walk_free(a, bound, out));
-        }
-        Expr::PrimApp(_, args) => args.iter().for_each(|a| walk_free(a, bound, out)),
     }
 }
 
@@ -120,31 +108,8 @@ pub(crate) fn reference_kinds(
     value: &mut HashSet<VarId>,
 ) {
     match e {
-        Expr::Const(_) | Expr::Global(_) => {}
-        Expr::Var(v) => {
-            if names.contains(v) {
-                value.insert(*v);
-            }
-        }
-        Expr::Set(_, rhs) | Expr::GlobalSet(_, rhs) => reference_kinds(rhs, names, operator, value),
-        Expr::If(c, t, el) => {
-            reference_kinds(c, names, operator, value);
-            reference_kinds(t, names, operator, value);
-            reference_kinds(el, names, operator, value);
-        }
-        Expr::Seq(es) => es
-            .iter()
-            .for_each(|e| reference_kinds(e, names, operator, value)),
-        Expr::Lambda(l) => reference_kinds(&l.body, names, operator, value),
-        Expr::Let(bs, b) => {
-            bs.iter()
-                .for_each(|(_, rhs)| reference_kinds(rhs, names, operator, value));
-            reference_kinds(b, names, operator, value);
-        }
-        Expr::Letrec(bs, b) => {
-            bs.iter()
-                .for_each(|(_, l)| reference_kinds(&l.body, names, operator, value));
-            reference_kinds(b, names, operator, value);
+        Expr::Var(v) if names.contains(v) => {
+            value.insert(*v);
         }
         Expr::App(f, args) => {
             match f.as_ref() {
@@ -153,12 +118,11 @@ pub(crate) fn reference_kinds(
                 }
                 other => reference_kinds(other, names, operator, value),
             }
-            args.iter()
-                .for_each(|a| reference_kinds(a, names, operator, value));
+            for a in args {
+                reference_kinds(a, names, operator, value);
+            }
         }
-        Expr::PrimApp(_, args) => args
-            .iter()
-            .for_each(|a| reference_kinds(a, names, operator, value)),
+        _ => e.for_each_child(&mut |c| reference_kinds(c, names, operator, value)),
     }
 }
 
@@ -760,5 +724,27 @@ mod tests {
         let renamed = r.rename(&surface).unwrap();
         let fv = free_vars(&renamed);
         assert_eq!(fv.into_iter().collect::<Vec<_>>(), vec![y]);
+    }
+
+    /// The one analysis over both ASTs: binders shadow, a name stays
+    /// bound after an inner binder of the same name goes out of scope,
+    /// and `set!` of an unbound name makes it free.
+    #[test]
+    fn free_vars_respects_shadowing_on_both_asts() {
+        use crate::desugar;
+        use crate::rename::Renamer;
+        use lesgs_sexpr::parse_one;
+        let src = "(begin \
+                     (let ((y y)) y) \
+                     (lambda (x) (begin (lambda (x) x) x (set! u x))) \
+                     (letrec ((f (lambda (a) (g a))) (g (lambda (b) (f b k)))) (f x)) \
+                     (let ((w 1)) (set! w 2)))";
+        let surface = desugar::expr(&parse_one(src).unwrap()).unwrap();
+        let free = ["k", "u", "x", "y"];
+        assert_eq!(free_vars(&surface), BTreeSet::from(free.map(String::from)));
+        let mut r = Renamer::new();
+        let ids: BTreeSet<VarId> = free.iter().map(|n| r.bind(n)).collect();
+        let renamed = r.rename(&surface).unwrap();
+        assert_eq!(free_vars(&renamed), ids);
     }
 }

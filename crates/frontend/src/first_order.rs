@@ -157,6 +157,37 @@ impl Expr {
         }
     }
 
+    /// [`for_each_child`](Expr::for_each_child) with mutable access, in
+    /// the same order.
+    pub fn for_each_child_mut(&mut self, f: &mut dyn FnMut(&mut Expr)) {
+        match self {
+            Expr::Const(_) | Expr::Var(_) | Expr::FreeRef(_) | Expr::Global(_) => {}
+            Expr::GlobalSet(_, rhs) => f(rhs),
+            Expr::If(c, t, e) => {
+                f(c);
+                f(t);
+                f(e);
+            }
+            Expr::Seq(es) => es.iter_mut().for_each(f),
+            Expr::Let { rhs, body, .. } => {
+                f(rhs);
+                f(body);
+            }
+            Expr::PrimApp(_, args) => args.iter_mut().for_each(f),
+            Expr::Call { callee, args, .. } => {
+                if let Callee::KnownClosure(_, e) | Callee::Computed(e) = callee {
+                    f(e);
+                }
+                args.iter_mut().for_each(f);
+            }
+            Expr::MakeClosure { free, .. } => free.iter_mut().for_each(f),
+            Expr::ClosureSet { clo, value, .. } => {
+                f(clo);
+                f(value);
+            }
+        }
+    }
+
     /// True if the subtree contains a non-tail call. Tail calls do not
     /// count: "Because tail calls in Scheme are essentially jumps, they
     /// are not considered calls" (§2 footnote 1).
@@ -345,5 +376,84 @@ mod tests {
     fn size_counts() {
         let e = Expr::Seq(vec![Expr::Var(LocalId(0)), call(false)]);
         assert_eq!(e.size(), 3);
+    }
+
+    #[test]
+    fn mutable_traversal_reaches_the_same_children_in_order() {
+        // Every variant and callee kind; `Fixnum` leaves numbered in
+        // child order.
+        let mut next = -1;
+        let mut leaf = || {
+            next += 1;
+            Box::new(Expr::Const(Const::Fixnum(next)))
+        };
+        let mut e = Expr::Seq(vec![
+            Expr::GlobalSet(0, leaf()),
+            Expr::If(leaf(), leaf(), leaf()),
+            Expr::Let {
+                var: LocalId(0),
+                rhs: leaf(),
+                body: leaf(),
+            },
+            Expr::PrimApp(Prim::Add, vec![*leaf(), *leaf()]),
+            Expr::Call {
+                callee: Callee::KnownClosure(FuncId(0), leaf()),
+                args: vec![*leaf()],
+                tail: false,
+            },
+            Expr::Call {
+                callee: Callee::Computed(leaf()),
+                args: vec![*leaf()],
+                tail: true,
+            },
+            Expr::Call {
+                callee: Callee::Direct(FuncId(0)),
+                args: vec![*leaf()],
+                tail: false,
+            },
+            Expr::MakeClosure {
+                func: FuncId(1),
+                free: vec![*leaf(), *leaf()],
+            },
+            Expr::ClosureSet {
+                clo: leaf(),
+                index: 0,
+                value: leaf(),
+            },
+            Expr::Var(LocalId(0)),
+            Expr::FreeRef(0),
+            Expr::Global(0),
+        ]);
+        fn reached_mut(e: &mut Expr, out: &mut Vec<*const Expr>) {
+            e.for_each_child_mut(&mut |c| {
+                out.push(c);
+                reached_mut(c, out);
+            });
+        }
+        fn reached<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+            e.for_each_child(&mut |c| {
+                out.push(c);
+                reached(c, out);
+            });
+        }
+        let mut unique = Vec::new();
+        reached_mut(&mut e, &mut unique);
+        let mut shared = Vec::new();
+        reached(&e, &mut shared);
+        let shared_ptrs: Vec<*const Expr> = shared.iter().map(|&c| c as *const _).collect();
+        assert_eq!(shared_ptrs, unique);
+        let variants: std::collections::HashSet<_> = std::iter::once(&e)
+            .chain(shared.iter().copied())
+            .map(std::mem::discriminant)
+            .collect();
+        assert_eq!(variants.len(), 12, "every variant is in the tree");
+        let leaves: Vec<i64> = shared
+            .iter()
+            .filter_map(|c| match c {
+                Expr::Const(Const::Fixnum(n)) => Some(*n),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(leaves, (0..17).collect::<Vec<_>>());
     }
 }

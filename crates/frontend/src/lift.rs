@@ -55,78 +55,22 @@ pub struct LiftStats {
 
 /// Appends `extra` variables as arguments at every call of `names`.
 fn append_args(e: &mut Expr<VarId>, names: &HashSet<VarId>, extra: &[VarId]) {
-    match e {
-        Expr::Const(_) | Expr::Var(_) | Expr::Global(_) => {}
-        Expr::Set(_, rhs) | Expr::GlobalSet(_, rhs) => append_args(rhs, names, extra),
-        Expr::If(c, t, el) => {
-            append_args(c, names, extra);
-            append_args(t, names, extra);
-            append_args(el, names, extra);
+    if let Expr::App(f, args) = e {
+        if matches!(f.as_ref(), Expr::Var(v) if names.contains(v)) {
+            args.extend(extra.iter().map(|x| Expr::Var(*x)));
         }
-        Expr::Seq(es) => es.iter_mut().for_each(|e| append_args(e, names, extra)),
-        Expr::Lambda(l) => append_args(&mut l.body, names, extra),
-        Expr::Let(bs, b) => {
-            bs.iter_mut()
-                .for_each(|(_, r)| append_args(r, names, extra));
-            append_args(b, names, extra);
-        }
-        Expr::Letrec(bs, b) => {
-            bs.iter_mut()
-                .for_each(|(_, l)| append_args(&mut l.body, names, extra));
-            append_args(b, names, extra);
-        }
-        Expr::App(f, args) => {
-            if let Expr::Var(v) = f.as_ref() {
-                if names.contains(v) {
-                    args.extend(extra.iter().map(|x| Expr::Var(*x)));
-                }
-            } else {
-                append_args(f, names, extra);
-            }
-            args.iter_mut().for_each(|a| append_args(a, names, extra));
-        }
-        Expr::PrimApp(_, args) => args.iter_mut().for_each(|a| append_args(a, names, extra)),
     }
+    e.for_each_child_mut(&mut |c| append_args(c, names, extra));
 }
 
 /// Substitutes variable references according to `map`.
 fn substitute(e: &mut Expr<VarId>, map: &HashMap<VarId, VarId>) {
-    match e {
-        Expr::Const(_) | Expr::Global(_) => {}
-        Expr::Var(v) => {
-            if let Some(n) = map.get(v) {
-                *v = *n;
-            }
+    if let Expr::Var(v) | Expr::Set(v, _) = e {
+        if let Some(n) = map.get(v) {
+            *v = *n;
         }
-        Expr::GlobalSet(_, rhs) => substitute(rhs, map),
-        Expr::Set(v, rhs) => {
-            if let Some(n) = map.get(v) {
-                *v = *n;
-            }
-            substitute(rhs, map);
-        }
-        Expr::If(c, t, el) => {
-            substitute(c, map);
-            substitute(t, map);
-            substitute(el, map);
-        }
-        Expr::Seq(es) => es.iter_mut().for_each(|e| substitute(e, map)),
-        Expr::Lambda(l) => substitute(&mut l.body, map),
-        Expr::Let(bs, b) => {
-            bs.iter_mut().for_each(|(_, r)| substitute(r, map));
-            substitute(b, map);
-        }
-        Expr::Letrec(bs, b) => {
-            bs.iter_mut()
-                .for_each(|(_, l)| substitute(&mut l.body, map));
-            substitute(b, map);
-        }
-        Expr::App(f, args) => {
-            substitute(f, map);
-            args.iter_mut().for_each(|a| substitute(a, map));
-        }
-        Expr::PrimApp(_, args) => args.iter_mut().for_each(|a| substitute(a, map)),
     }
+    e.for_each_child_mut(&mut |c| substitute(c, map));
 }
 
 struct Lifter<'a> {
@@ -220,40 +164,18 @@ impl Lifter<'_> {
     }
 
     fn walk(&mut self, e: &mut Expr<VarId>) {
-        match e {
-            Expr::Const(_) | Expr::Var(_) | Expr::Global(_) => {}
-            Expr::Set(_, rhs) | Expr::GlobalSet(_, rhs) => self.walk(rhs),
-            Expr::If(c, t, el) => {
-                self.walk(c);
-                self.walk(t);
-                self.walk(el);
-            }
-            Expr::Seq(es) => es.iter_mut().for_each(|e| self.walk(e)),
-            Expr::Lambda(l) => self.walk(&mut l.body),
-            Expr::Let(bs, b) => {
-                bs.iter_mut().for_each(|(_, r)| self.walk(r));
-                self.walk(b);
-            }
-            Expr::Letrec(bindings, body) => {
-                let names: Vec<VarId> = bindings.iter().map(|(v, _)| *v).collect();
-                for v in &names {
-                    self.proc_names.insert(*v);
-                }
-                // Inner groups first: lifting is bottom-up.
-                for (_, l) in bindings.iter_mut() {
-                    self.walk(&mut l.body);
-                }
-                self.walk(body);
-                self.lift_letrec(bindings, body);
-                for v in &names {
-                    self.proc_names.remove(v);
-                }
-            }
-            Expr::App(f, args) => {
-                self.walk(f);
-                args.iter_mut().for_each(|a| self.walk(a));
-            }
-            Expr::PrimApp(_, args) => args.iter_mut().for_each(|a| self.walk(a)),
+        let group: Vec<VarId> = match e {
+            Expr::Letrec(bindings, _) => bindings.iter().map(|(v, _)| *v).collect(),
+            _ => Vec::new(),
+        };
+        self.proc_names.extend(&group);
+        // Inner groups first: lifting is bottom-up.
+        e.for_each_child_mut(&mut |c| self.walk(c));
+        if let Expr::Letrec(bindings, body) = e {
+            self.lift_letrec(bindings, body);
+        }
+        for v in &group {
+            self.proc_names.remove(v);
         }
     }
 }

@@ -102,10 +102,10 @@ fn front_to_core_observed(
     let (assembled, globals) = program.assemble();
     let mut renamer = Renamer::new();
     renamer.set_globals(&globals);
-    let renamed = reg.time("pass.rename", || renamer.rename(&assembled))?;
-    reg.inc("frontend.ast_nodes_in", renamed.size() as u64);
-    let mut converted = reg.time("pass.assignconv", || {
-        assignconv::convert(&renamed, &mut renamer.interner)
+    let mut converted = reg.time("pass.rename", || renamer.rename(&assembled))?;
+    reg.inc("frontend.ast_nodes_in", converted.size() as u64);
+    reg.time("pass.assignconv", || {
+        assignconv::convert(&mut converted, &mut renamer.interner)
     });
     debug_assert!(assignconv::is_assignment_free(&converted));
     let mut interner = renamer.interner;

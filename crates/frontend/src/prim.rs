@@ -144,7 +144,89 @@ pub enum PrimArity {
     Chain,
 }
 
+/// The value of an arithmetic, comparison or numeric-predicate
+/// primitive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FixnumValue {
+    /// An arithmetic result.
+    Fixnum(i64),
+    /// A comparison or predicate result.
+    Bool(bool),
+}
+
+/// Why an arithmetic primitive has no value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FixnumError {
+    /// The result does not fit in a fixnum.
+    Overflow,
+    /// `quotient`, `remainder` or `modulo` by zero.
+    DivisionByZero,
+}
+
+impl fmt::Display for FixnumError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            FixnumError::Overflow => "fixnum overflow",
+            FixnumError::DivisionByZero => "division by zero",
+        })
+    }
+}
+
 impl Prim {
+    /// Applies an arithmetic, comparison or numeric-predicate primitive
+    /// to fixnum operands; one-operand primitives ignore `b`. `None` for
+    /// every other primitive.
+    ///
+    /// This is the one rule compiled code follows: constant folding
+    /// leaves an erring application unfolded, and the VM reports the
+    /// error as `<op>: <error>`. The interpreter keeps its own copy,
+    /// because it is the oracle both are checked against.
+    pub fn apply_fixnum(self, a: i64, b: i64) -> Option<Result<FixnumValue, FixnumError>> {
+        use FixnumValue::{Bool, Fixnum};
+        use Prim::*;
+        let checked = |r: Option<i64>| r.map(Fixnum).ok_or(FixnumError::Overflow);
+        let divisor = || {
+            if b == 0 {
+                Err(FixnumError::DivisionByZero)
+            } else {
+                Ok(b)
+            }
+        };
+        Some(match self {
+            Add => checked(a.checked_add(b)),
+            Sub => checked(a.checked_sub(b)),
+            Mul => checked(a.checked_mul(b)),
+            Quotient => divisor().and_then(|b| checked(a.checked_div(b))),
+            Remainder => divisor().and_then(|b| checked(a.checked_rem(b))),
+            // The floor remainder: `r + b` cannot overflow, since `r` and
+            // `b` differ in sign.
+            Modulo => divisor().map(|b| {
+                let r = a.wrapping_rem(b);
+                Fixnum(if r != 0 && (r < 0) != (b < 0) {
+                    r + b
+                } else {
+                    r
+                })
+            }),
+            Abs => checked(a.checked_abs()),
+            Min => Ok(Fixnum(a.min(b))),
+            Max => Ok(Fixnum(a.max(b))),
+            Add1 => checked(a.checked_add(1)),
+            Sub1 => checked(a.checked_sub(1)),
+            IsZero => Ok(Bool(a == 0)),
+            IsPositive => Ok(Bool(a > 0)),
+            IsNegative => Ok(Bool(a < 0)),
+            IsEven => Ok(Bool(a % 2 == 0)),
+            IsOdd => Ok(Bool(a % 2 != 0)),
+            NumEq => Ok(Bool(a == b)),
+            Lt => Ok(Bool(a < b)),
+            Le => Ok(Bool(a <= b)),
+            Gt => Ok(Bool(a > b)),
+            Ge => Ok(Bool(a >= b)),
+            _ => return None,
+        })
+    }
+
     /// The number of arguments the fixed-arity operation takes.
     pub fn arity(self) -> usize {
         use Prim::*;
@@ -379,6 +461,33 @@ mod tests {
         assert!(!Prim::Car.has_side_effects());
         assert!(Prim::Car.touches_memory());
         assert!(!Prim::Add.touches_memory());
+    }
+
+    #[test]
+    fn fixnum_rule_at_the_extremes() {
+        use FixnumError::{DivisionByZero, Overflow};
+        use FixnumValue::{Bool, Fixnum};
+        let (min, max) = (i64::MIN, i64::MAX);
+        let apply = |p: Prim, a, b| p.apply_fixnum(a, b).expect("a fixnum primitive");
+        assert_eq!(apply(Prim::Quotient, min, -1), Err(Overflow));
+        assert_eq!(apply(Prim::Remainder, min, -1), Err(Overflow));
+        assert_eq!(apply(Prim::Modulo, min, -1), Ok(Fixnum(0)));
+        assert_eq!(apply(Prim::Add, max, 1), Err(Overflow));
+        assert_eq!(apply(Prim::Add1, max, 0), Err(Overflow));
+        assert_eq!(apply(Prim::Sub1, min, 0), Err(Overflow));
+        assert_eq!(apply(Prim::Abs, min, 0), Err(Overflow));
+        assert_eq!(apply(Prim::Abs, min + 1, 0), Ok(Fixnum(max)));
+        for p in [Prim::Quotient, Prim::Remainder, Prim::Modulo] {
+            assert_eq!(apply(p, 1, 0), Err(DivisionByZero), "{p}");
+            assert_eq!(apply(p, min, 0), Err(DivisionByZero), "{p}");
+        }
+        assert_eq!(apply(Prim::Modulo, -7, 2), Ok(Fixnum(1)));
+        assert_eq!(apply(Prim::Modulo, 7, -2), Ok(Fixnum(-1)));
+        assert_eq!(apply(Prim::IsEven, min, 0), Ok(Bool(true)));
+        assert_eq!(apply(Prim::Lt, min, max), Ok(Bool(true)));
+        assert_eq!(Prim::Car.apply_fixnum(1, 2), None);
+        assert_eq!(Overflow.to_string(), "fixnum overflow");
+        assert_eq!(DivisionByZero.to_string(), "division by zero");
     }
 
     #[test]

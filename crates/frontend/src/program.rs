@@ -26,6 +26,7 @@ use std::sync::OnceLock;
 use lesgs_sexpr::{parse, Datum};
 
 use crate::ast::{Const, Expr, Lambda};
+use crate::closure::free_vars;
 use crate::desugar::{self, SurfaceExpr};
 use crate::FrontError;
 
@@ -146,73 +147,6 @@ fn collect_set_targets(d: &Datum, out: &mut HashSet<String>) {
     }
 }
 
-/// Free source names of a surface expression (binders respected).
-pub fn free_names(e: &SurfaceExpr, bound: &mut Vec<String>, out: &mut HashSet<String>) {
-    match e {
-        Expr::Const(_) | Expr::Global(_) => {}
-        Expr::Var(n) => {
-            if !bound.contains(n) {
-                out.insert(n.clone());
-            }
-        }
-        Expr::Set(n, rhs) => {
-            if !bound.contains(n) {
-                out.insert(n.clone());
-            }
-            free_names(rhs, bound, out);
-        }
-        Expr::GlobalSet(_, rhs) => free_names(rhs, bound, out),
-        Expr::If(c, t, el) => {
-            free_names(c, bound, out);
-            free_names(t, bound, out);
-            free_names(el, bound, out);
-        }
-        Expr::Seq(es) => {
-            for e in es {
-                free_names(e, bound, out);
-            }
-        }
-        Expr::Lambda(l) => {
-            let depth = bound.len();
-            bound.extend(l.params.iter().cloned());
-            free_names(&l.body, bound, out);
-            bound.truncate(depth);
-        }
-        Expr::Let(bs, body) => {
-            for (_, rhs) in bs {
-                free_names(rhs, bound, out);
-            }
-            let depth = bound.len();
-            bound.extend(bs.iter().map(|(n, _)| n.clone()));
-            free_names(body, bound, out);
-            bound.truncate(depth);
-        }
-        Expr::Letrec(bs, body) => {
-            let depth = bound.len();
-            bound.extend(bs.iter().map(|(n, _)| n.clone()));
-            for (_, l) in bs {
-                let d2 = bound.len();
-                bound.extend(l.params.iter().cloned());
-                free_names(&l.body, bound, out);
-                bound.truncate(d2);
-            }
-            free_names(body, bound, out);
-            bound.truncate(depth);
-        }
-        Expr::App(f, args) => {
-            free_names(f, bound, out);
-            for a in args {
-                free_names(a, bound, out);
-            }
-        }
-        Expr::PrimApp(_, args) => {
-            for a in args {
-                free_names(a, bound, out);
-            }
-        }
-    }
-}
-
 /// One desugared prelude define.
 struct PreludeDefine {
     name: String,
@@ -246,8 +180,7 @@ fn prelude() -> &'static Prelude {
         let defines = defines
             .into_iter()
             .map(|(name, rhs)| {
-                let mut free = HashSet::new();
-                free_names(&rhs, &mut Vec::new(), &mut free);
+                let free = free_vars(&rhs);
                 let deps = free.iter().filter_map(|n| index.get(n).copied()).collect();
                 PreludeDefine { name, rhs, deps }
             })
@@ -293,13 +226,12 @@ impl SurfaceProgram {
                 done[i] = true;
             }
         }
-        let mut user_free = HashSet::new();
-        for e in defines.iter().map(|(_, rhs)| rhs).chain(&mains) {
-            free_names(e, &mut Vec::new(), &mut user_free);
-        }
-        let mut stack: Vec<usize> = user_free
+        let mut stack: Vec<usize> = defines
             .iter()
-            .filter_map(|n| prelude.index.get(n).copied())
+            .map(|(_, rhs)| rhs)
+            .chain(&mains)
+            .flat_map(free_vars)
+            .filter_map(|n| prelude.index.get(&n).copied())
             .collect();
         let mut wanted = Vec::new();
         while let Some(i) = stack.pop() {

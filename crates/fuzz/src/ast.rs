@@ -172,7 +172,7 @@ impl Expr {
 
     /// Calls `fe` on every [`Expr`] and `fp` on every [`Pred`] in the
     /// tree, pre-order.
-    pub fn visit(&self, fe: &mut impl FnMut(&Expr), fp: &mut impl FnMut(&Pred)) {
+    pub fn visit<'a>(&'a self, fe: &mut impl FnMut(&'a Expr), fp: &mut impl FnMut(&'a Pred)) {
         fe(self);
         match self {
             Expr::Num(_) | Expr::Var(_) => {}
@@ -209,10 +209,51 @@ impl Expr {
             }
         }
     }
+
+    /// [`visit`](Expr::visit) with mutable access, in the same
+    /// pre-order. A node is visited before its children, so the
+    /// children visited are those `fe` or `fp` leaves in place.
+    pub fn visit_mut(&mut self, fe: &mut impl FnMut(&mut Expr), fp: &mut impl FnMut(&mut Pred)) {
+        fe(self);
+        match self {
+            Expr::Num(_) | Expr::Var(_) => {}
+            Expr::If(p, t, e) => {
+                p.visit_mut(fe, fp);
+                t.visit_mut(fe, fp);
+                e.visit_mut(fe, fp);
+            }
+            Expr::Let(binds, body) => {
+                for (_, e) in binds {
+                    e.visit_mut(fe, fp);
+                }
+                body.visit_mut(fe, fp);
+            }
+            Expr::Prim(_, args) | Expr::Call(_, args) => {
+                for a in args {
+                    a.visit_mut(fe, fp);
+                }
+            }
+            Expr::LetFun { fbody, body, .. } => {
+                fbody.visit_mut(fe, fp);
+                body.visit_mut(fe, fp);
+            }
+            Expr::Loop {
+                init, acc0, step, ..
+            } => {
+                init.visit_mut(fe, fp);
+                acc0.visit_mut(fe, fp);
+                step.visit_mut(fe, fp);
+            }
+            Expr::Display(e, k) => {
+                e.visit_mut(fe, fp);
+                k.visit_mut(fe, fp);
+            }
+        }
+    }
 }
 
 impl Pred {
-    fn visit(&self, fe: &mut impl FnMut(&Expr), fp: &mut impl FnMut(&Pred)) {
+    fn visit<'a>(&'a self, fe: &mut impl FnMut(&'a Expr), fp: &mut impl FnMut(&'a Pred)) {
         fp(self);
         match self {
             Pred::Test(_, e) => e.visit(fe, fp),
@@ -224,6 +265,22 @@ impl Pred {
             Pred::And(a, b) | Pred::Or(a, b) => {
                 a.visit(fe, fp);
                 b.visit(fe, fp);
+            }
+        }
+    }
+
+    fn visit_mut(&mut self, fe: &mut impl FnMut(&mut Expr), fp: &mut impl FnMut(&mut Pred)) {
+        fp(self);
+        match self {
+            Pred::Test(_, e) => e.visit_mut(fe, fp),
+            Pred::Cmp(_, a, b) => {
+                a.visit_mut(fe, fp);
+                b.visit_mut(fe, fp);
+            }
+            Pred::Not(p) => p.visit_mut(fe, fp),
+            Pred::And(a, b) | Pred::Or(a, b) => {
+                a.visit_mut(fe, fp);
+                b.visit_mut(fe, fp);
             }
         }
     }
@@ -262,5 +319,89 @@ impl fmt::Display for Pred {
             Pred::And(a, b) => write!(f, "(and {a} {b})"),
             Pred::Or(a, b) => write!(f, "(or {a} {b})"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+    use std::collections::HashSet;
+    use std::mem::discriminant;
+
+    #[test]
+    fn mutable_walk_meets_the_same_nodes_in_pre_order() {
+        // Every variant of both sorts; `Num` leaves numbered in
+        // pre-order.
+        let mut next = -1;
+        let mut num = || {
+            next += 1;
+            Box::new(Expr::Num(next))
+        };
+        let mut e = Expr::Display(
+            Box::new(Expr::If(
+                Box::new(Pred::And(
+                    Box::new(Pred::Test("zero?", num())),
+                    Box::new(Pred::Or(
+                        Box::new(Pred::Not(Box::new(Pred::Cmp("<", num(), num())))),
+                        Box::new(Pred::Test("odd?", num())),
+                    )),
+                )),
+                Box::new(Expr::Let(vec![("a".into(), *num())], num())),
+                Box::new(Expr::Prim(
+                    "+",
+                    vec![*num(), Expr::Call("f".into(), vec![*num()])],
+                )),
+            )),
+            Box::new(Expr::LetFun {
+                name: "g".into(),
+                params: vec!["x".into()],
+                fbody: Box::new(Expr::Var("x".into())),
+                body: Box::new(Expr::Loop {
+                    name: "l".into(),
+                    init: num(),
+                    acc0: num(),
+                    step: num(),
+                }),
+            }),
+        );
+        // Each node met, as (is an `Expr`, address).
+        let unique = RefCell::new(Vec::new());
+        e.visit_mut(
+            &mut |x| unique.borrow_mut().push((true, x as *const Expr as usize)),
+            &mut |p| unique.borrow_mut().push((false, p as *const Pred as usize)),
+        );
+        let (shared, exprs, preds) = (
+            RefCell::new(Vec::new()),
+            RefCell::new(Vec::new()),
+            RefCell::new(Vec::new()),
+        );
+        e.visit(
+            &mut |x| {
+                shared.borrow_mut().push((true, x as *const Expr as usize));
+                exprs.borrow_mut().push(x);
+            },
+            &mut |p| {
+                shared.borrow_mut().push((false, p as *const Pred as usize));
+                preds.borrow_mut().push(p);
+            },
+        );
+        assert_eq!(shared.into_inner(), unique.into_inner());
+        let (exprs, preds) = (exprs.into_inner(), preds.into_inner());
+        let expr_kinds: HashSet<_> = exprs.iter().map(|x| discriminant(*x)).collect();
+        let pred_kinds: HashSet<_> = preds.iter().map(|p| discriminant(*p)).collect();
+        assert_eq!(
+            (expr_kinds.len(), pred_kinds.len()),
+            (9, 5),
+            "every variant"
+        );
+        let leaves: Vec<i64> = exprs
+            .iter()
+            .filter_map(|x| match x {
+                Expr::Num(n) => Some(*n),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(leaves, (0..11).collect::<Vec<_>>());
     }
 }

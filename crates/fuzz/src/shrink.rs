@@ -19,7 +19,7 @@
 //! Everything is deterministic: same input program + same predicate
 //! behavior ⇒ same shrunk program.
 
-use crate::ast::{Def, Expr, Pred, Program};
+use crate::ast::{Expr, Program};
 
 /// Shrink-loop accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -124,260 +124,49 @@ fn direct_children(e: &Expr) -> Vec<&Expr> {
 /// different argument count are left alone (the predicate rejects the
 /// candidate if that breaks the program).
 fn remove_param(prog: &Program, i: usize, j: usize) -> Program {
-    let name = prog.defs[i].name.clone();
-    let arity = prog.defs[i].params.len();
-    let fix = |e: &Expr| -> Option<Expr> {
+    let mut p = prog.clone();
+    let name = p.defs[i].name.clone();
+    let arity = p.defs[i].params.len();
+    visit_exprs_mut(&mut p, &mut |e| {
         if let Expr::Call(n, args) = e {
             if *n == name && args.len() == arity {
-                let mut args = args.clone();
                 args.remove(j);
-                return Some(Expr::Call(n.clone(), args));
             }
         }
-        None
-    };
-    let mut p = Program {
-        defs: prog
-            .defs
-            .iter()
-            .map(|d| Def {
-                name: d.name.clone(),
-                params: d.params.clone(),
-                body: map_expr(&d.body, &fix),
-            })
-            .collect(),
-        main: map_expr(&prog.main, &fix),
-    };
+    });
     p.defs[i].params.remove(j);
     p
 }
 
-/// Bottom-up structural map: rebuilds the tree, replacing every node
-/// for which `f` returns `Some` (after its children were rewritten).
-fn map_expr(e: &Expr, f: &impl Fn(&Expr) -> Option<Expr>) -> Expr {
-    let rebuilt = match e {
-        Expr::Num(_) | Expr::Var(_) => e.clone(),
-        Expr::If(p, t, el) => Expr::If(
-            Box::new(map_pred(p, f)),
-            Box::new(map_expr(t, f)),
-            Box::new(map_expr(el, f)),
-        ),
-        Expr::Let(binds, body) => Expr::Let(
-            binds
-                .iter()
-                .map(|(v, e)| (v.clone(), map_expr(e, f)))
-                .collect(),
-            Box::new(map_expr(body, f)),
-        ),
-        Expr::Prim(op, args) => Expr::Prim(op, args.iter().map(|a| map_expr(a, f)).collect()),
-        Expr::Call(n, args) => Expr::Call(n.clone(), args.iter().map(|a| map_expr(a, f)).collect()),
-        Expr::LetFun {
-            name,
-            params,
-            fbody,
-            body,
-        } => Expr::LetFun {
-            name: name.clone(),
-            params: params.clone(),
-            fbody: Box::new(map_expr(fbody, f)),
-            body: Box::new(map_expr(body, f)),
-        },
-        Expr::Loop {
-            name,
-            init,
-            acc0,
-            step,
-        } => Expr::Loop {
-            name: name.clone(),
-            init: Box::new(map_expr(init, f)),
-            acc0: Box::new(map_expr(acc0, f)),
-            step: Box::new(map_expr(step, f)),
-        },
-        Expr::Display(e1, k) => Expr::Display(Box::new(map_expr(e1, f)), Box::new(map_expr(k, f))),
-    };
-    f(&rebuilt).unwrap_or(rebuilt)
-}
-
-fn map_pred(p: &Pred, f: &impl Fn(&Expr) -> Option<Expr>) -> Pred {
-    match p {
-        Pred::Test(op, e) => Pred::Test(op, Box::new(map_expr(e, f))),
-        Pred::Cmp(op, a, b) => Pred::Cmp(op, Box::new(map_expr(a, f)), Box::new(map_expr(b, f))),
-        Pred::Not(q) => Pred::Not(Box::new(map_pred(q, f))),
-        Pred::And(a, b) => Pred::And(Box::new(map_pred(a, f)), Box::new(map_pred(b, f))),
-        Pred::Or(a, b) => Pred::Or(Box::new(map_pred(a, f)), Box::new(map_pred(b, f))),
-    }
-}
-
 /// Pre-order list of every [`Expr`] node (descending through predicate
-/// operands), cloned. The index order matches [`replace_expr`].
-fn collect_exprs(prog: &Program) -> Vec<Expr> {
+/// operands). The index order matches [`replace_expr`].
+fn collect_exprs(prog: &Program) -> Vec<&Expr> {
     let mut out = Vec::new();
-    for d in &prog.defs {
-        collect_expr(&d.body, &mut out);
+    for body in prog.defs.iter().map(|d| &d.body).chain([&prog.main]) {
+        body.visit(&mut |e| out.push(e), &mut |_| {});
     }
-    collect_expr(&prog.main, &mut out);
     out
-}
-
-fn collect_expr(e: &Expr, out: &mut Vec<Expr>) {
-    out.push(e.clone());
-    match e {
-        Expr::Num(_) | Expr::Var(_) => {}
-        Expr::If(p, t, el) => {
-            collect_pred(p, out);
-            collect_expr(t, out);
-            collect_expr(el, out);
-        }
-        Expr::Let(binds, body) => {
-            for (_, e) in binds {
-                collect_expr(e, out);
-            }
-            collect_expr(body, out);
-        }
-        Expr::Prim(_, args) | Expr::Call(_, args) => {
-            for a in args {
-                collect_expr(a, out);
-            }
-        }
-        Expr::LetFun { fbody, body, .. } => {
-            collect_expr(fbody, out);
-            collect_expr(body, out);
-        }
-        Expr::Loop {
-            init, acc0, step, ..
-        } => {
-            collect_expr(init, out);
-            collect_expr(acc0, out);
-            collect_expr(step, out);
-        }
-        Expr::Display(e1, k) => {
-            collect_expr(e1, out);
-            collect_expr(k, out);
-        }
-    }
-}
-
-fn collect_pred(p: &Pred, out: &mut Vec<Expr>) {
-    match p {
-        Pred::Test(_, e) => collect_expr(e, out),
-        Pred::Cmp(_, a, b) => {
-            collect_expr(a, out);
-            collect_expr(b, out);
-        }
-        Pred::Not(q) => collect_pred(q, out),
-        Pred::And(a, b) | Pred::Or(a, b) => {
-            collect_pred(a, out);
-            collect_pred(b, out);
-        }
-    }
 }
 
 /// Clones `prog` with pre-order expression node `k` replaced.
 fn replace_expr(prog: &Program, k: usize, replacement: &Expr) -> Program {
-    let mut counter = k as isize;
-    let mut defs = Vec::with_capacity(prog.defs.len());
-    for d in &prog.defs {
-        defs.push(Def {
-            name: d.name.clone(),
-            params: d.params.clone(),
-            body: rewrite_expr(&d.body, &mut counter, replacement),
-        });
-    }
-    let main = rewrite_expr(&prog.main, &mut counter, replacement);
-    Program { defs, main }
+    let mut p = prog.clone();
+    let mut counter = 0;
+    visit_exprs_mut(&mut p, &mut |e| {
+        if counter == k {
+            *e = replacement.clone();
+        }
+        counter += 1;
+    });
+    p
 }
 
-fn rewrite_expr(e: &Expr, k: &mut isize, replacement: &Expr) -> Expr {
-    if *k == 0 {
-        *k -= 1;
-        return replacement.clone();
-    }
-    *k -= 1;
-    match e {
-        Expr::Num(_) | Expr::Var(_) => e.clone(),
-        Expr::If(p, t, el) => {
-            let p = rewrite_pred(p, k, replacement);
-            let t = rewrite_expr(t, k, replacement);
-            let el = rewrite_expr(el, k, replacement);
-            Expr::If(Box::new(p), Box::new(t), Box::new(el))
-        }
-        Expr::Let(binds, body) => {
-            let binds = binds
-                .iter()
-                .map(|(v, e)| (v.clone(), rewrite_expr(e, k, replacement)))
-                .collect();
-            Expr::Let(binds, Box::new(rewrite_expr(body, k, replacement)))
-        }
-        Expr::Prim(op, args) => Expr::Prim(
-            op,
-            args.iter()
-                .map(|a| rewrite_expr(a, k, replacement))
-                .collect(),
-        ),
-        Expr::Call(n, args) => Expr::Call(
-            n.clone(),
-            args.iter()
-                .map(|a| rewrite_expr(a, k, replacement))
-                .collect(),
-        ),
-        Expr::LetFun {
-            name,
-            params,
-            fbody,
-            body,
-        } => {
-            let fbody = rewrite_expr(fbody, k, replacement);
-            let body = rewrite_expr(body, k, replacement);
-            Expr::LetFun {
-                name: name.clone(),
-                params: params.clone(),
-                fbody: Box::new(fbody),
-                body: Box::new(body),
-            }
-        }
-        Expr::Loop {
-            name,
-            init,
-            acc0,
-            step,
-        } => {
-            let init = rewrite_expr(init, k, replacement);
-            let acc0 = rewrite_expr(acc0, k, replacement);
-            let step = rewrite_expr(step, k, replacement);
-            Expr::Loop {
-                name: name.clone(),
-                init: Box::new(init),
-                acc0: Box::new(acc0),
-                step: Box::new(step),
-            }
-        }
-        Expr::Display(e1, kont) => {
-            let e1 = rewrite_expr(e1, k, replacement);
-            let kont = rewrite_expr(kont, k, replacement);
-            Expr::Display(Box::new(e1), Box::new(kont))
-        }
-    }
-}
-
-fn rewrite_pred(p: &Pred, k: &mut isize, replacement: &Expr) -> Pred {
-    match p {
-        Pred::Test(op, e) => Pred::Test(op, Box::new(rewrite_expr(e, k, replacement))),
-        Pred::Cmp(op, a, b) => {
-            let a = rewrite_expr(a, k, replacement);
-            let b = rewrite_expr(b, k, replacement);
-            Pred::Cmp(op, Box::new(a), Box::new(b))
-        }
-        Pred::Not(q) => Pred::Not(Box::new(rewrite_pred(q, k, replacement))),
-        Pred::And(a, b) => {
-            let a = rewrite_pred(a, k, replacement);
-            let b = rewrite_pred(b, k, replacement);
-            Pred::And(Box::new(a), Box::new(b))
-        }
-        Pred::Or(a, b) => {
-            let a = rewrite_pred(a, k, replacement);
-            let b = rewrite_pred(b, k, replacement);
-            Pred::Or(Box::new(a), Box::new(b))
-        }
+/// Calls `f` on every [`Expr`] node of `prog` in the pre-order of
+/// [`collect_exprs`]: definition bodies in order, then main.
+fn visit_exprs_mut(prog: &mut Program, f: &mut impl FnMut(&mut Expr)) {
+    let bodies = prog.defs.iter_mut().map(|d| &mut d.body);
+    for body in bodies.chain([&mut prog.main]) {
+        body.visit_mut(f, &mut |_| {});
     }
 }
 

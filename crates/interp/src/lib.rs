@@ -25,8 +25,6 @@ pub use eval::{Interp, InterpError, InterpErrorKind, Outcome};
 pub use value::Value;
 
 use std::cell::Cell;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use lesgs_frontend::pipeline;
 
@@ -43,7 +41,7 @@ const INTERP_STACK_BYTES: usize = 64 * 1024 * 1024;
 thread_local! {
     /// Set on threads whose stack is known to fit
     /// [`eval::MAX_EVAL_DEPTH`] nested evaluations, so evaluation runs
-    /// inline instead of bouncing to a shared wide-stack worker.
+    /// inline instead of on a wide-stack thread of its own.
     static ON_WIDE_STACK: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -65,76 +63,35 @@ pub fn wide_stack_bytes() -> usize {
     INTERP_STACK_BYTES
 }
 
-type Job = Box<dyn FnOnce() + Send>;
-
-/// The persistent wide-stack worker pool serving callers whose own
-/// thread has an ordinary stack. Spawned once on first use and kept
-/// for the process lifetime: evaluation is a channel send/receive
-/// instead of a thread spawn/teardown per call. Panics inside a job
-/// are caught and re-raised on the caller, so the workers never die.
-fn wide_stack_workers() -> &'static mpsc::Sender<Job> {
-    static WORKERS: OnceLock<mpsc::Sender<Job>> = OnceLock::new();
-    WORKERS.get_or_init(|| {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8);
-        for w in 0..workers {
-            let rx = Arc::clone(&rx);
-            std::thread::Builder::new()
-                .name(format!("lesgs-interp-{w}"))
-                .stack_size(INTERP_STACK_BYTES)
-                .spawn(move || {
-                    mark_wide_stack();
-                    loop {
-                        // Holding the lock only while waiting for the
-                        // next job is the standard shared-receiver
-                        // pattern; the mutex cannot be poisoned because
-                        // jobs catch their own panics.
-                        let job = {
-                            let guard = rx.lock().unwrap_or_else(|poison| poison.into_inner());
-                            guard.recv()
-                        };
-                        match job {
-                            Ok(job) => job(),
-                            Err(_) => break, // sender gone: process exit
-                        }
-                    }
-                })
-                .expect("spawn interpreter worker");
-        }
-        tx
-    })
-}
-
 /// Runs `f` on a stack of at least [`wide_stack_bytes`]: inline when
 /// the current thread is already marked ([`mark_wide_stack`]),
-/// otherwise on a persistent wide-stack worker, which `f` then finds
-/// marked. Panics propagate to the caller either way.
-pub fn on_wide_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+/// otherwise on a scoped wide-stack thread spawned for this call, which
+/// `f` then finds marked. Panics propagate to the caller either way.
+///
+/// Every benchmark and campaign path evaluates on marked threads; only
+/// one-shot callers (tests, `lesgsc interp` and `check`) pay the spawn.
+pub fn on_wide_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
     if ON_WIDE_STACK.with(Cell::get) {
         return f();
     }
-    let (tx, rx) = mpsc::channel();
-    wide_stack_workers()
-        .send(Box::new(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-            let _ = tx.send(result);
-        }))
-        .expect("interpreter worker pool alive");
-    match rx.recv().expect("interpreter worker replies") {
-        Ok(value) => value,
-        Err(panic) => std::panic::resume_unwind(panic),
-    }
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .name("lesgs-interp".to_owned())
+            .stack_size(INTERP_STACK_BYTES)
+            .spawn_scoped(s, || {
+                mark_wide_stack();
+                f()
+            })
+            .expect("spawn a wide-stack interpreter thread")
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
 }
 
 /// Parses, desugars, renames, and interprets `src` with the given step
-/// budget. Evaluation happens on a wide stack — inline when the caller
-/// already runs on one ([`mark_wide_stack`]), otherwise on a shared
-/// persistent wide-stack worker — so the recursion-depth budget, not
-/// the native stack, is the binding limit.
+/// budget. Evaluation happens on a wide stack ([`on_wide_stack`]), so
+/// the recursion-depth budget, not the native stack, is the binding
+/// limit.
 ///
 /// # Errors
 ///
@@ -142,9 +99,8 @@ pub fn on_wide_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) 
 /// errors, calls to `error`, or budget exhaustion (steps or recursion
 /// depth).
 pub fn run_source(src: &str, fuel: u64) -> Result<Outcome, InterpError> {
-    let src = src.to_owned();
-    on_wide_stack(move || {
-        let program = lesgs_frontend::program::SurfaceProgram::from_source(&src)
+    on_wide_stack(|| {
+        let program = lesgs_frontend::program::SurfaceProgram::from_source(src)
             .map_err(|e| InterpError::new(e.to_string()))?;
         let (assembled, globals) = program.assemble();
         let mut renamer = lesgs_frontend::rename::Renamer::new();
@@ -165,10 +121,9 @@ pub fn run_source(src: &str, fuel: u64) -> Result<Outcome, InterpError> {
 ///
 /// Same as [`run_source`].
 pub fn run_source_converted(src: &str, fuel: u64) -> Result<Outcome, InterpError> {
-    let src = src.to_owned();
-    on_wide_stack(move || {
+    on_wide_stack(|| {
         let (core, _names, n_globals) =
-            pipeline::front_to_core_full(&src).map_err(|e| InterpError::new(e.to_string()))?;
+            pipeline::front_to_core_full(src).map_err(|e| InterpError::new(e.to_string()))?;
         let mut interp = Interp::new(fuel).with_globals(n_globals);
         interp.run(&core)
     })
@@ -179,10 +134,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn repeated_calls_reuse_persistent_workers() {
-        // Thousands of evaluations used to spawn a thread each; they
-        // now ride the persistent pool. This is a smoke test that the
-        // dispatch path stays correct under reuse.
+    fn repeated_calls_from_an_unmarked_thread_complete() {
+        // Each call from an ordinary thread evaluates on a wide-stack
+        // thread of its own, joined before the call returns.
         for i in 0..200 {
             let out = run_source(&format!("(+ {i} 1)"), 1_000).unwrap();
             assert_eq!(out.value, (i + 1).to_string());
@@ -226,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn panics_propagate_to_the_caller_and_workers_survive() {
+    fn panics_propagate_to_the_caller() {
         for _ in 0..3 {
             let err =
                 std::panic::catch_unwind(|| on_wide_stack(|| -> u32 { panic!("deliberate") }))
@@ -238,7 +192,7 @@ mod tests {
                 .or_else(|| err.downcast_ref::<String>().cloned())
                 .unwrap_or_default();
             assert!(msg.contains("deliberate"), "{msg}");
-            // The pool must still serve requests after a panic.
+            // Evaluation still works after a panic.
             assert_eq!(run_source("42", 100).unwrap().value, "42");
         }
     }

@@ -12,9 +12,9 @@
 //! Heap-identity-sensitive operations (`cons`, `eq?` on strings, …) are
 //! left alone.
 
-use lesgs_frontend::{Const, Prim};
+use lesgs_frontend::{Const, FixnumValue, Prim};
 
-use crate::{Callee, Expr, Func, Program};
+use crate::{Expr, Func, Program};
 
 /// Folding statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,54 +39,17 @@ fn const_fixnum(e: &Expr) -> Option<i64> {
 /// not decide at compile time.
 fn eval_prim(p: Prim, args: &[Expr]) -> Option<Const> {
     use Prim::*;
-    let a = || const_fixnum(&args[0]);
-    let b = || const_fixnum(&args[1]);
+    let fixnum = |i: usize| args.get(i).map_or(Some(0), const_fixnum);
+    if let (Some(a), Some(b)) = (fixnum(0), fixnum(1)) {
+        if let Some(result) = p.apply_fixnum(a, b) {
+            // An error stays a run-time error: leave it unfolded.
+            return Some(match result.ok()? {
+                FixnumValue::Fixnum(n) => Const::Fixnum(n),
+                FixnumValue::Bool(b) => Const::Bool(b),
+            });
+        }
+    }
     Some(match p {
-        Add => Const::Fixnum(a()?.checked_add(b()?)?),
-        Sub => Const::Fixnum(a()?.checked_sub(b()?)?),
-        Mul => Const::Fixnum(a()?.checked_mul(b()?)?),
-        Quotient => {
-            let d = b()?;
-            if d == 0 {
-                return None; // keep the runtime error
-            }
-            Const::Fixnum(a()?.checked_div(d)?)
-        }
-        Remainder => {
-            let d = b()?;
-            if d == 0 {
-                return None;
-            }
-            Const::Fixnum(a()?.checked_rem(d)?)
-        }
-        Modulo => {
-            let d = b()?;
-            if d == 0 {
-                return None;
-            }
-            // The floor remainder; never overflows for a nonzero `d`.
-            let r = a()?.wrapping_rem(d);
-            Const::Fixnum(if r != 0 && (r < 0) != (d < 0) {
-                r + d
-            } else {
-                r
-            })
-        }
-        Min => Const::Fixnum(a()?.min(b()?)),
-        Max => Const::Fixnum(a()?.max(b()?)),
-        Abs => Const::Fixnum(a()?.checked_abs()?),
-        Add1 => Const::Fixnum(a()?.checked_add(1)?),
-        Sub1 => Const::Fixnum(a()?.checked_sub(1)?),
-        IsZero => Const::Bool(a()? == 0),
-        IsPositive => Const::Bool(a()? > 0),
-        IsNegative => Const::Bool(a()? < 0),
-        IsEven => Const::Bool(a()? % 2 == 0),
-        IsOdd => Const::Bool(a()? % 2 != 0),
-        NumEq => Const::Bool(a()? == b()?),
-        Lt => Const::Bool(a()? < b()?),
-        Le => Const::Bool(a()? <= b()?),
-        Gt => Const::Bool(a()? > b()?),
-        Ge => Const::Bool(a()? >= b()?),
         Not => match &args[0] {
             Expr::Const(c) => Const::Bool(!c.is_truthy()),
             _ => return None,
@@ -131,76 +94,44 @@ struct Folder {
 }
 
 impl Folder {
-    fn fold(&mut self, e: Expr) -> Expr {
+    fn fold(&mut self, e: &mut Expr) {
         match e {
-            Expr::Const(_) | Expr::Var(_) | Expr::FreeRef(_) | Expr::Global(_) => e,
-            Expr::GlobalSet(g, rhs) => Expr::GlobalSet(g, Box::new(self.fold(*rhs))),
             Expr::If(c, t, el) => {
-                let c = self.fold(*c);
-                if let Expr::Const(k) = &c {
+                self.fold(c);
+                if let Expr::Const(k) = c.as_ref() {
                     self.stats.branches_pruned += 1;
-                    return if k.is_truthy() {
-                        self.fold(*t)
-                    } else {
-                        self.fold(*el)
-                    };
+                    let taken = if k.is_truthy() { t } else { el };
+                    *e = std::mem::replace(taken, Expr::Const(Const::Void));
+                    self.fold(e);
+                } else {
+                    self.fold(t);
+                    self.fold(el);
                 }
-                Expr::If(
-                    Box::new(c),
-                    Box::new(self.fold(*t)),
-                    Box::new(self.fold(*el)),
-                )
             }
             Expr::Seq(es) => {
+                es.iter_mut().for_each(|e| self.fold(e));
+                // Effect-free elements before the last one are dropped.
                 let n = es.len();
-                let mut out: Vec<Expr> = Vec::with_capacity(n);
-                for (i, e) in es.into_iter().enumerate() {
-                    let e = self.fold(e);
-                    if i + 1 < n && effect_free(&e) {
-                        self.stats.seq_dropped += 1;
-                        continue;
-                    }
-                    out.push(e);
-                }
-                if out.len() == 1 {
-                    out.pop().expect("one element")
-                } else {
-                    Expr::Seq(out)
+                let mut position = 0;
+                es.retain(|e| {
+                    position += 1;
+                    position == n || !effect_free(e)
+                });
+                self.stats.seq_dropped += n - es.len();
+                if es.len() == 1 {
+                    *e = es.pop().expect("one element");
                 }
             }
-            Expr::Let { var, rhs, body } => Expr::Let {
-                var,
-                rhs: Box::new(self.fold(*rhs)),
-                body: Box::new(self.fold(*body)),
-            },
             Expr::PrimApp(p, args) => {
-                let args: Vec<Expr> = args.into_iter().map(|a| self.fold(a)).collect();
+                args.iter_mut().for_each(|a| self.fold(a));
                 if args.iter().all(|a| matches!(a, Expr::Const(_))) {
-                    if let Some(c) = eval_prim(p, &args) {
+                    if let Some(c) = eval_prim(*p, args) {
                         self.stats.prims_folded += 1;
-                        return Expr::Const(c);
+                        *e = Expr::Const(c);
                     }
                 }
-                Expr::PrimApp(p, args)
             }
-            Expr::Call { callee, args, tail } => Expr::Call {
-                callee: match callee {
-                    Callee::Direct(f) => Callee::Direct(f),
-                    Callee::KnownClosure(f, e) => Callee::KnownClosure(f, Box::new(self.fold(*e))),
-                    Callee::Computed(e) => Callee::Computed(Box::new(self.fold(*e))),
-                },
-                args: args.into_iter().map(|a| self.fold(a)).collect(),
-                tail,
-            },
-            Expr::MakeClosure { func, free } => Expr::MakeClosure {
-                func,
-                free: free.into_iter().map(|a| self.fold(a)).collect(),
-            },
-            Expr::ClosureSet { clo, index, value } => Expr::ClosureSet {
-                clo: Box::new(self.fold(*clo)),
-                index,
-                value: Box::new(self.fold(*value)),
-            },
+            _ => e.for_each_child_mut(&mut |c| self.fold(c)),
         }
     }
 }
@@ -210,8 +141,7 @@ pub fn fold_func(func: &mut Func) -> FoldStats {
     let mut folder = Folder {
         stats: FoldStats::default(),
     };
-    let body = std::mem::replace(&mut func.body, Expr::Const(Const::Void));
-    func.body = folder.fold(body);
+    folder.fold(&mut func.body);
     folder.stats
 }
 

@@ -14,5 +14,5 @@ pub mod measure;
 pub mod programs;
 pub mod tables;
 
-pub use measure::{measure, BenchmarkRun, Measurement, RunConfig};
+pub use measure::{measure, BenchmarkRun, Measurement};
 pub use programs::{all_benchmarks, Benchmark, Scale};

@@ -2,9 +2,8 @@
 //! comparison metrics.
 
 use lesgs_compiler::{compile, CompilerConfig};
-use lesgs_core::AllocConfig;
 use lesgs_metrics::ratio;
-use lesgs_vm::{CostModel, RunStats};
+use lesgs_vm::RunStats;
 
 use crate::programs::{Benchmark, Scale};
 
@@ -21,53 +20,21 @@ pub struct BenchmarkRun {
     pub shuffle: lesgs_core::stats::ShuffleStats,
 }
 
-/// What one run varies: the allocator, the cost model, and the two
-/// compiler switches the ablations turn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunConfig {
-    /// Register allocator configuration.
-    pub alloc: AllocConfig,
-    /// VM cost model.
-    pub cost: CostModel,
-    /// Selective lambda lifting before closure conversion (§6).
-    pub lambda_lift: bool,
-    /// The backend peephole optimizer switched off.
-    pub no_peephole: bool,
-}
-
-impl From<AllocConfig> for RunConfig {
-    fn from(alloc: AllocConfig) -> RunConfig {
-        RunConfig {
-            alloc,
-            cost: CostModel::alpha_like(),
-            lambda_lift: false,
-            no_peephole: false,
-        }
-    }
-}
-
-impl RunConfig {
-    /// The paper's configuration: lazy saves, eager restores, greedy
-    /// shuffling, six argument registers, the `alpha_like` cost model.
-    pub fn paper_default() -> RunConfig {
-        AllocConfig::paper_default().into()
-    }
-}
-
-/// Compiles and runs `bench` under `config`, checking the value against
-/// the benchmark's known answer at standard scale.
+/// Compiles and runs `bench` under `config` with a budget of 4e9
+/// instructions (whatever `config.fuel` says), checking the value
+/// against the benchmark's known answer at standard scale.
 ///
 /// # Errors
 ///
 /// Compile or runtime failures and wrong answers, stringified.
-pub fn measure(bench: &Benchmark, scale: Scale, config: RunConfig) -> Result<BenchmarkRun, String> {
+pub fn measure(
+    bench: &Benchmark,
+    scale: Scale,
+    config: CompilerConfig,
+) -> Result<BenchmarkRun, String> {
     let compiler = CompilerConfig {
-        alloc: config.alloc,
-        cost: config.cost,
         fuel: 4_000_000_000,
-        lambda_lift: config.lambda_lift,
-        no_peephole: config.no_peephole,
-        ..CompilerConfig::default()
+        ..config
     };
     let compiled = compile(bench.source(scale), &compiler).map_err(|e| e.to_string())?;
     let out = compiled.run(&compiler).map_err(|e| e.to_string())?;
@@ -130,11 +97,12 @@ impl Measurement {
 mod tests {
     use super::*;
     use crate::programs::benchmark;
+    use lesgs_core::AllocConfig;
 
     #[test]
     fn measure_small_tak() {
         let b = benchmark("tak").unwrap();
-        let run = measure(&b, Scale::Small, RunConfig::paper_default()).unwrap();
+        let run = measure(&b, Scale::Small, CompilerConfig::default()).unwrap();
         assert_eq!(run.value, "3"); // tak(8,4,2) = 3
         assert!(run.stats.calls > 0);
     }
@@ -166,8 +134,13 @@ mod tests {
     #[test]
     fn lazy_beats_baseline_on_small_tak() {
         let b = benchmark("tak").unwrap();
-        let base = measure(&b, Scale::Small, AllocConfig::baseline().into()).unwrap();
-        let opt = measure(&b, Scale::Small, RunConfig::paper_default()).unwrap();
+        let base = measure(
+            &b,
+            Scale::Small,
+            CompilerConfig::with_alloc(AllocConfig::baseline()),
+        )
+        .unwrap();
+        let opt = measure(&b, Scale::Small, CompilerConfig::default()).unwrap();
         let m = Measurement::compare(&base, &opt);
         assert!(m.stack_ref_reduction() > 30.0, "{m:?}");
         assert!(m.speedup_percent() > 0.0, "{m:?}");

@@ -396,6 +396,12 @@ impl<'a> Machine<'a> {
             Gt => Value::Bool(fix!(0) > fix!(1)),
             Ge => Value::Bool(fix!(0) >= fix!(1)),
             IsZero => Value::Bool(fix!(0) == 0),
+            // The shared rule; an error leaves it to `eval_prim`.
+            Quotient | Remainder | Modulo | Abs | Min | Max | IsPositive | IsNegative | IsEven
+            | IsOdd => {
+                let b = if a.len() > 1 { fix!(1) } else { 0 };
+                Value::from(op.apply_fixnum(fix!(0), b)?.ok()?)
+            }
             Not => Value::Bool(!self.regs[a[0].index()].is_truthy()),
             IsPair => Value::Bool(matches!(self.regs[a[0].index()], Value::Pair(_))),
             IsNull => Value::Bool(matches!(self.regs[a[0].index()], Value::Nil)),

@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::ops::Index;
 use std::rc::Rc;
 
-use lesgs_frontend::Prim;
+use lesgs_frontend::{FixnumValue, Prim};
 
 use crate::value::Value;
 
@@ -123,55 +123,16 @@ pub(crate) fn eval_prim(
         };
     }
 
-    let overflow = || format!("{p}: fixnum overflow");
-
     // True when the result comes from memory (gets load latency).
     let mut from_memory = false;
     let result = match p {
-        Add | Sub | Mul | Quotient | Remainder | Modulo | Min | Max => {
-            let a = fixnum!(&args[0]);
-            let b = fixnum!(&args[1]);
-            let r = match p {
-                Add => a.checked_add(b).ok_or_else(overflow)?,
-                Sub => a.checked_sub(b).ok_or_else(overflow)?,
-                Mul => a.checked_mul(b).ok_or_else(overflow)?,
-                Min => a.min(b),
-                Max => a.max(b),
-                _ => {
-                    if b == 0 {
-                        return Err(format!("{p}: division by zero"));
-                    }
-                    match p {
-                        Quotient => a.checked_div(b).ok_or_else(overflow)?,
-                        Remainder => a.checked_rem(b).ok_or_else(overflow)?,
-                        _ => {
-                            // The floor remainder: `r + b` cannot
-                            // overflow, since `r` and `b` differ in sign.
-                            let r = a.wrapping_rem(b);
-                            if r != 0 && (r < 0) != (b < 0) {
-                                r + b
-                            } else {
-                                r
-                            }
-                        }
-                    }
-                }
-            };
-            Value::Fixnum(r)
+        Add | Sub | Mul | Quotient | Remainder | Modulo | Min | Max | NumEq | Lt | Le | Gt | Ge => {
+            let (a, b) = (fixnum!(&args[0]), fixnum!(&args[1]));
+            fixnum_value(p, a, b)?
         }
-        Abs => Value::Fixnum(fixnum!(&args[0]).checked_abs().ok_or_else(overflow)?),
-        Add1 => Value::Fixnum(fixnum!(&args[0]).checked_add(1).ok_or_else(overflow)?),
-        Sub1 => Value::Fixnum(fixnum!(&args[0]).checked_sub(1).ok_or_else(overflow)?),
-        IsZero => Value::Bool(fixnum!(&args[0]) == 0),
-        IsPositive => Value::Bool(fixnum!(&args[0]) > 0),
-        IsNegative => Value::Bool(fixnum!(&args[0]) < 0),
-        IsEven => Value::Bool(fixnum!(&args[0]) % 2 == 0),
-        IsOdd => Value::Bool(fixnum!(&args[0]) % 2 != 0),
-        NumEq => Value::Bool(fixnum!(&args[0]) == fixnum!(&args[1])),
-        Lt => Value::Bool(fixnum!(&args[0]) < fixnum!(&args[1])),
-        Le => Value::Bool(fixnum!(&args[0]) <= fixnum!(&args[1])),
-        Gt => Value::Bool(fixnum!(&args[0]) > fixnum!(&args[1])),
-        Ge => Value::Bool(fixnum!(&args[0]) >= fixnum!(&args[1])),
+        Abs | Add1 | Sub1 | IsZero | IsPositive | IsNegative | IsEven | IsOdd => {
+            fixnum_value(p, fixnum!(&args[0]), 0)?
+        }
         IsEq | IsEqv => Value::Bool(args[0].eq_ptr(&args[1])),
         IsEqual => Value::Bool(args[0].eq_structural(&args[1])),
         Not => Value::Bool(!args[0].is_truthy()),
@@ -306,6 +267,22 @@ pub(crate) fn eval_prim(
     Ok((result, from_memory))
 }
 
+/// The shared fixnum rule ([`Prim::apply_fixnum`]), its error worded
+/// `<op>: <error>`.
+fn fixnum_value(p: Prim, a: i64, b: i64) -> Result<Value, String> {
+    let result = p.apply_fixnum(a, b).expect("a fixnum primitive");
+    result.map(Value::from).map_err(|e| format!("{p}: {e}"))
+}
+
+impl From<FixnumValue> for Value {
+    fn from(v: FixnumValue) -> Value {
+        match v {
+            FixnumValue::Fixnum(n) => Value::Fixnum(n),
+            FixnumValue::Bool(b) => Value::Bool(b),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,6 +313,8 @@ mod tests {
         assert_eq!(e, "+: expected number, got ()");
         let e = eval(Prim::Quotient, &[Value::Fixnum(1), Value::Fixnum(0)]).unwrap_err();
         assert_eq!(e, "quotient: division by zero");
+        let e = eval(Prim::Abs, &[Value::Fixnum(i64::MIN)]).unwrap_err();
+        assert_eq!(e, "abs: fixnum overflow");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example strategy_tour`
 
 use lesgs::allocator::{AllocConfig, RestoreStrategy, SaveStrategy};
+use lesgs::compiler::CompilerConfig;
 use lesgs::suite::tables::Table;
 use lesgs::suite::{measure, programs, Scale};
 
@@ -45,7 +46,8 @@ fn main() {
             "stalls".into(),
         ]);
         for (label, cfg) in &configs {
-            let run = measure(&bench, Scale::Small, (*cfg).into()).expect("benchmark runs");
+            let config = CompilerConfig::with_alloc(*cfg);
+            let run = measure(&bench, Scale::Small, config).expect("benchmark runs");
             t.row(vec![
                 label.clone(),
                 run.stats.cycles.to_string(),

@@ -6,8 +6,9 @@
 //! predicts, so a baseline regenerated with a broken shape still fails.
 
 use lesgs::allocator::AllocConfig;
+use lesgs::compiler::CompilerConfig;
 use lesgs::ir::MachineConfig;
-use lesgs::suite::{all_benchmarks, RunConfig, Scale};
+use lesgs::suite::{all_benchmarks, Scale};
 use lesgs::vm::ActivationClass;
 use lesgs_bench::runs::Runs;
 use lesgs_bench::sections;
@@ -130,7 +131,7 @@ fn register_count_sweep_is_monotone() {
     for b in runs.benchmarks() {
         let mut last = f64::INFINITY;
         for c in [0usize, 2, 4, 6] {
-            let cfg = RunConfig::from(AllocConfig {
+            let cfg = CompilerConfig::with_alloc(AllocConfig {
                 machine: MachineConfig::with_arg_regs(c),
                 ..AllocConfig::paper_default()
             });
