@@ -252,8 +252,9 @@ impl Engine {
 mod tests {
     use super::*;
     use lesgs_frontend::FuncId;
+    use lesgs_ir::machine::{CP, RV};
     use lesgs_ir::Reg;
-    use lesgs_vm::{Instr, VmFunc};
+    use lesgs_vm::{CallTarget, Instr, VmFunc};
 
     #[test]
     fn compile_execute_matches_run_source() {
@@ -388,6 +389,58 @@ mod tests {
                 );
             }
             other => panic!("expected verify failure, got {other:?}"),
+        }
+    }
+
+    /// A free-variable slot past the closure's end passes the verifier,
+    /// which cannot know which closure `cp` holds; a loaded blob that
+    /// reads one must fail with a typed error, not panic the engine.
+    #[test]
+    fn loaded_out_of_range_closure_slot_is_a_vm_error() {
+        let f = VmFunc {
+            id: FuncId(0),
+            name: "f".into(),
+            code: vec![Instr::LoadFree { dst: RV, index: 3 }, Instr::Return],
+            frame_size: 0,
+            n_incoming: 0,
+            syntactic_leaf: true,
+            call_inevitable: false,
+        };
+        let entry = VmFunc {
+            id: FuncId(1),
+            name: "entry".into(),
+            code: vec![
+                Instr::AllocClosure {
+                    dst: CP,
+                    func: FuncId(0),
+                    n_free: 0,
+                },
+                Instr::Call {
+                    target: CallTarget::ClosureCp,
+                    frame_advance: 0,
+                },
+                Instr::Halt,
+            ],
+            frame_size: 0,
+            n_incoming: 0,
+            syntactic_leaf: false,
+            call_inevitable: true,
+        };
+        let vm = VmProgram {
+            funcs: vec![f, entry],
+            entry: FuncId(1),
+            constants: vec![],
+            n_globals: 0,
+        };
+        let engine = Engine::new();
+        let blob = serialize_program(&vm, &AllocConfig::paper_default());
+        let loaded = engine.load_program(&blob).expect("the verifier accepts it");
+        match engine.execute(&loaded) {
+            Err(EngineError::Vm(e)) => {
+                assert_eq!(e.message, "closure slot 3 out of range (the closure has 0)");
+                assert_eq!(e.at, Some(("f".into(), 1)));
+            }
+            other => panic!("expected a vm error, got {other:?}"),
         }
     }
 

@@ -26,11 +26,11 @@ use lesgs_ir::Reg;
 
 use crate::cost::CostModel;
 use crate::exec::{Activation, VmError, VmOutcome, FUEL_MESSAGE};
-use crate::instr::{CallTarget, Imm, Instr};
+use crate::instr::{CallTarget, Instr};
 use crate::prim::{eval_prim, ArgVals};
 use crate::program::VmProgram;
 use crate::stats::{ActivationClass, RunStats};
-use crate::value::{const_to_value, PatchedClosures, RetAddr, Value, VmClosure};
+use crate::value::{const_to_value, imm_to_value, PatchedClosures, RetAddr, Value, VmClosure};
 
 type Result<T> = std::result::Result<T, VmError>;
 
@@ -153,7 +153,7 @@ impl<'a> ClassicMachine<'a> {
         }
     }
 
-    fn enter_activation(&mut self, callee: FuncId) {
+    fn enter_activation(&mut self, callee: FuncId, caller_fp: u32) {
         if let Some(top) = self.shadow.last_mut() {
             top.made_call = true;
         }
@@ -168,6 +168,7 @@ impl<'a> ClassicMachine<'a> {
         self.shadow.push(Activation {
             func: callee,
             made_call: false,
+            caller_fp,
         });
     }
 
@@ -181,19 +182,24 @@ impl<'a> ClassicMachine<'a> {
         }
     }
 
-    fn leave_activation(&mut self) {
-        if let Some(a) = self.shadow.pop() {
-            let class = self.classify(&a);
-            if self.trace {
-                eprintln!(
-                    "trace: return {} class={} depth={}",
-                    self.program.func(a.func).name,
-                    class.key(),
-                    self.shadow.len()
-                );
-            }
-            self.stats.activations[class as usize] += 1;
+    /// Pops and tallies the current activation, returning the caller's
+    /// frame pointer (the current one when the stack is already empty,
+    /// which only unverified code reaches).
+    fn leave_activation(&mut self) -> u32 {
+        let Some(a) = self.shadow.pop() else {
+            return self.fp;
+        };
+        let class = self.classify(&a);
+        if self.trace {
+            eprintln!(
+                "trace: return {} class={} depth={}",
+                self.program.func(a.func).name,
+                class.key(),
+                self.shadow.len()
+            );
         }
+        self.stats.activations[class as usize] += 1;
+        a.caller_fp
     }
 
     fn call_target(&mut self, target: CallTarget) -> Result<FuncId> {
@@ -253,6 +259,7 @@ impl<'a> ClassicMachine<'a> {
         self.shadow.push(Activation {
             func: self.func,
             made_call: false,
+            caller_fp: self.fp,
         });
         self.poison(self.func);
         loop {
@@ -268,16 +275,7 @@ impl<'a> ClassicMachine<'a> {
             let instr = instr.clone();
             self.pc += 1;
             match instr {
-                Instr::LoadImm { dst, imm } => {
-                    let v = match imm {
-                        Imm::Fixnum(n) => Value::Fixnum(n),
-                        Imm::Bool(b) => Value::Bool(b),
-                        Imm::Char(c) => Value::Char(c),
-                        Imm::Nil => Value::Nil,
-                        Imm::Void => Value::Void,
-                    };
-                    self.write(dst, v);
-                }
+                Instr::LoadImm { dst, imm } => self.write(dst, imm_to_value(imm)),
                 Instr::LoadConst { dst, idx } => {
                     let v = self.constants[idx as usize].clone();
                     self.write(dst, v);
@@ -342,16 +340,12 @@ impl<'a> ClassicMachine<'a> {
                     frame_advance,
                 } => {
                     let callee = self.call_target(target)?;
-                    let ra = RetAddr {
-                        func: self.func,
-                        pc: self.pc,
-                        fp: self.fp,
-                    };
-                    self.write(RET, Value::RetAddr(ra));
+                    self.write(RET, Value::RetAddr(RetAddr::new(self.func, self.pc)));
+                    let caller_fp = self.fp;
                     self.fp += frame_advance;
                     self.func = callee;
                     self.pc = 0;
-                    self.enter_activation(callee);
+                    self.enter_activation(callee, caller_fp);
                     self.poison(callee);
                 }
                 Instr::TailCall { target } => {
@@ -370,10 +364,9 @@ impl<'a> ClassicMachine<'a> {
                 }
                 Instr::Return => match self.read(RET) {
                     Value::RetAddr(ra) => {
-                        self.leave_activation();
-                        self.func = ra.func;
-                        self.pc = ra.pc;
-                        self.fp = ra.fp;
+                        self.fp = self.leave_activation();
+                        self.func = ra.func();
+                        self.pc = ra.pc();
                     }
                     other => {
                         return Err(self.err(format!(
@@ -398,7 +391,7 @@ impl<'a> ClassicMachine<'a> {
                     let v = self.read(src);
                     match self.read(clo) {
                         Value::Closure(c) => {
-                            c.free.borrow_mut()[index as usize] = v;
+                            c.set_free(index, v).map_err(|m| self.err(m))?;
                             self.patched.remember(&c);
                         }
                         other => {
@@ -413,7 +406,7 @@ impl<'a> ClassicMachine<'a> {
                     self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
                     match self.read(CP) {
                         Value::Closure(c) => {
-                            let v = c.free.borrow()[index as usize].clone();
+                            let v = c.load_free(index).map_err(|m| self.err(m))?;
                             self.write_loaded(dst, v);
                         }
                         other => {

@@ -204,7 +204,8 @@ pub enum DecodedOp {
     },
     /// Tail call through the closure in `cp`.
     TailCallClosure,
-    /// Jump through the return address in `ret`, restoring `fp`.
+    /// Jump through the return address in `ret`, restoring the
+    /// caller's `fp` from the activation `call` pushed.
     Return,
     /// Allocate a closure with `n_free` uninitialized slots.
     AllocClosure {

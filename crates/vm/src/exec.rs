@@ -23,11 +23,10 @@ use lesgs_ir::Reg;
 
 use crate::cost::CostModel;
 use crate::decode::{DecodedOp, DecodedProgram, PrimArgs};
-use crate::instr::Imm;
 use crate::prim::{eval_prim, ArgVals};
 use crate::program::VmProgram;
 use crate::stats::{ActivationClass, RunStats};
-use crate::value::{const_to_value, PatchedClosures, RetAddr, Value, VmClosure};
+use crate::value::{const_to_value, imm_to_value, PatchedClosures, RetAddr, Value, VmClosure};
 
 /// A runtime failure (type error, fuel exhaustion, VM invariant
 /// violation).
@@ -86,10 +85,13 @@ pub struct VmOutcome {
 }
 
 /// One entry of the shadow activation stack (for Table 2
-/// classification; shared with the classic engine).
+/// classification; shared with the classic engine). `call` pushes one
+/// and `return` pops it.
 pub(crate) struct Activation {
     pub(crate) func: FuncId,
     pub(crate) made_call: bool,
+    /// The caller's frame pointer, which `return` restores.
+    pub(crate) caller_fp: u32,
 }
 
 /// The decoded program a [`Machine`] executes: decoded privately by
@@ -276,7 +278,7 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn enter_activation(&mut self, prog: &DecodedProgram, callee: FuncId) {
+    fn enter_activation(&mut self, prog: &DecodedProgram, callee: FuncId, caller_fp: u32) {
         if let Some(top) = self.shadow.last_mut() {
             top.made_call = true;
         }
@@ -291,6 +293,7 @@ impl<'a> Machine<'a> {
         self.shadow.push(Activation {
             func: callee,
             made_call: false,
+            caller_fp,
         });
     }
 
@@ -304,19 +307,24 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn leave_activation(&mut self, prog: &DecodedProgram) {
-        if let Some(a) = self.shadow.pop() {
-            let class = Machine::classify(prog, &a);
-            if self.trace {
-                eprintln!(
-                    "trace: return {} class={} depth={}",
-                    prog.funcs[a.func.index()].name,
-                    class.key(),
-                    self.shadow.len()
-                );
-            }
-            self.stats.activations[class as usize] += 1;
+    /// Pops and tallies the current activation, returning the caller's
+    /// frame pointer (the current one when the stack is already empty,
+    /// which only unverified code reaches).
+    fn leave_activation(&mut self, prog: &DecodedProgram) -> u32 {
+        let Some(a) = self.shadow.pop() else {
+            return self.fp;
+        };
+        let class = Machine::classify(prog, &a);
+        if self.trace {
+            eprintln!(
+                "trace: return {} class={} depth={}",
+                prog.funcs[a.func.index()].name,
+                class.key(),
+                self.shadow.len()
+            );
         }
+        self.stats.activations[class as usize] += 1;
+        a.caller_fp
     }
 
     /// Resolves a through-`cp` call: reads (and possibly stalls on)
@@ -351,17 +359,6 @@ impl<'a> Machine<'a> {
         }
     }
 
-    #[inline]
-    fn imm_value(imm: Imm) -> Value {
-        match imm {
-            Imm::Fixnum(n) => Value::Fixnum(n),
-            Imm::Bool(b) => Value::Bool(b),
-            Imm::Char(c) => Value::Char(c),
-            Imm::Nil => Value::Nil,
-            Imm::Void => Value::Void,
-        }
-    }
-
     /// Fast paths for the hottest primitives: operands are peeked in
     /// place (after the same stall accounting `read` performs) instead
     /// of being cloned into the shared evaluator's argument buffer.
@@ -390,22 +387,22 @@ impl<'a> Machine<'a> {
             Mul => Value::Fixnum(fix!(0).checked_mul(fix!(1))?),
             Add1 => Value::Fixnum(fix!(0).checked_add(1)?),
             Sub1 => Value::Fixnum(fix!(0).checked_sub(1)?),
-            NumEq => Value::Bool(fix!(0) == fix!(1)),
-            Lt => Value::Bool(fix!(0) < fix!(1)),
-            Le => Value::Bool(fix!(0) <= fix!(1)),
-            Gt => Value::Bool(fix!(0) > fix!(1)),
-            Ge => Value::Bool(fix!(0) >= fix!(1)),
-            IsZero => Value::Bool(fix!(0) == 0),
+            NumEq => Value::bool(fix!(0) == fix!(1)),
+            Lt => Value::bool(fix!(0) < fix!(1)),
+            Le => Value::bool(fix!(0) <= fix!(1)),
+            Gt => Value::bool(fix!(0) > fix!(1)),
+            Ge => Value::bool(fix!(0) >= fix!(1)),
+            IsZero => Value::bool(fix!(0) == 0),
             // The shared rule; an error leaves it to `eval_prim`.
             Quotient | Remainder | Modulo | Abs | Min | Max | IsPositive | IsNegative | IsEven
             | IsOdd => {
                 let b = if a.len() > 1 { fix!(1) } else { 0 };
                 Value::from(op.apply_fixnum(fix!(0), b)?.ok()?)
             }
-            Not => Value::Bool(!self.regs[a[0].index()].is_truthy()),
-            IsPair => Value::Bool(matches!(self.regs[a[0].index()], Value::Pair(_))),
-            IsNull => Value::Bool(matches!(self.regs[a[0].index()], Value::Nil)),
-            IsEq | IsEqv => Value::Bool(self.regs[a[0].index()].eq_ptr(&self.regs[a[1].index()])),
+            Not => Value::bool(!self.regs[a[0].index()].is_truthy()),
+            IsPair => Value::bool(matches!(self.regs[a[0].index()], Value::Pair(_))),
+            IsNull => Value::bool(matches!(self.regs[a[0].index()], Value::Nil)),
+            IsEq | IsEqv => Value::bool(self.regs[a[0].index()].eq_ptr(&self.regs[a[1].index()])),
             Car | Cdr => match &self.regs[a[0].index()] {
                 Value::Pair(p) => {
                     let p = p.borrow();
@@ -505,16 +502,13 @@ impl<'a> Machine<'a> {
         // Return addresses stay function-relative so the value is
         // engine-independent (differential tests compare rendered
         // values, and save slots hold these).
-        let ra = RetAddr {
-            func: self.func,
-            pc: *pc - Machine::base(prog, self.func),
-            fp: self.fp,
-        };
+        let ra = RetAddr::new(self.func, *pc - Machine::base(prog, self.func));
         self.write(RET, Value::RetAddr(ra));
+        let caller_fp = self.fp;
         self.fp += frame_advance;
         self.func = callee;
         *pc = Machine::base(prog, callee);
-        self.enter_activation(prog, callee);
+        self.enter_activation(prog, callee, caller_fp);
         self.poison(prog, callee);
     }
 
@@ -561,6 +555,7 @@ impl<'a> Machine<'a> {
         self.shadow.push(Activation {
             func: self.func,
             made_call: false,
+            caller_fp: self.fp,
         });
         self.poison(prog, self.func);
         loop {
@@ -576,7 +571,7 @@ impl<'a> Machine<'a> {
             pc += 1;
             match op {
                 DecodedOp::Imm { dst, imm } => {
-                    self.write(dst, Machine::imm_value(imm));
+                    self.write(dst, imm_to_value(imm));
                 }
                 DecodedOp::Const { dst, idx } => {
                     let v = self.constants[idx as usize].clone();
@@ -623,10 +618,9 @@ impl<'a> Machine<'a> {
                 }
                 DecodedOp::Return => match self.read(RET) {
                     Value::RetAddr(ra) => {
-                        self.leave_activation(prog);
-                        self.func = ra.func;
-                        pc = Machine::base(prog, ra.func) + ra.pc;
-                        self.fp = ra.fp;
+                        self.fp = self.leave_activation(prog);
+                        self.func = ra.func();
+                        pc = Machine::base(prog, ra.func()) + ra.pc();
                     }
                     other => {
                         return Err(self.err(
@@ -653,7 +647,7 @@ impl<'a> Machine<'a> {
                     self.stall_on(clo);
                     match &self.regs[clo.index()] {
                         Value::Closure(c) => {
-                            c.free.borrow_mut()[index as usize] = v;
+                            c.set_free(index, v).map_err(|m| self.err(prog, pc, m))?;
                             self.patched.remember(c);
                         }
                         other => {
@@ -670,7 +664,9 @@ impl<'a> Machine<'a> {
                     self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
                     self.stall_on(CP);
                     let v = match &self.regs[CP.index()] {
-                        Value::Closure(c) => c.free.borrow()[index as usize].clone(),
+                        Value::Closure(c) => {
+                            c.load_free(index).map_err(|m| self.err(prog, pc, m))?
+                        }
                         other => {
                             return Err(self.err(
                                 prog,
@@ -728,7 +724,7 @@ impl<'a> Machine<'a> {
 mod tests {
     use super::*;
     use crate::classic::ClassicMachine;
-    use crate::instr::{CallTarget, Instr, SlotClass};
+    use crate::instr::{CallTarget, Imm, Instr, SlotClass};
     use crate::program::{VmFunc, VmProgram};
     use lesgs_ir::machine::{arg_reg, scratch_reg};
 
@@ -1120,6 +1116,7 @@ mod tests {
             tiny_program(),
             loop_program(),
             poly_call_program(&[0, 1, 0, 1, 0, 0, 0, 0, 0]),
+            tail_entered_call_program(),
         ];
         for p in &programs {
             for cost in [CostModel::alpha_like(), CostModel::unit()] {
@@ -1132,6 +1129,185 @@ mod tests {
                 assert_eq!(d.output, c.output);
                 assert_eq!(d.stats, c.stats);
             }
+        }
+    }
+
+    /// The frame pointer a return restores comes from the activation
+    /// that `call` pushed: `h`, entered by a tail call at fp 1, calls
+    /// from its two-slot frame and then reads both slots back. Poisoned
+    /// frames make a wrong fp fail instead of reading stale slots.
+    #[test]
+    fn return_restores_the_callers_frame_after_a_tail_call() {
+        let p = tail_entered_call_program();
+        assert_eq!(crate::verify_bytecode(&p), []);
+        let d = Machine::new(&p, CostModel::alpha_like())
+            .with_poison(true)
+            .run()
+            .unwrap();
+        assert_eq!(d.value, "11");
+        assert_eq!((d.stats.calls, d.stats.tail_calls), (3, 1));
+    }
+
+    /// `f` reads free slot 3 of a closure that has none, and `entry`
+    /// backpatches slot 1 of a closure with one. The verifier cannot
+    /// know which closure a register holds, so it accepts both; each
+    /// engine must fail with the same located error, not panic.
+    #[test]
+    fn out_of_range_closure_slots_are_errors_in_both_engines() {
+        let cases = [
+            (
+                closure_slot_program(false),
+                "closure slot 3 out of range (the closure has 0)",
+                ("f", 1),
+            ),
+            (
+                closure_slot_program(true),
+                "closure slot 1 out of range (the closure has 1)",
+                ("entry", 2),
+            ),
+        ];
+        for (p, message, (name, pc)) in cases {
+            assert_eq!(crate::verify_bytecode(&p), []);
+            let d = Machine::new(&p, CostModel::unit()).run().unwrap_err();
+            let c = ClassicMachine::new(&p, CostModel::unit())
+                .run()
+                .unwrap_err();
+            assert_eq!(d, c);
+            assert_eq!(d.message, message);
+            assert_eq!(d.at, Some((name.into(), pc)));
+        }
+    }
+
+    /// With `set` false, `entry` calls a closure over `f` with no free
+    /// slots and `f` loads free slot 3; with `set` true, `entry` sets
+    /// free slot 1 of a one-slot closure.
+    fn closure_slot_program(set: bool) -> VmProgram {
+        let s0 = scratch_reg(0);
+        let f = VmFunc {
+            id: FuncId(0),
+            name: "f".into(),
+            code: vec![Instr::LoadFree { dst: RV, index: 3 }, Instr::Return],
+            frame_size: 0,
+            n_incoming: 0,
+            syntactic_leaf: true,
+            call_inevitable: false,
+        };
+        let code = if set {
+            vec![
+                Instr::AllocClosure {
+                    dst: s0,
+                    func: FuncId(0),
+                    n_free: 1,
+                },
+                Instr::ClosureSlotSet {
+                    clo: s0,
+                    index: 1,
+                    src: s0,
+                },
+                Instr::Halt,
+            ]
+        } else {
+            vec![
+                Instr::AllocClosure {
+                    dst: CP,
+                    func: FuncId(0),
+                    n_free: 0,
+                },
+                Instr::Call {
+                    target: CallTarget::ClosureCp,
+                    frame_advance: 0,
+                },
+                Instr::Halt,
+            ]
+        };
+        let entry = VmFunc {
+            id: FuncId(1),
+            name: "entry".into(),
+            code,
+            frame_size: 0,
+            n_incoming: 0,
+            syntactic_leaf: set,
+            call_inevitable: !set,
+        };
+        VmProgram {
+            funcs: vec![f, entry],
+            entry: FuncId(1),
+            constants: vec![],
+            n_globals: 0,
+        }
+    }
+
+    /// `entry` calls `main` (frame 1), which calls `g` at fp 1; `g`
+    /// tail-calls `h` (frame 2), which saves `ret` and its argument 5,
+    /// calls `leaf` (5 + 1) at fp 3, restores both from fp 1 and returns
+    /// 6 + 5 = 11.
+    fn tail_entered_call_program() -> VmProgram {
+        let a0 = arg_reg(0);
+        let func = |id: u32, name: &str, code: Vec<Instr>, frame_size: u32, leaf: bool| VmFunc {
+            id: FuncId(id),
+            name: name.into(),
+            code,
+            frame_size,
+            n_incoming: 0,
+            syntactic_leaf: leaf,
+            call_inevitable: !leaf,
+        };
+        let save = |slot: u32, src: Reg| Instr::StackStore {
+            slot,
+            src,
+            class: SlotClass::Save,
+        };
+        let restore = |dst: Reg, slot: u32| Instr::StackLoad {
+            dst,
+            slot,
+            class: SlotClass::Save,
+        };
+        let call = |callee: u32, frame_advance: u32| Instr::Call {
+            target: CallTarget::Func(FuncId(callee)),
+            frame_advance,
+        };
+        let leaf = vec![
+            Instr::Prim {
+                op: Prim::Add1,
+                dst: RV,
+                args: vec![a0],
+            },
+            Instr::Return,
+        ];
+        let h = vec![
+            save(0, RET),
+            save(1, a0),
+            call(0, 2),
+            restore(RET, 0),
+            restore(a0, 1),
+            Instr::Prim {
+                op: Prim::Add,
+                dst: RV,
+                args: vec![RV, a0],
+            },
+            Instr::Return,
+        ];
+        let g = vec![
+            Instr::LoadImm {
+                dst: a0,
+                imm: Imm::Fixnum(5),
+            },
+            Instr::TailCall {
+                target: CallTarget::Func(FuncId(1)),
+            },
+        ];
+        let main = vec![save(0, RET), call(2, 1), restore(RET, 0), Instr::Return];
+        VmProgram {
+            funcs: vec![
+                func(0, "leaf", leaf, 0, true),
+                func(1, "h", h, 2, false),
+                func(2, "g", g, 0, true),
+                func(3, "main", main, 1, false),
+                func(4, "entry", vec![call(3, 0), Instr::Halt], 0, false),
+            ],
+            entry: FuncId(4),
+            constants: vec![],
+            n_globals: 0,
         }
     }
 

@@ -163,7 +163,8 @@ pub enum Instr {
         /// Callee.
         target: CallTarget,
     },
-    /// Jump through the return address in `ret`, restoring `fp`.
+    /// Jump through the return address in `ret`, restoring the
+    /// caller's `fp` from the activation `call` pushed.
     Return,
     /// Allocate a closure with `n_free` uninitialized slots.
     AllocClosure {

@@ -10,6 +10,7 @@
 //! stall. The latency model is what makes the eager-vs-lazy restore
 //! trade-off of §2.2 observable.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod classic;

@@ -133,18 +133,18 @@ pub(crate) fn eval_prim(
         Abs | Add1 | Sub1 | IsZero | IsPositive | IsNegative | IsEven | IsOdd => {
             fixnum_value(p, fixnum!(&args[0]), 0)?
         }
-        IsEq | IsEqv => Value::Bool(args[0].eq_ptr(&args[1])),
-        IsEqual => Value::Bool(args[0].eq_structural(&args[1])),
-        Not => Value::Bool(!args[0].is_truthy()),
-        IsPair => Value::Bool(matches!(args[0], Value::Pair(_))),
-        IsNull => Value::Bool(matches!(args[0], Value::Nil)),
-        IsSymbol => Value::Bool(matches!(args[0], Value::Symbol(_))),
-        IsNumber => Value::Bool(matches!(args[0], Value::Fixnum(_))),
-        IsBoolean => Value::Bool(matches!(args[0], Value::Bool(_))),
-        IsProcedure => Value::Bool(matches!(args[0], Value::Closure(_))),
-        IsVector => Value::Bool(matches!(args[0], Value::Vector(_))),
-        IsString => Value::Bool(matches!(args[0], Value::Str(_))),
-        IsChar => Value::Bool(matches!(args[0], Value::Char(_))),
+        IsEq | IsEqv => Value::bool(args[0].eq_ptr(&args[1])),
+        IsEqual => Value::bool(args[0].eq_structural(&args[1])),
+        Not => Value::bool(!args[0].is_truthy()),
+        IsPair => Value::bool(matches!(args[0], Value::Pair(_))),
+        IsNull => Value::bool(matches!(args[0], Value::Nil)),
+        IsSymbol => Value::bool(matches!(args[0], Value::Symbol(_))),
+        IsNumber => Value::bool(matches!(args[0], Value::Fixnum(_))),
+        IsBoolean => Value::bool(matches!(args[0], Value::Bool(_))),
+        IsProcedure => Value::bool(matches!(args[0], Value::Closure(_))),
+        IsVector => Value::bool(matches!(args[0], Value::Vector(_))),
+        IsString => Value::bool(matches!(args[0], Value::Str(_))),
+        IsChar => Value::bool(matches!(args[0], Value::Char(_))),
         Cons => {
             let d = args.pop();
             let a = args.pop();
@@ -218,7 +218,7 @@ pub(crate) fn eval_prim(
             }
         },
         CharToInteger => match &args[0] {
-            Value::Char(c) => Value::Fixnum(*c as i64),
+            Value::Char(c) => Value::Fixnum(c.get() as i64),
             other => {
                 return Err(format!(
                     "char->integer: expected char, got {}",
@@ -278,7 +278,7 @@ impl From<FixnumValue> for Value {
     fn from(v: FixnumValue) -> Value {
         match v {
             FixnumValue::Fixnum(n) => Value::Fixnum(n),
-            FixnumValue::Bool(b) => Value::Bool(b),
+            FixnumValue::Bool(b) => Value::bool(b),
         }
     }
 }

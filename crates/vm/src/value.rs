@@ -2,10 +2,13 @@
 
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Deref;
 use std::rc::{Rc, Weak};
 
 use lesgs_frontend::{Const, FuncId};
 use lesgs_sexpr::Datum;
+
+use crate::instr::Imm;
 
 /// A closure object: a code pointer plus captured values. Slots are
 /// mutable to support the recursive-group backpatching instruction.
@@ -15,6 +18,41 @@ pub struct VmClosure {
     pub func: FuncId,
     /// Captured values.
     pub free: RefCell<Vec<Value>>,
+}
+
+impl VmClosure {
+    /// Reads free slot `index`.
+    ///
+    /// # Errors
+    ///
+    /// A slot past the closure's free slots. The verifier cannot rule
+    /// it out: it does not know which closure a register holds.
+    pub(crate) fn load_free(&self, index: u32) -> Result<Value, String> {
+        let free = self.free.borrow();
+        free.get(index as usize)
+            .cloned()
+            .ok_or_else(|| slot_out_of_range(index, free.len()))
+    }
+
+    /// Writes free slot `index` (the `closure-set!` backpatch).
+    ///
+    /// # Errors
+    ///
+    /// A slot past the closure's free slots, as for
+    /// [`VmClosure::load_free`].
+    pub(crate) fn set_free(&self, index: u32, v: Value) -> Result<(), String> {
+        let mut free = self.free.borrow_mut();
+        let n_free = free.len();
+        let slot = free
+            .get_mut(index as usize)
+            .ok_or_else(|| slot_out_of_range(index, n_free))?;
+        *slot = v;
+        Ok(())
+    }
+}
+
+fn slot_out_of_range(index: u32, n_free: usize) -> String {
+    format!("closure slot {index} out of range (the closure has {n_free})")
 }
 
 /// The closures a machine has backpatched with `closure-set!`.
@@ -49,26 +87,120 @@ impl Drop for PatchedClosures {
     }
 }
 
-/// A return address: code position and the caller's frame pointer.
+/// A return address: the function and the function-relative pc to
+/// resume at, packed into one word (`func` in the high half, `pc` in
+/// the low) so that [`Value`] keeps its two-word layout.
+///
+/// The caller's frame pointer is not part of it: each engine keeps it
+/// on the activation that `call` pushes and `return` pops. For a
+/// verified program that is the frame pointer of the call that made
+/// this address, because `return` and tail calls require `ret` to hold
+/// the activation's own return address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetAddr {
+pub struct RetAddr(u64);
+
+impl RetAddr {
+    /// Packs a return point.
+    pub fn new(func: FuncId, pc: u32) -> RetAddr {
+        RetAddr((u64::from(func.0) << 32) | u64::from(pc))
+    }
+
     /// Function containing the return point.
-    pub func: FuncId,
+    pub fn func(self) -> FuncId {
+        FuncId((self.0 >> 32) as u32)
+    }
+
     /// Instruction index within that function.
-    pub pc: u32,
-    /// Frame pointer to restore.
-    pub fp: u32,
+    pub fn pc(self) -> u32 {
+        self.0 as u32
+    }
+}
+
+/// A boolean widened to one word, so that [`Value`] keeps its two-word
+/// layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WideBool(u64);
+
+impl WideBool {
+    /// `#f`.
+    pub const FALSE: WideBool = WideBool(0);
+
+    /// Widens a boolean.
+    pub fn new(b: bool) -> WideBool {
+        WideBool(u64::from(b))
+    }
+
+    /// The boolean.
+    pub fn get(self) -> bool {
+        self.0 != 0
+    }
+}
+
+/// A character widened to one word, so that [`Value`] keeps its
+/// two-word layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WideChar(u64);
+
+impl WideChar {
+    /// Widens a character.
+    pub fn new(c: char) -> WideChar {
+        WideChar(u64::from(c))
+    }
+
+    /// The character.
+    pub fn get(self) -> char {
+        char::from_u32(self.0 as u32).expect("a WideChar holds a char")
+    }
+}
+
+/// The heap cell of a pair.
+///
+/// Dropping a pair releases its cdr chain in a loop, not by recursion,
+/// so a long list cannot overflow the stack when it dies. Only cars
+/// still recurse.
+#[derive(Debug)]
+pub struct VmPair(RefCell<(Value, Value)>);
+
+impl Deref for VmPair {
+    type Target = RefCell<(Value, Value)>;
+
+    fn deref(&self) -> &RefCell<(Value, Value)> {
+        &self.0
+    }
+}
+
+impl Drop for VmPair {
+    fn drop(&mut self) {
+        let mut next = std::mem::replace(&mut self.0.get_mut().1, Value::Nil);
+        // A uniquely owned cdr is unlinked before it drops, so its own
+        // `drop` finds `()` and returns; a shared one only loses a count.
+        while let Value::Pair(rc) = next {
+            match Rc::try_unwrap(rc) {
+                Ok(mut pair) => next = std::mem::replace(&mut pair.0.get_mut().1, Value::Nil),
+                Err(_) => break,
+            }
+        }
+    }
 }
 
 /// A VM value.
+///
+/// Every variant that carries data carries exactly one 8-byte scalar:
+/// an `i64`, a widened word ([`WideBool`], [`WideChar`], [`RetAddr`])
+/// or an `Rc` pointer. That gives the enum rustc's scalar-pair ABI, so
+/// the dispatch loop moves a value as two whole-word loads or stores,
+/// in registers. A payload of another size or shape (a bare `bool` or
+/// `char`, a struct of two fields) sends every move through memory in
+/// pieces of mixed width, and the reload after each register write then
+/// stalls on store-to-load forwarding.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// An integer.
     Fixnum(i64),
     /// `#t` / `#f`.
-    Bool(bool),
+    Bool(WideBool),
     /// A character.
-    Char(char),
+    Char(WideChar),
     /// A string.
     Str(Rc<String>),
     /// A symbol (compared by name).
@@ -78,7 +210,7 @@ pub enum Value {
     /// The unspecified value.
     Void,
     /// A mutable pair.
-    Pair(Rc<RefCell<(Value, Value)>>),
+    Pair(Rc<VmPair>),
     /// A mutable vector.
     Vector(Rc<RefCell<Vec<Value>>>),
     /// A procedure.
@@ -91,15 +223,29 @@ pub enum Value {
     Uninit,
 }
 
+// The two-word layout above; see [`Value`] for why every payload must
+// stay one 8-byte scalar.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
 impl Value {
     /// Builds a pair.
     pub fn cons(car: Value, cdr: Value) -> Value {
-        Value::Pair(Rc::new(RefCell::new((car, cdr))))
+        Value::Pair(Rc::new(VmPair(RefCell::new((car, cdr)))))
+    }
+
+    /// A boolean.
+    pub fn bool(b: bool) -> Value {
+        Value::Bool(WideBool::new(b))
+    }
+
+    /// A character.
+    pub fn char(c: char) -> Value {
+        Value::Char(WideChar::new(c))
     }
 
     /// Scheme truthiness.
     pub fn is_truthy(&self) -> bool {
-        !matches!(self, Value::Bool(false))
+        !matches!(self, Value::Bool(WideBool::FALSE))
     }
 
     /// `eq?` — identity for heap values, value equality for immediates.
@@ -120,27 +266,37 @@ impl Value {
         }
     }
 
-    /// `equal?` — structural equality.
+    /// `equal?` — structural equality. Walks a list's cdr chain in a
+    /// loop, so only cars and vector elements recurse.
     pub fn eq_structural(&self, other: &Value) -> bool {
-        match (self, other) {
-            (Value::Pair(a), Value::Pair(b)) => {
-                if Rc::ptr_eq(a, b) {
-                    return true;
+        let (mut a, mut b) = (self.clone(), other.clone());
+        loop {
+            let (next_a, next_b) = match (&a, &b) {
+                (Value::Pair(x), Value::Pair(y)) => {
+                    if Rc::ptr_eq(x, y) {
+                        return true;
+                    }
+                    let (xa, xd) = &*x.borrow();
+                    let (ya, yd) = &*y.borrow();
+                    if !xa.eq_structural(ya) {
+                        return false;
+                    }
+                    (xd.clone(), yd.clone())
                 }
-                let (ac, ad) = &*a.borrow();
-                let (bc, bd) = &*b.borrow();
-                ac.eq_structural(bc) && ad.eq_structural(bd)
-            }
-            (Value::Vector(a), Value::Vector(b)) => {
-                if Rc::ptr_eq(a, b) {
-                    return true;
+                (Value::Vector(x), Value::Vector(y)) => {
+                    if Rc::ptr_eq(x, y) {
+                        return true;
+                    }
+                    let x = x.borrow();
+                    let y = y.borrow();
+                    return x.len() == y.len()
+                        && x.iter().zip(y.iter()).all(|(p, q)| p.eq_structural(q));
                 }
-                let a = a.borrow();
-                let b = b.borrow();
-                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.eq_structural(y))
-            }
-            (Value::Str(a), Value::Str(b)) => a == b,
-            _ => self.eq_ptr(other),
+                (Value::Str(x), Value::Str(y)) => return x == y,
+                _ => return a.eq_ptr(&b),
+            };
+            a = next_a;
+            b = next_b;
         }
     }
 
@@ -161,9 +317,9 @@ impl Value {
     fn render(&self, out: &mut String, write: bool) {
         match self {
             Value::Fixnum(n) => out.push_str(&n.to_string()),
-            Value::Bool(true) => out.push_str("#t"),
-            Value::Bool(false) => out.push_str("#f"),
+            Value::Bool(b) => out.push_str(if b.get() { "#t" } else { "#f" }),
             Value::Char(c) => {
+                let c = c.get();
                 if write {
                     match c {
                         ' ' => out.push_str("#\\space"),
@@ -171,11 +327,11 @@ impl Value {
                         '\t' => out.push_str("#\\tab"),
                         c => {
                             out.push_str("#\\");
-                            out.push(*c);
+                            out.push(c);
                         }
                     }
                 } else {
-                    out.push(*c);
+                    out.push(c);
                 }
             }
             Value::Str(s) => {
@@ -250,8 +406,8 @@ impl fmt::Display for Value {
 pub(crate) fn datum_to_value(d: &Datum) -> Value {
     match d {
         Datum::Fixnum(n) => Value::Fixnum(*n),
-        Datum::Bool(b) => Value::Bool(*b),
-        Datum::Char(c) => Value::Char(*c),
+        Datum::Bool(b) => Value::bool(*b),
+        Datum::Char(c) => Value::char(*c),
         Datum::Str(s) => Value::Str(Rc::new(s.clone())),
         Datum::Symbol(s) => Value::Symbol(Rc::new(s.clone())),
         Datum::List(items) => items
@@ -267,13 +423,25 @@ pub(crate) fn datum_to_value(d: &Datum) -> Value {
     }
 }
 
+/// Materializes an instruction's immediate operand.
+#[inline]
+pub(crate) fn imm_to_value(imm: Imm) -> Value {
+    match imm {
+        Imm::Fixnum(n) => Value::Fixnum(n),
+        Imm::Bool(b) => Value::bool(b),
+        Imm::Char(c) => Value::char(c),
+        Imm::Nil => Value::Nil,
+        Imm::Void => Value::Void,
+    }
+}
+
 /// Materializes a constant-pool entry as a runtime value (both engines
 /// build their pools through this at machine start).
 pub(crate) fn const_to_value(c: &Const) -> Value {
     match c {
         Const::Fixnum(n) => Value::Fixnum(*n),
-        Const::Bool(b) => Value::Bool(*b),
-        Const::Char(c) => Value::Char(*c),
+        Const::Bool(b) => Value::bool(*b),
+        Const::Char(c) => Value::char(*c),
         Const::Str(s) => Value::Str(Rc::new(s.clone())),
         Const::Nil => Value::Nil,
         Const::Void => Value::Void,
@@ -289,7 +457,8 @@ mod tests {
     #[test]
     fn truthiness_and_eq() {
         assert!(Value::Fixnum(0).is_truthy());
-        assert!(!Value::Bool(false).is_truthy());
+        assert!(!Value::bool(false).is_truthy());
+        assert!(Value::bool(true).is_truthy());
         let p = Value::cons(Value::Fixnum(1), Value::Nil);
         assert!(p.eq_ptr(&p.clone()));
         assert!(!p.eq_ptr(&Value::cons(Value::Fixnum(1), Value::Nil)));
@@ -297,8 +466,32 @@ mod tests {
     }
 
     #[test]
+    fn ret_addr_round_trips_at_the_extremes() {
+        for (func, pc) in [
+            (0, 0),
+            (7, 42),
+            (u32::MAX, 0),
+            (0, u32::MAX),
+            (u32::MAX, u32::MAX),
+        ] {
+            let ra = RetAddr::new(FuncId(func), pc);
+            assert_eq!((ra.func(), ra.pc()), (FuncId(func), pc));
+        }
+    }
+
+    #[test]
+    fn widened_scalars_round_trip() {
+        for b in [false, true] {
+            assert_eq!(WideBool::new(b).get(), b);
+        }
+        for c in ['\0', 'a', '\u{10FFFF}'] {
+            assert_eq!(WideChar::new(c).get(), c);
+        }
+    }
+
+    #[test]
     fn rendering_matches_interp_conventions() {
-        let l = Value::cons(Value::Fixnum(1), Value::cons(Value::Char('a'), Value::Nil));
+        let l = Value::cons(Value::Fixnum(1), Value::cons(Value::char('a'), Value::Nil));
         assert_eq!(l.display_string(), "(1 a)");
         assert_eq!(l.write_string(), "(1 #\\a)");
     }
