@@ -239,7 +239,9 @@ impl Engine {
     /// The content-hash key under which a source program caches: a
     /// FNV-1a-64 over the source text and the allocator-configuration
     /// fingerprint, so the same text compiled under two configurations
-    /// occupies two cache slots.
+    /// occupies two cache slots. FNV-1a is not collision-resistant, so
+    /// the key finds a program but does not identify it: a cache must
+    /// also compare the source text.
     pub fn content_key(&self, source: &str) -> u64 {
         let mut bytes = Vec::with_capacity(source.len() + 8);
         bytes.extend_from_slice(source.as_bytes());

@@ -307,3 +307,25 @@ fn compile_requires_an_output_path() {
     assert!(!ok);
     assert!(stderr.contains("-o"), "{stderr}");
 }
+
+/// A vector too large to allocate is a typed error with exit status 1,
+/// not an abort, in compiled code and in the interpreter alike.
+#[test]
+fn an_unallocatable_vector_exits_1_with_the_message() {
+    let len = "100000000000000000";
+    let src = format!("(vector-length (make-vector {len} 0))");
+    for command in ["run", "interp"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lesgsc"))
+            .args([command, "-e", &src])
+            .output()
+            .expect("lesgsc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "make-vector: cannot allocate a vector of length {len}"
+            )),
+            "{command}: {stderr}"
+        );
+    }
+}

@@ -6,10 +6,11 @@
 //! consumed in a deterministic order. This crate provides exactly that
 //! shape, with zero third-party dependencies:
 //!
-//! * [`map_ordered`] — runs jobs on a fixed-size pool of scoped worker
-//!   threads ([`std::thread::scope`] + channels) and returns the
-//!   results **in submission order**, so a parallel driver's output is
-//!   byte-identical to the sequential one.
+//! * [`map_ordered`] — runs jobs on a fixed-size pool of scoped
+//!   workers ([`std::thread::scope`]) and returns the results **in
+//!   submission order**, so a parallel driver's output is
+//!   byte-identical to the sequential one. There is no channel: each
+//!   worker keeps its own results and hands them back when joined.
 //! * [`for_each_ordered`] — the streaming sibling for long campaigns:
 //!   jobs are dispatched in bounded chunks and each result is visited
 //!   in order as its chunk completes, so memory stays bounded by the
@@ -23,10 +24,23 @@
 //!   [`lesgs_metrics::Registry`] under the `exec.*` namespace
 //!   (documented in OBSERVABILITY.md).
 //!
-//! Workers can be given a wide stack and a per-thread initializer via
-//! [`PoolConfig`]; the fuzz pipeline uses both so the reference
-//! interpreter runs inline on persistent wide-stack workers instead of
-//! spawning a fresh thread per evaluation.
+//! # Which thread runs a job
+//!
+//! For a default pool the calling thread is one of the workers: it
+//! keeps its own name, and only `workers - 1` threads are spawned, so a
+//! one-worker pool (the batch service's default) runs every job on its
+//! caller and spawns nothing.
+//!
+//! Workers can instead be given a wide stack and a per-thread
+//! initializer via [`PoolConfig`]; the fuzz campaign, `lesgsc check`
+//! and the bench report's runs use both, so the reference interpreter
+//! runs inline on a wide-stack worker instead of spawning a fresh
+//! thread per evaluation. Such a pool spawns every worker, because the
+//! caller's stack may be narrower than the one asked for and the
+//! interpreter trusts `lesgs_interp::mark_wide_stack`: a thread it
+//! marks must really have the wide stack. These workers live for one
+//! [`map_ordered`] call (one chunk of [`for_each_ordered`]), not for
+//! the whole campaign.
 //!
 //! # Examples
 //!
@@ -126,6 +140,71 @@ mod tests {
             (1..=3).contains(&inits),
             "init ran {inits} times for 3 workers"
         );
+    }
+
+    /// The thread each job ran on, in submission order.
+    fn job_threads(cfg: &PoolConfig, jobs: usize) -> Vec<std::thread::ThreadId> {
+        let out = map_ordered(cfg, vec![(); jobs], |_i, ()| std::thread::current().id());
+        out.results.into_iter().map(|r| r.unwrap()).collect()
+    }
+
+    #[test]
+    fn default_one_worker_pool_runs_every_job_on_the_caller() {
+        let caller = std::thread::current().id();
+        let threads = job_threads(&PoolConfig::with_workers(1), 16);
+        assert!(threads.iter().all(|&t| t == caller), "{threads:?}");
+    }
+
+    #[test]
+    fn wide_stack_and_initialized_pools_never_run_a_job_on_the_caller() {
+        fn init() {}
+        let caller = std::thread::current().id();
+        let pools = [
+            PoolConfig {
+                stack_bytes: 4 * 1024 * 1024,
+                ..PoolConfig::with_workers(1)
+            },
+            PoolConfig {
+                stack_bytes: 4 * 1024 * 1024,
+                ..PoolConfig::with_workers(3)
+            },
+            PoolConfig {
+                worker_init: Some(init),
+                ..PoolConfig::with_workers(1)
+            },
+            PoolConfig {
+                worker_init: Some(init),
+                ..PoolConfig::with_workers(3)
+            },
+        ];
+        for cfg in &pools {
+            let threads = job_threads(cfg, 24);
+            assert!(threads.iter().all(|&t| t != caller), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_calling_thread_is_isolated() {
+        let caller = std::thread::current().id();
+        let out = map_ordered(
+            &PoolConfig::with_workers(1),
+            (0u32..5).collect(),
+            |_i, n| {
+                assert_eq!(std::thread::current().id(), caller);
+                assert!(n != 2, "boom at {n}");
+                n * 3
+            },
+        );
+        for (i, r) in out.results.iter().enumerate() {
+            if i == 2 {
+                let p = r.as_ref().unwrap_err();
+                assert_eq!(p.index, 2);
+                assert!(p.message.contains("boom at 2"), "{}", p.message);
+            } else {
+                assert_eq!(*r.as_ref().unwrap(), i as u32 * 3);
+            }
+        }
+        assert_eq!((out.stats.completed, out.stats.panicked), (4, 1));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The fixed-size scoped worker pool.
 //!
-//! Jobs are drawn from a shared queue by a fixed set of scoped worker
-//! threads and their results funneled back over a channel tagged with
-//! the submission index, so the caller can reassemble them in order no
-//! matter how execution interleaved. Panics are caught per job
-//! ([`std::panic::catch_unwind`]) and become that job's result; the
-//! worker survives and moves on to the next job.
+//! Jobs are drawn from a shared queue by a fixed set of workers, each
+//! of which keeps its results tagged with the submission index and
+//! hands them back when joined, so the caller can reassemble them in
+//! order no matter how execution interleaved. Panics are caught per
+//! job ([`std::panic::catch_unwind`]) and become that job's result;
+//! the worker survives and moves on to the next job.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
 
@@ -17,17 +17,21 @@ use crate::stats::PoolStats;
 /// Worker-pool settings.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Number of worker threads (at least 1; capped at the job count).
+    /// Number of workers, the calling thread included when it works
+    /// (at least 1; capped at the job count).
     pub workers: usize,
     /// Per-worker stack size in bytes (0 = platform default). The
     /// memory is virtual; only pages actually touched are committed.
+    /// A non-zero size makes every worker a spawned thread.
     pub stack_bytes: usize,
-    /// Thread-name prefix (workers are named `<name>-<i>`).
+    /// Thread-name prefix: spawned workers are named `<name>-<i>`; a
+    /// calling thread that works keeps its own name.
     pub name: String,
     /// Run once on each worker thread before it takes its first job —
     /// e.g. `lesgs_interp::mark_wide_stack` so interpreter evaluations
     /// run inline on the worker instead of bouncing to a dedicated
-    /// thread.
+    /// thread. Setting it makes every worker a spawned thread, so it
+    /// never runs on the caller.
     pub worker_init: Option<fn()>,
 }
 
@@ -38,7 +42,7 @@ impl Default for PoolConfig {
 }
 
 impl PoolConfig {
-    /// A pool of `workers` threads with default stack and name.
+    /// A pool of `workers` workers with default stack and name.
     pub fn with_workers(workers: usize) -> PoolConfig {
         PoolConfig {
             workers: workers.max(1),
@@ -89,14 +93,26 @@ fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// One finished job as its worker recorded it: submission index,
+/// outcome, queue wait and run time (nanoseconds).
+type Record<T> = (usize, JobResult<T>, f64, f64);
+
 /// Runs `f` over `items` on a fixed-size worker pool, returning the
 /// results **in submission order** regardless of completion order.
 ///
 /// `f` receives each item's submission index alongside the item. A
 /// panicking job yields a [`JobPanic`] in its slot; remaining jobs are
-/// unaffected. With one worker this degenerates to a sequential loop
-/// on a single (optionally wide-stack) thread, so sequential and
-/// parallel drivers share one code path.
+/// unaffected.
+///
+/// Every worker runs the same loop: take the next `(index, item)` from
+/// a shared queue, run it, and keep the result; results come back when
+/// the workers are joined, not over a channel. For a default pool (no
+/// [`PoolConfig::stack_bytes`], no [`PoolConfig::worker_init`]) the
+/// calling thread is one of the workers and keeps its own name, so only
+/// `workers - 1` threads are spawned and a one-worker pool spawns
+/// none. A pool with either field spawns every worker: the caller's
+/// stack may be narrower than the one asked for, and an initializer
+/// such as `lesgs_interp::mark_wide_stack` must never mark it.
 pub fn map_ordered<I, T, F>(cfg: &PoolConfig, items: Vec<I>, f: F) -> MapOutcome<T>
 where
     I: Send,
@@ -107,7 +123,6 @@ where
     let workers = cfg.workers.max(1).min(n.max(1));
     let mut stats = PoolStats::new(workers as u64);
     stats.submitted = n as u64;
-    let mut slots: Vec<Option<JobResult<T>>> = (0..n).map(|_| None).collect();
     if n == 0 {
         return MapOutcome {
             results: Vec::new(),
@@ -120,77 +135,74 @@ where
     // (index, item) pair; no work is assigned ahead of time, so a slow
     // job never delays unrelated ones beyond worker availability.
     let queue = Mutex::new(items.into_iter().enumerate());
-    let (tx, rx) = mpsc::channel::<(usize, JobResult<T>, f64, f64)>();
-
-    thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let tx = tx.clone();
-            let queue = &queue;
-            let f = &f;
-            let init = cfg.worker_init;
-            let mut builder = thread::Builder::new().name(format!("{}-{w}", cfg.name));
-            if cfg.stack_bytes > 0 {
-                builder = builder.stack_size(cfg.stack_bytes);
-            }
-            let handle = builder
-                .spawn_scoped(s, move || {
-                    if let Some(init) = init {
-                        init();
-                    }
-                    let mut busy_ns = 0.0f64;
-                    loop {
-                        let job = {
-                            // A panic in `f` is caught below, so the
-                            // lock is only ever poisoned by a panic in
-                            // `next()` itself — recover regardless.
-                            let mut guard =
-                                queue.lock().unwrap_or_else(|poison| poison.into_inner());
-                            guard.next()
-                        };
-                        let Some((index, item)) = job else { break };
-                        let wait_ns = start.elapsed().as_nanos() as f64;
-                        let t0 = Instant::now();
-                        let result =
-                            catch_unwind(AssertUnwindSafe(|| f(index, item))).map_err(|p| {
-                                JobPanic {
-                                    index,
-                                    message: payload_to_string(&*p),
-                                }
-                            });
-                        let run_ns = t0.elapsed().as_nanos() as f64;
-                        busy_ns += run_ns;
-                        // The receiver outlives the scope; a send can
-                        // only fail if the collector below vanished,
-                        // which would itself be a scope panic.
-                        let _ = tx.send((index, result, wait_ns, run_ns));
-                    }
-                    busy_ns
-                })
-                .expect("spawn pool worker");
-            handles.push(handle);
+    let work = || {
+        let mut records: Vec<Record<T>> = Vec::new();
+        loop {
+            let job = {
+                // A panic in `f` is caught below, so the lock is only
+                // ever poisoned by a panic in `next()` itself — recover
+                // regardless.
+                let mut guard = queue.lock().unwrap_or_else(|poison| poison.into_inner());
+                guard.next()
+            };
+            let Some((index, item)) = job else { break };
+            let wait_ns = start.elapsed().as_nanos() as f64;
+            let t0 = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| f(index, item))).map_err(|p| JobPanic {
+                index,
+                message: payload_to_string(&*p),
+            });
+            records.push((index, result, wait_ns, t0.elapsed().as_nanos() as f64));
         }
-        drop(tx);
-        // Collect on the scope's own thread while workers run.
-        for (index, result, wait_ns, run_ns) in rx {
-            if result.is_err() {
-                stats.panicked += 1;
-            } else {
-                stats.completed += 1;
-            }
-            stats.queue_wait.observe(wait_ns);
-            stats.job_run.observe(run_ns);
-            slots[index] = Some(result);
+        records
+    };
+
+    let caller_works = cfg.stack_bytes == 0 && cfg.worker_init.is_none();
+    let finished: Vec<Vec<Record<T>>> = thread::scope(|s| {
+        let handles: Vec<_> = (0..workers - usize::from(caller_works))
+            .map(|w| {
+                let work = &work;
+                let init = cfg.worker_init;
+                let mut builder = thread::Builder::new().name(format!("{}-{w}", cfg.name));
+                if cfg.stack_bytes > 0 {
+                    builder = builder.stack_size(cfg.stack_bytes);
+                }
+                builder
+                    .spawn_scoped(s, move || {
+                        if let Some(init) = init {
+                            init();
+                        }
+                        work()
+                    })
+                    .expect("spawn pool worker")
+            })
+            .collect();
+        let mut finished = Vec::with_capacity(workers);
+        if caller_works {
+            finished.push(work());
         }
         for handle in handles {
             match handle.join() {
-                Ok(busy_ns) => stats.busy_ns += busy_ns,
+                Ok(records) => finished.push(records),
                 Err(p) => std::panic::resume_unwind(p),
             }
         }
+        finished
     });
     stats.wall_ns = start.elapsed().as_nanos() as f64;
 
+    let mut slots: Vec<Option<JobResult<T>>> = (0..n).map(|_| None).collect();
+    for (index, result, wait_ns, run_ns) in finished.into_iter().flatten() {
+        if result.is_err() {
+            stats.panicked += 1;
+        } else {
+            stats.completed += 1;
+        }
+        stats.queue_wait.observe(wait_ns);
+        stats.job_run.observe(run_ns);
+        stats.busy_ns += run_ns;
+        slots[index] = Some(result);
+    }
     let results = slots
         .into_iter()
         .map(|slot| slot.expect("every job reports exactly once"))

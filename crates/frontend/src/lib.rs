@@ -45,7 +45,7 @@ pub use ast::{Const, Expr, Lambda};
 pub use desugar::DesugarError;
 pub use first_order::FuncId;
 pub use names::{Interner, VarId};
-pub use prim::{FixnumError, FixnumValue, Prim, PrimArity};
+pub use prim::{make_vector, FixnumError, FixnumValue, Prim, PrimArity};
 pub use rename::RenameError;
 
 /// Any error the frontend can produce.

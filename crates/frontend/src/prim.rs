@@ -172,6 +172,33 @@ impl fmt::Display for FixnumError {
     }
 }
 
+/// The storage of `(make-vector len fill)`: `len` copies of `fill`.
+///
+/// A negative length, or one the process cannot allocate, is an error
+/// rather than a panic or an abort: the space is reserved with
+/// [`Vec::try_reserve_exact`] before it is filled. Both VM engines and
+/// the interpreter build vectors here, so they fail with the same text.
+///
+/// # Errors
+///
+/// `make-vector: negative length`, or `make-vector: cannot allocate a
+/// vector of length <len>`.
+pub fn make_vector<T: Clone>(len: i64, fill: T) -> Result<Vec<T>, String> {
+    if len < 0 {
+        return Err("make-vector: negative length".to_owned());
+    }
+    // A length past `usize` cannot be reserved either.
+    let n = usize::try_from(len).unwrap_or(usize::MAX);
+    let mut v = Vec::new();
+    if v.try_reserve_exact(n).is_err() {
+        return Err(format!(
+            "make-vector: cannot allocate a vector of length {len}"
+        ));
+    }
+    v.resize(n, fill);
+    Ok(v)
+}
+
 impl Prim {
     /// Applies an arithmetic, comparison or numeric-predicate primitive
     /// to fixnum operands; one-operand primitives ignore `b`. `None` for

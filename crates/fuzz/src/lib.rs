@@ -61,9 +61,9 @@ pub struct FuzzOptions {
     pub shrink_attempts: usize,
     /// Worker threads judging cases concurrently (the `--jobs` flag).
     /// The campaign's report, corpus files, and stdout are
-    /// byte-identical for every value; even `1` runs on a persistent
-    /// wide-stack pool worker so oracle evaluations never pay a
-    /// per-call thread spawn.
+    /// byte-identical for every value; even `1` runs on a wide-stack
+    /// pool worker so oracle evaluations never pay a per-call thread
+    /// spawn.
     pub jobs: usize,
 }
 
@@ -284,8 +284,8 @@ pub struct CaseReport<'a> {
     pub find: Option<&'a Find>,
 }
 
-/// The worker pool a campaign runs on: `opts.jobs` persistent
-/// wide-stack workers, each marked via
+/// The worker pool a campaign runs on: `opts.jobs` wide-stack workers
+/// per chunk of cases, each marked via
 /// [`lesgs_interp::mark_wide_stack`] so every oracle evaluation runs
 /// inline on its worker — a 500-case × 22-config campaign performs
 /// zero per-evaluation thread spawns.

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use lesgs_frontend::{Const, Expr, Lambda, Prim, VarId};
+use lesgs_frontend::{make_vector, Const, Expr, Lambda, Prim, VarId};
 use lesgs_sexpr::Datum;
 
 use crate::env::Env;
@@ -500,15 +500,14 @@ impl Interp {
             }
             MakeVector | MakeVectorFill => {
                 let n = fixnum(&a0(), p)?;
-                if n < 0 {
-                    return Err(InterpError::new("make-vector: negative length"));
-                }
                 let fill = if p == MakeVectorFill {
                     a1()
                 } else {
                     Value::Fixnum(0)
                 };
-                Value::Vector(Rc::new(RefCell::new(vec![fill; n as usize])))
+                Value::Vector(Rc::new(RefCell::new(
+                    make_vector(n, fill).map_err(InterpError::new)?,
+                )))
             }
             VectorRef => {
                 let v = vector(&a0(), p)?;
@@ -681,6 +680,19 @@ mod tests {
         );
         assert_eq!(value("(vector->list (vector 1 2 3))"), "(1 2 3)");
         assert!(fails("(vector-ref (make-vector 2) 5)").contains("out of range"));
+    }
+
+    #[test]
+    fn an_unallocatable_vector_is_an_error() {
+        // Past every address space, and past `isize::MAX` bytes.
+        for len in ["100000000000000000", "4611686018427387903"] {
+            let src = format!("(vector-length (make-vector {len} 0))");
+            assert_eq!(
+                fails(&src),
+                format!("make-vector: cannot allocate a vector of length {len}")
+            );
+        }
+        assert_eq!(fails("(make-vector -1)"), "make-vector: negative length");
     }
 
     #[test]

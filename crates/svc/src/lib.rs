@@ -1,20 +1,27 @@
 #![warn(missing_docs)]
 //! The batch compile-and-run service.
 //!
-//! A [`Service`] owns an [`Engine`], a content-keyed
-//! [`ProgramCache`], and a worker-pool configuration, and processes
-//! batches of mixed [`Request::Compile`]/[`Request::Run`] requests:
+//! A [`Service`] owns an [`Engine`], a [`ProgramCache`], and a
+//! worker-pool configuration, and processes batches of mixed
+//! [`Request::Compile`]/[`Request::Run`] requests. A program's identity
+//! is its source text: the content key ([`Engine::content_key`]) finds
+//! a cache entry and labels each response, but two texts never answer
+//! for each other, even when their keys collide.
 //!
-//! 1. **Classify** (sequential): each request's content key is looked
-//!    up; a resident key is a *hit*, the first request for an absent
-//!    key is a *miss*, and later requests for the same key within the
-//!    batch coalesce onto that miss's compilation as hits.
+//! 1. **Classify** (sequential): each request's source is looked up; a
+//!    resident text is a *hit*, the first request for an absent text is
+//!    a *miss*, and later requests for the same text within the batch
+//!    coalesce onto that miss's compilation as hits.
 //! 2. **Compile** (parallel): the misses — one compilation per
-//!    distinct key — fan out over the [`lesgs_exec`] worker pool.
+//!    distinct text — fan out over the [`lesgs_exec`] worker pool.
 //! 3. **Admit** (sequential): compiled programs enter the cache in
 //!    classification order, evicting LRU entries over capacity.
 //! 4. **Execute** (parallel): run requests fan out over the pool;
 //!    results return in submission order.
+//!
+//! The service's pool is a default one, so its calling thread is a
+//! worker: a one-worker service runs phases 2 and 4 on the thread that
+//! called [`Service::process_batch`] and spawns no thread.
 //!
 //! Because classification and admission are sequential and eviction
 //! is logical-time LRU, the responses **and** every `svc.*` counter
@@ -33,6 +40,7 @@ pub use cache::ProgramCache;
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use lesgs_engine::{CompiledProgram, Engine, VmOutcome};
 use lesgs_exec::{map_ordered, PoolConfig, PoolStats};
@@ -44,7 +52,8 @@ use lesgs_metrics::Registry;
 pub struct ServiceConfig {
     /// Compiler + execution configuration for the embedded engine.
     pub compiler: lesgs_engine::CompilerConfig,
-    /// Worker threads for the compile and execute phases.
+    /// Workers for the compile and execute phases, the calling thread
+    /// included.
     pub workers: usize,
     /// Compiled-program cache capacity (0 disables caching).
     pub cache_capacity: usize,
@@ -200,8 +209,8 @@ impl Service {
     /// into `reg`.
     ///
     /// Responses and [`BatchStats`] are deterministic in the request
-    /// sequence (see the module docs); only the latency histograms
-    /// carry wall-clock time.
+    /// sequence (see the module docs); only the `_ns` histograms carry
+    /// wall-clock time.
     pub fn process_batch(
         &mut self,
         requests: &[Request],
@@ -211,76 +220,86 @@ impl Service {
             requests: requests.len() as u64,
             ..BatchStats::default()
         };
+        let mut phase_ns = [0.0; 4];
+        let mut clock = Instant::now();
+        let mut lap = |phase: usize| {
+            phase_ns[phase] = clock.elapsed().as_nanos() as f64;
+            clock = Instant::now();
+        };
 
-        // Phase 1 — classify. `pending` maps each missing key to its
-        // slot in the compile fan-out, in first-occurrence order.
-        // Resident programs are pinned (`Arc`) right here so this
-        // batch's own admissions can never evict a program a request
-        // ahead of them was already promised.
+        // Phase 1 — classify. A program's identity is its source text:
+        // `pending` holds each distinct text that missed, in
+        // first-occurrence order, and later requests for it coalesce
+        // onto its compile slot. Resident programs are pinned (`Arc`)
+        // right here so this batch's own admissions can never evict a
+        // program a request ahead of them was already promised.
+        enum Program {
+            Pinned(Arc<CompiledProgram>),
+            Slot(usize),
+        }
         let keys: Vec<u64> = requests
             .iter()
             .map(|r| self.engine.content_key(r.source()))
             .collect();
-        let mut pending: Vec<(u64, String)> = Vec::new();
-        let mut pending_slot: HashMap<u64, usize> = HashMap::new();
-        let mut was_hit: Vec<bool> = Vec::with_capacity(requests.len());
-        let mut resident: Vec<Option<Arc<CompiledProgram>>> = Vec::with_capacity(requests.len());
+        let mut pending: Vec<(u64, &str)> = Vec::new();
+        let mut pending_slot: HashMap<&str, usize> = HashMap::new();
+        let mut programs: Vec<(bool, Program)> = Vec::with_capacity(requests.len());
         for (req, &key) in requests.iter().zip(&keys) {
-            let pinned = self.cache.get(key);
-            let hit = pinned.is_some() || pending_slot.contains_key(&key);
-            was_hit.push(hit);
-            resident.push(pinned);
-            if hit {
+            let source = req.source();
+            let (cached, program) = if let Some(pinned) = self.cache.get(key, source) {
+                (true, Program::Pinned(pinned))
+            } else if let Some(&slot) = pending_slot.get(source) {
+                (true, Program::Slot(slot))
+            } else {
+                pending_slot.insert(source, pending.len());
+                pending.push((key, source));
+                (false, Program::Slot(pending.len() - 1))
+            };
+            if cached {
                 stats.hits += 1;
             } else {
                 stats.misses += 1;
-                pending_slot.insert(key, pending.len());
-                pending.push((key, req.source().to_owned()));
             }
+            programs.push((cached, program));
         }
+        lap(0);
 
         // Phase 2 — compile the misses in parallel.
         let engine = &self.engine;
-        let sources: Vec<String> = pending.iter().map(|(_, s)| s.clone()).collect();
-        let compile_out = map_ordered(&self.pool, sources, |_, src| engine.compile(&src));
-        let mut pool_stats = compile_out.stats;
+        let sources = pending.iter().map(|&(_, source)| source).collect();
+        let compile_out = map_ordered(&self.pool, sources, |_, source| engine.compile(source));
+        lap(1);
 
         // Phase 3 — admit in classification order. Failures are not
         // cached; reattempting them is a fresh miss in a later batch.
-        let mut compiled: HashMap<u64, Result<Arc<CompiledProgram>, String>> = HashMap::new();
-        for ((key, _), job) in pending.iter().zip(compile_out.results) {
-            let entry = match job {
+        let compiled: Vec<Result<Arc<CompiledProgram>, String>> = pending
+            .iter()
+            .zip(compile_out.results)
+            .map(|(&(key, source), job)| match job {
                 Ok(Ok(program)) => {
                     let program = Arc::new(program);
-                    stats.evictions += self.cache.insert(*key, Arc::clone(&program)) as u64;
+                    stats.evictions += self.cache.insert(key, source, Arc::clone(&program)) as u64;
                     Ok(program)
                 }
                 Ok(Err(e)) => Err(e.to_string()),
                 Err(panic) => Err(panic.to_string()),
-            };
-            compiled.insert(*key, entry);
-        }
+            })
+            .collect();
+        lap(2);
 
         // Phase 4 — resolve every request; run requests fan out.
-        let mut resident = resident.into_iter();
-        let mut program_for = |key: u64| -> Result<Arc<CompiledProgram>, String> {
-            let pinned = resident.next().expect("one pin slot per request");
-            match pinned {
-                Some(program) => Ok(program),
-                None => compiled
-                    .get(&key)
-                    .expect("missing keys were all scheduled")
-                    .clone(),
-            }
-        };
         enum Slot {
             Done(Response),
             Running { key: u64, cached: bool, job: usize },
         }
         let mut run_jobs: Vec<Arc<CompiledProgram>> = Vec::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(requests.len());
-        for ((req, &key), &cached) in requests.iter().zip(&keys).zip(&was_hit) {
-            match program_for(key) {
+        for ((req, &key), (cached, program)) in requests.iter().zip(&keys).zip(programs) {
+            let program = match program {
+                Program::Pinned(program) => Ok(program),
+                Program::Slot(slot) => compiled[slot].clone(),
+            };
+            match program {
                 Err(message) => slots.push(Slot::Done(Response::Failed { key, message })),
                 Ok(program) => match req {
                     Request::Compile { .. } => slots.push(Slot::Done(Response::Compiled {
@@ -300,7 +319,6 @@ impl Service {
             }
         }
         let run_out = map_ordered(&self.pool, run_jobs, |_, program| engine.execute(&program));
-        pool_stats.merge(&run_out.stats);
         let mut run_results: Vec<Option<_>> = run_out.results.into_iter().map(Some).collect();
 
         let responses: Vec<Response> = slots
@@ -326,18 +344,28 @@ impl Service {
                 }
             })
             .collect();
+        lap(3);
         stats.errors = responses.iter().filter(|r| r.is_failure()).count() as u64;
 
-        self.record(&stats, &pool_stats, requests, reg);
+        self.record(
+            &stats,
+            [&compile_out.stats, &run_out.stats],
+            phase_ns,
+            requests,
+            reg,
+        );
         (responses, stats)
     }
 
     /// Records the batch under the `svc.*` namespace (the complete
-    /// name reference lives in OBSERVABILITY.md).
+    /// name reference lives in OBSERVABILITY.md): `jobs` are the
+    /// compile and execute pool runs, `phase_ns` the wall time of each
+    /// phase.
     fn record(
         &self,
         stats: &BatchStats,
-        pool: &PoolStats,
+        jobs: [&PoolStats; 2],
+        phase_ns: [f64; 4],
         requests: &[Request],
         reg: &mut Registry,
     ) {
@@ -362,8 +390,23 @@ impl Service {
         reg.inc("svc.errors", stats.errors);
         reg.set_gauge("svc.cache.size", self.cache.len() as f64);
         reg.set_gauge("svc.cache.capacity", self.cache.capacity() as f64);
-        reg.observe_summary("svc.queue_wait_ns", &pool.queue_wait);
-        reg.observe_summary("svc.request_latency_ns", &pool.job_run);
+        for (pool, name) in jobs
+            .into_iter()
+            .zip(["svc.compile_job_ns", "svc.execute_job_ns"])
+        {
+            reg.observe_summary("svc.queue_wait_ns", &pool.queue_wait);
+            reg.observe_summary("svc.request_latency_ns", &pool.job_run);
+            reg.observe_summary(name, &pool.job_run);
+        }
+        let phases = [
+            "svc.phase.classify_ns",
+            "svc.phase.compile_ns",
+            "svc.phase.admit_ns",
+            "svc.phase.execute_ns",
+        ];
+        for (name, ns) in phases.into_iter().zip(phase_ns) {
+            reg.observe(name, ns);
+        }
     }
 }
 
@@ -487,6 +530,86 @@ mod tests {
         let (_, stats) = svc.process_batch(&[run("(undefined-proc 1)")], &mut reg);
         assert_eq!(stats.misses, 1);
         assert_eq!(reg.counter("svc.errors"), 2);
+    }
+
+    /// Two texts whose content keys collide (FNV-1a-64; equal length,
+    /// so they collide under every configuration's fingerprint).
+    const COLLIDING: [&str; 2] = ["(quote se2a87e9aebf4315f)", "(quote s8797986212ca9022)"];
+
+    fn ran_value(response: &Response) -> (&str, bool) {
+        match response {
+            Response::Ran {
+                outcome, cached, ..
+            } => (&outcome.value, *cached),
+            other => panic!("expected a run, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn colliding_texts_get_their_own_answers_in_one_batch() {
+        let mut svc = Service::new(ServiceConfig::default());
+        let [a, b] = COLLIDING;
+        assert_eq!(svc.engine().content_key(a), svc.engine().content_key(b));
+        let mut reg = Registry::new();
+        let (responses, stats) = svc.process_batch(&[run(a), run(b), run(a)], &mut reg);
+        assert_eq!(ran_value(&responses[0]), ("se2a87e9aebf4315f", false));
+        assert_eq!(ran_value(&responses[1]), ("s8797986212ca9022", false));
+        assert_eq!(ran_value(&responses[2]), ("se2a87e9aebf4315f", true));
+        assert_eq!((stats.misses, stats.hits), (2, 1));
+    }
+
+    #[test]
+    fn colliding_texts_get_their_own_answers_in_successive_batches() {
+        let mut svc = Service::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let [a, b] = COLLIDING;
+        let mut reg = Registry::new();
+        let (first, _) = svc.process_batch(&[run(a)], &mut reg);
+        assert_eq!(ran_value(&first[0]), ("se2a87e9aebf4315f", false));
+        let (second, stats) = svc.process_batch(&[run(b)], &mut reg);
+        assert_eq!(ran_value(&second[0]), ("s8797986212ca9022", false));
+        assert_eq!((stats.misses, stats.evictions), (1, 1));
+        let (third, _) = svc.process_batch(&[run(b)], &mut reg);
+        assert_eq!(ran_value(&third[0]), ("s8797986212ca9022", true));
+    }
+
+    #[test]
+    fn an_unallocatable_vector_fails_its_request_only() {
+        let mut svc = Service::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let mut reg = Registry::new();
+        let huge = "(vector-length (make-vector 100000000000000000 0))";
+        let (responses, stats) = svc.process_batch(&[run(huge), run("(+ 1 2)")], &mut reg);
+        match &responses[0] {
+            Response::Failed { message, .. } => assert!(
+                message
+                    .contains("make-vector: cannot allocate a vector of length 100000000000000000"),
+                "{message}"
+            ),
+            other => panic!("expected a failure, got {other:?}"),
+        }
+        assert_eq!(ran_value(&responses[1]), ("3", false));
+        assert_eq!(stats.errors, 1);
+    }
+
+    #[test]
+    fn phase_and_job_times_are_recorded_per_batch() {
+        let mut svc = Service::new(ServiceConfig::default());
+        let mut reg = Registry::new();
+        let (a, b) = ("(+ 40 2)", "(* 6 7)");
+        svc.process_batch(&[compile(a), run(a), run(b)], &mut reg);
+        let count = |name: &str| reg.histogram(name).map_or(0, |h| h.count);
+        assert_eq!(count("svc.compile_job_ns"), 2);
+        assert_eq!(count("svc.execute_job_ns"), 2);
+        assert_eq!(count("svc.request_latency_ns"), 4);
+        assert_eq!(count("svc.queue_wait_ns"), 4);
+        for phase in ["classify", "compile", "admit", "execute"] {
+            assert_eq!(count(&format!("svc.phase.{phase}_ns")), 1, "{phase}");
+        }
     }
 
     #[test]

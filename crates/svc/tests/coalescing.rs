@@ -1,7 +1,7 @@
 //! Within-batch coalescing.
 //!
 //! Phase 1 of `Service::process_batch` coalesces every repeated
-//! content key within one batch onto the first occurrence's
+//! source text within one batch onto the first occurrence's
 //! compilation, *independent of cache capacity*. These tests pin that
 //! contract (1 compile + N−1 hits for in-batch duplicates, invariant
 //! under worker count) and its two edge cases: capacity 0 with

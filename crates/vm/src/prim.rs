@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::ops::Index;
 use std::rc::Rc;
 
-use lesgs_frontend::{FixnumValue, Prim};
+use lesgs_frontend::{make_vector, FixnumValue, Prim};
 
 use crate::value::Value;
 
@@ -174,15 +174,12 @@ pub(crate) fn eval_prim(
         }
         MakeVector | MakeVectorFill => {
             let n = fixnum!(&args[0]);
-            if n < 0 {
-                return Err("make-vector: negative length".to_owned());
-            }
             let fill = if p == MakeVectorFill {
                 args[1].clone()
             } else {
                 Value::Fixnum(0)
             };
-            Value::Vector(Rc::new(RefCell::new(vec![fill; n as usize])))
+            Value::Vector(Rc::new(RefCell::new(make_vector(n, fill)?)))
         }
         VectorRef => {
             from_memory = true;
@@ -315,6 +312,20 @@ mod tests {
         assert_eq!(e, "quotient: division by zero");
         let e = eval(Prim::Abs, &[Value::Fixnum(i64::MIN)]).unwrap_err();
         assert_eq!(e, "abs: fixnum overflow");
+    }
+
+    #[test]
+    fn an_unallocatable_vector_is_an_error() {
+        // Past every address space, and past `isize::MAX` bytes.
+        for len in [100_000_000_000_000_000, (1 << 62) - 1] {
+            let e = eval(Prim::MakeVector, &[Value::Fixnum(len)]).unwrap_err();
+            assert_eq!(
+                e,
+                format!("make-vector: cannot allocate a vector of length {len}")
+            );
+        }
+        let e = eval(Prim::MakeVector, &[Value::Fixnum(-1)]).unwrap_err();
+        assert_eq!(e, "make-vector: negative length");
     }
 
     #[test]
