@@ -727,7 +727,11 @@ pub fn compile_program(program: &AllocatedProgram) -> VmProgram {
 /// Compiles with explicit control over the peephole optimizer (used by
 /// the ablation harness).
 pub fn compile_program_opts(program: &AllocatedProgram, run_peephole: bool) -> VmProgram {
-    compile_program_observed(program, run_peephole, &mut lesgs_metrics::Registry::new())
+    compile_program_observed(
+        program,
+        run_peephole,
+        &mut lesgs_metrics::Registry::discard(),
+    )
 }
 
 /// Like [`compile_program_opts`], timing emission and peephole

@@ -144,17 +144,16 @@ pub fn compile_front_observed(
     let mut ir = pipeline::front_to_closed_observed(src, lift, reg).map_err(|e| CompileError {
         message: e.to_string(),
     })?;
-    reg.inc(
-        "ir.nodes",
-        ir.funcs.iter().map(|f| f.body.size()).sum::<usize>() as u64,
-    );
+    let nodes = |ir: &Program| ir.funcs.iter().map(|f| f.body.size() as u64).sum::<u64>();
+    if reg.is_recording() {
+        reg.inc("ir.nodes", nodes(&ir));
+    }
     if !config.no_fold {
         reg.time("pass.fold", || lesgs_ir::fold::fold_program(&mut ir));
     }
-    reg.inc(
-        "ir.nodes_final",
-        ir.funcs.iter().map(|f| f.body.size()).sum::<usize>() as u64,
-    );
+    if reg.is_recording() {
+        reg.inc("ir.nodes_final", nodes(&ir));
+    }
     reg.inc("ir.funcs", ir.funcs.len() as u64);
     reg.end_span(frontend_span);
     Ok(ir)
@@ -184,12 +183,13 @@ pub fn compile_back_observed(
     let decode_span = reg.start_span("vm.dispatch.decode");
     let decoded = DecodedProgram::decode(&vm);
     reg.end_span(decode_span);
-    decoded.stats().record(reg);
-
-    // Allocation's share of the compile time in this registry's spans
-    // (the paper's §4 "7%").
-    let ns = phase_ns(reg);
-    reg.set_gauge("compile.alloc_fraction", ratio(ns[1], ns.iter().sum(), 0.0));
+    if reg.is_recording() {
+        decoded.stats().record(reg);
+        // Allocation's share of the compile time in this registry's
+        // spans (the paper's §4 "7%").
+        let ns = phase_ns(reg);
+        reg.set_gauge("compile.alloc_fraction", ratio(ns[1], ns.iter().sum(), 0.0));
+    }
     Compiled {
         allocated,
         vm,
@@ -215,7 +215,9 @@ pub fn phase_ns(reg: &Registry) -> [f64; 3] {
 /// completed span also logs a `trace:` line.
 ///
 /// This is the engine behind `lesgsc --profile`; [`compile`] is the
-/// same code with a throwaway registry. It is literally
+/// same code with a discarding registry ([`Registry::discard`]), which
+/// reads no clock and computes no derived count, though `config.trace`
+/// still logs. It is literally
 /// [`compile_front_observed`] followed by [`compile_back_observed`] —
 /// matrix drivers call the halves directly to share the prefix across
 /// configurations.
@@ -238,7 +240,7 @@ pub fn compile_observed(
 ///
 /// Returns [`CompileError`] on any frontend failure.
 pub fn compile(src: &str, config: &CompilerConfig) -> Result<Compiled, CompileError> {
-    compile_observed(src, config, &mut Registry::new())
+    compile_observed(src, config, &mut Registry::discard())
 }
 
 /// Compiles and runs `src`.
@@ -396,7 +398,7 @@ fn judge_config(
         fuel,
         ..CompilerConfig::default()
     };
-    let compiled = compile_back_observed(front, &config, &mut Registry::new());
+    let compiled = compile_back_observed(front, &config, &mut Registry::discard());
     let verify_errors = lesgs_vm::verify_bytecode(&compiled.vm);
     if !verify_errors.is_empty() {
         return Err(fail(DiffKind::VerifyFailed {
@@ -480,18 +482,18 @@ fn check_on_wide_stack(
     // them once per program instead of once per configuration. A
     // frontend rejection is attributed to the first configuration,
     // exactly as when each configuration recompiled from scratch.
-    let front = match compile_front_observed(src, &CompilerConfig::default(), &mut Registry::new())
-    {
-        Ok(front) => front,
-        Err(e) => {
-            return Err(DiffFailure {
-                config: configs.first().copied(),
-                kind: DiffKind::CompileError {
-                    message: e.to_string(),
-                },
-            })
-        }
-    };
+    let front =
+        match compile_front_observed(src, &CompilerConfig::default(), &mut Registry::discard()) {
+            Ok(front) => front,
+            Err(e) => {
+                return Err(DiffFailure {
+                    config: configs.first().copied(),
+                    kind: DiffKind::CompileError {
+                        message: e.to_string(),
+                    },
+                })
+            }
+        };
     if jobs <= 1 {
         for alloc in configs {
             judge_config(&front, &oracle, alloc, fuel)?;
@@ -686,6 +688,99 @@ mod tests {
         }
         let fraction = reg.gauge("compile.alloc_fraction").unwrap();
         assert!((0.0..=1.0).contains(&fraction), "{fraction}");
+    }
+
+    /// A plain compile passes a discarding registry to the same code;
+    /// what it emits must not depend on that.
+    #[test]
+    fn plain_and_observed_compiles_emit_the_same_code() {
+        let src = "(define (sum lst) (if (null? lst) 0 (+ (car lst) (sum (cdr lst)))))
+                   (define (f a) (let loop ((i 0)) (if (= i a) i (loop (+ i 1)))))
+                   (display (f 3)) (sum '(1 2 3))";
+        for config in [
+            CompilerConfig::default(),
+            CompilerConfig {
+                lambda_lift: true,
+                no_peephole: true,
+                no_fold: true,
+                ..CompilerConfig::default()
+            },
+        ] {
+            let plain = compile(src, &config).unwrap();
+            let mut reg = Registry::new();
+            let observed = compile_observed(src, &config, &mut reg).unwrap();
+            assert_eq!(plain.vm.disassemble(), observed.vm.disassemble());
+            assert_eq!(format!("{:?}", plain.vm), format!("{:?}", observed.vm));
+            assert!(reg.counter("codegen.instrs") > 0);
+        }
+    }
+
+    /// The instrument names one observed compile records (values vary
+    /// with the program; the names do not).
+    #[test]
+    fn an_observed_compile_records_the_documented_names() {
+        let mut reg = Registry::new();
+        compile_observed(
+            "(define (f x) (+ x 1)) (f 1)",
+            &CompilerConfig::default(),
+            &mut reg,
+        )
+        .unwrap();
+        let counters: Vec<&str> = reg.counters().map(|(k, _)| k).collect();
+        let gauges: Vec<&str> = reg.gauges().map(|(k, _)| k).collect();
+        let histograms: Vec<&str> = reg.histograms().map(|(k, _)| k).collect();
+        assert_eq!(
+            counters,
+            [
+                "alloc.call_sites",
+                "alloc.cycle_sites",
+                "alloc.greedy_optimal_sites",
+                "alloc.optimal_temps",
+                "alloc.restored_regs",
+                "alloc.save_sites",
+                "alloc.saved_regs",
+                "alloc.shuffle_temps",
+                "codegen.funcs",
+                "codegen.instrs",
+                "codegen.instrs_emitted",
+                "codegen.instrs_removed",
+                "frontend.ast_nodes_in",
+                "frontend.ast_nodes_out",
+                "frontend.funcs",
+                "ir.funcs",
+                "ir.nodes",
+                "ir.nodes_final",
+                "vm.dispatch.decoded_ops",
+                "vm.dispatch.source_instructions",
+            ]
+        );
+        assert_eq!(
+            gauges,
+            [
+                "alloc.cycle_fraction",
+                "alloc.optimal_fraction",
+                "compile.alloc_fraction",
+            ]
+        );
+        assert_eq!(
+            histograms,
+            [
+                "pass.assignconv.wall_ns",
+                "pass.closure.wall_ns",
+                "pass.emit.wall_ns",
+                "pass.fold.wall_ns",
+                "pass.homes.wall_ns",
+                "pass.parse.wall_ns",
+                "pass.pass2.wall_ns",
+                "pass.peephole.wall_ns",
+                "pass.rename.wall_ns",
+                "pass.savep.wall_ns",
+                "phase.alloc.wall_ns",
+                "phase.codegen.wall_ns",
+                "phase.frontend.wall_ns",
+                "vm.dispatch.decode.wall_ns",
+            ]
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::savep;
 
 /// Allocates one function under the caller-save discipline.
 pub fn allocate_func(func: &lesgs_ir::Func, cfg: &AllocConfig) -> AllocatedFunc {
-    allocate_func_observed(func, cfg, &mut Registry::new())
+    allocate_func_observed(func, cfg, &mut Registry::discard())
 }
 
 /// Like [`allocate_func`], timing each allocator pass into `reg`
@@ -71,7 +71,7 @@ pub fn allocate_func_observed(
 /// assert_eq!(allocated.funcs.len(), ir.funcs.len());
 /// ```
 pub fn allocate_program(program: &Program, cfg: &AllocConfig) -> AllocatedProgram {
-    allocate_program_observed(program, cfg, &mut Registry::new())
+    allocate_program_observed(program, cfg, &mut Registry::discard())
 }
 
 /// Like [`allocate_program`], recording per-pass wall times and the
@@ -92,7 +92,9 @@ pub fn allocate_program_observed(
         n_globals: program.n_globals,
         config: *cfg,
     };
-    crate::stats::collect(&allocated).record(reg);
+    if reg.is_recording() {
+        crate::stats::collect(&allocated).record(reg);
+    }
     allocated
 }
 

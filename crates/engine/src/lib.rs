@@ -243,10 +243,10 @@ impl Engine {
     /// the key finds a program but does not identify it: a cache must
     /// also compare the source text.
     pub fn content_key(&self, source: &str) -> u64 {
-        let mut bytes = Vec::with_capacity(source.len() + 8);
-        bytes.extend_from_slice(source.as_bytes());
-        bytes.extend_from_slice(&config_fingerprint(&self.config.alloc));
-        fnv1a64(&bytes)
+        bytecode::fnv1a64_extend(
+            fnv1a64(source.as_bytes()),
+            &config_fingerprint(&self.config.alloc),
+        )
     }
 }
 
@@ -456,5 +456,26 @@ mod tests {
             engine.content_key("(+ 1 2)"),
             baseline.content_key("(+ 1 2)")
         );
+    }
+
+    /// The key is FNV-1a-64 of the source followed by the configuration
+    /// fingerprint; the pinned values keep cache keys stable.
+    #[test]
+    fn content_key_hashes_source_then_fingerprint() {
+        let engine = Engine::new();
+        let fingerprint = config_fingerprint(&engine.config().alloc);
+        for (source, key) in [
+            ("", 0x74cb_b032_0aa7_5e9a),
+            ("(define (f x) (* x x)) (f 9)", 0x26a6_3c59_4895_0244),
+            ("(display \"λx → ü\")", 0x634e_1bbf_fd6b_f675),
+        ] {
+            let concatenated = [source.as_bytes(), &fingerprint].concat();
+            assert_eq!(
+                engine.content_key(source),
+                fnv1a64(&concatenated),
+                "{source:?}"
+            );
+            assert_eq!(engine.content_key(source), key, "{source:?}");
+        }
     }
 }

@@ -329,3 +329,22 @@ fn an_unallocatable_vector_exits_1_with_the_message() {
         );
     }
 }
+
+/// A deeply nested answer prints the same from compiled code as from
+/// the interpreter, and neither aborts while printing or freeing it.
+/// The depth is deep enough for `run` to overflow the main thread's
+/// 8 MiB by recursion, and shallow enough for an unoptimized
+/// interpreter on its 64 MiB stack.
+#[test]
+fn a_deeply_nested_answer_prints_the_same_from_run_and_interp() {
+    let depth = 100_000;
+    let src = format!(
+        "(define (nest n acc) (if (= n 0) acc (nest (- n 1) (cons acc '())))) (nest {depth} '())"
+    );
+    let printed = format!("{}(){}\n", "(".repeat(depth), ")".repeat(depth));
+    for command in ["run", "interp"] {
+        let (stdout, stderr, ok) = lesgsc(&[command, "-e", &src]);
+        assert!(ok, "{command}: {stderr}");
+        assert!(stdout == printed, "{command} printed another answer");
+    }
+}

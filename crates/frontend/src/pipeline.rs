@@ -4,7 +4,8 @@
 //! the instrumented pipeline that times each pass and counts AST sizes
 //! into a [`lesgs_metrics::Registry`] (see OBSERVABILITY.md for the
 //! instrument names). The plain entry points run the same code with a
-//! throwaway registry.
+//! discarding registry ([`Registry::discard`]), so they read no clock
+//! and walk no tree just to count it.
 
 use lesgs_metrics::Registry;
 
@@ -44,7 +45,7 @@ pub fn front_to_core(src: &str) -> Result<(Expr<VarId>, Interner), FrontError> {
 ///
 /// Returns [`FrontError`] on parse, desugar, or scoping failures.
 pub fn front_to_core_full(src: &str) -> Result<(Expr<VarId>, Interner, u32), FrontError> {
-    front_to_core_observed(src, None, &mut Registry::new())
+    front_to_core_observed(src, None, &mut Registry::discard())
 }
 
 /// Runs the full frontend, producing the closure-converted,
@@ -65,7 +66,7 @@ pub fn front_to_core_full(src: &str) -> Result<(Expr<VarId>, Interner, u32), Fro
 /// assert_eq!(f.to_string(), "(define (f x0) (%+ x0 1))");
 /// ```
 pub fn front_to_closed(src: &str) -> Result<Program, FrontError> {
-    front_to_closed_observed(src, None, &mut Registry::new())
+    front_to_closed_observed(src, None, &mut Registry::discard())
 }
 
 /// The instrumented frontend pipeline.
@@ -103,7 +104,9 @@ fn front_to_core_observed(
     let mut renamer = Renamer::new();
     renamer.set_globals(&globals);
     let mut converted = reg.time("pass.rename", || renamer.rename(&assembled))?;
-    reg.inc("frontend.ast_nodes_in", converted.size() as u64);
+    if reg.is_recording() {
+        reg.inc("frontend.ast_nodes_in", converted.size() as u64);
+    }
     reg.time("pass.assignconv", || {
         assignconv::convert(&mut converted, &mut renamer.interner)
     });
@@ -114,7 +117,9 @@ fn front_to_core_observed(
             crate::lift::lift(&mut converted, &mut interner, options)
         });
     }
-    reg.inc("frontend.ast_nodes_out", converted.size() as u64);
+    if reg.is_recording() {
+        reg.inc("frontend.ast_nodes_out", converted.size() as u64);
+    }
     Ok((converted, interner, globals.len() as u32))
 }
 

@@ -8,7 +8,8 @@
 //! * [`Registry`] — a lightweight ordered registry of counters,
 //!   gauges, and histograms, plus span-based wall-time measurement
 //!   ([`Registry::time`]) with optional trace logging of span
-//!   boundaries,
+//!   boundaries; [`Registry::discard`] builds one that keeps nothing,
+//!   which unobserved callers pass,
 //! * [`json`] — a minimal JSON document model (writer **and** parser)
 //!   used by `lesgsc --profile=json`, `bench-report`'s JSON report,
 //!   and the golden schema tests,

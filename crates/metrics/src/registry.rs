@@ -16,6 +16,14 @@
 //! `trace: <name> <µs>` line to stderr, which is how `lesgsc --trace`
 //! reports pass boundaries.
 //!
+//! A registry either records or discards. [`Registry::new`] records;
+//! [`Registry::discard`] builds one that keeps nothing, which is what
+//! every plain (unobserved) entry point of the pipeline passes: its
+//! recording calls return at once, its spans read no clock unless
+//! tracing is on, and callers skip derived counts behind
+//! [`Registry::is_recording`]. A recording registry allocates only
+//! for a name it does not hold yet.
+//!
 //! Instrument names are dot-separated paths (see OBSERVABILITY.md for
 //! the full catalogue). Maps are ordered, so rendering and JSON export
 //! are deterministic — a property the golden schema tests rely on.
@@ -56,6 +64,18 @@ impl Histogram {
     pub fn mean(&self) -> f64 {
         crate::ratio(self.sum, self.count as f64, 0.0)
     }
+
+    /// Folds another summary into this one.
+    fn absorb(&mut self, other: &Histogram) {
+        if self.count == 0 {
+            *self = *other;
+        } else if other.count > 0 {
+            self.count += other.count;
+            self.sum += other.sum;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+    }
 }
 
 /// An in-flight span created by [`Registry::start_span`].
@@ -63,9 +83,10 @@ impl Histogram {
 /// Close it with [`Registry::end_span`]; a dropped span records
 /// nothing (deliberately — abandoned spans must not skew timings).
 #[derive(Debug)]
-pub struct Span {
-    name: String,
-    start: Instant,
+pub struct Span<'a> {
+    name: &'a str,
+    /// `None` when the registry neither records nor traces.
+    start: Option<Instant>,
 }
 
 /// An ordered collection of named counters, gauges, and histograms.
@@ -75,12 +96,48 @@ pub struct Registry {
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
     trace: bool,
+    discard: bool,
+    /// Scratch buffer for span keys (`<name>.wall_ns`).
+    key: String,
+}
+
+/// Applies `f` to the value under `name` in `map`, starting a new name
+/// from `V::default()`. Only a new name allocates its key.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => {
+            let mut v = V::default();
+            f(&mut v);
+            map.insert(name.to_owned(), v);
+        }
+    }
 }
 
 impl Registry {
-    /// Creates an empty registry.
+    /// Creates an empty registry that records.
     pub fn new() -> Registry {
         Registry::default()
+    }
+
+    /// Creates a registry that records nothing: every recording call
+    /// returns at once, [`Registry::time`] runs its closure without
+    /// reading the clock, and it stays empty. With
+    /// [`Registry::set_trace`] on, spans still time themselves for
+    /// their `trace:` lines. Plain entry points pass one to their
+    /// observed versions.
+    pub fn discard() -> Registry {
+        Registry {
+            discard: true,
+            ..Registry::default()
+        }
+    }
+
+    /// Whether this registry keeps what is recorded into it; callers
+    /// compute a derived count (a tree walk, a ratio) only when it
+    /// does.
+    pub fn is_recording(&self) -> bool {
+        !self.discard
     }
 
     /// Enables or disables span trace logging to stderr.
@@ -90,7 +147,10 @@ impl Registry {
 
     /// Adds `by` to the counter `name`, creating it at zero.
     pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += by;
+        if self.discard {
+            return;
+        }
+        update(&mut self.counters, name, |c| *c += by);
     }
 
     /// Reads a counter (0 when absent).
@@ -100,7 +160,10 @@ impl Registry {
 
     /// Sets the gauge `name`.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
+        if self.discard {
+            return;
+        }
+        update(&mut self.gauges, name, |g| *g = value);
     }
 
     /// Reads a gauge.
@@ -110,28 +173,20 @@ impl Registry {
 
     /// Records a sample into the histogram `name`.
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .observe(value);
+        if self.discard {
+            return;
+        }
+        update(&mut self.histograms, name, |h| h.observe(value));
     }
 
     /// Folds an already-summarized sample stream into the histogram
     /// `name` — the bridge for subsystems (like the `lesgs-exec` pool)
     /// that aggregate their own [`Histogram`] before reporting.
     pub fn observe_summary(&mut self, name: &str, summary: &Histogram) {
-        if summary.count == 0 {
+        if self.discard || summary.count == 0 {
             return;
         }
-        let into = self.histograms.entry(name.to_owned()).or_default();
-        if into.count == 0 {
-            *into = *summary;
-        } else {
-            into.count += summary.count;
-            into.sum += summary.sum;
-            into.min = into.min.min(summary.min);
-            into.max = into.max.max(summary.max);
-        }
+        update(&mut self.histograms, name, |h| h.absorb(summary));
     }
 
     /// Reads a histogram.
@@ -149,41 +204,45 @@ impl Registry {
     }
 
     /// Starts a span; pair with [`Registry::end_span`].
-    pub fn start_span(&mut self, name: &str) -> Span {
+    pub fn start_span<'a>(&mut self, name: &'a str) -> Span<'a> {
         Span {
-            name: name.to_owned(),
-            start: Instant::now(),
+            name,
+            start: (!self.discard || self.trace).then(Instant::now),
         }
     }
 
     /// Ends a span, recording its wall time under `<name>.wall_ns`.
-    pub fn end_span(&mut self, span: Span) {
-        let ns = span.start.elapsed().as_nanos() as f64;
+    pub fn end_span(&mut self, span: Span<'_>) {
+        let Some(start) = span.start else {
+            return;
+        };
+        let ns = start.elapsed().as_nanos() as f64;
         if self.trace {
             eprintln!("trace: {} {:.1}us", span.name, ns / 1e3);
         }
-        self.observe(&format!("{}.wall_ns", span.name), ns);
+        if self.discard {
+            return;
+        }
+        self.key.clear();
+        self.key.push_str(span.name);
+        self.key.push_str(".wall_ns");
+        update(&mut self.histograms, &self.key, |h| h.observe(ns));
     }
 
     /// Folds another registry into this one: counters add, gauges
     /// overwrite, histograms merge.
     pub fn merge(&mut self, other: &Registry) {
+        if self.discard {
+            return;
+        }
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            update(&mut self.counters, k, |c| *c += v);
         }
         for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
+            update(&mut self.gauges, k, |g| *g = *v);
         }
         for (k, h) in &other.histograms {
-            let into = self.histograms.entry(k.clone()).or_default();
-            if into.count == 0 {
-                *into = *h;
-            } else if h.count > 0 {
-                into.count += h.count;
-                into.sum += h.sum;
-                into.min = into.min.min(h.min);
-                into.max = into.max.max(h.max);
-            }
+            update(&mut self.histograms, k, |into| into.absorb(h));
         }
     }
 
@@ -327,6 +386,23 @@ mod tests {
         let h = r.histogram("pass.demo.wall_ns").unwrap();
         assert_eq!(h.count, 1);
         assert!(h.sum >= 0.0);
+    }
+
+    #[test]
+    fn a_discarding_registry_keeps_nothing_even_when_tracing() {
+        for trace in [false, true] {
+            let mut r = Registry::discard();
+            r.set_trace(trace);
+            assert!(!r.is_recording());
+            r.inc("c", 1);
+            r.set_gauge("g", 1.0);
+            r.observe("h", 1.0);
+            assert_eq!(r.time("pass.demo", || 7), 7);
+            let mut other = Registry::new();
+            other.inc("c", 2);
+            r.merge(&other);
+            assert_eq!(r.to_json(true), Registry::new().to_json(true));
+        }
     }
 
     #[test]

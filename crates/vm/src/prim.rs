@@ -10,9 +10,7 @@
 //! writing the destination register so each engine applies its own
 //! load-latency bookkeeping.
 
-use std::cell::RefCell;
 use std::ops::Index;
-use std::rc::Rc;
 
 use lesgs_frontend::{make_vector, FixnumValue, Prim};
 
@@ -179,7 +177,7 @@ pub(crate) fn eval_prim(
             } else {
                 Value::Fixnum(0)
             };
-            Value::Vector(Rc::new(RefCell::new(make_vector(n, fill)?)))
+            Value::vector(make_vector(n, fill)?)
         }
         VectorRef => {
             from_memory = true;
@@ -237,7 +235,7 @@ pub(crate) fn eval_prim(
         }
         Error => return Err(format!("error: {}", args[0].display_string())),
         Void => Value::Void,
-        MakeCell => Value::Cell(Rc::new(RefCell::new(args[0].clone()))),
+        MakeCell => Value::cell(args[0].clone()),
         CellRef => {
             from_memory = true;
             match &args[0] {

@@ -20,6 +20,15 @@ pub struct VmClosure {
     pub free: RefCell<Vec<Value>>,
 }
 
+impl Drop for VmClosure {
+    fn drop(&mut self) {
+        let free = self.free.get_mut();
+        if free.iter().any(frees_container) {
+            release(std::mem::take(free));
+        }
+    }
+}
+
 impl VmClosure {
     /// Reads free slot `index`.
     ///
@@ -154,10 +163,6 @@ impl WideChar {
 }
 
 /// The heap cell of a pair.
-///
-/// Dropping a pair releases its cdr chain in a loop, not by recursion,
-/// so a long list cannot overflow the stack when it dies. Only cars
-/// still recurse.
 #[derive(Debug)]
 pub struct VmPair(RefCell<(Value, Value)>);
 
@@ -171,13 +176,176 @@ impl Deref for VmPair {
 
 impl Drop for VmPair {
     fn drop(&mut self) {
-        let mut next = std::mem::replace(&mut self.0.get_mut().1, Value::Nil);
-        // A uniquely owned cdr is unlinked before it drops, so its own
-        // `drop` finds `()` and returns; a shared one only loses a count.
-        while let Value::Pair(rc) = next {
-            match Rc::try_unwrap(rc) {
-                Ok(mut pair) => next = std::mem::replace(&mut pair.0.get_mut().1, Value::Nil),
-                Err(_) => break,
+        let (car, cdr) = self.0.get_mut();
+        if frees_container(car) || frees_container(cdr) {
+            release([
+                std::mem::replace(car, Value::Nil),
+                std::mem::replace(cdr, Value::Nil),
+            ]);
+        }
+    }
+}
+
+/// The heap cell of a vector.
+#[derive(Debug)]
+pub struct VmVector(RefCell<Vec<Value>>);
+
+impl Deref for VmVector {
+    type Target = RefCell<Vec<Value>>;
+
+    fn deref(&self) -> &RefCell<Vec<Value>> {
+        &self.0
+    }
+}
+
+impl Drop for VmVector {
+    fn drop(&mut self) {
+        let items = self.0.get_mut();
+        if items.iter().any(frees_container) {
+            release(std::mem::take(items));
+        }
+    }
+}
+
+/// The heap cell of a box.
+#[derive(Debug)]
+pub struct VmCell(RefCell<Value>);
+
+impl Deref for VmCell {
+    type Target = RefCell<Value>;
+
+    fn deref(&self) -> &RefCell<Value> {
+        &self.0
+    }
+}
+
+impl Drop for VmCell {
+    fn drop(&mut self) {
+        let content = self.0.get_mut();
+        if frees_container(content) {
+            release([std::mem::replace(content, Value::Nil)]);
+        }
+    }
+}
+
+/// Whether dropping `value` frees a heap object that holds values: it
+/// is the last owner of a pair, vector, closure or box.
+fn frees_container(value: &Value) -> bool {
+    match value {
+        Value::Pair(p) => Rc::strong_count(p) == 1,
+        Value::Vector(v) => Rc::strong_count(v) == 1,
+        Value::Closure(c) => Rc::strong_count(c) == 1,
+        Value::Cell(c) => Rc::strong_count(c) == 1,
+        _ => false,
+    }
+}
+
+/// Frees the values a dying heap object held, without recursion.
+///
+/// Left to the compiler's drop glue, freeing a value recurses once per
+/// level of nesting through cars, cdrs, vector elements, boxes and
+/// closure slots, and a few hundred thousand levels overflow the stack,
+/// which aborts the process. Instead a heap object whose values own
+/// children hands them here, and each is emptied before it is freed,
+/// so its own `Drop` finds nothing to do. Like the recursion it
+/// replaces, the walk goes down a car before its cdr and puts off only
+/// the cdrs of pairs whose car it enters (and a vector's or closure's
+/// other values), so a list of immediates or of shallow trees needs no
+/// more than the inline part of [`Pending`].
+fn release(children: impl IntoIterator<Item = Value>) {
+    let mut pending = Pending::new();
+    for child in children {
+        if frees_container(&child) {
+            pending.push(child);
+        }
+    }
+    while let Some(mut value) = pending.pop() {
+        // Empty `value` and go on with one child that owns children.
+        // Only last owners get here, so each `try_unwrap` succeeds;
+        // the emptied object drops at the end of its arm.
+        loop {
+            let next = match value {
+                Value::Pair(p) => Rc::try_unwrap(p).ok().and_then(|mut p| {
+                    let (car, cdr) = std::mem::replace(p.0.get_mut(), (Value::Nil, Value::Nil));
+                    match (frees_container(&car), frees_container(&cdr)) {
+                        (true, true) => {
+                            pending.push(cdr);
+                            Some(car)
+                        }
+                        (true, false) => Some(car),
+                        (false, true) => Some(cdr),
+                        (false, false) => None,
+                    }
+                }),
+                Value::Vector(v) => {
+                    if let Ok(mut v) = Rc::try_unwrap(v) {
+                        pending.extend(std::mem::take(v.0.get_mut()));
+                    }
+                    None
+                }
+                Value::Closure(c) => {
+                    if let Ok(mut c) = Rc::try_unwrap(c) {
+                        pending.extend(std::mem::take(c.free.get_mut()));
+                    }
+                    None
+                }
+                Value::Cell(c) => Rc::try_unwrap(c).ok().and_then(|mut c| {
+                    let content = std::mem::replace(c.0.get_mut(), Value::Nil);
+                    frees_container(&content).then_some(content)
+                }),
+                _ => None,
+            };
+            match next {
+                Some(child) => value = child,
+                None => break,
+            }
+        }
+    }
+}
+
+/// A stack of work put off that keeps its first few items inline, so
+/// that a walk whose stack stays that shallow never allocates.
+struct Pending<T> {
+    inline: [Option<T>; 8],
+    /// Items in `inline`; `spill` is empty unless `inline` is full.
+    len: usize,
+    spill: Vec<T>,
+}
+
+impl<T> Pending<T> {
+    fn new() -> Pending<T> {
+        Pending {
+            inline: [const { None }; 8],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                *slot = Some(item);
+                self.len += 1;
+            }
+            None => self.spill.push(item),
+        }
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        if let Some(item) = self.spill.pop() {
+            return Some(item);
+        }
+        self.len = self.len.checked_sub(1)?;
+        self.inline[self.len].take()
+    }
+}
+
+impl Pending<Value> {
+    /// Pushes each of `values` that owns children; drops the rest.
+    fn extend(&mut self, values: Vec<Value>) {
+        for value in values {
+            if frees_container(&value) {
+                self.push(value);
             }
         }
     }
@@ -212,11 +380,11 @@ pub enum Value {
     /// A mutable pair.
     Pair(Rc<VmPair>),
     /// A mutable vector.
-    Vector(Rc<RefCell<Vec<Value>>>),
+    Vector(Rc<VmVector>),
     /// A procedure.
     Closure(Rc<VmClosure>),
     /// A mutable cell (`box`).
-    Cell(Rc<RefCell<Value>>),
+    Cell(Rc<VmCell>),
     /// A return address (lives in `ret` and save slots only).
     RetAddr(RetAddr),
     /// An uninitialized stack slot (reading one is a VM bug).
@@ -231,6 +399,16 @@ impl Value {
     /// Builds a pair.
     pub fn cons(car: Value, cdr: Value) -> Value {
         Value::Pair(Rc::new(VmPair(RefCell::new((car, cdr)))))
+    }
+
+    /// Builds a vector.
+    pub fn vector(items: Vec<Value>) -> Value {
+        Value::Vector(Rc::new(VmVector(RefCell::new(items))))
+    }
+
+    /// Builds a box.
+    pub fn cell(content: Value) -> Value {
+        Value::Cell(Rc::new(VmCell(RefCell::new(content))))
     }
 
     /// A boolean.
@@ -266,38 +444,35 @@ impl Value {
         }
     }
 
-    /// `equal?` — structural equality. Walks a list's cdr chain in a
-    /// loop, so only cars and vector elements recurse.
+    /// `equal?` — structural equality. Pairs and vectors still to
+    /// compare wait on an explicit stack, so nesting depth costs heap,
+    /// not call stack.
     pub fn eq_structural(&self, other: &Value) -> bool {
-        let (mut a, mut b) = (self.clone(), other.clone());
-        loop {
-            let (next_a, next_b) = match (&a, &b) {
+        let mut walk = EqWalk {
+            next: None,
+            pending: Pending::new(),
+        };
+        if !walk.compare(self, other) {
+            return false;
+        }
+        while let Some((a, b)) = walk.next.take().or_else(|| walk.pending.pop()) {
+            let equal = match (&a, &b) {
                 (Value::Pair(x), Value::Pair(y)) => {
-                    if Rc::ptr_eq(x, y) {
-                        return true;
-                    }
                     let (xa, xd) = &*x.borrow();
                     let (ya, yd) = &*y.borrow();
-                    if !xa.eq_structural(ya) {
-                        return false;
-                    }
-                    (xd.clone(), yd.clone())
+                    walk.compare(xa, ya) && walk.compare(xd, yd)
                 }
                 (Value::Vector(x), Value::Vector(y)) => {
-                    if Rc::ptr_eq(x, y) {
-                        return true;
-                    }
-                    let x = x.borrow();
-                    let y = y.borrow();
-                    return x.len() == y.len()
-                        && x.iter().zip(y.iter()).all(|(p, q)| p.eq_structural(q));
+                    let (x, y) = (x.borrow(), y.borrow());
+                    x.len() == y.len() && (x.iter().zip(y.iter())).all(|(p, q)| walk.compare(p, q))
                 }
-                (Value::Str(x), Value::Str(y)) => return x == y,
-                _ => return a.eq_ptr(&b),
+                _ => unreachable!("only pairs and vectors are walked"),
             };
-            a = next_a;
-            b = next_b;
+            if !equal {
+                return false;
+            }
         }
+        true
     }
 
     /// Renders in `display` style.
@@ -314,7 +489,71 @@ impl Value {
         s
     }
 
+    /// Renders with an explicit stack of the lists and vectors being
+    /// printed, so nesting depth costs heap, not call stack.
     fn render(&self, out: &mut String, write: bool) {
+        let mut open: Vec<Open> = Vec::new();
+        let mut current = Some(self.clone());
+        loop {
+            match current.take() {
+                Some(Value::Pair(p)) => {
+                    out.push('(');
+                    let (car, cdr) = p.borrow().clone();
+                    open.push(Open::List(cdr));
+                    current = Some(car);
+                    continue;
+                }
+                Some(Value::Vector(v)) => {
+                    out.push_str("#(");
+                    open.push(Open::Vector(v, 0));
+                }
+                Some(atom) => atom.render_atom(out, write),
+                None => {}
+            }
+            // The current value is printed: go on with the innermost
+            // open list or vector.
+            match open.last_mut() {
+                None => return,
+                Some(Open::List(rest)) => match std::mem::replace(rest, Value::Nil) {
+                    Value::Pair(p) => {
+                        out.push(' ');
+                        let (car, cdr) = p.borrow().clone();
+                        *rest = cdr;
+                        current = Some(car);
+                    }
+                    Value::Nil => {
+                        out.push(')');
+                        open.pop();
+                    }
+                    tail => {
+                        // Printed next; the `()` left in `rest` then
+                        // closes the list.
+                        out.push_str(" . ");
+                        current = Some(tail);
+                    }
+                },
+                Some(Open::Vector(v, next)) => {
+                    let item = v.borrow().get(*next).cloned();
+                    match item {
+                        Some(item) => {
+                            if *next > 0 {
+                                out.push(' ');
+                            }
+                            *next += 1;
+                            current = Some(item);
+                        }
+                        None => {
+                            out.push(')');
+                            open.pop();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Renders a value that is neither a pair nor a vector.
+    fn render_atom(&self, out: &mut String, write: bool) {
         match self {
             Value::Fixnum(n) => out.push_str(&n.to_string()),
             Value::Bool(b) => out.push_str(if b.get() { "#t" } else { "#f" }),
@@ -353,47 +592,49 @@ impl Value {
             Value::Symbol(s) => out.push_str(s),
             Value::Nil => out.push_str("()"),
             Value::Void => out.push_str("#<void>"),
-            Value::Pair(_) => {
-                out.push('(');
-                let mut current = self.clone();
-                let mut first = true;
-                loop {
-                    match current {
-                        Value::Pair(p) => {
-                            if !first {
-                                out.push(' ');
-                            }
-                            first = false;
-                            let (car, cdr) = &*p.borrow();
-                            car.render(out, write);
-                            current = cdr.clone();
-                        }
-                        Value::Nil => break,
-                        other => {
-                            out.push_str(" . ");
-                            other.render(out, write);
-                            break;
-                        }
-                    }
-                }
-                out.push(')');
-            }
-            Value::Vector(v) => {
-                out.push_str("#(");
-                for (i, x) in v.borrow().iter().enumerate() {
-                    if i > 0 {
-                        out.push(' ');
-                    }
-                    x.render(out, write);
-                }
-                out.push(')');
-            }
+            Value::Pair(_) | Value::Vector(_) => unreachable!("render walks pairs and vectors"),
             Value::Closure(_) => out.push_str("#<procedure>"),
             Value::Cell(_) => out.push_str("#<box>"),
             Value::RetAddr(_) => out.push_str("#<return-address>"),
             Value::Uninit => out.push_str("#<uninit>"),
         }
     }
+}
+
+/// The pairs and vectors [`Value::eq_structural`] still has to walk:
+/// the next one, then those put off.
+struct EqWalk {
+    next: Option<(Value, Value)>,
+    pending: Pending<(Value, Value)>,
+}
+
+impl EqWalk {
+    /// Compares `a` and `b` at once unless they are two distinct pairs
+    /// or two distinct vectors, which it queues to walk; false when
+    /// they differ. A car queued before its cdr is walked first.
+    fn compare(&mut self, a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Pair(x), Value::Pair(y)) if !Rc::ptr_eq(x, y) => {}
+            (Value::Vector(x), Value::Vector(y)) if !Rc::ptr_eq(x, y) => {}
+            (Value::Str(x), Value::Str(y)) => return x == y,
+            _ => return a.eq_ptr(b),
+        }
+        let pair = (a.clone(), b.clone());
+        if self.next.is_none() {
+            self.next = Some(pair);
+        } else {
+            self.pending.push(pair);
+        }
+        true
+    }
+}
+
+/// A list or vector [`Value::render`] has opened but not closed.
+enum Open {
+    /// A list, with the part not printed yet.
+    List(Value),
+    /// A vector, with the index of the next element to print.
+    Vector(Rc<VmVector>, usize),
 }
 
 impl fmt::Display for Value {
@@ -417,9 +658,7 @@ pub(crate) fn datum_to_value(d: &Datum) -> Value {
         Datum::Improper(items, tail) => items.iter().rev().fold(datum_to_value(tail), |acc, d| {
             Value::cons(datum_to_value(d), acc)
         }),
-        Datum::Vector(items) => Value::Vector(Rc::new(RefCell::new(
-            items.iter().map(datum_to_value).collect(),
-        ))),
+        Datum::Vector(items) => Value::vector(items.iter().map(datum_to_value).collect()),
     }
 }
 
@@ -487,6 +726,56 @@ mod tests {
         for c in ['\0', 'a', '\u{10FFFF}'] {
             assert_eq!(WideChar::new(c).get(), c);
         }
+    }
+
+    fn list(items: Vec<Value>) -> Value {
+        items
+            .into_iter()
+            .rev()
+            .fold(Value::Nil, |acc, x| Value::cons(x, acc))
+    }
+
+    #[test]
+    fn nested_lists_vectors_and_tails_render_and_compare() {
+        let build = || {
+            let inner = Value::vector(vec![Value::Fixnum(1), list(vec![Value::char('a')])]);
+            let dotted = Value::cons(Value::Fixnum(2), Value::vector(vec![]));
+            list(vec![
+                inner,
+                dotted,
+                Value::Nil,
+                Value::Str(Rc::new("s".into())),
+            ])
+        };
+        let (a, b) = (build(), build());
+        assert_eq!(a.write_string(), "(#(1 (#\\a)) (2 . #()) () \"s\")");
+        assert_eq!(a.display_string(), "(#(1 (a)) (2 . #()) () s)");
+        assert!(a.eq_structural(&b));
+        let c = list(vec![Value::vector(vec![
+            Value::Fixnum(1),
+            list(vec![Value::char('b')]),
+        ])]);
+        assert!(!a.eq_structural(&c));
+    }
+
+    #[test]
+    fn freeing_a_value_leaves_what_others_still_hold() {
+        let shared = list(vec![Value::Fixnum(7), Value::Fixnum(8)]);
+        let boxed = Value::cell(shared.clone());
+        let tree = list(vec![
+            Value::vector(vec![shared.clone(), boxed.clone()]),
+            list(vec![shared.clone()]),
+        ]);
+        let closure = Value::Closure(Rc::new(VmClosure {
+            func: FuncId(0),
+            free: RefCell::new(vec![tree, shared.clone()]),
+        }));
+        drop(closure);
+        assert_eq!(shared.write_string(), "(7 8)");
+        let Value::Cell(cell) = &boxed else {
+            unreachable!()
+        };
+        assert!(cell.borrow().eq_ptr(&shared));
     }
 
     #[test]
