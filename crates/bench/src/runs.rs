@@ -26,15 +26,14 @@ pub struct Runs {
 
 impl Runs {
     /// An empty set of runs of `benchmarks` at `scale`, made on `jobs`
-    /// wide-stack workers (compilation recurses over program structure).
+    /// workers, the calling thread among them. The suite's programs
+    /// nest shallowly, so compiling them needs no deep stack.
     pub fn new(benchmarks: Vec<Benchmark>, scale: Scale, jobs: usize) -> Runs {
         Runs {
             scale,
             pool: PoolConfig {
-                workers: jobs.max(1),
-                stack_bytes: lesgs_interp::wide_stack_bytes(),
                 name: "lesgs-bench".to_owned(),
-                worker_init: Some(lesgs_interp::mark_wide_stack),
+                ..PoolConfig::with_workers(jobs)
             },
             benchmarks,
             made: Vec::new(),

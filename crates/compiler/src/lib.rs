@@ -380,32 +380,24 @@ pub fn differential_check_detailed(
     differential_check_parallel(src, configs, fuel, 1)
 }
 
-/// Runs the oracle, then judges one already-compiled configuration
-/// against it.
-fn judge_config(
-    front: &Program,
+/// Judges one compiled configuration against the oracle: verifies its
+/// bytecode, runs it, and compares value and output.
+fn judge_compiled(
+    compiled: &Compiled,
+    config: &CompilerConfig,
     oracle: &lesgs_interp::Outcome,
-    alloc: &AllocConfig,
-    fuel: u64,
 ) -> Result<(), DiffFailure> {
     let fail = |kind: DiffKind| DiffFailure {
-        config: Some(*alloc),
+        config: Some(config.alloc),
         kind,
     };
-    let config = CompilerConfig {
-        alloc: *alloc,
-        poison: true,
-        fuel,
-        ..CompilerConfig::default()
-    };
-    let compiled = compile_back_observed(front, &config, &mut Registry::discard());
     let verify_errors = lesgs_vm::verify_bytecode(&compiled.vm);
     if !verify_errors.is_empty() {
         return Err(fail(DiffKind::VerifyFailed {
             errors: verify_errors.iter().map(ToString::to_string).collect(),
         }));
     }
-    let out = compiled.run(&config).map_err(|e| {
+    let out = compiled.run(config).map_err(|e| {
         fail(if e.is_fuel_exhausted() {
             DiffKind::FuelExhausted
         } else {
@@ -425,6 +417,29 @@ fn judge_config(
     Ok(())
 }
 
+/// The stack size of the thread [`on_deep_stack`] runs a closure on.
+/// The frontend, the allocator and code generation recurse once per
+/// level of program nesting; 64 MiB lets `lesgsc` and the differential
+/// check take programs nested a few thousand levels deep in every
+/// build profile. The memory is virtual; only pages actually touched
+/// are committed.
+const DEEP_STACK_BYTES: usize = 64 * 1024 * 1024;
+
+/// Runs `f` on a fresh thread with a stack of 64 MiB, enough to
+/// compile a deeply nested program, and returns its result. A panic in
+/// `f` is re-raised on the caller.
+pub fn on_deep_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .name("lesgs-deep".to_owned())
+            .stack_size(DEEP_STACK_BYTES)
+            .spawn_scoped(s, f)
+            .expect("spawn a deep-stack thread")
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
+
 /// [`differential_check_detailed`] with the configuration matrix
 /// fanned out over a `lesgs-exec` worker pool. The verdict is
 /// **deterministic and identical to the sequential check**: the
@@ -433,28 +448,33 @@ fn judge_config(
 /// plain sequential loop (which also short-circuits at the first
 /// failure instead of finishing the matrix).
 ///
-/// The whole check — frontend, every configuration and the oracle —
-/// runs on stacks of [`lesgs_interp::wide_stack_bytes`], so a deeply
-/// nested program gets the same verdict at every job count and from
-/// every calling thread. A caller already on a marked wide-stack
-/// thread runs it inline.
+/// The check runs on a thread of its own ([`on_deep_stack`]), so a
+/// deeply nested program gets the same verdict at every job count and
+/// from every calling thread. At `jobs > 1` that thread compiles every
+/// configuration, and the pool's workers verify and run the compiled
+/// programs, which needs no deep stack.
 ///
 /// # Errors
 ///
 /// Returns the first failure in matrix order, tagged with the
 /// offending configuration.
+///
+/// # Panics
+///
+/// A panic while compiling or judging a configuration is re-raised,
+/// labelled with that configuration, unless an earlier configuration
+/// failed.
 pub fn differential_check_parallel(
     src: &str,
     configs: &[AllocConfig],
     fuel: u64,
     jobs: usize,
 ) -> Result<(), DiffFailure> {
-    lesgs_interp::on_wide_stack(|| check_on_wide_stack(src, configs, fuel, jobs))
+    on_deep_stack(|| check_on_deep_stack(src, configs, fuel, jobs))
 }
 
-/// [`differential_check_parallel`]'s body, on a marked wide-stack
-/// thread.
-fn check_on_wide_stack(
+/// [`differential_check_parallel`]'s body, on the deep-stack thread.
+fn check_on_deep_stack(
     src: &str,
     configs: &[AllocConfig],
     fuel: u64,
@@ -494,26 +514,47 @@ fn check_on_wide_stack(
                 })
             }
         };
+    let compile = |alloc: &AllocConfig| {
+        let config = CompilerConfig {
+            alloc: *alloc,
+            poison: true,
+            fuel,
+            ..CompilerConfig::default()
+        };
+        let compiled = compile_back_observed(&front, &config, &mut Registry::discard());
+        (config, compiled)
+    };
     if jobs <= 1 {
         for alloc in configs {
-            judge_config(&front, &oracle, alloc, fuel)?;
+            let (config, compiled) = compile(alloc);
+            judge_compiled(&compiled, &config, &oracle)?;
         }
         return Ok(());
     }
+    // Compile every configuration here, on the deep stack: a one-worker
+    // pool runs each job on its caller and catches a panic as that
+    // job's result. The compiled programs drop here too, since freeing
+    // the allocator's output recurses like building it.
+    let one = lesgs_exec::PoolConfig::with_workers(1);
+    let compiled =
+        lesgs_exec::map_ordered(&one, configs.iter().collect(), |_i, alloc| compile(alloc)).results;
     let pool = lesgs_exec::PoolConfig {
-        workers: jobs,
-        stack_bytes: lesgs_interp::wide_stack_bytes(),
         name: "lesgs-diff".to_owned(),
-        worker_init: Some(lesgs_interp::mark_wide_stack),
+        ..lesgs_exec::PoolConfig::with_workers(jobs)
     };
-    let out = lesgs_exec::map_ordered(&pool, configs.to_vec(), |_i, alloc| {
-        judge_config(&front, &oracle, &alloc, fuel)
+    let judged = lesgs_exec::map_ordered(&pool, compiled.iter().collect(), |_i, compiled| {
+        let (config, compiled) = compiled.as_ref().ok()?;
+        Some(judge_compiled(compiled, config, &oracle))
     });
-    for (alloc, result) in configs.iter().zip(out.results) {
-        // A panic inside a configuration's compile/run is a compiler
-        // bug; re-raise it on the caller like the sequential loop
-        // would, now labelled with the configuration.
-        result.unwrap_or_else(|p| panic!("{alloc:?}: {p}"))?;
+    for ((alloc, compiled), judged) in configs.iter().zip(&compiled).zip(judged.results) {
+        // A panic while compiling or judging a configuration is a
+        // compiler bug; re-raise it on the caller like the sequential
+        // loop would, now labelled with the configuration.
+        if let Err(p) = compiled {
+            panic!("{alloc:?}: {p}");
+        }
+        let verdict = judged.unwrap_or_else(|p| panic!("{alloc:?}: {p}"));
+        verdict.expect("a compiled configuration is judged")?;
     }
     Ok(())
 }
@@ -893,6 +934,24 @@ mod tests {
         let pair = &config_matrix()[..2];
         differential_check_detailed(&deep, pair, 10_000_000).unwrap();
         differential_check_parallel(&deep, pair, 10_000_000, 2).unwrap();
+    }
+
+    #[test]
+    fn panics_propagate_to_the_caller() {
+        for _ in 0..3 {
+            let err =
+                std::panic::catch_unwind(|| on_deep_stack(|| -> u32 { panic!("deliberate") }))
+                    .unwrap_err();
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .map(str::to_owned)
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(msg.contains("deliberate"), "{msg}");
+            // The helper still works after a panic.
+            assert_eq!(on_deep_stack(|| 42), 42);
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use lesgs_compiler::{
-    compile_observed, config_matrix, differential_check_parallel, CompilerConfig,
+    compile_observed, config_matrix, differential_check_parallel, on_deep_stack, CompilerConfig,
 };
 use lesgs_core::config::{Discipline, RestoreStrategy, SaveStrategy, ShuffleStrategy};
 use lesgs_core::AllocConfig;
@@ -364,6 +364,12 @@ fn main_blob(opts: &Options, bytes: &[u8]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    // Compiling and interpreting recurse once per level of program
+    // nesting; the main thread's stack would cap that depth lower.
+    on_deep_stack(lesgsc)
+}
+
+fn lesgsc() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {

@@ -332,12 +332,12 @@ fn an_unallocatable_vector_exits_1_with_the_message() {
 
 /// A deeply nested answer prints the same from compiled code as from
 /// the interpreter, and neither aborts while printing or freeing it.
-/// The depth is deep enough for `run` to overflow the main thread's
-/// 8 MiB by recursion, and shallow enough for an unoptimized
-/// interpreter on its 64 MiB stack.
+/// Both walk values with explicit stacks; an interpreter that walked
+/// them by recursion aborts at this depth even on a 64 MiB stack in an
+/// unoptimized build.
 #[test]
 fn a_deeply_nested_answer_prints_the_same_from_run_and_interp() {
-    let depth = 100_000;
+    let depth = 400_000;
     let src = format!(
         "(define (nest n acc) (if (= n 0) acc (nest (- n 1) (cons acc '())))) (nest {depth} '())"
     );
@@ -347,4 +347,35 @@ fn a_deeply_nested_answer_prints_the_same_from_run_and_interp() {
         assert!(ok, "{command}: {stderr}");
         assert!(stdout == printed, "{command} printed another answer");
     }
+}
+
+/// Non-tail recursion 100,000 calls deep gets an answer from the
+/// interpreter and a verdict from the check, at every job count.
+#[test]
+fn deep_recursion_gets_an_answer_and_a_verdict() {
+    let src = "(define (f n) (if (= n 0) 0 (+ 1 (f (- n 1))))) (f 100000)";
+    let (stdout, stderr, ok) = lesgsc(&["interp", "-e", src]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout, "100000\n");
+    for jobs in ["1", "2"] {
+        let (stdout, stderr, ok) = lesgsc(&["check", "--jobs", jobs, "-e", src]);
+        assert!(ok, "--jobs {jobs}: {stdout}{stderr}");
+        assert!(stdout.starts_with("ok: "), "--jobs {jobs}: {stdout}");
+    }
+}
+
+/// A long literal list desugars into a deeply nested expression, which
+/// every command compiles or interprets on its deep-stack thread.
+#[test]
+fn a_long_literal_list_gets_the_same_answer_from_every_command() {
+    let items: Vec<String> = (0..2500).map(|i| i.to_string()).collect();
+    let src = format!("(length (list {}))", items.join(" "));
+    for command in ["run", "interp"] {
+        let (stdout, stderr, ok) = lesgsc(&[command, "-e", &src]);
+        assert!(ok, "{command}: {stderr}");
+        assert_eq!(stdout, "2500\n", "{command}");
+    }
+    let (stdout, stderr, ok) = lesgsc(&["check", "-e", &src]);
+    assert!(ok, "check: {stdout}{stderr}");
+    assert!(stdout.starts_with("ok: "), "check: {stdout}");
 }

@@ -26,21 +26,14 @@
 //!
 //! # Which thread runs a job
 //!
-//! For a default pool the calling thread is one of the workers: it
-//! keeps its own name, and only `workers - 1` threads are spawned, so a
-//! one-worker pool (the batch service's default) runs every job on its
-//! caller and spawns nothing.
-//!
-//! Workers can instead be given a wide stack and a per-thread
-//! initializer via [`PoolConfig`]; the fuzz campaign, `lesgsc check`
-//! and the bench report's runs use both, so the reference interpreter
-//! runs inline on a wide-stack worker instead of spawning a fresh
-//! thread per evaluation. Such a pool spawns every worker, because the
-//! caller's stack may be narrower than the one asked for and the
-//! interpreter trusts `lesgs_interp::mark_wide_stack`: a thread it
-//! marks must really have the wide stack. These workers live for one
-//! [`map_ordered`] call (one chunk of [`for_each_ordered`]), not for
-//! the whole campaign.
+//! The calling thread is one of the workers: it keeps its own name,
+//! and only `workers - 1` threads are spawned, so a one-worker pool
+//! (the batch service's default) runs every job on its caller and
+//! spawns nothing. Spawned workers have the platform's default stack
+//! and live for one [`map_ordered`] call (one chunk of
+//! [`for_each_ordered`]), not for the whole campaign. A job that needs
+//! a deep stack, such as compiling a deeply nested program, runs on a
+//! caller that has one.
 //!
 //! # Examples
 //!
@@ -121,27 +114,6 @@ mod tests {
         assert_eq!(out.stats.submitted, 0);
     }
 
-    #[test]
-    fn worker_init_runs_once_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static INITS: AtomicUsize = AtomicUsize::new(0);
-        fn init() {
-            INITS.fetch_add(1, Ordering::SeqCst);
-        }
-        INITS.store(0, Ordering::SeqCst);
-        let cfg = PoolConfig {
-            worker_init: Some(init),
-            ..PoolConfig::with_workers(3)
-        };
-        let out = map_ordered(&cfg, (0..9).collect(), |_i, n: i32| n);
-        assert_eq!(out.stats.completed, 9);
-        let inits = INITS.load(Ordering::SeqCst);
-        assert!(
-            (1..=3).contains(&inits),
-            "init ran {inits} times for 3 workers"
-        );
-    }
-
     /// The thread each job ran on, in submission order.
     fn job_threads(cfg: &PoolConfig, jobs: usize) -> Vec<std::thread::ThreadId> {
         let out = map_ordered(cfg, vec![(); jobs], |_i, ()| std::thread::current().id());
@@ -153,34 +125,6 @@ mod tests {
         let caller = std::thread::current().id();
         let threads = job_threads(&PoolConfig::with_workers(1), 16);
         assert!(threads.iter().all(|&t| t == caller), "{threads:?}");
-    }
-
-    #[test]
-    fn wide_stack_and_initialized_pools_never_run_a_job_on_the_caller() {
-        fn init() {}
-        let caller = std::thread::current().id();
-        let pools = [
-            PoolConfig {
-                stack_bytes: 4 * 1024 * 1024,
-                ..PoolConfig::with_workers(1)
-            },
-            PoolConfig {
-                stack_bytes: 4 * 1024 * 1024,
-                ..PoolConfig::with_workers(3)
-            },
-            PoolConfig {
-                worker_init: Some(init),
-                ..PoolConfig::with_workers(1)
-            },
-            PoolConfig {
-                worker_init: Some(init),
-                ..PoolConfig::with_workers(3)
-            },
-        ];
-        for cfg in &pools {
-            let threads = job_threads(cfg, 24);
-            assert!(threads.iter().all(|&t| t != caller), "{cfg:?}");
-        }
     }
 
     #[test]
@@ -205,28 +149,6 @@ mod tests {
             }
         }
         assert_eq!((out.stats.completed, out.stats.panicked), (4, 1));
-    }
-
-    #[test]
-    fn wide_stack_workers_fit_deep_recursion() {
-        fn depth(n: u64) -> u64 {
-            // Enough locals per frame that a default-size stack would
-            // overflow long before 200k frames.
-            let pad = [n; 24];
-            if n == 0 {
-                pad[0]
-            } else {
-                depth(n - 1) + std::hint::black_box(pad)[1] - pad[2]
-            }
-        }
-        let cfg = PoolConfig {
-            stack_bytes: 256 * 1024 * 1024,
-            ..PoolConfig::with_workers(2)
-        };
-        let out = map_ordered(&cfg, vec![200_000u64, 200_000], |_i, n| depth(n));
-        for r in out.results {
-            assert_eq!(r.unwrap(), 0);
-        }
     }
 
     #[test]

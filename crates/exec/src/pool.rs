@@ -17,22 +17,12 @@ use crate::stats::PoolStats;
 /// Worker-pool settings.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Number of workers, the calling thread included when it works
-    /// (at least 1; capped at the job count).
+    /// Number of workers, the calling thread included (at least 1;
+    /// capped at the job count).
     pub workers: usize,
-    /// Per-worker stack size in bytes (0 = platform default). The
-    /// memory is virtual; only pages actually touched are committed.
-    /// A non-zero size makes every worker a spawned thread.
-    pub stack_bytes: usize,
-    /// Thread-name prefix: spawned workers are named `<name>-<i>`; a
-    /// calling thread that works keeps its own name.
+    /// Thread-name prefix: spawned workers are named `<name>-<i>`; the
+    /// calling thread keeps its own name.
     pub name: String,
-    /// Run once on each worker thread before it takes its first job —
-    /// e.g. `lesgs_interp::mark_wide_stack` so interpreter evaluations
-    /// run inline on the worker instead of bouncing to a dedicated
-    /// thread. Setting it makes every worker a spawned thread, so it
-    /// never runs on the caller.
-    pub worker_init: Option<fn()>,
 }
 
 impl Default for PoolConfig {
@@ -42,13 +32,11 @@ impl Default for PoolConfig {
 }
 
 impl PoolConfig {
-    /// A pool of `workers` workers with default stack and name.
+    /// A pool of `workers` workers with the default name.
     pub fn with_workers(workers: usize) -> PoolConfig {
         PoolConfig {
             workers: workers.max(1),
-            stack_bytes: 0,
             name: "lesgs-exec".to_owned(),
-            worker_init: None,
         }
     }
 }
@@ -106,13 +94,10 @@ type Record<T> = (usize, JobResult<T>, f64, f64);
 ///
 /// Every worker runs the same loop: take the next `(index, item)` from
 /// a shared queue, run it, and keep the result; results come back when
-/// the workers are joined, not over a channel. For a default pool (no
-/// [`PoolConfig::stack_bytes`], no [`PoolConfig::worker_init`]) the
-/// calling thread is one of the workers and keeps its own name, so only
-/// `workers - 1` threads are spawned and a one-worker pool spawns
-/// none. A pool with either field spawns every worker: the caller's
-/// stack may be narrower than the one asked for, and an initializer
-/// such as `lesgs_interp::mark_wide_stack` must never mark it.
+/// the workers are joined, not over a channel. The calling thread is
+/// one of the workers and keeps its own name, so only `workers - 1`
+/// threads are spawned, with the platform's default stack, and a
+/// one-worker pool spawns none.
 pub fn map_ordered<I, T, F>(cfg: &PoolConfig, items: Vec<I>, f: F) -> MapOutcome<T>
 where
     I: Send,
@@ -157,30 +142,18 @@ where
         records
     };
 
-    let caller_works = cfg.stack_bytes == 0 && cfg.worker_init.is_none();
     let finished: Vec<Vec<Record<T>>> = thread::scope(|s| {
-        let handles: Vec<_> = (0..workers - usize::from(caller_works))
+        let work = &work;
+        let handles: Vec<_> = (0..workers - 1)
             .map(|w| {
-                let work = &work;
-                let init = cfg.worker_init;
-                let mut builder = thread::Builder::new().name(format!("{}-{w}", cfg.name));
-                if cfg.stack_bytes > 0 {
-                    builder = builder.stack_size(cfg.stack_bytes);
-                }
-                builder
-                    .spawn_scoped(s, move || {
-                        if let Some(init) = init {
-                            init();
-                        }
-                        work()
-                    })
+                thread::Builder::new()
+                    .name(format!("{}-{w}", cfg.name))
+                    .spawn_scoped(s, work)
                     .expect("spawn pool worker")
             })
             .collect();
         let mut finished = Vec::with_capacity(workers);
-        if caller_works {
-            finished.push(work());
-        }
+        finished.push(work());
         for handle in handles {
             match handle.join() {
                 Ok(records) => finished.push(records),

@@ -59,11 +59,12 @@ pub struct FuzzOptions {
     pub oracle: OracleConfig,
     /// Predicate-evaluation budget for shrinking each find.
     pub shrink_attempts: usize,
-    /// Worker threads judging cases concurrently (the `--jobs` flag).
-    /// The campaign's report, corpus files, and stdout are
-    /// byte-identical for every value; even `1` runs on a wide-stack
-    /// pool worker so oracle evaluations never pay a per-call thread
-    /// spawn.
+    /// Worker threads judging cases concurrently (the `--jobs` flag),
+    /// the calling thread included. The campaign's report, corpus
+    /// files, and stdout are byte-identical for every value; `1` judges
+    /// every case on the calling thread. Each check of a case or a
+    /// shrink candidate still runs on a deep-stack thread of its own
+    /// ([`lesgs_compiler::on_deep_stack`]).
     pub jobs: usize,
 }
 
@@ -284,17 +285,12 @@ pub struct CaseReport<'a> {
     pub find: Option<&'a Find>,
 }
 
-/// The worker pool a campaign runs on: `opts.jobs` wide-stack workers
-/// per chunk of cases, each marked via
-/// [`lesgs_interp::mark_wide_stack`] so every oracle evaluation runs
-/// inline on its worker — a 500-case × 22-config campaign performs
-/// zero per-evaluation thread spawns.
+/// The worker pool a campaign runs on: `opts.jobs` workers per chunk
+/// of cases, the calling thread among them.
 fn campaign_pool(opts: &FuzzOptions) -> lesgs_exec::PoolConfig {
     lesgs_exec::PoolConfig {
-        workers: opts.jobs.max(1),
-        stack_bytes: lesgs_interp::wide_stack_bytes(),
         name: "lesgs-fuzz".to_owned(),
-        worker_init: Some(lesgs_interp::mark_wide_stack),
+        ..lesgs_exec::PoolConfig::with_workers(opts.jobs)
     }
 }
 

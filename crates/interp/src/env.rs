@@ -5,13 +5,25 @@ use std::rc::Rc;
 
 use lesgs_frontend::VarId;
 
-use crate::value::Value;
+use crate::value::{frees_container, Release, Value};
 
 #[derive(Debug)]
 struct EnvNode {
     var: VarId,
     val: RefCell<Value>,
     next: Env,
+}
+
+impl Drop for EnvNode {
+    fn drop(&mut self) {
+        let val = self.val.get_mut();
+        if frees_container(val) || self.next.frees_frame() {
+            let mut release = Release::default();
+            release.value(std::mem::replace(val, Value::Void));
+            release.env(std::mem::take(&mut self.next));
+            release.run();
+        }
+    }
 }
 
 /// A lexical environment. Cloning is cheap (reference counted); frames
@@ -67,6 +79,21 @@ impl Env {
             cur = &node.next.0;
         }
         false
+    }
+
+    /// Whether dropping this handle frees its innermost frame.
+    pub(crate) fn frees_frame(&self) -> bool {
+        self.0
+            .as_ref()
+            .is_some_and(|node| Rc::strong_count(node) == 1)
+    }
+
+    /// Empties the innermost frame when this handle is its last owner,
+    /// returning the frame's value and the frames around it.
+    pub(crate) fn take_frame(&mut self) -> Option<(Value, Env)> {
+        let node = Rc::get_mut(self.0.as_mut()?)?;
+        let val = std::mem::replace(node.val.get_mut(), Value::Void);
+        Some((val, std::mem::take(&mut node.next)))
     }
 }
 

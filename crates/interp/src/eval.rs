@@ -1,6 +1,6 @@
-//! The evaluator: a tail-recursive tree walker with a step budget.
+//! The evaluator: a tree walker over an explicit continuation stack,
+//! with a step budget.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -8,7 +8,7 @@ use lesgs_frontend::{make_vector, Const, Expr, Lambda, Prim, VarId};
 use lesgs_sexpr::Datum;
 
 use crate::env::Env;
-use crate::value::{ClosureV, Value};
+use crate::value::{ClosureV, PairCell, Value, VectorCell};
 
 /// What went wrong, beyond the rendered message — differential drivers
 /// need to tell a timeout apart from a genuine failure.
@@ -18,23 +18,23 @@ pub enum InterpErrorKind {
     /// a frontend rejection.
     #[default]
     Runtime,
-    /// A resource budget (steps, or nested non-tail evaluation depth)
+    /// A resource budget (steps, or pending non-tail evaluations)
     /// ran out before the program finished. Not a verdict about the
     /// program — only about the budget.
     FuelExhausted,
 }
 
-/// How many nested non-tail evaluations the interpreter allows. Tail
-/// calls loop in place and cost nothing, but every non-tail
-/// subexpression costs one native stack frame — without a bound,
-/// runaway non-tail recursion like `(define (f) (+ (f) 0)) (f)` is a
-/// native stack overflow (an abort) instead of a reportable error.
-/// 4000 is an order of magnitude beyond any benchmark or generated
-/// program (their non-tail depth is at most a few hundred), and the
-/// dedicated wide-stack thread `run_source` evaluates on fits 4000
-/// frames in every build profile. A fixed limit also keeps the
-/// oracle's verdict taxonomy identical across profiles.
-pub const MAX_EVAL_DEPTH: u64 = 4_000;
+/// How many non-tail evaluations may be pending at once: the length
+/// of the continuation stack. Tail calls loop in place and cost no
+/// frame, but every non-tail subexpression waits on one — without a
+/// bound, runaway non-tail recursion like `(define (f) (+ (f) 0)) (f)`
+/// grows the stack until memory runs out instead of ending in a
+/// reportable error. One level of `(define (f n) (if (= n 0) 0 (+ 1
+/// (f (- n 1))))) (f n)` holds one frame, so the bound admits `(f
+/// 100000)` and little more: a runaway program, such as a shrink
+/// candidate that lost its depth guard, runs out after a few hundred
+/// thousand steps instead of running to its step budget.
+const MAX_FRAMES: usize = 1 << 17;
 
 /// A runtime (or fuel) error.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +67,7 @@ impl InterpError {
     /// about the program.
     pub fn depth() -> InterpError {
         InterpError {
-            message: format!("recursion too deep ({MAX_EVAL_DEPTH} nested non-tail evals)"),
+            message: format!("recursion too deep ({MAX_FRAMES} nested non-tail evals)"),
             kind: InterpErrorKind::FuelExhausted,
         }
     }
@@ -143,9 +143,7 @@ fn datum_to_value(d: &Datum) -> Value {
         Datum::Improper(items, tail) => items.iter().rev().fold(datum_to_value(tail), |acc, d| {
             Value::cons(datum_to_value(d), acc)
         }),
-        Datum::Vector(items) => Value::Vector(Rc::new(RefCell::new(
-            items.iter().map(datum_to_value).collect(),
-        ))),
+        Datum::Vector(items) => Value::vector(items.iter().map(datum_to_value).collect()),
     }
 }
 
@@ -196,6 +194,40 @@ fn lower_lambda(l: &Lambda<VarId>) -> Node {
     }
 }
 
+/// A node waiting on the value of one of its subexpressions, with the
+/// environment the node evaluates in.
+struct Frame {
+    node: IExpr,
+    env: Env,
+    /// Subexpressions whose values have arrived.
+    done: usize,
+    /// The values kept so far: a `let`'s right-hand sides, an
+    /// application's operator and arguments, or a primitive's
+    /// arguments.
+    vals: Vec<Value>,
+}
+
+/// Pops the innermost frame, whose node has all the values it waited
+/// on.
+fn finish(frames: &mut Vec<Frame>) -> Frame {
+    frames.pop().expect("a frame received the value")
+}
+
+/// Pushes a frame for `node`, evaluating in `env`, to wait on its
+/// first subexpression.
+fn push(frames: &mut Vec<Frame>, node: &IExpr, env: &Env) -> Result<()> {
+    if frames.len() >= MAX_FRAMES {
+        return Err(InterpError::depth());
+    }
+    frames.push(Frame {
+        node: node.clone(),
+        env: env.clone(),
+        done: 0,
+        vals: Vec::new(),
+    });
+    Ok(())
+}
+
 /// The result of a successful run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Outcome {
@@ -214,7 +246,6 @@ pub struct Interp {
     steps: u64,
     output: String,
     globals: Vec<Value>,
-    depth: u64,
 }
 
 impl Interp {
@@ -223,7 +254,6 @@ impl Interp {
         Interp {
             fuel,
             steps: 0,
-            depth: 0,
             output: String::new(),
             globals: Vec::new(),
         }
@@ -261,121 +291,192 @@ impl Interp {
         }
     }
 
-    fn eval(&mut self, expr: IExpr, env: Env) -> Result<Value> {
-        if self.depth >= MAX_EVAL_DEPTH {
-            return Err(InterpError::depth());
-        }
-        self.depth += 1;
-        let result = self.eval_loop(expr, env);
-        self.depth -= 1;
-        result
-    }
-
-    fn eval_loop(&mut self, mut expr: IExpr, mut env: Env) -> Result<Value> {
+    /// Evaluates `expr` in `env`.
+    ///
+    /// Entering an expression either yields its value, replaces it with
+    /// a subexpression in tail position, or pushes a [`Frame`] and
+    /// enters the subexpression it waits on. A value goes to the
+    /// innermost frame, which enters its next subexpression or
+    /// finishes its node in turn. One step is charged per expression
+    /// entered.
+    fn eval(&mut self, mut expr: IExpr, mut env: Env) -> Result<Value> {
+        let mut frames: Vec<Frame> = Vec::new();
         loop {
             self.tick()?;
-            match &*expr {
-                Node::Const(v) => return Ok(v.clone()),
-                Node::Var(v) => {
-                    return env
-                        .get(*v)
-                        .ok_or_else(|| InterpError::new(format!("unbound variable {v}")))
-                }
-                Node::Global(g) => {
-                    return self
-                        .globals
-                        .get(*g as usize)
-                        .cloned()
-                        .ok_or_else(|| InterpError::new(format!("global {g} out of range")))
-                }
-                Node::GlobalSet(g, rhs) => {
-                    let val = self.eval(rhs.clone(), env.clone())?;
-                    let slot = self
-                        .globals
-                        .get_mut(*g as usize)
-                        .ok_or_else(|| InterpError::new(format!("global {g} out of range")))?;
-                    *slot = val;
-                    return Ok(Value::Void);
-                }
-                Node::Set(v, rhs) => {
-                    let val = self.eval(rhs.clone(), env.clone())?;
-                    if env.set(*v, val) {
-                        return Ok(Value::Void);
-                    }
-                    return Err(InterpError::new(format!("set! of unbound {v}")));
-                }
-                Node::If(c, t, e) => {
-                    let cond = self.eval(c.clone(), env.clone())?;
-                    expr = if cond.is_truthy() {
-                        t.clone()
-                    } else {
-                        e.clone()
-                    };
+            let mut value = match &*expr {
+                Node::Const(v) => v.clone(),
+                Node::Var(v) => env
+                    .get(*v)
+                    .ok_or_else(|| InterpError::new(format!("unbound variable {v}")))?,
+                Node::Global(g) => self
+                    .globals
+                    .get(*g as usize)
+                    .cloned()
+                    .ok_or_else(|| InterpError::new(format!("global {g} out of range")))?,
+                Node::Lambda { params, body, name } => Value::Closure(Rc::new(ClosureV {
+                    params: params.clone(),
+                    body: body.clone(),
+                    env: env.clone(),
+                    name: name.clone(),
+                })),
+                Node::GlobalSet(_, first)
+                | Node::Set(_, first)
+                | Node::If(first, ..)
+                | Node::App(first, _) => {
+                    push(&mut frames, &expr, &env)?;
+                    expr = first.clone();
+                    continue;
                 }
                 Node::Seq(es) => {
-                    let (last, init) = es.split_last().expect("non-empty seq");
-                    for e in init {
-                        self.eval(e.clone(), env.clone())?;
-                    }
-                    expr = last.clone();
+                    expr = match es.as_slice() {
+                        [only] => only.clone(),
+                        [first, ..] => {
+                            push(&mut frames, &expr, &env)?;
+                            first.clone()
+                        }
+                        [] => unreachable!("non-empty seq"),
+                    };
+                    continue;
                 }
-                Node::Lambda { params, body, name } => {
-                    return Ok(Value::Closure(Rc::new(ClosureV {
-                        params: params.clone(),
-                        body: body.clone(),
-                        env,
-                        name: name.clone(),
-                    })))
+                Node::Let(bs, body) => {
+                    expr = match bs.first() {
+                        Some((_, rhs)) => {
+                            push(&mut frames, &expr, &env)?;
+                            rhs.clone()
+                        }
+                        None => body.clone(),
+                    };
+                    continue;
                 }
-                Node::Let(bs, b) => {
-                    let mut vals = Vec::with_capacity(bs.len());
-                    for (_, rhs) in bs {
-                        vals.push(self.eval(rhs.clone(), env.clone())?);
-                    }
-                    let vars: Vec<VarId> = bs.iter().map(|(v, _)| *v).collect();
-                    env = env.bind_all(&vars, vals);
-                    expr = b.clone();
-                }
-                Node::Letrec(bs, b) => {
+                Node::Letrec(bs, body) => {
                     // Bind names to placeholders, then tie the knot.
                     for (v, _) in bs {
                         env = env.bind(*v, Value::Void);
                     }
-                    for (v, lam) in bs {
-                        let clo = self.eval(lam.clone(), env.clone())?;
-                        env.set(*v, clo);
-                    }
-                    expr = b.clone();
-                }
-                Node::App(f, args) => {
-                    let callee = self.eval(f.clone(), env.clone())?;
-                    let mut vals = Vec::with_capacity(args.len());
-                    for a in args {
-                        vals.push(self.eval(a.clone(), env.clone())?);
-                    }
-                    let Value::Closure(clo) = callee else {
-                        return Err(InterpError::new(format!(
-                            "call of non-procedure `{}`",
-                            callee.write_string()
-                        )));
+                    expr = match bs.first() {
+                        Some((_, lam)) => {
+                            push(&mut frames, &expr, &env)?;
+                            lam.clone()
+                        }
+                        None => body.clone(),
                     };
-                    if clo.params.len() != vals.len() {
-                        return Err(InterpError::new(format!(
-                            "arity mismatch calling {}: expected {}, got {}",
-                            clo.name.as_deref().unwrap_or("#<anonymous>"),
-                            clo.params.len(),
-                            vals.len()
-                        )));
-                    }
-                    env = clo.env.bind_all(&clo.params, vals);
-                    expr = clo.body.clone();
+                    continue;
                 }
-                Node::PrimApp(p, args) => {
-                    let mut vals = Vec::with_capacity(args.len());
-                    for a in args {
-                        vals.push(self.eval(a.clone(), env.clone())?);
+                Node::PrimApp(p, args) => match args.first() {
+                    Some(first) => {
+                        push(&mut frames, &expr, &env)?;
+                        expr = first.clone();
+                        continue;
                     }
-                    return self.apply_prim(*p, vals);
+                    None => self.apply_prim(*p, Vec::new())?,
+                },
+            };
+            // Hand `value` to the innermost frame, and to the one
+            // around it for as long as frames finish.
+            loop {
+                let Some(frame) = frames.last_mut() else {
+                    return Ok(value);
+                };
+                frame.done += 1;
+                match &*frame.node {
+                    Node::GlobalSet(g, _) => {
+                        let slot = self
+                            .globals
+                            .get_mut(*g as usize)
+                            .ok_or_else(|| InterpError::new(format!("global {g} out of range")))?;
+                        *slot = value;
+                        value = Value::Void;
+                        frames.pop();
+                    }
+                    Node::Set(v, _) => {
+                        if !frame.env.set(*v, value) {
+                            return Err(InterpError::new(format!("set! of unbound {v}")));
+                        }
+                        value = Value::Void;
+                        frames.pop();
+                    }
+                    Node::If(_, t, e) => {
+                        expr = if value.is_truthy() { t } else { e }.clone();
+                        env = finish(&mut frames).env;
+                        break;
+                    }
+                    Node::Seq(es) => {
+                        let next = &es[frame.done];
+                        if frame.done + 1 < es.len() {
+                            expr = next.clone();
+                            env = frame.env.clone();
+                            break;
+                        } else {
+                            expr = next.clone();
+                            env = finish(&mut frames).env;
+                            break;
+                        }
+                    }
+                    Node::Let(bs, body) => {
+                        frame.vals.push(value);
+                        if let Some((_, rhs)) = bs.get(frame.done) {
+                            expr = rhs.clone();
+                            env = frame.env.clone();
+                            break;
+                        } else {
+                            let vars: Vec<VarId> = bs.iter().map(|(v, _)| *v).collect();
+                            expr = body.clone();
+                            let frame = finish(&mut frames);
+                            env = frame.env.bind_all(&vars, frame.vals);
+                            break;
+                        }
+                    }
+                    Node::Letrec(bs, body) => {
+                        frame.env.set(bs[frame.done - 1].0, value);
+                        if let Some((_, lam)) = bs.get(frame.done) {
+                            expr = lam.clone();
+                            env = frame.env.clone();
+                        } else {
+                            expr = body.clone();
+                            env = finish(&mut frames).env;
+                        }
+                        break;
+                    }
+                    Node::App(_, args) => {
+                        frame.vals.push(value);
+                        if let Some(arg) = args.get(frame.done - 1) {
+                            expr = arg.clone();
+                            env = frame.env.clone();
+                            break;
+                        }
+                        let mut vals = finish(&mut frames).vals;
+                        let callee = vals.remove(0);
+                        let Value::Closure(clo) = callee else {
+                            return Err(InterpError::new(format!(
+                                "call of non-procedure `{}`",
+                                callee.write_string()
+                            )));
+                        };
+                        if clo.params.len() != vals.len() {
+                            return Err(InterpError::new(format!(
+                                "arity mismatch calling {}: expected {}, got {}",
+                                clo.name.as_deref().unwrap_or("#<anonymous>"),
+                                clo.params.len(),
+                                vals.len()
+                            )));
+                        }
+                        env = clo.env.bind_all(&clo.params, vals);
+                        expr = clo.body.clone();
+                        break;
+                    }
+                    Node::PrimApp(p, args) => {
+                        frame.vals.push(value);
+                        if let Some(arg) = args.get(frame.done) {
+                            expr = arg.clone();
+                            env = frame.env.clone();
+                            break;
+                        }
+                        let p = *p;
+                        value = self.apply_prim(p, finish(&mut frames).vals)?;
+                    }
+                    Node::Const(_) | Node::Var(_) | Node::Global(_) | Node::Lambda { .. } => {
+                        unreachable!("only nodes with subexpressions wait on one")
+                    }
                 }
             }
         }
@@ -393,7 +494,7 @@ impl Interp {
                 ))),
             }
         }
-        fn pair(v: &Value, who: Prim) -> Result<Rc<RefCell<(Value, Value)>>> {
+        fn pair(v: &Value, who: Prim) -> Result<Rc<PairCell>> {
             match v {
                 Value::Pair(p) => Ok(p.clone()),
                 other => Err(InterpError::new(format!(
@@ -402,7 +503,7 @@ impl Interp {
                 ))),
             }
         }
-        fn vector(v: &Value, who: Prim) -> Result<Rc<RefCell<Vec<Value>>>> {
+        fn vector(v: &Value, who: Prim) -> Result<Rc<VectorCell>> {
             match v {
                 Value::Vector(v) => Ok(v.clone()),
                 other => Err(InterpError::new(format!(
@@ -505,9 +606,7 @@ impl Interp {
                 } else {
                     Value::Fixnum(0)
                 };
-                Value::Vector(Rc::new(RefCell::new(
-                    make_vector(n, fill).map_err(InterpError::new)?,
-                )))
+                Value::vector(make_vector(n, fill).map_err(InterpError::new)?)
             }
             VectorRef => {
                 let v = vector(&a0(), p)?;
@@ -581,7 +680,7 @@ impl Interp {
                 )))
             }
             Void => Value::Void,
-            MakeCell => Value::Cell(Rc::new(RefCell::new(a0()))),
+            MakeCell => Value::cell(a0()),
             CellRef => match a0() {
                 Value::Cell(c) => c.borrow().clone(),
                 other => {
@@ -828,16 +927,5 @@ mod tests {
     fn shadowing_of_prelude_and_prims() {
         assert_eq!(value("(define (length l) 42) (length '(1 2 3))"), "42");
         assert_eq!(value("(let ((car cdr)) (car '(1 2 3)))"), "(2 3)");
-    }
-
-    #[test]
-    fn converted_pipeline_agrees() {
-        let src = "(define counter
-                     (let ((n 0)) (lambda () (set! n (+ n 1)) n)))
-                   (counter) (counter) (counter)";
-        let a = crate::run_source(src, 1_000_000).unwrap();
-        let b = crate::run_source_converted(src, 1_000_000).unwrap();
-        assert_eq!(a.value, b.value);
-        assert_eq!(a.value, "3");
     }
 }
