@@ -814,6 +814,7 @@ mod tests {
                 "pass.parse.wall_ns",
                 "pass.pass2.wall_ns",
                 "pass.peephole.wall_ns",
+                "pass.read.wall_ns",
                 "pass.rename.wall_ns",
                 "pass.savep.wall_ns",
                 "phase.alloc.wall_ns",

@@ -114,10 +114,10 @@ impl Converter<'_> {
 ///
 /// ```
 /// use lesgs_frontend::{assignconv, desugar, rename::Renamer};
-/// use lesgs_sexpr::parse_one;
+/// use lesgs_sexpr::read;
 ///
-/// let surface = desugar::expr(&parse_one(
-///     "(let ((x 1)) (begin (set! x 2) x))").unwrap()).unwrap();
+/// let surface = desugar::expr(&read(
+///     "(let ((x 1)) (begin (set! x 2) x))").unwrap()[0]).unwrap();
 /// let mut r = Renamer::new();
 /// let mut converted = r.rename(&surface).unwrap();
 /// assignconv::convert(&mut converted, &mut r.interner);
@@ -150,10 +150,10 @@ mod tests {
     use super::*;
     use crate::desugar;
     use crate::rename::Renamer;
-    use lesgs_sexpr::parse_one;
+    use lesgs_sexpr::read;
 
     fn conv(src: &str) -> (Expr<VarId>, String) {
-        let surface = desugar::expr(&parse_one(src).unwrap()).unwrap();
+        let surface = desugar::expr(&read(src).unwrap()[0]).unwrap();
         let mut r = Renamer::new();
         let mut converted = r.rename(&surface).unwrap();
         convert(&mut converted, &mut r.interner);

@@ -1,15 +1,34 @@
 //! The core abstract syntax shared by all frontend passes.
 //!
 //! [`Expr`] is generic over the variable representation `V`: the
-//! desugarer produces `Expr<String>` (source names) and the renamer
-//! produces `Expr<VarId>` (unique ids). Primitive applications only
-//! appear after renaming.
+//! desugarer produces `Expr<&str>` (names lent from the program text)
+//! and the renamer produces `Expr<VarId>` (unique ids). Primitive
+//! applications only appear after renaming.
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 use lesgs_sexpr::Datum;
 
+use crate::names::{FxBuildHasher, VarId};
 use crate::prim::Prim;
+
+/// A variable representation whose sets an analysis can hash.
+pub trait Variable {
+    /// The hasher for sets of these variables: std's seeded hasher for
+    /// source names, which come from untrusted text, and
+    /// [`FxBuildHasher`] for the identifiers the renamer hands out.
+    type Hasher: BuildHasher + Default;
+}
+
+impl Variable for &str {
+    type Hasher = RandomState;
+}
+
+impl Variable for VarId {
+    type Hasher = FxBuildHasher;
+}
 
 /// A self-evaluating constant.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,8 +65,8 @@ impl fmt::Display for Const {
             Const::Fixnum(n) => write!(f, "{n}"),
             Const::Bool(true) => write!(f, "#t"),
             Const::Bool(false) => write!(f, "#f"),
-            Const::Char(c) => write!(f, "{}", Datum::Char(*c)),
-            Const::Str(s) => write!(f, "{}", Datum::Str(s.clone())),
+            Const::Char(c) => write!(f, "{}", Datum::<&str>::Char(*c)),
+            Const::Str(s) => write!(f, "{}", Datum::<&str>::Str(s.clone())),
             Const::Nil => write!(f, "'()"),
             Const::Void => write!(f, "#<void>"),
             Const::Symbol(s) => write!(f, "'{s}"),
@@ -259,27 +278,30 @@ impl<V: fmt::Display> fmt::Display for Expr<V> {
 mod tests {
     use super::*;
 
-    fn var(name: &str) -> Expr<String> {
-        Expr::Var(name.to_owned())
+    /// A surface tree over static names.
+    type E = Expr<&'static str>;
+
+    fn var(name: &'static str) -> E {
+        Expr::Var(name)
     }
 
     #[test]
     fn seq_collapses_singletons() {
-        let e = Expr::<String>::seq(vec![var("x")]);
+        let e = E::seq(vec![var("x")]);
         assert_eq!(e, var("x"));
-        let e = Expr::<String>::seq(vec![var("x"), var("y")]);
+        let e = E::seq(vec![var("x"), var("y")]);
         assert!(matches!(e, Expr::Seq(_)));
     }
 
     #[test]
     #[should_panic(expected = "at least one expression")]
     fn seq_rejects_empty() {
-        let _ = Expr::<String>::seq(vec![]);
+        let _ = E::seq(vec![]);
     }
 
     #[test]
     fn display_forms() {
-        let e: Expr<String> = Expr::If(
+        let e: E = Expr::If(
             Box::new(var("a")),
             Box::new(Expr::Const(Const::Fixnum(1))),
             Box::new(Expr::PrimApp(Prim::Add, vec![var("b"), var("c")])),
@@ -289,7 +311,7 @@ mod tests {
 
     #[test]
     fn size_counts_nodes() {
-        let e: Expr<String> = Expr::App(
+        let e: E = Expr::App(
             Box::new(var("f")),
             vec![var("x"), Expr::Const(Const::Fixnum(1))],
         );
@@ -298,33 +320,24 @@ mod tests {
 
     /// One tree holding every variant, its `Fixnum` leaves numbered in
     /// the documented child order.
-    fn every_variant() -> Expr<String> {
+    fn every_variant() -> E {
         let mut next = -1;
         let mut leaf = || {
             next += 1;
             Box::new(Expr::Const(Const::Fixnum(next)))
         };
         let lambda = |body| Lambda {
-            params: vec!["p".to_owned()],
+            params: vec!["p"],
             body,
             name: None,
         };
         Expr::Seq(vec![
-            Expr::Set("x".to_owned(), leaf()),
+            Expr::Set("x", leaf()),
             Expr::GlobalSet(0, leaf()),
             Expr::If(leaf(), leaf(), leaf()),
             Expr::Lambda(lambda(leaf())),
-            Expr::Let(
-                vec![("a".to_owned(), *leaf()), ("b".to_owned(), *leaf())],
-                leaf(),
-            ),
-            Expr::Letrec(
-                vec![
-                    ("f".to_owned(), lambda(leaf())),
-                    ("g".to_owned(), lambda(leaf())),
-                ],
-                leaf(),
-            ),
+            Expr::Let(vec![("a", *leaf()), ("b", *leaf())], leaf()),
+            Expr::Letrec(vec![("f", lambda(leaf())), ("g", lambda(leaf()))], leaf()),
             Expr::App(leaf(), vec![*leaf(), *leaf()]),
             Expr::PrimApp(Prim::Add, vec![*leaf(), *leaf()]),
             var("x"),
@@ -334,13 +347,13 @@ mod tests {
 
     #[test]
     fn mutable_traversal_reaches_the_same_children_in_order() {
-        fn reached_mut(e: &mut Expr<String>, out: &mut Vec<*const Expr<String>>) {
+        fn reached_mut(e: &mut E, out: &mut Vec<*const E>) {
             e.for_each_child_mut(&mut |c| {
                 out.push(c);
                 reached_mut(c, out);
             });
         }
-        fn reached<'a>(e: &'a Expr<String>, out: &mut Vec<&'a Expr<String>>) {
+        fn reached<'a>(e: &'a E, out: &mut Vec<&'a E>) {
             e.for_each_child(&mut |c| {
                 out.push(c);
                 reached(c, out);
@@ -351,7 +364,7 @@ mod tests {
         reached_mut(&mut e, &mut unique);
         let mut shared = Vec::new();
         reached(&e, &mut shared);
-        let shared_ptrs: Vec<*const Expr<String>> = shared.iter().map(|&c| c as *const _).collect();
+        let shared_ptrs: Vec<*const E> = shared.iter().map(|&c| c as *const _).collect();
         assert_eq!(shared_ptrs, unique);
         let variants: std::collections::HashSet<_> = std::iter::once(&e)
             .chain(shared.iter().copied())

@@ -20,36 +20,52 @@
 //!   closures; mutually recursive closures are created with placeholder
 //!   slots and backpatched (`ClosureSet`).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::hash::Hash;
 
-use crate::ast::{Const, Expr, Lambda};
+use crate::ast::{Const, Expr, Lambda, Variable};
 use crate::first_order::{self as ir, Callee, Func, FuncId, LocalId, Program};
-use crate::names::{Interner, VarId};
+use crate::names::{Interner, VarId, VarMap, VarSet};
 
 /// Computes the free variables of `e` in deterministic order. One
-/// analysis serves the surface AST (`V = String`, where inner binders
+/// analysis serves the surface AST (`V = &str`, where inner binders
 /// may shadow outer ones) and the renamed AST (`V = VarId`).
-pub fn free_vars<V: Ord + Hash + Clone>(e: &Expr<V>) -> BTreeSet<V> {
+pub fn free_vars<V: Variable + Ord + Hash + Clone>(e: &Expr<V>) -> BTreeSet<V> {
     let mut out = BTreeSet::new();
-    walk_free(e, &mut HashSet::new(), &mut out);
+    for_each_free(e, &mut |v| {
+        out.insert(v.clone());
+    });
     out
 }
 
 /// Computes the free variables of a lambda in deterministic order
 /// (the same set as [`free_vars`] of `Expr::Lambda(l)`).
-pub(crate) fn free_vars_lambda<V: Ord + Hash + Clone>(l: &Lambda<V>) -> BTreeSet<V> {
+pub(crate) fn free_vars_lambda(l: &Lambda<VarId>) -> BTreeSet<VarId> {
     let mut out = BTreeSet::new();
-    walk_free_lambda(l, &mut HashSet::new(), &mut out);
+    walk_free_lambda(l, &mut HashSet::default(), &mut |v| {
+        out.insert(*v);
+    });
     out
 }
 
+/// Calls `f` on every free reference in `e` — a variable read or
+/// `set!` target with no binder around it in `e` — once per occurrence,
+/// in evaluation order. Collects nothing, so a caller that only looks
+/// each name up (prelude pruning) allocates nothing per name.
+pub fn for_each_free<'e, V: Variable + Hash + Eq>(e: &'e Expr<V>, f: &mut dyn FnMut(&'e V)) {
+    walk_free(e, &mut HashSet::default(), f);
+}
+
+/// The variables bound around the expression a free-variable walk is
+/// in.
+type Bound<'e, V> = HashSet<&'e V, <V as Variable>::Hasher>;
+
 /// Runs `walk` with `vars` added to `bound`; a variable that was
 /// already bound stays bound afterwards.
-fn with_bound<'a, V: Hash + Eq>(
-    vars: impl Iterator<Item = &'a V>,
-    bound: &mut HashSet<&'a V>,
-    walk: impl FnOnce(&mut HashSet<&'a V>),
+fn with_bound<'e, V: Variable + Hash + Eq>(
+    vars: impl Iterator<Item = &'e V>,
+    bound: &mut Bound<'e, V>,
+    walk: impl FnOnce(&mut Bound<'e, V>),
 ) {
     let added: Vec<&V> = vars.filter(|v| bound.insert(v)).collect();
     walk(bound);
@@ -58,44 +74,42 @@ fn with_bound<'a, V: Hash + Eq>(
     }
 }
 
-fn walk_free_lambda<'a, V: Ord + Hash + Clone>(
-    l: &'a Lambda<V>,
-    bound: &mut HashSet<&'a V>,
-    out: &mut BTreeSet<V>,
+fn walk_free_lambda<'e, V: Variable + Hash + Eq>(
+    l: &'e Lambda<V>,
+    bound: &mut Bound<'e, V>,
+    f: &mut dyn FnMut(&'e V),
 ) {
-    with_bound(l.params.iter(), bound, |bound| {
-        walk_free(&l.body, bound, out)
-    });
+    with_bound(l.params.iter(), bound, |bound| walk_free(&l.body, bound, f));
 }
 
-fn walk_free<'a, V: Ord + Hash + Clone>(
-    e: &'a Expr<V>,
-    bound: &mut HashSet<&'a V>,
-    out: &mut BTreeSet<V>,
+fn walk_free<'e, V: Variable + Hash + Eq>(
+    e: &'e Expr<V>,
+    bound: &mut Bound<'e, V>,
+    f: &mut dyn FnMut(&'e V),
 ) {
     match e {
-        Expr::Lambda(l) => walk_free_lambda(l, bound, out),
+        Expr::Lambda(l) => walk_free_lambda(l, bound, f),
         Expr::Let(bs, b) => {
             for (_, rhs) in bs {
-                walk_free(rhs, bound, out);
+                walk_free(rhs, bound, f);
             }
             with_bound(bs.iter().map(|(v, _)| v), bound, |bound| {
-                walk_free(b, bound, out)
+                walk_free(b, bound, f)
             });
         }
         Expr::Letrec(bs, b) => with_bound(bs.iter().map(|(v, _)| v), bound, |bound| {
             for (_, l) in bs {
-                walk_free_lambda(l, bound, out);
+                walk_free_lambda(l, bound, f);
             }
-            walk_free(b, bound, out);
+            walk_free(b, bound, f);
         }),
         _ => {
             if let Expr::Var(v) | Expr::Set(v, _) = e {
                 if !bound.contains(v) {
-                    out.insert(v.clone());
+                    f(v);
                 }
             }
-            e.for_each_child(&mut |c| walk_free(c, bound, out));
+            e.for_each_child(&mut |c| walk_free(c, bound, f));
         }
     }
 }
@@ -103,9 +117,9 @@ fn walk_free<'a, V: Ord + Hash + Clone>(
 /// Collects value-position and operator-position references to `names`.
 pub(crate) fn reference_kinds(
     e: &Expr<VarId>,
-    names: &HashSet<VarId>,
-    operator: &mut HashSet<VarId>,
-    value: &mut HashSet<VarId>,
+    names: &VarSet,
+    operator: &mut VarSet,
+    value: &mut VarSet,
 ) {
     match e {
         Expr::Var(v) if names.contains(v) => {
@@ -137,23 +151,23 @@ struct KnownBinding {
 
 struct Convert<'a> {
     funcs: Vec<Option<Func>>,
-    known: HashMap<VarId, KnownBinding>,
+    known: VarMap<KnownBinding>,
     interner: &'a mut Interner,
 }
 
 /// Per-function conversion context: the function's locals, numbered as
 /// they are bound, and its captures.
 struct FnCtx {
-    locals: HashMap<VarId, LocalId>,
-    free_map: HashMap<VarId, u32>,
+    locals: VarMap<LocalId>,
+    free_map: VarMap<u32>,
     free_list: Vec<VarId>,
 }
 
 impl FnCtx {
     fn new(params: &[VarId]) -> FnCtx {
         let mut ctx = FnCtx {
-            locals: HashMap::new(),
-            free_map: HashMap::new(),
+            locals: VarMap::default(),
+            free_map: VarMap::default(),
             free_list: Vec::new(),
         };
         for p in params {
@@ -223,26 +237,26 @@ impl Convert<'_> {
         ctx: &mut FnCtx,
         tail: bool,
     ) -> ir::Expr {
-        let group: HashSet<VarId> = bindings.iter().map(|(v, _)| *v).collect();
+        let group: VarSet = bindings.iter().map(|(v, _)| *v).collect();
 
         // --- analysis -------------------------------------------------
         // refs_in[i] = brothers referenced from i's body (any position);
         // value_refs = brothers referenced as values anywhere.
-        let mut value_refs = HashSet::new();
-        let mut refs_in: HashMap<VarId, BTreeSet<VarId>> = HashMap::new();
+        let mut value_refs = VarSet::default();
+        let mut refs_in: VarMap<BTreeSet<VarId>> = VarMap::default();
         for (v, l) in bindings {
-            let mut op = HashSet::new();
-            let mut val = HashSet::new();
+            let mut op = VarSet::default();
+            let mut val = VarSet::default();
             reference_kinds(&l.body, &group, &mut op, &mut val);
             value_refs.extend(val.iter().copied());
             refs_in.insert(*v, op.union(&val).copied().collect());
         }
-        reference_kinds(body, &group, &mut HashSet::new(), &mut value_refs);
+        reference_kinds(body, &group, &mut VarSet::default(), &mut value_refs);
 
         // needs_closure fixpoint: seed with escaping-or-capturing
         // procedures, propagate to everything that references them.
-        let mut needs: HashMap<VarId, bool> = HashMap::new();
-        let mut outer_free: HashMap<VarId, BTreeSet<VarId>> = HashMap::new();
+        let mut needs: VarMap<bool> = VarMap::default();
+        let mut outer_free: VarMap<BTreeSet<VarId>> = VarMap::default();
         for (v, l) in bindings {
             let mut fv = free_vars_lambda(l);
             // Neither group members nor enclosing *direct* procedures
@@ -280,8 +294,8 @@ impl Convert<'_> {
         }
 
         // --- register known bindings -----------------------------------
-        let mut ids: HashMap<VarId, FuncId> = HashMap::new();
-        let mut clo_vars: HashMap<VarId, VarId> = HashMap::new();
+        let mut ids: VarMap<FuncId> = VarMap::default();
+        let mut clo_vars: VarMap<VarId> = VarMap::default();
         for (v, _) in bindings {
             let id = self.fresh_func_id();
             ids.insert(*v, id);
@@ -307,7 +321,7 @@ impl Convert<'_> {
         // Inside the lambdas, references to a brother's closure variable
         // resolve through the normal capture machinery because the
         // closure variables are locals of the *enclosing* function.
-        let mut free_lists: HashMap<VarId, Vec<VarId>> = HashMap::new();
+        let mut free_lists: VarMap<Vec<VarId>> = VarMap::default();
         for (v, l) in bindings {
             let name = l
                 .name
@@ -318,7 +332,7 @@ impl Convert<'_> {
         }
 
         // --- emit closure creation + backpatching ----------------------
-        let clo_var_set: HashSet<VarId> = clo_vars.values().copied().collect();
+        let clo_var_set: VarSet = clo_vars.values().copied().collect();
         let mut patches: Vec<(VarId, u32, VarId)> = Vec::new(); // (clo, slot, brother clo)
         let mut creations: Vec<(LocalId, ir::Expr)> = Vec::new();
         for (v, _) in bindings {
@@ -487,12 +501,14 @@ impl Convert<'_> {
 /// # Panics
 ///
 /// Panics if `e` still contains assignments (run
-/// [`assignconv`](crate::assignconv) first) or free variables.
+/// [`assignconv`](crate::assignconv) first), or, in a debug build, free
+/// variables. (The renamer resolves every name it accepts, so a
+/// release build skips that walk over the whole program.)
 pub fn close_program(e: &Expr<VarId>, interner: &mut Interner, n_globals: u32) -> Program {
-    assert!(free_vars(e).is_empty(), "program expression must be closed");
+    debug_assert!(free_vars(e).is_empty(), "program expression must be closed");
     let mut c = Convert {
         funcs: Vec::new(),
-        known: HashMap::new(),
+        known: VarMap::default(),
         interner,
     };
     let main_id = c.fresh_func_id();
@@ -717,8 +733,8 @@ mod tests {
     fn free_vars_basic() {
         use crate::desugar;
         use crate::rename::Renamer;
-        use lesgs_sexpr::parse_one;
-        let surface = desugar::expr(&parse_one("(lambda (x) (+ x y))").unwrap()).unwrap();
+        use lesgs_sexpr::read;
+        let surface = desugar::expr(&read("(lambda (x) (+ x y))").unwrap()[0]).unwrap();
         let mut r = Renamer::new();
         let y = r.bind("y");
         let renamed = r.rename(&surface).unwrap();
@@ -733,15 +749,15 @@ mod tests {
     fn free_vars_respects_shadowing_on_both_asts() {
         use crate::desugar;
         use crate::rename::Renamer;
-        use lesgs_sexpr::parse_one;
+        use lesgs_sexpr::read;
         let src = "(begin \
                      (let ((y y)) y) \
                      (lambda (x) (begin (lambda (x) x) x (set! u x))) \
                      (letrec ((f (lambda (a) (g a))) (g (lambda (b) (f b k)))) (f x)) \
                      (let ((w 1)) (set! w 2)))";
-        let surface = desugar::expr(&parse_one(src).unwrap()).unwrap();
+        let surface = desugar::expr(&read(src).unwrap()[0]).unwrap();
         let free = ["k", "u", "x", "y"];
-        assert_eq!(free_vars(&surface), BTreeSet::from(free.map(String::from)));
+        assert_eq!(free_vars(&surface), BTreeSet::from(free));
         let mut r = Renamer::new();
         let ids: BTreeSet<VarId> = free.iter().map(|n| r.bind(n)).collect();
         let renamed = r.rename(&surface).unwrap();

@@ -4,6 +4,14 @@
 //! `let*`, `letrec`, `cond`, `and`, `or`, `when`, `unless`, `do`,
 //! `set!`, internal `define`s, and the variadic constructors `list` and
 //! `vector`.
+//!
+//! The desugarer reads data [`read`](lesgs_sexpr::read) lent from the
+//! source text and lends the same names to the tree it builds: a
+//! variable is the `&str` its symbol held, and keywords and generated
+//! names (`cons`, `%or-tmp`, `%do-loop`) are `&'static str`. Two
+//! things are copied: `quote`'s datum, which becomes an owned
+//! [`Const`], and a named lambda's procedure name, which becomes the
+//! name of its compiled function.
 
 use std::fmt;
 
@@ -36,50 +44,69 @@ impl std::error::Error for DesugarError {}
 
 type Result<T> = std::result::Result<T, DesugarError>;
 
-/// A surface expression with source names.
-pub type SurfaceExpr = Expr<String>;
+/// A surface expression whose names are lent from the source text.
+pub type SurfaceExpr<'a> = Expr<&'a str>;
+
+/// A datum as the reader lends it.
+type Form<'a> = Datum<&'a str>;
 
 fn err<T>(msg: impl Into<String>) -> Result<T> {
     Err(DesugarError::new(msg))
 }
 
-fn expect_symbol(d: &Datum, what: &str) -> Result<String> {
-    d.as_symbol()
-        .map(str::to_owned)
-        .ok_or_else(|| DesugarError::new(format!("expected {what}, found `{d}`")))
+fn expect_symbol<'a>(d: &Form<'a>, what: &str) -> Result<&'a str> {
+    match d {
+        Datum::Symbol(s) => Ok(s),
+        _ => err(format!("expected {what}, found `{d}`")),
+    }
 }
 
-fn quote_to_expr(d: &Datum) -> SurfaceExpr {
-    match d {
-        Datum::Fixnum(n) => Expr::Const(Const::Fixnum(*n)),
-        Datum::Bool(b) => Expr::Const(Const::Bool(*b)),
-        Datum::Char(c) => Expr::Const(Const::Char(*c)),
-        Datum::Str(s) => Expr::Const(Const::Str(s.clone())),
-        Datum::Symbol(s) => Expr::Const(Const::Symbol(s.clone())),
-        Datum::List(items) if items.is_empty() => Expr::Const(Const::Nil),
-        other => Expr::Const(Const::Datum(other.clone())),
+/// Desugars each of `forms`, in order.
+fn exprs<'a>(forms: &[Form<'a>]) -> Result<Vec<SurfaceExpr<'a>>> {
+    let mut out = Vec::with_capacity(forms.len());
+    for f in forms {
+        out.push(expr(f)?);
     }
+    Ok(out)
+}
+
+fn params<'a>(forms: &[Form<'a>]) -> Result<Vec<&'a str>> {
+    let mut out = Vec::with_capacity(forms.len());
+    for p in forms {
+        out.push(expect_symbol(p, "parameter name")?);
+    }
+    Ok(out)
+}
+
+/// A quoted datum as a constant, its names copied out of the source
+/// text.
+fn quote_to_expr<'a>(d: &Form<'_>) -> SurfaceExpr<'a> {
+    Expr::Const(match d {
+        Datum::Fixnum(n) => Const::Fixnum(*n),
+        Datum::Bool(b) => Const::Bool(*b),
+        Datum::Char(c) => Const::Char(*c),
+        Datum::Str(s) => Const::Str(s.clone()),
+        Datum::Symbol(s) => Const::Symbol((*s).to_owned()),
+        Datum::List(items) if items.is_empty() => Const::Nil,
+        other => Const::Datum(other.to_owned_datum()),
+    })
 }
 
 /// Splits a `define` form into `(name, expression)`, expanding the
 /// `(define (f args...) body...)` procedure shorthand.
-pub fn split_define(form: &[Datum]) -> Result<(String, SurfaceExpr)> {
+pub fn split_define<'a>(form: &[Form<'a>]) -> Result<(&'a str, SurfaceExpr<'a>)> {
     match form {
-        [_, Datum::Symbol(name), rhs] => Ok((name.clone(), expr(rhs)?)),
-        [_, Datum::Symbol(name)] => Ok((name.clone(), Expr::Const(Const::Void))),
+        [_, Datum::Symbol(name), rhs] => Ok((name, expr(rhs)?)),
+        [_, Datum::Symbol(name)] => Ok((name, Expr::Const(Const::Void))),
         [_, Datum::List(header), rest @ ..] if !rest.is_empty() => {
-            let [name_d, params @ ..] = header.as_slice() else {
+            let [name_d, ps @ ..] = header.as_slice() else {
                 return err("malformed define header");
             };
             let name = expect_symbol(name_d, "procedure name")?;
-            let params = params
-                .iter()
-                .map(|p| expect_symbol(p, "parameter name"))
-                .collect::<Result<Vec<_>>>()?;
             let lam = Lambda {
-                params,
+                params: params(ps)?,
                 body: Box::new(body(rest)?),
-                name: Some(name.clone()),
+                name: Some(name.to_owned()),
             };
             Ok((name, Expr::Lambda(lam)))
         }
@@ -90,16 +117,16 @@ pub fn split_define(form: &[Datum]) -> Result<(String, SurfaceExpr)> {
 
 /// Expands the body of a `lambda`, `let`, …: leading internal
 /// `define`s become a `letrec` (they must all define procedures).
-pub fn body(forms: &[Datum]) -> Result<SurfaceExpr> {
+pub fn body<'a>(forms: &[Form<'a>]) -> Result<SurfaceExpr<'a>> {
     if forms.is_empty() {
         return err("empty body");
     }
     let n_defs = forms.iter().take_while(|f| f.is_form("define")).count();
-    let (defs, exprs) = forms.split_at(n_defs);
-    if exprs.iter().any(|f| f.is_form("define")) {
+    let (defs, tail) = forms.split_at(n_defs);
+    if tail.iter().any(|f| f.is_form("define")) {
         return err("internal defines must precede body expressions");
     }
-    let rest = Expr::seq(exprs.iter().map(expr).collect::<Result<Vec<_>>>()?);
+    let rest = Expr::seq(exprs(tail)?);
     if defs.is_empty() {
         return Ok(rest);
     }
@@ -116,35 +143,33 @@ pub fn body(forms: &[Datum]) -> Result<SurfaceExpr> {
             }
         }
     }
-    let names: Vec<String> = bindings.iter().map(|(n, _)| n.clone()).collect();
+    let names: Vec<&str> = bindings.iter().map(|(n, _)| *n).collect();
     if forms.iter().any(|d| datum_assigns_any(d, &names)) {
         return err("set! of an internally defined procedure is not supported");
     }
     Ok(Expr::Letrec(bindings, Box::new(rest)))
 }
 
-fn binding_pairs(d: &Datum) -> Result<Vec<(String, SurfaceExpr)>> {
+fn binding_pairs<'a>(d: &Form<'a>) -> Result<Vec<(&'a str, SurfaceExpr<'a>)>> {
     let items = d
         .as_slice()
         .ok_or_else(|| DesugarError::new(format!("expected bindings, found `{d}`")))?;
-    items
-        .iter()
-        .map(|b| match b.as_slice() {
-            Some([name, init]) => Ok((expect_symbol(name, "binding name")?, expr(init)?)),
-            _ => err(format!("malformed binding `{b}`")),
-        })
-        .collect()
+    let mut out = Vec::with_capacity(items.len());
+    for b in items {
+        match b.as_slice() {
+            Some([name, init]) => out.push((expect_symbol(name, "binding name")?, expr(init)?)),
+            _ => return err(format!("malformed binding `{b}`")),
+        }
+    }
+    Ok(out)
 }
 
-fn lambda_form(rest: &[Datum]) -> Result<SurfaceExpr> {
+fn lambda_form<'a>(rest: &[Form<'a>]) -> Result<SurfaceExpr<'a>> {
     let [params_d, body_forms @ ..] = rest else {
         return err("malformed lambda");
     };
     let params = match params_d {
-        Datum::List(ps) => ps
-            .iter()
-            .map(|p| expect_symbol(p, "parameter name"))
-            .collect::<Result<Vec<_>>>()?,
+        Datum::List(ps) => params(ps)?,
         Datum::Symbol(_) | Datum::Improper(..) => {
             return err("rest (variadic) parameters are not supported")
         }
@@ -157,7 +182,7 @@ fn lambda_form(rest: &[Datum]) -> Result<SurfaceExpr> {
     }))
 }
 
-fn let_form(rest: &[Datum]) -> Result<SurfaceExpr> {
+fn let_form<'a>(rest: &[Form<'a>]) -> Result<SurfaceExpr<'a>> {
     match rest {
         // Named let: (let loop ((v init) ...) body ...)
         [Datum::Symbol(name), bindings_d, body_forms @ ..] => {
@@ -166,11 +191,11 @@ fn let_form(rest: &[Datum]) -> Result<SurfaceExpr> {
             let lam = Lambda {
                 params,
                 body: Box::new(body(body_forms)?),
-                name: Some(name.clone()),
+                name: Some((*name).to_owned()),
             };
             Ok(Expr::Letrec(
-                vec![(name.clone(), lam)],
-                Box::new(Expr::App(Box::new(Expr::Var(name.clone())), inits)),
+                vec![(*name, lam)],
+                Box::new(Expr::App(Box::new(Expr::Var(*name)), inits)),
             ))
         }
         [bindings_d, body_forms @ ..] if !body_forms.is_empty() => {
@@ -181,7 +206,7 @@ fn let_form(rest: &[Datum]) -> Result<SurfaceExpr> {
     }
 }
 
-fn let_star_form(rest: &[Datum]) -> Result<SurfaceExpr> {
+fn let_star_form<'a>(rest: &[Form<'a>]) -> Result<SurfaceExpr<'a>> {
     let [bindings_d, body_forms @ ..] = rest else {
         return err("malformed let*");
     };
@@ -196,7 +221,7 @@ fn let_star_form(rest: &[Datum]) -> Result<SurfaceExpr> {
 /// Conservative datum-level scan: does `d` contain `(set! name ...)`
 /// for any of `names`? Shadowing is ignored, so this may over-report,
 /// which only costs the direct-call optimization, never correctness.
-fn datum_assigns_any(d: &Datum, names: &[String]) -> bool {
+fn datum_assigns_any(d: &Form<'_>, names: &[&str]) -> bool {
     match d {
         Datum::List(items) => {
             if let [head, Datum::Symbol(target), ..] = items.as_slice() {
@@ -210,13 +235,13 @@ fn datum_assigns_any(d: &Datum, names: &[String]) -> bool {
     }
 }
 
-fn letrec_form(rest: &[Datum]) -> Result<SurfaceExpr> {
+fn letrec_form<'a>(rest: &[Form<'a>]) -> Result<SurfaceExpr<'a>> {
     let [bindings_d, body_forms @ ..] = rest else {
         return err("malformed letrec");
     };
     let bindings = binding_pairs(bindings_d)?;
     let inner = body(body_forms)?;
-    let names: Vec<String> = bindings.iter().map(|(n, _)| n.clone()).collect();
+    let names: Vec<&str> = bindings.iter().map(|(n, _)| *n).collect();
     let assigned = rest.iter().any(|d| datum_assigns_any(d, &names));
     let all_lambdas = !assigned && bindings.iter().all(|(_, e)| matches!(e, Expr::Lambda(_)));
     if all_lambdas {
@@ -224,7 +249,7 @@ fn letrec_form(rest: &[Datum]) -> Result<SurfaceExpr> {
             .into_iter()
             .map(|(name, e)| match e {
                 Expr::Lambda(mut l) => {
-                    l.name.get_or_insert_with(|| name.clone());
+                    l.name.get_or_insert_with(|| name.to_owned());
                     (name, l)
                 }
                 _ => unreachable!("checked all_lambdas"),
@@ -234,7 +259,6 @@ fn letrec_form(rest: &[Datum]) -> Result<SurfaceExpr> {
     } else {
         // General letrec: bind all names to #f, then assign in order.
         // Assignment conversion will box the names.
-        let names: Vec<String> = bindings.iter().map(|(n, _)| n.clone()).collect();
         let mut seq: Vec<SurfaceExpr> = bindings
             .into_iter()
             .map(|(n, e)| Expr::Set(n, Box::new(e)))
@@ -250,7 +274,7 @@ fn letrec_form(rest: &[Datum]) -> Result<SurfaceExpr> {
     }
 }
 
-fn cond_form(rest: &[Datum]) -> Result<SurfaceExpr> {
+fn cond_form<'a>(rest: &[Form<'a>]) -> Result<SurfaceExpr<'a>> {
     let mut result = Expr::Const(Const::Void);
     for clause in rest.iter().rev() {
         let Some(items) = clause.as_slice() else {
@@ -258,11 +282,11 @@ fn cond_form(rest: &[Datum]) -> Result<SurfaceExpr> {
         };
         match items {
             [] => return err("empty cond clause"),
-            [Datum::Symbol(s), actions @ ..] if s == "else" => {
+            [Datum::Symbol("else"), actions @ ..] => {
                 if actions.is_empty() {
                     return err("empty else clause");
                 }
-                result = Expr::seq(actions.iter().map(expr).collect::<Result<Vec<_>>>()?);
+                result = Expr::seq(exprs(actions)?);
             }
             [test] => {
                 // (cond (e) rest...) => (or e rest...)
@@ -271,9 +295,7 @@ fn cond_form(rest: &[Datum]) -> Result<SurfaceExpr> {
             [test, actions @ ..] => {
                 result = Expr::If(
                     Box::new(expr(test)?),
-                    Box::new(Expr::seq(
-                        actions.iter().map(expr).collect::<Result<Vec<_>>>()?,
-                    )),
+                    Box::new(Expr::seq(exprs(actions)?)),
                     Box::new(result),
                 );
             }
@@ -284,22 +306,22 @@ fn cond_form(rest: &[Datum]) -> Result<SurfaceExpr> {
 
 /// `(or a b)` modeled as `(let ((t a)) (if t t b))` per §2.1.2 of the
 /// paper (short-circuit booleans are `if` expressions).
-fn or2(a: SurfaceExpr, b: SurfaceExpr) -> SurfaceExpr {
+fn or2<'a>(a: SurfaceExpr<'a>, b: SurfaceExpr<'a>) -> SurfaceExpr<'a> {
     // Fresh-ish temporary; the renamer handles shadowing correctly, and
     // `%or` cannot be captured because it is not a legal source symbol
     // from user code perspective (we still rename it hygienically).
-    let tmp = "%or-tmp".to_owned();
+    let tmp = "%or-tmp";
     Expr::Let(
-        vec![(tmp.clone(), a)],
+        vec![(tmp, a)],
         Box::new(Expr::If(
-            Box::new(Expr::Var(tmp.clone())),
+            Box::new(Expr::Var(tmp)),
             Box::new(Expr::Var(tmp)),
             Box::new(b),
         )),
     )
 }
 
-fn and_form(rest: &[Datum]) -> Result<SurfaceExpr> {
+fn and_form<'a>(rest: &[Form<'a>]) -> Result<SurfaceExpr<'a>> {
     match rest {
         [] => Ok(Expr::Const(Const::Bool(true))),
         [single] => expr(single),
@@ -311,7 +333,7 @@ fn and_form(rest: &[Datum]) -> Result<SurfaceExpr> {
     }
 }
 
-fn or_form(rest: &[Datum]) -> Result<SurfaceExpr> {
+fn or_form<'a>(rest: &[Form<'a>]) -> Result<SurfaceExpr<'a>> {
     match rest {
         [] => Ok(Expr::Const(Const::Bool(false))),
         [single] => expr(single),
@@ -319,7 +341,7 @@ fn or_form(rest: &[Datum]) -> Result<SurfaceExpr> {
     }
 }
 
-fn do_form(rest: &[Datum]) -> Result<SurfaceExpr> {
+fn do_form<'a>(rest: &[Form<'a>]) -> Result<SurfaceExpr<'a>> {
     let [specs_d, exit_d, commands @ ..] = rest else {
         return err("malformed do");
     };
@@ -334,7 +356,7 @@ fn do_form(rest: &[Datum]) -> Result<SurfaceExpr> {
             Some([name, init]) => {
                 let name = expect_symbol(name, "do variable")?;
                 inits.push(expr(init)?);
-                steps.push(Expr::Var(name.clone()));
+                steps.push(Expr::Var(name));
                 params.push(name);
             }
             Some([name, init, step]) => {
@@ -351,11 +373,11 @@ fn do_form(rest: &[Datum]) -> Result<SurfaceExpr> {
     let result = if results.is_empty() {
         Expr::Const(Const::Void)
     } else {
-        Expr::seq(results.iter().map(expr).collect::<Result<Vec<_>>>()?)
+        Expr::seq(exprs(results)?)
     };
-    let loop_name = "%do-loop".to_owned();
-    let mut loop_body: Vec<SurfaceExpr> = commands.iter().map(expr).collect::<Result<Vec<_>>>()?;
-    loop_body.push(Expr::App(Box::new(Expr::Var(loop_name.clone())), steps));
+    let loop_name = "%do-loop";
+    let mut loop_body = exprs(commands)?;
+    loop_body.push(Expr::App(Box::new(Expr::Var(loop_name)), steps));
     let lam = Lambda {
         params,
         body: Box::new(Expr::If(
@@ -363,47 +385,44 @@ fn do_form(rest: &[Datum]) -> Result<SurfaceExpr> {
             Box::new(result),
             Box::new(Expr::seq(loop_body)),
         )),
-        name: Some(loop_name.clone()),
+        name: Some(loop_name.to_owned()),
     };
     Ok(Expr::Letrec(
-        vec![(loop_name.clone(), lam)],
+        vec![(loop_name, lam)],
         Box::new(Expr::App(Box::new(Expr::Var(loop_name)), inits)),
     ))
 }
 
-fn list_form(rest: &[Datum]) -> Result<SurfaceExpr> {
+fn list_form<'a>(rest: &[Form<'a>]) -> Result<SurfaceExpr<'a>> {
     let mut result = Expr::Const(Const::Nil);
     for item in rest.iter().rev() {
-        result = Expr::App(
-            Box::new(Expr::Var("cons".to_owned())),
-            vec![expr(item)?, result],
-        );
+        result = Expr::App(Box::new(Expr::Var("cons")), vec![expr(item)?, result]);
     }
     Ok(result)
 }
 
-fn vector_form(rest: &[Datum]) -> Result<SurfaceExpr> {
+fn vector_form<'a>(rest: &[Form<'a>]) -> Result<SurfaceExpr<'a>> {
     // (vector e1 ... en) =>
     // (let ((%v (make-vector n))) (vector-set! %v 0 e1) ... %v)
-    let tmp = "%vec-tmp".to_owned();
+    let tmp = "%vec-tmp";
     let n = rest.len() as i64;
     let mut seq = Vec::with_capacity(rest.len() + 1);
     for (i, item) in rest.iter().enumerate() {
         seq.push(Expr::App(
-            Box::new(Expr::Var("vector-set!".to_owned())),
+            Box::new(Expr::Var("vector-set!")),
             vec![
-                Expr::Var(tmp.clone()),
+                Expr::Var(tmp),
                 Expr::Const(Const::Fixnum(i as i64)),
                 expr(item)?,
             ],
         ));
     }
-    seq.push(Expr::Var(tmp.clone()));
+    seq.push(Expr::Var(tmp));
     Ok(Expr::Let(
         vec![(
             tmp,
             Expr::App(
-                Box::new(Expr::Var("make-vector".to_owned())),
+                Box::new(Expr::Var("make-vector")),
                 vec![Expr::Const(Const::Fixnum(n))],
             ),
         )],
@@ -423,18 +442,18 @@ fn vector_form(rest: &[Datum]) -> Result<SurfaceExpr> {
 ///
 /// ```
 /// use lesgs_frontend::desugar::expr;
-/// use lesgs_sexpr::parse_one;
+/// use lesgs_sexpr::read;
 ///
-/// let e = expr(&parse_one("(when a b)").unwrap()).unwrap();
+/// let e = expr(&read("(when a b)").unwrap()[0]).unwrap();
 /// assert_eq!(e.to_string(), "(if a b #<void>)");
 /// ```
-pub fn expr(d: &Datum) -> Result<SurfaceExpr> {
+pub fn expr<'a>(d: &Form<'a>) -> Result<SurfaceExpr<'a>> {
     match d {
         Datum::Fixnum(n) => Ok(Expr::Const(Const::Fixnum(*n))),
         Datum::Bool(b) => Ok(Expr::Const(Const::Bool(*b))),
         Datum::Char(c) => Ok(Expr::Const(Const::Char(*c))),
         Datum::Str(s) => Ok(Expr::Const(Const::Str(s.clone()))),
-        Datum::Symbol(s) => Ok(Expr::Var(s.clone())),
+        Datum::Symbol(s) => Ok(Expr::Var(s)),
         Datum::Vector(_) => Ok(quote_to_expr(d)),
         Datum::Improper(..) => err(format!("unexpected dotted list `{d}`")),
         Datum::List(items) => {
@@ -468,9 +487,7 @@ pub fn expr(d: &Datum) -> Result<SurfaceExpr> {
                         return if rest.is_empty() {
                             Ok(Expr::Const(Const::Void))
                         } else {
-                            Ok(Expr::seq(
-                                rest.iter().map(expr).collect::<Result<Vec<_>>>()?,
-                            ))
+                            Ok(Expr::seq(exprs(rest)?))
                         };
                     }
                     "set!" => {
@@ -496,9 +513,7 @@ pub fn expr(d: &Datum) -> Result<SurfaceExpr> {
                         }
                         return Ok(Expr::If(
                             Box::new(expr(test)?),
-                            Box::new(Expr::seq(
-                                actions.iter().map(expr).collect::<Result<Vec<_>>>()?,
-                            )),
+                            Box::new(Expr::seq(exprs(actions)?)),
                             Box::new(Expr::Const(Const::Void)),
                         ));
                     }
@@ -512,9 +527,7 @@ pub fn expr(d: &Datum) -> Result<SurfaceExpr> {
                         return Ok(Expr::If(
                             Box::new(expr(test)?),
                             Box::new(Expr::Const(Const::Void)),
-                            Box::new(Expr::seq(
-                                actions.iter().map(expr).collect::<Result<Vec<_>>>()?,
-                            )),
+                            Box::new(Expr::seq(exprs(actions)?)),
                         ));
                     }
                     "do" => return do_form(rest),
@@ -535,8 +548,7 @@ pub fn expr(d: &Datum) -> Result<SurfaceExpr> {
             }
             // Ordinary application.
             let head = expr(head)?;
-            let args = rest.iter().map(expr).collect::<Result<Vec<_>>>()?;
-            Ok(Expr::App(Box::new(head), args))
+            Ok(Expr::App(Box::new(head), exprs(rest)?))
         }
     }
 }
@@ -544,14 +556,14 @@ pub fn expr(d: &Datum) -> Result<SurfaceExpr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lesgs_sexpr::parse_one;
+    use lesgs_sexpr::read;
 
     fn de(src: &str) -> String {
-        expr(&parse_one(src).unwrap()).unwrap().to_string()
+        expr(&read(src).unwrap()[0]).unwrap().to_string()
     }
 
     fn de_err(src: &str) -> DesugarError {
-        expr(&parse_one(src).unwrap()).unwrap_err()
+        expr(&read(src).unwrap()[0]).unwrap_err()
     }
 
     #[test]
@@ -655,12 +667,12 @@ mod tests {
 
     #[test]
     fn define_split() {
-        let d = parse_one("(define (f a b) (+ a b))").unwrap();
-        let (name, e) = split_define(d.as_slice().unwrap()).unwrap();
+        let d = read("(define (f a b) (+ a b))").unwrap();
+        let (name, e) = split_define(d[0].as_slice().unwrap()).unwrap();
         assert_eq!(name, "f");
         assert!(matches!(e, Expr::Lambda(_)));
-        let d = parse_one("(define x 42)").unwrap();
-        let (name, e) = split_define(d.as_slice().unwrap()).unwrap();
+        let d = read("(define x 42)").unwrap();
+        let (name, e) = split_define(d[0].as_slice().unwrap()).unwrap();
         assert_eq!(name, "x");
         assert_eq!(e, Expr::Const(Const::Fixnum(42)));
     }

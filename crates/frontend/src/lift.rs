@@ -22,11 +22,11 @@
 //! save/restore traffic. The classic beneficiary is a named-`let` loop
 //! reading its enclosing procedure's parameters.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use crate::ast::{Expr, Lambda};
 use crate::closure::{free_vars_lambda, reference_kinds};
-use crate::names::{Interner, VarId};
+use crate::names::{Interner, VarId, VarMap, VarSet};
 
 /// Options for the lifting pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +54,7 @@ pub struct LiftStats {
 }
 
 /// Appends `extra` variables as arguments at every call of `names`.
-fn append_args(e: &mut Expr<VarId>, names: &HashSet<VarId>, extra: &[VarId]) {
+fn append_args(e: &mut Expr<VarId>, names: &VarSet, extra: &[VarId]) {
     if let Expr::App(f, args) = e {
         if matches!(f.as_ref(), Expr::Var(v) if names.contains(v)) {
             args.extend(extra.iter().map(|x| Expr::Var(*x)));
@@ -64,7 +64,7 @@ fn append_args(e: &mut Expr<VarId>, names: &HashSet<VarId>, extra: &[VarId]) {
 }
 
 /// Substitutes variable references according to `map`.
-fn substitute(e: &mut Expr<VarId>, map: &HashMap<VarId, VarId>) {
+fn substitute(e: &mut Expr<VarId>, map: &VarMap<VarId>) {
     if let Expr::Var(v) | Expr::Set(v, _) = e {
         if let Some(n) = map.get(v) {
             *v = *n;
@@ -79,17 +79,17 @@ struct Lifter<'a> {
     stats: LiftStats,
     /// Names of letrec-bound procedures currently in scope: these must
     /// never be lifted into argument position.
-    proc_names: HashSet<VarId>,
+    proc_names: VarSet,
 }
 
 impl Lifter<'_> {
     fn lift_letrec(&mut self, bindings: &mut [(VarId, Lambda<VarId>)], body: &mut Expr<VarId>) {
         self.stats.groups += 1;
-        let group: HashSet<VarId> = bindings.iter().map(|(v, _)| *v).collect();
+        let group: VarSet = bindings.iter().map(|(v, _)| *v).collect();
 
         // Escape analysis over the (already recursively lifted) bodies.
-        let mut operator = HashSet::new();
-        let mut value = HashSet::new();
+        let mut operator = VarSet::default();
+        let mut value = VarSet::default();
         for (_, l) in bindings.iter() {
             reference_kinds(&l.body, &group, &mut operator, &mut value);
         }
@@ -110,14 +110,14 @@ impl Lifter<'_> {
         for v in &group {
             free.remove(v);
         }
-        let proc_refs: HashSet<VarId> = free
+        let proc_refs: VarSet = free
             .iter()
             .filter(|v| self.proc_names.contains(v))
             .copied()
             .collect();
         if !proc_refs.is_empty() {
-            let mut op = HashSet::new();
-            let mut val = HashSet::new();
+            let mut op = VarSet::default();
+            let mut val = VarSet::default();
             for (_, l) in bindings.iter() {
                 reference_kinds(&l.body, &proc_refs, &mut op, &mut val);
             }
@@ -150,7 +150,7 @@ impl Lifter<'_> {
         // Give each lambda its own fresh parameters for the lifted
         // variables and substitute.
         for (_, l) in bindings.iter_mut() {
-            let mut map = HashMap::new();
+            let mut map = VarMap::default();
             for v in &extra {
                 let fresh = self.interner.fresh(format!("{}^", self.interner.name(*v)));
                 map.insert(*v, fresh);
@@ -202,7 +202,7 @@ pub fn lift(e: &mut Expr<VarId>, interner: &mut Interner, options: LiftOptions) 
         interner,
         options,
         stats: LiftStats::default(),
-        proc_names: HashSet::new(),
+        proc_names: VarSet::default(),
     };
     l.walk(e);
     l.stats

@@ -1,6 +1,9 @@
-//! Unique variable identifiers and the name interner.
+//! Unique variable identifiers, the name interner, and the hasher
+//! for tables keyed by identifier.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A unique identifier for a bound variable, assigned during alpha
 /// renaming.
@@ -75,6 +78,58 @@ impl Interner {
     }
 }
 
+/// A multiply-rotate hasher (the `FxHash` of rustc) for tables keyed
+/// by [`VarId`]: one multiply per key instead of SipHash's rounds.
+/// Identifiers are dense numbers the compiler hands out, not input
+/// text, so the table needs no protection from chosen keys; tables
+/// keyed by source names keep std's seeded hasher.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// Builds [`FxHasher`]s.
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+/// A map keyed by [`VarId`].
+pub type VarMap<T> = HashMap<VarId, T, FxBuildHasher>;
+
+/// A set of [`VarId`]s.
+pub type VarSet = HashSet<VarId, FxBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,6 +145,17 @@ mod tests {
         assert_eq!(i.name(a), "a");
         assert_eq!(i.name(b), "a");
         assert_eq!(i.name(c), "c");
+    }
+
+    #[test]
+    fn var_tables_hash_dense_ids_apart() {
+        use std::hash::BuildHasher;
+        let hashes: HashSet<u64> = (0..1000)
+            .map(|i| FxBuildHasher::default().hash_one(VarId(i)))
+            .collect();
+        assert_eq!(hashes.len(), 1000);
+        let set: VarSet = (0..100).map(VarId).collect();
+        assert!(set.contains(&VarId(99)) && !set.contains(&VarId(100)));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! and walk no tree just to count it.
 
 use lesgs_metrics::Registry;
+use lesgs_sexpr::read;
 
 use crate::assignconv;
 use crate::ast::Expr;
@@ -36,6 +37,27 @@ use crate::FrontError;
 pub fn front_to_core(src: &str) -> Result<(Expr<VarId>, Interner), FrontError> {
     let (e, i, _) = front_to_core_full(src)?;
     Ok((e, i))
+}
+
+/// Runs the frontend through renaming only: the core expression still
+/// holds first-class `set!` (no assignment conversion), with its
+/// interner and the number of global locations. The reference
+/// interpreter evaluates this tree.
+///
+/// # Errors
+///
+/// Returns [`FrontError`] on parse, desugar, or scoping failures.
+///
+/// # Examples
+///
+/// ```
+/// use lesgs_frontend::pipeline::front_to_renamed;
+/// let (expr, _names, n_globals) = front_to_renamed("(define a 1) (set! a 2) a").unwrap();
+/// assert_eq!(expr.to_string(), "(begin (global-set! 0 1) (global-set! 0 2) (global 0))");
+/// assert_eq!(n_globals, 1);
+/// ```
+pub fn front_to_renamed(src: &str) -> Result<(Expr<VarId>, Interner, u32), FrontError> {
+    renamed_observed(src, &mut Registry::discard())
 }
 
 /// Like [`front_to_core`], also returning the number of global
@@ -71,9 +93,10 @@ pub fn front_to_closed(src: &str) -> Result<Program, FrontError> {
 
 /// The instrumented frontend pipeline.
 ///
-/// Each pass runs under a span recorded in `reg` (`pass.parse`,
-/// `pass.rename`, `pass.assignconv`, `pass.lift` when lifting,
-/// `pass.closure` — each as a `<name>.wall_ns` histogram), together
+/// Each pass runs under a span recorded in `reg` (`pass.read`,
+/// `pass.parse` for desugaring and prelude pruning, `pass.rename`,
+/// `pass.assignconv`, `pass.lift` when lifting, `pass.closure` — each
+/// as a `<name>.wall_ns` histogram), together
 /// with the size counters `frontend.ast_nodes_in` (core AST after
 /// renaming), `frontend.ast_nodes_out` (after assignment conversion
 /// and lifting), and `frontend.funcs` (closure-converted functions).
@@ -94,24 +117,37 @@ pub fn front_to_closed_observed(
     Ok(closed)
 }
 
+/// Reads, desugars and renames `src`. A variable's name stays lent
+/// from `src` until the renamer copies each binding's into the
+/// interner.
+fn renamed_observed(
+    src: &str,
+    reg: &mut Registry,
+) -> Result<(Expr<VarId>, Interner, u32), FrontError> {
+    let forms = reg
+        .time("pass.read", || read(src))
+        .map_err(|e| FrontError::Parse(e.to_string()))?;
+    let program = reg.time("pass.parse", || SurfaceProgram::from_forms(&forms))?;
+    let (assembled, globals) = program.assemble();
+    let mut renamer = Renamer::new();
+    renamer.set_globals(&globals);
+    let renamed = reg.time("pass.rename", || renamer.rename(&assembled))?;
+    Ok((renamed, renamer.interner, globals.len() as u32))
+}
+
 fn front_to_core_observed(
     src: &str,
     lift: Option<LiftOptions>,
     reg: &mut Registry,
 ) -> Result<(Expr<VarId>, Interner, u32), FrontError> {
-    let program = reg.time("pass.parse", || SurfaceProgram::from_source(src))?;
-    let (assembled, globals) = program.assemble();
-    let mut renamer = Renamer::new();
-    renamer.set_globals(&globals);
-    let mut converted = reg.time("pass.rename", || renamer.rename(&assembled))?;
+    let (mut converted, mut interner, n_globals) = renamed_observed(src, reg)?;
     if reg.is_recording() {
         reg.inc("frontend.ast_nodes_in", converted.size() as u64);
     }
     reg.time("pass.assignconv", || {
-        assignconv::convert(&mut converted, &mut renamer.interner)
+        assignconv::convert(&mut converted, &mut interner)
     });
     debug_assert!(assignconv::is_assignment_free(&converted));
-    let mut interner = renamer.interner;
     if let Some(options) = lift {
         reg.time("pass.lift", || {
             crate::lift::lift(&mut converted, &mut interner, options)
@@ -120,7 +156,7 @@ fn front_to_core_observed(
     if reg.is_recording() {
         reg.inc("frontend.ast_nodes_out", converted.size() as u64);
     }
-    Ok((converted, interner, globals.len() as u32))
+    Ok((converted, interner, n_globals))
 }
 
 #[cfg(test)]
@@ -165,6 +201,7 @@ mod tests {
         let p = front_to_closed_observed("(define (f x) (+ x 1)) (f 41)", None, &mut reg).unwrap();
         assert!(p.funcs.iter().any(|f| f.name == "f"));
         for pass in [
+            "pass.read",
             "pass.parse",
             "pass.rename",
             "pass.assignconv",

@@ -19,14 +19,17 @@
 //! are pruned by a reachability pass so they do not distort static
 //! statistics. The prelude is read, desugared and indexed once per
 //! process, so a compile's frontend work scales with the user's source.
+//!
+//! A [`SurfaceProgram`] lends its names from the text its forms were
+//! read from; prelude names are lent from [`PRELUDE`] itself.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
-use lesgs_sexpr::{parse, Datum};
+use lesgs_sexpr::{read, Datum};
 
 use crate::ast::{Const, Expr, Lambda};
-use crate::closure::free_vars;
+use crate::closure::for_each_free;
 use crate::desugar::{self, SurfaceExpr};
 use crate::FrontError;
 
@@ -122,23 +125,24 @@ pub const PRELUDE: &str = r#"
           (begin (vector-set! v i (car l)) (loop (cdr l) (+ i 1)))))))
 "#;
 
-/// A parsed top-level program before renaming.
+/// A parsed top-level program before renaming, its names lent from
+/// the source text (`'a`) or from [`PRELUDE`].
 #[derive(Debug, Clone)]
-pub struct SurfaceProgram {
+pub struct SurfaceProgram<'a> {
     /// Top-level `define`s in source order.
-    pub defines: Vec<(String, SurfaceExpr)>,
+    pub defines: Vec<(&'a str, SurfaceExpr<'a>)>,
     /// Remaining top-level expressions in source order.
-    pub mains: Vec<SurfaceExpr>,
+    pub mains: Vec<SurfaceExpr<'a>>,
     /// Names that appear as `set!` targets anywhere in the user source;
     /// defines of these names cannot live in the `letrec`.
-    pub set_targets: HashSet<String>,
+    pub set_targets: HashSet<&'a str>,
 }
 
-fn collect_set_targets(d: &Datum, out: &mut HashSet<String>) {
+fn collect_set_targets<'a>(d: &Datum<&'a str>, out: &mut HashSet<&'a str>) {
     if let Datum::List(items) = d {
         if let [head, Datum::Symbol(target), ..] = items.as_slice() {
             if head.as_symbol() == Some("set!") {
-                out.insert(target.clone());
+                out.insert(target);
             }
         }
         for item in items {
@@ -149,9 +153,10 @@ fn collect_set_targets(d: &Datum, out: &mut HashSet<String>) {
 
 /// One desugared prelude define.
 struct PreludeDefine {
-    name: String,
-    rhs: SurfaceExpr,
-    /// Indices of the prelude defines `rhs` names freely.
+    name: &'static str,
+    rhs: SurfaceExpr<'static>,
+    /// Indices of the prelude defines `rhs` names freely, once per
+    /// reference.
     deps: Vec<usize>,
 }
 
@@ -160,7 +165,7 @@ struct Prelude {
     /// Defines in prelude order.
     defines: Vec<PreludeDefine>,
     /// Name → index into `defines`.
-    index: HashMap<String, usize>,
+    index: HashMap<&'static str, usize>,
 }
 
 /// The process-wide prelude, built by the first compile. A `OnceLock`
@@ -171,17 +176,17 @@ fn prelude() -> &'static Prelude {
     PRELUDE_DEFINES.get_or_init(|| {
         let mut defines = Vec::new();
         let mut index = HashMap::new();
-        for form in parse(PRELUDE).expect("prelude parses") {
+        for form in read(PRELUDE).expect("prelude reads") {
             let items = form.as_slice().expect("prelude form is a list");
             let (name, rhs) = desugar::split_define(items).expect("prelude desugars");
-            index.insert(name.clone(), defines.len());
+            index.insert(name, defines.len());
             defines.push((name, rhs));
         }
         let defines = defines
             .into_iter()
             .map(|(name, rhs)| {
-                let free = free_vars(&rhs);
-                let deps = free.iter().filter_map(|n| index.get(n).copied()).collect();
+                let mut deps = Vec::new();
+                for_each_free(&rhs, &mut |n| deps.extend(index.get(n)));
                 PreludeDefine { name, rhs, deps }
             })
             .collect();
@@ -189,24 +194,23 @@ fn prelude() -> &'static Prelude {
     })
 }
 
-impl SurfaceProgram {
-    /// Parses and desugars a program from source text. The standard
-    /// prelude is appended; user definitions shadow prelude ones.
+impl<'a> SurfaceProgram<'a> {
+    /// Desugars a program from the forms [`read`] lent from its source
+    /// text, appending the prelude defines it reaches; user definitions
+    /// shadow prelude ones.
     ///
     /// # Errors
     ///
-    /// Returns [`FrontError`] on reader or desugaring failures.
-    pub fn from_source(src: &str) -> Result<SurfaceProgram, FrontError> {
-        let user_forms = parse(src).map_err(|e| FrontError::Parse(e.to_string()))?;
-
+    /// Returns [`FrontError`] on desugaring failures.
+    pub fn from_forms(user_forms: &[Datum<&'a str>]) -> Result<SurfaceProgram<'a>, FrontError> {
         let mut set_targets = HashSet::new();
-        for d in &user_forms {
+        for d in user_forms {
             collect_set_targets(d, &mut set_targets);
         }
 
-        let mut defines: Vec<(String, SurfaceExpr)> = Vec::new();
+        let mut defines: Vec<(&'a str, SurfaceExpr<'a>)> = Vec::new();
         let mut mains = Vec::new();
-        for form in &user_forms {
+        for form in user_forms {
             if form.is_form("define") {
                 let items = form.as_slice().expect("define is a list");
                 defines.push(desugar::split_define(items)?);
@@ -222,17 +226,14 @@ impl SurfaceProgram {
         // done[i]: prelude define i is shadowed or already reached.
         let mut done = vec![false; prelude.defines.len()];
         for (name, _) in &defines {
-            if let Some(&i) = prelude.index.get(name) {
+            if let Some(&i) = prelude.index.get(*name) {
                 done[i] = true;
             }
         }
-        let mut stack: Vec<usize> = defines
-            .iter()
-            .map(|(_, rhs)| rhs)
-            .chain(&mains)
-            .flat_map(free_vars)
-            .filter_map(|n| prelude.index.get(&n).copied())
-            .collect();
+        let mut stack: Vec<usize> = Vec::new();
+        for e in defines.iter().map(|(_, rhs)| rhs).chain(&mains) {
+            for_each_free(e, &mut |n| stack.extend(prelude.index.get(*n)));
+        }
         let mut wanted = Vec::new();
         while let Some(i) = stack.pop() {
             if !done[i] {
@@ -244,11 +245,11 @@ impl SurfaceProgram {
         wanted.sort_unstable();
 
         // Keep prelude order for determinism, prepending before user code.
-        let mut all_defines: Vec<(String, SurfaceExpr)> = wanted
+        let mut all_defines: Vec<(&'a str, SurfaceExpr<'a>)> = wanted
             .into_iter()
             .map(|i| {
                 let d = &prelude.defines[i];
-                (d.name.clone(), d.rhs.clone())
+                (d.name, d.rhs.clone())
             })
             .collect();
         all_defines.extend(defines);
@@ -268,20 +269,20 @@ impl SurfaceProgram {
     /// global names (top-level value defines and `set!` targets), in
     /// slot order. Globals live in dedicated locations rather than in
     /// boxed cells captured by closures, mirroring Chez's global cells.
-    pub fn assemble(self) -> (SurfaceExpr, Vec<String>) {
-        let mut fun_defs: Vec<(String, Lambda<String>)> = Vec::new();
-        let mut val_defs: Vec<(String, SurfaceExpr)> = Vec::new();
+    pub fn assemble(self) -> (SurfaceExpr<'a>, Vec<&'a str>) {
+        let mut fun_defs: Vec<(&'a str, Lambda<&'a str>)> = Vec::new();
+        let mut val_defs: Vec<(&'a str, SurfaceExpr<'a>)> = Vec::new();
         for (name, rhs) in self.defines {
             match rhs {
-                Expr::Lambda(mut l) if !self.set_targets.contains(&name) => {
-                    l.name.get_or_insert_with(|| name.clone());
+                Expr::Lambda(mut l) if !self.set_targets.contains(name) => {
+                    l.name.get_or_insert_with(|| name.to_owned());
                     fun_defs.push((name, l));
                 }
                 rhs => val_defs.push((name, rhs)),
             }
         }
 
-        let globals: Vec<String> = val_defs.iter().map(|(n, _)| n.clone()).collect();
+        let globals: Vec<&'a str> = val_defs.iter().map(|(n, _)| *n).collect();
         let mut seq: Vec<SurfaceExpr> = val_defs
             .into_iter()
             .map(|(n, rhs)| Expr::Set(n, Box::new(rhs)))
@@ -300,9 +301,13 @@ impl SurfaceProgram {
 mod tests {
     use super::*;
 
+    fn program(src: &'static str) -> SurfaceProgram<'static> {
+        SurfaceProgram::from_forms(&read(src).unwrap()).unwrap()
+    }
+
     #[test]
     fn simple_program() {
-        let p = SurfaceProgram::from_source("(define (f x) x) (f 1)").unwrap();
+        let p = program("(define (f x) x) (f 1)");
         let (e, _) = p.assemble();
         let s = e.to_string();
         assert!(s.contains("letrec"), "{s}");
@@ -311,7 +316,7 @@ mod tests {
 
     #[test]
     fn value_defines_are_initialized_in_order() {
-        let p = SurfaceProgram::from_source("(define a 1) (define b 2) (+ a b)").unwrap();
+        let p = program("(define a 1) (define b 2) (+ a b)");
         let s = p.assemble().0.to_string();
         let ia = s.find("(set! a 1)").unwrap();
         let ib = s.find("(set! b 2)").unwrap();
@@ -320,7 +325,7 @@ mod tests {
 
     #[test]
     fn set_function_demotes_to_value() {
-        let p = SurfaceProgram::from_source("(define (f) 1) (set! f (lambda () 2)) (f)").unwrap();
+        let p = program("(define (f) 1) (set! f (lambda () 2)) (f)");
         let s = p.assemble().0.to_string();
         assert!(s.contains("(set! f (lambda"), "{s}");
         assert!(!s.contains("letrec ((f"), "{s}");
@@ -328,8 +333,8 @@ mod tests {
 
     #[test]
     fn prelude_is_pruned() {
-        let p = SurfaceProgram::from_source("(length '(1 2))").unwrap();
-        let names: Vec<&str> = p.defines.iter().map(|(n, _)| n.as_str()).collect();
+        let p = program("(length '(1 2))");
+        let names: Vec<&str> = p.defines.iter().map(|(n, _)| *n).collect();
         assert!(names.contains(&"length"));
         assert!(!names.contains(&"assoc"));
     }
@@ -337,37 +342,36 @@ mod tests {
     #[test]
     fn prelude_transitive_dependencies() {
         // list-ref depends on list-tail.
-        let p = SurfaceProgram::from_source("(list-ref '(1 2 3) 1)").unwrap();
-        let names: Vec<&str> = p.defines.iter().map(|(n, _)| n.as_str()).collect();
+        let p = program("(list-ref '(1 2 3) 1)");
+        let names: Vec<&str> = p.defines.iter().map(|(n, _)| *n).collect();
         assert!(names.contains(&"list-ref"));
         assert!(names.contains(&"list-tail"));
     }
 
     #[test]
     fn user_shadows_prelude() {
-        let p = SurfaceProgram::from_source("(define (length l) 42) (length '())").unwrap();
-        let count = p.defines.iter().filter(|(n, _)| n == "length").count();
+        let p = program("(define (length l) 42) (length '())");
+        let count = p.defines.iter().filter(|(n, _)| *n == "length").count();
         assert_eq!(count, 1);
     }
 
     #[test]
     fn value_defines_become_globals() {
-        let p = SurfaceProgram::from_source("(define a 1) (define (f) a) (define b 2) (+ (f) b)")
-            .unwrap();
+        let p = program("(define a 1) (define (f) a) (define b 2) (+ (f) b)");
         let (_, globals) = p.assemble();
-        assert_eq!(globals, vec!["a".to_owned(), "b".to_owned()]);
+        assert_eq!(globals, ["a", "b"]);
     }
 
     #[test]
     fn set_function_define_is_global() {
-        let p = SurfaceProgram::from_source("(define (f) 1) (set! f (lambda () 2)) (f)").unwrap();
+        let p = program("(define (f) 1) (set! f (lambda () 2)) (f)");
         let (_, globals) = p.assemble();
-        assert_eq!(globals, vec!["f".to_owned()]);
+        assert_eq!(globals, ["f"]);
     }
 
     #[test]
     fn empty_program_yields_void_main() {
-        let p = SurfaceProgram::from_source("").unwrap();
+        let p = program("");
         assert_eq!(p.mains.len(), 1);
     }
 }

@@ -93,6 +93,18 @@ type Result<T> = std::result::Result<T, InterpError>;
 /// loop can move between bodies without cloning trees.
 pub type IExpr = Rc<Node>;
 
+/// A lambda's parameters, body and name, shared by every closure made
+/// from it: making a closure allocates only the closure.
+#[derive(Debug)]
+pub struct LambdaCode {
+    /// Parameters.
+    pub params: Vec<VarId>,
+    /// Body.
+    pub body: IExpr,
+    /// Diagnostic name.
+    pub name: Option<String>,
+}
+
 /// One interpreter AST node.
 #[derive(Debug)]
 pub enum Node {
@@ -111,14 +123,7 @@ pub enum Node {
     /// Sequence (non-empty).
     Seq(Vec<IExpr>),
     /// Abstraction.
-    Lambda {
-        /// Parameters.
-        params: Vec<VarId>,
-        /// Body.
-        body: IExpr,
-        /// Diagnostic name.
-        name: Option<String>,
-    },
+    Lambda(Rc<LambdaCode>),
     /// Parallel bindings.
     Let(Vec<(VarId, IExpr)>, IExpr),
     /// Recursive procedure bindings.
@@ -187,11 +192,11 @@ pub fn lower(e: &Expr<VarId>) -> IExpr {
 }
 
 fn lower_lambda(l: &Lambda<VarId>) -> Node {
-    Node::Lambda {
+    Node::Lambda(Rc::new(LambdaCode {
         params: l.params.clone(),
         body: lower(&l.body),
         name: l.name.clone(),
-    }
+    }))
 }
 
 /// A node waiting on the value of one of its subexpressions, with the
@@ -313,11 +318,9 @@ impl Interp {
                     .get(*g as usize)
                     .cloned()
                     .ok_or_else(|| InterpError::new(format!("global {g} out of range")))?,
-                Node::Lambda { params, body, name } => Value::Closure(Rc::new(ClosureV {
-                    params: params.clone(),
-                    body: body.clone(),
+                Node::Lambda(code) => Value::Closure(Rc::new(ClosureV {
+                    code: code.clone(),
                     env: env.clone(),
-                    name: name.clone(),
                 })),
                 Node::GlobalSet(_, first)
                 | Node::Set(_, first)
@@ -452,16 +455,17 @@ impl Interp {
                                 callee.write_string()
                             )));
                         };
-                        if clo.params.len() != vals.len() {
+                        let code = &clo.code;
+                        if code.params.len() != vals.len() {
                             return Err(InterpError::new(format!(
                                 "arity mismatch calling {}: expected {}, got {}",
-                                clo.name.as_deref().unwrap_or("#<anonymous>"),
-                                clo.params.len(),
+                                code.name.as_deref().unwrap_or("#<anonymous>"),
+                                code.params.len(),
                                 vals.len()
                             )));
                         }
-                        env = clo.env.bind_all(&clo.params, vals);
-                        expr = clo.body.clone();
+                        env = clo.env.bind_all(&code.params, vals);
+                        expr = code.body.clone();
                         break;
                     }
                     Node::PrimApp(p, args) => {
@@ -474,7 +478,7 @@ impl Interp {
                         let p = *p;
                         value = self.apply_prim(p, finish(&mut frames).vals)?;
                     }
-                    Node::Const(_) | Node::Var(_) | Node::Global(_) | Node::Lambda { .. } => {
+                    Node::Const(_) | Node::Var(_) | Node::Global(_) | Node::Lambda(_) => {
                         unreachable!("only nodes with subexpressions wait on one")
                     }
                 }

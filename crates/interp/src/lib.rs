@@ -38,8 +38,10 @@ pub fn wide_stack_bytes() -> usize {
     64 * 1024 * 1024
 }
 
-/// Parses, desugars, renames, and interprets `src` with the given step
-/// budget, on the calling thread.
+/// Runs the compiler's frontend through renaming
+/// ([`front_to_renamed`](lesgs_frontend::pipeline::front_to_renamed))
+/// and interprets the result with the given step budget, on the
+/// calling thread.
 ///
 /// Evaluation keeps its pending work on an explicit continuation
 /// stack, and values are freed, compared and printed with worklists,
@@ -53,15 +55,9 @@ pub fn wide_stack_bytes() -> usize {
 /// errors, calls to `error`, or budget exhaustion (steps or pending
 /// non-tail evaluations).
 pub fn run_source(src: &str, fuel: u64) -> Result<Outcome, InterpError> {
-    let program = lesgs_frontend::program::SurfaceProgram::from_source(src)
+    let (renamed, _, n_globals) = lesgs_frontend::pipeline::front_to_renamed(src)
         .map_err(|e| InterpError::new(e.to_string()))?;
-    let (assembled, globals) = program.assemble();
-    let mut renamer = lesgs_frontend::rename::Renamer::new();
-    renamer.set_globals(&globals);
-    let renamed = renamer
-        .rename(&assembled)
-        .map_err(|e| InterpError::new(e.to_string()))?;
-    let mut interp = Interp::new(fuel).with_globals(globals.len() as u32);
+    let mut interp = Interp::new(fuel).with_globals(n_globals);
     interp.run(&renamed)
 }
 

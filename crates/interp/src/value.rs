@@ -5,22 +5,16 @@ use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use lesgs_frontend::VarId;
-
 use crate::env::Env;
-use crate::eval::IExpr;
+use crate::eval::LambdaCode;
 
 /// A closure value: code plus captured environment.
 #[derive(Debug)]
 pub struct ClosureV {
-    /// Formal parameters.
-    pub params: Vec<VarId>,
-    /// The body expression.
-    pub body: IExpr,
+    /// The parameters, body and name of the lambda that made it.
+    pub code: Rc<LambdaCode>,
     /// The defining environment.
     pub env: Env,
-    /// Diagnostic name.
-    pub name: Option<String>,
 }
 
 impl Drop for ClosureV {
@@ -426,7 +420,7 @@ impl Value {
             Value::Pair(_) | Value::Vector(_) => unreachable!("render walks pairs and vectors"),
             Value::Closure(c) => {
                 out.push_str("#<procedure");
-                if let Some(n) = &c.name {
+                if let Some(n) = &c.code.name {
                     out.push(' ');
                     out.push_str(n);
                 }

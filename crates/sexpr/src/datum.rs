@@ -2,9 +2,13 @@
 
 use std::fmt;
 
-/// A single parsed S-expression.
+/// A single parsed S-expression, generic over how it holds symbol
+/// names.
 ///
-/// Proper lists are represented directly as [`Datum::List`]; improper
+/// [`read`](crate::read) lends every symbol from the source text
+/// (`Datum<&str>`); [`parse`](crate::parse) returns owned data
+/// (`Datum<String>`, the default), which is what quoted constants,
+/// the VM and the bytecode format hold. Proper lists are represented directly as [`Datum::List`]; improper
 /// (dotted) lists keep the trailing element in the second field of
 /// [`Datum::Improper`]. Quoting sugar (`'x`, `` `x ``, `,x`) is expanded
 /// by the reader into `(quote x)` etc., so later passes never see it.
@@ -19,23 +23,23 @@ use std::fmt;
 /// assert!(d.as_slice().is_some());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub enum Datum {
+pub enum Datum<S = String> {
     /// A signed 62-bit-safe integer literal (`42`, `-7`).
     Fixnum(i64),
     /// A boolean literal (`#t`, `#f`).
     Bool(bool),
     /// A symbol (`foo`, `set!`, `+`).
-    Symbol(String),
+    Symbol(S),
     /// A string literal (`"abc"`).
     Str(String),
     /// A character literal (`#\a`, `#\newline`, `#\space`).
     Char(char),
     /// A proper list `(a b c)`, including the empty list `()`.
-    List(Vec<Datum>),
+    List(Vec<Datum<S>>),
     /// An improper list `(a b . c)`; the vector is non-empty.
-    Improper(Vec<Datum>, Box<Datum>),
+    Improper(Vec<Datum<S>>, Box<Datum<S>>),
     /// A vector literal `#(a b c)`.
-    Vector(Vec<Datum>),
+    Vector(Vec<Datum<S>>),
 }
 
 impl Datum {
@@ -54,16 +58,23 @@ impl Datum {
         Datum::List(Vec::new())
     }
 
+    /// Wraps this datum in `(quote _)`.
+    pub fn quoted(self) -> Datum {
+        Datum::List(vec![Datum::symbol("quote"), self])
+    }
+}
+
+impl<S: AsRef<str>> Datum<S> {
     /// Returns the symbol name if this datum is a symbol.
     pub fn as_symbol(&self) -> Option<&str> {
         match self {
-            Datum::Symbol(s) => Some(s),
+            Datum::Symbol(s) => Some(s.as_ref()),
             _ => None,
         }
     }
 
     /// Returns the elements if this datum is a proper list.
-    pub fn as_slice(&self) -> Option<&[Datum]> {
+    pub fn as_slice(&self) -> Option<&[Datum<S>]> {
         match self {
             Datum::List(items) => Some(items),
             _ => None,
@@ -83,9 +94,30 @@ impl Datum {
                  Some([first, ..]) if first.as_symbol() == Some(head))
     }
 
-    /// Wraps this datum in `(quote _)`.
-    pub fn quoted(self) -> Datum {
-        Datum::List(vec![Datum::symbol("quote"), self])
+    /// An owned copy: every symbol name copied into a `String`.
+    ///
+    /// ```
+    /// use lesgs_sexpr::{parse, read};
+    /// let src = "(a \"s\" #(b 1) . c)";
+    /// let lent = read(src)?;
+    /// let owned: Vec<_> = lent.iter().map(|d| d.to_owned_datum()).collect();
+    /// assert_eq!(owned, parse(src)?);
+    /// # Ok::<(), lesgs_sexpr::ParseError>(())
+    /// ```
+    pub fn to_owned_datum(&self) -> Datum {
+        let all = |items: &[Datum<S>]| items.iter().map(Datum::to_owned_datum).collect();
+        match self {
+            Datum::Fixnum(n) => Datum::Fixnum(*n),
+            Datum::Bool(b) => Datum::Bool(*b),
+            Datum::Symbol(s) => Datum::Symbol(s.as_ref().to_owned()),
+            Datum::Str(s) => Datum::Str(s.clone()),
+            Datum::Char(c) => Datum::Char(*c),
+            Datum::List(items) => Datum::List(all(items)),
+            Datum::Improper(items, tail) => {
+                Datum::Improper(all(items), Box::new(tail.to_owned_datum()))
+            }
+            Datum::Vector(items) => Datum::Vector(all(items)),
+        }
     }
 }
 
@@ -123,7 +155,7 @@ fn write_string(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     write!(f, "\"")
 }
 
-impl fmt::Display for Datum {
+impl<S: fmt::Display> fmt::Display for Datum<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Datum::Fixnum(n) => write!(f, "{n}"),
@@ -168,7 +200,9 @@ impl fmt::Display for Datum {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    /// The owned datum; `Datum::Fixnum(1)` alone does not say which
+    /// symbol type it holds.
+    type Datum = super::Datum;
 
     #[test]
     fn display_atoms() {
@@ -185,8 +219,11 @@ mod tests {
     fn display_lists() {
         let d = Datum::List(vec![Datum::symbol("a"), Datum::nil()]);
         assert_eq!(d.to_string(), "(a ())");
-        let imp = Datum::Improper(vec![Datum::Fixnum(1)], Box::new(Datum::Fixnum(2)));
-        assert_eq!(imp.to_string(), "(1 . 2)");
+        let imp = super::Datum::<&str>::Improper(
+            vec![super::Datum::Fixnum(1)],
+            Box::new(super::Datum::Symbol("b")),
+        );
+        assert_eq!(imp.to_string(), "(1 . b)");
         let v = Datum::Vector(vec![Datum::Fixnum(1), Datum::Fixnum(2)]);
         assert_eq!(v.to_string(), "#(1 2)");
     }

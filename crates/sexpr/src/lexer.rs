@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-/// The kind of a lexical token.
+/// The kind of a lexical token. A symbol is lent from the source text.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// `(` or `[`
     LParen,
     /// `)` or `]`
@@ -28,14 +28,14 @@ pub enum TokenKind {
     /// A string literal (unescaped contents).
     Str(String),
     /// A symbol.
-    Symbol(String),
+    Symbol(&'a str),
 }
 
 /// A token together with its byte offset in the source.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// What was recognized.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset of the first character of the token.
     pub offset: usize,
     /// 1-based line number for diagnostics.
@@ -69,7 +69,7 @@ impl std::error::Error for LexError {}
 ///
 /// let toks: Vec<_> = Lexer::new("(add 1)").collect::<Result<_, _>>().unwrap();
 /// assert_eq!(toks[0].kind, TokenKind::LParen);
-/// assert_eq!(toks[1].kind, TokenKind::Symbol("add".into()));
+/// assert_eq!(toks[1].kind, TokenKind::Symbol("add"));
 /// assert_eq!(toks[2].kind, TokenKind::Fixnum(1));
 /// ```
 #[derive(Debug, Clone)]
@@ -149,7 +149,7 @@ impl<'a> Lexer<'a> {
         &self.src[start..self.pos]
     }
 
-    fn lex_string(&mut self) -> Result<TokenKind, LexError> {
+    fn lex_string(&mut self) -> Result<TokenKind<'a>, LexError> {
         let mut out = String::new();
         loop {
             match self.bump() {
@@ -170,7 +170,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_hash(&mut self) -> Result<TokenKind, LexError> {
+    fn lex_hash(&mut self) -> Result<TokenKind<'a>, LexError> {
         match self.bump() {
             Some(b't') => Ok(TokenKind::Bool(true)),
             Some(b'f') => Ok(TokenKind::Bool(false)),
@@ -197,7 +197,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_atom(&mut self) -> Result<TokenKind, LexError> {
+    fn lex_atom(&mut self) -> Result<TokenKind<'a>, LexError> {
         let text = self.take_symbol_text();
         debug_assert!(!text.is_empty());
         if text == "." {
@@ -210,13 +210,13 @@ impl<'a> Lexer<'a> {
                 .map(TokenKind::Fixnum)
                 .map_err(|_| self.err(format!("bad number literal `{text}`")))
         } else {
-            Ok(TokenKind::Symbol(text.to_owned()))
+            Ok(TokenKind::Symbol(text))
         }
     }
 }
 
 impl<'a> Iterator for Lexer<'a> {
-    type Item = Result<Token, LexError>;
+    type Item = Result<Token<'a>, LexError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.skip_trivia();
@@ -262,7 +262,7 @@ impl<'a> Iterator for Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         Lexer::new(src)
             .collect::<Result<Vec<_>, _>>()
             .unwrap()
@@ -276,12 +276,12 @@ mod tests {
         assert_eq!(
             kinds("x -12 +34 - + 1+"),
             vec![
-                TokenKind::Symbol("x".into()),
+                TokenKind::Symbol("x"),
                 TokenKind::Fixnum(-12),
                 TokenKind::Fixnum(34),
-                TokenKind::Symbol("-".into()),
-                TokenKind::Symbol("+".into()),
-                TokenKind::Symbol("1+".into()),
+                TokenKind::Symbol("-"),
+                TokenKind::Symbol("+"),
+                TokenKind::Symbol("1+"),
             ]
         );
     }
@@ -344,6 +344,6 @@ mod tests {
         // An out-of-range fixnum is a lex error, not a symbol.
         assert!(Lexer::new("99999999999999999999").next().unwrap().is_err());
         // Digit-leading symbols such as `1+` are allowed.
-        assert_eq!(kinds("1+"), vec![TokenKind::Symbol("1+".into())]);
+        assert_eq!(kinds("1+"), vec![TokenKind::Symbol("1+")]);
     }
 }

@@ -3,7 +3,8 @@
 //! This crate is the textual substrate of the reproduction: benchmark
 //! programs and examples are written in a small Scheme dialect, and every
 //! later stage of the pipeline starts from the [`Datum`] values produced
-//! here.
+//! here. [`read`] lends every symbol name from the source text;
+//! [`parse`] returns an owned copy.
 //!
 //! # Examples
 //!
@@ -22,4 +23,4 @@ mod reader;
 
 pub use datum::Datum;
 pub use lexer::{Lexer, Token, TokenKind};
-pub use reader::{parse, parse_one, ParseError};
+pub use reader::{parse, parse_one, read, ParseError};

@@ -41,20 +41,20 @@ impl From<LexError> for ParseError {
 }
 
 struct Reader<'a> {
-    tokens: std::iter::Peekable<Lexer<'a>>,
+    tokens: Lexer<'a>,
 }
 
 impl<'a> Reader<'a> {
-    fn next_token(&mut self) -> Result<Option<Token>, ParseError> {
+    fn next_token(&mut self) -> Result<Option<Token<'a>>, ParseError> {
         self.tokens.next().transpose().map_err(ParseError::from)
     }
 
-    fn require_token(&mut self, context: &str) -> Result<Token, ParseError> {
+    fn require_token(&mut self, context: &str) -> Result<Token<'a>, ParseError> {
         self.next_token()?
             .ok_or_else(|| ParseError::new(format!("unexpected end of input {context}"), None))
     }
 
-    fn read_datum(&mut self, tok: Token) -> Result<Datum, ParseError> {
+    fn read_datum(&mut self, tok: Token<'a>) -> Result<Datum<&'a str>, ParseError> {
         let line = tok.line;
         match tok.kind {
             TokenKind::Fixnum(n) => Ok(Datum::Fixnum(n)),
@@ -67,21 +67,21 @@ impl<'a> Reader<'a> {
                 let items = self.read_until_close(line)?;
                 Ok(Datum::Vector(items))
             }
-            TokenKind::Quote => self.read_prefixed("quote", line),
-            TokenKind::Quasiquote => self.read_prefixed("quasiquote", line),
-            TokenKind::Unquote => self.read_prefixed("unquote", line),
+            TokenKind::Quote => self.read_prefixed("quote"),
+            TokenKind::Quasiquote => self.read_prefixed("quasiquote"),
+            TokenKind::Unquote => self.read_prefixed("unquote"),
             TokenKind::RParen => Err(ParseError::new("unexpected `)`", Some(line))),
             TokenKind::Dot => Err(ParseError::new("unexpected `.`", Some(line))),
         }
     }
 
-    fn read_prefixed(&mut self, head: &str, _line: usize) -> Result<Datum, ParseError> {
+    fn read_prefixed(&mut self, head: &'static str) -> Result<Datum<&'a str>, ParseError> {
         let tok = self.require_token(&format!("after `{head}` shorthand"))?;
         let inner = self.read_datum(tok)?;
-        Ok(Datum::List(vec![Datum::symbol(head), inner]))
+        Ok(Datum::List(vec![Datum::Symbol(head), inner]))
     }
 
-    fn read_until_close(&mut self, open_line: usize) -> Result<Vec<Datum>, ParseError> {
+    fn read_until_close(&mut self, open_line: usize) -> Result<Vec<Datum<&'a str>>, ParseError> {
         let mut items = Vec::new();
         loop {
             let tok = self.next_token()?.ok_or_else(|| {
@@ -94,7 +94,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn read_list(&mut self, open_line: usize) -> Result<Datum, ParseError> {
+    fn read_list(&mut self, open_line: usize) -> Result<Datum<&'a str>, ParseError> {
         let mut items = Vec::new();
         loop {
             let tok = self.next_token()?.ok_or_else(|| {
@@ -137,7 +137,38 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Parses every datum in `src`.
+/// Reads every datum in `src`, lending each symbol name from `src`
+/// rather than copying it: a symbol costs no allocation, and the data
+/// live as long as the text they were read from.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] on malformed input: unbalanced parentheses,
+/// misplaced dots, bad literals, or lexical errors.
+///
+/// # Examples
+///
+/// ```
+/// use lesgs_sexpr::{read, Datum};
+/// let src = String::from("(f x) 'y");
+/// let data = read(&src)?;
+/// assert_eq!(data[0], Datum::List(vec![Datum::Symbol("f"), Datum::Symbol("x")]));
+/// assert_eq!(data[1].to_string(), "(quote y)");
+/// # Ok::<(), lesgs_sexpr::ParseError>(())
+/// ```
+pub fn read(src: &str) -> Result<Vec<Datum<&str>>, ParseError> {
+    let mut reader = Reader {
+        tokens: Lexer::new(src),
+    };
+    let mut out = Vec::new();
+    while let Some(tok) = reader.next_token()? {
+        out.push(reader.read_datum(tok)?);
+    }
+    Ok(out)
+}
+
+/// Parses every datum in `src` into owned data: [`read`] followed by
+/// [`Datum::to_owned_datum`].
 ///
 /// # Errors
 ///
@@ -153,14 +184,7 @@ impl<'a> Reader<'a> {
 /// # Ok::<(), lesgs_sexpr::ParseError>(())
 /// ```
 pub fn parse(src: &str) -> Result<Vec<Datum>, ParseError> {
-    let mut reader = Reader {
-        tokens: Lexer::new(src).peekable(),
-    };
-    let mut out = Vec::new();
-    while let Some(tok) = reader.next_token()? {
-        out.push(reader.read_datum(tok)?);
-    }
-    Ok(out)
+    Ok(read(src)?.iter().map(Datum::to_owned_datum).collect())
 }
 
 /// Parses exactly one datum from `src`.
@@ -179,9 +203,8 @@ pub fn parse(src: &str) -> Result<Vec<Datum>, ParseError> {
 /// # Ok::<(), lesgs_sexpr::ParseError>(())
 /// ```
 pub fn parse_one(src: &str) -> Result<Datum, ParseError> {
-    let data = parse(src)?;
-    match <[Datum; 1]>::try_from(data) {
-        Ok([d]) => Ok(d),
+    match <[Datum<&str>; 1]>::try_from(read(src)?) {
+        Ok([d]) => Ok(d.to_owned_datum()),
         Err(data) => Err(ParseError::new(
             format!("expected exactly one datum, found {}", data.len()),
             None,
