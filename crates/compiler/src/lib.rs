@@ -22,7 +22,7 @@ use lesgs_core::{driver::allocate_program_observed, AllocConfig, AllocatedProgra
 use lesgs_frontend::pipeline;
 use lesgs_ir::Program;
 use lesgs_metrics::{ratio, Registry};
-use lesgs_vm::{CostModel, DecodedProgram, Machine, VmOutcome, VmProgram};
+use lesgs_vm::{ClassicMachine, CostModel, DecodedProgram, Machine, VmOutcome, VmProgram};
 
 /// Complete compiler + execution configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -285,6 +285,18 @@ pub enum DiffKind {
         /// The VM error.
         message: String,
     },
+    /// The classic reference engine and the decoded engine disagreed
+    /// on one compiled program: its value, output, error or any
+    /// [`lesgs_vm::RunStats`] counter. Only dispatch differs between
+    /// them, so this is a bug in decoding or in the decoded loop.
+    EngineMismatch {
+        /// What differs: `value`, `output`, `stats` or `result`.
+        what: &'static str,
+        /// The decoded engine's side, rendered.
+        decoded: String,
+        /// The classic engine's side, rendered.
+        classic: String,
+    },
     /// Both backends ran to completion but disagreed.
     Mismatch {
         /// VM final value.
@@ -345,6 +357,17 @@ impl std::fmt::Display for DiffFailure {
                 cfg(f)?;
                 write!(f, "{message}")
             }
+            DiffKind::EngineMismatch {
+                what,
+                decoded,
+                classic,
+            } => {
+                cfg(f)?;
+                write!(
+                    f,
+                    "engines disagree on {what}: decoded {decoded} != classic {classic}"
+                )
+            }
             DiffKind::Mismatch {
                 value,
                 output,
@@ -364,8 +387,10 @@ impl std::fmt::Display for DiffFailure {
 
 /// Runs `src` through the reference interpreter and through the
 /// compiler under every given allocator configuration, checking that
-/// the bytecode verifies ([`lesgs_vm::verify_bytecode`]) and that
-/// value and output agree everywhere — reporting failures as structured
+/// the bytecode verifies ([`lesgs_vm::verify_bytecode`]), that value
+/// and output agree everywhere, and, under the first configuration,
+/// that the classic engine's whole result equals the decoded engine's
+/// ([`DiffKind::EngineMismatch`]) — reporting failures as structured
 /// [`DiffFailure`]s so drivers can distinguish timeouts from
 /// miscompiles.
 ///
@@ -380,12 +405,47 @@ pub fn differential_check_detailed(
     differential_check_parallel(src, configs, fuel, 1)
 }
 
+/// What the classic engine's run differs from the decoded engine's
+/// in, if anything: the first of value, output and counters to differ,
+/// or the whole result when an error is involved.
+fn engine_mismatch(
+    decoded: &Result<VmOutcome, lesgs_vm::VmError>,
+    classic: &Result<VmOutcome, lesgs_vm::VmError>,
+) -> Option<DiffKind> {
+    let differ = |what, decoded: String, classic: String| DiffKind::EngineMismatch {
+        what,
+        decoded,
+        classic,
+    };
+    match (decoded, classic) {
+        (Ok(d), Ok(c)) if d.value != c.value => {
+            Some(differ("value", d.value.clone(), c.value.clone()))
+        }
+        (Ok(d), Ok(c)) if d.output != c.output => Some(differ(
+            "output",
+            format!("{:?}", d.output),
+            format!("{:?}", c.output),
+        )),
+        (Ok(d), Ok(c)) if d.stats != c.stats => Some(differ(
+            "stats",
+            format!("{:?}", d.stats),
+            format!("{:?}", c.stats),
+        )),
+        (Ok(_), Ok(_)) => None,
+        (d, c) if d == c => None,
+        (d, c) => Some(differ("result", format!("{d:?}"), format!("{c:?}"))),
+    }
+}
+
 /// Judges one compiled configuration against the oracle: verifies its
-/// bytecode, runs it, and compares value and output.
+/// bytecode, runs it, and compares value and output. With `reference`
+/// set, the classic engine runs it too, with the same poisoning and
+/// budget, and must agree with the decoded engine on the whole result.
 fn judge_compiled(
     compiled: &Compiled,
     config: &CompilerConfig,
     oracle: &lesgs_interp::Outcome,
+    reference: bool,
 ) -> Result<(), DiffFailure> {
     let fail = |kind: DiffKind| DiffFailure {
         config: Some(config.alloc),
@@ -397,7 +457,17 @@ fn judge_compiled(
             errors: verify_errors.iter().map(ToString::to_string).collect(),
         }));
     }
-    let out = compiled.run(config).map_err(|e| {
+    let run = compiled.run(config);
+    if reference {
+        let mut classic = ClassicMachine::new(&compiled.vm, config.cost).with_poison(config.poison);
+        if config.fuel > 0 {
+            classic = classic.with_fuel(config.fuel);
+        }
+        if let Some(kind) = engine_mismatch(&run, &classic.run()) {
+            return Err(fail(kind));
+        }
+    }
+    let out = run.map_err(|e| {
         fail(if e.is_fuel_exhausted() {
             DiffKind::FuelExhausted
         } else {
@@ -524,10 +594,13 @@ fn check_on_deep_stack(
         let compiled = compile_back_observed(&front, &config, &mut Registry::discard());
         (config, compiled)
     };
+    // The classic engine checks the decoded one under the first
+    // configuration only: they differ only in dispatch, which no
+    // allocator setting changes.
     if jobs <= 1 {
-        for alloc in configs {
+        for (i, alloc) in configs.iter().enumerate() {
             let (config, compiled) = compile(alloc);
-            judge_compiled(&compiled, &config, &oracle)?;
+            judge_compiled(&compiled, &config, &oracle, i == 0)?;
         }
         return Ok(());
     }
@@ -542,9 +615,9 @@ fn check_on_deep_stack(
         name: "lesgs-diff".to_owned(),
         ..lesgs_exec::PoolConfig::with_workers(jobs)
     };
-    let judged = lesgs_exec::map_ordered(&pool, compiled.iter().collect(), |_i, compiled| {
+    let judged = lesgs_exec::map_ordered(&pool, compiled.iter().collect(), |i, compiled| {
         let (config, compiled) = compiled.as_ref().ok()?;
-        Some(judge_compiled(compiled, config, &oracle))
+        Some(judge_compiled(compiled, config, &oracle, i == 0))
     });
     for ((alloc, compiled), judged) in configs.iter().zip(&compiled).zip(judged.results) {
         // A panic while compiling or judging a configuration is a
@@ -700,6 +773,46 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("AllocConfig"), "{s}");
         assert!(s.contains("value 1 != oracle 2"), "{s}");
+    }
+
+    /// The engine comparison sees one counter apart, and an error on one
+    /// side only; a disagreement is a miscompile naming the config.
+    #[test]
+    fn engine_comparison_catches_one_counter_apart() {
+        let outcome = compile(
+            "(define (f n) (if (= n 0) 0 (f (- n 1)))) (f 3)",
+            &CompilerConfig::default(),
+        )
+        .unwrap()
+        .run(&CompilerConfig::default())
+        .unwrap();
+        assert_eq!(
+            engine_mismatch(&Ok(outcome.clone()), &Ok(outcome.clone())),
+            None
+        );
+        let mut off = outcome.clone();
+        off.stats.stack_stores[lesgs_vm::SlotClass::Save as usize] += 1;
+        let kind = engine_mismatch(&Ok(outcome.clone()), &Ok(off)).expect("one counter apart");
+        assert!(
+            matches!(kind, DiffKind::EngineMismatch { what: "stats", .. }),
+            "{kind:?}"
+        );
+        let e = DiffFailure {
+            config: Some(AllocConfig::paper_default()),
+            kind,
+        };
+        assert!(e.is_miscompile());
+        let s = e.to_string();
+        assert!(
+            s.contains("AllocConfig") && s.contains("engines disagree on stats"),
+            "{s}"
+        );
+        let failed = Err(lesgs_vm::VmError::new("boom"));
+        assert!(matches!(
+            engine_mismatch(&Ok(outcome), &failed),
+            Some(DiffKind::EngineMismatch { what: "result", .. })
+        ));
+        assert_eq!(engine_mismatch(&failed, &failed.clone()), None);
     }
 
     #[test]

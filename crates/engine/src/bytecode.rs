@@ -27,7 +27,7 @@
 
 use lesgs_core::config::{Discipline, RestoreStrategy, SaveStrategy, ShuffleStrategy};
 use lesgs_core::AllocConfig;
-use lesgs_frontend::{Const, FuncId, Prim};
+use lesgs_frontend::{Const, FuncId, Prim, DATUM_MAX_DEPTH};
 use lesgs_ir::machine::NUM_REGS;
 use lesgs_ir::{MachineConfig, Reg};
 use lesgs_sexpr::Datum;
@@ -44,11 +44,6 @@ pub const FORMAT_VERSION: u32 = 1;
 
 /// Size of the fixed header: magic + version + config fingerprint.
 pub const HEADER_LEN: usize = 16;
-
-/// Maximum nesting depth accepted for quoted data. Real programs nest
-/// a handful of levels; the cap exists so corrupt input cannot drive
-/// the decoder into unbounded recursion.
-const DATUM_MAX_DEPTH: usize = 256;
 
 /// Why a byte stream was rejected. Every variant names enough context
 /// to act on: the offending offset, the stored vs. computed value, or
@@ -748,6 +743,9 @@ impl<'a> Reader<'a> {
     }
     fn datum(&mut self, depth: usize) -> Decode<Datum> {
         let at = self.pos;
+        // The desugarer's rule: real programs nest a handful of levels,
+        // and the cap keeps corrupt input from driving the decoder into
+        // unbounded recursion.
         if depth > DATUM_MAX_DEPTH {
             return Err(self.corrupt(at, "quoted datum nests too deep"));
         }

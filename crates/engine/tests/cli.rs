@@ -379,3 +379,48 @@ fn a_long_literal_list_gets_the_same_answer_from_every_command() {
     assert!(ok, "check: {stdout}{stderr}");
     assert!(stdout.starts_with("ok: "), "check: {stdout}");
 }
+
+/// A quote nested one level past the datum bound is a compile error
+/// from every command that compiles it, instead of a blob that `run`
+/// later refuses to load.
+#[test]
+fn a_quote_nested_past_the_datum_bound_is_a_compile_error() {
+    let n = 258;
+    let src = format!("(define x '{}{}) (pair? x)", "(".repeat(n), ")".repeat(n));
+    let path = temp_lbc("too-deep");
+    let path_s = path.to_str().expect("utf-8 temp path");
+    for args in [
+        vec!["run", "-e", &src],
+        vec!["interp", "-e", &src],
+        vec!["compile", "-o", path_s, "-e", &src],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lesgsc"))
+            .args(&args)
+            .output()
+            .expect("lesgsc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{}: {stderr}", args[0]);
+        assert!(
+            stderr.contains("quoted datum nests more than 256 levels deep"),
+            "{}: {stderr}",
+            args[0]
+        );
+    }
+    assert!(!path.exists(), "no blob is written");
+}
+
+/// A string literal keeps its non-ASCII characters: compiled code, the
+/// interpreter and the check agree on its length and print it as
+/// written.
+#[test]
+fn non_ascii_string_literals_keep_their_characters() {
+    let src = "(display \"λx → ü\") (newline) (string-length \"λx → ü\")";
+    for command in ["run", "interp"] {
+        let (stdout, stderr, ok) = lesgsc(&[command, "-e", src]);
+        assert!(ok, "{command}: {stderr}");
+        assert_eq!(stdout, "λx → ü\n6\n", "{command}");
+    }
+    let (stdout, stderr, ok) = lesgsc(&["check", "-e", src]);
+    assert!(ok, "check: {stdout}{stderr}");
+    assert!(stdout.starts_with("ok: "), "check: {stdout}");
+}

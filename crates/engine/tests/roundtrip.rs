@@ -91,3 +91,33 @@ fn fuzz_programs_round_trip_500_cases() {
         assert_round_trips(engine, &src, &format!("fuzz case {case}"));
     }
 }
+
+/// `n` nested lists bound to `x`; the innermost, empty one lies `n - 1`
+/// levels below the root.
+fn nested_quote(n: usize) -> String {
+    format!("(define x '{}{}) (pair? x)", "(".repeat(n), ")".repeat(n))
+}
+
+/// The deepest quoted datum the compiler accepts serializes, loads and
+/// runs to the direct answer: one nesting rule serves the desugarer and
+/// the `.lbc` reader. One level more is a compile error.
+#[test]
+fn the_deepest_accepted_quote_round_trips() {
+    let engine = Engine::new();
+    let src = nested_quote(lesgs_frontend::DATUM_MAX_DEPTH + 1);
+    let direct = engine.run(&src).expect("the deepest quote runs");
+    assert_eq!(direct.value, "#t");
+    let bytes = engine.emit_program(&src).expect("the deepest quote emits");
+    let loaded = engine
+        .load_program(&bytes)
+        .expect("the deepest quote loads");
+    assert_eq!(
+        engine.execute(&loaded).expect("the loaded program runs"),
+        direct
+    );
+    let deeper = nested_quote(lesgs_frontend::DATUM_MAX_DEPTH + 2);
+    let Err(e) = engine.compile(&deeper) else {
+        panic!("one level more is rejected");
+    };
+    assert!(e.to_string().contains("nests more than 256 levels"), "{e}");
+}

@@ -52,6 +52,30 @@ pub enum Const {
     Datum(Datum),
 }
 
+/// How deep quoted data in a program's constants may nest: the `.lbc`
+/// reader rejects a constant datum with a node more than this many
+/// levels below its root, and the desugarer rejects such a `quote`, so
+/// every program that compiles also serializes and loads.
+pub const DATUM_MAX_DEPTH: usize = 256;
+
+/// True when no node of `d` lies more than [`DATUM_MAX_DEPTH`] levels
+/// below its root (the root is level 0). Recurses at most that deep.
+pub(crate) fn datum_within_depth<S>(d: &Datum<S>) -> bool {
+    fn within<S>(d: &Datum<S>, level: usize) -> bool {
+        level <= DATUM_MAX_DEPTH
+            && match d {
+                Datum::List(items) | Datum::Vector(items) => {
+                    items.iter().all(|x| within(x, level + 1))
+                }
+                Datum::Improper(items, tail) => {
+                    items.iter().all(|x| within(x, level + 1)) && within(tail, level + 1)
+                }
+                _ => true,
+            }
+    }
+    within(d, 0)
+}
+
 impl Const {
     /// The boolean interpretation: everything except `#f` is true.
     pub fn is_truthy(&self) -> bool {

@@ -17,7 +17,7 @@ use std::fmt;
 
 use lesgs_sexpr::Datum;
 
-use crate::ast::{Const, Expr, Lambda};
+use crate::ast::{datum_within_depth, Const, Expr, Lambda, DATUM_MAX_DEPTH};
 
 /// An error found while expanding a derived form.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,9 +79,15 @@ fn params<'a>(forms: &[Form<'a>]) -> Result<Vec<&'a str>> {
 }
 
 /// A quoted datum as a constant, its names copied out of the source
-/// text.
-fn quote_to_expr<'a>(d: &Form<'_>) -> SurfaceExpr<'a> {
-    Expr::Const(match d {
+/// text. Data nested past [`DATUM_MAX_DEPTH`] are rejected, since the
+/// `.lbc` reader would refuse the compiled program.
+fn quote_to_expr<'a>(d: &Form<'_>) -> Result<SurfaceExpr<'a>> {
+    if !datum_within_depth(d) {
+        return err(format!(
+            "quoted datum nests more than {DATUM_MAX_DEPTH} levels deep"
+        ));
+    }
+    Ok(Expr::Const(match d {
         Datum::Fixnum(n) => Const::Fixnum(*n),
         Datum::Bool(b) => Const::Bool(*b),
         Datum::Char(c) => Const::Char(*c),
@@ -89,7 +95,7 @@ fn quote_to_expr<'a>(d: &Form<'_>) -> SurfaceExpr<'a> {
         Datum::Symbol(s) => Const::Symbol((*s).to_owned()),
         Datum::List(items) if items.is_empty() => Const::Nil,
         other => Const::Datum(other.to_owned_datum()),
-    })
+    }))
 }
 
 /// Splits a `define` form into `(name, expression)`, expanding the
@@ -454,7 +460,7 @@ pub fn expr<'a>(d: &Form<'a>) -> Result<SurfaceExpr<'a>> {
         Datum::Char(c) => Ok(Expr::Const(Const::Char(*c))),
         Datum::Str(s) => Ok(Expr::Const(Const::Str(s.clone()))),
         Datum::Symbol(s) => Ok(Expr::Var(s)),
-        Datum::Vector(_) => Ok(quote_to_expr(d)),
+        Datum::Vector(_) => quote_to_expr(d),
         Datum::Improper(..) => err(format!("unexpected dotted list `{d}`")),
         Datum::List(items) => {
             let [head, rest @ ..] = items.as_slice() else {
@@ -466,7 +472,7 @@ pub fn expr<'a>(d: &Form<'a>) -> Result<SurfaceExpr<'a>> {
                         let [q] = rest else {
                             return err("malformed quote");
                         };
-                        return Ok(quote_to_expr(q));
+                        return quote_to_expr(q);
                     }
                     "if" => {
                         return match rest {

@@ -41,7 +41,7 @@ pub mod prim;
 pub mod program;
 pub mod rename;
 
-pub use ast::{Const, Expr, Lambda};
+pub use ast::{Const, Expr, Lambda, DATUM_MAX_DEPTH};
 pub use desugar::DesugarError;
 pub use first_order::FuncId;
 pub use names::{Interner, VarId};

@@ -35,7 +35,7 @@ use crate::FrontError;
 /// assert_eq!(expr.to_string(), "(%+ 1 2)");
 /// ```
 pub fn front_to_core(src: &str) -> Result<(Expr<VarId>, Interner), FrontError> {
-    let (e, i, _) = front_to_core_full(src)?;
+    let (e, i, _) = front_to_core_observed(src, None, &mut Registry::discard())?;
     Ok((e, i))
 }
 
@@ -58,16 +58,6 @@ pub fn front_to_core(src: &str) -> Result<(Expr<VarId>, Interner), FrontError> {
 /// ```
 pub fn front_to_renamed(src: &str) -> Result<(Expr<VarId>, Interner, u32), FrontError> {
     renamed_observed(src, &mut Registry::discard())
-}
-
-/// Like [`front_to_core`], also returning the number of global
-/// locations the program uses.
-///
-/// # Errors
-///
-/// Returns [`FrontError`] on parse, desugar, or scoping failures.
-pub fn front_to_core_full(src: &str) -> Result<(Expr<VarId>, Interner, u32), FrontError> {
-    front_to_core_observed(src, None, &mut Registry::discard())
 }
 
 /// Runs the full frontend, producing the closure-converted,

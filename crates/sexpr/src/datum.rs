@@ -84,8 +84,8 @@ impl<S: AsRef<str>> Datum<S> {
     /// True if this datum is a proper list whose head is the given symbol.
     ///
     /// ```
-    /// use lesgs_sexpr::parse_one;
-    /// let d = parse_one("(if a b c)").unwrap();
+    /// use lesgs_sexpr::read;
+    /// let d = &read("(if a b c)").unwrap()[0];
     /// assert!(d.is_form("if"));
     /// assert!(!d.is_form("cond"));
     /// ```
@@ -97,11 +97,13 @@ impl<S: AsRef<str>> Datum<S> {
     /// An owned copy: every symbol name copied into a `String`.
     ///
     /// ```
-    /// use lesgs_sexpr::{parse, read};
-    /// let src = "(a \"s\" #(b 1) . c)";
-    /// let lent = read(src)?;
-    /// let owned: Vec<_> = lent.iter().map(|d| d.to_owned_datum()).collect();
-    /// assert_eq!(owned, parse(src)?);
+    /// use lesgs_sexpr::{read, Datum};
+    /// let src = String::from("(a \"s\" . c)");
+    /// let owned: Datum = read(&src)?[0].to_owned_datum();
+    /// drop(src);
+    /// let items = vec![Datum::Symbol("a".to_owned()), Datum::Str("s".to_owned())];
+    /// let tail = Datum::Symbol("c".to_owned());
+    /// assert_eq!(owned, Datum::Improper(items, Box::new(tail)));
     /// # Ok::<(), lesgs_sexpr::ParseError>(())
     /// ```
     pub fn to_owned_datum(&self) -> Datum {

@@ -152,25 +152,37 @@ impl<'a> Lexer<'a> {
     fn lex_string(&mut self) -> Result<TokenKind<'a>, LexError> {
         let mut out = String::new();
         loop {
+            // Copy each run of unescaped text whole: it starts and ends
+            // next to an ASCII byte, so multi-byte characters stay whole.
+            let start = self.pos;
+            while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                self.bump();
+            }
+            out.push_str(&self.src[start..self.pos]);
             match self.bump() {
                 None => return Err(self.err("unterminated string literal")),
                 Some(b'"') => return Ok(TokenKind::Str(out)),
-                Some(b'\\') => match self.bump() {
+                _ => match self.bump() {
                     Some(b'n') => out.push('\n'),
                     Some(b't') => out.push('\t'),
                     Some(b'\\') => out.push('\\'),
                     Some(b'"') => out.push('"'),
-                    Some(c) => {
-                        return Err(self.err(format!("unknown string escape `\\{}`", c as char)))
+                    Some(_) => {
+                        // The byte after the ASCII `\` starts a character.
+                        let c = self.src[self.pos - 1..]
+                            .chars()
+                            .next()
+                            .expect("a character");
+                        return Err(self.err(format!("unknown string escape `\\{c}`")));
                     }
                     None => return Err(self.err("unterminated string escape")),
                 },
-                Some(b) => out.push(b as char),
             }
         }
     }
 
     fn lex_hash(&mut self) -> Result<TokenKind<'a>, LexError> {
+        let start = self.pos - 1;
         match self.bump() {
             Some(b't') => Ok(TokenKind::Bool(true)),
             Some(b'f') => Ok(TokenKind::Bool(false)),
@@ -193,7 +205,17 @@ impl<'a> Lexer<'a> {
                     t => Err(self.err(format!("unknown character name `{t}`"))),
                 }
             }
-            other => Err(self.err(format!("unknown `#` syntax: {other:?}"))),
+            other => {
+                // Name the text: `#` and the rest of its token, which
+                // ends before an ASCII delimiter or at the end.
+                if other.is_some_and(is_symbol_char) {
+                    while self.peek().is_some_and(is_symbol_char) {
+                        self.bump();
+                    }
+                }
+                let text = &self.src[start..self.pos];
+                Err(self.err(format!("unknown `#` syntax `{text}`")))
+            }
         }
     }
 
@@ -325,6 +347,32 @@ mod tests {
             kinds(r#""a\nb" "q\"q""#),
             vec![TokenKind::Str("a\nb".into()), TokenKind::Str("q\"q".into()),]
         );
+    }
+
+    #[test]
+    fn strings_keep_multibyte_characters() {
+        assert_eq!(
+            kinds(r#""λx → ü" "\"é\"""#),
+            vec![
+                TokenKind::Str("λx → ü".into()),
+                TokenKind::Str("\"é\"".into())
+            ]
+        );
+        let e = Lexer::new(r#""a\λ""#).next().unwrap().unwrap_err();
+        assert_eq!(e.message, "unknown string escape `\\λ`");
+    }
+
+    #[test]
+    fn unknown_hash_syntax_names_the_text() {
+        for (src, text) in [
+            ("#q", "#q"),
+            ("#qux 1", "#qux"),
+            ("#λ)", "#λ"),
+            ("#)", "#)"),
+        ] {
+            let e = Lexer::new(src).next().unwrap().unwrap_err();
+            assert_eq!(e.message, format!("unknown `#` syntax `{text}`"), "{src}");
+        }
     }
 
     #[test]

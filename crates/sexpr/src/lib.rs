@@ -4,14 +4,14 @@
 //! programs and examples are written in a small Scheme dialect, and every
 //! later stage of the pipeline starts from the [`Datum`] values produced
 //! here. [`read`] lends every symbol name from the source text;
-//! [`parse`] returns an owned copy.
+//! [`Datum::to_owned_datum`] copies a datum that must outlive it.
 //!
 //! # Examples
 //!
 //! ```
-//! use lesgs_sexpr::{parse, Datum};
+//! use lesgs_sexpr::{read, Datum};
 //!
-//! let data = parse("(+ 1 2) ; a comment\n#t").unwrap();
+//! let data = read("(+ 1 2) ; a comment\n#t").unwrap();
 //! assert_eq!(data.len(), 2);
 //! assert_eq!(data[1], Datum::Bool(true));
 //! assert_eq!(data[0].to_string(), "(+ 1 2)");
@@ -23,4 +23,4 @@ mod reader;
 
 pub use datum::Datum;
 pub use lexer::{Lexer, Token, TokenKind};
-pub use reader::{parse, parse_one, read, ParseError};
+pub use reader::{read, ParseError};

@@ -167,57 +167,14 @@ pub fn read(src: &str) -> Result<Vec<Datum<&str>>, ParseError> {
     Ok(out)
 }
 
-/// Parses every datum in `src` into owned data: [`read`] followed by
-/// [`Datum::to_owned_datum`].
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] on malformed input: unbalanced parentheses,
-/// misplaced dots, bad literals, or lexical errors.
-///
-/// # Examples
-///
-/// ```
-/// use lesgs_sexpr::parse;
-/// let data = parse("(a (b)) 42")?;
-/// assert_eq!(data.len(), 2);
-/// # Ok::<(), lesgs_sexpr::ParseError>(())
-/// ```
-pub fn parse(src: &str) -> Result<Vec<Datum>, ParseError> {
-    Ok(read(src)?.iter().map(Datum::to_owned_datum).collect())
-}
-
-/// Parses exactly one datum from `src`.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] if `src` holds zero or more than one datum,
-/// or on any malformed input.
-///
-/// # Examples
-///
-/// ```
-/// use lesgs_sexpr::parse_one;
-/// let d = parse_one("'(1 2)")?;
-/// assert_eq!(d.to_string(), "(quote (1 2))");
-/// # Ok::<(), lesgs_sexpr::ParseError>(())
-/// ```
-pub fn parse_one(src: &str) -> Result<Datum, ParseError> {
-    match <[Datum<&str>; 1]>::try_from(read(src)?) {
-        Ok([d]) => Ok(d.to_owned_datum()),
-        Err(data) => Err(ParseError::new(
-            format!("expected exactly one datum, found {}", data.len()),
-            None,
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn roundtrip(src: &str) -> String {
-        parse_one(src).unwrap().to_string()
+        let data = read(src).unwrap();
+        assert_eq!(data.len(), 1, "{src}");
+        data[0].to_string()
     }
 
     #[test]
@@ -255,25 +212,31 @@ mod tests {
 
     #[test]
     fn multiple_data() {
-        let data = parse("1 2 3").unwrap();
-        assert_eq!(data.len(), 3);
-        assert!(parse_one("1 2").is_err());
-        assert!(parse_one("").is_err());
+        assert_eq!(read("1 2 3").unwrap().len(), 3);
+        assert!(read("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn strings_keep_non_ascii_text() {
+        let src = "(display \"λx → ü\")";
+        let data = read(src).unwrap();
+        assert_eq!(
+            data[0],
+            Datum::List(vec![Datum::Symbol("display"), Datum::Str("λx → ü".into())])
+        );
+        assert_eq!(data[0].to_string(), src);
     }
 
     #[test]
     fn errors() {
-        assert!(parse("(a").is_err());
-        assert!(parse(")").is_err());
-        assert!(parse("(.)").is_err());
-        assert!(parse("(a .)").is_err());
-        assert!(parse("(a . b c)").is_err());
-        assert!(parse("'").is_err());
+        for src in ["(a", ")", "(.)", "(a .)", "(a . b c)", "'"] {
+            assert!(read(src).is_err(), "{src}");
+        }
     }
 
     #[test]
     fn comments_ignored() {
-        let data = parse("; header\n(a) ; trailing\n").unwrap();
+        let data = read("; header\n(a) ; trailing\n").unwrap();
         assert_eq!(data.len(), 1);
     }
 }

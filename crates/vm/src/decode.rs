@@ -24,6 +24,8 @@
 //! report the original out-of-range pc; both still fail with the same
 //! message).
 
+use std::sync::Arc;
+
 use lesgs_frontend::{Const, FuncId, Prim};
 use lesgs_ir::Reg;
 use lesgs_metrics::Registry;
@@ -71,10 +73,11 @@ impl PrimArgs {
     }
 }
 
-/// Per-function metadata carried into the decoded program: the base pc
-/// of the function's slice of the flat array plus everything the
-/// executor needs for frames, activation classification, and error
-/// reporting.
+/// Per-function metadata: the base pc of the function's slice of the
+/// flat array plus everything either engine needs for frames,
+/// activation classification, and error reporting. Both engines read
+/// one table of these ([`func_table`]); the classic engine ignores the
+/// bases.
 #[derive(Debug, Clone)]
 pub struct FuncInfo {
     /// Diagnostic name (error locations, `--trace` lines).
@@ -277,7 +280,7 @@ impl DecodedOp {
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     pub(crate) ops: Vec<DecodedOp>,
-    pub(crate) funcs: Vec<FuncInfo>,
+    pub(crate) funcs: Arc<[FuncInfo]>,
     pub(crate) entry: FuncId,
     pub(crate) constants: Vec<Const>,
     pub(crate) n_globals: u32,
@@ -383,6 +386,31 @@ fn decode_one(instr: &Instr, base: u32, len: u32) -> DecodedOp {
     }
 }
 
+/// The per-function header table of `program`: each function's base
+/// leaves room for its code and one end sentinel after every function
+/// before it.
+pub(crate) fn func_table(program: &VmProgram) -> Arc<[FuncInfo]> {
+    let mut base = 0;
+    program
+        .funcs
+        .iter()
+        .map(|f| {
+            let code_len = f.code.len() as u32;
+            let info = FuncInfo {
+                name: f.name.clone(),
+                base,
+                code_len,
+                frame_size: f.frame_size,
+                n_incoming: f.n_incoming,
+                syntactic_leaf: f.syntactic_leaf,
+                call_inevitable: f.call_inevitable,
+            };
+            base += code_len + 1;
+            info
+        })
+        .collect()
+}
+
 impl DecodedProgram {
     /// Decodes a linked program — see the module docs for the layout.
     ///
@@ -392,22 +420,15 @@ impl DecodedProgram {
     /// operands — codegen never emits one and `verify_bytecode`
     /// rejects such programs.
     pub fn decode(program: &VmProgram) -> DecodedProgram {
+        let funcs = func_table(program);
         let mut ops = Vec::with_capacity(program.code_size() + program.funcs.len());
-        let mut funcs = Vec::with_capacity(program.funcs.len());
-        for f in &program.funcs {
-            let base = ops.len() as u32;
-            let len = f.code.len() as u32;
-            ops.extend(f.code.iter().map(|instr| decode_one(instr, base, len)));
+        for (f, info) in program.funcs.iter().zip(funcs.iter()) {
+            ops.extend(
+                f.code
+                    .iter()
+                    .map(|instr| decode_one(instr, info.base, info.code_len)),
+            );
             ops.push(DecodedOp::FuncEnd);
-            funcs.push(FuncInfo {
-                name: f.name.clone(),
-                base,
-                code_len: len,
-                frame_size: f.frame_size,
-                n_incoming: f.n_incoming,
-                syntactic_leaf: f.syntactic_leaf,
-                call_inevitable: f.call_inevitable,
-            });
         }
         let stats = DecodeStats {
             source_instructions: program.code_size() as u64,

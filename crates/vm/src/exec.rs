@@ -5,31 +5,35 @@
 //! [`DecodedProgram::decode`] (see that module for the layout), one
 //! op per source instruction. The hot loop never touches the original
 //! [`VmProgram`]: ops are `Copy`, operands are inline, jump targets are
-//! absolute, and the register file is a pair of fixed arrays — no
-//! per-iteration allocation or indirection. The classic
-//! decode-in-the-loop executor survives as
-//! [`crate::classic::ClassicMachine`]; differential tests hold the two
-//! to byte-identical outcomes and [`RunStats`], because the cost model
-//! and every `vm.*` counter must observe exactly the same event stream
-//! regardless of engine.
+//! absolute, and the register file is a fixed array — no per-iteration
+//! allocation or indirection.
+//!
+//! The machine state, the accounting and the effect of every
+//! instruction that neither branches nor calls live in the
+//! crate-private `machine` module, shared with the classic
+//! decode-in-the-loop executor [`crate::classic::ClassicMachine`]. This
+//! engine keeps only what decoding changes: fetch from the flat array,
+//! absolute pcs, the fast primitive paths, and branch conditions and
+//! closure call targets peeked in place instead of cloned.
+//! Differential tests hold the two engines to byte-identical outcomes
+//! and [`RunStats`], so that is the part they check.
 
-use std::cell::RefCell;
+use std::borrow::Cow;
 use std::fmt;
-use std::rc::Rc;
 
 use lesgs_frontend::{FuncId, Prim};
-use lesgs_ir::machine::{CP, NUM_REGS, RET, RV};
+use lesgs_ir::machine::CP;
 use lesgs_ir::Reg;
 
 use crate::cost::CostModel;
 use crate::decode::{DecodedOp, DecodedProgram, PrimArgs};
-use crate::prim::{eval_prim, ArgVals};
+use crate::machine::{Step, Vm};
 use crate::program::VmProgram;
-use crate::stats::{ActivationClass, RunStats};
-use crate::value::{const_to_value, imm_to_value, PatchedClosures, RetAddr, Value, VmClosure};
+use crate::stats::RunStats;
+use crate::value::Value;
 
-/// A runtime failure (type error, fuel exhaustion, VM invariant
-/// violation).
+/// A runtime failure (type error, fuel exhaustion, stack overflow, VM
+/// invariant violation).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VmError {
     /// Human-readable description.
@@ -84,47 +88,13 @@ pub struct VmOutcome {
     pub stats: RunStats,
 }
 
-/// One entry of the shadow activation stack (for Table 2
-/// classification; shared with the classic engine). `call` pushes one
-/// and `return` pops it.
-pub(crate) struct Activation {
-    pub(crate) func: FuncId,
-    pub(crate) made_call: bool,
-    /// The caller's frame pointer, which `return` restores.
-    pub(crate) caller_fp: u32,
-}
-
-/// The decoded program a [`Machine`] executes: decoded privately by
-/// [`Machine::new`], or borrowed via [`Machine::from_decoded`] so many
-/// runs (the bench harness, the config matrix) share one decode.
-enum Code<'a> {
-    Owned(Box<DecodedProgram>),
-    Borrowed(&'a DecodedProgram),
-    /// Placeholder left behind once [`Machine::run`] moves the program
-    /// out to hold it by direct reference for the dispatch loop.
-    Taken,
-}
-
 /// The virtual machine.
 pub struct Machine<'a> {
-    code: Code<'a>,
-    cost: CostModel,
-    max_instructions: u64,
-    poison_frames: bool,
-    trace: bool,
-    regs: [Value; NUM_REGS],
-    ready: [u64; NUM_REGS],
-    stack: Vec<Value>,
-    fp: u32,
-    func: FuncId,
-    /// Absolute pc into the decoded op array.
-    pc: u32,
-    constants: Vec<Value>,
-    globals: Vec<Value>,
-    output: String,
-    stats: RunStats,
-    shadow: Vec<Activation>,
-    patched: PatchedClosures,
+    /// The flat op array: decoded privately by [`Machine::new`], or
+    /// borrowed via [`Machine::from_decoded`] so many runs (the bench
+    /// harness, the config matrix) share one decode.
+    ops: Cow<'a, [DecodedOp]>,
+    vm: Vm,
 }
 
 type Result<T> = std::result::Result<T, VmError>;
@@ -134,52 +104,37 @@ impl<'a> Machine<'a> {
     /// decoding it on the spot. When the same program will run more
     /// than once, decode it yourself and use [`Machine::from_decoded`].
     pub fn new(program: &'a VmProgram, cost: CostModel) -> Machine<'a> {
-        Machine::with_code(Code::Owned(Box::new(DecodedProgram::decode(program))), cost)
+        let decoded = DecodedProgram::decode(program);
+        Machine {
+            vm: Vm::new(
+                decoded.funcs,
+                decoded.entry,
+                &decoded.constants,
+                decoded.n_globals,
+                cost,
+            ),
+            ops: Cow::Owned(decoded.ops),
+        }
     }
 
     /// Creates a machine over an already-decoded program.
     pub fn from_decoded(program: &'a DecodedProgram, cost: CostModel) -> Machine<'a> {
-        Machine::with_code(Code::Borrowed(program), cost)
-    }
-
-    fn with_code(code: Code<'a>, cost: CostModel) -> Machine<'a> {
-        let prog = match &code {
-            Code::Owned(p) => p.as_ref(),
-            Code::Borrowed(p) => p,
-            Code::Taken => unreachable!("machine constructed without code"),
-        };
-        let entry = prog.entry;
-        let pc = prog.funcs[entry.index()].base;
-        let constants = prog.constants.iter().map(const_to_value).collect();
-        let n_globals = prog.n_globals as usize;
         Machine {
-            code,
-            cost,
-            max_instructions: 2_000_000_000,
-            poison_frames: false,
-            trace: false,
-            // Registers start as benign garbage (hardware registers
-            // always hold *something*); uninitialized-read detection
-            // applies to poisoned stack slots only.
-            regs: std::array::from_fn(|_| Value::Void),
-            ready: [0; NUM_REGS],
-            stack: Vec::new(),
-            fp: 0,
-            func: entry,
-            pc,
-            constants,
-            globals: vec![Value::Void; n_globals],
-            output: String::new(),
-            stats: RunStats::default(),
-            shadow: Vec::new(),
-            patched: PatchedClosures::default(),
+            ops: Cow::Borrowed(&program.ops),
+            vm: Vm::new(
+                program.funcs.clone(),
+                program.entry,
+                &program.constants,
+                program.n_globals,
+                cost,
+            ),
         }
     }
 
     /// Sets the instruction budget.
     #[must_use]
     pub fn with_fuel(mut self, max_instructions: u64) -> Machine<'a> {
-        self.max_instructions = max_instructions;
+        self.vm = self.vm.with_fuel(max_instructions);
         self
     }
 
@@ -187,7 +142,7 @@ impl<'a> Machine<'a> {
     /// so reads of never-written slots fail loudly (used in tests).
     #[must_use]
     pub fn with_poison(mut self, poison: bool) -> Machine<'a> {
-        self.poison_frames = poison;
+        self.vm = self.vm.with_poison(poison);
         self
     }
 
@@ -195,7 +150,7 @@ impl<'a> Machine<'a> {
     /// logs a `trace:` line to stderr (the `lesgsc --trace` backend).
     #[must_use]
     pub fn with_trace(mut self, trace: bool) -> Machine<'a> {
-        self.trace = trace;
+        self.vm = self.vm.with_trace(trace);
         self
     }
 
@@ -209,153 +164,19 @@ impl<'a> Machine<'a> {
     }
 
     #[inline]
-    fn base(prog: &DecodedProgram, f: FuncId) -> u32 {
-        prog.funcs[f.index()].base
+    fn base(&self, f: FuncId) -> u32 {
+        self.vm.funcs[f.index()].base
     }
 
-    /// Builds an error located at the given absolute pc, reported in
-    /// the same function-relative coordinates as the classic engine.
-    #[cold]
-    fn err(&self, prog: &DecodedProgram, pc: u32, message: impl Into<String>) -> VmError {
-        let info = &prog.funcs[self.func.index()];
-        VmError {
-            message: message.into(),
-            at: Some((info.name.clone(), pc.saturating_sub(info.base))),
-        }
-    }
-
-    /// The stall half of [`Machine::read`]: waits until the register's
-    /// in-flight load completes, with the same cycle accounting. Fast
-    /// paths stall first and then peek the register in place instead of
-    /// cloning it; a stall is idempotent, so a fallback to `read` after
-    /// a peek observes nothing extra.
+    /// Resolves a through-`cp` call, peeking the closure in place after
+    /// the same stall `read` would charge, before the return address is
+    /// written.
     #[inline]
-    fn stall_on(&mut self, r: Reg) {
-        if self.ready[r.index()] > self.stats.cycles {
-            self.stats.stall_cycles += self.ready[r.index()] - self.stats.cycles;
-            self.stats.cycles = self.ready[r.index()];
-        }
-    }
-
-    #[inline]
-    fn read(&mut self, r: Reg) -> Value {
-        self.stall_on(r);
-        self.regs[r.index()].clone()
-    }
-
-    #[inline]
-    fn write(&mut self, r: Reg, v: Value) {
-        self.regs[r.index()] = v;
-        self.ready[r.index()] = self.stats.cycles;
-    }
-
-    #[inline]
-    fn write_loaded(&mut self, r: Reg, v: Value) {
-        self.regs[r.index()] = v;
-        self.ready[r.index()] = self.stats.cycles + self.cost.load_latency;
-    }
-
-    #[inline]
-    fn slot_index(&self, slot: u32) -> usize {
-        (self.fp + slot) as usize
-    }
-
-    fn stack_store(&mut self, slot: u32, v: Value) {
-        let idx = self.slot_index(slot);
-        if idx >= self.stack.len() {
-            self.stack.resize(idx + 1, Value::Uninit);
-        }
-        self.stack[idx] = v;
-    }
-
-    fn stack_load(&mut self, prog: &DecodedProgram, pc: u32, slot: u32) -> Result<Value> {
-        let idx = self.slot_index(slot);
-        match self.stack.get(idx) {
-            Some(Value::Uninit) | None => {
-                Err(self.err(prog, pc, format!("read of uninitialized stack slot {slot}")))
-            }
-            Some(v) => Ok(v.clone()),
-        }
-    }
-
-    fn enter_activation(&mut self, prog: &DecodedProgram, callee: FuncId, caller_fp: u32) {
-        if let Some(top) = self.shadow.last_mut() {
-            top.made_call = true;
-        }
-        self.stats.calls += 1;
-        if self.trace {
-            eprintln!(
-                "trace: call {} depth={}",
-                prog.funcs[callee.index()].name,
-                self.shadow.len()
-            );
-        }
-        self.shadow.push(Activation {
-            func: callee,
-            made_call: false,
-            caller_fp,
-        });
-    }
-
-    fn classify(prog: &DecodedProgram, a: &Activation) -> ActivationClass {
-        let f = &prog.funcs[a.func.index()];
-        match (a.made_call, f.syntactic_leaf, f.call_inevitable) {
-            (false, true, _) => ActivationClass::SyntacticLeaf,
-            (false, false, _) => ActivationClass::NonSyntacticLeaf,
-            (true, _, true) => ActivationClass::SyntacticInternal,
-            (true, _, false) => ActivationClass::NonSyntacticInternal,
-        }
-    }
-
-    /// Pops and tallies the current activation, returning the caller's
-    /// frame pointer (the current one when the stack is already empty,
-    /// which only unverified code reaches).
-    fn leave_activation(&mut self, prog: &DecodedProgram) -> u32 {
-        let Some(a) = self.shadow.pop() else {
-            return self.fp;
-        };
-        let class = Machine::classify(prog, &a);
-        if self.trace {
-            eprintln!(
-                "trace: return {} class={} depth={}",
-                prog.funcs[a.func.index()].name,
-                class.key(),
-                self.shadow.len()
-            );
-        }
-        self.stats.activations[class as usize] += 1;
-        a.caller_fp
-    }
-
-    /// Resolves a through-`cp` call: reads (and possibly stalls on)
-    /// `cp` *before* the return address is written, exactly as the
-    /// classic engine's `call_target` did.
-    fn closure_callee(&mut self, prog: &DecodedProgram, pc: u32) -> Result<FuncId> {
-        self.stall_on(CP);
-        match &self.regs[CP.index()] {
+    fn closure_callee(&mut self) -> Step<FuncId> {
+        self.vm.stall_on(CP);
+        match &self.vm.regs[CP.index()] {
             Value::Closure(c) => Ok(c.func),
-            other => Err(self.err(
-                prog,
-                pc,
-                format!("call of non-procedure `{}`", other.write_string()),
-            )),
-        }
-    }
-
-    fn poison(&mut self, prog: &DecodedProgram, func: FuncId) {
-        if !self.poison_frames {
-            return;
-        }
-        let f = &prog.funcs[func.index()];
-        // Skip the incoming-parameter region: the caller wrote the
-        // stack-passed arguments there just before the call.
-        let lo = (self.fp + f.n_incoming) as usize;
-        let hi = (self.fp + f.frame_size) as usize;
-        if hi > self.stack.len() {
-            self.stack.resize(hi, Value::Uninit);
-        }
-        for v in &mut self.stack[lo..hi] {
-            *v = Value::Uninit;
+            other => Err(format!("call of non-procedure `{}`", other.write_string())),
         }
     }
 
@@ -364,18 +185,19 @@ impl<'a> Machine<'a> {
     /// of being cloned into the shared evaluator's argument buffer.
     /// Returns `None` — having changed nothing but idempotent stall
     /// state — whenever the operands don't match the fast shape (wrong
-    /// type, overflow, bad index), so the shared [`eval_prim`] stays
-    /// the single owner of error semantics and the full catalogue.
+    /// type, overflow, bad index), so the shared evaluator stays the
+    /// single owner of error semantics and the full catalogue.
     #[inline]
     fn try_fast_prim(&mut self, op: Prim, args: &PrimArgs) -> Option<(Value, bool)> {
         use Prim::*;
         let a = args.as_slice();
         for r in a {
-            self.stall_on(*r);
+            self.vm.stall_on(*r);
         }
+        let regs = &self.vm.regs;
         macro_rules! fix {
             ($i:expr) => {
-                match &self.regs[a[$i].index()] {
+                match &regs[a[$i].index()] {
                     Value::Fixnum(n) => *n,
                     _ => return None,
                 }
@@ -399,11 +221,11 @@ impl<'a> Machine<'a> {
                 let b = if a.len() > 1 { fix!(1) } else { 0 };
                 Value::from(op.apply_fixnum(fix!(0), b)?.ok()?)
             }
-            Not => Value::bool(!self.regs[a[0].index()].is_truthy()),
-            IsPair => Value::bool(matches!(self.regs[a[0].index()], Value::Pair(_))),
-            IsNull => Value::bool(matches!(self.regs[a[0].index()], Value::Nil)),
-            IsEq | IsEqv => Value::bool(self.regs[a[0].index()].eq_ptr(&self.regs[a[1].index()])),
-            Car | Cdr => match &self.regs[a[0].index()] {
+            Not => Value::bool(!regs[a[0].index()].is_truthy()),
+            IsPair => Value::bool(matches!(regs[a[0].index()], Value::Pair(_))),
+            IsNull => Value::bool(matches!(regs[a[0].index()], Value::Nil)),
+            IsEq | IsEqv => Value::bool(regs[a[0].index()].eq_ptr(&regs[a[1].index()])),
+            Car | Cdr => match &regs[a[0].index()] {
                 Value::Pair(p) => {
                     let p = p.borrow();
                     let v = if op == Car { p.0.clone() } else { p.1.clone() };
@@ -411,7 +233,7 @@ impl<'a> Machine<'a> {
                 }
                 _ => return None,
             },
-            VectorRef => match &self.regs[a[0].index()] {
+            VectorRef => match &regs[a[0].index()] {
                 Value::Vector(v) => {
                     let i = fix!(1);
                     let v = v.borrow();
@@ -422,15 +244,15 @@ impl<'a> Machine<'a> {
             },
             VectorSet => {
                 let i = fix!(1);
-                let x = match &self.regs[a[0].index()] {
+                let x = match &regs[a[0].index()] {
                     Value::Vector(v) => {
                         let len = v.borrow().len();
                         usize::try_from(i).ok().filter(|&i| i < len)?;
-                        self.regs[a[2].index()].clone()
+                        regs[a[2].index()].clone()
                     }
                     _ => return None,
                 };
-                match &self.regs[a[0].index()] {
+                match &regs[a[0].index()] {
                     Value::Vector(v) => v.borrow_mut()[i as usize] = x,
                     _ => unreachable!(),
                 }
@@ -442,37 +264,6 @@ impl<'a> Machine<'a> {
     }
 
     #[inline]
-    fn exec_prim(
-        &mut self,
-        prog: &DecodedProgram,
-        pc: u32,
-        op: Prim,
-        dst: Reg,
-        args: &PrimArgs,
-    ) -> Result<()> {
-        let (result, from_memory) = match self.try_fast_prim(op, args) {
-            Some(r) => r,
-            None => {
-                let mut vals = ArgVals::new();
-                for r in args.as_slice() {
-                    vals.push(self.read(*r));
-                }
-                eval_prim(op, &mut vals, &mut self.output).map_err(|m| self.err(prog, pc, m))?
-            }
-        };
-        if from_memory {
-            self.write_loaded(dst, result);
-        } else {
-            self.write(dst, result);
-        }
-        if op.touches_memory() {
-            self.stats.heap_ops += 1;
-            self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-        }
-        Ok(())
-    }
-
-    #[inline]
     fn exec_branch(
         &mut self,
         pc: &mut u32,
@@ -481,239 +272,122 @@ impl<'a> Machine<'a> {
         likely: Option<bool>,
         on_true: bool,
     ) {
-        self.stats.branches += 1;
         // Peek the condition in place — truthiness needs no clone.
-        self.stall_on(src);
-        let taken = self.regs[src.index()].is_truthy() == on_true;
-        // Default static prediction: fallthrough (a taken branch under
-        // a fallthrough prediction mispredicts, and vice versa).
-        let predicted_fallthrough = likely.unwrap_or(true);
-        if predicted_fallthrough == taken {
-            self.stats.mispredicts += 1;
-            self.stats.cycles += self.cost.mispredict_penalty;
-        }
-        if taken {
+        self.vm.stall_on(src);
+        let taken = self.vm.regs[src.index()].is_truthy() == on_true;
+        if self.vm.branch(taken, likely) {
             *pc = target;
         }
     }
 
     #[inline]
-    fn do_call(&mut self, prog: &DecodedProgram, pc: &mut u32, callee: FuncId, frame_advance: u32) {
+    fn do_call(&mut self, pc: &mut u32, callee: FuncId, frame_advance: u32) -> Step {
         // Return addresses stay function-relative so the value is
         // engine-independent (differential tests compare rendered
         // values, and save slots hold these).
-        let ra = RetAddr::new(self.func, *pc - Machine::base(prog, self.func));
-        self.write(RET, Value::RetAddr(ra));
-        let caller_fp = self.fp;
-        self.fp += frame_advance;
-        self.func = callee;
-        *pc = Machine::base(prog, callee);
-        self.enter_activation(prog, callee, caller_fp);
-        self.poison(prog, callee);
+        let return_pc = *pc - self.base(self.vm.func);
+        self.vm.enter_activation(callee, frame_advance, return_pc)?;
+        *pc = self.base(callee);
+        Ok(())
     }
 
     #[inline]
-    fn do_tail_call(&mut self, prog: &DecodedProgram, pc: &mut u32, callee: FuncId) {
-        self.stats.tail_calls += 1;
-        if self.trace {
-            eprintln!(
-                "trace: tail-call {} depth={}",
-                prog.funcs[callee.index()].name,
-                self.shadow.len()
-            );
-        }
-        self.func = callee;
-        *pc = Machine::base(prog, callee);
-        // A tail call is a jump: same activation, same fp.
+    fn do_tail_call(&mut self, pc: &mut u32, callee: FuncId) {
+        self.vm.tail_call(callee);
+        *pc = self.base(callee);
     }
 
     /// Runs the program to completion.
     ///
     /// # Errors
     ///
-    /// Type errors, arity/stack violations, `(error …)`, or exceeding
-    /// the instruction budget.
+    /// Type errors, arity/stack violations, `(error …)`, stack
+    /// overflow, or exceeding the instruction budget.
     pub fn run(mut self) -> Result<VmOutcome> {
-        // Move the program out of `self` so the dispatch loop holds it
-        // by direct reference — no per-access enum match, and the op
-        // array pointer stays hoisted across the whole loop.
-        let code = std::mem::replace(&mut self.code, Code::Taken);
-        match &code {
-            Code::Owned(p) => self.run_on(p),
-            Code::Borrowed(p) => self.run_on(p),
-            Code::Taken => unreachable!("machine run twice"),
-        }
+        // Move the ops out of `self` so the dispatch loop holds them by
+        // direct reference and the array pointer stays hoisted across
+        // the whole loop.
+        let ops = std::mem::take(&mut self.ops);
+        self.run_on(&ops)
     }
 
-    fn run_on(&mut self, prog: &DecodedProgram) -> Result<VmOutcome> {
-        let ops: &[DecodedOp] = &prog.ops;
+    fn run_on(&mut self, ops: &[DecodedOp]) -> Result<VmOutcome> {
         // The pc lives in a local so the hottest state of the loop can
         // stay in a register; helpers that redirect control flow take
         // `&mut u32`.
-        let mut pc = self.pc;
-        // Bootstrap: the entry function's frame starts at 0.
-        self.shadow.push(Activation {
-            func: self.func,
-            made_call: false,
-            caller_fp: self.fp,
-        });
-        self.poison(prog, self.func);
+        let mut pc = self.base(self.vm.func);
+        let result = self.dispatch(ops, &mut pc);
+        result.map_err(|message| {
+            // Errors are reported function-relative, as the classic
+            // engine counts.
+            let at = pc.saturating_sub(self.base(self.vm.func));
+            self.vm.err(at, message)
+        })
+    }
+
+    #[inline(always)]
+    fn dispatch(&mut self, ops: &[DecodedOp], pc: &mut u32) -> Step<VmOutcome> {
+        self.vm.enter_entry()?;
         loop {
-            if self.stats.instructions >= self.max_instructions {
-                return Err(self.err(prog, pc, FUEL_MESSAGE));
-            }
-            self.stats.instructions += 1;
-            self.stats.cycles += self.cost.instr_cost;
+            self.vm.tick()?;
             // In range by construction: every function ends in a
             // FuncEnd sentinel and all targets are clamped into its
             // own span, so the pc cannot run off the array.
-            let op = ops[pc as usize];
-            pc += 1;
+            let op = ops[*pc as usize];
+            *pc += 1;
             match op {
-                DecodedOp::Imm { dst, imm } => {
-                    self.write(dst, imm_to_value(imm));
-                }
-                DecodedOp::Const { dst, idx } => {
-                    let v = self.constants[idx as usize].clone();
-                    self.write(dst, v);
-                }
-                DecodedOp::Mov { dst, src } => {
-                    let v = self.read(src);
-                    self.write(dst, v);
-                }
-                DecodedOp::StackLoad { dst, slot, class } => {
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stats.stack_loads[class as usize] += 1;
-                    let v = self.stack_load(prog, pc, slot)?;
-                    self.write_loaded(dst, v);
-                }
+                DecodedOp::Imm { dst, imm } => self.vm.load_imm(dst, imm),
+                DecodedOp::Const { dst, idx } => self.vm.load_const(dst, idx),
+                DecodedOp::Mov { dst, src } => self.vm.mov(dst, src),
+                DecodedOp::StackLoad { dst, slot, class } => self.vm.load_slot(dst, slot, class)?,
                 DecodedOp::StackStore { slot, src, class } => {
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stats.stack_stores[class as usize] += 1;
-                    let v = self.read(src);
-                    self.stack_store(slot, v);
+                    self.vm.store_slot(slot, src, class)?;
                 }
-                DecodedOp::Prim { op, dst, args } => {
-                    self.exec_prim(prog, pc, op, dst, &args)?;
-                }
-                DecodedOp::Jump { target } => pc = target,
+                DecodedOp::Prim { op, dst, args } => match self.try_fast_prim(op, &args) {
+                    Some((result, from_memory)) => {
+                        self.vm.prim_result(op, dst, result, from_memory)
+                    }
+                    None => self.vm.prim(op, dst, args.as_slice())?,
+                },
+                DecodedOp::Jump { target } => *pc = target,
                 DecodedOp::Branch {
                     src,
                     target,
                     likely,
                     on_true,
-                } => self.exec_branch(&mut pc, src, target, likely, on_true),
+                } => self.exec_branch(pc, src, target, likely, on_true),
                 DecodedOp::CallStatic {
                     callee,
                     frame_advance,
-                } => self.do_call(prog, &mut pc, callee, frame_advance),
+                } => self.do_call(pc, callee, frame_advance)?,
                 DecodedOp::CallClosure { frame_advance } => {
-                    let callee = self.closure_callee(prog, pc)?;
-                    self.do_call(prog, &mut pc, callee, frame_advance);
+                    let callee = self.closure_callee()?;
+                    self.do_call(pc, callee, frame_advance)?;
                 }
-                DecodedOp::TailCallStatic { callee } => self.do_tail_call(prog, &mut pc, callee),
+                DecodedOp::TailCallStatic { callee } => self.do_tail_call(pc, callee),
                 DecodedOp::TailCallClosure => {
-                    let callee = self.closure_callee(prog, pc)?;
-                    self.do_tail_call(prog, &mut pc, callee);
+                    let callee = self.closure_callee()?;
+                    self.do_tail_call(pc, callee);
                 }
-                DecodedOp::Return => match self.read(RET) {
-                    Value::RetAddr(ra) => {
-                        self.fp = self.leave_activation(prog);
-                        self.func = ra.func();
-                        pc = Machine::base(prog, ra.func()) + ra.pc();
-                    }
-                    other => {
-                        return Err(self.err(
-                            prog,
-                            pc,
-                            format!("return through non-address `{}`", other.write_string()),
-                        ))
-                    }
-                },
+                DecodedOp::Return => {
+                    let ra = self.vm.ret()?;
+                    *pc = self.base(ra.func()) + ra.pc();
+                }
                 DecodedOp::AllocClosure { dst, func, n_free } => {
-                    self.stats.heap_ops += 1;
-                    self.stats.closures_allocated += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    let clo = VmClosure {
-                        func,
-                        free: RefCell::new(vec![Value::Void; n_free as usize]),
-                    };
-                    self.write(dst, Value::Closure(Rc::new(clo)));
+                    self.vm.alloc_closure(dst, func, n_free);
                 }
                 DecodedOp::ClosureSlotSet { clo, index, src } => {
-                    self.stats.heap_ops += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    let v = self.read(src);
-                    self.stall_on(clo);
-                    match &self.regs[clo.index()] {
-                        Value::Closure(c) => {
-                            c.set_free(index, v).map_err(|m| self.err(prog, pc, m))?;
-                            self.patched.remember(c);
-                        }
-                        other => {
-                            return Err(self.err(
-                                prog,
-                                pc,
-                                format!("closure-set! on `{}`", other.write_string()),
-                            ))
-                        }
-                    }
+                    self.vm.set_closure_slot(clo, index, src)?;
                 }
-                DecodedOp::LoadFree { dst, index } => {
-                    self.stats.heap_ops += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    self.stall_on(CP);
-                    let v = match &self.regs[CP.index()] {
-                        Value::Closure(c) => {
-                            c.load_free(index).map_err(|m| self.err(prog, pc, m))?
-                        }
-                        other => {
-                            return Err(self.err(
-                                prog,
-                                pc,
-                                format!(
-                                    "free-variable reference through `{}`",
-                                    other.write_string()
-                                ),
-                            ))
-                        }
-                    };
-                    self.write_loaded(dst, v);
-                }
-                DecodedOp::LoadGlobal { dst, index } => {
-                    self.stats.heap_ops += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    let v = self
-                        .globals
-                        .get(index as usize)
-                        .cloned()
-                        .ok_or_else(|| self.err(prog, pc, "global index out of range"))?;
-                    self.write_loaded(dst, v);
-                }
-                DecodedOp::StoreGlobal { index, src } => {
-                    self.stats.heap_ops += 1;
-                    self.stats.cycles += self.cost.mem_cost - self.cost.instr_cost;
-                    let v = self.read(src);
-                    match self.globals.get_mut(index as usize) {
-                        Some(slot) => *slot = v,
-                        None => return Err(self.err(prog, pc, "global index out of range")),
-                    }
-                }
-                DecodedOp::Halt => {
-                    while !self.shadow.is_empty() {
-                        self.leave_activation(prog);
-                    }
-                    let value = self.read(RV).write_string();
-                    return Ok(VmOutcome {
-                        value,
-                        output: std::mem::take(&mut self.output),
-                        stats: std::mem::take(&mut self.stats),
-                    });
-                }
+                DecodedOp::LoadFree { dst, index } => self.vm.load_free(dst, index)?,
+                DecodedOp::LoadGlobal { dst, index } => self.vm.load_global(dst, index)?,
+                DecodedOp::StoreGlobal { index, src } => self.vm.store_global(index, src)?,
+                DecodedOp::Halt => return Ok(self.vm.halt()),
                 DecodedOp::FuncEnd => {
                     // The classic engine reports the (unincremented)
                     // out-of-range pc; step back to match.
-                    return Err(self.err(prog, pc - 1, "program counter out of range"));
+                    *pc -= 1;
+                    return Err("program counter out of range".to_owned());
                 }
             }
         }
@@ -726,7 +400,8 @@ mod tests {
     use crate::classic::ClassicMachine;
     use crate::instr::{CallTarget, Imm, Instr, SlotClass};
     use crate::program::{VmFunc, VmProgram};
-    use lesgs_ir::machine::{arg_reg, scratch_reg};
+    use crate::stats::ActivationClass;
+    use lesgs_ir::machine::{arg_reg, scratch_reg, RET, RV};
 
     /// Hand-assembled program: computes (2 + 3) * 7 via a helper call.
     fn tiny_program() -> VmProgram {

@@ -9,6 +9,13 @@
 //! a few cycles after they issue and uses of not-yet-ready registers
 //! stall. The latency model is what makes the eager-vs-lazy restore
 //! trade-off of §2.2 observable.
+//!
+//! Two engines execute a program: the pre-decoded [`Machine`] and the
+//! classic decode-in-the-loop [`ClassicMachine`], the reference it is
+//! checked against. Both drive one crate-private machine that owns the
+//! run's state, counts every event above, bounds the stack and the
+//! activation stack, and performs every instruction that neither
+//! branches nor calls; the engines keep only fetch and control flow.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,6 +25,7 @@ pub mod cost;
 pub mod decode;
 pub mod exec;
 pub mod instr;
+mod machine;
 mod prim;
 pub mod program;
 pub mod stats;

@@ -3,12 +3,13 @@
 //! The classic interpreter ([`crate::classic::ClassicMachine`]) and the
 //! pre-decoded dispatcher ([`crate::Machine`]) must produce *the same*
 //! values, output, and error messages for every primitive — so the
-//! evaluation logic lives here, once, and both engines call it. The
-//! evaluator is deliberately machine-agnostic: it reports failures as
-//! bare message strings and leaves it to the caller to attach the
-//! function/pc location, and it returns a `from_memory` flag instead of
-//! writing the destination register so each engine applies its own
-//! load-latency bookkeeping.
+//! evaluation logic lives here, once, behind the shared machine's slow
+//! primitive path. The evaluator is deliberately machine-agnostic: it
+//! reports failures as bare message strings and leaves it to the
+//! engine to attach the function/pc location, and it returns a
+//! `from_memory` flag instead of writing the destination register, so
+//! the decoded engine's fast paths and this evaluator share one write
+//! with its load-latency bookkeeping.
 
 use std::ops::Index;
 

@@ -84,9 +84,10 @@ fn quoted_data_renders_identically() {
 fn reader_roundtrips_printed_data() {
     run_cases(64, |rng| {
         let d = gen_datum(rng, 3);
-        let parsed = lesgs::sexpr::parse_one(&d).expect("generated datum parses");
-        let printed = parsed.to_string();
-        let reparsed = lesgs::sexpr::parse_one(&printed).expect("printed datum parses");
+        let parsed = lesgs::sexpr::read(&d).expect("generated datum parses");
+        assert_eq!(parsed.len(), 1, "{d}");
+        let printed = parsed[0].to_string();
+        let reparsed = lesgs::sexpr::read(&printed).expect("printed datum parses");
         assert_eq!(parsed, reparsed);
     });
 }
