@@ -3,7 +3,9 @@
 //! [`build_suite_report`] is the library form of the `bench-report`
 //! binary: every section of the paper's evaluation
 //! ([`crate::sections`]), per-run records of the baseline and the paper
-//! default, the classic-vs-decoded dispatch tables, and a replay of a
+//! default, the dispatch tables (code size, and the fast-path
+//! ablation: one dispatch loop built with and without its fast paths),
+//! and a replay of a
 //! seeded compile-and-run workload through the [`lesgs_svc`] batch
 //! service. Runs fan out across a worker pool ([`Runs`]) and merge in
 //! benchmark order, so everything but the wall-clock tables
@@ -22,7 +24,7 @@ use lesgs_suite::tables::{pct, Table};
 use lesgs_suite::Scale;
 use lesgs_svc::loadgen::{programs, requests, WorkloadConfig};
 use lesgs_svc::{BatchStats, Request, Response, Service, ServiceConfig};
-use lesgs_vm::{ClassicMachine, CostModel, DecodeStats, Machine};
+use lesgs_vm::CostModel;
 
 use crate::report::{run_record, Report};
 use crate::runs::Runs;
@@ -33,11 +35,12 @@ use crate::sections::{self, table};
 pub const TIMING_TABLE: &str = "timing";
 
 /// Name of the deterministic per-benchmark static code-size table
-/// (source instructions and decoded ops): the counts only move when
-/// codegen or the decoded layout changes.
+/// (source instructions, the code the VM executes): the counts only
+/// move when codegen changes.
 pub const DISPATCH_TABLE: &str = "dispatch";
 
-/// Name of the classic-vs-decoded throughput table (wall-clock).
+/// Name of the fast-path ablation throughput table (wall-clock): the
+/// reference engine against the machine with its fast paths.
 pub const DISPATCH_THROUGHPUT_TABLE: &str = "dispatch_throughput";
 
 /// Name of the deterministic service-cache accounting table: every
@@ -76,7 +79,7 @@ pub fn build_suite_report(
     mut progress: impl FnMut(&str),
 ) -> SuiteReport {
     // Dispatch timing runs serially and first, before the worker pool
-    // touches the heap: the classic-vs-decoded ratio is a wall-clock
+    // touches the heap: the fast-path ablation is a wall-clock
     // measurement, and both concurrent jobs and a suite-worn allocator
     // skew it.
     let dispatches: Vec<(String, DispatchMeasurement)> = benchmarks
@@ -141,9 +144,10 @@ pub fn build_suite_report(
     for note in [
         "Full optimization (lazy saves, eager restores, greedy shuffling, six \
          argument registers) vs the no-register baseline.",
-        "Dispatch throughput compares the classic per-function interpreter \
-         against the pre-decoded threaded dispatch loop on the paper-default \
-         configuration; both engines observed identical counters and values \
+        "Dispatch throughput times one dispatch loop built twice on the \
+         paper-default configuration: the reference engine, without fast \
+         paths, against the machine with its primitive, branch and call \
+         fast paths; both engines observed identical counters and values \
          on every benchmark in this report.",
         "The service tables replay a fixed seeded compile-and-run workload \
          (lesgs-svc loadgen) through the batch service with its \
@@ -332,14 +336,14 @@ fn service_throughput_table(m: &ServiceMeasurement) -> Table {
     t
 }
 
-/// One benchmark's classic-vs-decoded dispatch comparison: the static
-/// decode statistics (deterministic) plus the wall time each engine
-/// took to retire the same instruction stream.
+/// One benchmark's fast-path ablation: its code size (deterministic)
+/// plus the wall time each build of the dispatch loop took to retire
+/// the same instruction stream.
 struct DispatchMeasurement {
-    stats: DecodeStats,
+    code_size: u64,
     instructions: u64,
-    classic_ns: f64,
-    decoded_ns: f64,
+    reference_ns: f64,
+    fast_ns: f64,
 }
 
 /// Compiles `b` once under the paper-default configuration and runs it
@@ -365,28 +369,28 @@ fn measure_dispatch(b: &Benchmark, scale: Scale) -> DispatchMeasurement {
     };
     let compiled = compile(b.source(scale), &config)
         .unwrap_or_else(|e| panic!("{}: compile failed: {e}", b.name));
-    let run_classic = || {
-        ClassicMachine::new(&compiled.vm, config.cost)
-            .with_fuel(config.fuel)
+    let run_reference = || {
+        config
+            .classic_machine(&compiled.vm)
             .run()
-            .unwrap_or_else(|e| panic!("{}: classic run failed: {e}", b.name))
+            .unwrap_or_else(|e| panic!("{}: reference run failed: {e}", b.name))
     };
-    let run_decoded = || {
-        Machine::from_decoded(&compiled.decoded, config.cost)
-            .with_fuel(config.fuel)
+    let run_fast = || {
+        config
+            .machine(&compiled.vm)
             .run()
-            .unwrap_or_else(|e| panic!("{}: decoded run failed: {e}", b.name))
+            .unwrap_or_else(|e| panic!("{}: fast-path run failed: {e}", b.name))
     };
-    let classic = run_classic();
-    let decoded = run_decoded();
+    let reference = run_reference();
+    let fast = run_fast();
     assert_eq!(
-        classic.value, decoded.value,
+        reference.value, fast.value,
         "{}: engines must agree on the result",
         b.name
     );
     assert_eq!(
-        classic.stats, decoded.stats,
-        "{}: counted events must be dispatch-invariant",
+        reference.stats, fast.stats,
+        "{}: counted events must not depend on the fast paths",
         b.name
     );
     let time_one = |run: &dyn Fn()| {
@@ -394,42 +398,34 @@ fn measure_dispatch(b: &Benchmark, scale: Scale) -> DispatchMeasurement {
         run();
         start.elapsed().as_nanos() as f64
     };
-    let mut classic_ns = f64::INFINITY;
-    let mut decoded_ns = f64::INFINITY;
+    let mut reference_ns = f64::INFINITY;
+    let mut fast_ns = f64::INFINITY;
     for _ in 0..TIMED_RUNS {
-        classic_ns = classic_ns.min(time_one(&|| {
-            run_classic();
+        reference_ns = reference_ns.min(time_one(&|| {
+            run_reference();
         }));
-        decoded_ns = decoded_ns.min(time_one(&|| {
-            run_decoded();
+        fast_ns = fast_ns.min(time_one(&|| {
+            run_fast();
         }));
     }
     DispatchMeasurement {
-        stats: compiled.decoded.stats(),
-        instructions: decoded.stats.instructions,
-        classic_ns,
-        decoded_ns,
+        code_size: compiled.vm.code_size() as u64,
+        instructions: fast.stats.instructions,
+        reference_ns,
+        fast_ns,
     }
 }
 
 /// The deterministic static code-size table (one row per benchmark
 /// plus a total row).
 fn dispatch_table(dispatches: &[(String, DispatchMeasurement)]) -> Table {
-    let mut t = table("benchmark, source instrs, decoded ops");
-    let mut total = DecodeStats::default();
-    let row = |name: &str, s: &DecodeStats| {
-        vec![
-            name.to_owned(),
-            s.source_instructions.to_string(),
-            s.decoded_ops.to_string(),
-        ]
-    };
+    let mut t = table("benchmark, source instrs");
+    let mut total = 0;
     for (name, d) in dispatches {
-        total.source_instructions += d.stats.source_instructions;
-        total.decoded_ops += d.stats.decoded_ops;
-        t.row(row(name, &d.stats));
+        total += d.code_size;
+        t.row(vec![name.clone(), d.code_size.to_string()]);
     }
-    t.row(row("Total", &total));
+    t.row(vec!["Total".into(), total.to_string()]);
     t
 }
 
@@ -441,26 +437,26 @@ fn dispatch_throughput_table(dispatches: &[(String, DispatchMeasurement)]) -> Ta
         let per_sec = ratio(instructions as f64 * 1e9, ns, 0.0);
         format!("{:.1}", per_sec / 1e6)
     };
-    let mut t = table("benchmark, instructions, classic (Mops/s), decoded (Mops/s), speedup");
-    let (mut instr_total, mut classic_total, mut decoded_total) = (0u64, 0.0f64, 0.0f64);
+    let mut t = table("benchmark, instructions, reference (Mops/s), fast paths (Mops/s), speedup");
+    let (mut instr_total, mut reference_total, mut fast_total) = (0u64, 0.0f64, 0.0f64);
     for (name, d) in dispatches {
         instr_total += d.instructions;
-        classic_total += d.classic_ns;
-        decoded_total += d.decoded_ns;
+        reference_total += d.reference_ns;
+        fast_total += d.fast_ns;
         t.row(vec![
             name.clone(),
             d.instructions.to_string(),
-            mops(d.instructions, d.classic_ns),
-            mops(d.instructions, d.decoded_ns),
-            format!("{:.2}x", ratio(d.classic_ns, d.decoded_ns, 0.0)),
+            mops(d.instructions, d.reference_ns),
+            mops(d.instructions, d.fast_ns),
+            format!("{:.2}x", ratio(d.reference_ns, d.fast_ns, 0.0)),
         ]);
     }
     t.row(vec![
         "Total".into(),
         instr_total.to_string(),
-        mops(instr_total, classic_total),
-        mops(instr_total, decoded_total),
-        format!("{:.2}x", ratio(classic_total, decoded_total, 0.0)),
+        mops(instr_total, reference_total),
+        mops(instr_total, fast_total),
+        format!("{:.2}x", ratio(reference_total, fast_total, 0.0)),
     ]);
     t
 }

@@ -20,7 +20,7 @@ use lesgs_core::frame::FrameLayout;
 use lesgs_frontend::{Const, FuncId, Prim};
 use lesgs_ir::machine::{scratch_reg, NUM_SCRATCH, RV};
 use lesgs_ir::{Reg, RegSet};
-use lesgs_vm::{CallTarget, Imm, Instr, SlotClass, VmFunc, VmProgram};
+use lesgs_vm::{CallTarget, Imm, Instr, PrimArgs, SlotClass, VmFunc, VmProgram};
 
 /// A code-generation failure (should not happen for allocator output;
 /// kept as an error for robustness).
@@ -277,7 +277,7 @@ impl Emitter<'_> {
         self.emit(Instr::Prim {
             op: p,
             dst,
-            args: regs,
+            args: PrimArgs::from_slice(&regs),
         });
         for r in to_release {
             self.release_scratch(r);

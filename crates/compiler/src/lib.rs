@@ -22,7 +22,7 @@ use lesgs_core::{driver::allocate_program_observed, AllocConfig, AllocatedProgra
 use lesgs_frontend::pipeline;
 use lesgs_ir::Program;
 use lesgs_metrics::{ratio, Registry};
-use lesgs_vm::{ClassicMachine, CostModel, DecodedProgram, Machine, VmOutcome, VmProgram};
+use lesgs_vm::{ClassicMachine, CostModel, Dispatch, Machine, VmOutcome, VmProgram};
 
 /// Complete compiler + execution configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,6 +59,28 @@ impl CompilerConfig {
             ..CompilerConfig::default()
         }
     }
+
+    /// A [`Machine`] that runs `program` under this configuration's
+    /// cost model, poisoning, tracing and instruction budget.
+    pub fn machine<'a>(&self, program: &'a VmProgram) -> Machine<'a> {
+        self.configure(Machine::new(program, self.cost))
+    }
+
+    /// The reference [`ClassicMachine`], configured like
+    /// [`CompilerConfig::machine`].
+    pub fn classic_machine<'a>(&self, program: &'a VmProgram) -> ClassicMachine<'a> {
+        self.configure(ClassicMachine::new(program, self.cost))
+    }
+
+    fn configure<'a, const FAST: bool>(&self, m: Dispatch<'a, FAST>) -> Dispatch<'a, FAST> {
+        let m = m.with_poison(self.poison).with_trace(self.trace);
+        // A budget of 0 means the machine's default.
+        if self.fuel > 0 {
+            m.with_fuel(self.fuel)
+        } else {
+            m
+        }
+    }
 }
 
 /// A compilation failure (frontend errors).
@@ -84,9 +106,6 @@ pub struct Compiled {
     pub allocated: AllocatedProgram,
     /// Executable VM code.
     pub vm: VmProgram,
-    /// The pre-decoded form the dispatch loop executes (built once at
-    /// compile time; every [`Compiled::run`] reuses it).
-    pub decoded: DecodedProgram,
 }
 
 impl Compiled {
@@ -96,13 +115,7 @@ impl Compiled {
     ///
     /// VM runtime errors or budget exhaustion.
     pub fn run(&self, config: &CompilerConfig) -> Result<VmOutcome, lesgs_vm::VmError> {
-        let mut m = Machine::from_decoded(&self.decoded, config.cost)
-            .with_poison(config.poison)
-            .with_trace(config.trace);
-        if config.fuel > 0 {
-            m = m.with_fuel(config.fuel);
-        }
-        m.run()
+        config.machine(&self.vm).run()
     }
 
     /// Static shuffle/save statistics (§3.1 numbers).
@@ -177,24 +190,13 @@ pub fn compile_back_observed(
     let vm = lesgs_codegen::compile_program_observed(&allocated, !config.no_peephole, reg);
     reg.end_span(codegen_span);
 
-    // Pre-decode for the dispatch loop. The vm.dispatch.* counters are
-    // *static* load-time facts (source instructions, decoded ops) —
-    // run-time vm.* counters keep their pre-decoding key set untouched.
-    let decode_span = reg.start_span("vm.dispatch.decode");
-    let decoded = DecodedProgram::decode(&vm);
-    reg.end_span(decode_span);
     if reg.is_recording() {
-        decoded.stats().record(reg);
         // Allocation's share of the compile time in this registry's
         // spans (the paper's §4 "7%").
         let ns = phase_ns(reg);
         reg.set_gauge("compile.alloc_fraction", ratio(ns[1], ns.iter().sum(), 0.0));
     }
-    Compiled {
-        allocated,
-        vm,
-        decoded,
-    }
+    Compiled { allocated, vm }
 }
 
 /// The frontend, allocation and codegen wall times in nanoseconds,
@@ -285,16 +287,17 @@ pub enum DiffKind {
         /// The VM error.
         message: String,
     },
-    /// The classic reference engine and the decoded engine disagreed
+    /// The [`Machine`] and the reference [`ClassicMachine`] disagreed
     /// on one compiled program: its value, output, error or any
-    /// [`lesgs_vm::RunStats`] counter. Only dispatch differs between
-    /// them, so this is a bug in decoding or in the decoded loop.
+    /// [`lesgs_vm::RunStats`] counter. They run one dispatch loop and
+    /// differ only in the machine's fast paths, so this is a bug in a
+    /// fast path.
     EngineMismatch {
         /// What differs: `value`, `output`, `stats` or `result`.
         what: &'static str,
-        /// The decoded engine's side, rendered.
-        decoded: String,
-        /// The classic engine's side, rendered.
+        /// The machine's side, rendered.
+        fast: String,
+        /// The reference's side, rendered.
         classic: String,
     },
     /// Both backends ran to completion but disagreed.
@@ -359,13 +362,13 @@ impl std::fmt::Display for DiffFailure {
             }
             DiffKind::EngineMismatch {
                 what,
-                decoded,
+                fast,
                 classic,
             } => {
                 cfg(f)?;
                 write!(
                     f,
-                    "engines disagree on {what}: decoded {decoded} != classic {classic}"
+                    "engines disagree on {what}: fast {fast} != classic {classic}"
                 )
             }
             DiffKind::Mismatch {
@@ -389,7 +392,7 @@ impl std::fmt::Display for DiffFailure {
 /// compiler under every given allocator configuration, checking that
 /// the bytecode verifies ([`lesgs_vm::verify_bytecode`]), that value
 /// and output agree everywhere, and, under the first configuration,
-/// that the classic engine's whole result equals the decoded engine's
+/// that the reference engine's whole result equals the machine's
 /// ([`DiffKind::EngineMismatch`]) — reporting failures as structured
 /// [`DiffFailure`]s so drivers can distinguish timeouts from
 /// miscompiles.
@@ -405,19 +408,19 @@ pub fn differential_check_detailed(
     differential_check_parallel(src, configs, fuel, 1)
 }
 
-/// What the classic engine's run differs from the decoded engine's
-/// in, if anything: the first of value, output and counters to differ,
-/// or the whole result when an error is involved.
+/// What the reference engine's run differs from the machine's in, if
+/// anything: the first of value, output and counters to differ, or the
+/// whole result when an error is involved.
 fn engine_mismatch(
-    decoded: &Result<VmOutcome, lesgs_vm::VmError>,
+    fast: &Result<VmOutcome, lesgs_vm::VmError>,
     classic: &Result<VmOutcome, lesgs_vm::VmError>,
 ) -> Option<DiffKind> {
-    let differ = |what, decoded: String, classic: String| DiffKind::EngineMismatch {
+    let differ = |what, fast: String, classic: String| DiffKind::EngineMismatch {
         what,
-        decoded,
+        fast,
         classic,
     };
-    match (decoded, classic) {
+    match (fast, classic) {
         (Ok(d), Ok(c)) if d.value != c.value => {
             Some(differ("value", d.value.clone(), c.value.clone()))
         }
@@ -439,8 +442,8 @@ fn engine_mismatch(
 
 /// Judges one compiled configuration against the oracle: verifies its
 /// bytecode, runs it, and compares value and output. With `reference`
-/// set, the classic engine runs it too, with the same poisoning and
-/// budget, and must agree with the decoded engine on the whole result.
+/// set, the reference engine runs it too, configured the same way, and
+/// must agree with the machine on the whole result.
 fn judge_compiled(
     compiled: &Compiled,
     config: &CompilerConfig,
@@ -459,11 +462,8 @@ fn judge_compiled(
     }
     let run = compiled.run(config);
     if reference {
-        let mut classic = ClassicMachine::new(&compiled.vm, config.cost).with_poison(config.poison);
-        if config.fuel > 0 {
-            classic = classic.with_fuel(config.fuel);
-        }
-        if let Some(kind) = engine_mismatch(&run, &classic.run()) {
+        let classic = config.classic_machine(&compiled.vm).run();
+        if let Some(kind) = engine_mismatch(&run, &classic) {
             return Err(fail(kind));
         }
     }
@@ -594,8 +594,8 @@ fn check_on_deep_stack(
         let compiled = compile_back_observed(&front, &config, &mut Registry::discard());
         (config, compiled)
     };
-    // The classic engine checks the decoded one under the first
-    // configuration only: they differ only in dispatch, which no
+    // The reference engine checks the machine under the first
+    // configuration only: they differ only in the fast paths, which no
     // allocator setting changes.
     if jobs <= 1 {
         for (i, alloc) in configs.iter().enumerate() {
@@ -904,8 +904,6 @@ mod tests {
                 "ir.funcs",
                 "ir.nodes",
                 "ir.nodes_final",
-                "vm.dispatch.decoded_ops",
-                "vm.dispatch.source_instructions",
             ]
         );
         assert_eq!(
@@ -933,7 +931,6 @@ mod tests {
                 "phase.alloc.wall_ns",
                 "phase.codegen.wall_ns",
                 "phase.frontend.wall_ns",
-                "vm.dispatch.decode.wall_ns",
             ]
         );
     }

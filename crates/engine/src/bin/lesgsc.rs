@@ -318,7 +318,7 @@ fn report_outcome(
 }
 
 /// The `run`/`stats`/`dis` path for serialized-bytecode input:
-/// deserialize, re-verify, pre-decode, execute.
+/// deserialize, re-verify, execute.
 fn main_blob(opts: &Options, bytes: &[u8]) -> ExitCode {
     let fail = |e: String| -> ExitCode {
         eprintln!("lesgsc: {e}");

@@ -31,7 +31,8 @@ use lesgs_frontend::{Const, FuncId, Prim, DATUM_MAX_DEPTH};
 use lesgs_ir::machine::NUM_REGS;
 use lesgs_ir::{MachineConfig, Reg};
 use lesgs_sexpr::Datum;
-use lesgs_vm::{CallTarget, Imm, Instr, SlotClass, VmFunc, VmProgram};
+use lesgs_vm::instr::MAX_PRIM_ARGS;
+use lesgs_vm::{CallTarget, Imm, Instr, PrimArgs, SlotClass, VmFunc, VmProgram};
 
 /// The four magic bytes every serialized program starts with.
 pub const MAGIC: [u8; 4] = *b"LBC\0";
@@ -499,8 +500,8 @@ impl Writer {
                 self.u8(5);
                 self.u8(prim_code(*op));
                 self.reg(*dst);
-                self.u8(args.len() as u8);
-                for a in args {
+                self.u8(args.as_slice().len() as u8);
+                for a in args.as_slice() {
                     self.reg(*a);
                 }
             }
@@ -834,10 +835,15 @@ impl<'a> Reader<'a> {
                         format!("{op} takes {} args, stream says {argc}", op.arity()),
                     ));
                 }
-                let args = (0..argc)
-                    .map(|_| self.reg("primitive argument"))
-                    .collect::<Decode<Vec<_>>>()?;
-                Ok(Instr::Prim { op, dst, args })
+                let mut args = [Reg(0); MAX_PRIM_ARGS];
+                for a in &mut args[..argc] {
+                    *a = self.reg("primitive argument")?;
+                }
+                Ok(Instr::Prim {
+                    op,
+                    dst,
+                    args: PrimArgs::from_slice(&args[..argc]),
+                })
             }
             6 => Ok(Instr::Jump {
                 target: self.u32("jump target")?,

@@ -39,10 +39,8 @@ pub use lesgs_compiler::{CompileError, CompilerConfig};
 pub use lesgs_core::AllocConfig;
 pub use lesgs_vm::{RunStats, VmError, VmOutcome, VmProgram};
 
-use lesgs_vm::{DecodedProgram, Machine};
-
-/// A compiled, linked, pre-decoded program — the unit the engine
-/// executes, caches, and serializes.
+/// A compiled, linked program — the unit the engine executes, caches,
+/// and serializes.
 ///
 /// Construction always goes through [`Engine::compile`] or
 /// [`Engine::load_program`], both of which leave the program verified:
@@ -50,24 +48,13 @@ use lesgs_vm::{DecodedProgram, Machine};
 #[derive(Debug)]
 pub struct CompiledProgram {
     vm: VmProgram,
-    decoded: DecodedProgram,
     alloc: AllocConfig,
 }
 
 impl CompiledProgram {
-    fn new(vm: VmProgram, alloc: AllocConfig) -> CompiledProgram {
-        let decoded = vm.decode();
-        CompiledProgram { vm, decoded, alloc }
-    }
-
-    /// The linked VM program.
+    /// The linked VM program, which is also what the VM executes.
     pub fn vm(&self) -> &VmProgram {
         &self.vm
-    }
-
-    /// The pre-decoded form the dispatch loop executes.
-    pub fn decoded(&self) -> &DecodedProgram {
-        &self.decoded
     }
 
     /// The allocator configuration that produced this program (for a
@@ -171,7 +158,6 @@ impl Engine {
         let compiled = lesgs_compiler::compile(source, &self.config)?;
         Ok(CompiledProgram {
             vm: compiled.vm,
-            decoded: compiled.decoded,
             alloc: self.config.alloc,
         })
     }
@@ -183,13 +169,7 @@ impl Engine {
     ///
     /// [`EngineError::Vm`] on runtime errors or budget exhaustion.
     pub fn execute(&self, program: &CompiledProgram) -> Result<VmOutcome, EngineError> {
-        let mut m = Machine::from_decoded(&program.decoded, self.config.cost)
-            .with_poison(self.config.poison)
-            .with_trace(self.config.trace);
-        if self.config.fuel > 0 {
-            m = m.with_fuel(self.config.fuel);
-        }
-        Ok(m.run()?)
+        Ok(self.config.machine(&program.vm).run()?)
     }
 
     /// Compiles and executes in one step.
@@ -211,8 +191,7 @@ impl Engine {
         Ok(self.compile(source)?.to_bytes())
     }
 
-    /// Loads a serialized program: deserialize, **re-verify**, and
-    /// pre-decode for dispatch.
+    /// Loads a serialized program: deserialize and **re-verify**.
     ///
     /// The returned program carries the allocator configuration from
     /// the blob's header; execution still uses this engine's cost
@@ -233,7 +212,7 @@ impl Engine {
             }
             .into());
         }
-        Ok(CompiledProgram::new(vm, alloc))
+        Ok(CompiledProgram { vm, alloc })
     }
 
     /// The content-hash key under which a source program caches: a

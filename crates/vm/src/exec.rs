@@ -1,36 +1,20 @@
-//! The execution engine: a tight indexed dispatch loop over a
-//! pre-decoded program.
+//! The engines' public face: [`Machine`] and the reference
+//! [`crate::ClassicMachine`], what a run returns, and the shims kept for
+//! callers outside the workspace.
 //!
-//! [`Machine`] executes the flat [`DecodedOp`] array built by
-//! [`DecodedProgram::decode`] (see that module for the layout), one
-//! op per source instruction. The hot loop never touches the original
-//! [`VmProgram`]: ops are `Copy`, operands are inline, jump targets are
-//! absolute, and the register file is a fixed array — no per-iteration
-//! allocation or indirection.
-//!
-//! The machine state, the accounting and the effect of every
-//! instruction that neither branches nor calls live in the
-//! crate-private `machine` module, shared with the classic
-//! decode-in-the-loop executor [`crate::classic::ClassicMachine`]. This
-//! engine keeps only what decoding changes: fetch from the flat array,
-//! absolute pcs, the fast primitive paths, and branch conditions and
-//! closure call targets peeked in place instead of cloned.
-//! Differential tests hold the two engines to byte-identical outcomes
-//! and [`RunStats`], so that is the part they check.
+//! Both engines are [`Dispatch`]: one machine over the program's own
+//! code, running the one dispatch loop of the crate-private `machine`
+//! module. [`Machine`] builds that loop with its fast paths, the
+//! reference without them; see the `machine` module for what each
+//! instantiation does. Differential tests hold the two to byte-identical
+//! outcomes and [`RunStats`], so the fast paths are the part they check.
 
-use std::borrow::Cow;
 use std::fmt;
 
-use lesgs_frontend::{FuncId, Prim};
-use lesgs_ir::machine::CP;
-use lesgs_ir::Reg;
-
 use crate::cost::CostModel;
-use crate::decode::{DecodedOp, DecodedProgram, PrimArgs};
-use crate::machine::{Step, Vm};
+use crate::machine::Vm;
 use crate::program::VmProgram;
 use crate::stats::RunStats;
-use crate::value::Value;
 
 /// A runtime failure (type error, fuel exhaustion, stack overflow, VM
 /// invariant violation).
@@ -77,7 +61,7 @@ impl fmt::Display for VmError {
 impl std::error::Error for VmError {}
 
 /// The result of a successful run: the engine-independent observable
-/// contract the classic-vs-decoded differential suite pins.
+/// contract the engine-agreement tests pin.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VmOutcome {
     /// Final value (in `rv`), rendered in `write` style.
@@ -88,70 +72,68 @@ pub struct VmOutcome {
     pub stats: RunStats,
 }
 
-/// The virtual machine.
-pub struct Machine<'a> {
-    /// The flat op array: decoded privately by [`Machine::new`], or
-    /// borrowed via [`Machine::from_decoded`] so many runs (the bench
-    /// harness, the config matrix) share one decode.
-    ops: Cow<'a, [DecodedOp]>,
-    vm: Vm,
+/// A virtual machine over one program, running the dispatch loop with
+/// its fast paths (`FAST = true`, [`Machine`]) or without them
+/// (`FAST = false`, the reference [`crate::ClassicMachine`]).
+pub struct Dispatch<'a, const FAST: bool> {
+    vm: Vm<'a>,
 }
 
-type Result<T> = std::result::Result<T, VmError>;
+/// The virtual machine: the dispatch loop with its fast paths.
+pub type Machine<'a> = Dispatch<'a, true>;
 
-impl<'a> Machine<'a> {
-    /// Creates a machine for `program` with the given cost model,
-    /// decoding it on the spot. When the same program will run more
-    /// than once, decode it yourself and use [`Machine::from_decoded`].
-    pub fn new(program: &'a VmProgram, cost: CostModel) -> Machine<'a> {
-        let decoded = DecodedProgram::decode(program);
-        Machine {
-            vm: Vm::new(
-                decoded.funcs,
-                decoded.entry,
-                &decoded.constants,
-                decoded.n_globals,
-                cost,
-            ),
-            ops: Cow::Owned(decoded.ops),
-        }
-    }
-
-    /// Creates a machine over an already-decoded program.
-    pub fn from_decoded(program: &'a DecodedProgram, cost: CostModel) -> Machine<'a> {
-        Machine {
-            ops: Cow::Borrowed(&program.ops),
-            vm: Vm::new(
-                program.funcs.clone(),
-                program.entry,
-                &program.constants,
-                program.n_globals,
-                cost,
-            ),
+impl<'a, const FAST: bool> Dispatch<'a, FAST> {
+    /// Creates a machine for `program` with the given cost model. It
+    /// executes the program's own code; nothing is translated first.
+    pub fn new(program: &'a VmProgram, cost: CostModel) -> Dispatch<'a, FAST> {
+        Dispatch {
+            vm: Vm::new(program, cost),
         }
     }
 
     /// Sets the instruction budget.
     #[must_use]
-    pub fn with_fuel(mut self, max_instructions: u64) -> Machine<'a> {
-        self.vm = self.vm.with_fuel(max_instructions);
+    pub fn with_fuel(mut self, max_instructions: u64) -> Dispatch<'a, FAST> {
+        self.vm.max_instructions = max_instructions;
         self
     }
 
     /// Enables frame poisoning: every callee frame starts as `Uninit`
     /// so reads of never-written slots fail loudly (used in tests).
     #[must_use]
-    pub fn with_poison(mut self, poison: bool) -> Machine<'a> {
-        self.vm = self.vm.with_poison(poison);
+    pub fn with_poison(mut self, poison: bool) -> Dispatch<'a, FAST> {
+        self.vm.poison_frames = poison;
         self
     }
 
     /// Enables call-event tracing: every call, tail call, and return
     /// logs a `trace:` line to stderr (the `lesgsc --trace` backend).
     #[must_use]
-    pub fn with_trace(mut self, trace: bool) -> Machine<'a> {
-        self.vm = self.vm.with_trace(trace);
+    pub fn with_trace(mut self, trace: bool) -> Dispatch<'a, FAST> {
+        self.vm.trace = trace;
         self
+    }
+
+    /// Runs the program to completion.
+    ///
+    /// # Errors
+    ///
+    /// Type errors, arity/stack violations, `(error …)`, stack
+    /// overflow, or exceeding the instruction budget.
+    pub fn run(self) -> Result<VmOutcome, VmError> {
+        if FAST {
+            self.vm.run_fast()
+        } else {
+            self.vm.run_reference()
+        }
+    }
+}
+
+impl<'a> Machine<'a> {
+    /// Creates a machine over `program`'s copy of its code, like
+    /// [`Machine::new`]. A shim: see [`DecodedProgram`].
+    pub fn from_decoded(program: &'a DecodedProgram, cost: CostModel) -> Machine<'a> {
+        Machine::new(&program.program, cost)
     }
 
     /// Ignored: the machine has no speculative dispatch, and every
@@ -162,234 +144,36 @@ impl<'a> Machine<'a> {
     pub fn with_speculation(self, _speculate: bool) -> Machine<'a> {
         self
     }
+}
 
-    #[inline]
-    fn base(&self, f: FuncId) -> u32 {
-        self.vm.funcs[f.index()].base
-    }
+/// A copy of a program, kept only because `perfbench/src/programs.rs`
+/// still decodes before it runs; nothing in the workspace does. The VM
+/// executes [`VmProgram`]s as they are, so "decoding" copies the
+/// program and [`Machine::from_decoded`] runs the copy.
+#[derive(Debug, Clone)]
+pub struct DecodedProgram {
+    program: VmProgram,
+}
 
-    /// Resolves a through-`cp` call, peeking the closure in place after
-    /// the same stall `read` would charge, before the return address is
-    /// written.
-    #[inline]
-    fn closure_callee(&mut self) -> Step<FuncId> {
-        self.vm.stall_on(CP);
-        match &self.vm.regs[CP.index()] {
-            Value::Closure(c) => Ok(c.func),
-            other => Err(format!("call of non-procedure `{}`", other.write_string())),
+/// What [`DecodedProgram::decode`] reports: a shim like it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DecodeStats {
+    /// The program's code size ([`VmProgram::code_size`]).
+    pub decoded_ops: u64,
+}
+
+impl DecodedProgram {
+    /// Copies `program`.
+    pub fn decode(program: &VmProgram) -> DecodedProgram {
+        DecodedProgram {
+            program: program.clone(),
         }
     }
 
-    /// Fast paths for the hottest primitives: operands are peeked in
-    /// place (after the same stall accounting `read` performs) instead
-    /// of being cloned into the shared evaluator's argument buffer.
-    /// Returns `None` — having changed nothing but idempotent stall
-    /// state — whenever the operands don't match the fast shape (wrong
-    /// type, overflow, bad index), so the shared evaluator stays the
-    /// single owner of error semantics and the full catalogue.
-    #[inline]
-    fn try_fast_prim(&mut self, op: Prim, args: &PrimArgs) -> Option<(Value, bool)> {
-        use Prim::*;
-        let a = args.as_slice();
-        for r in a {
-            self.vm.stall_on(*r);
-        }
-        let regs = &self.vm.regs;
-        macro_rules! fix {
-            ($i:expr) => {
-                match &regs[a[$i].index()] {
-                    Value::Fixnum(n) => *n,
-                    _ => return None,
-                }
-            };
-        }
-        let result = match op {
-            Add => Value::Fixnum(fix!(0).checked_add(fix!(1))?),
-            Sub => Value::Fixnum(fix!(0).checked_sub(fix!(1))?),
-            Mul => Value::Fixnum(fix!(0).checked_mul(fix!(1))?),
-            Add1 => Value::Fixnum(fix!(0).checked_add(1)?),
-            Sub1 => Value::Fixnum(fix!(0).checked_sub(1)?),
-            NumEq => Value::bool(fix!(0) == fix!(1)),
-            Lt => Value::bool(fix!(0) < fix!(1)),
-            Le => Value::bool(fix!(0) <= fix!(1)),
-            Gt => Value::bool(fix!(0) > fix!(1)),
-            Ge => Value::bool(fix!(0) >= fix!(1)),
-            IsZero => Value::bool(fix!(0) == 0),
-            // The shared rule; an error leaves it to `eval_prim`.
-            Quotient | Remainder | Modulo | Abs | Min | Max | IsPositive | IsNegative | IsEven
-            | IsOdd => {
-                let b = if a.len() > 1 { fix!(1) } else { 0 };
-                Value::from(op.apply_fixnum(fix!(0), b)?.ok()?)
-            }
-            Not => Value::bool(!regs[a[0].index()].is_truthy()),
-            IsPair => Value::bool(matches!(regs[a[0].index()], Value::Pair(_))),
-            IsNull => Value::bool(matches!(regs[a[0].index()], Value::Nil)),
-            IsEq | IsEqv => Value::bool(regs[a[0].index()].eq_ptr(&regs[a[1].index()])),
-            Car | Cdr => match &regs[a[0].index()] {
-                Value::Pair(p) => {
-                    let p = p.borrow();
-                    let v = if op == Car { p.0.clone() } else { p.1.clone() };
-                    return Some((v, true));
-                }
-                _ => return None,
-            },
-            VectorRef => match &regs[a[0].index()] {
-                Value::Vector(v) => {
-                    let i = fix!(1);
-                    let v = v.borrow();
-                    let idx = usize::try_from(i).ok().filter(|&i| i < v.len())?;
-                    return Some((v[idx].clone(), true));
-                }
-                _ => return None,
-            },
-            VectorSet => {
-                let i = fix!(1);
-                let x = match &regs[a[0].index()] {
-                    Value::Vector(v) => {
-                        let len = v.borrow().len();
-                        usize::try_from(i).ok().filter(|&i| i < len)?;
-                        regs[a[2].index()].clone()
-                    }
-                    _ => return None,
-                };
-                match &regs[a[0].index()] {
-                    Value::Vector(v) => v.borrow_mut()[i as usize] = x,
-                    _ => unreachable!(),
-                }
-                Value::Void
-            }
-            _ => return None,
-        };
-        Some((result, false))
-    }
-
-    #[inline]
-    fn exec_branch(
-        &mut self,
-        pc: &mut u32,
-        src: Reg,
-        target: u32,
-        likely: Option<bool>,
-        on_true: bool,
-    ) {
-        // Peek the condition in place — truthiness needs no clone.
-        self.vm.stall_on(src);
-        let taken = self.vm.regs[src.index()].is_truthy() == on_true;
-        if self.vm.branch(taken, likely) {
-            *pc = target;
-        }
-    }
-
-    #[inline]
-    fn do_call(&mut self, pc: &mut u32, callee: FuncId, frame_advance: u32) -> Step {
-        // Return addresses stay function-relative so the value is
-        // engine-independent (differential tests compare rendered
-        // values, and save slots hold these).
-        let return_pc = *pc - self.base(self.vm.func);
-        self.vm.enter_activation(callee, frame_advance, return_pc)?;
-        *pc = self.base(callee);
-        Ok(())
-    }
-
-    #[inline]
-    fn do_tail_call(&mut self, pc: &mut u32, callee: FuncId) {
-        self.vm.tail_call(callee);
-        *pc = self.base(callee);
-    }
-
-    /// Runs the program to completion.
-    ///
-    /// # Errors
-    ///
-    /// Type errors, arity/stack violations, `(error …)`, stack
-    /// overflow, or exceeding the instruction budget.
-    pub fn run(mut self) -> Result<VmOutcome> {
-        // Move the ops out of `self` so the dispatch loop holds them by
-        // direct reference and the array pointer stays hoisted across
-        // the whole loop.
-        let ops = std::mem::take(&mut self.ops);
-        self.run_on(&ops)
-    }
-
-    fn run_on(&mut self, ops: &[DecodedOp]) -> Result<VmOutcome> {
-        // The pc lives in a local so the hottest state of the loop can
-        // stay in a register; helpers that redirect control flow take
-        // `&mut u32`.
-        let mut pc = self.base(self.vm.func);
-        let result = self.dispatch(ops, &mut pc);
-        result.map_err(|message| {
-            // Errors are reported function-relative, as the classic
-            // engine counts.
-            let at = pc.saturating_sub(self.base(self.vm.func));
-            self.vm.err(at, message)
-        })
-    }
-
-    #[inline(always)]
-    fn dispatch(&mut self, ops: &[DecodedOp], pc: &mut u32) -> Step<VmOutcome> {
-        self.vm.enter_entry()?;
-        loop {
-            self.vm.tick()?;
-            // In range by construction: every function ends in a
-            // FuncEnd sentinel and all targets are clamped into its
-            // own span, so the pc cannot run off the array.
-            let op = ops[*pc as usize];
-            *pc += 1;
-            match op {
-                DecodedOp::Imm { dst, imm } => self.vm.load_imm(dst, imm),
-                DecodedOp::Const { dst, idx } => self.vm.load_const(dst, idx),
-                DecodedOp::Mov { dst, src } => self.vm.mov(dst, src),
-                DecodedOp::StackLoad { dst, slot, class } => self.vm.load_slot(dst, slot, class)?,
-                DecodedOp::StackStore { slot, src, class } => {
-                    self.vm.store_slot(slot, src, class)?;
-                }
-                DecodedOp::Prim { op, dst, args } => match self.try_fast_prim(op, &args) {
-                    Some((result, from_memory)) => {
-                        self.vm.prim_result(op, dst, result, from_memory)
-                    }
-                    None => self.vm.prim(op, dst, args.as_slice())?,
-                },
-                DecodedOp::Jump { target } => *pc = target,
-                DecodedOp::Branch {
-                    src,
-                    target,
-                    likely,
-                    on_true,
-                } => self.exec_branch(pc, src, target, likely, on_true),
-                DecodedOp::CallStatic {
-                    callee,
-                    frame_advance,
-                } => self.do_call(pc, callee, frame_advance)?,
-                DecodedOp::CallClosure { frame_advance } => {
-                    let callee = self.closure_callee()?;
-                    self.do_call(pc, callee, frame_advance)?;
-                }
-                DecodedOp::TailCallStatic { callee } => self.do_tail_call(pc, callee),
-                DecodedOp::TailCallClosure => {
-                    let callee = self.closure_callee()?;
-                    self.do_tail_call(pc, callee);
-                }
-                DecodedOp::Return => {
-                    let ra = self.vm.ret()?;
-                    *pc = self.base(ra.func()) + ra.pc();
-                }
-                DecodedOp::AllocClosure { dst, func, n_free } => {
-                    self.vm.alloc_closure(dst, func, n_free);
-                }
-                DecodedOp::ClosureSlotSet { clo, index, src } => {
-                    self.vm.set_closure_slot(clo, index, src)?;
-                }
-                DecodedOp::LoadFree { dst, index } => self.vm.load_free(dst, index)?,
-                DecodedOp::LoadGlobal { dst, index } => self.vm.load_global(dst, index)?,
-                DecodedOp::StoreGlobal { index, src } => self.vm.store_global(index, src)?,
-                DecodedOp::Halt => return Ok(self.vm.halt()),
-                DecodedOp::FuncEnd => {
-                    // The classic engine reports the (unincremented)
-                    // out-of-range pc; step back to match.
-                    *pc -= 1;
-                    return Err("program counter out of range".to_owned());
-                }
-            }
+    /// The copy's code size, as [`DecodeStats::decoded_ops`].
+    pub fn stats(&self) -> DecodeStats {
+        DecodeStats {
+            decoded_ops: self.program.code_size() as u64,
         }
     }
 }
@@ -398,10 +182,12 @@ impl<'a> Machine<'a> {
 mod tests {
     use super::*;
     use crate::classic::ClassicMachine;
-    use crate::instr::{CallTarget, Imm, Instr, SlotClass};
-    use crate::program::{VmFunc, VmProgram};
+    use crate::instr::{CallTarget, Imm, Instr, PrimArgs, SlotClass};
+    use crate::program::VmFunc;
     use crate::stats::ActivationClass;
-    use lesgs_ir::machine::{arg_reg, scratch_reg, RET, RV};
+    use lesgs_frontend::{FuncId, Prim};
+    use lesgs_ir::machine::{arg_reg, scratch_reg, CP, RET, RV};
+    use lesgs_ir::Reg;
 
     /// Hand-assembled program: computes (2 + 3) * 7 via a helper call.
     fn tiny_program() -> VmProgram {
@@ -416,7 +202,7 @@ mod tests {
                 Instr::Prim {
                     op: Prim::Add,
                     dst: RV,
-                    args: vec![a0, a1],
+                    args: PrimArgs::from_slice(&[a0, a1]),
                 },
                 Instr::Return,
             ],
@@ -459,7 +245,7 @@ mod tests {
                 Instr::Prim {
                     op: Prim::Mul,
                     dst: RV,
-                    args: vec![RV, s0],
+                    args: PrimArgs::from_slice(&[RV, s0]),
                 },
                 Instr::Return,
             ],
@@ -535,7 +321,7 @@ mod tests {
                 Instr::Prim {
                     op: Prim::Add1,
                     dst: RV,
-                    args: vec![a0],
+                    args: PrimArgs::from_slice(&[a0]),
                 },
                 Instr::Halt,
             ],
@@ -625,7 +411,7 @@ mod tests {
                 Instr::Prim {
                     op: Prim::Add1,
                     dst: RV,
-                    args: vec![RV],
+                    args: PrimArgs::from_slice(&[RV]),
                 },
                 Instr::Halt,
             ],
@@ -736,7 +522,7 @@ mod tests {
                 Instr::Prim {
                     op: Prim::IsZero,
                     dst: s0,
-                    args: vec![a0],
+                    args: PrimArgs::from_slice(&[a0]),
                 },
                 Instr::BranchTrue {
                     src: s0,
@@ -747,13 +533,13 @@ mod tests {
                 Instr::Prim {
                     op: Prim::Add,
                     dst: a1,
-                    args: vec![a1, a0],
+                    args: PrimArgs::from_slice(&[a1, a0]),
                 },
                 // 5: counter -= 1
                 Instr::Prim {
                     op: Prim::Sub1,
                     dst: a0,
-                    args: vec![a0],
+                    args: PrimArgs::from_slice(&[a0]),
                 },
                 // 6: back to the test.
                 Instr::Jump { target: 2 },
@@ -945,7 +731,7 @@ mod tests {
             Instr::Prim {
                 op: Prim::Add1,
                 dst: RV,
-                args: vec![a0],
+                args: PrimArgs::from_slice(&[a0]),
             },
             Instr::Return,
         ];
@@ -958,7 +744,7 @@ mod tests {
             Instr::Prim {
                 op: Prim::Add,
                 dst: RV,
-                args: vec![RV, a0],
+                args: PrimArgs::from_slice(&[RV, a0]),
             },
             Instr::Return,
         ];
@@ -1006,8 +792,8 @@ mod tests {
 
     #[test]
     fn pc_out_of_range_matches_classic() {
-        // Running off the end of a function hits the FuncEnd sentinel;
-        // the reported location must match the classic bounds check.
+        // Running off the end of a function is reported at the pc past
+        // its last instruction, in both engines.
         let f = VmFunc {
             id: FuncId(0),
             name: "entry".into(),

@@ -71,8 +71,53 @@ pub enum CallTarget {
     ClosureCp,
 }
 
+/// The largest operand count any [`Prim`] takes ([`Prim::arity`]'s
+/// maximum, `vector-set!`).
+pub const MAX_PRIM_ARGS: usize = 3;
+
+/// A primitive's operand registers, held inline so that [`Instr`] is
+/// `Copy` and fetching one never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PrimArgs {
+    len: u8,
+    regs: [Reg; MAX_PRIM_ARGS],
+}
+
+impl PrimArgs {
+    /// Packs an operand slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than [`MAX_PRIM_ARGS`] operands. No [`Prim`] takes
+    /// more; codegen emits exactly [`Prim::arity`] operands, and the
+    /// `.lbc` reader rejects any other count before building one.
+    pub fn from_slice(args: &[Reg]) -> PrimArgs {
+        assert!(
+            args.len() <= MAX_PRIM_ARGS,
+            "primitive with {} operands (max {MAX_PRIM_ARGS})",
+            args.len()
+        );
+        let mut regs = [Reg(0); MAX_PRIM_ARGS];
+        regs[..args.len()].copy_from_slice(args);
+        PrimArgs {
+            len: args.len() as u8,
+            regs,
+        }
+    }
+
+    /// The operands as a slice.
+    pub fn as_slice(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+
+    /// The operands as a mutable slice.
+    pub fn as_mut_slice(&mut self) -> &mut [Reg] {
+        &mut self.regs[..self.len as usize]
+    }
+}
+
 /// One VM instruction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Instr {
     /// `dst ← immediate`.
     LoadImm {
@@ -120,7 +165,7 @@ pub enum Instr {
         /// Destination.
         dst: Reg,
         /// Operand registers.
-        args: Vec<Reg>,
+        args: PrimArgs,
     },
     /// Unconditional intra-function jump.
     Jump {
@@ -209,6 +254,11 @@ pub enum Instr {
     Halt,
 }
 
+// The largest variant, `LoadImm` (a 16-byte `Imm` beside its register),
+// fills 24 bytes with the tag; a new variant must not grow the code's
+// stride, which every fetch copies.
+const _: () = assert!(size_of::<Instr>() <= 24);
+
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -223,7 +273,7 @@ impl fmt::Display for Instr {
             }
             Instr::Prim { op, dst, args } => {
                 write!(f, "{dst} <- {op}(")?;
-                for (i, a) in args.iter().enumerate() {
+                for (i, a) in args.as_slice().iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }

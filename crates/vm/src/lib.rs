@@ -10,19 +10,20 @@
 //! stall. The latency model is what makes the eager-vs-lazy restore
 //! trade-off of §2.2 observable.
 //!
-//! Two engines execute a program: the pre-decoded [`Machine`] and the
-//! classic decode-in-the-loop [`ClassicMachine`], the reference it is
-//! checked against. Both drive one crate-private machine that owns the
-//! run's state, counts every event above, bounds the stack and the
-//! activation stack, and performs every instruction that neither
-//! branches nor calls; the engines keep only fetch and control flow.
+//! The VM executes the code codegen emits: each function's [`Instr`]s,
+//! fetched by copy with function-relative pcs, through one dispatch
+//! loop that owns the run's state, counts every event above, and bounds
+//! the stack and the activation stack. The loop is built twice:
+//! [`Machine`], with fast paths for the hottest primitives and for
+//! peeking branch conditions and closure call targets in place, and the
+//! reference [`ClassicMachine`] without them, which it is checked
+//! against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod classic;
 pub mod cost;
-pub mod decode;
 pub mod exec;
 pub mod instr;
 mod machine;
@@ -34,9 +35,8 @@ pub mod verify;
 
 pub use classic::ClassicMachine;
 pub use cost::CostModel;
-pub use decode::{DecodeStats, DecodedOp, DecodedProgram, FuncInfo, PrimArgs};
-pub use exec::{Machine, VmError, VmOutcome};
-pub use instr::{CallTarget, Imm, Instr, SlotClass};
+pub use exec::{DecodeStats, DecodedProgram, Dispatch, Machine, VmError, VmOutcome};
+pub use instr::{CallTarget, Imm, Instr, PrimArgs, SlotClass};
 pub use program::{VmFunc, VmProgram};
 pub use stats::{ActivationClass, RunStats};
 pub use value::Value;

@@ -1,24 +1,23 @@
-//! Primitive evaluation shared by both execution engines.
+//! Primitive evaluation, the slow primitive path of the one dispatch
+//! loop.
 //!
-//! The classic interpreter ([`crate::classic::ClassicMachine`]) and the
-//! pre-decoded dispatcher ([`crate::Machine`]) must produce *the same*
-//! values, output, and error messages for every primitive — so the
-//! evaluation logic lives here, once, behind the shared machine's slow
-//! primitive path. The evaluator is deliberately machine-agnostic: it
-//! reports failures as bare message strings and leaves it to the
-//! engine to attach the function/pc location, and it returns a
-//! `from_memory` flag instead of writing the destination register, so
-//! the decoded engine's fast paths and this evaluator share one write
-//! with its load-latency bookkeeping.
+//! Both instantiations of the loop ([`crate::Machine`] and the
+//! reference [`crate::ClassicMachine`]) must produce *the same* values,
+//! output, and error messages for every primitive, so the evaluation
+//! logic lives here, once. The reference sends every primitive here;
+//! the fast instantiation only those its fast paths decline. The
+//! evaluator is machine-agnostic: it reports failures as bare message
+//! strings and leaves it to the machine to attach the function/pc
+//! location, and it returns a `from_memory` flag instead of writing the
+//! destination register, so the fast paths and this evaluator share one
+//! write with its load-latency bookkeeping.
 
 use std::ops::Index;
 
 use lesgs_frontend::{make_vector, FixnumValue, Prim};
 
+use crate::instr::MAX_PRIM_ARGS;
 use crate::value::Value;
-
-/// The largest fixed arity any [`Prim`] has (`vector-set!`).
-pub(crate) const MAX_PRIM_ARGS: usize = 3;
 
 /// A fixed-capacity argument buffer — big enough for every primitive,
 /// small enough to live on the stack, so neither engine allocates a
@@ -41,8 +40,8 @@ impl ArgVals {
     ///
     /// # Panics
     ///
-    /// Panics past [`MAX_PRIM_ARGS`] arguments — codegen never emits a
-    /// primitive with more (checked at decode time too).
+    /// Panics past [`MAX_PRIM_ARGS`] arguments, which no
+    /// [`crate::PrimArgs`] holds.
     pub(crate) fn push(&mut self, v: Value) {
         self.vals[self.len] = v;
         self.len += 1;

@@ -45,13 +45,6 @@ impl VmProgram {
         &self.funcs[id.index()]
     }
 
-    /// Pre-decodes this program for the dispatch loop (shorthand for
-    /// [`crate::DecodedProgram::decode`]). Decode once, run many times
-    /// via [`crate::Machine::from_decoded`].
-    pub fn decode(&self) -> crate::DecodedProgram {
-        crate::DecodedProgram::decode(self)
-    }
-
     /// Total instruction count (diagnostics).
     pub fn code_size(&self) -> usize {
         self.funcs.iter().map(|f| f.code.len()).sum()

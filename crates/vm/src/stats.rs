@@ -64,8 +64,8 @@ impl ActivationClass {
 }
 
 /// Counters collected during a run. `PartialEq` is part of the
-/// contract: differential tests assert classic-vs-decoded runs produce
-/// *equal* stats, not merely similar ones.
+/// contract: differential tests assert the reference and fast engines
+/// produce *equal* stats, not merely similar ones.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Instructions executed.

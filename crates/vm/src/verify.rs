@@ -40,7 +40,12 @@
 //!   ([`BytecodeErrorKind::SlotOutOfBounds`]).
 //! * No reads of never-written slots ([`BytecodeErrorKind::UninitRead`])
 //!   and no direct calls with unwritten stack-argument slots
-//!   ([`BytecodeErrorKind::MissingArg`]).
+//!   ([`BytecodeErrorKind::MissingArg`]; a call reports the first 64
+//!   one by one and one more error counts the rest).
+//! * The global count and every closure's free-slot count are at most
+//!   the program's instruction count ([`BytecodeErrorKind::Oversized`]):
+//!   each global is defined, and each free slot filled, by an
+//!   instruction of its own, and the VM allocates both up front.
 //! * `return` goes through a real return address, callee-save registers
 //!   are restored to their entry values before control leaves the
 //!   function, branch targets are in range, and no path falls off the
@@ -70,7 +75,9 @@
 //! it has restored, which makes every block-interior state equal to
 //! the one a per-instruction fixpoint computes. A single reporting
 //! pass then walks each reachable block once, in pc order, from its
-//! final entry state and collects errors.
+//! final entry state and collects errors. Nothing in it is sized or
+//! iterated by a header count or an operand value, so time, memory and
+//! the report all grow with the code.
 
 use std::fmt;
 
@@ -128,6 +135,11 @@ impl SlotAbs {
     }
 }
 
+/// The most `missing-arg` errors one call reports slot by slot; one
+/// more error counts the rest. Above the stack-passed parameter count
+/// of any compiled function.
+const MAX_MISSING_ARGS: u64 = 64;
+
 /// What an incoming-parameter slot that no instruction stores holds
 /// on every path.
 const PARAM: SlotAbs = SlotAbs {
@@ -180,6 +192,10 @@ pub enum BytecodeErrorKind {
     /// A constant, global, or function index outside the program's
     /// tables.
     BadIndex,
+    /// A global count or a closure's free-slot count above the
+    /// program's instruction count: memory the VM would allocate up
+    /// front that no instruction can fill.
+    Oversized,
 }
 
 impl fmt::Display for BytecodeErrorKind {
@@ -198,6 +214,7 @@ impl fmt::Display for BytecodeErrorKind {
             BytecodeErrorKind::BadTarget => "bad-target",
             BytecodeErrorKind::FallsOffEnd => "falls-off-end",
             BytecodeErrorKind::BadIndex => "bad-index",
+            BytecodeErrorKind::Oversized => "oversized",
         };
         f.write_str(s)
     }
@@ -257,6 +274,8 @@ struct Buffers {
 
 struct Verifier<'a> {
     program: &'a VmProgram,
+    /// The program's instruction count.
+    code_size: usize,
     func: &'a VmFunc,
     buf: &'a mut Buffers,
     errors: &'a mut Vec<BytecodeError>,
@@ -562,7 +581,7 @@ impl Verifier<'_> {
                 });
             }
             Instr::Prim { dst, args, .. } => {
-                for a in args {
+                for a in args.as_slice() {
                     self.read(pc, *a, report);
                 }
                 self.set(*dst, AbsVal::Val);
@@ -627,19 +646,26 @@ impl Verifier<'_> {
                                 // The callee reuses this frame; its stack
                                 // parameters live at slots 0.. and must be
                                 // written (or inherited) on every path.
-                                for slot in 0..callee.n_incoming {
-                                    if self.slot(slot).is_none() {
-                                        self.error(
-                                            pc,
-                                            BytecodeErrorKind::MissingArg,
-                                            format!(
-                                                "tail call to {} without stack \
-                                                 argument in slot {slot}",
-                                                callee.name
-                                            ),
-                                        );
-                                    }
-                                }
+                                self.report_missing(
+                                    pc,
+                                    0,
+                                    callee.n_incoming,
+                                    |s| s.is_some(),
+                                    |slot| {
+                                        format!(
+                                            "tail call to {} without stack \
+                                             argument in slot {slot}",
+                                            callee.name
+                                        )
+                                    },
+                                    |more| {
+                                        format!(
+                                            "tail call to {} without stack \
+                                             arguments in {more} more slots",
+                                            callee.name
+                                        )
+                                    },
+                                );
                             }
                         }
                     }
@@ -657,12 +683,24 @@ impl Verifier<'_> {
                     self.check_callee_saves(pc, "return");
                 }
             }
-            Instr::AllocClosure { dst, func, .. } => {
+            Instr::AllocClosure { dst, func, n_free } => {
                 if report && func.index() >= self.program.funcs.len() {
                     self.error(
                         pc,
                         BytecodeErrorKind::BadIndex,
                         format!("closure over unknown function {func}"),
+                    );
+                }
+                // Each free slot is filled by a `closure-set` of its own.
+                if report && *n_free as usize > self.code_size {
+                    self.error(
+                        pc,
+                        BytecodeErrorKind::Oversized,
+                        format!(
+                            "closure with {n_free} free slots, more than the \
+                             program's {} instructions",
+                            self.code_size
+                        ),
                     );
                 }
                 self.set(*dst, AbsVal::Val);
@@ -710,27 +748,88 @@ impl Verifier<'_> {
                 BytecodeErrorKind::BadIndex,
                 format!("call of unknown function {f}"),
             ),
-            Some(callee) => {
-                for j in 0..callee.n_incoming {
-                    // No store names a slot past `u32::MAX`.
-                    let slot = u64::from(frame_advance) + u64::from(j);
-                    let written = u32::try_from(slot)
-                        .ok()
-                        .and_then(|s| self.slot(s))
-                        .is_some_and(|s| s.class == Some(SlotClass::OutArg) || s.class.is_none());
-                    if !written {
-                        self.error(
-                            pc,
-                            BytecodeErrorKind::MissingArg,
-                            format!(
-                                "call to {} without outgoing argument in slot \
-                                 {slot}",
-                                callee.name
-                            ),
-                        );
-                    }
-                }
+            Some(callee) => self.report_missing(
+                pc,
+                u64::from(frame_advance),
+                callee.n_incoming,
+                |s| s.is_some_and(|s| s.class == Some(SlotClass::OutArg) || s.class.is_none()),
+                |slot| {
+                    format!(
+                        "call to {} without outgoing argument in slot \
+                         {slot}",
+                        callee.name
+                    )
+                },
+                |more| {
+                    format!(
+                        "call to {} without outgoing arguments in {more} more slots",
+                        callee.name
+                    )
+                },
+            ),
+        }
+    }
+
+    /// Reports a `missing-arg` error at `pc` for each slot of
+    /// `lo..lo + n` whose state `written` rejects, in slot order: one
+    /// per slot for the first [`MAX_MISSING_ARGS`], then one naming how
+    /// many more. Only the slots the table names are visited; every
+    /// other slot holds what [`Verifier::slot`] gives any unstored
+    /// slot, the parameter state below the function's incoming count
+    /// and nothing above it. So the cost and the report grow with the
+    /// code, not with a callee's header.
+    fn report_missing(
+        &mut self,
+        pc: u32,
+        lo: u64,
+        n: u32,
+        written: impl Fn(Slot) -> bool,
+        one: impl Fn(u64) -> String,
+        more: impl Fn(u64) -> String,
+    ) {
+        let hi = lo + u64::from(n);
+        // Unstored slots below this are written; no slot above it is.
+        let inherited = if written(Some(PARAM)) {
+            u64::from(self.func.n_incoming)
+        } else {
+            0
+        };
+        let mut missing = 0u64;
+        // Counts the missing slots `from..to`, reporting those within
+        // the cap.
+        let mut report = |verifier: &mut Self, from: u64, to: u64| {
+            let quota = MAX_MISSING_ARGS.saturating_sub(missing);
+            for slot in from..to.min(from + quota) {
+                verifier.error(pc, BytecodeErrorKind::MissingArg, one(slot));
             }
+            missing += to - from;
+        };
+        let mut i = self.buf.table.partition_point(|&t| u64::from(t) < lo);
+        let mut from = lo;
+        loop {
+            let stored = self
+                .buf
+                .table
+                .get(i)
+                .map(|&t| u64::from(t))
+                .filter(|&t| t < hi);
+            // The unstored slots before the next stored one.
+            let gap_end = stored.unwrap_or(hi);
+            let first_missing = from.max(inherited).min(gap_end);
+            report(self, first_missing, gap_end);
+            let Some(t) = stored else { break };
+            if !written(self.buf.slots[i]) {
+                report(self, t, t + 1);
+            }
+            from = t + 1;
+            i += 1;
+        }
+        if missing > MAX_MISSING_ARGS {
+            self.error(
+                pc,
+                BytecodeErrorKind::MissingArg,
+                more(missing - MAX_MISSING_ARGS),
+            );
         }
     }
 
@@ -899,6 +998,7 @@ impl Verifier<'_> {
 pub fn verify_bytecode(program: &VmProgram) -> Vec<BytecodeError> {
     let mut errors = Vec::new();
     let mut buf = Buffers::default();
+    let code_size = program.code_size();
     for (i, func) in program.funcs.iter().enumerate() {
         if func.id.index() != i {
             errors.push(BytecodeError {
@@ -910,6 +1010,7 @@ pub fn verify_bytecode(program: &VmProgram) -> Vec<BytecodeError> {
         }
         Verifier {
             program,
+            code_size,
             func,
             buf: &mut buf,
             errors: &mut errors,
@@ -924,6 +1025,18 @@ pub fn verify_bytecode(program: &VmProgram) -> Vec<BytecodeError> {
             pc: 0,
             kind: BytecodeErrorKind::BadIndex,
             message: format!("entry function {} out of range", program.entry),
+        });
+    }
+    // Each global is defined by a `global-store` of its own.
+    if program.n_globals as usize > code_size {
+        errors.push(BytecodeError {
+            func: "<program>".to_owned(),
+            pc: 0,
+            kind: BytecodeErrorKind::Oversized,
+            message: format!(
+                "{} globals, more than the program's {code_size} instructions",
+                program.n_globals
+            ),
         });
     }
     errors

@@ -29,13 +29,13 @@ fn run_both(source: String) -> (String, String) {
         .spawn(move || {
             let config = CompilerConfig::default();
             let compiled = compile(&source, &config).expect("program compiles");
-            let decoded = Machine::from_decoded(&compiled.decoded, config.cost)
+            let fast = Machine::new(&compiled.vm, config.cost)
                 .run()
-                .expect("decoded run");
+                .expect("fast run");
             let classic = ClassicMachine::new(&compiled.vm, config.cost)
                 .run()
                 .expect("classic run");
-            (decoded.value, classic.value)
+            (fast.value, classic.value)
         })
         .expect("spawn a 2 MiB thread")
         .join()

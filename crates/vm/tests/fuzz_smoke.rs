@@ -38,12 +38,12 @@ fn exported_counters(stats: &lesgs_vm::RunStats) -> Vec<(String, u64)> {
     counters
 }
 
-/// Pre-decoding must be invisible to the metrics layer: on generated
+/// The fast paths must be invisible to the metrics layer: on generated
 /// programs, under every allocator configuration, the classic and the
-/// decoded engine must export the *same `vm.*` counter key set with the
+/// fast engine must export the *same `vm.*` counter key set with the
 /// same values* (and agree on the result).
 #[test]
-fn decoding_preserves_counter_streams_on_generated_programs() {
+fn fast_paths_preserve_counter_streams_on_generated_programs() {
     use lesgs_compiler::{compile, config_matrix, CompilerConfig};
     use lesgs_vm::{ClassicMachine, Machine};
 
@@ -71,19 +71,19 @@ fn decoding_preserves_counter_streams_on_generated_programs() {
                 .with_fuel(FUEL)
                 .with_poison(config.poison)
                 .run();
-            let decoded = Machine::from_decoded(&compiled.decoded, config.cost)
+            let fast = Machine::new(&compiled.vm, config.cost)
                 .with_fuel(FUEL)
                 .with_poison(config.poison)
                 .run();
-            match (classic, decoded) {
+            match (classic, fast) {
                 (Ok(c), Ok(d)) => {
                     assert_eq!(c.value, d.value, "case {index} cfg {i}: value");
                     assert_eq!(c.output, d.output, "case {index} cfg {i}: output");
                     assert_eq!(
                         exported_counters(&c.stats),
                         exported_counters(&d.stats),
-                        "case {index} cfg {i}: vm.* counters must be \
-                         dispatch-invariant"
+                        "case {index} cfg {i}: vm.* counters must not \
+                         depend on the fast paths"
                     );
                 }
                 // Errors (fuel exhaustion included) must also agree,
@@ -92,7 +92,7 @@ fn decoding_preserves_counter_streams_on_generated_programs() {
                     assert_eq!(c.to_string(), d.to_string(), "case {index} cfg {i}: error");
                 }
                 (c, d) => {
-                    panic!("case {index} cfg {i}: engines split: classic {c:?} vs decoded {d:?}")
+                    panic!("case {index} cfg {i}: engines split: classic {c:?} vs fast {d:?}")
                 }
             }
         }

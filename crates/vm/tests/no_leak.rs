@@ -78,10 +78,10 @@ fn growth(run: impl Fn() -> VmOutcome) -> isize {
 fn repeated_runs_do_not_grow_live_memory() {
     let config = CompilerConfig::default();
     let compiled = compile(REPRO, &config).expect("repro compiles");
-    let decoded = growth(|| {
-        Machine::from_decoded(&compiled.decoded, config.cost)
+    let fast = growth(|| {
+        Machine::new(&compiled.vm, config.cost)
             .run()
-            .expect("decoded run")
+            .expect("fast run")
     });
     let classic = growth(|| {
         ClassicMachine::new(&compiled.vm, config.cost)
@@ -89,7 +89,7 @@ fn repeated_runs_do_not_grow_live_memory() {
             .expect("classic run")
     });
     assert!(
-        decoded <= SLACK_BYTES && classic <= SLACK_BYTES,
-        "live heap grew over {RUNS} runs: decoded {decoded} bytes, classic {classic} bytes"
+        fast <= SLACK_BYTES && classic <= SLACK_BYTES,
+        "live heap grew over {RUNS} runs: fast {fast} bytes, classic {classic} bytes"
     );
 }

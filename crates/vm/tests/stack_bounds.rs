@@ -41,18 +41,18 @@ fn both_fail(program: VmProgram, fuel: u64) -> VmError {
         .stack_size(STACK_BYTES)
         .spawn(move || {
             let cost = CostModel::unit();
-            let decoded = Machine::new(&program, cost)
+            let fast = Machine::new(&program, cost)
                 .with_poison(true)
                 .with_fuel(fuel)
                 .run()
-                .expect_err("the decoded engine overflows");
+                .expect_err("the fast engine overflows");
             let classic = ClassicMachine::new(&program, cost)
                 .with_poison(true)
                 .with_fuel(fuel)
                 .run()
                 .expect_err("the classic engine overflows");
-            assert_eq!(decoded, classic);
-            decoded
+            assert_eq!(fast, classic);
+            fast
         })
         .expect("spawn a 2 MiB thread")
         .join()

@@ -9,6 +9,9 @@
 
 use lesgs::allocator::{AllocConfig, SaveStrategy};
 use lesgs::compiler::{compile, CompilerConfig};
+use lesgs::engine::{
+    deserialize_program, serialize_program, BytecodeLoadError, Engine, EngineError,
+};
 use lesgs::ir::machine::RET;
 use lesgs::ir::MachineConfig;
 use lesgs::vm::verify::{verify_bytecode, BytecodeError, BytecodeErrorKind};
@@ -234,5 +237,97 @@ fn dead_save_is_rejected() {
         kinds(&errors).contains(&BytecodeErrorKind::DeadSave),
         "expected dead-save, got: {}",
         render(&errors)
+    );
+}
+
+/// The missing-argument errors of `vm` after giving the function named
+/// `callee` a frame of `n` incoming parameter slots.
+fn missing_args_into_header(vm: &VmProgram, callee: &str, n: u32) -> Vec<BytecodeError> {
+    let mut vm = vm.clone();
+    let fi = func_index(&vm, callee);
+    vm.funcs[fi].frame_size = n;
+    vm.funcs[fi].n_incoming = n;
+    verify_bytecode(&vm)
+        .into_iter()
+        .filter(|e| e.kind == BytecodeErrorKind::MissingArg)
+        .collect()
+}
+
+/// A callee's header can claim any number of stack parameters. A call
+/// into it is reported one missing argument at a time only up to a
+/// cap, then with one error counting the rest, for direct calls and
+/// for tail calls alike: the report grows with the code, not with the
+/// header.
+#[test]
+fn missing_args_into_a_huge_header_are_capped() {
+    let call = compiled_vm("(define (f a) a) (+ 1 (f 1))", AllocConfig::default());
+    let tail = compiled_vm(
+        "(define (f a) a) (define (g x) (f x)) (+ 1 (g 1))",
+        AllocConfig::default(),
+    );
+    for (vm, what) in [(&call, "call to f"), (&tail, "tail call to f")] {
+        let small = missing_args_into_header(vm, "f", 1_000);
+        let large = missing_args_into_header(vm, "f", 100_000);
+        assert_eq!(small.len(), 65, "{what}: {}", render(&small[..3]));
+        assert_eq!(render(&small[..64]), render(&large[..64]), "{what}");
+        for (errors, more) in [(&small, 1_000 - 64), (&large, 100_000 - 64)] {
+            let last = errors.last().expect("a summary error");
+            assert!(
+                last.message.starts_with(what)
+                    && last.message.ends_with(&format!(" in {more} more slots")),
+                "{last}"
+            );
+        }
+    }
+}
+
+/// Rewrites `program`'s `.lbc` blob through `edit` and loads it again.
+fn reload_edited(source: &str, edit: impl FnOnce(&mut VmProgram)) -> Vec<String> {
+    let engine = Engine::new();
+    let blob = engine.emit_program(source).expect("program compiles");
+    let (mut vm, alloc) = deserialize_program(&blob).expect("blob loads");
+    edit(&mut vm);
+    match engine.load_program(&serialize_program(&vm, &alloc)) {
+        Err(EngineError::Load(BytecodeLoadError::VerifyFailed { errors })) => errors,
+        other => panic!("expected a verification failure, got {other:?}"),
+    }
+}
+
+fn example(name: &str) -> String {
+    let path = format!("{}/scheme-examples/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The VM allocates the globals and a closure's free slots up front.
+/// Each global is defined, and each free slot filled, by an instruction
+/// of its own, so a count above the program's instruction count is
+/// rejected on load instead of sizing an allocation that aborts the
+/// process.
+#[test]
+fn counts_that_size_allocations_are_bounded_by_the_code() {
+    let errors = reload_edited(&example("tak.scm"), |vm| vm.n_globals = 1 << 30);
+    assert!(
+        errors
+            .iter()
+            .any(|e| e.contains("[oversized] at <program>+0: 1073741824 globals")),
+        "{errors:?}"
+    );
+    let errors = reload_edited(&example("sieve.scm"), |vm| {
+        let n_free = vm
+            .funcs
+            .iter_mut()
+            .flat_map(|f| &mut f.code)
+            .find_map(|i| match i {
+                Instr::AllocClosure { n_free, .. } if *n_free > 0 => Some(n_free),
+                _ => None,
+            })
+            .expect("sieve allocates a closure with free slots");
+        *n_free = 2_147_483_649;
+    });
+    assert!(
+        errors
+            .iter()
+            .any(|e| e.contains("[oversized]") && e.contains("closure with 2147483649 free slots")),
+        "{errors:?}"
     );
 }

@@ -95,7 +95,9 @@ fn registers(instr: &mut Instr) -> Vec<&mut Reg> {
         | Instr::BranchFalse { src, .. }
         | Instr::BranchTrue { src, .. }
         | Instr::StoreGlobal { src, .. } => vec![src],
-        Instr::Prim { dst, args, .. } => std::iter::once(dst).chain(args.iter_mut()).collect(),
+        Instr::Prim { dst, args, .. } => std::iter::once(dst)
+            .chain(args.as_mut_slice().iter_mut())
+            .collect(),
         Instr::ClosureSlotSet { clo, src, .. } => vec![clo, src],
         _ => Vec::new(),
     }
@@ -155,7 +157,7 @@ fn edit(f: &mut VmFunc, rng: &mut Rng) -> bool {
             shift_targets(f, pc, -1);
         }
         1 => {
-            let copy = f.code[pc].clone();
+            let copy = f.code[pc];
             f.code.insert(pc + 1, copy);
             shift_targets(f, pc, 1);
         }
