@@ -297,7 +297,7 @@ fn check_replay(
 /// The deterministic service-cache accounting table. Every value is a
 /// pure function of the seeded workload and the cache capacity, so the
 /// perf-regression gate covers it: a hit-rate or eviction drift means
-/// the cache policy, the content keys, or the workload changed.
+/// the cache policy or the workload changed.
 fn service_cache_table(m: &ServiceMeasurement) -> Table {
     let mut t = table("metric, value");
     t.row(vec!["requests".into(), m.totals.requests.to_string()]);
@@ -610,7 +610,6 @@ mod tests {
 
         let mut failed = responses;
         failed[ran] = Response::Failed {
-            key: 0,
             message: "injected".to_owned(),
         };
         assert!(check_replay(&service, &pool, &stream, &failed).is_err());

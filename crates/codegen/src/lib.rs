@@ -22,22 +22,6 @@ use lesgs_ir::machine::{scratch_reg, NUM_SCRATCH, RV};
 use lesgs_ir::{Reg, RegSet};
 use lesgs_vm::{CallTarget, Imm, Instr, PrimArgs, SlotClass, VmFunc, VmProgram};
 
-/// A code-generation failure (should not happen for allocator output;
-/// kept as an error for robustness).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CodegenError {
-    /// Description.
-    pub message: String,
-}
-
-impl std::fmt::Display for CodegenError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "codegen error: {}", self.message)
-    }
-}
-
-impl std::error::Error for CodegenError {}
-
 #[derive(Debug, Clone, Copy)]
 enum PatchKind {
     /// `StackStore`/`StackLoad` slot = frame_size + i.

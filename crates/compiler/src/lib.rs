@@ -2,20 +2,18 @@
 //!
 //! Ties the pipeline together — reader → frontend → closure conversion
 //! → IR → register allocation → code generation → VM — under a single
-//! [`CompilerConfig`], and provides the differential-testing entry
-//! points used throughout the test suite.
+//! [`CompilerConfig`], and provides the differential check
+//! ([`differential_check`]) used throughout the test suite.
 //!
 //! # Examples
 //!
 //! ```
-//! use lesgs_compiler::{compile, run_source, CompilerConfig};
+//! use lesgs_compiler::{compile, CompilerConfig};
 //!
 //! let cfg = CompilerConfig::default();
-//! let out = run_source("(define (sq x) (* x x)) (sq 7)", &cfg).unwrap();
-//! assert_eq!(out.value, "49");
-//!
-//! let compiled = compile("(+ 1 2)", &cfg).unwrap();
+//! let compiled = compile("(define (sq x) (* x x)) (sq 7)", &cfg).unwrap();
 //! assert!(compiled.vm.code_size() > 0);
+//! assert_eq!(compiled.run(&cfg).unwrap().value, "49");
 //! ```
 
 use lesgs_core::{driver::allocate_program_observed, AllocConfig, AllocatedProgram};
@@ -245,19 +243,7 @@ pub fn compile(src: &str, config: &CompilerConfig) -> Result<Compiled, CompileEr
     compile_observed(src, config, &mut Registry::discard())
 }
 
-/// Compiles and runs `src`.
-///
-/// # Errors
-///
-/// Compile errors or VM runtime errors (both stringified).
-pub fn run_source(src: &str, config: &CompilerConfig) -> Result<VmOutcome, CompileError> {
-    let compiled = compile(src, config)?;
-    compiled.run(config).map_err(|e| CompileError {
-        message: e.to_string(),
-    })
-}
-
-/// The failure class of a [`differential_check_detailed`] run.
+/// The failure class of a [`differential_check`] run.
 ///
 /// Fuel exhaustion is deliberately its own variant: a timeout (in the
 /// oracle or in one configuration) says nothing about correctness and
@@ -313,7 +299,7 @@ pub enum DiffKind {
     },
 }
 
-/// A [`differential_check_detailed`] failure: what went wrong, and under
+/// A [`differential_check`] failure: what went wrong, and under
 /// which allocator configuration (if any single one is to blame).
 #[derive(Debug, Clone)]
 pub struct DiffFailure {
@@ -386,26 +372,6 @@ impl std::fmt::Display for DiffFailure {
             }
         }
     }
-}
-
-/// Runs `src` through the reference interpreter and through the
-/// compiler under every given allocator configuration, checking that
-/// the bytecode verifies ([`lesgs_vm::verify_bytecode`]), that value
-/// and output agree everywhere, and, under the first configuration,
-/// that the reference engine's whole result equals the machine's
-/// ([`DiffKind::EngineMismatch`]) — reporting failures as structured
-/// [`DiffFailure`]s so drivers can distinguish timeouts from
-/// miscompiles.
-///
-/// # Errors
-///
-/// Returns the first failure, tagged with the offending configuration.
-pub fn differential_check_detailed(
-    src: &str,
-    configs: &[AllocConfig],
-    fuel: u64,
-) -> Result<(), DiffFailure> {
-    differential_check_parallel(src, configs, fuel, 1)
 }
 
 /// What the reference engine's run differs from the machine's in, if
@@ -510,13 +476,21 @@ pub fn on_deep_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
     })
 }
 
-/// [`differential_check_detailed`] with the configuration matrix
-/// fanned out over a `lesgs-exec` worker pool. The verdict is
-/// **deterministic and identical to the sequential check**: the
-/// reported failure is always the first one in matrix order, no
-/// matter which configuration finished first. `jobs <= 1` runs the
-/// plain sequential loop (which also short-circuits at the first
-/// failure instead of finishing the matrix).
+/// Runs `src` through the reference interpreter and through the
+/// compiler under every given allocator configuration, checking that
+/// the bytecode verifies ([`lesgs_vm::verify_bytecode`]), that value
+/// and output agree everywhere, and, under the first configuration,
+/// that the reference engine's whole result equals the machine's
+/// ([`DiffKind::EngineMismatch`]). Failures are structured
+/// [`DiffFailure`]s, so drivers can tell timeouts from miscompiles;
+/// their `Display` is the rendered verdict.
+///
+/// `jobs > 1` fans the configuration matrix out over a `lesgs-exec`
+/// worker pool. The verdict is **deterministic and independent of
+/// `jobs`**: the reported failure is always the first one in matrix
+/// order, no matter which configuration finished first. `jobs <= 1`
+/// runs the plain sequential loop, which also stops at the first
+/// failure instead of finishing the matrix.
 ///
 /// The check runs on a thread of its own ([`on_deep_stack`]), so a
 /// deeply nested program gets the same verdict at every job count and
@@ -534,7 +508,7 @@ pub fn on_deep_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 /// A panic while compiling or judging a configuration is re-raised,
 /// labelled with that configuration, unless an earlier configuration
 /// failed.
-pub fn differential_check_parallel(
+pub fn differential_check(
     src: &str,
     configs: &[AllocConfig],
     fuel: u64,
@@ -543,7 +517,7 @@ pub fn differential_check_parallel(
     on_deep_stack(|| check_on_deep_stack(src, configs, fuel, jobs))
 }
 
-/// [`differential_check_parallel`]'s body, on the deep-stack thread.
+/// [`differential_check`]'s body, on the deep-stack thread.
 fn check_on_deep_stack(
     src: &str,
     configs: &[AllocConfig],
@@ -632,18 +606,6 @@ fn check_on_deep_stack(
     Ok(())
 }
 
-/// [`differential_check_detailed`] with failures rendered to strings
-/// (the historical interface most tests use).
-///
-/// # Errors
-///
-/// Returns a description of the first disagreement or failure,
-/// including the offending [`AllocConfig`]; fuel exhaustion is
-/// explicitly marked as a timeout rather than a mismatch.
-pub fn differential_check(src: &str, configs: &[AllocConfig], fuel: u64) -> Result<(), String> {
-    differential_check_detailed(src, configs, fuel).map_err(|e| e.to_string())
-}
-
 /// The full matrix of allocator configurations exercised by the
 /// differential tests: {lazy, early, late} × {eager, lazy} × register
 /// counts × shuffling strategies, plus the callee-save discipline.
@@ -686,7 +648,8 @@ mod tests {
 
     #[test]
     fn smoke() {
-        let out = run_source("(+ 40 2)", &CompilerConfig::default()).unwrap();
+        let cfg = CompilerConfig::default();
+        let out = compile("(+ 40 2)", &cfg).unwrap().run(&cfg).unwrap();
         assert_eq!(out.value, "42");
     }
 
@@ -711,7 +674,7 @@ mod tests {
             "(assq 'c '((a 1) (b 2) (c 3)))",
         ];
         for src in programs {
-            differential_check(src, &config_matrix(), 10_000_000)
+            differential_check(src, &config_matrix(), 10_000_000, 1)
                 .unwrap_or_else(|e| panic!("{e}\nsrc={src}"));
         }
     }
@@ -722,7 +685,7 @@ mod tests {
         // configuration runs: the failure must say "timeout", carry no
         // config, and not count as a miscompile.
         let src = "(define (spin) (spin)) (spin)";
-        let e = differential_check_detailed(src, &config_matrix(), 10_000).unwrap_err();
+        let e = differential_check(src, &config_matrix(), 10_000, 1).unwrap_err();
         assert_eq!(e.kind, DiffKind::FuelExhausted, "{e}");
         assert!(e.config.is_none());
         assert!(!e.is_miscompile());
@@ -740,7 +703,7 @@ mod tests {
         let cfg = AllocConfig::paper_default();
         let mut seen_vm_timeout = false;
         for fuel in 1..2_000u64 {
-            match differential_check_detailed(src, std::slice::from_ref(&cfg), fuel) {
+            match differential_check(src, std::slice::from_ref(&cfg), fuel, 1) {
                 Ok(()) => break,
                 Err(e) => {
                     assert_eq!(e.kind, DiffKind::FuelExhausted, "fuel {fuel}: {e}");
@@ -823,7 +786,8 @@ mod tests {
 
     #[test]
     fn runtime_error_reported() {
-        let e = run_source("(car 5)", &CompilerConfig::default()).unwrap_err();
+        let cfg = CompilerConfig::default();
+        let e = compile("(car 5)", &cfg).unwrap().run(&cfg).unwrap_err();
         assert!(e.message.contains("pair"), "{e}");
     }
 
@@ -961,7 +925,10 @@ mod tests {
                     poison: true,
                     ..CompilerConfig::default()
                 };
-                let out = run_source(src, &cfg).unwrap_or_else(|e| panic!("{alloc:?}: {e}\n{src}"));
+                let out = compile(src, &cfg)
+                    .unwrap_or_else(|e| panic!("{alloc:?}: {e}\n{src}"))
+                    .run(&cfg)
+                    .unwrap_or_else(|e| panic!("{alloc:?}: {e}\n{src}"));
                 assert_eq!(out.value, oracle.value, "{alloc:?}\n{src}");
             }
         }
@@ -970,15 +937,12 @@ mod tests {
     #[test]
     fn lambda_lifting_removes_closures() {
         let src = "(define (f a) (let loop ((i 0)) (if (= i a) i (loop (+ i 1))))) (f 50)";
-        let plain = run_source(src, &CompilerConfig::default()).unwrap();
-        let lifted = run_source(
-            src,
-            &CompilerConfig {
-                lambda_lift: true,
-                ..CompilerConfig::default()
-            },
-        )
-        .unwrap();
+        let run = |cfg: CompilerConfig| compile(src, &cfg).unwrap().run(&cfg).unwrap();
+        let plain = run(CompilerConfig::default());
+        let lifted = run(CompilerConfig {
+            lambda_lift: true,
+            ..CompilerConfig::default()
+        });
         assert_eq!(plain.value, lifted.value);
         assert!(
             lifted.stats.closures_allocated < plain.stats.closures_allocated,
@@ -1026,12 +990,12 @@ mod tests {
     fn parallel_differential_matches_sequential_verdicts() {
         // A clean program: both agree on Ok.
         let ok = "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2))))) (fib 9)";
-        differential_check_parallel(ok, &config_matrix(), 10_000_000, 4).unwrap();
+        differential_check(ok, &config_matrix(), 10_000_000, 4).unwrap();
 
         // An oracle timeout: both report FuelExhausted with no config.
         let spin = "(define (spin) (spin)) (spin)";
-        let seq = differential_check_detailed(spin, &config_matrix(), 10_000).unwrap_err();
-        let par = differential_check_parallel(spin, &config_matrix(), 10_000, 4).unwrap_err();
+        let seq = differential_check(spin, &config_matrix(), 10_000, 1).unwrap_err();
+        let par = differential_check(spin, &config_matrix(), 10_000, 4).unwrap_err();
         assert_eq!(format!("{seq:?}"), format!("{par:?}"));
 
         // 800 nested non-tail additions: every job count, and a caller
@@ -1043,8 +1007,8 @@ mod tests {
             ")".repeat(800)
         );
         let pair = &config_matrix()[..2];
-        differential_check_detailed(&deep, pair, 10_000_000).unwrap();
-        differential_check_parallel(&deep, pair, 10_000_000, 2).unwrap();
+        differential_check(&deep, pair, 10_000_000, 1).unwrap();
+        differential_check(&deep, pair, 10_000_000, 2).unwrap();
     }
 
     #[test]
@@ -1076,8 +1040,8 @@ mod tests {
         let matrix = config_matrix();
         let mut compared = 0;
         for fuel in (50..2_000u64).step_by(50) {
-            let seq = differential_check_detailed(src, &matrix, fuel);
-            let par = differential_check_parallel(src, &matrix, fuel, 4);
+            let seq = differential_check(src, &matrix, fuel, 1);
+            let par = differential_check(src, &matrix, fuel, 4);
             match (seq, par) {
                 (Ok(()), Ok(())) => break,
                 (Err(a), Err(b)) => {

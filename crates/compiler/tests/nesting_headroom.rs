@@ -10,7 +10,7 @@
 //! aborting a service worker with a stack overflow. CI runs it in
 //! release as well, where the margin is measured.
 
-use lesgs_compiler::{run_source, CompilerConfig};
+use lesgs_compiler::{compile, CompilerConfig};
 
 /// The depth pinned: about 70% of what a build reaches.
 const DEPTH: usize = if cfg!(debug_assertions) { 120 } else { 600 };
@@ -32,9 +32,9 @@ fn a_2_mib_thread_compiles_the_pinned_depth() {
     let value = std::thread::Builder::new()
         .stack_size(STACK_BYTES)
         .spawn(move || {
-            run_source(&src, &CompilerConfig::default())
-                .expect("compiles and runs")
-                .value
+            let config = CompilerConfig::default();
+            let compiled = compile(&src, &config).expect("compiles");
+            compiled.run(&config).expect("runs").value
         })
         .expect("spawn a 2 MiB thread")
         .join()

@@ -191,7 +191,10 @@ fn figure2_shapes_run_identically() {
                 poison: true,
                 ..Default::default()
             };
-            let out = lesgs_compiler::run_source(&shape, &cfg).unwrap();
+            let out = lesgs_compiler::compile(&shape, &cfg)
+                .unwrap()
+                .run(&cfg)
+                .unwrap();
             assert_eq!(out.value, expected, "{restore:?}: {shape}");
         }
     }

@@ -42,13 +42,15 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use lesgs_compiler::{
-    compile_observed, config_matrix, differential_check_parallel, on_deep_stack, CompilerConfig,
+    compile_observed, config_matrix, differential_check, on_deep_stack, Compiled, CompilerConfig,
 };
 use lesgs_core::config::{Discipline, RestoreStrategy, SaveStrategy, ShuffleStrategy};
 use lesgs_core::AllocConfig;
-use lesgs_engine::{Engine, MAGIC};
+use lesgs_engine::{Engine, VmOutcome, MAGIC};
 use lesgs_ir::MachineConfig;
 use lesgs_metrics::{Json, Registry};
+
+const COMMANDS: [&str; 7] = ["run", "compile", "stats", "dis", "ir", "interp", "check"];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProfileMode {
@@ -100,18 +102,14 @@ fn classify(bytes: Vec<u8>, origin: &str) -> Result<Input, String> {
 
 fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1).peekable();
-    // The command is optional; a leading option or path means `run`.
-    let command = match args.peek() {
-        None => usage(),
-        Some(first)
-            if ["run", "compile", "stats", "dis", "ir", "interp", "check"]
-                .contains(&first.as_str()) =>
-        {
-            args.next().expect("peeked")
-        }
-        Some(first) if first == "--help" || first == "-h" => usage(),
-        Some(_) => "run".to_owned(),
-    };
+    if let None | Some("--help" | "-h") = args.peek().map(String::as_str) {
+        usage();
+    }
+    // The command is optional and defaults to `run`: the first
+    // positional argument that names a command is the command, wherever
+    // it stands, and any other is the input (so a file named like a
+    // command is passed as `./run`).
+    let mut command: Option<String> = None;
     let mut alloc = AllocConfig::paper_default();
     let mut fuel = 0u64;
     let mut lambda_lift = false;
@@ -194,6 +192,7 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| e.to_string())?;
                 input = Some(classify(buf, "<stdin>")?);
             }
+            cmd if command.is_none() && COMMANDS.contains(&cmd) => command = Some(a),
             path if !path.starts_with('-') => {
                 let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
                 input = Some(classify(bytes, path)?);
@@ -201,6 +200,7 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown option `{other}`")),
         }
     }
+    let command = command.unwrap_or_else(|| "run".to_owned());
     let input = input.ok_or_else(|| "no program given".to_owned())?;
     if matches!(input, Input::Blob(_)) && !["run", "stats", "dis"].contains(&command.as_str()) {
         return Err(format!(
@@ -237,39 +237,29 @@ fn parse_args() -> Result<Options, String> {
     })
 }
 
-/// Assembles the `--profile` JSON document (schema in OBSERVABILITY.md).
-fn profile_document(
-    command: &str,
-    value: Option<&str>,
-    output: Option<&str>,
-    reg: &Registry,
-) -> Json {
-    let mut doc = Json::object([
-        ("schema_version", Json::UInt(1)),
-        ("tool", Json::from("lesgsc")),
-        ("command", Json::from(command)),
-    ]);
-    if let Some(v) = value {
-        doc.push_field("value", Json::from(v));
-    }
-    if let Some(o) = output {
-        doc.push_field("output", Json::from(o));
-    }
-    doc.push_field("metrics", reg.to_json(true));
-    doc
-}
-
-/// Emits the profile in the requested mode. Returns an error message on
-/// I/O failure.
-fn emit_profile(opts: &Options, doc: &Json, reg: &Registry) -> Result<(), String> {
+/// Emits the profile in the requested mode: the JSON document (schema
+/// in OBSERVABILITY.md) or the metric table.
+fn emit_profile(opts: &Options, outcome: Option<&VmOutcome>, reg: &Registry) -> Result<(), String> {
+    let document = || {
+        let mut doc = Json::object([
+            ("schema_version", Json::UInt(1)),
+            ("tool", Json::from("lesgsc")),
+            ("command", Json::from(opts.command.as_str())),
+        ]);
+        if let Some(out) = outcome {
+            doc.push_field("value", Json::from(out.value.as_str()));
+            doc.push_field("output", Json::from(out.output.as_str()));
+        }
+        doc.push_field("metrics", reg.to_json(true));
+        doc.pretty()
+    };
     if let Some(path) = &opts.profile_out {
-        std::fs::write(path, doc.pretty()).map_err(|e| format!("{path}: {e}"))?;
-        return Ok(());
+        return std::fs::write(path, document()).map_err(|e| format!("{path}: {e}"));
     }
     match opts.profile {
         ProfileMode::Off => {}
         ProfileMode::Human => eprint!("{}", reg.render_table()),
-        ProfileMode::Json => print!("{}", doc.pretty()),
+        ProfileMode::Json => print!("{}", document()),
     }
     Ok(())
 }
@@ -280,8 +270,7 @@ fn emit_profile(opts: &Options, doc: &Json, reg: &Registry) -> Result<(), String
 /// serialization).
 fn report_outcome(
     opts: &Options,
-    cmd: &str,
-    out: &lesgs_engine::VmOutcome,
+    out: &VmOutcome,
     shuffle: Option<lesgs_core::stats::ShuffleStats>,
 ) {
     // In pure-JSON mode the program's own output moves to stderr so
@@ -294,7 +283,7 @@ fn report_outcome(
         print!("{}", out.output);
         println!("{}", out.value);
     }
-    if cmd == "stats" {
+    if opts.command == "stats" {
         let s = &out.stats;
         eprintln!("instructions:  {}", s.instructions);
         eprintln!("cycles:        {}", s.cycles);
@@ -317,185 +306,123 @@ fn report_outcome(
     }
 }
 
-/// The `run`/`stats`/`dis` path for serialized-bytecode input:
-/// deserialize, re-verify, execute.
-fn main_blob(opts: &Options, bytes: &[u8]) -> ExitCode {
-    let fail = |e: String| -> ExitCode {
-        eprintln!("lesgsc: {e}");
-        ExitCode::FAILURE
-    };
-    let engine = Engine::with_config(opts.config);
-    let program = match engine.load_program(bytes) {
-        Ok(p) => p,
-        Err(e) => return fail(e.to_string()),
-    };
-    if opts.verify_bytecode {
-        // Loading already re-verified; report in the same shape as the
-        // compile path.
-        eprintln!(
-            "lesgsc: bytecode verified ({} functions, {} instructions)",
-            program.vm().funcs.len(),
-            program.code_size()
-        );
-    }
-    let mut reg = Registry::new();
-    match opts.command.as_str() {
-        "dis" => {
-            print!("{}", program.disassemble());
-            let doc = profile_document("dis", None, None, &reg);
-            if let Err(e) = emit_profile(opts, &doc, &reg) {
-                return fail(e);
-            }
-            ExitCode::SUCCESS
-        }
-        cmd => match engine.execute(&program) {
-            Ok(out) => {
-                report_outcome(opts, cmd, &out, None);
-                out.stats.record(&mut reg);
-                let doc = profile_document(cmd, Some(&out.value), Some(&out.output), &reg);
-                if let Err(e) = emit_profile(opts, &doc, &reg) {
-                    return fail(e);
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(e.to_string()),
-        },
-    }
-}
-
 fn main() -> ExitCode {
     // Compiling and interpreting recurse once per level of program
     // nesting; the main thread's stack would cap that depth lower.
     on_deep_stack(lesgsc)
 }
 
+/// Exit status 2 for bad arguments, 1 for a failure of the command.
 fn lesgsc() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
+    let (status, result) = match parse_args() {
+        Ok(opts) => (ExitCode::FAILURE, drive(&opts)),
+        Err(e) => (ExitCode::from(2), Err(e)),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("lesgsc: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let fail = |e: String| -> ExitCode {
-        eprintln!("lesgsc: {e}");
-        ExitCode::FAILURE
-    };
-
-    let source = match &opts.input {
-        Input::Blob(bytes) => return main_blob(&opts, bytes),
-        Input::Source(src) => src.clone(),
-    };
-
-    match opts.command.as_str() {
-        "interp" => {
-            let fuel = if opts.config.fuel == 0 {
-                u64::MAX
-            } else {
-                opts.config.fuel
-            };
-            match lesgs_interp::run_source(&source, fuel) {
-                Ok(out) => {
-                    print!("{}", out.output);
-                    println!("{}", out.value);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(e.to_string()),
-            }
-        }
-        "check" => {
-            let fuel = if opts.config.fuel == 0 {
-                200_000_000
-            } else {
-                opts.config.fuel
-            };
-            match differential_check_parallel(&source, &config_matrix(), fuel, opts.jobs) {
-                Ok(()) => {
-                    println!(
-                        "ok: interpreter and all {} configurations agree",
-                        config_matrix().len()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(e.to_string()),
-            }
-        }
-        cmd => {
-            let mut reg = Registry::new();
-            let compiled = match compile_observed(&source, &opts.config, &mut reg) {
-                Ok(c) => c,
-                Err(e) => return fail(e.to_string()),
-            };
-            if opts.verify_bytecode {
-                let errors = lesgs_vm::verify_bytecode(&compiled.vm);
-                if !errors.is_empty() {
-                    for e in &errors {
-                        eprintln!("lesgsc: {e}");
-                    }
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "lesgsc: bytecode verified ({} functions, {} instructions)",
-                    compiled.vm.funcs.len(),
-                    compiled.vm.code_size()
-                );
-            }
-            match cmd {
-                "compile" => {
-                    let bytes = lesgs_engine::serialize_program(&compiled.vm, &opts.config.alloc);
-                    let path = opts.out.as_deref().expect("validated");
-                    if let Err(e) = std::fs::write(path, &bytes) {
-                        return fail(format!("{path}: {e}"));
-                    }
-                    eprintln!(
-                        "lesgsc: wrote {path} ({} bytes, {} functions, {} instructions)",
-                        bytes.len(),
-                        compiled.vm.funcs.len(),
-                        compiled.vm.code_size()
-                    );
-                    let doc = profile_document(cmd, None, None, &reg);
-                    if let Err(e) = emit_profile(&opts, &doc, &reg) {
-                        return fail(e);
-                    }
-                    ExitCode::SUCCESS
-                }
-                "dis" => {
-                    print!("{}", compiled.vm.disassemble());
-                    let doc = profile_document(cmd, None, None, &reg);
-                    if let Err(e) = emit_profile(&opts, &doc, &reg) {
-                        return fail(e);
-                    }
-                    ExitCode::SUCCESS
-                }
-                "ir" => {
-                    for f in &compiled.allocated.funcs {
-                        println!(
-                            "{} ({}) leaf={} inevitable={}",
-                            f.id, f.name, f.syntactic_leaf, f.call_inevitable
-                        );
-                        println!("  {}", f.body);
-                    }
-                    let doc = profile_document(cmd, None, None, &reg);
-                    if let Err(e) = emit_profile(&opts, &doc, &reg) {
-                        return fail(e);
-                    }
-                    ExitCode::SUCCESS
-                }
-                "run" | "stats" => match compiled.run(&opts.config) {
-                    Ok(out) => {
-                        report_outcome(&opts, cmd, &out, Some(compiled.shuffle_stats()));
-                        out.stats.record(&mut reg);
-                        let doc = profile_document(cmd, Some(&out.value), Some(&out.output), &reg);
-                        if let Err(e) = emit_profile(&opts, &doc, &reg) {
-                            return fail(e);
-                        }
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => fail(e.to_string()),
-                },
-                _ => unreachable!("command validated"),
-            }
+            status
         }
     }
+}
+
+/// Carries out the parsed command. The error is printed after a
+/// `lesgsc: ` prefix.
+fn drive(opts: &Options) -> Result<(), String> {
+    let cmd = opts.command.as_str();
+    // A budget of 0 means the command's default.
+    let fuel = |default| match opts.config.fuel {
+        0 => default,
+        n => n,
+    };
+    // `interp` and `check` read source text and hold no compiled
+    // program of their own.
+    match (cmd, &opts.input) {
+        ("interp", Input::Source(src)) => {
+            let out = lesgs_interp::run_source(src, fuel(u64::MAX)).map_err(|e| e.to_string())?;
+            print!("{}", out.output);
+            println!("{}", out.value);
+            return Ok(());
+        }
+        ("check", Input::Source(src)) => {
+            differential_check(src, &config_matrix(), fuel(200_000_000), opts.jobs)
+                .map_err(|e| e.to_string())?;
+            println!(
+                "ok: interpreter and all {} configurations agree",
+                config_matrix().len()
+            );
+            return Ok(());
+        }
+        _ => {}
+    }
+
+    // The program: compiled here from source, or loaded (deserialized
+    // and re-verified) from a blob. Only a compiled one keeps the
+    // allocator's output, which `ir` and the `shuffle:` line need.
+    let mut reg = Registry::new();
+    let (from_source, from_blob);
+    let (vm, compiled) = match &opts.input {
+        Input::Source(src) => {
+            from_source =
+                compile_observed(src, &opts.config, &mut reg).map_err(|e| e.to_string())?;
+            (&from_source.vm, Some(&from_source))
+        }
+        Input::Blob(bytes) => {
+            from_blob = Engine::with_config(opts.config)
+                .load_program(bytes)
+                .map_err(|e| e.to_string())?;
+            (from_blob.vm(), None)
+        }
+    };
+    if opts.verify_bytecode {
+        let errors = lesgs_vm::verify_bytecode(vm);
+        if !errors.is_empty() {
+            // One `lesgsc: ` line per complaint.
+            let lines: Vec<String> = errors.iter().map(ToString::to_string).collect();
+            return Err(lines.join("\nlesgsc: "));
+        }
+        eprintln!(
+            "lesgsc: bytecode verified ({} functions, {} instructions)",
+            vm.funcs.len(),
+            vm.code_size()
+        );
+    }
+    let outcome = match cmd {
+        "compile" => {
+            let bytes = lesgs_engine::serialize_program(vm, &opts.config.alloc);
+            let path = opts.out.as_deref().expect("validated");
+            std::fs::write(path, &bytes).map_err(|e| format!("{path}: {e}"))?;
+            eprintln!(
+                "lesgsc: wrote {path} ({} bytes, {} functions, {} instructions)",
+                bytes.len(),
+                vm.funcs.len(),
+                vm.code_size()
+            );
+            None
+        }
+        "dis" => {
+            print!("{}", vm.disassemble());
+            None
+        }
+        "ir" => {
+            let compiled = compiled.expect("`ir` takes source text only");
+            for f in &compiled.allocated.funcs {
+                println!(
+                    "{} ({}) leaf={} inevitable={}",
+                    f.id, f.name, f.syntactic_leaf, f.call_inevitable
+                );
+                println!("  {}", f.body);
+            }
+            None
+        }
+        "run" | "stats" => {
+            let out = opts.config.machine(vm).run().map_err(|e| e.to_string())?;
+            report_outcome(opts, &out, compiled.map(Compiled::shuffle_stats));
+            out.stats.record(&mut reg);
+            Some(out)
+        }
+        _ => unreachable!("command validated"),
+    };
+    emit_profile(opts, outcome.as_ref(), &reg)
 }

@@ -130,15 +130,9 @@ impl std::fmt::Display for BytecodeLoadError {
 
 impl std::error::Error for BytecodeLoadError {}
 
-/// 64-bit FNV-1a over a byte slice — the stream's trailing checksum
-/// and the content-hash primitive behind the service's cache keys.
+/// 64-bit FNV-1a over a byte slice — the stream's trailing checksum.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continues the FNV-1a-64 hash `h` over `bytes`, so that
-/// `fnv1a64_extend(fnv1a64(a), b)` is `fnv1a64` of `a` followed by `b`.
-pub(crate) fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -214,19 +214,6 @@ impl Engine {
         }
         Ok(CompiledProgram { vm, alloc })
     }
-
-    /// The content-hash key under which a source program caches: a
-    /// FNV-1a-64 over the source text and the allocator-configuration
-    /// fingerprint, so the same text compiled under two configurations
-    /// occupies two cache slots. FNV-1a is not collision-resistant, so
-    /// the key finds a program but does not identify it: a cache must
-    /// also compare the source text.
-    pub fn content_key(&self, source: &str) -> u64 {
-        bytecode::fnv1a64_extend(
-            fnv1a64(source.as_bytes()),
-            &config_fingerprint(&self.config.alloc),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -243,8 +230,10 @@ mod tests {
         let program = engine.compile("(define (f x) (* x x)) (f 9)").unwrap();
         let out = engine.execute(&program).unwrap();
         assert_eq!(out.value, "81");
-        let direct =
-            lesgs_compiler::run_source("(define (f x) (* x x)) (f 9)", engine.config()).unwrap();
+        let direct = lesgs_compiler::compile("(define (f x) (* x x)) (f 9)", engine.config())
+            .unwrap()
+            .run(engine.config())
+            .unwrap();
         assert_eq!(out, direct);
     }
 
@@ -422,39 +411,6 @@ mod tests {
                 assert_eq!(e.at, Some(("f".into(), 1)));
             }
             other => panic!("expected a vm error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn content_key_separates_sources_and_configs() {
-        let engine = Engine::new();
-        assert_eq!(engine.content_key("(+ 1 2)"), engine.content_key("(+ 1 2)"));
-        assert_ne!(engine.content_key("(+ 1 2)"), engine.content_key("(+ 1 3)"));
-        let baseline = Engine::with_config(CompilerConfig::with_alloc(AllocConfig::baseline()));
-        assert_ne!(
-            engine.content_key("(+ 1 2)"),
-            baseline.content_key("(+ 1 2)")
-        );
-    }
-
-    /// The key is FNV-1a-64 of the source followed by the configuration
-    /// fingerprint; the pinned values keep cache keys stable.
-    #[test]
-    fn content_key_hashes_source_then_fingerprint() {
-        let engine = Engine::new();
-        let fingerprint = config_fingerprint(&engine.config().alloc);
-        for (source, key) in [
-            ("", 0x74cb_b032_0aa7_5e9a),
-            ("(define (f x) (* x x)) (f 9)", 0x26a6_3c59_4895_0244),
-            ("(display \"λx → ü\")", 0x634e_1bbf_fd6b_f675),
-        ] {
-            let concatenated = [source.as_bytes(), &fingerprint].concat();
-            assert_eq!(
-                engine.content_key(source),
-                fnv1a64(&concatenated),
-                "{source:?}"
-            );
-            assert_eq!(engine.content_key(source), key, "{source:?}");
         }
     }
 }

@@ -421,3 +421,88 @@ fn non_ascii_string_literals_keep_their_characters() {
     assert!(ok, "check: {stdout}{stderr}");
     assert!(stdout.starts_with("ok: "), "check: {stdout}");
 }
+
+/// With no command first, the first positional argument that names a
+/// command is the command, even after an option or the input: each
+/// invocation here answers like its command-first form.
+#[test]
+fn a_command_word_after_an_option_is_the_command() {
+    let (stdout, stderr, ok) = lesgsc(&["--trace", "run", "-e", "(+ 1 2)"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout, "3\n");
+    assert!(stderr.contains("trace: call main"), "{stderr}");
+
+    let src = "(define (f n) (if (zero? n) 0 (+ 1 (f (- n 1))))) (f 5)";
+    let late = lesgsc(&["--verify-bytecode", "stats", "-e", src]);
+    assert!(late.2, "{}", late.1);
+    assert!(late.1.contains("bytecode verified"), "{}", late.1);
+    assert_eq!(late, lesgsc(&["stats", "--verify-bytecode", "-e", src]));
+
+    let late = lesgsc(&["-e", "(+ 1 2)", "check"]);
+    assert!(late.2, "{}", late.1);
+    assert_eq!(late, lesgsc(&["check", "-e", "(+ 1 2)"]));
+}
+
+/// The `vm.*` entries of a `--profile=json` document, in every metric
+/// group.
+fn vm_metrics(profile: &str) -> Vec<(String, lesgs_metrics::Json)> {
+    let doc = lesgs_metrics::parse_json(profile).expect("profile JSON");
+    let metrics = doc
+        .get("metrics")
+        .and_then(|m| m.as_object())
+        .expect("metrics object");
+    metrics
+        .iter()
+        .filter_map(|(_, group)| group.as_object())
+        .flatten()
+        .filter(|(k, _)| k.starts_with("vm."))
+        .cloned()
+        .collect()
+}
+
+/// Every shipped example answers the same from its source and from the
+/// blob `compile` writes: `run`, `stats` and `dis` print the same
+/// stdout, `stats` the same counters (a blob has no allocator output,
+/// so no `shuffle:` line), and `run --profile=json` the same `vm.*`
+/// metrics.
+#[test]
+fn every_example_answers_the_same_from_source_and_blob() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scheme-examples");
+    let mut examples: Vec<_> = std::fs::read_dir(dir)
+        .expect("scheme-examples")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "scm"))
+        .collect();
+    examples.sort();
+    assert!(!examples.is_empty());
+    for example in &examples {
+        let source = example.to_str().expect("utf-8 path");
+        let name = example.file_stem().unwrap().to_string_lossy();
+        let path = temp_lbc(&format!("example-{name}"));
+        let blob = path.to_str().expect("utf-8 temp path");
+        let (_, stderr, ok) = lesgsc(&["compile", source, "-o", blob]);
+        assert!(ok, "{name}: {stderr}");
+        for cmd in ["run", "stats", "dis"] {
+            let (from_source, from_blob) = (lesgsc(&[cmd, source]), lesgsc(&[cmd, blob]));
+            assert!(from_source.2 && from_blob.2, "{name} {cmd}: {from_blob:?}");
+            assert_eq!(from_source.0, from_blob.0, "{name} {cmd}: stdout");
+            if cmd == "stats" {
+                let counters = |stderr: &str| {
+                    let lines = stderr.lines().filter(|l| !l.starts_with("shuffle:"));
+                    lines.map(str::to_owned).collect::<Vec<_>>()
+                };
+                assert!(from_source.1.contains("\nshuffle:"), "{name}");
+                assert_eq!(counters(&from_source.1), counters(&from_blob.1), "{name}");
+            }
+        }
+        let profile = |input: &str| {
+            let (stdout, stderr, ok) = lesgsc(&["run", "--profile=json", input]);
+            assert!(ok, "{name}: {stderr}");
+            vm_metrics(&stdout)
+        };
+        let vm = profile(source);
+        assert!(vm.iter().any(|(k, _)| k == "vm.stack_refs"), "{name}");
+        assert_eq!(vm, profile(blob), "{name}: vm.* metrics");
+        std::fs::remove_file(&path).ok();
+    }
+}

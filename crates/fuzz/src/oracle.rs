@@ -17,7 +17,7 @@
 //!   error, or an outcome mismatch. The offending [`AllocConfig`] rides
 //!   along in the [`DiffFailure`].
 
-use lesgs_compiler::{config_matrix, differential_check_detailed, DiffFailure, DiffKind};
+use lesgs_compiler::{config_matrix, differential_check, DiffFailure, DiffKind};
 use lesgs_core::AllocConfig;
 
 /// Oracle settings: the configuration matrix and the shared fuel
@@ -63,7 +63,7 @@ pub enum CaseOutcome {
 
 /// Judges one program source against the oracle configuration.
 pub fn check_source(src: &str, oc: &OracleConfig) -> CaseOutcome {
-    match differential_check_detailed(src, &oc.configs, oc.fuel) {
+    match differential_check(src, &oc.configs, oc.fuel, 1) {
         Ok(()) => CaseOutcome::Pass,
         Err(f) => match &f.kind {
             DiffKind::FuelExhausted => CaseOutcome::Skip(SkipReason::Fuel),
@@ -80,7 +80,7 @@ pub fn check_source(src: &str, oc: &OracleConfig) -> CaseOutcome {
 /// per candidate, checking only the configuration the original find
 /// implicated.
 pub fn still_fails_under(src: &str, config: &AllocConfig, fuel: u64) -> bool {
-    match differential_check_detailed(src, std::slice::from_ref(config), fuel) {
+    match differential_check(src, std::slice::from_ref(config), fuel, 1) {
         Ok(()) => false,
         Err(f) => f.is_miscompile(),
     }

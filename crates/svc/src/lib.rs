@@ -4,9 +4,8 @@
 //! A [`Service`] owns an [`Engine`], a [`ProgramCache`], and a
 //! worker-pool configuration, and processes batches of mixed
 //! [`Request::Compile`]/[`Request::Run`] requests. A program's identity
-//! is its source text: the content key ([`Engine::content_key`]) finds
-//! a cache entry and labels each response, but two texts never answer
-//! for each other, even when their keys collide.
+//! is its source text: the cache is keyed by it, so two texts never
+//! answer for each other.
 //!
 //! 1. **Classify** (sequential): each request's source is looked up; a
 //!    resident text is a *hit*, the first request for an absent text is
@@ -98,8 +97,6 @@ impl Request {
 pub enum Response {
     /// A [`Request::Compile`] completed.
     Compiled {
-        /// Content key the program is cached under.
-        key: u64,
         /// Total instruction count of the compiled program.
         code_size: usize,
         /// True when the program was already resident (or coalesced
@@ -108,8 +105,6 @@ pub enum Response {
     },
     /// A [`Request::Run`] completed.
     Ran {
-        /// Content key the program is cached under.
-        key: u64,
         /// Value, output, and `RunStats` — byte-identical to direct
         /// execution of the same source. Boxed so a batch of mostly
         /// `Compiled`/`Failed` responses stays compact.
@@ -120,8 +115,6 @@ pub enum Response {
     /// The request failed (compile error, runtime error, or a
     /// panicked worker job).
     Failed {
-        /// Content key of the failing source.
-        key: u64,
         /// Rendered error.
         message: String,
     },
@@ -237,22 +230,18 @@ impl Service {
             Pinned(Arc<CompiledProgram>),
             Slot(usize),
         }
-        let keys: Vec<u64> = requests
-            .iter()
-            .map(|r| self.engine.content_key(r.source()))
-            .collect();
-        let mut pending: Vec<(u64, &str)> = Vec::new();
+        let mut pending: Vec<&str> = Vec::new();
         let mut pending_slot: HashMap<&str, usize> = HashMap::new();
         let mut programs: Vec<(bool, Program)> = Vec::with_capacity(requests.len());
-        for (req, &key) in requests.iter().zip(&keys) {
+        for req in requests {
             let source = req.source();
-            let (cached, program) = if let Some(pinned) = self.cache.get(key, source) {
+            let (cached, program) = if let Some(pinned) = self.cache.get(source) {
                 (true, Program::Pinned(pinned))
             } else if let Some(&slot) = pending_slot.get(source) {
                 (true, Program::Slot(slot))
             } else {
                 pending_slot.insert(source, pending.len());
-                pending.push((key, source));
+                pending.push(source);
                 (false, Program::Slot(pending.len() - 1))
             };
             if cached {
@@ -266,8 +255,9 @@ impl Service {
 
         // Phase 2 — compile the misses in parallel.
         let engine = &self.engine;
-        let sources = pending.iter().map(|&(_, source)| source).collect();
-        let compile_out = map_ordered(&self.pool, sources, |_, source| engine.compile(source));
+        let compile_out = map_ordered(&self.pool, pending.clone(), |_, source| {
+            engine.compile(source)
+        });
         lap(1);
 
         // Phase 3 — admit in classification order. Failures are not
@@ -275,10 +265,10 @@ impl Service {
         let compiled: Vec<Result<Arc<CompiledProgram>, String>> = pending
             .iter()
             .zip(compile_out.results)
-            .map(|(&(key, source), job)| match job {
+            .map(|(&source, job)| match job {
                 Ok(Ok(program)) => {
                     let program = Arc::new(program);
-                    stats.evictions += self.cache.insert(key, source, Arc::clone(&program)) as u64;
+                    stats.evictions += self.cache.insert(source, Arc::clone(&program)) as u64;
                     Ok(program)
                 }
                 Ok(Err(e)) => Err(e.to_string()),
@@ -290,26 +280,24 @@ impl Service {
         // Phase 4 — resolve every request; run requests fan out.
         enum Slot {
             Done(Response),
-            Running { key: u64, cached: bool, job: usize },
+            Running { cached: bool, job: usize },
         }
         let mut run_jobs: Vec<Arc<CompiledProgram>> = Vec::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(requests.len());
-        for ((req, &key), (cached, program)) in requests.iter().zip(&keys).zip(programs) {
+        for (req, (cached, program)) in requests.iter().zip(programs) {
             let program = match program {
                 Program::Pinned(program) => Ok(program),
                 Program::Slot(slot) => compiled[slot].clone(),
             };
             match program {
-                Err(message) => slots.push(Slot::Done(Response::Failed { key, message })),
+                Err(message) => slots.push(Slot::Done(Response::Failed { message })),
                 Ok(program) => match req {
                     Request::Compile { .. } => slots.push(Slot::Done(Response::Compiled {
-                        key,
                         code_size: program.code_size(),
                         cached,
                     })),
                     Request::Run { .. } => {
                         slots.push(Slot::Running {
-                            key,
                             cached,
                             job: run_jobs.len(),
                         });
@@ -325,19 +313,16 @@ impl Service {
             .into_iter()
             .map(|slot| match slot {
                 Slot::Done(r) => r,
-                Slot::Running { key, cached, job } => {
+                Slot::Running { cached, job } => {
                     match run_results[job].take().expect("one slot per job") {
                         Ok(Ok(outcome)) => Response::Ran {
-                            key,
                             outcome: Box::new(outcome),
                             cached,
                         },
                         Ok(Err(e)) => Response::Failed {
-                            key,
                             message: e.to_string(),
                         },
                         Err(panic) => Response::Failed {
-                            key,
                             message: panic.to_string(),
                         },
                     }
@@ -532,8 +517,8 @@ mod tests {
         assert_eq!(reg.counter("svc.errors"), 2);
     }
 
-    /// Two texts whose content keys collide (FNV-1a-64; equal length,
-    /// so they collide under every configuration's fingerprint).
+    /// Two texts with equal FNV-1a-64 hashes. Keyed by hash, they would
+    /// answer for each other unless every hit also compared the text.
     const COLLIDING: [&str; 2] = ["(quote se2a87e9aebf4315f)", "(quote s8797986212ca9022)"];
 
     fn ran_value(response: &Response) -> (&str, bool) {
@@ -549,7 +534,6 @@ mod tests {
     fn colliding_texts_get_their_own_answers_in_one_batch() {
         let mut svc = Service::new(ServiceConfig::default());
         let [a, b] = COLLIDING;
-        assert_eq!(svc.engine().content_key(a), svc.engine().content_key(b));
         let mut reg = Registry::new();
         let (responses, stats) = svc.process_batch(&[run(a), run(b), run(a)], &mut reg);
         assert_eq!(ran_value(&responses[0]), ("se2a87e9aebf4315f", false));
@@ -570,9 +554,10 @@ mod tests {
         assert_eq!(ran_value(&first[0]), ("se2a87e9aebf4315f", false));
         let (second, stats) = svc.process_batch(&[run(b)], &mut reg);
         assert_eq!(ran_value(&second[0]), ("s8797986212ca9022", false));
-        assert_eq!((stats.misses, stats.evictions), (1, 1));
-        let (third, _) = svc.process_batch(&[run(b)], &mut reg);
+        assert_eq!((stats.misses, stats.evictions), (1, 0));
+        let (third, _) = svc.process_batch(&[run(b), run(a)], &mut reg);
         assert_eq!(ran_value(&third[0]), ("s8797986212ca9022", true));
+        assert_eq!(ran_value(&third[1]), ("se2a87e9aebf4315f", true));
     }
 
     #[test]

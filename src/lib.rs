@@ -21,7 +21,7 @@
 //! | [`vm`] | `lesgs-vm` | instrumented virtual machine |
 //! | [`compiler`] | `lesgs-compiler` | end-to-end driver |
 //! | [`engine`] | `lesgs-engine` | embeddable facade: compile, execute, versioned `.lbc` serialization |
-//! | [`svc`] | `lesgs-svc` | batch compile-and-run service with a content-keyed program cache |
+//! | [`svc`] | `lesgs-svc` | batch compile-and-run service with a program cache keyed by source text |
 //! | [`metrics`] | `lesgs-metrics` | metrics registry, span timing, JSON reports |
 //! | [`suite`] | `lesgs-suite` | benchmarks and experiment machinery |
 //! | [`exec`] | `lesgs-exec` | deterministic worker pool behind every `--jobs` flag |
@@ -43,17 +43,15 @@
 //! assert_eq!(engine.execute(&loaded).unwrap().value, "42");
 //! ```
 //!
-//! The lower-level pipeline remains available:
+//! Every run is fully instrumented:
 //!
 //! ```
-//! use lesgs::compiler::{run_source, CompilerConfig};
+//! use lesgs::engine::Engine;
 //!
-//! let out = run_source(
-//!     "(define (fact n) (if (zero? n) 1 (* n (fact (- n 1))))) (fact 10)",
-//!     &CompilerConfig::default(),
-//! ).unwrap();
+//! let out = Engine::new()
+//!     .run("(define (fact n) (if (zero? n) 1 (* n (fact (- n 1))))) (fact 10)")
+//!     .unwrap();
 //! assert_eq!(out.value, "3628800");
-//! // The run is fully instrumented:
 //! assert!(out.stats.saves() > 0);
 //! assert!(out.stats.effective_leaf_fraction() > 0.0);
 //! ```
@@ -62,12 +60,13 @@
 //!
 //! ```
 //! use lesgs::allocator::{AllocConfig, SaveStrategy};
-//! use lesgs::compiler::{run_source, CompilerConfig};
+//! use lesgs::compiler::CompilerConfig;
+//! use lesgs::engine::Engine;
 //!
 //! let src = "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2))))) (fib 12)";
 //! let run = |save| {
 //!     let cfg = CompilerConfig::with_alloc(AllocConfig { save, ..AllocConfig::default() });
-//!     run_source(src, &cfg).unwrap().stats
+//!     Engine::with_config(cfg).run(src).unwrap().stats
 //! };
 //! let lazy = run(SaveStrategy::Lazy);
 //! let early = run(SaveStrategy::Early);

@@ -118,7 +118,8 @@ fn executed_saves_ordered_by_strategy() {
                 save,
                 ..AllocConfig::paper_default()
             });
-            lesgs::compiler::run_source(b.source(Scale::Small), &cfg)
+            lesgs::engine::Engine::with_config(cfg)
+                .run(b.source(Scale::Small))
                 .unwrap()
                 .stats
                 .saves()

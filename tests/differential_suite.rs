@@ -3,13 +3,14 @@
 //! in the compiled VM under the full configuration matrix.
 
 use lesgs::compiler::{config_matrix, differential_check};
+use lesgs::engine::Engine;
 use lesgs::suite::{all_benchmarks, Scale};
 
 #[test]
 fn all_benchmarks_agree_with_interpreter_under_all_configs() {
     let configs = config_matrix();
     for b in all_benchmarks() {
-        differential_check(b.source(Scale::Small), &configs, 60_000_000)
+        differential_check(b.source(Scale::Small), &configs, 60_000_000, 1)
             .unwrap_or_else(|e| panic!("benchmark {}: {e}", b.name));
     }
 }
@@ -31,7 +32,8 @@ fn all_benchmarks_agree_with_lambda_lifting() {
                 poison: true,
                 ..Default::default()
             };
-            let out = lesgs::compiler::run_source(src, &cfg)
+            let out = Engine::with_config(cfg)
+                .run(src)
                 .unwrap_or_else(|e| panic!("{} lifted: {e}", b.name));
             assert_eq!(out.value, oracle.value, "{} lifted", b.name);
             assert_eq!(out.output, oracle.output, "{} lifted", b.name);
@@ -51,7 +53,8 @@ fn all_benchmarks_agree_without_peephole_and_folding() {
             poison: true,
             ..Default::default()
         };
-        let out = lesgs::compiler::run_source(src, &cfg)
+        let out = Engine::with_config(cfg)
+            .run(src)
             .unwrap_or_else(|e| panic!("{} unoptimized: {e}", b.name));
         assert_eq!(out.value, oracle.value, "{} unoptimized", b.name);
         assert_eq!(out.output, oracle.output, "{} unoptimized", b.name);
@@ -62,10 +65,10 @@ fn all_benchmarks_agree_without_peephole_and_folding() {
 fn standard_scale_expected_values_hold() {
     // Spot-check the standard-scale answers under the paper's default
     // configuration (independently known values).
-    use lesgs::compiler::{run_source, CompilerConfig};
     for b in all_benchmarks() {
         let Some(expected) = b.expected else { continue };
-        let out = run_source(b.source(Scale::Standard), &CompilerConfig::default())
+        let out = Engine::new()
+            .run(b.source(Scale::Standard))
             .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         assert_eq!(out.value, expected, "{}", b.name);
     }
@@ -104,7 +107,7 @@ fn prelude_library_differential() {
           (caddr '(1 2 3))
           (cadddr '(1 2 3 4)))
     "#;
-    differential_check(src, &config_matrix(), 10_000_000).unwrap();
+    differential_check(src, &config_matrix(), 10_000_000, 1).unwrap();
 }
 
 #[test]
@@ -123,5 +126,5 @@ fn output_and_effects_differential() {
           (display p))
         (unbox box1)
     "#;
-    differential_check(src, &config_matrix(), 10_000_000).unwrap();
+    differential_check(src, &config_matrix(), 10_000_000, 1).unwrap();
 }

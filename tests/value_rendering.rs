@@ -73,7 +73,9 @@ fn quoted_data_renders_identically() {
             poison: true,
             ..Default::default()
         };
-        let vm = lesgs::compiler::run_source(&src, &cfg).expect("compiler accepts the datum");
+        let vm = lesgs::engine::Engine::with_config(cfg)
+            .run(&src)
+            .expect("compiler accepts the datum");
         assert_eq!(&vm.output, &oracle.output, "display/write of {d}");
         assert_eq!(&vm.value, &oracle.value, "final value of {d}");
     });
@@ -97,7 +99,8 @@ fn shipped_scheme_examples_pass_differential_check() {
     for file in ["tak.scm", "counter.scm", "sieve.scm"] {
         let path = format!("{}/scheme-examples/{file}", env!("CARGO_MANIFEST_DIR"));
         let src = std::fs::read_to_string(&path).unwrap();
-        lesgs::compiler::differential_check(&src, &lesgs::compiler::config_matrix(), 200_000_000)
+        let configs = lesgs::compiler::config_matrix();
+        lesgs::compiler::differential_check(&src, &configs, 200_000_000, 1)
             .unwrap_or_else(|e| panic!("{file}: {e}"));
     }
 }
