@@ -106,17 +106,6 @@ impl Emitter<'_> {
         t
     }
 
-    fn temp_offset(&self, i: u32) -> u32 {
-        self.layout.n_incoming + self.layout.save_regs.len() as u32 + self.layout.n_spills + i
-    }
-
-    fn slot_offset(&self, s: Slot) -> u32 {
-        match s {
-            Slot::Temp(i) => self.temp_offset(i),
-            other => self.layout.offset(other),
-        }
-    }
-
     fn slot_class(s: Slot) -> SlotClass {
         match s {
             Slot::Param(_) => SlotClass::Param,
@@ -222,7 +211,7 @@ impl Emitter<'_> {
             } else {
                 let t = self.temp_push();
                 self.expr(a, RV);
-                let slot = self.temp_offset(t);
+                let slot = self.layout.offset(Slot::Temp(t));
                 self.emit(Instr::StackStore {
                     slot,
                     src: RV,
@@ -240,7 +229,7 @@ impl Emitter<'_> {
                     let r = self
                         .alloc_scratch()
                         .expect("gather needs at most arity scratches");
-                    let slot = self.temp_offset(*t);
+                    let slot = self.layout.offset(Slot::Temp(*t));
                     self.emit(Instr::StackLoad {
                         dst: r,
                         slot,
@@ -290,7 +279,7 @@ impl Emitter<'_> {
                 }
             }
             Dest::Temp(TempLoc::Frame(k)) => {
-                let slot = self.temp_offset(plan_temp_base + k);
+                let slot = self.layout.offset(Slot::Temp(plan_temp_base + k));
                 self.emit(Instr::StackStore {
                     slot,
                     src,
@@ -330,7 +319,7 @@ impl Emitter<'_> {
                 Step::Move { from, dst: d } => match from {
                     TempLoc::Reg(r) => self.store_to_dest(*r, d, plan_temp_base),
                     TempLoc::Frame(k) => {
-                        let slot = self.temp_offset(plan_temp_base + k);
+                        let slot = self.layout.offset(Slot::Temp(plan_temp_base + k));
                         match d {
                             Dest::Reg(r) | Dest::Temp(TempLoc::Reg(r)) => {
                                 self.emit(Instr::StackLoad {
@@ -429,7 +418,7 @@ impl Emitter<'_> {
                 }
             }
             AExpr::ReadHome(Home::Slot(s)) => {
-                let slot = self.slot_offset(*s);
+                let slot = self.layout.offset(*s);
                 self.emit(Instr::StackLoad {
                     dst,
                     slot,
@@ -508,7 +497,7 @@ impl Emitter<'_> {
                     Home::Reg(r) => self.expr(rhs, *r),
                     Home::Slot(s) => {
                         let (r, scratch) = self.value_to_rv(rhs);
-                        let slot = self.slot_offset(*s);
+                        let slot = self.layout.offset(*s);
                         self.emit(Instr::StackStore {
                             slot,
                             src: r,
@@ -595,7 +584,7 @@ impl Emitter<'_> {
                 } else {
                     let t = self.temp_push();
                     self.expr(clo, RV);
-                    let slot = self.temp_offset(t);
+                    let slot = self.layout.offset(Slot::Temp(t));
                     self.emit(Instr::StackStore {
                         slot,
                         src: RV,
@@ -642,7 +631,7 @@ impl Emitter<'_> {
             match patch {
                 PatchKind::OutSlot(j) => match &mut self.code[*idx] {
                     Instr::StackStore { slot, .. } | Instr::StackLoad { slot, .. } => {
-                        *slot = frame_size + j
+                        *slot = self.layout.out_offset(*j)
                     }
                     _ => unreachable!("out-slot patch on non-stack instruction"),
                 },
@@ -653,12 +642,9 @@ impl Emitter<'_> {
                 }
                 PatchKind::Label(l) => {
                     let target = self.labels[*l as usize].expect("label placed");
-                    match &mut self.code[*idx] {
-                        Instr::Jump { target: t }
-                        | Instr::BranchFalse { target: t, .. }
-                        | Instr::BranchTrue { target: t, .. } => *t = target,
-                        _ => unreachable!("label patch on non-branch"),
-                    }
+                    *self.code[*idx]
+                        .target_mut()
+                        .expect("label patch on a branch") = target;
                 }
             }
         }

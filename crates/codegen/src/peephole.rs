@@ -20,18 +20,7 @@ use lesgs_vm::{Instr, VmFunc};
 
 /// Instruction indices that some branch can jump to.
 fn branch_targets(code: &[Instr]) -> HashSet<u32> {
-    let mut targets = HashSet::new();
-    for i in code {
-        match i {
-            Instr::Jump { target }
-            | Instr::BranchFalse { target, .. }
-            | Instr::BranchTrue { target, .. } => {
-                targets.insert(*target);
-            }
-            _ => {}
-        }
-    }
-    targets
+    code.iter().filter_map(Instr::target).collect()
 }
 
 /// Applies one peephole pass to `func`; returns the number of
@@ -52,8 +41,8 @@ pub fn peephole(func: &mut VmFunc) -> usize {
                 changed += 1;
             }
             // 3. Jump to the immediately following instruction.
-            Instr::Jump { target }
-                if *target == (i + 1) as u32 && !targets.contains(&(i as u32)) =>
+            ins @ Instr::Jump { .. }
+                if ins.target() == Some((i + 1) as u32) && !targets.contains(&(i as u32)) =>
             {
                 keep[i] = false;
                 changed += 1;
@@ -92,34 +81,14 @@ pub fn peephole(func: &mut VmFunc) -> usize {
     }
     new_index[n] = next;
     let mut code = Vec::with_capacity(next as usize);
-    for (i, ins) in func.code.drain(..).enumerate() {
+    for (i, mut ins) in func.code.drain(..).enumerate() {
         if !keep[i] {
             continue;
         }
-        code.push(match ins {
-            Instr::Jump { target } => Instr::Jump {
-                target: new_index[target as usize],
-            },
-            Instr::BranchFalse {
-                src,
-                target,
-                likely,
-            } => Instr::BranchFalse {
-                src,
-                target: new_index[target as usize],
-                likely,
-            },
-            Instr::BranchTrue {
-                src,
-                target,
-                likely,
-            } => Instr::BranchTrue {
-                src,
-                target: new_index[target as usize],
-                likely,
-            },
-            other => other,
-        });
+        if let Some(target) = ins.target_mut() {
+            *target = new_index[*target as usize];
+        }
+        code.push(ins);
     }
     func.code = code;
     changed

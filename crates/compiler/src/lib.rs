@@ -485,18 +485,10 @@ pub fn on_deep_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 /// [`DiffFailure`]s, so drivers can tell timeouts from miscompiles;
 /// their `Display` is the rendered verdict.
 ///
-/// `jobs > 1` fans the configuration matrix out over a `lesgs-exec`
-/// worker pool. The verdict is **deterministic and independent of
-/// `jobs`**: the reported failure is always the first one in matrix
-/// order, no matter which configuration finished first. `jobs <= 1`
-/// runs the plain sequential loop, which also stops at the first
-/// failure instead of finishing the matrix.
-///
-/// The check runs on a thread of its own ([`on_deep_stack`]), so a
-/// deeply nested program gets the same verdict at every job count and
-/// from every calling thread. At `jobs > 1` that thread compiles every
-/// configuration, and the pool's workers verify and run the compiled
-/// programs, which needs no deep stack.
+/// The configurations are checked one after another, and the check
+/// stops at the first failure. It runs on a thread of its own
+/// ([`on_deep_stack`]), so a deeply nested program gets the same
+/// verdict from every calling thread.
 ///
 /// # Errors
 ///
@@ -505,25 +497,18 @@ pub fn on_deep_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 ///
 /// # Panics
 ///
-/// A panic while compiling or judging a configuration is re-raised,
-/// labelled with that configuration, unless an earlier configuration
-/// failed.
+/// A panic while compiling or judging a configuration is re-raised on
+/// the caller.
 pub fn differential_check(
     src: &str,
     configs: &[AllocConfig],
     fuel: u64,
-    jobs: usize,
 ) -> Result<(), DiffFailure> {
-    on_deep_stack(|| check_on_deep_stack(src, configs, fuel, jobs))
+    on_deep_stack(|| check_on_deep_stack(src, configs, fuel))
 }
 
 /// [`differential_check`]'s body, on the deep-stack thread.
-fn check_on_deep_stack(
-    src: &str,
-    configs: &[AllocConfig],
-    fuel: u64,
-    jobs: usize,
-) -> Result<(), DiffFailure> {
+fn check_on_deep_stack(src: &str, configs: &[AllocConfig], fuel: u64) -> Result<(), DiffFailure> {
     let oracle = match lesgs_interp::run_source(src, fuel) {
         Ok(o) => o,
         Err(e) => {
@@ -558,7 +543,10 @@ fn check_on_deep_stack(
                 })
             }
         };
-    let compile = |alloc: &AllocConfig| {
+    // The reference engine checks the machine under the first
+    // configuration only: they differ only in the fast paths, which no
+    // allocator setting changes.
+    for (i, alloc) in configs.iter().enumerate() {
         let config = CompilerConfig {
             alloc: *alloc,
             poison: true,
@@ -566,42 +554,7 @@ fn check_on_deep_stack(
             ..CompilerConfig::default()
         };
         let compiled = compile_back_observed(&front, &config, &mut Registry::discard());
-        (config, compiled)
-    };
-    // The reference engine checks the machine under the first
-    // configuration only: they differ only in the fast paths, which no
-    // allocator setting changes.
-    if jobs <= 1 {
-        for (i, alloc) in configs.iter().enumerate() {
-            let (config, compiled) = compile(alloc);
-            judge_compiled(&compiled, &config, &oracle, i == 0)?;
-        }
-        return Ok(());
-    }
-    // Compile every configuration here, on the deep stack: a one-worker
-    // pool runs each job on its caller and catches a panic as that
-    // job's result. The compiled programs drop here too, since freeing
-    // the allocator's output recurses like building it.
-    let one = lesgs_exec::PoolConfig::with_workers(1);
-    let compiled =
-        lesgs_exec::map_ordered(&one, configs.iter().collect(), |_i, alloc| compile(alloc)).results;
-    let pool = lesgs_exec::PoolConfig {
-        name: "lesgs-diff".to_owned(),
-        ..lesgs_exec::PoolConfig::with_workers(jobs)
-    };
-    let judged = lesgs_exec::map_ordered(&pool, compiled.iter().collect(), |i, compiled| {
-        let (config, compiled) = compiled.as_ref().ok()?;
-        Some(judge_compiled(compiled, config, &oracle, i == 0))
-    });
-    for ((alloc, compiled), judged) in configs.iter().zip(&compiled).zip(judged.results) {
-        // A panic while compiling or judging a configuration is a
-        // compiler bug; re-raise it on the caller like the sequential
-        // loop would, now labelled with the configuration.
-        if let Err(p) = compiled {
-            panic!("{alloc:?}: {p}");
-        }
-        let verdict = judged.unwrap_or_else(|p| panic!("{alloc:?}: {p}"));
-        verdict.expect("a compiled configuration is judged")?;
+        judge_compiled(&compiled, &config, &oracle, i == 0)?;
     }
     Ok(())
 }
@@ -674,7 +627,7 @@ mod tests {
             "(assq 'c '((a 1) (b 2) (c 3)))",
         ];
         for src in programs {
-            differential_check(src, &config_matrix(), 10_000_000, 1)
+            differential_check(src, &config_matrix(), 10_000_000)
                 .unwrap_or_else(|e| panic!("{e}\nsrc={src}"));
         }
     }
@@ -685,7 +638,7 @@ mod tests {
         // configuration runs: the failure must say "timeout", carry no
         // config, and not count as a miscompile.
         let src = "(define (spin) (spin)) (spin)";
-        let e = differential_check(src, &config_matrix(), 10_000, 1).unwrap_err();
+        let e = differential_check(src, &config_matrix(), 10_000).unwrap_err();
         assert_eq!(e.kind, DiffKind::FuelExhausted, "{e}");
         assert!(e.config.is_none());
         assert!(!e.is_miscompile());
@@ -703,7 +656,7 @@ mod tests {
         let cfg = AllocConfig::paper_default();
         let mut seen_vm_timeout = false;
         for fuel in 1..2_000u64 {
-            match differential_check(src, std::slice::from_ref(&cfg), fuel, 1) {
+            match differential_check(src, std::slice::from_ref(&cfg), fuel) {
                 Ok(()) => break,
                 Err(e) => {
                     assert_eq!(e.kind, DiffKind::FuelExhausted, "fuel {fuel}: {e}");
@@ -987,28 +940,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_differential_matches_sequential_verdicts() {
-        // A clean program: both agree on Ok.
+    fn differential_verdicts_on_clean_timeout_and_deep_programs() {
+        // A clean program is Ok.
         let ok = "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2))))) (fib 9)";
-        differential_check(ok, &config_matrix(), 10_000_000, 4).unwrap();
+        differential_check(ok, &config_matrix(), 10_000_000).unwrap();
 
-        // An oracle timeout: both report FuelExhausted with no config.
+        // An oracle timeout is FuelExhausted with no config.
         let spin = "(define (spin) (spin)) (spin)";
-        let seq = differential_check(spin, &config_matrix(), 10_000, 1).unwrap_err();
-        let par = differential_check(spin, &config_matrix(), 10_000, 4).unwrap_err();
-        assert_eq!(format!("{seq:?}"), format!("{par:?}"));
+        let e = differential_check(spin, &config_matrix(), 10_000).unwrap_err();
+        assert_eq!(e.kind, DiffKind::FuelExhausted, "{e}");
+        assert!(e.config.is_none());
 
-        // 800 nested non-tail additions: every job count, and a caller
-        // on an ordinary test thread, must still answer Ok. Two
-        // configurations keep the unoptimized build fast.
+        // 800 nested non-tail additions: a caller on an ordinary test
+        // thread must still answer Ok. Two configurations keep the
+        // unoptimized build fast.
         let deep = format!(
             "(define (f x) {}x{}) (f 0)",
             "(+ 1 ".repeat(800),
             ")".repeat(800)
         );
-        let pair = &config_matrix()[..2];
-        differential_check(&deep, pair, 10_000_000, 1).unwrap();
-        differential_check(&deep, pair, 10_000_000, 2).unwrap();
+        differential_check(&deep, &config_matrix()[..2], 10_000_000).unwrap();
     }
 
     #[test]
@@ -1027,31 +978,6 @@ mod tests {
             // The helper still works after a panic.
             assert_eq!(on_deep_stack(|| 42), 42);
         }
-    }
-
-    #[test]
-    fn parallel_differential_reports_first_failure_in_matrix_order() {
-        // Pick a budget where the oracle finishes but the VM times out
-        // under at least one configuration; the parallel check must
-        // then name exactly the configuration the sequential
-        // short-circuiting loop names, regardless of completion order.
-        let src = "(define (f a b c d e g) (+ a b c d e g))
-                   (+ (f 1 2 3 4 5 6) (f 6 5 4 3 2 1))";
-        let matrix = config_matrix();
-        let mut compared = 0;
-        for fuel in (50..2_000u64).step_by(50) {
-            let seq = differential_check(src, &matrix, fuel, 1);
-            let par = differential_check(src, &matrix, fuel, 4);
-            match (seq, par) {
-                (Ok(()), Ok(())) => break,
-                (Err(a), Err(b)) => {
-                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "fuel {fuel}");
-                    compared += 1;
-                }
-                (a, b) => panic!("fuel {fuel}: sequential {a:?} vs parallel {b:?}"),
-            }
-        }
-        assert!(compared > 0, "no budget produced a failure to compare");
     }
 
     #[test]

@@ -25,16 +25,18 @@
 //!                               program's own output moves to stderr)
 //!   --profile-out <file>        write the JSON profile to <file>
 //!   --trace                     log pass boundaries and VM call events
-//!   --fuel <n>                  VM instruction budget
-//!   --jobs <n>                  worker threads for `check`'s 22-config
-//!                               matrix (default 1; verdicts identical)
+//!   --fuel <n>                  instruction budget of `run`, `stats`,
+//!                               `interp` and `check`
 //!   -e <expr>                   use <expr> as the program text
 //! ```
 //!
 //! Serialized-bytecode inputs are recognized by content (the `LBC\0`
 //! magic), not by file extension, and are re-verified on load; the
-//! format is specified in BYTECODE.md. Allocator options apply only
-//! when compiling — a loaded `.lbc` carries its configuration in its
+//! format is specified in BYTECODE.md. An option that its command does
+//! not read is an error (exit 2), never silently ignored: [`READERS`]
+//! says which commands read each option, from source text and from a
+//! serialized program. The allocator options are read only when
+//! compiling — a loaded `.lbc` carries its configuration in its
 //! header. The profile schema and every metric name are documented in
 //! OBSERVABILITY.md at the repository root.
 
@@ -51,6 +53,34 @@ use lesgs_ir::MachineConfig;
 use lesgs_metrics::{Json, Registry};
 
 const COMMANDS: [&str; 7] = ["run", "compile", "stats", "dis", "ir", "interp", "check"];
+
+/// The commands that compile source text into a program.
+const COMPILING: &[&str] = &["run", "compile", "stats", "dis", "ir"];
+/// The commands that take a serialized program.
+const LOADING: &[&str] = &["run", "stats", "dis"];
+/// The commands that execute a compiled or loaded program.
+const EXECUTING: &[&str] = &["run", "stats"];
+
+/// Which commands read each option: with source text, and with a
+/// serialized program. Any other command, or a serialized program given
+/// to a command outside [`LOADING`], is a usage error (exit 2).
+const READERS: [(&str, &[&str], &[&str]); 14] = [
+    ("--save", COMPILING, &[]),
+    ("--restore", COMPILING, &[]),
+    ("--shuffle", COMPILING, &[]),
+    ("--callee-save", COMPILING, &[]),
+    ("--regs", COMPILING, &[]),
+    ("--branch-prediction", COMPILING, &[]),
+    ("--lift", COMPILING, &[]),
+    ("--verify-bytecode", COMPILING, LOADING),
+    ("-o", &["compile"], &[]),
+    ("--profile", COMPILING, LOADING),
+    ("--profile=json", EXECUTING, EXECUTING),
+    ("--profile-out", COMPILING, LOADING),
+    // Compiling traces its passes, executing its calls.
+    ("--trace", COMPILING, EXECUTING),
+    ("--fuel", &["run", "stats", "interp", "check"], EXECUTING),
+];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProfileMode {
@@ -74,7 +104,6 @@ struct Options {
     out: Option<String>,
     profile: ProfileMode,
     profile_out: Option<String>,
-    jobs: usize,
 }
 
 fn usage() -> ! {
@@ -84,7 +113,7 @@ fn usage() -> ! {
          \x20        --shuffle greedy|fixed  --callee-save  --regs <0..6>\n\
          \x20        --branch-prediction  --lift  --verify-bytecode  -o <file>\n\
          \x20        --profile[=json]  --profile-out <file>  --trace\n\
-         \x20        --fuel <n>  --jobs <n>  -e <expr>"
+         \x20        --fuel <n>  -e <expr>"
     );
     std::process::exit(2);
 }
@@ -118,9 +147,10 @@ fn parse_args() -> Result<Options, String> {
     let mut profile = ProfileMode::Off;
     let mut profile_out: Option<String> = None;
     let mut trace = false;
-    let mut jobs = 1usize;
     let mut input: Option<Input> = None;
+    let mut given = Vec::new();
     while let Some(a) = args.next() {
+        given.extend(READERS.iter().filter(|(option, ..)| *option == a));
         let mut value = |what: &str| {
             args.next()
                 .ok_or_else(|| format!("{what} requires a value"))
@@ -176,14 +206,6 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--fuel requires a number".to_owned())?;
             }
-            "--jobs" => {
-                jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs requires a number".to_owned())?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".to_owned());
-                }
-            }
             "-e" => input = Some(Input::Source(value("-e")?)),
             "-" => {
                 let mut buf = Vec::new();
@@ -202,22 +224,32 @@ fn parse_args() -> Result<Options, String> {
     }
     let command = command.unwrap_or_else(|| "run".to_owned());
     let input = input.ok_or_else(|| "no program given".to_owned())?;
-    if matches!(input, Input::Blob(_)) && !["run", "stats", "dis"].contains(&command.as_str()) {
+    let blob = matches!(input, Input::Blob(_));
+    if blob && !LOADING.contains(&command.as_str()) {
         return Err(format!(
-            "`{command}` needs source text; serialized bytecode works with run, stats, and dis"
+            "`{command}` needs source text; serialized bytecode works with {}",
+            LOADING.join(", ")
         ));
+    }
+    for (option, from_source, from_blob) in given {
+        let readers = if blob { from_blob } else { from_source };
+        if !readers.contains(&command.as_str()) {
+            let with = if blob {
+                " with serialized bytecode"
+            } else {
+                ""
+            };
+            let only = match readers.join(", ") {
+                none if none.is_empty() => none,
+                some => format!(" (only to {some})"),
+            };
+            return Err(format!(
+                "`{option}` does not apply to `{command}`{with}{only}"
+            ));
+        }
     }
     if command == "compile" && out.is_none() {
         return Err("`compile` requires -o <out.lbc>".to_owned());
-    }
-    if out.is_some() && command != "compile" {
-        return Err("-o only applies to `compile`".to_owned());
-    }
-    if profile == ProfileMode::Json
-        && profile_out.is_none()
-        && !["run", "stats"].contains(&command.as_str())
-    {
-        return Err("--profile=json needs `run` or `stats` (or --profile-out <file>)".to_owned());
     }
     Ok(Options {
         command,
@@ -233,7 +265,6 @@ fn parse_args() -> Result<Options, String> {
         out,
         profile,
         profile_out,
-        jobs,
     })
 }
 
@@ -346,7 +377,7 @@ fn drive(opts: &Options) -> Result<(), String> {
             return Ok(());
         }
         ("check", Input::Source(src)) => {
-            differential_check(src, &config_matrix(), fuel(200_000_000), opts.jobs)
+            differential_check(src, &config_matrix(), fuel(200_000_000))
                 .map_err(|e| e.to_string())?;
             println!(
                 "ok: interpreter and all {} configurations agree",

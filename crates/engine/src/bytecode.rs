@@ -25,6 +25,8 @@
 //! semantic validation is the bytecode verifier's job, which
 //! [`crate::Engine::load_program`] re-runs on every load.
 
+use std::fmt;
+
 use lesgs_core::config::{Discipline, RestoreStrategy, SaveStrategy, ShuffleStrategy};
 use lesgs_core::AllocConfig;
 use lesgs_frontend::{Const, FuncId, Prim, DATUM_MAX_DEPTH};
@@ -144,32 +146,15 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// header: one byte per [`AllocConfig`] axis, so a loaded blob can
 /// report exactly which configuration produced it.
 pub fn config_fingerprint(config: &AllocConfig) -> [u8; 8] {
-    let save = match config.save {
-        SaveStrategy::Lazy => 0,
-        SaveStrategy::Early => 1,
-        SaveStrategy::Late => 2,
-    };
-    let restore = match config.restore {
-        RestoreStrategy::Eager => 0,
-        RestoreStrategy::Lazy => 1,
-    };
-    let shuffle = match config.shuffle {
-        ShuffleStrategy::Greedy => 0,
-        ShuffleStrategy::FixedOrder => 1,
-    };
-    let discipline = match config.discipline {
-        Discipline::CallerSave => 0,
-        Discipline::CalleeSave => 1,
-    };
     [
-        save,
-        restore,
-        shuffle,
-        discipline,
-        u8::from(config.branch_prediction),
+        code(&SAVE_STRATEGIES, config.save),
+        code(&RESTORE_STRATEGIES, config.restore),
+        code(&SHUFFLE_STRATEGIES, config.shuffle),
+        code(&DISCIPLINES, config.discipline),
+        code(&BOOLS, config.branch_prediction),
         config.machine.num_arg_regs as u8,
         // Register homes: implied by byte 5, kept for the format.
-        u8::from(config.machine.num_arg_regs > 0),
+        code(&BOOLS, config.machine.num_arg_regs > 0),
         0, // reserved
     ]
 }
@@ -191,37 +176,17 @@ pub fn config_from_fingerprint(
         offset: offset + byte,
         what,
     };
-    let save = match bytes[0] {
-        0 => SaveStrategy::Lazy,
-        1 => SaveStrategy::Early,
-        2 => SaveStrategy::Late,
-        b => return Err(bad(0, format!("save strategy tag {b}"))),
-    };
-    let restore = match bytes[1] {
-        0 => RestoreStrategy::Eager,
-        1 => RestoreStrategy::Lazy,
-        b => return Err(bad(1, format!("restore strategy tag {b}"))),
-    };
-    let shuffle = match bytes[2] {
-        0 => ShuffleStrategy::Greedy,
-        1 => ShuffleStrategy::FixedOrder,
-        b => return Err(bad(2, format!("shuffle strategy tag {b}"))),
-    };
-    let discipline = match bytes[3] {
-        0 => Discipline::CallerSave,
-        1 => Discipline::CalleeSave,
-        b => return Err(bad(3, format!("discipline tag {b}"))),
-    };
-    let branch_prediction = match bytes[4] {
-        0 => false,
-        1 => true,
-        b => return Err(bad(4, format!("branch-prediction flag {b}"))),
-    };
+    let tag = |byte: usize| (bytes[byte], offset + byte);
+    let save = decode(&SAVE_STRATEGIES, tag(0), "save strategy tag")?;
+    let restore = decode(&RESTORE_STRATEGIES, tag(1), "restore strategy tag")?;
+    let shuffle = decode(&SHUFFLE_STRATEGIES, tag(2), "shuffle strategy tag")?;
+    let discipline = decode(&DISCIPLINES, tag(3), "discipline tag")?;
+    let branch_prediction = decode(&BOOLS, tag(4), "branch-prediction flag")?;
     let num_arg_regs = bytes[5] as usize;
     if num_arg_regs > lesgs_ir::machine::MAX_ARG_REGS {
         return Err(bad(5, format!("argument register count {num_arg_regs}")));
     }
-    if bytes[6] != u8::from(num_arg_regs > 0) {
+    if bytes[6] != code(&BOOLS, num_arg_regs > 0) {
         return Err(bad(
             6,
             format!(
@@ -244,75 +209,49 @@ pub fn config_from_fingerprint(
 }
 
 // ---------------------------------------------------------------------
-// Primitive-operation codes. Appending is compatible; reordering is a
-// format break (bump FORMAT_VERSION). The decode side indexes, the
-// encode side scans — serialization is an offline path, so the linear
-// scan is irrelevant next to the I/O around it.
+// Tag tables. Every fieldless value the format stores is one byte: its
+// position in its table, which the writer and the reader share.
+// Appending to a table is compatible; reordering one is a format break
+// (bump FORMAT_VERSION). A primitive's code is its position in
+// [`Prim::ALL`].
 
-/// Stable primitive numbering: a primitive's serialized code is its
-/// position in this table.
-const PRIM_TABLE: &[Prim] = &[
-    Prim::Add,
-    Prim::Sub,
-    Prim::Mul,
-    Prim::Quotient,
-    Prim::Remainder,
-    Prim::Modulo,
-    Prim::Abs,
-    Prim::Min,
-    Prim::Max,
-    Prim::Add1,
-    Prim::Sub1,
-    Prim::IsZero,
-    Prim::IsPositive,
-    Prim::IsNegative,
-    Prim::IsEven,
-    Prim::IsOdd,
-    Prim::NumEq,
-    Prim::Lt,
-    Prim::Le,
-    Prim::Gt,
-    Prim::Ge,
-    Prim::IsEq,
-    Prim::IsEqv,
-    Prim::IsEqual,
-    Prim::Not,
-    Prim::IsPair,
-    Prim::IsNull,
-    Prim::IsSymbol,
-    Prim::IsNumber,
-    Prim::IsBoolean,
-    Prim::IsProcedure,
-    Prim::IsVector,
-    Prim::IsString,
-    Prim::IsChar,
-    Prim::Cons,
-    Prim::Car,
-    Prim::Cdr,
-    Prim::SetCar,
-    Prim::SetCdr,
-    Prim::MakeVector,
-    Prim::MakeVectorFill,
-    Prim::VectorRef,
-    Prim::VectorSet,
-    Prim::VectorLength,
-    Prim::StringLength,
-    Prim::CharToInteger,
-    Prim::Display,
-    Prim::Write,
-    Prim::Newline,
-    Prim::Error,
-    Prim::Void,
-    Prim::MakeCell,
-    Prim::CellRef,
-    Prim::CellSet,
+const SAVE_STRATEGIES: [SaveStrategy; 3] =
+    [SaveStrategy::Lazy, SaveStrategy::Early, SaveStrategy::Late];
+const RESTORE_STRATEGIES: [RestoreStrategy; 2] = [RestoreStrategy::Eager, RestoreStrategy::Lazy];
+// Shuffle code 2 is retired (BYTECODE.md).
+const SHUFFLE_STRATEGIES: [ShuffleStrategy; 2] =
+    [ShuffleStrategy::Greedy, ShuffleStrategy::FixedOrder];
+const DISCIPLINES: [Discipline; 2] = [Discipline::CallerSave, Discipline::CalleeSave];
+const BOOLS: [bool; 2] = [false, true];
+const SLOT_CLASSES: [SlotClass; 5] = [
+    SlotClass::Param,
+    SlotClass::Save,
+    SlotClass::Spill,
+    SlotClass::Temp,
+    SlotClass::OutArg,
 ];
+/// A branch's static prediction of its fall-through: none, unlikely,
+/// likely.
+const BRANCH_HINTS: [Option<bool>; 3] = [None, Some(false), Some(true)];
 
-fn prim_code(op: Prim) -> u8 {
-    PRIM_TABLE
+/// The code of `value`: its position in `table`.
+fn code<T: PartialEq>(table: &[T], value: T) -> u8 {
+    table
         .iter()
-        .position(|&p| p == op)
-        .expect("every primitive has a serialized code") as u8
+        .position(|v| *v == value)
+        .expect("every stored value has a code") as u8
+}
+
+/// The value whose code is `byte`, read at stream offset `at`. Any
+/// other byte is corrupt at `at`, as `<what> <byte>`.
+fn decode<T: Copy>(table: &[T], (byte, at): (u8, usize), what: impl fmt::Display) -> Decode<T> {
+    table
+        .get(usize::from(byte))
+        .copied()
+        .ok_or_else(|| BytecodeLoadError::Corrupt {
+            offset: at,
+            what: format!("{what} {byte}"),
+        })
 }
 
 // ---------------------------------------------------------------------
@@ -343,13 +282,10 @@ impl Writer {
         self.u8(r.0);
     }
     fn slot_class(&mut self, c: SlotClass) {
-        self.u8(match c {
-            SlotClass::Param => 0,
-            SlotClass::Save => 1,
-            SlotClass::Spill => 2,
-            SlotClass::Temp => 3,
-            SlotClass::OutArg => 4,
-        });
+        self.u8(code(&SLOT_CLASSES, c));
+    }
+    fn bool(&mut self, b: bool) {
+        self.u8(code(&BOOLS, b));
     }
     fn imm(&mut self, imm: &Imm) {
         match imm {
@@ -359,7 +295,7 @@ impl Writer {
             }
             Imm::Bool(b) => {
                 self.u8(1);
-                self.u8(u8::from(*b));
+                self.bool(*b);
             }
             Imm::Char(c) => {
                 self.u8(2);
@@ -379,11 +315,11 @@ impl Writer {
         }
     }
     fn likely(&mut self, l: Option<bool>) {
-        self.u8(match l {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        });
+        self.u8(code(&BRANCH_HINTS, l));
+    }
+    /// The target of the branch `ins`.
+    fn target(&mut self, ins: &Instr) {
+        self.u32(ins.target().expect("a branch has a target"));
     }
     fn datum(&mut self, d: &Datum) {
         match d {
@@ -393,7 +329,7 @@ impl Writer {
             }
             Datum::Bool(b) => {
                 self.u8(1);
-                self.u8(u8::from(*b));
+                self.bool(*b);
             }
             Datum::Symbol(s) => {
                 self.u8(2);
@@ -439,7 +375,7 @@ impl Writer {
             }
             Const::Bool(b) => {
                 self.u8(1);
-                self.u8(u8::from(*b));
+                self.bool(*b);
             }
             Const::Char(ch) => {
                 self.u8(2);
@@ -492,35 +428,27 @@ impl Writer {
             }
             Instr::Prim { op, dst, args } => {
                 self.u8(5);
-                self.u8(prim_code(*op));
+                self.u8(code(&Prim::ALL, *op));
                 self.reg(*dst);
                 self.u8(args.as_slice().len() as u8);
                 for a in args.as_slice() {
                     self.reg(*a);
                 }
             }
-            Instr::Jump { target } => {
+            Instr::Jump { .. } => {
                 self.u8(6);
-                self.u32(*target);
+                self.target(ins);
             }
-            Instr::BranchFalse {
-                src,
-                target,
-                likely,
-            } => {
+            Instr::BranchFalse { src, likely, .. } => {
                 self.u8(7);
                 self.reg(*src);
-                self.u32(*target);
+                self.target(ins);
                 self.likely(*likely);
             }
-            Instr::BranchTrue {
-                src,
-                target,
-                likely,
-            } => {
+            Instr::BranchTrue { src, likely, .. } => {
                 self.u8(8);
                 self.reg(*src);
-                self.u32(*target);
+                self.target(ins);
                 self.likely(*likely);
             }
             Instr::Call {
@@ -681,16 +609,19 @@ impl<'a> Reader<'a> {
         char::from_u32(v)
             .ok_or_else(|| self.corrupt(at, format!("{what} scalar value {v:#x} is not a char")))
     }
-    fn slot_class(&mut self) -> Decode<SlotClass> {
+    /// Reads one byte as a code of `table` (see [`decode`]); a stream
+    /// that ends first is truncated while reading `field`.
+    fn tag<T: Copy>(
+        &mut self,
+        table: &[T],
+        field: &'static str,
+        what: impl fmt::Display,
+    ) -> Decode<T> {
         let at = self.pos;
-        match self.u8("slot class")? {
-            0 => Ok(SlotClass::Param),
-            1 => Ok(SlotClass::Save),
-            2 => Ok(SlotClass::Spill),
-            3 => Ok(SlotClass::Temp),
-            4 => Ok(SlotClass::OutArg),
-            t => Err(self.corrupt(at, format!("slot class tag {t}"))),
-        }
+        decode(table, (self.u8(field)?, at), what)
+    }
+    fn slot_class(&mut self) -> Decode<SlotClass> {
+        self.tag(&SLOT_CLASSES, "slot class", "slot class tag")
     }
     fn imm(&mut self) -> Decode<Imm> {
         let at = self.pos;
@@ -704,12 +635,7 @@ impl<'a> Reader<'a> {
         }
     }
     fn bool(&mut self, what: &'static str) -> Decode<bool> {
-        let at = self.pos;
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(self.corrupt(at, format!("{what} flag {b}"))),
-        }
+        self.tag(&BOOLS, what, format_args!("{what} flag"))
     }
     fn call_target(&mut self) -> Decode<CallTarget> {
         let at = self.pos;
@@ -720,21 +646,10 @@ impl<'a> Reader<'a> {
         }
     }
     fn likely(&mut self) -> Decode<Option<bool>> {
-        let at = self.pos;
-        match self.u8("branch prediction")? {
-            0 => Ok(None),
-            1 => Ok(Some(false)),
-            2 => Ok(Some(true)),
-            t => Err(self.corrupt(at, format!("branch-prediction tag {t}"))),
-        }
+        self.tag(&BRANCH_HINTS, "branch prediction", "branch-prediction tag")
     }
     fn prim(&mut self) -> Decode<Prim> {
-        let at = self.pos;
-        let code = self.u8("primitive code")? as usize;
-        PRIM_TABLE
-            .get(code)
-            .copied()
-            .ok_or_else(|| self.corrupt(at, format!("primitive code {code}")))
+        self.tag(&Prim::ALL, "primitive code", "primitive code")
     }
     fn datum(&mut self, depth: usize) -> Decode<Datum> {
         let at = self.pos;
@@ -1226,15 +1141,6 @@ mod tests {
         for config in lesgs_compiler::config_matrix() {
             let fp = config_fingerprint(&config);
             assert_eq!(config_from_fingerprint(&fp, 8).unwrap(), config);
-        }
-    }
-
-    #[test]
-    fn prim_table_covers_every_primitive_exactly_once() {
-        // A primitive missing from the table would panic at serialize
-        // time; a duplicate would make codes ambiguous.
-        for (i, &p) in PRIM_TABLE.iter().enumerate() {
-            assert_eq!(prim_code(p) as usize, i, "{p:?} listed twice");
         }
     }
 

@@ -347,18 +347,98 @@ fn a_deeply_nested_answer_prints_the_same_from_run_and_interp() {
 }
 
 /// Non-tail recursion 100,000 calls deep gets an answer from the
-/// interpreter and a verdict from the check, at every job count.
+/// interpreter and a verdict from the check.
 #[test]
 fn deep_recursion_gets_an_answer_and_a_verdict() {
     let src = "(define (f n) (if (= n 0) 0 (+ 1 (f (- n 1))))) (f 100000)";
     let (stdout, stderr, ok) = lesgsc(&["interp", "-e", src]);
     assert!(ok, "{stderr}");
     assert_eq!(stdout, "100000\n");
-    for jobs in ["1", "2"] {
-        let (stdout, stderr, ok) = lesgsc(&["check", "--jobs", jobs, "-e", src]);
-        assert!(ok, "--jobs {jobs}: {stdout}{stderr}");
-        assert!(stdout.starts_with("ok: "), "--jobs {jobs}: {stdout}");
+    let (stdout, stderr, ok) = lesgsc(&["check", "-e", src]);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(stdout.starts_with("ok: "), "{stdout}");
+}
+
+/// An option its command does not read exits 2 with one `lesgsc: `
+/// line naming the option and the command, from source text and from a
+/// serialized program, and the command does nothing else: no output,
+/// no profile file.
+#[test]
+fn an_option_the_command_does_not_read_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("lesgsc-{}-unread", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let profile = dir.join("p.json");
+    let blob = dir.join("tak.lbc");
+    let (profile_s, blob_s) = (profile.to_str().unwrap(), blob.to_str().unwrap());
+    let tak = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scheme-examples/tak.scm");
+    let (_, stderr, ok) = lesgsc(&["compile", "-o", blob_s, tak]);
+    assert!(ok, "{stderr}");
+    let src = "(+ 1 2)";
+    for (args, option, command) in [
+        (
+            vec!["check", "--profile-out", profile_s, "-e", src],
+            "--profile-out",
+            "check",
+        ),
+        (
+            vec!["check", "--save", "early", "--lift", "-e", src],
+            "--save",
+            "check",
+        ),
+        (
+            vec!["interp", "--profile", "-e", src],
+            "--profile",
+            "interp",
+        ),
+        (
+            vec!["interp", "--verify-bytecode", "-e", src],
+            "--verify-bytecode",
+            "interp",
+        ),
+        (vec!["interp", "--trace", "-e", src], "--trace", "interp"),
+        (vec!["dis", "--fuel", "5", "-e", src], "--fuel", "dis"),
+        (
+            vec!["ir", "--profile=json", "-e", src],
+            "--profile=json",
+            "ir",
+        ),
+        (vec!["run", "-o", profile_s, "-e", src], "-o", "run"),
+        (vec!["run", "--save", "early", blob_s], "--save", "run"),
+        (
+            vec!["stats", "--callee-save", blob_s],
+            "--callee-save",
+            "stats",
+        ),
+        (vec!["dis", "--regs", "2", blob_s], "--regs", "dis"),
+        (vec!["run", "--lift", blob_s], "--lift", "run"),
+        (vec!["dis", "--trace", blob_s], "--trace", "dis"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lesgsc"))
+            .args(&args)
+            .output()
+            .expect("lesgsc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("lesgsc: "), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{option}`")) && stderr.contains(&format!("`{command}`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!profile.exists(), "{args:?} wrote a profile");
     }
+    // `--jobs` is no option of any command.
+    for command in ["check", "run"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lesgsc"))
+            .args([command, "--jobs", "4", "-e", src])
+            .output()
+            .expect("lesgsc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert_eq!(stderr, "lesgsc: unknown option `--jobs`\n");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A long literal list desugars into a deeply nested expression, which

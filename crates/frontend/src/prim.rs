@@ -200,6 +200,70 @@ pub fn make_vector<T: Clone>(len: i64, fill: T) -> Result<Vec<T>, String> {
 }
 
 impl Prim {
+    /// Every primitive, once, in declaration order. A primitive's
+    /// position here is its code in the `.lbc` format (BYTECODE.md):
+    /// a new primitive is appended, and reordering the list breaks
+    /// every serialized program.
+    pub const ALL: [Prim; 54] = {
+        use Prim::*;
+        [
+            Add,
+            Sub,
+            Mul,
+            Quotient,
+            Remainder,
+            Modulo,
+            Abs,
+            Min,
+            Max,
+            Add1,
+            Sub1,
+            IsZero,
+            IsPositive,
+            IsNegative,
+            IsEven,
+            IsOdd,
+            NumEq,
+            Lt,
+            Le,
+            Gt,
+            Ge,
+            IsEq,
+            IsEqv,
+            IsEqual,
+            Not,
+            IsPair,
+            IsNull,
+            IsSymbol,
+            IsNumber,
+            IsBoolean,
+            IsProcedure,
+            IsVector,
+            IsString,
+            IsChar,
+            Cons,
+            Car,
+            Cdr,
+            SetCar,
+            SetCdr,
+            MakeVector,
+            MakeVectorFill,
+            VectorRef,
+            VectorSet,
+            VectorLength,
+            StringLength,
+            CharToInteger,
+            Display,
+            Write,
+            Newline,
+            Error,
+            Void,
+            MakeCell,
+            CellRef,
+            CellSet,
+        ]
+    };
+
     /// Applies an arithmetic, comparison or numeric-predicate primitive
     /// to fixnum operands; one-operand primitives ignore `b`. `None` for
     /// every other primitive.
@@ -270,41 +334,25 @@ impl Prim {
         }
     }
 
-    /// True if evaluating the primitive can observably affect the store
-    /// or the output (so it must not be dropped or reordered).
-    pub fn has_side_effects(self) -> bool {
-        use Prim::*;
-        matches!(
-            self,
-            SetCar | SetCdr | VectorSet | Display | Write | Newline | Error | CellSet
-        )
-    }
-
     /// True if the primitive reads or writes heap memory (used by the
     /// VM cost model).
     pub fn touches_memory(self) -> bool {
         use Prim::*;
-        matches!(
-            self,
-            Cons | Car
-                | Cdr
-                | SetCar
-                | SetCdr
-                | MakeVector
-                | MakeVectorFill
-                | VectorRef
-                | VectorSet
-                | VectorLength
-                | StringLength
-                | IsEqual
-                | MakeCell
-                | CellRef
-                | CellSet
-        )
+        match self {
+            Cons | Car | Cdr | SetCar | SetCdr | MakeVector | MakeVectorFill | VectorRef
+            | VectorSet | VectorLength | StringLength | IsEqual | MakeCell | CellRef | CellSet => {
+                true
+            }
+            Add | Sub | Mul | Quotient | Remainder | Modulo | Abs | Min | Max | Add1 | Sub1
+            | IsZero | IsPositive | IsNegative | IsEven | IsOdd | NumEq | Lt | Le | Gt | Ge
+            | IsEq | IsEqv | Not | IsPair | IsNull | IsSymbol | IsNumber | IsBoolean
+            | IsProcedure | IsVector | IsString | IsChar | CharToInteger | Display | Write
+            | Newline | Error | Void => false,
+        }
     }
 
     /// The canonical Scheme-level name.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         use Prim::*;
         match self {
             Add => "+",
@@ -364,8 +412,29 @@ impl Prim {
         }
     }
 
+    /// The surface calling convention of the primitive's name: the
+    /// eight variadic primitives fold or chain their operands, every
+    /// other one takes exactly [`Prim::arity`] arguments.
+    fn surface_arity(self) -> PrimArity {
+        use Prim::*;
+        match self {
+            Add => PrimArity::FoldLeft { identity: 0 },
+            Mul => PrimArity::FoldLeft { identity: 1 },
+            Sub => PrimArity::SubLike,
+            NumEq | Lt | Le | Gt | Ge => PrimArity::Chain,
+            p => PrimArity::Fixed(p.arity() as u8),
+        }
+    }
+
+    /// Every surface name with its primitive: each primitive's
+    /// [`Prim::name`], in [`Prim::ALL`] order, then the aliases.
+    pub fn surface_names() -> impl Iterator<Item = (&'static str, Prim)> {
+        SURFACE.into_iter()
+    }
+
     /// Looks up a surface name, returning the primitive and its surface
     /// calling convention, or `None` for non-primitive names.
+    /// `make-vector` reports its one-argument form.
     ///
     /// ```
     /// use lesgs_frontend::{Prim, PrimArity};
@@ -374,68 +443,49 @@ impl Prim {
     /// assert_eq!(Prim::lookup("frob"), None);
     /// ```
     pub fn lookup(name: &str) -> Option<(Prim, PrimArity)> {
-        use Prim::*;
-        let fixed = |p: Prim| Some((p, PrimArity::Fixed(p.arity() as u8)));
-        match name {
-            "+" => Some((Add, PrimArity::FoldLeft { identity: 0 })),
-            "*" => Some((Mul, PrimArity::FoldLeft { identity: 1 })),
-            "-" => Some((Sub, PrimArity::SubLike)),
-            "=" => Some((NumEq, PrimArity::Chain)),
-            "<" => Some((Lt, PrimArity::Chain)),
-            "<=" => Some((Le, PrimArity::Chain)),
-            ">" => Some((Gt, PrimArity::Chain)),
-            ">=" => Some((Ge, PrimArity::Chain)),
-            "quotient" => fixed(Quotient),
-            "remainder" => fixed(Remainder),
-            "modulo" => fixed(Modulo),
-            "abs" => fixed(Abs),
-            "min" => fixed(Min),
-            "max" => fixed(Max),
-            "add1" | "1+" => fixed(Add1),
-            "sub1" | "1-" | "-1+" => fixed(Sub1),
-            "zero?" => fixed(IsZero),
-            "positive?" => fixed(IsPositive),
-            "negative?" => fixed(IsNegative),
-            "even?" => fixed(IsEven),
-            "odd?" => fixed(IsOdd),
-            "eq?" => fixed(IsEq),
-            "eqv?" => fixed(IsEqv),
-            "equal?" => fixed(IsEqual),
-            "not" => fixed(Not),
-            "pair?" => fixed(IsPair),
-            "null?" => fixed(IsNull),
-            "symbol?" => fixed(IsSymbol),
-            "number?" | "integer?" | "fixnum?" => fixed(IsNumber),
-            "boolean?" => fixed(IsBoolean),
-            "procedure?" => fixed(IsProcedure),
-            "vector?" => fixed(IsVector),
-            "string?" => fixed(IsString),
-            "char?" => fixed(IsChar),
-            "cons" => fixed(Cons),
-            "car" => fixed(Car),
-            "cdr" => fixed(Cdr),
-            "set-car!" => fixed(SetCar),
-            "set-cdr!" => fixed(SetCdr),
-            "vector-ref" => fixed(VectorRef),
-            "vector-set!" => fixed(VectorSet),
-            "vector-length" => fixed(VectorLength),
-            "string-length" => fixed(StringLength),
-            "char->integer" => fixed(CharToInteger),
-            "display" => fixed(Display),
-            "write" => fixed(Write),
-            "newline" => fixed(Newline),
-            "error" => fixed(Error),
-            "void" => fixed(Void),
-            "box" => fixed(MakeCell),
-            "unbox" => fixed(CellRef),
-            "set-box!" => fixed(CellSet),
-            // `make-vector` is 1-or-2 argument; the renamer picks the
-            // right fixed primitive, so report the 1-argument one here.
-            "make-vector" => fixed(MakeVector),
-            _ => None,
-        }
+        // The renamer asks for every global it meets, so most names are
+        // not surface names. Length and first byte reject nearly all of
+        // those without comparing the rest (no surface name is empty).
+        let same =
+            |n: &str| n.len() == name.len() && n.as_bytes()[0] == name.as_bytes()[0] && n == name;
+        let &(_, prim) = SURFACE.iter().find(|(n, _)| same(n))?;
+        Some((prim, prim.surface_arity()))
     }
 }
+
+/// [`Prim::surface_names`], built at compile time: a scan of this table
+/// is several times faster than calling [`Prim::name`] per primitive,
+/// an indirect branch each. `make-vector-fill` is not a surface name:
+/// `make-vector` takes one or two arguments, and the renamer picks the
+/// fixed primitive.
+const SURFACE: [(&str, Prim); 58] = {
+    let mut table = [("", Prim::Add); 58];
+    let mut n = 0;
+    let mut i = 0;
+    while i < Prim::ALL.len() {
+        if !matches!(Prim::ALL[i], Prim::MakeVectorFill) {
+            table[n] = (Prim::ALL[i].name(), Prim::ALL[i]);
+            n += 1;
+        }
+        i += 1;
+    }
+    assert!(n + ALIASES.len() == table.len());
+    i = 0;
+    while i < ALIASES.len() {
+        table[n + i] = ALIASES[i];
+        i += 1;
+    }
+    table
+};
+
+/// The surface names that are not a primitive's [`Prim::name`].
+const ALIASES: [(&str, Prim); 5] = [
+    ("1+", Prim::Add1),
+    ("1-", Prim::Sub1),
+    ("-1+", Prim::Sub1),
+    ("integer?", Prim::IsNumber),
+    ("fixnum?", Prim::IsNumber),
+];
 
 impl fmt::Display for Prim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -472,6 +522,25 @@ mod tests {
         }
     }
 
+    /// A primitive's `.lbc` code is its position in [`Prim::ALL`]: a
+    /// duplicate would make two codes ambiguous, and a gap would leave a
+    /// primitive without one.
+    #[test]
+    fn all_lists_every_primitive_once_in_declaration_order() {
+        for (i, p) in Prim::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i, "{p:?}");
+        }
+    }
+
+    #[test]
+    fn surface_names_are_distinct() {
+        let names: Vec<&str> = Prim::surface_names().map(|(n, _)| n).collect();
+        for (i, n) in names.iter().enumerate() {
+            assert!(!names[..i].contains(n), "`{n}` named twice");
+        }
+        assert_eq!(names.len(), 58);
+    }
+
     #[test]
     fn variadic_classification() {
         assert_eq!(
@@ -483,9 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn effects_and_memory() {
-        assert!(Prim::SetCar.has_side_effects());
-        assert!(!Prim::Car.has_side_effects());
+    fn memory_primitives() {
         assert!(Prim::Car.touches_memory());
         assert!(!Prim::Add.touches_memory());
     }

@@ -16,7 +16,7 @@
 //!   is overflow-free by construction.
 //! * [`oracle`] — the differential judge. Fuel exhaustion and
 //!   interpreter-side errors are *skips*, never finds.
-//! * [`shrink`] — a greedy structural minimizer re-running the oracle
+//! * [`shrink`](mod@shrink) — a greedy structural minimizer re-running the oracle
 //!   on the single implicated configuration.
 //!
 //! Everything is reproducible: [`case_seed`] maps a base seed and case
@@ -55,10 +55,8 @@ pub struct FuzzOptions {
     pub cases: u64,
     /// Generator settings (program size budget).
     pub gen: GenConfig,
-    /// Oracle settings (configuration matrix and fuel).
+    /// Oracle settings (fuel).
     pub oracle: OracleConfig,
-    /// Predicate-evaluation budget for shrinking each find.
-    pub shrink_attempts: usize,
     /// Worker threads judging cases concurrently (the `--jobs` flag),
     /// the calling thread included. The campaign's report, corpus
     /// files, and stdout are byte-identical for every value; `1` judges
@@ -75,7 +73,6 @@ impl Default for FuzzOptions {
             cases: 100,
             gen: GenConfig::default(),
             oracle: OracleConfig::default(),
-            shrink_attempts: 2_000,
             jobs: 1,
         }
     }
@@ -129,6 +126,9 @@ pub fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliOptions, Strin
     }
     Ok(cli)
 }
+
+/// Predicate-evaluation budget for shrinking each find.
+const SHRINK_ATTEMPTS: usize = 2_000;
 
 /// The seed fed to the generator for case `index` of a campaign with
 /// base seed `base`. Chosen so that `case_seed(s, 0) == s`: replaying a
@@ -245,15 +245,11 @@ pub fn fuzz_case(index: u64, opts: &FuzzOptions) -> (String, CaseOutcome, Option
         CaseOutcome::Find(failure) => {
             let fuel = opts.oracle.fuel;
             let (small, stats) = match &failure.config {
-                Some(cfg) => shrink(
-                    &prog,
-                    |s| still_fails_under(s, cfg, fuel),
-                    opts.shrink_attempts,
-                ),
+                Some(cfg) => shrink(&prog, |s| still_fails_under(s, cfg, fuel), SHRINK_ATTEMPTS),
                 None => shrink(
                     &prog,
                     |s| matches!(check_source(s, &opts.oracle), CaseOutcome::Find(_)),
-                    opts.shrink_attempts,
+                    SHRINK_ATTEMPTS,
                 ),
             };
             Some(Find {

@@ -2,8 +2,7 @@
 //!
 //! One generated program is judged by running it through the reference
 //! interpreter (`lesgs-interp`) and through the compiled VM under every
-//! allocator configuration of
-//! [`config_matrix`](lesgs_compiler::config_matrix), with the bytecode
+//! allocator configuration of [`config_matrix`], with the bytecode
 //! verifier as a must-pass gate before execution. The outcome taxonomy
 //! keeps timeouts and generator artifacts out of the bug bucket:
 //!
@@ -20,22 +19,18 @@
 use lesgs_compiler::{config_matrix, differential_check, DiffFailure, DiffKind};
 use lesgs_core::AllocConfig;
 
-/// Oracle settings: the configuration matrix and the shared fuel
-/// budget (interpreter steps and VM instructions).
+/// Oracle settings: the shared fuel budget (interpreter steps and VM
+/// instructions). Every case is checked under the whole
+/// [`config_matrix`].
 #[derive(Debug, Clone)]
 pub struct OracleConfig {
-    /// Allocator configurations to cross-check.
-    pub configs: Vec<AllocConfig>,
     /// Step/instruction budget per execution.
     pub fuel: u64,
 }
 
 impl Default for OracleConfig {
     fn default() -> OracleConfig {
-        OracleConfig {
-            configs: config_matrix(),
-            fuel: 20_000_000,
-        }
+        OracleConfig { fuel: 20_000_000 }
     }
 }
 
@@ -61,9 +56,9 @@ pub enum CaseOutcome {
     Find(DiffFailure),
 }
 
-/// Judges one program source against the oracle configuration.
+/// Judges one program source under every configuration of the matrix.
 pub fn check_source(src: &str, oc: &OracleConfig) -> CaseOutcome {
-    match differential_check(src, &oc.configs, oc.fuel, 1) {
+    match differential_check(src, &config_matrix(), oc.fuel) {
         Ok(()) => CaseOutcome::Pass,
         Err(f) => match &f.kind {
             DiffKind::FuelExhausted => CaseOutcome::Skip(SkipReason::Fuel),
@@ -80,7 +75,7 @@ pub fn check_source(src: &str, oc: &OracleConfig) -> CaseOutcome {
 /// per candidate, checking only the configuration the original find
 /// implicated.
 pub fn still_fails_under(src: &str, config: &AllocConfig, fuel: u64) -> bool {
-    match differential_check(src, std::slice::from_ref(config), fuel, 1) {
+    match differential_check(src, std::slice::from_ref(config), fuel) {
         Ok(()) => false,
         Err(f) => f.is_miscompile(),
     }

@@ -6,54 +6,11 @@
 //! the allocations of the thread that asks, so tests running in
 //! parallel do not see each other's.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use lesgs_metrics::{Histogram, Registry};
-
-struct Counting;
-
-thread_local! {
-    /// Allocations (and reallocations) made by this thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: an allocation during thread teardown is not counted.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's own
-// arguments, so `System`'s guarantees hold; the counter is a
-// thread-local statistic that publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: forwarded unchanged from our caller.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded unchanged from our caller.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: forwarded unchanged from our caller.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use lesgs_testkit::counting::{allocations, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// The allocations this thread makes while running `f`, and its value.
-fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let r = f();
-    (ALLOCATIONS.with(Cell::get) - before, r)
-}
 
 /// Every recording call once, under fixed names; returns `time`'s value.
 fn burst(reg: &mut Registry, summary: &Histogram) -> u64 {

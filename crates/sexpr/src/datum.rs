@@ -6,9 +6,10 @@ use std::fmt;
 /// names.
 ///
 /// [`read`](crate::read) lends every symbol from the source text
-/// (`Datum<&str>`); [`parse`](crate::parse) returns owned data
-/// (`Datum<String>`, the default), which is what quoted constants,
-/// the VM and the bytecode format hold. Proper lists are represented directly as [`Datum::List`]; improper
+/// (`Datum<&str>`); [`Datum::to_owned_datum`] copies a tree into owned
+/// data (`Datum<String>`, the default), which is what quoted
+/// constants, the VM and the bytecode format hold. Proper lists are
+/// represented directly as [`Datum::List`]; improper
 /// (dotted) lists keep the trailing element in the second field of
 /// [`Datum::Improper`]. Quoting sugar (`'x`, `` `x ``, `,x`) is expanded
 /// by the reader into `(quote x)` etc., so later passes never see it.

@@ -13,8 +13,13 @@
 //!
 //! Generators are ordinary functions `fn(&mut Rng) -> T`; shrinking is
 //! traded away for zero dependencies and perfect reproducibility.
+//!
+//! [`counting`] is the counting global allocator of the tests that bound
+//! allocations or live heap.
 
 use std::fmt;
+
+pub mod counting;
 
 /// A deterministic 64-bit generator (SplitMix64, Steele et al. 2014).
 ///

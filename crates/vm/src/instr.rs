@@ -254,6 +254,35 @@ pub enum Instr {
     Halt,
 }
 
+impl Instr {
+    /// The instruction index a `jump` or a conditional branch transfers
+    /// control to; `None` for every other instruction.
+    pub fn target(&self) -> Option<u32> {
+        let mut copy = *self;
+        copy.target_mut().copied()
+    }
+
+    /// The branch target as a mutable field, for patching and remapping.
+    pub fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Instr::Jump { target }
+            | Instr::BranchFalse { target, .. }
+            | Instr::BranchTrue { target, .. } => Some(target),
+            _ => None,
+        }
+    }
+
+    /// True if control can go on to the next instruction: false for
+    /// `jump`, `return`, `tailcall` and `halt`, whose successors (if
+    /// any) are elsewhere.
+    pub fn falls_through(&self) -> bool {
+        !matches!(
+            self,
+            Instr::Jump { .. } | Instr::Return | Instr::TailCall { .. } | Instr::Halt
+        )
+    }
+}
+
 // The largest variant, `LoadImm` (a 16-byte `Imm` beside its register),
 // fills 24 bytes with the tag; a new variant must not grow the code's
 // stride, which every fetch copies.

@@ -14,10 +14,9 @@
 //! # The abstract machine
 //!
 //! Per path, the verifier tracks for every register whether it holds a
-//! return address ([`AbsVal::RetAddr`]), an untouched callee-save entry
-//! value ([`AbsVal::Entry`]), an ordinary defined value
-//! ([`AbsVal::Val`]), or garbage left behind by a call
-//! ([`AbsVal::Clobbered`]); and for every written frame slot its
+//! return address (`RetAddr`), an untouched callee-save entry value
+//! (`Entry`), an ordinary defined value (`Val`), or garbage left
+//! behind by a call (`Clobbered`); and for every written frame slot its
 //! [`SlotClass`] and — for save slots — *which* register was saved and
 //! what abstract value it held. Join points meet the states
 //! (intersection of written slots, pointwise meet of register values),
@@ -289,17 +288,8 @@ struct Verifier<'a> {
 /// Instruction successors within the function (targets validated
 /// separately), branch target first.
 fn successors(instr: &Instr, pc: u32, len: u32) -> impl Iterator<Item = u32> {
-    let (target, falls_through) = match instr {
-        Instr::Jump { target } => (Some(*target), false),
-        Instr::BranchFalse { target, .. } | Instr::BranchTrue { target, .. } => {
-            (Some(*target), true)
-        }
-        Instr::Return | Instr::TailCall { .. } | Instr::Halt => (None, false),
-        _ => (None, true),
-    };
-    target
-        .into_iter()
-        .chain((falls_through && pc + 1 < len).then_some(pc + 1))
+    let next = instr.falls_through() && pc + 1 < len;
+    instr.target().into_iter().chain(next.then_some(pc + 1))
 }
 
 /// Fills `reach` so that `reach[pc]` = a non-tail call is reachable
@@ -385,14 +375,15 @@ impl Verifier<'_> {
         buf.starts.push(0);
         buf.table.clear();
         for (pc, instr) in func.code.iter().enumerate() {
-            let next = pc as u32 + 1;
-            match instr {
-                Instr::Jump { target }
-                | Instr::BranchFalse { target, .. }
-                | Instr::BranchTrue { target, .. } => buf.starts.extend([*target, next]),
-                Instr::Return | Instr::TailCall { .. } | Instr::Halt => buf.starts.push(next),
-                Instr::StackStore { slot, .. } => buf.table.push(*slot),
-                _ => {}
+            // A block ends at every branch and at every instruction
+            // control cannot fall through.
+            if let Some(target) = instr.target() {
+                buf.starts.extend([target, pc as u32 + 1]);
+            } else if !instr.falls_through() {
+                buf.starts.push(pc as u32 + 1);
+            }
+            if let Instr::StackStore { slot, .. } = instr {
+                buf.table.push(*slot);
             }
         }
         buf.starts.push(len);
@@ -889,13 +880,9 @@ impl Verifier<'_> {
     /// the end, and saves from which no call is reachable.
     fn check_exit(&mut self, pc: u32, instr: &Instr) {
         let len = self.func.code.len() as u32;
-        // A reachable non-terminator at the end of the code lets
-        // control fall off the function.
-        let terminates = matches!(
-            instr,
-            Instr::Jump { .. } | Instr::Return | Instr::TailCall { .. } | Instr::Halt
-        );
-        if pc + 1 == len && !terminates {
+        // A reachable instruction at the end of the code that falls
+        // through lets control fall off the function.
+        if pc + 1 == len && instr.falls_through() {
             self.error(
                 pc,
                 BytecodeErrorKind::FallsOffEnd,
@@ -950,11 +937,8 @@ impl Verifier<'_> {
         // Branch-target validation up front; the fixpoint below only
         // follows in-range edges.
         for (pc, instr) in code.iter().enumerate() {
-            if let Instr::Jump { target }
-            | Instr::BranchFalse { target, .. }
-            | Instr::BranchTrue { target, .. } = instr
-            {
-                if *target >= len {
+            if let Some(target) = instr.target() {
+                if target >= len {
                     self.error(
                         pc as u32,
                         BytecodeErrorKind::BadTarget,

@@ -6,48 +6,9 @@
 //! binary installs a counting global allocator and holds exactly one
 //! test, so the live-byte count it reads is this test's own.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
-
 use lesgs_compiler::{compile, CompilerConfig};
+use lesgs_testkit::counting::{live_bytes, Counting};
 use lesgs_vm::{ClassicMachine, Machine, VmOutcome};
-
-struct Counting;
-
-/// Bytes currently allocated through [`Counting`].
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-// SAFETY: every method forwards to `System` with the caller's own
-// arguments, so `System`'s guarantees hold; the counter is a statistic
-// that publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: forwarded unchanged from our caller.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded unchanged from our caller.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: forwarded unchanged from our caller.
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            LIVE.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
-        }
-        p
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -67,11 +28,11 @@ const SLACK_BYTES: isize = 16 * 1024;
 /// Live-heap growth over `RUNS` runs, after one warm-up run.
 fn growth(run: impl Fn() -> VmOutcome) -> isize {
     assert_eq!(run().value, "3000");
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live_bytes() as isize;
     for _ in 0..RUNS {
         drop(run());
     }
-    LIVE.load(Ordering::Relaxed) - before
+    live_bytes() as isize - before
 }
 
 #[test]

@@ -10,7 +10,7 @@ use lesgs::suite::{all_benchmarks, Scale};
 fn all_benchmarks_agree_with_interpreter_under_all_configs() {
     let configs = config_matrix();
     for b in all_benchmarks() {
-        differential_check(b.source(Scale::Small), &configs, 60_000_000, 1)
+        differential_check(b.source(Scale::Small), &configs, 60_000_000)
             .unwrap_or_else(|e| panic!("benchmark {}: {e}", b.name));
     }
 }
@@ -107,7 +107,7 @@ fn prelude_library_differential() {
           (caddr '(1 2 3))
           (cadddr '(1 2 3 4)))
     "#;
-    differential_check(src, &config_matrix(), 10_000_000, 1).unwrap();
+    differential_check(src, &config_matrix(), 10_000_000).unwrap();
 }
 
 #[test]
@@ -126,5 +126,5 @@ fn output_and_effects_differential() {
           (display p))
         (unbox box1)
     "#;
-    differential_check(src, &config_matrix(), 10_000_000, 1).unwrap();
+    differential_check(src, &config_matrix(), 10_000_000).unwrap();
 }

@@ -125,6 +125,6 @@ fn the_example_computes_correctly_under_every_strategy() {
                         (g x))
                     x))
                (list (f 3 4) (f 2 9))";
-    lesgs::compiler::differential_check(src, &lesgs::compiler::config_matrix(), 10_000_000, 1)
+    lesgs::compiler::differential_check(src, &lesgs::compiler::config_matrix(), 10_000_000)
         .unwrap();
 }

@@ -87,7 +87,7 @@ fn random_programs_compile_and_agree() {
     let configs = configs();
     run_cases(96, |rng| {
         let src = gen_program(rng);
-        differential_check(&src, &configs, 2_000_000, 1)
+        differential_check(&src, &configs, 2_000_000)
             .unwrap_or_else(|e| panic!("{e}\nprogram:\n{src}"));
     });
 }

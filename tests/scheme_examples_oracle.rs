@@ -38,7 +38,7 @@ fn examples_agree_with_interpreter_under_all_configs() {
     let configs = config_matrix();
     for path in example_files() {
         let src = std::fs::read_to_string(&path).expect("readable example");
-        differential_check(&src, &configs, FUEL, 1)
+        differential_check(&src, &configs, FUEL)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
 }

@@ -100,7 +100,7 @@ fn shipped_scheme_examples_pass_differential_check() {
         let path = format!("{}/scheme-examples/{file}", env!("CARGO_MANIFEST_DIR"));
         let src = std::fs::read_to_string(&path).unwrap();
         let configs = lesgs::compiler::config_matrix();
-        lesgs::compiler::differential_check(&src, &configs, 200_000_000, 1)
+        lesgs::compiler::differential_check(&src, &configs, 200_000_000)
             .unwrap_or_else(|e| panic!("{file}: {e}"));
     }
 }

@@ -6,9 +6,6 @@
 //! binary installs a counting global allocator and holds exactly one
 //! test, so the counts it reads are the verifier's own.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use lesgs::compiler::{compile, CompilerConfig};
 use lesgs::frontend::FuncId;
 use lesgs::ir::machine::RV;
@@ -16,60 +13,7 @@ use lesgs::ir::Reg;
 use lesgs::suite::{all_benchmarks, Scale};
 use lesgs::vm::verify::verify_bytecode;
 use lesgs::vm::{CallTarget, Imm, Instr, SlotClass, VmFunc, VmProgram};
-
-struct Counting;
-
-/// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) so far.
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-/// Bytes currently allocated.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// High-water mark of [`LIVE`] since it was last reset.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards to `System` with the caller's own
-// arguments, so `System`'s guarantees hold; the counters are
-// statistics that publish no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: forwarded unchanged from our caller.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: forwarded unchanged from our caller.
-        let p = unsafe { System.alloc_zeroed(layout) };
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded unchanged from our caller.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: forwarded unchanged from our caller.
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-            grew(new_size);
-        }
-        p
-    }
-}
+use lesgs_testkit::counting::{allocations, live_bytes, peak_bytes, reset_peak, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -139,10 +83,10 @@ fn top_slot_program() -> VmProgram {
 #[test]
 fn verifier_heap_use_is_bounded_by_code_size() {
     let program = top_slot_program();
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
+    let base = live_bytes();
+    reset_peak();
     let errors = verify_bytecode(&program);
-    let peak = PEAK.load(Ordering::Relaxed) - base;
+    let peak = peak_bytes() - base;
     let verdict: Vec<String> = errors.iter().map(ToString::to_string).collect();
     assert_eq!(
         verdict,
@@ -163,9 +107,8 @@ fn verifier_heap_use_is_bounded_by_code_size() {
         let vm = compile(b.source(Scale::Standard), &config)
             .unwrap_or_else(|e| panic!("{}: {e}", b.name))
             .vm;
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let errors = verify_bytecode(&vm);
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let (allocs, errors) = allocations(|| verify_bytecode(&vm));
+        let allocs = allocs as usize;
         assert!(errors.is_empty(), "{} fails verification", b.name);
         assert!(
             allocs <= ALLOCS_PER_FUNC * vm.funcs.len(),

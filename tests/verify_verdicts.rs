@@ -73,15 +73,6 @@ fn render(errors: &[BytecodeError]) -> String {
         .join("\n")
 }
 
-fn branch_target(instr: &mut Instr) -> Option<&mut u32> {
-    match instr {
-        Instr::Jump { target }
-        | Instr::BranchFalse { target, .. }
-        | Instr::BranchTrue { target, .. } => Some(target),
-        _ => None,
-    }
-}
-
 fn registers(instr: &mut Instr) -> Vec<&mut Reg> {
     match instr {
         Instr::LoadImm { dst, .. }
@@ -107,7 +98,7 @@ fn registers(instr: &mut Instr) -> Vec<&mut Reg> {
 /// instruction was inserted or removed there.
 fn shift_targets(f: &mut VmFunc, pc: usize, delta: i64) {
     for instr in &mut f.code {
-        if let Some(t) = branch_target(instr) {
+        if let Some(t) = instr.target_mut() {
             if *t as usize > pc {
                 *t = (i64::from(*t) + delta) as u32;
             }
@@ -119,13 +110,6 @@ fn shift_targets(f: &mut VmFunc, pc: usize, delta: i64) {
 fn pick_pc(f: &VmFunc, rng: &mut Rng, pred: impl Fn(&Instr) -> bool) -> Option<usize> {
     let pcs: Vec<usize> = (0..f.code.len()).filter(|&pc| pred(&f.code[pc])).collect();
     (!pcs.is_empty()).then(|| *rng.pick(&pcs))
-}
-
-fn is_branch(instr: &Instr) -> bool {
-    matches!(
-        instr,
-        Instr::Jump { .. } | Instr::BranchFalse { .. } | Instr::BranchTrue { .. }
-    )
 }
 
 fn is_stack_access(instr: &Instr) -> bool {
@@ -163,11 +147,11 @@ fn edit(f: &mut VmFunc, rng: &mut Rng) -> bool {
         }
         2 if pc + 1 < len => f.code.swap(pc, pc + 1),
         3 => {
-            let Some(pc) = pick_pc(f, rng, is_branch) else {
+            let Some(pc) = pick_pc(f, rng, |i| i.target().is_some()) else {
                 return false;
             };
             let target = rng.below_u32(len as u32 + 1);
-            *branch_target(&mut f.code[pc]).expect("picked a branch") = target;
+            *f.code[pc].target_mut().expect("picked a branch") = target;
         }
         4 => {
             let Some(pc) = pick_pc(f, rng, is_stack_access) else {
