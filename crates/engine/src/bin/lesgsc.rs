@@ -23,7 +23,8 @@
 //!   --profile                   print the metrics registry as a table (stderr)
 //!   --profile=json              print the profile as JSON on stdout (the
 //!                               program's own output moves to stderr)
-//!   --profile-out <file>        write the JSON profile to <file>
+//!   --profile-out <file>        write the JSON profile to <file> (not
+//!                               with --profile or --profile=json)
 //!   --trace                     log pass boundaries and VM call events
 //!   --fuel <n>                  instruction budget of `run`, `stats`,
 //!                               `interp` and `check`
@@ -148,7 +149,7 @@ fn parse_args() -> Result<Options, String> {
     let mut profile_out: Option<String> = None;
     let mut trace = false;
     let mut input: Option<Input> = None;
-    let mut given = Vec::new();
+    let mut given: Vec<&(&str, _, _)> = Vec::new();
     while let Some(a) = args.next() {
         given.extend(READERS.iter().filter(|(option, ..)| *option == a));
         let mut value = |what: &str| {
@@ -187,9 +188,7 @@ fn parse_args() -> Result<Options, String> {
             "--profile=json" => profile = ProfileMode::Json,
             "--profile-out" => {
                 profile_out = Some(value("--profile-out")?);
-                if profile == ProfileMode::Off {
-                    profile = ProfileMode::Json;
-                }
+                profile = ProfileMode::Json;
             }
             "--trace" => trace = true,
             "--regs" => {
@@ -230,6 +229,15 @@ fn parse_args() -> Result<Options, String> {
             "`{command}` needs source text; serialized bytecode works with {}",
             LOADING.join(", ")
         ));
+    }
+    // `--profile-out` says where the profile goes, as the other two do.
+    let profile_options = ["--profile", "--profile=json"];
+    if let Some((option, ..)) = given.iter().find(|(o, ..)| profile_options.contains(o)) {
+        if profile_out.is_some() {
+            return Err(format!(
+                "`{option}` and `--profile-out` both say where the profile goes; give one"
+            ));
+        }
     }
     for (option, from_source, from_blob) in given {
         let readers = if blob { from_blob } else { from_source };

@@ -207,6 +207,37 @@ fn profile_out_writes_json_file() {
     assert_eq!(doc.get("value").and_then(|v| v.as_str()), Some("42"));
 }
 
+/// `--profile-out` says where the profile goes, as `--profile` and
+/// `--profile=json` do, so neither comes with it, in either order.
+#[test]
+fn profile_out_with_another_profile_option_is_a_usage_error() {
+    let path = std::env::temp_dir().join(format!("lesgsc-{}-both.json", std::process::id()));
+    let path_s = path.to_str().expect("utf-8 temp path");
+    for option in ["--profile", "--profile=json"] {
+        for options in [
+            [option, "--profile-out", path_s],
+            ["--profile-out", path_s, option],
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_lesgsc"))
+                .arg("run")
+                .args(options)
+                .args(["-e", "(+ 1 2)"])
+                .output()
+                .expect("lesgsc runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{options:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{options:?}");
+            assert_eq!(stderr.lines().count(), 1, "{options:?}: {stderr}");
+            assert!(stderr.starts_with("lesgsc: "), "{options:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("`{option}`")) && stderr.contains("`--profile-out`"),
+                "{options:?}: {stderr}"
+            );
+            assert!(!path.exists(), "{options:?} wrote a profile");
+        }
+    }
+}
+
 #[test]
 fn trace_logs_pass_boundaries_and_calls() {
     let (_, stderr, ok) = lesgsc(&[

@@ -426,8 +426,8 @@ impl Prim {
         }
     }
 
-    /// Every surface name with its primitive: each primitive's
-    /// [`Prim::name`], in [`Prim::ALL`] order, then the aliases.
+    /// Every surface name with its primitive, sorted by name: each
+    /// primitive's [`Prim::name`] and the aliases.
     pub fn surface_names() -> impl Iterator<Item = (&'static str, Prim)> {
         SURFACE.into_iter()
     }
@@ -443,21 +443,24 @@ impl Prim {
     /// assert_eq!(Prim::lookup("frob"), None);
     /// ```
     pub fn lookup(name: &str) -> Option<(Prim, PrimArity)> {
-        // The renamer asks for every global it meets, so most names are
-        // not surface names. Length and first byte reject nearly all of
-        // those without comparing the rest (no surface name is empty).
-        let same =
-            |n: &str| n.len() == name.len() && n.as_bytes()[0] == name.as_bytes()[0] && n == name;
-        let &(_, prim) = SURFACE.iter().find(|(n, _)| same(n))?;
+        // The search compares the names' first eight bytes as integers
+        // and only the names that share them in full.
+        let key = prefix_key(name);
+        let first = KEYS.partition_point(|&k| k < key);
+        let &(_, prim) = SURFACE[first..]
+            .iter()
+            .zip(&KEYS[first..])
+            .take_while(|&(_, &k)| k == key)
+            .map(|(entry, _)| entry)
+            .find(|(n, _)| *n == name)?;
         Some((prim, prim.surface_arity()))
     }
 }
 
-/// [`Prim::surface_names`], built at compile time: a scan of this table
-/// is several times faster than calling [`Prim::name`] per primitive,
-/// an indirect branch each. `make-vector-fill` is not a surface name:
-/// `make-vector` takes one or two arguments, and the renamer picks the
-/// fixed primitive.
+/// [`Prim::surface_names`], built and sorted by name at compile time, so
+/// that [`Prim::lookup`] binary-searches it (through [`KEYS`]).
+/// `make-vector-fill` is not a surface name: `make-vector` takes one or
+/// two arguments, and the renamer picks the fixed primitive.
 const SURFACE: [(&str, Prim); 58] = {
     let mut table = [("", Prim::Add); 58];
     let mut n = 0;
@@ -475,8 +478,65 @@ const SURFACE: [(&str, Prim); 58] = {
         table[n + i] = ALIASES[i];
         i += 1;
     }
+    // An insertion sort; a name given twice stops the build.
+    i = 1;
+    while i < table.len() {
+        let mut j = i;
+        while j > 0 && precedes(table[j].0, table[j - 1].0) {
+            (table[j], table[j - 1]) = (table[j - 1], table[j]);
+            j -= 1;
+        }
+        assert!(
+            j == 0 || precedes(table[j - 1].0, table[j].0),
+            "a surface name given twice"
+        );
+        i += 1;
+    }
     table
 };
+
+/// The [`prefix_key`] of each name in [`SURFACE`], in its order: sorting
+/// the names sorts their keys. [`Prim::lookup`] searches these integers
+/// rather than the names, because comparing `str`s made a binary search
+/// slower than a scan.
+const KEYS: [u64; 58] = {
+    let mut keys = [0; 58];
+    let mut i = 0;
+    while i < keys.len() {
+        keys[i] = prefix_key(SURFACE[i].0);
+        i += 1;
+    }
+    keys
+};
+
+/// The first eight bytes of `name` as a big-endian integer, zero-padded,
+/// so that keys order as the names' first eight bytes do.
+const fn prefix_key(name: &str) -> u64 {
+    let bytes = name.as_bytes();
+    let mut key = 0;
+    let mut i = 0;
+    while i < 8 {
+        key <<= 8;
+        if i < bytes.len() {
+            key |= bytes[i] as u64;
+        }
+        i += 1;
+    }
+    key
+}
+
+/// Whether `a` sorts strictly before `b` in `str`'s order (bytewise).
+const fn precedes(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut i = 0;
+    while i < a.len() && i < b.len() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
+        }
+        i += 1;
+    }
+    a.len() < b.len()
+}
 
 /// The surface names that are not a primitive's [`Prim::name`].
 const ALIASES: [(&str, Prim); 5] = [

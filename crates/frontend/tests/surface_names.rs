@@ -77,9 +77,22 @@ fn every_surface_name_looks_up_its_primitive_and_convention() {
     }
 }
 
+/// Misses include the empty name, the neighbours of a name in sorted
+/// order (`ca` and `car!` about `car`), names past either end, and names
+/// that share a surface name's first eight bytes (`make-vector-fill`,
+/// `vector-ref!`), which [`Prim::lookup`] searches by.
 #[test]
 fn non_surface_names_look_up_nothing() {
-    for name in ["make-vector-fill", "frob"] {
+    for name in [
+        "make-vector-fill",
+        "frob",
+        "",
+        "car!",
+        "ca",
+        "!",
+        "~",
+        "vector-ref!",
+    ] {
         assert_eq!(Prim::lookup(name), None, "`{name}`");
     }
 }

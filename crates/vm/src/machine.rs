@@ -13,9 +13,9 @@
 //! the stack bounds, and locating errors. It is built twice, generic
 //! over `FAST`:
 //!
-//! * `FAST = true`, [`crate::Machine`]. Primitives try the fast paths
-//!   first (`Vm::try_fast_prim`), and branch conditions and `cp` call
-//!   targets are peeked in place.
+//! * `FAST = true`, [`crate::Machine`]. Thirty-six primitives try a
+//!   fast path first (`Vm::try_fast_prim`), and branch conditions and
+//!   `cp` call targets are peeked in place.
 //! * `FAST = false`, the reference [`crate::ClassicMachine`]. Every
 //!   primitive goes through the shared evaluator (`Vm::prim`) and every
 //!   operand through `Vm::read`, which clones it.
@@ -24,6 +24,13 @@
 //! effect returns a bare message, and the loop locates it once through
 //! `Vm::err` at the function-relative pc, so both engines report every
 //! failure at the same place.
+//!
+//! The loop's common paths are straight-line code. Its hot effects,
+//! register reads and writes among them, are `#[inline(always)]` (see
+//! `Vm::dispatch`), and every place a value is replaced goes through
+//! [`overwrite`], which drops only a value that points at the heap, out
+//! of line, and overwrites an immediate in place. CI fails when a
+//! release build lists one of those effects as a symbol.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -38,7 +45,9 @@ use crate::instr::{CallTarget, Imm, Instr, PrimArgs, SlotClass};
 use crate::prim::{eval_prim, ArgVals};
 use crate::program::{VmFunc, VmProgram};
 use crate::stats::{ActivationClass, RunStats};
-use crate::value::{const_to_value, imm_to_value, PatchedClosures, RetAddr, Value, VmClosure};
+use crate::value::{
+    const_to_value, imm_to_value, overwrite, PatchedClosures, RetAddr, Value, VmClosure,
+};
 
 /// The most slots the stack may hold (2^24 values, 256 MiB). A run
 /// that needs more — a frame past it, or a frame pointer past it — is a
@@ -141,8 +150,9 @@ impl<'a> Vm<'a> {
     /// The loop. Both instantiations share a codegen unit, so every
     /// effect it calls has two callers, and LLVM keeps an effect that
     /// is merely `#[inline]` out of line; the hot ones are therefore
-    /// `#[inline(always)]` (out of line they cost suite-run over 10% of
-    /// its throughput on a shared 2-vCPU Intel Xeon VM).
+    /// `#[inline(always)]`. Out of line, the effects cost suite-run over
+    /// 10% of its throughput twice on a shared 2-vCPU Intel Xeon VM:
+    /// eleven instruction effects, then `read`.
     #[inline(always)]
     fn dispatch<const FAST: bool>(&mut self, pc: &mut u32) -> Step<VmOutcome> {
         self.enter_entry()?;
@@ -242,7 +252,7 @@ impl<'a> Vm<'a> {
     /// look at the register in place instead of cloning it; a stall is
     /// idempotent, so a later `read` of the same register observes
     /// nothing extra.
-    #[inline]
+    #[inline(always)]
     fn stall_on(&mut self, r: Reg) {
         if self.ready[r.index()] > self.stats.cycles {
             self.stats.stall_cycles += self.ready[r.index()] - self.stats.cycles;
@@ -250,21 +260,21 @@ impl<'a> Vm<'a> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn read(&mut self, r: Reg) -> Value {
         self.stall_on(r);
         self.regs[r.index()].clone()
     }
 
-    #[inline]
+    #[inline(always)]
     fn write(&mut self, r: Reg, v: Value) {
-        self.regs[r.index()] = v;
+        overwrite(&mut self.regs[r.index()], v);
         self.ready[r.index()] = self.stats.cycles;
     }
 
-    #[inline]
+    #[inline(always)]
     fn write_loaded(&mut self, r: Reg, v: Value) {
-        self.regs[r.index()] = v;
+        overwrite(&mut self.regs[r.index()], v);
         self.ready[r.index()] = self.stats.cycles + self.cost.load_latency;
     }
 
@@ -290,7 +300,7 @@ impl<'a> Vm<'a> {
             }
             self.stack.resize(idx + 1, Value::Uninit);
         }
-        self.stack[idx] = v;
+        overwrite(&mut self.stack[idx], v);
         Ok(())
     }
 
@@ -325,7 +335,7 @@ impl<'a> Vm<'a> {
             self.stack.resize(hi, Value::Uninit);
         }
         for v in &mut self.stack[lo..hi] {
-            *v = Value::Uninit;
+            overwrite(v, Value::Uninit);
         }
         Ok(())
     }
@@ -333,7 +343,7 @@ impl<'a> Vm<'a> {
     /// Whether a branch on `src` is taken: `on_true` for `brtrue`.
     /// Counts it, charging a misprediction when it goes against its
     /// static hint (fallthrough by default).
-    #[inline]
+    #[inline(always)]
     fn branch<const FAST: bool>(&mut self, src: Reg, on_true: bool, likely: Option<bool>) -> bool {
         let truthy = if FAST {
             // Peek the condition in place: truthiness needs no clone.
@@ -470,16 +480,18 @@ impl<'a> Vm<'a> {
 
     /// A `return`'s effect: closes the activation, restores the
     /// caller's frame and function, and hands the loop the address to
-    /// resume at.
+    /// resume at. Both engines peek `ret` in place after the stall a
+    /// `read` would charge.
     #[inline(always)]
     fn ret(&mut self) -> Step<RetAddr> {
-        match self.read(RET) {
+        self.stall_on(RET);
+        match self.regs[RET.index()] {
             Value::RetAddr(ra) => {
                 self.fp = self.leave_activation();
                 self.func = ra.func();
                 Ok(ra)
             }
-            other => Err(format!(
+            ref other => Err(format!(
                 "return through non-address `{}`",
                 other.write_string()
             )),
@@ -552,7 +564,9 @@ impl<'a> Vm<'a> {
     /// Returns `None`, having changed nothing but idempotent stall
     /// state, whenever the operands don't match the fast shape (wrong
     /// type, overflow, bad index), so the shared evaluator stays the
-    /// single owner of error semantics and the full catalogue.
+    /// single owner of error semantics and the full catalogue. On the
+    /// standard-scale suite only `equal?` and `make-vector` (in either
+    /// form) reach it.
     #[inline]
     fn try_fast_prim(&mut self, op: Prim, args: &PrimArgs) -> Option<(Value, bool)> {
         use Prim::*;
@@ -608,22 +622,38 @@ impl<'a> Vm<'a> {
                 }
                 _ => return None,
             },
-            VectorSet => {
-                let i = fix!(1);
-                let x = match &regs[a[0].index()] {
-                    Value::Vector(v) => {
-                        let len = v.borrow().len();
-                        usize::try_from(i).ok().filter(|&i| i < len)?;
-                        regs[a[2].index()].clone()
-                    }
-                    _ => return None,
-                };
-                match &regs[a[0].index()] {
-                    Value::Vector(v) => v.borrow_mut()[i as usize] = x,
-                    _ => unreachable!(),
+            VectorSet => match &regs[a[0].index()] {
+                Value::Vector(v) => {
+                    let i = fix!(1);
+                    let mut v = v.borrow_mut();
+                    let slot = usize::try_from(i).ok().and_then(|i| v.get_mut(i))?;
+                    overwrite(slot, regs[a[2].index()].clone());
+                    Value::Void
                 }
-                Value::Void
-            }
+                _ => return None,
+            },
+            Cons => Value::cons(regs[a[0].index()].clone(), regs[a[1].index()].clone()),
+            MakeCell => Value::cell(regs[a[0].index()].clone()),
+            CellRef => match &regs[a[0].index()] {
+                Value::Cell(c) => return Some((c.borrow().clone(), true)),
+                _ => return None,
+            },
+            CellSet => match &regs[a[0].index()] {
+                Value::Cell(c) => {
+                    overwrite(&mut c.borrow_mut(), regs[a[1].index()].clone());
+                    Value::Void
+                }
+                _ => return None,
+            },
+            SetCar | SetCdr => match &regs[a[0].index()] {
+                Value::Pair(p) => {
+                    let mut p = p.borrow_mut();
+                    let field = if op == SetCar { &mut p.0 } else { &mut p.1 };
+                    overwrite(field, regs[a[1].index()].clone());
+                    Value::Void
+                }
+                _ => return None,
+            },
             _ => return None,
         };
         Some((result, false))
@@ -722,10 +752,11 @@ impl<'a> Vm<'a> {
         self.stats.heap_ops += 1;
         self.charge_memory();
         let v = self.read(src);
-        match self.globals.get_mut(index as usize) {
-            Some(slot) => *slot = v,
-            None => return Err("global index out of range".to_owned()),
-        }
+        let slot = self
+            .globals
+            .get_mut(index as usize)
+            .ok_or("global index out of range")?;
+        overwrite(slot, v);
         Ok(())
     }
 }

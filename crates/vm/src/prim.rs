@@ -17,7 +17,7 @@ use std::ops::Index;
 use lesgs_frontend::{make_vector, FixnumValue, Prim};
 
 use crate::instr::MAX_PRIM_ARGS;
-use crate::value::Value;
+use crate::value::{overwrite, Value};
 
 /// A fixed-capacity argument buffer — big enough for every primitive,
 /// small enough to live on the stack, so neither engine allocates a
@@ -162,12 +162,12 @@ pub(crate) fn eval_prim(
         }
         SetCar => {
             let v = args.pop();
-            pair!(&args[0]).borrow_mut().0 = v;
+            overwrite(&mut pair!(&args[0]).borrow_mut().0, v);
             Value::Void
         }
         SetCdr => {
             let v = args.pop();
-            pair!(&args[0]).borrow_mut().1 = v;
+            overwrite(&mut pair!(&args[0]).borrow_mut().1, v);
             Value::Void
         }
         MakeVector | MakeVectorFill => {
@@ -197,7 +197,7 @@ pub(crate) fn eval_prim(
             let mut v = v.borrow_mut();
             let len = v.len();
             match usize::try_from(i).ok().filter(|&i| i < len) {
-                Some(i) => v[i] = x,
+                Some(i) => overwrite(&mut v[i], x),
                 None => return Err(format!("vector-set!: index {i} out of range")),
             }
             Value::Void
@@ -247,7 +247,7 @@ pub(crate) fn eval_prim(
             let v = args.pop();
             match &args[0] {
                 Value::Cell(c) => {
-                    *c.borrow_mut() = v;
+                    overwrite(&mut c.borrow_mut(), v);
                     Value::Void
                 }
                 other => {

@@ -55,7 +55,7 @@ impl VmClosure {
         let slot = free
             .get_mut(index as usize)
             .ok_or_else(|| slot_out_of_range(index, n_free))?;
-        *slot = v;
+        overwrite(slot, v);
         Ok(())
     }
 }
@@ -240,6 +240,32 @@ fn frees_container(value: &Value) -> bool {
     }
 }
 
+/// Stores `v` in `slot`: every place a value is replaced (a register, a
+/// stack slot, a global, a vector element, a pair field, a box or a
+/// closure slot) goes through here.
+///
+/// Only a value that points at the heap needs its old contents dropped,
+/// and only such a value calls the one out-of-line [`drop_heap`]; an
+/// immediate is overwritten in place. Left to the compiler, every
+/// overwrite calls the out-of-line drop glue of [`Value`], which the
+/// dispatch loop's register and stack traffic paid on each write.
+#[inline(always)]
+pub(crate) fn overwrite(slot: &mut Value, v: Value) {
+    let old = std::mem::replace(slot, v);
+    if old.is_heap() {
+        drop_heap(old);
+    } else {
+        // An immediate owns nothing; forgetting it frees nothing.
+        std::mem::forget(old);
+    }
+}
+
+/// Drops a value that points at the heap (see [`overwrite`]).
+#[inline(never)]
+fn drop_heap(v: Value) {
+    drop(v);
+}
+
 /// Frees the values a dying heap object held, without recursion.
 ///
 /// Left to the compiler's drop glue, freeing a value recurses once per
@@ -419,6 +445,28 @@ impl Value {
     /// A character.
     pub fn char(c: char) -> Value {
         Value::Char(WideChar::new(c))
+    }
+
+    /// Whether the value points at a heap object, so that dropping it
+    /// may free something. The match names every variant, so a new one
+    /// must say which it is: [`overwrite`] forgets the others.
+    #[inline(always)]
+    fn is_heap(&self) -> bool {
+        match self {
+            Value::Str(_)
+            | Value::Symbol(_)
+            | Value::Pair(_)
+            | Value::Vector(_)
+            | Value::Closure(_)
+            | Value::Cell(_) => true,
+            Value::Fixnum(_)
+            | Value::Bool(_)
+            | Value::Char(_)
+            | Value::Nil
+            | Value::Void
+            | Value::RetAddr(_)
+            | Value::Uninit => false,
+        }
     }
 
     /// Scheme truthiness.
