@@ -14,13 +14,18 @@
 //! must observe the unoptimized effect. After rewriting, the code is
 //! compacted and every branch target remapped.
 
-use std::collections::HashSet;
-
 use lesgs_vm::{Instr, VmFunc};
 
-/// Instruction indices that some branch can jump to.
-fn branch_targets(code: &[Instr]) -> HashSet<u32> {
-    code.iter().filter_map(Instr::target).collect()
+/// Whether some branch can jump to each instruction index, the end of
+/// the code included.
+fn branch_targets(code: &[Instr]) -> Vec<bool> {
+    let mut targets = vec![false; code.len() + 1];
+    for target in code.iter().filter_map(Instr::target) {
+        if let Some(t) = targets.get_mut(target as usize) {
+            *t = true;
+        }
+    }
+    targets
 }
 
 /// Applies one peephole pass to `func`; returns the number of
@@ -36,21 +41,19 @@ pub fn peephole(func: &mut VmFunc) -> usize {
     for i in 0..n {
         match &func.code[i] {
             // 1. Self-moves.
-            Instr::Mov { dst, src } if dst == src && !targets.contains(&(i as u32)) => {
+            Instr::Mov { dst, src } if dst == src && !targets[i] => {
                 keep[i] = false;
                 changed += 1;
             }
             // 3. Jump to the immediately following instruction.
-            ins @ Instr::Jump { .. }
-                if ins.target() == Some((i + 1) as u32) && !targets.contains(&(i as u32)) =>
-            {
+            ins @ Instr::Jump { .. } if ins.target() == Some((i + 1) as u32) && !targets[i] => {
                 keep[i] = false;
                 changed += 1;
             }
             _ => {}
         }
         // 2. Store-load forwarding (needs a window of two).
-        if i + 1 < n && !targets.contains(&((i + 1) as u32)) {
+        if i + 1 < n && !targets[i + 1] {
             if let (
                 Instr::StackStore { slot: s1, src, .. },
                 Instr::StackLoad { dst, slot: s2, .. },

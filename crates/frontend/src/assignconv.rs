@@ -7,30 +7,28 @@
 //! become `set-box!`. Afterwards a variable's value never changes, so
 //! "variables need to be saved only once" holds for the allocator.
 
-use std::collections::{HashMap, HashSet};
-
 use crate::ast::{Const, Expr, Lambda};
-use crate::names::{Interner, VarId};
+use crate::names::{Interner, VarId, VarMap, VarSet};
 use crate::prim::Prim;
 
 /// Collects all `set!` targets in `e`.
-pub fn mutated_vars(e: &Expr<VarId>) -> HashSet<VarId> {
-    fn walk(e: &Expr<VarId>, out: &mut HashSet<VarId>) {
+pub fn mutated_vars(e: &Expr<VarId>) -> VarSet {
+    fn walk(e: &Expr<VarId>, out: &mut VarSet) {
         if let Expr::Set(v, _) = e {
             out.insert(*v);
         }
         e.for_each_child(&mut |c| walk(c, out));
     }
-    let mut out = HashSet::new();
+    let mut out = VarSet::default();
     walk(e, &mut out);
     out
 }
 
 struct Converter<'a> {
     interner: &'a mut Interner,
-    mutated: HashSet<VarId>,
+    mutated: VarSet,
     /// Maps a mutated variable to the variable holding its cell.
-    cells: HashMap<VarId, VarId>,
+    cells: VarMap<VarId>,
 }
 
 /// Moves `e` out, leaving a placeholder to be overwritten.
@@ -134,7 +132,7 @@ pub fn convert(e: &mut Expr<VarId>, interner: &mut Interner) {
     let mut c = Converter {
         interner,
         mutated,
-        cells: HashMap::new(),
+        cells: VarMap::default(),
     };
     c.convert(e)
 }

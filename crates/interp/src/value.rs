@@ -5,6 +5,8 @@ use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
+use lesgs_frontend::EqualClasses;
+
 use crate::env::Env;
 use crate::eval::LambdaCode;
 
@@ -271,12 +273,20 @@ impl Value {
     /// `equal?` — structural equality. Pairs and vectors still to
     /// compare wait on an explicit stack, so nesting depth costs heap,
     /// not call stack.
+    ///
+    /// The walk ends on cyclic values too, with the VM's answer: it
+    /// skips two containers it already takes as equal
+    /// ([`EqualClasses`]).
     pub fn eq_structural(&self, other: &Value) -> bool {
         let mut pending = Vec::new();
         if !compare_or_queue(self, other, &mut pending) {
             return false;
         }
+        let mut classes = EqualClasses::default();
         while let Some((a, b)) = pending.pop() {
+            if !classes.join(heap_addr(&a), heap_addr(&b)) {
+                continue;
+            }
             let equal = match (&a, &b) {
                 (Value::Pair(x), Value::Pair(y)) => {
                     let (xa, xd) = &*x.borrow();
@@ -443,6 +453,15 @@ fn compare_or_queue(a: &Value, b: &Value, pending: &mut Vec<(Value, Value)>) -> 
     }
     pending.push((a.clone(), b.clone()));
     true
+}
+
+/// The address of the heap object a pair or vector points at.
+fn heap_addr(v: &Value) -> usize {
+    match v {
+        Value::Pair(p) => Rc::as_ptr(p) as usize,
+        Value::Vector(v) => Rc::as_ptr(v) as usize,
+        _ => unreachable!("only pairs and vectors are queued"),
+    }
 }
 
 /// A list or vector [`Value::render`] has opened but not closed.

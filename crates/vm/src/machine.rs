@@ -27,10 +27,11 @@
 //!
 //! The loop's common paths are straight-line code. Its hot effects,
 //! register reads and writes among them, are `#[inline(always)]` (see
-//! `Vm::dispatch`), and every place a value is replaced goes through
-//! [`overwrite`], which drops only a value that points at the heap, out
-//! of line, and overwrites an immediate in place. CI fails when a
-//! release build lists one of those effects as a symbol.
+//! `Vm::dispatch`), and a value is cloned or replaced by plain Rust: the
+//! three heap shapes of [`Value`] make a clone one compare and one count
+//! increment and a replacement one compare and one decrement, inline.
+//! CI fails when a release build lists one of those effects as a
+//! symbol, or when the loop calls `Value`'s out-of-line clone.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -45,9 +46,7 @@ use crate::instr::{CallTarget, Imm, Instr, PrimArgs, SlotClass};
 use crate::prim::{eval_prim, ArgVals};
 use crate::program::{VmFunc, VmProgram};
 use crate::stats::{ActivationClass, RunStats};
-use crate::value::{
-    const_to_value, imm_to_value, overwrite, PatchedClosures, RetAddr, Value, VmClosure,
-};
+use crate::value::{const_to_value, imm_to_value, Obj, PatchedClosures, RetAddr, Value, VmClosure};
 
 /// The most slots the stack may hold (2^24 values, 256 MiB). A run
 /// that needs more — a frame past it, or a frame pointer past it — is a
@@ -115,13 +114,13 @@ impl<'a> Vm<'a> {
             // Registers start as benign garbage (hardware registers
             // always hold *something*); uninitialized-read detection
             // applies to poisoned stack slots only.
-            regs: std::array::from_fn(|_| Value::Void),
+            regs: std::array::from_fn(|_| Value::VOID),
             ready: [0; NUM_REGS],
             stack: Vec::new(),
             fp: 0,
             func: program.entry,
             constants: program.constants.iter().map(const_to_value).collect(),
-            globals: vec![Value::Void; program.n_globals as usize],
+            globals: vec![Value::VOID; program.n_globals as usize],
             output: String::new(),
             stats: RunStats::default(),
             shadow: Vec::new(),
@@ -268,13 +267,13 @@ impl<'a> Vm<'a> {
 
     #[inline(always)]
     fn write(&mut self, r: Reg, v: Value) {
-        overwrite(&mut self.regs[r.index()], v);
+        self.regs[r.index()] = v;
         self.ready[r.index()] = self.stats.cycles;
     }
 
     #[inline(always)]
     fn write_loaded(&mut self, r: Reg, v: Value) {
-        overwrite(&mut self.regs[r.index()], v);
+        self.regs[r.index()] = v;
         self.ready[r.index()] = self.stats.cycles + self.cost.load_latency;
     }
 
@@ -298,16 +297,18 @@ impl<'a> Vm<'a> {
             if idx >= MAX_STACK_SLOTS {
                 return Err(stack_overflow("stack slots", MAX_STACK_SLOTS));
             }
-            self.stack.resize(idx + 1, Value::Uninit);
+            self.stack.resize(idx + 1, Value::UNINIT);
         }
-        overwrite(&mut self.stack[idx], v);
+        self.stack[idx] = v;
         Ok(())
     }
 
     #[inline(always)]
     fn stack_load(&self, slot: u32) -> Step<Value> {
         match self.stack.get(self.slot_index(slot)) {
-            Some(Value::Uninit) | None => Err(format!("read of uninitialized stack slot {slot}")),
+            Some(Value::Uninit(_)) | None => {
+                Err(format!("read of uninitialized stack slot {slot}"))
+            }
             Some(v) => Ok(v.clone()),
         }
     }
@@ -332,10 +333,10 @@ impl<'a> Vm<'a> {
             if hi > MAX_STACK_SLOTS {
                 return Err(stack_overflow("stack slots", MAX_STACK_SLOTS));
             }
-            self.stack.resize(hi, Value::Uninit);
+            self.stack.resize(hi, Value::UNINIT);
         }
         for v in &mut self.stack[lo..hi] {
-            overwrite(v, Value::Uninit);
+            *v = Value::UNINIT;
         }
         Ok(())
     }
@@ -603,7 +604,7 @@ impl<'a> Vm<'a> {
             }
             Not => Value::bool(!regs[a[0].index()].is_truthy()),
             IsPair => Value::bool(matches!(regs[a[0].index()], Value::Pair(_))),
-            IsNull => Value::bool(matches!(regs[a[0].index()], Value::Nil)),
+            IsNull => Value::bool(matches!(regs[a[0].index()], Value::Nil(_))),
             IsEq | IsEqv => Value::bool(regs[a[0].index()].eq_ptr(&regs[a[1].index()])),
             Car | Cdr => match &regs[a[0].index()] {
                 Value::Pair(p) => {
@@ -613,8 +614,8 @@ impl<'a> Vm<'a> {
                 }
                 _ => return None,
             },
-            VectorRef => match &regs[a[0].index()] {
-                Value::Vector(v) => {
+            VectorRef => match regs[a[0].index()].obj() {
+                Some(Obj::Vector(v)) => {
                     let i = fix!(1);
                     let v = v.borrow();
                     let idx = usize::try_from(i).ok().filter(|&i| i < v.len())?;
@@ -622,26 +623,26 @@ impl<'a> Vm<'a> {
                 }
                 _ => return None,
             },
-            VectorSet => match &regs[a[0].index()] {
-                Value::Vector(v) => {
+            VectorSet => match regs[a[0].index()].obj() {
+                Some(Obj::Vector(v)) => {
                     let i = fix!(1);
                     let mut v = v.borrow_mut();
                     let slot = usize::try_from(i).ok().and_then(|i| v.get_mut(i))?;
-                    overwrite(slot, regs[a[2].index()].clone());
-                    Value::Void
+                    *slot = regs[a[2].index()].clone();
+                    Value::VOID
                 }
                 _ => return None,
             },
             Cons => Value::cons(regs[a[0].index()].clone(), regs[a[1].index()].clone()),
             MakeCell => Value::cell(regs[a[0].index()].clone()),
-            CellRef => match &regs[a[0].index()] {
-                Value::Cell(c) => return Some((c.borrow().clone(), true)),
+            CellRef => match regs[a[0].index()].obj() {
+                Some(Obj::Cell(c)) => return Some((c.borrow().clone(), true)),
                 _ => return None,
             },
-            CellSet => match &regs[a[0].index()] {
-                Value::Cell(c) => {
-                    overwrite(&mut c.borrow_mut(), regs[a[1].index()].clone());
-                    Value::Void
+            CellSet => match regs[a[0].index()].obj() {
+                Some(Obj::Cell(c)) => {
+                    *c.borrow_mut() = regs[a[1].index()].clone();
+                    Value::VOID
                 }
                 _ => return None,
             },
@@ -649,8 +650,8 @@ impl<'a> Vm<'a> {
                 Value::Pair(p) => {
                     let mut p = p.borrow_mut();
                     let field = if op == SetCar { &mut p.0 } else { &mut p.1 };
-                    overwrite(field, regs[a[1].index()].clone());
-                    Value::Void
+                    *field = regs[a[1].index()].clone();
+                    Value::VOID
                 }
                 _ => return None,
             },
@@ -693,7 +694,7 @@ impl<'a> Vm<'a> {
         self.charge_memory();
         let clo = VmClosure {
             func,
-            free: RefCell::new(vec![Value::Void; n_free as usize]),
+            free: RefCell::new(vec![Value::VOID; n_free as usize]),
         };
         self.write(dst, Value::Closure(Rc::new(clo)));
     }
@@ -756,7 +757,7 @@ impl<'a> Vm<'a> {
             .globals
             .get_mut(index as usize)
             .ok_or("global index out of range")?;
-        overwrite(slot, v);
+        *slot = v;
         Ok(())
     }
 }

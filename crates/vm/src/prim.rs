@@ -17,7 +17,7 @@ use std::ops::Index;
 use lesgs_frontend::{make_vector, FixnumValue, Prim};
 
 use crate::instr::MAX_PRIM_ARGS;
-use crate::value::{overwrite, Value};
+use crate::value::{Obj, Value};
 
 /// A fixed-capacity argument buffer — big enough for every primitive,
 /// small enough to live on the stack, so neither engine allocates a
@@ -32,7 +32,7 @@ impl ArgVals {
     pub(crate) fn new() -> ArgVals {
         ArgVals {
             len: 0,
-            vals: [Value::Void, Value::Void, Value::Void],
+            vals: [Value::VOID, Value::VOID, Value::VOID],
         }
     }
 
@@ -52,7 +52,7 @@ impl ArgVals {
     pub(crate) fn pop(&mut self) -> Value {
         debug_assert!(self.len > 0, "pop from empty ArgVals");
         self.len -= 1;
-        std::mem::replace(&mut self.vals[self.len], Value::Void)
+        std::mem::replace(&mut self.vals[self.len], Value::VOID)
     }
 }
 
@@ -109,14 +109,9 @@ pub(crate) fn eval_prim(
     }
     macro_rules! vector {
         ($v:expr) => {
-            match $v {
-                Value::Vector(v) => v.clone(),
-                other => {
-                    return Err(format!(
-                        "{p}: expected vector, got {}",
-                        other.write_string()
-                    ))
-                }
+            match $v.obj() {
+                Some(Obj::Vector(items)) => items,
+                _ => return Err(format!("{p}: expected vector, got {}", $v.write_string())),
             }
         };
     }
@@ -135,13 +130,13 @@ pub(crate) fn eval_prim(
         IsEqual => Value::bool(args[0].eq_structural(&args[1])),
         Not => Value::bool(!args[0].is_truthy()),
         IsPair => Value::bool(matches!(args[0], Value::Pair(_))),
-        IsNull => Value::bool(matches!(args[0], Value::Nil)),
-        IsSymbol => Value::bool(matches!(args[0], Value::Symbol(_))),
+        IsNull => Value::bool(matches!(args[0], Value::Nil(_))),
+        IsSymbol => Value::bool(matches!(args[0].obj(), Some(Obj::Symbol(_)))),
         IsNumber => Value::bool(matches!(args[0], Value::Fixnum(_))),
         IsBoolean => Value::bool(matches!(args[0], Value::Bool(_))),
         IsProcedure => Value::bool(matches!(args[0], Value::Closure(_))),
-        IsVector => Value::bool(matches!(args[0], Value::Vector(_))),
-        IsString => Value::bool(matches!(args[0], Value::Str(_))),
+        IsVector => Value::bool(matches!(args[0].obj(), Some(Obj::Vector(_)))),
+        IsString => Value::bool(matches!(args[0].obj(), Some(Obj::Str(_)))),
         IsChar => Value::bool(matches!(args[0], Value::Char(_))),
         Cons => {
             let d = args.pop();
@@ -162,13 +157,13 @@ pub(crate) fn eval_prim(
         }
         SetCar => {
             let v = args.pop();
-            overwrite(&mut pair!(&args[0]).borrow_mut().0, v);
-            Value::Void
+            pair!(&args[0]).borrow_mut().0 = v;
+            Value::VOID
         }
         SetCdr => {
             let v = args.pop();
-            overwrite(&mut pair!(&args[0]).borrow_mut().1, v);
-            Value::Void
+            pair!(&args[0]).borrow_mut().1 = v;
+            Value::VOID
         }
         MakeVector | MakeVectorFill => {
             let n = fixnum!(&args[0]);
@@ -197,18 +192,18 @@ pub(crate) fn eval_prim(
             let mut v = v.borrow_mut();
             let len = v.len();
             match usize::try_from(i).ok().filter(|&i| i < len) {
-                Some(i) => overwrite(&mut v[i], x),
+                Some(i) => v[i] = x,
                 None => return Err(format!("vector-set!: index {i} out of range")),
             }
-            Value::Void
+            Value::VOID
         }
         VectorLength => Value::Fixnum(vector!(&args[0]).borrow().len() as i64),
-        StringLength => match &args[0] {
-            Value::Str(s) => Value::Fixnum(s.chars().count() as i64),
-            other => {
+        StringLength => match args[0].obj() {
+            Some(Obj::Str(s)) => Value::Fixnum(s.chars().count() as i64),
+            _ => {
                 return Err(format!(
                     "string-length: expected string, got {}",
-                    other.write_string()
+                    args[0].write_string()
                 ))
             }
         },
@@ -223,37 +218,42 @@ pub(crate) fn eval_prim(
         },
         Display => {
             output.push_str(&args[0].display_string());
-            Value::Void
+            Value::VOID
         }
         Write => {
             output.push_str(&args[0].write_string());
-            Value::Void
+            Value::VOID
         }
         Newline => {
             output.push('\n');
-            Value::Void
+            Value::VOID
         }
         Error => return Err(format!("error: {}", args[0].display_string())),
-        Void => Value::Void,
+        Void => Value::VOID,
         MakeCell => Value::cell(args[0].clone()),
         CellRef => {
             from_memory = true;
-            match &args[0] {
-                Value::Cell(c) => c.borrow().clone(),
-                other => return Err(format!("unbox: expected box, got {}", other.write_string())),
+            match args[0].obj() {
+                Some(Obj::Cell(c)) => c.borrow().clone(),
+                _ => {
+                    return Err(format!(
+                        "unbox: expected box, got {}",
+                        args[0].write_string()
+                    ))
+                }
             }
         }
         CellSet => {
             let v = args.pop();
-            match &args[0] {
-                Value::Cell(c) => {
-                    overwrite(&mut c.borrow_mut(), v);
-                    Value::Void
+            match args[0].obj() {
+                Some(Obj::Cell(c)) => {
+                    *c.borrow_mut() = v;
+                    Value::VOID
                 }
-                other => {
+                _ => {
                     return Err(format!(
                         "set-box!: expected box, got {}",
-                        other.write_string()
+                        args[0].write_string()
                     ))
                 }
             }
@@ -296,7 +296,7 @@ mod tests {
         let (v, mem) = eval(Prim::Add, &[Value::Fixnum(2), Value::Fixnum(3)]).unwrap();
         assert!(matches!(v, Value::Fixnum(5)));
         assert!(!mem);
-        let pair = Value::cons(Value::Fixnum(7), Value::Nil);
+        let pair = Value::cons(Value::Fixnum(7), Value::NIL);
         let (v, mem) = eval(Prim::Car, &[pair]).unwrap();
         assert!(matches!(v, Value::Fixnum(7)));
         assert!(mem, "car reads the heap");
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn error_messages_are_location_free() {
-        let e = eval(Prim::Add, &[Value::Nil, Value::Fixnum(1)]).unwrap_err();
+        let e = eval(Prim::Add, &[Value::NIL, Value::Fixnum(1)]).unwrap_err();
         assert_eq!(e, "+: expected number, got ()");
         let e = eval(Prim::Quotient, &[Value::Fixnum(1), Value::Fixnum(0)]).unwrap_err();
         assert_eq!(e, "quotient: division by zero");

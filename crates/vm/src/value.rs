@@ -1,11 +1,35 @@
 //! Runtime values of the virtual machine.
+//!
+//! A [`Value`] is two words: a tag and one 8-byte scalar. Its first
+//! seven variants are immediates, which own nothing. Its last three
+//! point at the heap, one `Rc` each, and there are three heap shapes:
+//!
+//! * [`Value::Pair`], a [`VmPair`];
+//! * [`Value::Closure`], a [`VmClosure`];
+//! * [`Value::Obj`], an [`Obj`]: a string, a symbol, a vector or a box.
+//!
+//! Why three: the dispatch loop clones and replaces a value on nearly
+//! every instruction. With no more than three `Rc` variants, all after
+//! the immediates, and a one-word payload in every immediate (even
+//! `()`, as a [`WideUnit`]), rustc compiles a clone to one compare of
+//! the tag and one count increment, and the drop of a replaced value to
+//! one compare and one decrement, both inline; only `Rc`'s path that
+//! frees an object is a call. With six, one per heap type, each clone
+//! went through a jump table and each drop called out-of-line drop
+//! glue.
+//! Pairs and closures keep variants of their own because `RefCell`
+//! hides the niche an enum tag could live in: inside [`Obj`] a pair
+//! would take 48 bytes instead of 40, and its allocation would move
+//! from glibc's 64-byte chunk to the 80-byte one. Each of the three
+//! cells is at most 40 bytes, so with `Rc`'s two counts every heap
+//! allocation of a value fits a 64-byte chunk.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Deref;
 use std::rc::{Rc, Weak};
 
-use lesgs_frontend::{Const, FuncId};
+use lesgs_frontend::{Const, EqualClasses, FuncId};
 use lesgs_sexpr::Datum;
 
 use crate::instr::Imm;
@@ -55,7 +79,7 @@ impl VmClosure {
         let slot = free
             .get_mut(index as usize)
             .ok_or_else(|| slot_out_of_range(index, n_free))?;
-        overwrite(slot, v);
+        *slot = v;
         Ok(())
     }
 }
@@ -162,6 +186,22 @@ impl WideChar {
     }
 }
 
+/// No data, widened to one word: the payload of the immediates that
+/// carry none ([`Value::NIL`], [`Value::VOID`], [`Value::UNINIT`]).
+///
+/// With a payload in every immediate, a clone copies the same two words
+/// for each of them, and LLVM compiles it to one compare of the tag and
+/// a count increment for the heap shapes. A variant without one leaves
+/// its second word unset, and each clone inlined into the dispatch loop
+/// then went through a jump table over the tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WideUnit(u64);
+
+impl WideUnit {
+    /// The one value.
+    pub const UNIT: WideUnit = WideUnit(0);
+}
+
 /// The heap cell of a pair.
 #[derive(Debug)]
 pub struct VmPair(RefCell<(Value, Value)>);
@@ -179,91 +219,63 @@ impl Drop for VmPair {
         let (car, cdr) = self.0.get_mut();
         if frees_container(car) || frees_container(cdr) {
             release([
-                std::mem::replace(car, Value::Nil),
-                std::mem::replace(cdr, Value::Nil),
+                std::mem::replace(car, Value::NIL),
+                std::mem::replace(cdr, Value::NIL),
             ]);
         }
     }
 }
 
-/// The heap cell of a vector.
+/// The heap cell of a string, a symbol, a vector or a box: the third
+/// heap shape of [`Value`] (see the module docs for why there are
+/// three).
 #[derive(Debug)]
-pub struct VmVector(RefCell<Vec<Value>>);
-
-impl Deref for VmVector {
-    type Target = RefCell<Vec<Value>>;
-
-    fn deref(&self) -> &RefCell<Vec<Value>> {
-        &self.0
-    }
+pub enum Obj {
+    /// A string.
+    Str(String),
+    /// A symbol (compared by name).
+    Symbol(String),
+    /// A mutable vector.
+    Vector(RefCell<Vec<Value>>),
+    /// A mutable cell (`box`).
+    Cell(RefCell<Value>),
 }
 
-impl Drop for VmVector {
+impl Drop for Obj {
     fn drop(&mut self) {
-        let items = self.0.get_mut();
-        if items.iter().any(frees_container) {
-            release(std::mem::take(items));
+        match self {
+            Obj::Vector(items) => {
+                let items = items.get_mut();
+                if items.iter().any(frees_container) {
+                    release(std::mem::take(items));
+                }
+            }
+            Obj::Cell(content) => {
+                let content = content.get_mut();
+                if frees_container(content) {
+                    release([std::mem::replace(content, Value::NIL)]);
+                }
+            }
+            Obj::Str(_) | Obj::Symbol(_) => {}
         }
     }
 }
 
-/// The heap cell of a box.
-#[derive(Debug)]
-pub struct VmCell(RefCell<Value>);
-
-impl Deref for VmCell {
-    type Target = RefCell<Value>;
-
-    fn deref(&self) -> &RefCell<Value> {
-        &self.0
-    }
-}
-
-impl Drop for VmCell {
-    fn drop(&mut self) {
-        let content = self.0.get_mut();
-        if frees_container(content) {
-            release([std::mem::replace(content, Value::Nil)]);
-        }
-    }
-}
+// Each heap cell fits 40 bytes, so that with `Rc`'s two counts its
+// allocation fits glibc's 64-byte chunk (see the module docs).
+const _: () = assert!(std::mem::size_of::<VmPair>() <= 40);
+const _: () = assert!(std::mem::size_of::<VmClosure>() <= 40);
+const _: () = assert!(std::mem::size_of::<Obj>() <= 40);
 
 /// Whether dropping `value` frees a heap object that holds values: it
-/// is the last owner of a pair, vector, closure or box.
+/// is the last owner of a pair, closure, vector or box.
 fn frees_container(value: &Value) -> bool {
     match value {
         Value::Pair(p) => Rc::strong_count(p) == 1,
-        Value::Vector(v) => Rc::strong_count(v) == 1,
         Value::Closure(c) => Rc::strong_count(c) == 1,
-        Value::Cell(c) => Rc::strong_count(c) == 1,
+        Value::Obj(o) => Rc::strong_count(o) == 1 && matches!(**o, Obj::Vector(_) | Obj::Cell(_)),
         _ => false,
     }
-}
-
-/// Stores `v` in `slot`: every place a value is replaced (a register, a
-/// stack slot, a global, a vector element, a pair field, a box or a
-/// closure slot) goes through here.
-///
-/// Only a value that points at the heap needs its old contents dropped,
-/// and only such a value calls the one out-of-line [`drop_heap`]; an
-/// immediate is overwritten in place. Left to the compiler, every
-/// overwrite calls the out-of-line drop glue of [`Value`], which the
-/// dispatch loop's register and stack traffic paid on each write.
-#[inline(always)]
-pub(crate) fn overwrite(slot: &mut Value, v: Value) {
-    let old = std::mem::replace(slot, v);
-    if old.is_heap() {
-        drop_heap(old);
-    } else {
-        // An immediate owns nothing; forgetting it frees nothing.
-        std::mem::forget(old);
-    }
-}
-
-/// Drops a value that points at the heap (see [`overwrite`]).
-#[inline(never)]
-fn drop_heap(v: Value) {
-    drop(v);
 }
 
 /// Frees the values a dying heap object held, without recursion.
@@ -292,7 +304,7 @@ fn release(children: impl IntoIterator<Item = Value>) {
         loop {
             let next = match value {
                 Value::Pair(p) => Rc::try_unwrap(p).ok().and_then(|mut p| {
-                    let (car, cdr) = std::mem::replace(p.0.get_mut(), (Value::Nil, Value::Nil));
+                    let (car, cdr) = std::mem::replace(p.0.get_mut(), (Value::NIL, Value::NIL));
                     match (frees_container(&car), frees_container(&cdr)) {
                         (true, true) => {
                             pending.push(cdr);
@@ -303,21 +315,22 @@ fn release(children: impl IntoIterator<Item = Value>) {
                         (false, false) => None,
                     }
                 }),
-                Value::Vector(v) => {
-                    if let Ok(mut v) = Rc::try_unwrap(v) {
-                        pending.extend(std::mem::take(v.0.get_mut()));
-                    }
-                    None
-                }
                 Value::Closure(c) => {
                     if let Ok(mut c) = Rc::try_unwrap(c) {
                         pending.extend(std::mem::take(c.free.get_mut()));
                     }
                     None
                 }
-                Value::Cell(c) => Rc::try_unwrap(c).ok().and_then(|mut c| {
-                    let content = std::mem::replace(c.0.get_mut(), Value::Nil);
-                    frees_container(&content).then_some(content)
+                Value::Obj(o) => Rc::try_unwrap(o).ok().and_then(|mut o| match &mut o {
+                    Obj::Vector(items) => {
+                        pending.extend(std::mem::take(items.get_mut()));
+                        None
+                    }
+                    Obj::Cell(content) => {
+                        let content = std::mem::replace(content.get_mut(), Value::NIL);
+                        frees_container(&content).then_some(content)
+                    }
+                    Obj::Str(_) | Obj::Symbol(_) => None,
                 }),
                 _ => None,
             };
@@ -379,15 +392,16 @@ impl Pending<Value> {
 
 /// A VM value.
 ///
-/// Every variant that carries data carries exactly one 8-byte scalar:
-/// an `i64`, a widened word ([`WideBool`], [`WideChar`], [`RetAddr`])
-/// or an `Rc` pointer. That gives the enum rustc's scalar-pair ABI, so
+/// Every variant carries exactly one 8-byte scalar: an `i64`, a
+/// widened word ([`WideBool`], [`WideChar`], [`WideUnit`], [`RetAddr`])
+/// or an `Rc` pointer to one of the three heap shapes, which come last
+/// (see the module docs). That gives the enum rustc's scalar-pair ABI, so
 /// the dispatch loop moves a value as two whole-word loads or stores,
 /// in registers. A payload of another size or shape (a bare `bool` or
 /// `char`, a struct of two fields) sends every move through memory in
 /// pieces of mixed width, and the reload after each register write then
 /// stalls on store-to-load forwarding.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Value {
     /// An integer.
     Fixnum(i64),
@@ -395,46 +409,82 @@ pub enum Value {
     Bool(WideBool),
     /// A character.
     Char(WideChar),
-    /// A string.
-    Str(Rc<String>),
-    /// A symbol (compared by name).
-    Symbol(Rc<String>),
-    /// The empty list.
-    Nil,
-    /// The unspecified value.
-    Void,
-    /// A mutable pair.
-    Pair(Rc<VmPair>),
-    /// A mutable vector.
-    Vector(Rc<VmVector>),
-    /// A procedure.
-    Closure(Rc<VmClosure>),
-    /// A mutable cell (`box`).
-    Cell(Rc<VmCell>),
+    /// The empty list ([`Value::NIL`]).
+    Nil(WideUnit),
+    /// The unspecified value ([`Value::VOID`]).
+    Void(WideUnit),
     /// A return address (lives in `ret` and save slots only).
     RetAddr(RetAddr),
-    /// An uninitialized stack slot (reading one is a VM bug).
-    Uninit,
+    /// An uninitialized stack slot ([`Value::UNINIT`]; reading one is a
+    /// VM bug).
+    Uninit(WideUnit),
+    /// A mutable pair.
+    Pair(Rc<VmPair>),
+    /// A procedure.
+    Closure(Rc<VmClosure>),
+    /// A string, a symbol, a vector or a box.
+    Obj(Rc<Obj>),
 }
 
 // The two-word layout above; see [`Value`] for why every payload must
 // stay one 8-byte scalar.
 const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
+// Written out rather than derived so that it is `#[inline(always)]`. With
+// three heap shapes a clone is one compare and one count increment, yet
+// LLVM left the derived clone out of line at four sites of the dispatch
+// loop, where the fast paths read a vector element or a box.
+impl Clone for Value {
+    #[inline(always)]
+    fn clone(&self) -> Value {
+        match self {
+            Value::Fixnum(n) => Value::Fixnum(*n),
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Char(c) => Value::Char(*c),
+            Value::Nil(u) => Value::Nil(*u),
+            Value::Void(u) => Value::Void(*u),
+            Value::RetAddr(ra) => Value::RetAddr(*ra),
+            Value::Uninit(u) => Value::Uninit(*u),
+            Value::Pair(p) => Value::Pair(Rc::clone(p)),
+            Value::Closure(c) => Value::Closure(Rc::clone(c)),
+            Value::Obj(o) => Value::Obj(Rc::clone(o)),
+        }
+    }
+}
+
 impl Value {
+    /// The empty list.
+    pub const NIL: Value = Value::Nil(WideUnit::UNIT);
+
+    /// The unspecified value.
+    pub const VOID: Value = Value::Void(WideUnit::UNIT);
+
+    /// An uninitialized stack slot.
+    pub const UNINIT: Value = Value::Uninit(WideUnit::UNIT);
+
     /// Builds a pair.
     pub fn cons(car: Value, cdr: Value) -> Value {
         Value::Pair(Rc::new(VmPair(RefCell::new((car, cdr)))))
     }
 
+    /// Builds a string.
+    pub fn string(s: String) -> Value {
+        Value::Obj(Rc::new(Obj::Str(s)))
+    }
+
+    /// Builds a symbol.
+    pub fn symbol(name: String) -> Value {
+        Value::Obj(Rc::new(Obj::Symbol(name)))
+    }
+
     /// Builds a vector.
     pub fn vector(items: Vec<Value>) -> Value {
-        Value::Vector(Rc::new(VmVector(RefCell::new(items))))
+        Value::Obj(Rc::new(Obj::Vector(RefCell::new(items))))
     }
 
     /// Builds a box.
     pub fn cell(content: Value) -> Value {
-        Value::Cell(Rc::new(VmCell(RefCell::new(content))))
+        Value::Obj(Rc::new(Obj::Cell(RefCell::new(content))))
     }
 
     /// A boolean.
@@ -447,25 +497,12 @@ impl Value {
         Value::Char(WideChar::new(c))
     }
 
-    /// Whether the value points at a heap object, so that dropping it
-    /// may free something. The match names every variant, so a new one
-    /// must say which it is: [`overwrite`] forgets the others.
+    /// The string, symbol, vector or box the value points at.
     #[inline(always)]
-    fn is_heap(&self) -> bool {
+    pub(crate) fn obj(&self) -> Option<&Obj> {
         match self {
-            Value::Str(_)
-            | Value::Symbol(_)
-            | Value::Pair(_)
-            | Value::Vector(_)
-            | Value::Closure(_)
-            | Value::Cell(_) => true,
-            Value::Fixnum(_)
-            | Value::Bool(_)
-            | Value::Char(_)
-            | Value::Nil
-            | Value::Void
-            | Value::RetAddr(_)
-            | Value::Uninit => false,
+            Value::Obj(o) => Some(o),
+            _ => None,
         }
     }
 
@@ -480,14 +517,14 @@ impl Value {
             (Value::Fixnum(a), Value::Fixnum(b)) => a == b,
             (Value::Bool(a), Value::Bool(b)) => a == b,
             (Value::Char(a), Value::Char(b)) => a == b,
-            (Value::Nil, Value::Nil) => true,
-            (Value::Void, Value::Void) => true,
-            (Value::Symbol(a), Value::Symbol(b)) => a == b,
-            (Value::Str(a), Value::Str(b)) => Rc::ptr_eq(a, b),
+            (Value::Nil(_), Value::Nil(_)) => true,
+            (Value::Void(_), Value::Void(_)) => true,
             (Value::Pair(a), Value::Pair(b)) => Rc::ptr_eq(a, b),
-            (Value::Vector(a), Value::Vector(b)) => Rc::ptr_eq(a, b),
             (Value::Closure(a), Value::Closure(b)) => Rc::ptr_eq(a, b),
-            (Value::Cell(a), Value::Cell(b)) => Rc::ptr_eq(a, b),
+            (Value::Obj(a), Value::Obj(b)) => match (&**a, &**b) {
+                (Obj::Symbol(x), Obj::Symbol(y)) => x == y,
+                _ => Rc::ptr_eq(a, b),
+            },
             _ => false,
         }
     }
@@ -495,6 +532,9 @@ impl Value {
     /// `equal?` — structural equality. Pairs and vectors still to
     /// compare wait on an explicit stack, so nesting depth costs heap,
     /// not call stack.
+    ///
+    /// The walk ends on cyclic values too: it skips two containers it
+    /// already takes as equal ([`EqualClasses`]).
     pub fn eq_structural(&self, other: &Value) -> bool {
         let mut walk = EqWalk {
             next: None,
@@ -503,18 +543,25 @@ impl Value {
         if !walk.compare(self, other) {
             return false;
         }
+        let mut classes = EqualClasses::default();
         while let Some((a, b)) = walk.next.take().or_else(|| walk.pending.pop()) {
+            if !classes.join(heap_addr(&a), heap_addr(&b)) {
+                continue;
+            }
             let equal = match (&a, &b) {
                 (Value::Pair(x), Value::Pair(y)) => {
                     let (xa, xd) = &*x.borrow();
                     let (ya, yd) = &*y.borrow();
                     walk.compare(xa, ya) && walk.compare(xd, yd)
                 }
-                (Value::Vector(x), Value::Vector(y)) => {
-                    let (x, y) = (x.borrow(), y.borrow());
-                    x.len() == y.len() && (x.iter().zip(y.iter())).all(|(p, q)| walk.compare(p, q))
-                }
-                _ => unreachable!("only pairs and vectors are walked"),
+                _ => match (a.obj(), b.obj()) {
+                    (Some(Obj::Vector(x)), Some(Obj::Vector(y))) => {
+                        let (x, y) = (x.borrow(), y.borrow());
+                        x.len() == y.len()
+                            && (x.iter().zip(y.iter())).all(|(p, q)| walk.compare(p, q))
+                    }
+                    _ => unreachable!("only pairs and vectors are walked"),
+                },
             };
             if !equal {
                 return false;
@@ -551,7 +598,7 @@ impl Value {
                     current = Some(car);
                     continue;
                 }
-                Some(Value::Vector(v)) => {
+                Some(v) if matches!(v.obj(), Some(Obj::Vector(_))) => {
                     out.push_str("#(");
                     open.push(Open::Vector(v, 0));
                 }
@@ -562,14 +609,14 @@ impl Value {
             // open list or vector.
             match open.last_mut() {
                 None => return,
-                Some(Open::List(rest)) => match std::mem::replace(rest, Value::Nil) {
+                Some(Open::List(rest)) => match std::mem::replace(rest, Value::NIL) {
                     Value::Pair(p) => {
                         out.push(' ');
                         let (car, cdr) = p.borrow().clone();
                         *rest = cdr;
                         current = Some(car);
                     }
-                    Value::Nil => {
+                    Value::Nil(_) => {
                         out.push(')');
                         open.pop();
                     }
@@ -581,7 +628,10 @@ impl Value {
                     }
                 },
                 Some(Open::Vector(v, next)) => {
-                    let item = v.borrow().get(*next).cloned();
+                    let Some(Obj::Vector(items)) = v.obj() else {
+                        unreachable!("only vectors are opened as vectors")
+                    };
+                    let item = items.borrow().get(*next).cloned();
                     match item {
                         Some(item) => {
                             if *next > 0 {
@@ -621,30 +671,33 @@ impl Value {
                     out.push(c);
                 }
             }
-            Value::Str(s) => {
-                if write {
-                    out.push('"');
-                    for c in s.chars() {
-                        match c {
-                            '"' => out.push_str("\\\""),
-                            '\\' => out.push_str("\\\\"),
-                            '\n' => out.push_str("\\n"),
-                            c => out.push(c),
+            Value::Obj(o) => match &**o {
+                Obj::Str(s) => {
+                    if write {
+                        out.push('"');
+                        for c in s.chars() {
+                            match c {
+                                '"' => out.push_str("\\\""),
+                                '\\' => out.push_str("\\\\"),
+                                '\n' => out.push_str("\\n"),
+                                c => out.push(c),
+                            }
                         }
+                        out.push('"');
+                    } else {
+                        out.push_str(s);
                     }
-                    out.push('"');
-                } else {
-                    out.push_str(s);
                 }
-            }
-            Value::Symbol(s) => out.push_str(s),
-            Value::Nil => out.push_str("()"),
-            Value::Void => out.push_str("#<void>"),
-            Value::Pair(_) | Value::Vector(_) => unreachable!("render walks pairs and vectors"),
+                Obj::Symbol(s) => out.push_str(s),
+                Obj::Cell(_) => out.push_str("#<box>"),
+                Obj::Vector(_) => unreachable!("render walks vectors"),
+            },
+            Value::Nil(_) => out.push_str("()"),
+            Value::Void(_) => out.push_str("#<void>"),
+            Value::Pair(_) => unreachable!("render walks pairs"),
             Value::Closure(_) => out.push_str("#<procedure>"),
-            Value::Cell(_) => out.push_str("#<box>"),
             Value::RetAddr(_) => out.push_str("#<return-address>"),
-            Value::Uninit => out.push_str("#<uninit>"),
+            Value::Uninit(_) => out.push_str("#<uninit>"),
         }
     }
 }
@@ -663,8 +716,11 @@ impl EqWalk {
     fn compare(&mut self, a: &Value, b: &Value) -> bool {
         match (a, b) {
             (Value::Pair(x), Value::Pair(y)) if !Rc::ptr_eq(x, y) => {}
-            (Value::Vector(x), Value::Vector(y)) if !Rc::ptr_eq(x, y) => {}
-            (Value::Str(x), Value::Str(y)) => return x == y,
+            (Value::Obj(x), Value::Obj(y)) if !Rc::ptr_eq(x, y) => match (&**x, &**y) {
+                (Obj::Vector(_), Obj::Vector(_)) => {}
+                (Obj::Str(x), Obj::Str(y)) => return x == y,
+                _ => return a.eq_ptr(b),
+            },
             _ => return a.eq_ptr(b),
         }
         let pair = (a.clone(), b.clone());
@@ -677,12 +733,21 @@ impl EqWalk {
     }
 }
 
+/// The address of the heap object a pair or vector points at.
+fn heap_addr(v: &Value) -> usize {
+    match v {
+        Value::Pair(p) => Rc::as_ptr(p) as usize,
+        Value::Obj(o) => Rc::as_ptr(o) as usize,
+        _ => unreachable!("only pairs and vectors are walked"),
+    }
+}
+
 /// A list or vector [`Value::render`] has opened but not closed.
 enum Open {
     /// A list, with the part not printed yet.
     List(Value),
     /// A vector, with the index of the next element to print.
-    Vector(Rc<VmVector>, usize),
+    Vector(Value, usize),
 }
 
 impl fmt::Display for Value {
@@ -697,12 +762,12 @@ pub(crate) fn datum_to_value(d: &Datum) -> Value {
         Datum::Fixnum(n) => Value::Fixnum(*n),
         Datum::Bool(b) => Value::bool(*b),
         Datum::Char(c) => Value::char(*c),
-        Datum::Str(s) => Value::Str(Rc::new(s.clone())),
-        Datum::Symbol(s) => Value::Symbol(Rc::new(s.clone())),
+        Datum::Str(s) => Value::string(s.clone()),
+        Datum::Symbol(s) => Value::symbol(s.clone()),
         Datum::List(items) => items
             .iter()
             .rev()
-            .fold(Value::Nil, |acc, d| Value::cons(datum_to_value(d), acc)),
+            .fold(Value::NIL, |acc, d| Value::cons(datum_to_value(d), acc)),
         Datum::Improper(items, tail) => items.iter().rev().fold(datum_to_value(tail), |acc, d| {
             Value::cons(datum_to_value(d), acc)
         }),
@@ -717,8 +782,8 @@ pub(crate) fn imm_to_value(imm: Imm) -> Value {
         Imm::Fixnum(n) => Value::Fixnum(n),
         Imm::Bool(b) => Value::bool(b),
         Imm::Char(c) => Value::char(c),
-        Imm::Nil => Value::Nil,
-        Imm::Void => Value::Void,
+        Imm::Nil => Value::NIL,
+        Imm::Void => Value::VOID,
     }
 }
 
@@ -729,10 +794,10 @@ pub(crate) fn const_to_value(c: &Const) -> Value {
         Const::Fixnum(n) => Value::Fixnum(*n),
         Const::Bool(b) => Value::bool(*b),
         Const::Char(c) => Value::char(*c),
-        Const::Str(s) => Value::Str(Rc::new(s.clone())),
-        Const::Nil => Value::Nil,
-        Const::Void => Value::Void,
-        Const::Symbol(s) => Value::Symbol(Rc::new(s.clone())),
+        Const::Str(s) => Value::string(s.clone()),
+        Const::Nil => Value::NIL,
+        Const::Void => Value::VOID,
+        Const::Symbol(s) => Value::symbol(s.clone()),
         Const::Datum(d) => datum_to_value(d),
     }
 }
@@ -746,10 +811,10 @@ mod tests {
         assert!(Value::Fixnum(0).is_truthy());
         assert!(!Value::bool(false).is_truthy());
         assert!(Value::bool(true).is_truthy());
-        let p = Value::cons(Value::Fixnum(1), Value::Nil);
+        let p = Value::cons(Value::Fixnum(1), Value::NIL);
         assert!(p.eq_ptr(&p.clone()));
-        assert!(!p.eq_ptr(&Value::cons(Value::Fixnum(1), Value::Nil)));
-        assert!(p.eq_structural(&Value::cons(Value::Fixnum(1), Value::Nil)));
+        assert!(!p.eq_ptr(&Value::cons(Value::Fixnum(1), Value::NIL)));
+        assert!(p.eq_structural(&Value::cons(Value::Fixnum(1), Value::NIL)));
     }
 
     #[test]
@@ -780,7 +845,7 @@ mod tests {
         items
             .into_iter()
             .rev()
-            .fold(Value::Nil, |acc, x| Value::cons(x, acc))
+            .fold(Value::NIL, |acc, x| Value::cons(x, acc))
     }
 
     #[test]
@@ -788,12 +853,7 @@ mod tests {
         let build = || {
             let inner = Value::vector(vec![Value::Fixnum(1), list(vec![Value::char('a')])]);
             let dotted = Value::cons(Value::Fixnum(2), Value::vector(vec![]));
-            list(vec![
-                inner,
-                dotted,
-                Value::Nil,
-                Value::Str(Rc::new("s".into())),
-            ])
+            list(vec![inner, dotted, Value::NIL, Value::string("s".into())])
         };
         let (a, b) = (build(), build());
         assert_eq!(a.write_string(), "(#(1 (#\\a)) (2 . #()) () \"s\")");
@@ -820,15 +880,114 @@ mod tests {
         }));
         drop(closure);
         assert_eq!(shared.write_string(), "(7 8)");
-        let Value::Cell(cell) = &boxed else {
+        let Some(Obj::Cell(cell)) = boxed.obj() else {
             unreachable!()
         };
         assert!(cell.borrow().eq_ptr(&shared));
     }
 
+    /// Structural equality by plain recursion, for values small enough
+    /// to recurse over: what `equal?` must answer on acyclic values.
+    fn naive_equal(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Pair(x), Value::Pair(y)) => {
+                let (xa, xd) = &*x.borrow();
+                let (ya, yd) = &*y.borrow();
+                naive_equal(xa, ya) && naive_equal(xd, yd)
+            }
+            _ => match (a.obj(), b.obj()) {
+                (Some(Obj::Vector(x)), Some(Obj::Vector(y))) => {
+                    let (x, y) = (x.borrow(), y.borrow());
+                    x.len() == y.len() && x.iter().zip(y.iter()).all(|(p, q)| naive_equal(p, q))
+                }
+                _ => a.eq_ptr(b),
+            },
+        }
+    }
+
+    /// A node of a value [`build`] makes: a fixnum, or a pair or vector
+    /// of earlier nodes.
+    enum Node {
+        Leaf(i64),
+        Pair(usize, usize),
+        Vector(Vec<usize>),
+    }
+
+    /// Builds node `i` of `recipe`. Without `rng` a node named again is
+    /// shared; with it, such a node may be built anew, and each leaf
+    /// built may come out one higher.
+    fn build(
+        recipe: &[Node],
+        i: usize,
+        built: &mut [Option<Value>],
+        mut rng: Option<&mut Rng>,
+    ) -> Value {
+        if let Some(v) = &built[i] {
+            let fresh = rng.as_mut().is_some_and(|r| r.below(2) == 0);
+            if !fresh {
+                return v.clone();
+            }
+        }
+        let v = match &recipe[i] {
+            Node::Leaf(n) => Value::Fixnum(n + rng.map_or(0, |r| i64::from(r.below(8) == 0))),
+            Node::Pair(a, d) => {
+                let car = build(recipe, *a, built, rng.as_deref_mut());
+                Value::cons(car, build(recipe, *d, built, rng))
+            }
+            Node::Vector(items) => Value::vector(
+                items
+                    .iter()
+                    .map(|&j| build(recipe, j, built, rng.as_deref_mut()))
+                    .collect(),
+            ),
+        };
+        built[i] = Some(v.clone());
+        v
+    }
+
+    /// A xorshift generator, so the cases below repeat.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn equal_matches_plain_recursion_on_shared_acyclic_values() {
+        // Two values from one recipe: the first shares every node named
+        // twice, the second builds some of them afresh and may bump a
+        // leaf in any copy, so the classes `equal?` joins meet shared
+        // nodes matched against copies that differ.
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let mut answers = [0; 2];
+        for _ in 0..2_000 {
+            let n = 2 + rng.below(14);
+            let mut recipe = Vec::with_capacity(n);
+            for i in 0..n {
+                recipe.push(match if i < 2 { 0 } else { rng.below(3) } {
+                    0 => Node::Leaf(rng.below(2) as i64),
+                    1 => Node::Pair(rng.below(i), rng.below(i)),
+                    _ => Node::Vector((0..rng.below(3)).map(|_| rng.below(i)).collect()),
+                });
+            }
+            let a = build(&recipe, n - 1, &mut vec![None; n], None);
+            let b = build(&recipe, n - 1, &mut vec![None; n], Some(&mut rng));
+            let expected = naive_equal(&a, &b);
+            assert_eq!(a.eq_structural(&b), expected, "{a} against {b}");
+            assert_eq!(b.eq_structural(&a), expected, "{b} against {a}");
+            answers[usize::from(expected)] += 1;
+        }
+        assert!(answers.iter().all(|&k| k > 200), "{answers:?}");
+    }
+
     #[test]
     fn rendering_matches_interp_conventions() {
-        let l = Value::cons(Value::Fixnum(1), Value::cons(Value::char('a'), Value::Nil));
+        let l = Value::cons(Value::Fixnum(1), Value::cons(Value::char('a'), Value::NIL));
         assert_eq!(l.display_string(), "(1 a)");
         assert_eq!(l.write_string(), "(1 #\\a)");
     }

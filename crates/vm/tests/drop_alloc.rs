@@ -22,12 +22,12 @@ const LENGTH: i64 = 100_000;
 
 #[test]
 fn freeing_a_list_of_immediates_allocates_nothing() {
-    let list = (0..LENGTH).fold(Value::Nil, |acc, i| Value::cons(Value::Fixnum(i), acc));
+    let list = (0..LENGTH).fold(Value::NIL, |acc, i| Value::cons(Value::Fixnum(i), acc));
     assert_eq!(allocations_to_drop(list), 0);
 }
 
 #[test]
 fn freeing_a_list_nested_through_its_cars_allocates_nothing() {
-    let nested = (0..LENGTH).fold(Value::Nil, |acc, _| Value::cons(acc, Value::Nil));
+    let nested = (0..LENGTH).fold(Value::NIL, |acc, _| Value::cons(acc, Value::NIL));
     assert_eq!(allocations_to_drop(nested), 0);
 }
