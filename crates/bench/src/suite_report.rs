@@ -48,8 +48,8 @@ pub const DISPATCH_THROUGHPUT_TABLE: &str = "dispatch_throughput";
 /// the seeded workload.
 pub const SERVICE_CACHE_TABLE: &str = "service_cache";
 
-/// Name of the service throughput/latency table for the same workload
-/// (wall-clock).
+/// Name of the service throughput/latency table for the same workload,
+/// with the replay's phase and job times (wall-clock).
 pub const SERVICE_THROUGHPUT_TABLE: &str = "service_throughput";
 
 /// A built suite report plus the pool accounting behind it.
@@ -167,7 +167,7 @@ pub fn build_suite_report(
 
 /// The batch service replayed over a fixed seeded workload: the
 /// deterministic cache accounting plus the wall-clock throughput and
-/// latency of the replay.
+/// latency of the replay, and where its batches spent their time.
 struct ServiceMeasurement {
     workload: WorkloadConfig,
     cache_capacity: usize,
@@ -175,9 +175,19 @@ struct ServiceMeasurement {
     compile_requests: u64,
     run_requests: u64,
     totals: BatchStats,
+    /// `svc.executions`: programs run, one per distinct run text of a
+    /// batch.
+    executions: u64,
     latency: Histogram,
+    /// Each [`PHASES`] entry's `svc.phase.*_ns`, summed over the replay.
+    phase_ns: [f64; 4],
+    /// `svc.compile_job_ns` and `svc.execute_job_ns`.
+    jobs: [Histogram; 2],
     wall_ns: f64,
 }
+
+/// The service's batch phases, in order.
+const PHASES: [&str; 4] = ["classify", "compile", "admit", "execute"];
 
 /// The service workload per report scale. Small keeps test-time replay
 /// fast; standard matches the published EXPERIMENTS.md numbers. The
@@ -237,6 +247,7 @@ fn measure_service(scale: Scale) -> ServiceMeasurement {
         .iter()
         .filter(|r| matches!(r, Request::Compile { .. }))
         .count() as u64;
+    let summary = |name: &str| reg.histogram(name).copied().unwrap_or_default();
     ServiceMeasurement {
         workload,
         cache_capacity,
@@ -244,10 +255,10 @@ fn measure_service(scale: Scale) -> ServiceMeasurement {
         compile_requests,
         run_requests: stream.len() as u64 - compile_requests,
         totals,
-        latency: reg
-            .histogram("svc.request_latency_ns")
-            .copied()
-            .unwrap_or_default(),
+        executions: reg.counter("svc.executions"),
+        latency: summary("svc.request_latency_ns"),
+        phase_ns: PHASES.map(|phase| summary(&format!("svc.phase.{phase}_ns")).sum),
+        jobs: ["svc.compile_job_ns", "svc.execute_job_ns"].map(summary),
         wall_ns,
     }
 }
@@ -333,6 +344,20 @@ fn service_throughput_table(m: &ServiceMeasurement) -> Table {
         "latency max (us)".into(),
         format!("{:.1}", m.latency.max / 1e3),
     ]);
+    t.row(vec!["executions".into(), m.executions.to_string()]);
+    for (phase, ns) in PHASES.into_iter().zip(m.phase_ns) {
+        t.row(vec![
+            format!("{phase} phase (ms)"),
+            format!("{:.2}", ns / 1e6),
+        ]);
+    }
+    for (kind, jobs) in ["compile", "execute"].into_iter().zip(&m.jobs) {
+        t.row(vec![format!("{kind} jobs"), jobs.count.to_string()]);
+        t.row(vec![
+            format!("{kind} job time (ms)"),
+            format!("{:.2}", jobs.sum / 1e6),
+        ]);
+    }
     t
 }
 
@@ -569,10 +594,18 @@ mod tests {
             compile_requests: 0,
             run_requests: 0,
             totals: BatchStats::default(),
+            executions: 0,
             latency: Histogram::default(),
+            phase_ns: [0.0; 4],
+            jobs: [Histogram::default(); 2],
             wall_ns: 0.0,
         };
         let live = measure_service(Scale::Small);
+        // One compile job per miss, one execute job per execution, and
+        // fewer executions than run requests: repeats share one.
+        assert_eq!(live.jobs[0].count, live.totals.misses);
+        assert_eq!(live.jobs[1].count, live.executions);
+        assert!(0 < live.executions && live.executions < live.run_requests);
         let (a, b) = (
             service_throughput_table(&zero),
             service_throughput_table(&live),

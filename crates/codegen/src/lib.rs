@@ -20,6 +20,7 @@ use lesgs_core::frame::FrameLayout;
 use lesgs_frontend::{Const, FuncId, Prim};
 use lesgs_ir::machine::{scratch_reg, NUM_SCRATCH, RV};
 use lesgs_ir::{Reg, RegSet};
+use lesgs_vm::instr::MAX_PRIM_ARGS;
 use lesgs_vm::{CallTarget, Imm, Instr, PrimArgs, SlotClass, VmFunc, VmProgram};
 
 #[derive(Debug, Clone, Copy)]
@@ -196,19 +197,20 @@ impl Emitter<'_> {
     /// context, within the four available.
     fn primapp(&mut self, p: Prim, args: &[AExpr], dst: Reg) {
         let n = args.len();
-        let later_calls: Vec<bool> = (0..n)
-            .map(|i| args[i + 1..].iter().any(contains_call))
-            .collect();
-        let temp_base = self.temp_sp;
-        enum Loc<'e> {
-            Temp(u32),
-            Deferred(&'e AExpr),
+        assert!(n <= MAX_PRIM_ARGS, "primitive with {n} operands");
+        // `call_follows[i]`: a later argument than `i` contains a call.
+        let mut call_follows = [false; MAX_PRIM_ARGS];
+        let mut later_call = false;
+        for i in (1..n).rev() {
+            later_call = later_call || contains_call(&args[i]);
+            call_follows[i - 1] = later_call;
         }
-        let mut locs: Vec<Loc<'_>> = Vec::with_capacity(n);
+        let temp_base = self.temp_sp;
+        // The frame temporary each argument is parked in; `None` defers
+        // a leaf to the gather.
+        let mut parked = [None; MAX_PRIM_ARGS];
         for (i, a) in args.iter().enumerate() {
-            if Self::is_leaf(a) && !later_calls[i] {
-                locs.push(Loc::Deferred(a));
-            } else {
+            if !Self::is_leaf(a) || call_follows[i] {
                 let t = self.temp_push();
                 self.expr(a, RV);
                 let slot = self.layout.offset(Slot::Temp(t));
@@ -217,43 +219,39 @@ impl Emitter<'_> {
                     src: RV,
                     class: SlotClass::Temp,
                 });
-                locs.push(Loc::Temp(t));
+                parked[i] = Some(t);
             }
         }
-        // Gather all operands into registers.
-        let mut regs: Vec<Reg> = Vec::with_capacity(n);
-        let mut to_release: Vec<Reg> = Vec::new();
-        for loc in &locs {
-            match loc {
-                Loc::Temp(t) => {
+        // Gather all operands into registers; `scratch[i]` marks the
+        // ones to release, in argument order.
+        let mut regs = [RV; MAX_PRIM_ARGS];
+        let mut scratch = [false; MAX_PRIM_ARGS];
+        for (i, a) in args.iter().enumerate() {
+            (regs[i], scratch[i]) = match parked[i] {
+                Some(t) => {
                     let r = self
                         .alloc_scratch()
                         .expect("gather needs at most arity scratches");
-                    let slot = self.layout.offset(Slot::Temp(*t));
+                    let slot = self.layout.offset(Slot::Temp(t));
                     self.emit(Instr::StackLoad {
                         dst: r,
                         slot,
                         class: SlotClass::Temp,
                     });
-                    to_release.push(r);
-                    regs.push(r);
+                    (r, true)
                 }
-                Loc::Deferred(e) => {
-                    let (r, scratch) = self.operand(e);
-                    if scratch {
-                        to_release.push(r);
-                    }
-                    regs.push(r);
-                }
-            }
+                None => self.operand(a),
+            };
         }
         self.emit(Instr::Prim {
             op: p,
             dst,
-            args: PrimArgs::from_slice(&regs),
+            args: PrimArgs::from_slice(&regs[..n]),
         });
-        for r in to_release {
-            self.release_scratch(r);
+        for (&r, held) in regs.iter().zip(scratch).take(n) {
+            if held {
+                self.release_scratch(r);
+            }
         }
         self.temp_sp = temp_base;
     }

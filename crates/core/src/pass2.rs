@@ -15,7 +15,7 @@
 use lesgs_ir::machine::{CP, RET};
 use lesgs_ir::RegSet;
 
-use crate::alloc::{AExpr, Dest, Home, Step, TempLoc};
+use crate::alloc::{AExpr, ArgRef, Dest, Home, Step, TempLoc};
 use crate::config::{AllocConfig, SaveStrategy};
 
 /// Result of pass 2 on one function body.
@@ -37,127 +37,72 @@ struct Pass2 {
 }
 
 impl Pass2 {
-    /// Processes `e` given the accumulated save set `ss` and the set of
-    /// registers possibly referenced after `e` before the next call;
-    /// returns the rewritten tree and the set possibly referenced
-    /// before the next call starting at `e`'s entry.
-    fn process(&mut self, e: AExpr, ss: RegSet, pr_exit: RegSet) -> (AExpr, RegSet) {
+    /// Rewrites `e` in place given the accumulated save set `ss` and
+    /// the set of registers possibly referenced after `e` before the
+    /// next call; returns the set possibly referenced before the next
+    /// call starting at `e`'s entry.
+    fn process(&mut self, e: &mut AExpr, ss: RegSet, pr_exit: RegSet) -> RegSet {
         match e {
-            AExpr::Const(_) => (e, pr_exit),
-            AExpr::ReadHome(Home::Reg(r)) if self.allocatable.contains(r) => (e, pr_exit.insert(r)),
-            AExpr::ReadHome(Home::Reg(_)) => (e, pr_exit),
-            AExpr::ReadHome(Home::Slot(_)) => (e, pr_exit),
-            AExpr::Global(_) => (e, pr_exit),
-            AExpr::GlobalSet { index, value } => {
-                let (v, pr) = self.process(*value, ss, pr_exit);
-                (
-                    AExpr::GlobalSet {
-                        index,
-                        value: Box::new(v),
-                    },
-                    pr,
-                )
-            }
-            AExpr::FreeRef(_) => (e, pr_exit.insert(CP)),
-            AExpr::RestoreRegs(regs) => (AExpr::RestoreRegs(regs), pr_exit - regs),
+            AExpr::ReadHome(Home::Reg(r)) if self.allocatable.contains(*r) => pr_exit.insert(*r),
+            AExpr::Const(_) | AExpr::ReadHome(_) | AExpr::Global(_) => pr_exit,
+            AExpr::GlobalSet { value, .. } => self.process(value, ss, pr_exit),
+            AExpr::FreeRef(_) => pr_exit.insert(CP),
+            AExpr::RestoreRegs(regs) => pr_exit - *regs,
             AExpr::RegMove { src, dst } => {
-                let pr = pr_exit.remove(dst);
-                let pr = if self.allocatable.contains(src) {
-                    pr.insert(src)
+                let pr = pr_exit.remove(*dst);
+                if self.allocatable.contains(*src) {
+                    pr.insert(*src)
                 } else {
                     pr
-                };
-                (AExpr::RegMove { src, dst }, pr)
+                }
             }
             AExpr::If {
-                cond,
-                then,
-                els,
-                predict,
+                cond, then, els, ..
             } => {
-                let (t, pr_t) = self.process(*then, ss, pr_exit);
-                let (el, pr_e) = self.process(*els, ss, pr_exit);
-                let (c, pr_c) = self.process(*cond, ss, pr_t | pr_e);
-                (
-                    AExpr::If {
-                        cond: Box::new(c),
-                        then: Box::new(t),
-                        els: Box::new(el),
-                        predict,
-                    },
-                    pr_c,
-                )
+                let pr_t = self.process(then, ss, pr_exit);
+                let pr_e = self.process(els, ss, pr_exit);
+                self.process(cond, ss, pr_t | pr_e)
             }
-            AExpr::Seq(es) => {
-                let mut pr = pr_exit;
-                let mut out: Vec<AExpr> = Vec::with_capacity(es.len());
-                for e in es.into_iter().rev() {
-                    let (e2, pr2) = self.process(e, ss, pr);
-                    pr = pr2;
-                    out.push(e2);
-                }
-                out.reverse();
-                (AExpr::Seq(out), pr)
-            }
+            AExpr::Seq(es) | AExpr::PrimApp(_, es) | AExpr::MakeClosure { free: es, .. } => es
+                .iter_mut()
+                .rev()
+                .fold(pr_exit, |pr, e| self.process(e, ss, pr)),
             AExpr::Bind { home, rhs, body } => {
-                let (b, pr_b) = self.process(*body, ss, pr_exit);
+                let pr_b = self.process(body, ss, pr_exit);
                 let pr_b = match home {
-                    Home::Reg(r) => pr_b.remove(r),
+                    Home::Reg(r) => pr_b.remove(*r),
                     Home::Slot(_) => pr_b,
                 };
-                let (r, pr_r) = self.process(*rhs, ss, pr_b);
-                (
-                    AExpr::Bind {
-                        home,
-                        rhs: Box::new(r),
-                        body: Box::new(b),
-                    },
-                    pr_r,
-                )
-            }
-            AExpr::PrimApp(p, args) => {
-                let mut pr = pr_exit;
-                let mut out: Vec<AExpr> = Vec::with_capacity(args.len());
-                for a in args.into_iter().rev() {
-                    let (a2, pr2) = self.process(a, ss, pr);
-                    pr = pr2;
-                    out.push(a2);
-                }
-                out.reverse();
-                (AExpr::PrimApp(p, out), pr)
+                self.process(rhs, ss, pr_b)
             }
             AExpr::Save {
                 regs,
-                live_out,
                 exit_restore,
                 body,
+                ..
             } => {
                 // "When a save that is already in the save set is
                 // encountered, it is eliminated."
-                let kept = if self.eliminate { regs - ss } else { regs };
+                let kept = if self.eliminate { *regs - ss } else { *regs };
                 self.saved_union = self.saved_union | kept;
-                let (b, mut pr) = self.process(*body, ss | regs, pr_exit);
+                let pr = self.process(body, ss | *regs, pr_exit);
                 // The store itself references the registers, so an
                 // earlier call must restore them first. This matters
                 // under Late (saves repeat after calls) but also under
                 // Lazy/Early whenever the shuffler schedules another
                 // argument's call before this save executes.
-                pr = pr | (kept & self.allocatable);
+                let pr = pr | (kept & self.allocatable);
                 if kept.is_empty() && exit_restore.is_empty() {
-                    (b, pr)
+                    // Nothing left to store or reload: the region is
+                    // its body.
+                    let inner = std::mem::replace(&mut **body, AExpr::RestoreRegs(RegSet::EMPTY));
+                    *e = inner;
                 } else {
-                    (
-                        AExpr::Save {
-                            regs: kept,
-                            live_out,
-                            exit_restore,
-                            body: Box::new(b),
-                        },
-                        pr,
-                    )
+                    *regs = kept;
                 }
+                pr
             }
-            AExpr::Call(mut node) => {
+            AExpr::Call(node) => {
                 if !node.tail {
                     // "Restores for possibly referenced registers are
                     // inserted immediately after calls." Anything
@@ -194,31 +139,19 @@ impl Pass2 {
                     RegSet::EMPTY
                 };
                 // Process evaluation steps in reverse execution order.
-                let steps = node.plan.steps.clone();
-                let mut args: Vec<Option<AExpr>> = node.args.drain(..).map(Some).collect();
-                let mut closure = node.closure.take();
-                let mut new_args: Vec<Option<AExpr>> = (0..args.len()).map(|_| None).collect();
-                let mut new_closure = None;
-                for step in steps.iter().rev() {
+                for step in node.plan.steps.iter().rev() {
                     match step {
                         Step::Eval { arg, dst } => {
                             if let Dest::Reg(r) | Dest::Temp(TempLoc::Reg(r)) = dst {
                                 pr = pr.remove(*r);
                             }
                             let expr = match arg {
-                                crate::alloc::ArgRef::Arg(i) => {
-                                    args[*i as usize].take().expect("arg evaluated once")
-                                }
-                                crate::alloc::ArgRef::Closure => {
-                                    *closure.take().expect("closure evaluated once")
+                                ArgRef::Arg(i) => &mut node.args[*i as usize],
+                                ArgRef::Closure => {
+                                    node.closure.as_deref_mut().expect("closure present")
                                 }
                             };
-                            let (e2, pr2) = self.process(expr, ss, pr);
-                            pr = pr2;
-                            match arg {
-                                crate::alloc::ArgRef::Arg(i) => new_args[*i as usize] = Some(e2),
-                                crate::alloc::ArgRef::Closure => new_closure = Some(Box::new(e2)),
-                            }
+                            pr = self.process(expr, ss, pr);
                         }
                         Step::Move { from, dst } => {
                             if let Dest::Reg(r) | Dest::Temp(TempLoc::Reg(r)) = dst {
@@ -230,35 +163,11 @@ impl Pass2 {
                         }
                     }
                 }
-                node.args = new_args
-                    .into_iter()
-                    .map(|a| a.expect("every arg re-attached"))
-                    .collect();
-                node.closure = new_closure;
-                (AExpr::Call(node), pr)
+                pr
             }
-            AExpr::MakeClosure { func, free } => {
-                let mut pr = pr_exit;
-                let mut out: Vec<AExpr> = Vec::with_capacity(free.len());
-                for a in free.into_iter().rev() {
-                    let (a2, pr2) = self.process(a, ss, pr);
-                    pr = pr2;
-                    out.push(a2);
-                }
-                out.reverse();
-                (AExpr::MakeClosure { func, free: out }, pr)
-            }
-            AExpr::ClosureSet { clo, index, value } => {
-                let (v, pr_v) = self.process(*value, ss, pr_exit);
-                let (c, pr_c) = self.process(*clo, ss, pr_v);
-                (
-                    AExpr::ClosureSet {
-                        clo: Box::new(c),
-                        index,
-                        value: Box::new(v),
-                    },
-                    pr_c,
-                )
+            AExpr::ClosureSet { clo, value, .. } => {
+                let pr_v = self.process(value, ss, pr_exit);
+                self.process(clo, ss, pr_v)
             }
         }
     }
@@ -267,14 +176,14 @@ impl Pass2 {
 /// Runs pass 2: eliminates redundant saves (except under the Late
 /// strategy, whose whole point is that it cannot) and inserts eager
 /// restores.
-pub fn run(body: AExpr, cfg: &AllocConfig) -> Pass2Result {
+pub fn run(mut body: AExpr, cfg: &AllocConfig) -> Pass2Result {
     let mut p = Pass2 {
         eliminate: cfg.save != SaveStrategy::Late,
         saved_union: RegSet::EMPTY,
         allocatable: cfg.machine.allocatable(),
     };
     // On exit from the body the return jump references `ret`.
-    let (body, _pr) = p.process(body, RegSet::EMPTY, RegSet::single(RET));
+    p.process(&mut body, RegSet::EMPTY, RegSet::single(RET));
     Pass2Result {
         body,
         saved_regs: p.saved_union,
@@ -285,114 +194,62 @@ pub fn run(body: AExpr, cfg: &AllocConfig) -> Pass2Result {
 /// before the first reference after a call, and at save-region exits
 /// for registers still dirty but live (Figure 2c). Runs after [`run`]
 /// and replaces the eager per-call restore sets.
-pub fn lazy_restores(body: AExpr) -> AExpr {
-    let (body, _) = lazy(body, RegSet::EMPTY);
+pub fn lazy_restores(mut body: AExpr) -> AExpr {
+    lazy(&mut body, RegSet::EMPTY);
     body
 }
 
+/// Puts a reload of `regs` ahead of `e`: `e` becomes
+/// `(seq (restore regs) e)`.
+fn restore_before(e: &mut AExpr, regs: RegSet) {
+    let node = std::mem::replace(e, AExpr::RestoreRegs(regs));
+    *e = AExpr::Seq(vec![AExpr::RestoreRegs(regs), node]);
+}
+
 /// Forward walk threading the dirty set (saved registers whose register
-/// copy is stale). Returns the rewritten node and the dirty set at
+/// copy is stale): rewrites `e` in place and returns the dirty set at
 /// exit.
-fn lazy(e: AExpr, dirty_in: RegSet) -> (AExpr, RegSet) {
+fn lazy(e: &mut AExpr, dirty_in: RegSet) -> RegSet {
     match e {
-        AExpr::Const(_) => (e, dirty_in),
-        AExpr::ReadHome(Home::Reg(r)) if dirty_in.contains(r) => (
-            AExpr::Seq(vec![
-                AExpr::RestoreRegs(RegSet::single(r)),
-                AExpr::ReadHome(Home::Reg(r)),
-            ]),
-            dirty_in.remove(r),
-        ),
-        AExpr::ReadHome(_) => (e, dirty_in),
-        AExpr::Global(_) => (e, dirty_in),
-        AExpr::GlobalSet { index, value } => {
-            let (v, dirty) = lazy(*value, dirty_in);
-            (
-                AExpr::GlobalSet {
-                    index,
-                    value: Box::new(v),
-                },
-                dirty,
-            )
+        AExpr::ReadHome(Home::Reg(r)) if dirty_in.contains(*r) => {
+            let r = *r;
+            restore_before(e, RegSet::single(r));
+            dirty_in.remove(r)
         }
-        AExpr::FreeRef(i) if dirty_in.contains(CP) => (
-            AExpr::Seq(vec![
-                AExpr::RestoreRegs(RegSet::single(CP)),
-                AExpr::FreeRef(i),
-            ]),
-            dirty_in.remove(CP),
-        ),
-        AExpr::FreeRef(_) => (e, dirty_in),
-        AExpr::RestoreRegs(regs) => (AExpr::RestoreRegs(regs), dirty_in - regs),
+        AExpr::FreeRef(_) if dirty_in.contains(CP) => {
+            restore_before(e, RegSet::single(CP));
+            dirty_in.remove(CP)
+        }
+        AExpr::Const(_) | AExpr::ReadHome(_) | AExpr::FreeRef(_) | AExpr::Global(_) => dirty_in,
+        AExpr::GlobalSet { value, .. } => lazy(value, dirty_in),
+        AExpr::RestoreRegs(regs) => dirty_in - *regs,
         AExpr::RegMove { src, dst } => {
-            let (pre, dirty) = if dirty_in.contains(src) {
-                (
-                    Some(AExpr::RestoreRegs(RegSet::single(src))),
-                    dirty_in.remove(src).remove(dst),
-                )
+            let (src, dst) = (*src, *dst);
+            if dirty_in.contains(src) {
+                restore_before(e, RegSet::single(src));
+                dirty_in.remove(src).remove(dst)
             } else {
-                (None, dirty_in.remove(dst))
-            };
-            let mv = AExpr::RegMove { src, dst };
-            match pre {
-                Some(p) => (AExpr::Seq(vec![p, mv]), dirty),
-                None => (mv, dirty),
+                dirty_in.remove(dst)
             }
         }
         AExpr::If {
-            cond,
-            then,
-            els,
-            predict,
+            cond, then, els, ..
         } => {
-            let (c, dirty_c) = lazy(*cond, dirty_in);
-            let (t, dirty_t) = lazy(*then, dirty_c);
-            let (el, dirty_e) = lazy(*els, dirty_c);
-            (
-                AExpr::If {
-                    cond: Box::new(c),
-                    then: Box::new(t),
-                    els: Box::new(el),
-                    predict,
-                },
-                dirty_t | dirty_e,
-            )
+            let dirty_c = lazy(cond, dirty_in);
+            let dirty_t = lazy(then, dirty_c);
+            let dirty_e = lazy(els, dirty_c);
+            dirty_t | dirty_e
         }
-        AExpr::Seq(es) => {
-            let mut dirty = dirty_in;
-            let mut out = Vec::with_capacity(es.len());
-            for e in es {
-                let (e2, d) = lazy(e, dirty);
-                dirty = d;
-                out.push(e2);
-            }
-            (AExpr::Seq(out), dirty)
+        AExpr::Seq(es) | AExpr::PrimApp(_, es) | AExpr::MakeClosure { free: es, .. } => {
+            es.iter_mut().fold(dirty_in, |dirty, e| lazy(e, dirty))
         }
         AExpr::Bind { home, rhs, body } => {
-            let (r, dirty) = lazy(*rhs, dirty_in);
+            let dirty = lazy(rhs, dirty_in);
             let dirty = match home {
-                Home::Reg(reg) => dirty.remove(reg),
+                Home::Reg(reg) => dirty.remove(*reg),
                 Home::Slot(_) => dirty,
             };
-            let (b, dirty) = lazy(*body, dirty);
-            (
-                AExpr::Bind {
-                    home,
-                    rhs: Box::new(r),
-                    body: Box::new(b),
-                },
-                dirty,
-            )
-        }
-        AExpr::PrimApp(p, args) => {
-            let mut dirty = dirty_in;
-            let mut out = Vec::with_capacity(args.len());
-            for a in args {
-                let (a2, d) = lazy(a, dirty);
-                dirty = d;
-                out.push(a2);
-            }
-            (AExpr::PrimApp(p, out), dirty)
+            lazy(body, dirty)
         }
         AExpr::Save {
             regs,
@@ -404,56 +261,39 @@ fn lazy(e: AExpr, dirty_in: RegSet) -> (AExpr, RegSet) {
             // still dirty (stale since an earlier call — only possible
             // under the Late strategy, whose saves repeat) must be
             // reloaded first.
-            let pre = regs & dirty_in;
-            let (b, dirty) = lazy(*body, dirty_in - pre);
+            let pre = *regs & dirty_in;
+            let dirty = lazy(body, dirty_in - pre);
             // Figure 2c: a register still dirty at region exit but live
             // beyond it must be restored here.
-            let exit = exit_restore | (dirty & live_out);
-            let save = AExpr::Save {
-                regs,
-                live_out,
-                exit_restore: exit,
-                body: Box::new(b),
-            };
-            let out = if pre.is_empty() {
-                save
-            } else {
-                AExpr::Seq(vec![AExpr::RestoreRegs(pre), save])
-            };
-            (out, dirty - exit)
+            let exit = *exit_restore | (dirty & *live_out);
+            *exit_restore = exit;
+            if !pre.is_empty() {
+                restore_before(e, pre);
+            }
+            dirty - exit
         }
-        AExpr::Call(mut node) => {
+        AExpr::Call(node) => {
             // Arguments execute in plan order before the call.
-            let steps = node.plan.steps.clone();
             let mut dirty = dirty_in;
-            let mut args: Vec<Option<AExpr>> = node.args.drain(..).map(Some).collect();
-            let mut closure = node.closure.take();
-            let mut new_args: Vec<Option<AExpr>> = (0..args.len()).map(|_| None).collect();
-            let mut new_closure = None;
-            for step in &steps {
+            for step in &node.plan.steps {
                 match step {
                     Step::Eval { arg, dst } => {
                         let expr = match arg {
-                            crate::alloc::ArgRef::Arg(i) => args[*i as usize].take().expect("once"),
-                            crate::alloc::ArgRef::Closure => *closure.take().expect("once"),
+                            ArgRef::Arg(i) => &mut node.args[*i as usize],
+                            ArgRef::Closure => {
+                                node.closure.as_deref_mut().expect("closure present")
+                            }
                         };
-                        let (e2, d) = lazy(expr, dirty);
-                        dirty = d;
+                        dirty = lazy(expr, dirty);
                         if let Dest::Reg(r) | Dest::Temp(TempLoc::Reg(r)) = dst {
                             dirty = dirty.remove(*r);
                         }
-                        match arg {
-                            crate::alloc::ArgRef::Arg(i) => new_args[*i as usize] = Some(e2),
-                            crate::alloc::ArgRef::Closure => new_closure = Some(Box::new(e2)),
-                        }
                     }
                     Step::Move { from, dst } => {
+                        // A shuffle temp is never a saved home, so a
+                        // dirty `from` cannot happen; defensive.
                         if let TempLoc::Reg(r) = from {
-                            if dirty.contains(*r) {
-                                // A shuffle temp is never a saved home,
-                                // so this cannot happen; defensive.
-                                dirty = dirty.remove(*r);
-                            }
+                            dirty = dirty.remove(*r);
                         }
                         if let Dest::Reg(r) | Dest::Temp(TempLoc::Reg(r)) = dst {
                             dirty = dirty.remove(*r);
@@ -461,10 +301,8 @@ fn lazy(e: AExpr, dirty_in: RegSet) -> (AExpr, RegSet) {
                     }
                 }
             }
-            node.args = new_args.into_iter().map(|a| a.expect("arg")).collect();
-            node.closure = new_closure;
             let eager = std::mem::replace(&mut node.restore, RegSet::EMPTY);
-            let dirty_out = if node.tail {
+            if node.tail {
                 if dirty.contains(RET) {
                     // The jump needs the return address back in `ret`;
                     // the reload must come after the argument shuffle
@@ -480,30 +318,11 @@ fn lazy(e: AExpr, dirty_in: RegSet) -> (AExpr, RegSet) {
                 // eager pass computed exactly the referenced set; all of
                 // it is now dirty instead of restored.
                 dirty | eager | node.live_after
-            };
-            (AExpr::Call(node), dirty_out)
-        }
-        AExpr::MakeClosure { func, free } => {
-            let mut dirty = dirty_in;
-            let mut out = Vec::with_capacity(free.len());
-            for a in free {
-                let (a2, d) = lazy(a, dirty);
-                dirty = d;
-                out.push(a2);
             }
-            (AExpr::MakeClosure { func, free: out }, dirty)
         }
-        AExpr::ClosureSet { clo, index, value } => {
-            let (c, dirty) = lazy(*clo, dirty_in);
-            let (v, dirty) = lazy(*value, dirty);
-            (
-                AExpr::ClosureSet {
-                    clo: Box::new(c),
-                    index,
-                    value: Box::new(v),
-                },
-                dirty,
-            )
+        AExpr::ClosureSet { clo, value, .. } => {
+            let dirty = lazy(clo, dirty_in);
+            lazy(value, dirty)
         }
     }
 }

@@ -15,8 +15,18 @@
 //!    distinct text — fan out over the [`lesgs_exec`] worker pool.
 //! 3. **Admit** (sequential): compiled programs enter the cache in
 //!    classification order, evicting LRU entries over capacity.
-//! 4. **Execute** (parallel): run requests fan out over the pool;
-//!    results return in submission order.
+//! 4. **Execute** (parallel): each distinct text with a run request
+//!    executes once — executions fan out over the pool — and every run
+//!    request of that text is answered from that one outcome or
+//!    failure, in submission order.
+//!
+//! Phase 4 may share one execution among requests because a program's
+//! run is deterministic: the VM reads no input, clock or randomness,
+//! and within a batch a text names one program (a resident text stays
+//! pinned, an absent one compiles once). So every execution of it would
+//! produce the same value, output and `RunStats`, or the same error —
+//! fuel exhaustion included. A traced engine prints one set of run-time
+//! `trace:` lines per execution, not per run request.
 //!
 //! The service's pool is a default one, so its calling thread is a
 //! worker: a one-worker service runs phases 2 and 4 on the thread that
@@ -277,12 +287,17 @@ impl Service {
             .collect();
         lap(2);
 
-        // Phase 4 — resolve every request; run requests fan out.
+        // Phase 4 — resolve every request; run requests fan out, one
+        // execution per distinct text (deterministic: see the module
+        // docs). `run_job` maps each text to its execution, and `uses`
+        // counts the run requests that share it.
         enum Slot {
             Done(Response),
             Running { cached: bool, job: usize },
         }
         let mut run_jobs: Vec<Arc<CompiledProgram>> = Vec::new();
+        let mut run_job: HashMap<&str, usize> = HashMap::new();
+        let mut uses: Vec<usize> = Vec::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(requests.len());
         for (req, (cached, program)) in requests.iter().zip(programs) {
             let program = match program {
@@ -296,35 +311,47 @@ impl Service {
                         code_size: program.code_size(),
                         cached,
                     })),
-                    Request::Run { .. } => {
-                        slots.push(Slot::Running {
-                            cached,
-                            job: run_jobs.len(),
+                    Request::Run { source } => {
+                        let job = *run_job.entry(source).or_insert_with(|| {
+                            run_jobs.push(program);
+                            uses.push(0);
+                            run_jobs.len() - 1
                         });
-                        run_jobs.push(program);
+                        uses[job] += 1;
+                        slots.push(Slot::Running { cached, job });
                     }
                 },
             }
         }
         let run_out = map_ordered(&self.pool, run_jobs, |_, program| engine.execute(&program));
-        let mut run_results: Vec<Option<_>> = run_out.results.into_iter().map(Some).collect();
+        let mut outcomes: Vec<Option<Result<Box<VmOutcome>, String>>> = run_out
+            .results
+            .into_iter()
+            .map(|job| {
+                Some(match job {
+                    Ok(Ok(outcome)) => Ok(Box::new(outcome)),
+                    Ok(Err(e)) => Err(e.to_string()),
+                    Err(panic) => Err(panic.to_string()),
+                })
+            })
+            .collect();
 
         let responses: Vec<Response> = slots
             .into_iter()
             .map(|slot| match slot {
                 Slot::Done(r) => r,
                 Slot::Running { cached, job } => {
-                    match run_results[job].take().expect("one slot per job") {
-                        Ok(Ok(outcome)) => Response::Ran {
-                            outcome: Box::new(outcome),
-                            cached,
-                        },
-                        Ok(Err(e)) => Response::Failed {
-                            message: e.to_string(),
-                        },
-                        Err(panic) => Response::Failed {
-                            message: panic.to_string(),
-                        },
+                    // The last run request of a text takes the outcome;
+                    // the ones before it copy it.
+                    uses[job] -= 1;
+                    let outcome = if uses[job] == 0 {
+                        outcomes[job].take()
+                    } else {
+                        outcomes[job].clone()
+                    };
+                    match outcome.expect("a job's outcome outlives its last request") {
+                        Ok(outcome) => Response::Ran { outcome, cached },
+                        Err(message) => Response::Failed { message },
                     }
                 }
             })
@@ -373,6 +400,8 @@ impl Service {
         reg.inc("svc.cache.misses", stats.misses);
         reg.inc("svc.cache.evictions", stats.evictions);
         reg.inc("svc.errors", stats.errors);
+        // One execute job per distinct run text that compiled.
+        reg.inc("svc.executions", jobs[1].submitted);
         reg.set_gauge("svc.cache.size", self.cache.len() as f64);
         reg.set_gauge("svc.cache.capacity", self.cache.capacity() as f64);
         for (pool, name) in jobs
@@ -419,6 +448,7 @@ mod tests {
         let (responses, stats) = svc.process_batch(&batch, &mut reg);
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.hits, 1);
+        assert_eq!(reg.counter("svc.executions"), 2, "one run per text");
         assert!(responses[1].was_cached());
         assert!(!responses[0].was_cached());
         match (&responses[0], &responses[1]) {

@@ -2,13 +2,20 @@
 //!
 //! Phase 1 of `Service::process_batch` coalesces every repeated
 //! source text within one batch onto the first occurrence's
-//! compilation, *independent of cache capacity*. These tests pin that
-//! contract (1 compile + N−1 hits for in-batch duplicates, invariant
-//! under worker count) and its two edge cases: capacity 0 with
-//! duplicates still hits, and an all-unique batch hits nothing.
+//! compilation, *independent of cache capacity*, and phase 4 runs
+//! each distinct text once for all of its run requests. These tests
+//! pin that contract (1 compile + N−1 hits for in-batch duplicates,
+//! one execution per run text, invariant under worker count), its two
+//! edge cases (capacity 0 with duplicates still hits, and an
+//! all-unique batch hits nothing), and that every shared answer equals
+//! a compile and run of its request alone.
 
+use std::collections::{HashMap, HashSet};
+
+use lesgs_engine::{CompilerConfig, Engine};
 use lesgs_metrics::Registry;
 use lesgs_svc::{Request, Response, Service, ServiceConfig};
+use lesgs_testkit::{run_cases, Rng};
 
 fn run(source: &str) -> Request {
     Request::Run {
@@ -70,6 +77,7 @@ fn coalescing_is_one_compile_per_key_for_any_worker_count() {
             let (responses, stats) = svc.process_batch(&batch, &mut reg);
             assert_eq!(stats.misses, 3, "one compile per distinct key");
             assert_eq!(stats.hits, 9, "every duplicate coalesced");
+            assert_eq!(reg.counter("svc.executions"), 3, "one run per key");
             (
                 responses,
                 stats.hits,
@@ -87,4 +95,166 @@ fn coalescing_is_one_compile_per_key_for_any_worker_count() {
         (Response::Ran { outcome: a, .. }, Response::Ran { outcome: b, .. }) => assert_eq!(a, b),
         other => panic!("expected runs, got {other:?}"),
     }
+}
+
+/// The default configuration under a budget of 100,000 instructions.
+fn fueled_config() -> CompilerConfig {
+    CompilerConfig {
+        fuel: 100_000,
+        ..CompilerConfig::default()
+    }
+}
+
+fn fueled(workers: usize, cache_capacity: usize) -> Service {
+    Service::new(ServiceConfig {
+        compiler: fueled_config(),
+        workers,
+        cache_capacity,
+    })
+}
+
+const LOOP: &str = "(let loop () (loop))";
+
+/// Eight run requests of a program that never halts execute once: one
+/// fuel budget is spent, and all eight get its failure.
+#[test]
+fn duplicate_runaway_runs_spend_one_budget() {
+    let mut svc = fueled(1, 64);
+    let mut reg = Registry::new();
+    let batch = vec![run(LOOP); 8];
+    let (responses, stats) = svc.process_batch(&batch, &mut reg);
+    assert_eq!(reg.counter("svc.executions"), 1);
+    let executions = reg.histogram("svc.execute_job_ns").map_or(0, |h| h.count);
+    assert_eq!(executions, 1, "one execute job");
+    let failure = alone(&run(LOOP));
+    assert!(failure.is_failure(), "the loop exhausts its fuel");
+    assert!(responses.iter().all(|r| *r == failure), "{responses:?}");
+    assert_eq!((stats.errors, stats.misses, stats.hits), (8, 1, 7));
+}
+
+/// The texts the property draws from: values, output, a heap value, a
+/// compile error, a run-time error and a loop that exhausts its fuel.
+const TEXTS: [&str; 12] = [
+    "(+ 1 2)",
+    "(* 6 7)",
+    "(define (f n) (if (zero? n) 0 (+ 2 (f (- n 1))))) (f 10)",
+    "(display \"hi\") (newline) 7",
+    "(define v (make-vector 3 1)) (vector-set! v 0 5) (vector-ref v 0)",
+    "(let loop ((i 0) (acc '())) (if (= i 5) acc (loop (+ i 1) (cons i acc))))",
+    "(string-length \"abc\")",
+    "'sym",
+    "(length (list 1 2 3))",
+    "(+ 1",
+    "(car 5)",
+    LOOP,
+];
+
+/// A response with its `cached` flag cleared: what a request alone,
+/// compiled and run by a fresh engine, would get.
+fn uncached(response: &Response) -> Response {
+    match response.clone() {
+        Response::Compiled { code_size, .. } => Response::Compiled {
+            code_size,
+            cached: false,
+        },
+        Response::Ran { outcome, .. } => Response::Ran {
+            outcome,
+            cached: false,
+        },
+        failed => failed,
+    }
+}
+
+/// A fresh engine's compile, then run, of one request alone.
+fn alone(request: &Request) -> Response {
+    let engine = Engine::with_config(fueled_config());
+    let program = match engine.compile(request.source()) {
+        Ok(program) => program,
+        Err(e) => {
+            return Response::Failed {
+                message: e.to_string(),
+            }
+        }
+    };
+    match request {
+        Request::Compile { .. } => Response::Compiled {
+            code_size: program.code_size(),
+            cached: false,
+        },
+        Request::Run { .. } => match engine.execute(&program) {
+            Ok(outcome) => Response::Ran {
+                outcome: Box::new(outcome),
+                cached: false,
+            },
+            Err(e) => Response::Failed {
+                message: e.to_string(),
+            },
+        },
+    }
+}
+
+fn batch(rng: &mut Rng) -> Vec<Request> {
+    let len = 1 + rng.below(64);
+    (0..len)
+        .map(|_| {
+            let source = (*rng.pick(&TEXTS)).to_owned();
+            if rng.chance(1, 4) {
+                Request::Compile { source }
+            } else {
+                Request::Run { source }
+            }
+        })
+        .collect()
+}
+
+/// Seeded batches of 1–64 requests over [`TEXTS`], each sent through a
+/// one-worker and a four-worker service with a cache smaller than the
+/// text set: every response equals its request run alone, the cache
+/// accounting agrees across worker counts, and each batch executes
+/// exactly its distinct run texts that compiled.
+#[test]
+fn shared_runs_answer_as_if_run_alone() {
+    let engine = Engine::with_config(fueled_config());
+    let compiles: HashSet<&str> = TEXTS
+        .into_iter()
+        .filter(|&s| engine.compile(s).is_ok())
+        .collect();
+    assert_eq!(
+        compiles.len(),
+        TEXTS.len() - 1,
+        "only `(+ 1` fails to compile"
+    );
+    let mut expected: HashMap<(bool, String), Response> = HashMap::new();
+    run_cases(24, |rng| {
+        let batches: Vec<Vec<Request>> = (0..1 + rng.below(3)).map(|_| batch(rng)).collect();
+        let accounts: Vec<Vec<(u64, u64, u64, u64)>> = [1usize, 4]
+            .iter()
+            .map(|&workers| {
+                let mut svc = fueled(workers, 4);
+                batches
+                    .iter()
+                    .map(|requests| {
+                        let mut reg = Registry::new();
+                        let (responses, stats) = svc.process_batch(requests, &mut reg);
+                        assert_eq!(responses.len(), requests.len());
+                        for (request, response) in requests.iter().zip(&responses) {
+                            let run = matches!(request, Request::Run { .. });
+                            let key = (run, request.source().to_owned());
+                            let want = expected.entry(key).or_insert_with(|| alone(request));
+                            assert_eq!(uncached(response), *want, "{request:?}");
+                        }
+                        let ran: HashSet<&str> = requests
+                            .iter()
+                            .filter(|r| matches!(r, Request::Run { .. }))
+                            .map(Request::source)
+                            .filter(|s| compiles.contains(s))
+                            .collect();
+                        assert_eq!(reg.counter("svc.executions"), ran.len() as u64);
+                        (stats.hits, stats.misses, stats.evictions, stats.errors)
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(accounts[0], accounts[1], "workers 1 against workers 4");
+    });
 }
