@@ -637,7 +637,7 @@ mod tests {
             .expect("the workload has run requests");
         let mut altered = responses.clone();
         if let Response::Ran { outcome, .. } = &mut altered[ran] {
-            outcome.value.push('0');
+            std::sync::Arc::make_mut(outcome).value.push('0');
         }
         assert!(check_replay(&service, &pool, &stream, &altered).is_err());
 

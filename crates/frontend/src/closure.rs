@@ -20,7 +20,8 @@
 //!   closures; mutually recursive closures are created with placeholder
 //!   slots and backpatched (`ClosureSet`).
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 
 use crate::ast::{Const, Expr, Lambda, Variable};
@@ -32,9 +33,12 @@ use crate::names::{Interner, VarId, VarMap, VarSet};
 /// may shadow outer ones) and the renamed AST (`V = VarId`).
 pub fn free_vars<V: Variable + Ord + Hash + Clone>(e: &Expr<V>) -> BTreeSet<V> {
     let mut out = BTreeSet::new();
-    for_each_free(e, &mut |v| {
-        out.insert(v.clone());
-    });
+    walk_free(
+        e,
+        &mut Unbound::new(|v: &V| {
+            out.insert(v.clone());
+        }),
+    );
     out
 }
 
@@ -42,76 +46,102 @@ pub fn free_vars<V: Variable + Ord + Hash + Clone>(e: &Expr<V>) -> BTreeSet<V> {
 /// (the same set as [`free_vars`] of `Expr::Lambda(l)`).
 pub(crate) fn free_vars_lambda(l: &Lambda<VarId>) -> BTreeSet<VarId> {
     let mut out = BTreeSet::new();
-    walk_free_lambda(l, &mut HashSet::default(), &mut |v| {
-        out.insert(*v);
-    });
+    walk_free_lambda(
+        l,
+        &mut Unbound::new(|v: &VarId| {
+            out.insert(*v);
+        }),
+    );
     out
 }
 
-/// Calls `f` on every free reference in `e` — a variable read or
-/// `set!` target with no binder around it in `e` — once per occurrence,
-/// in evaluation order. Collects nothing, so a caller that only looks
-/// each name up (prelude pruning) allocates nothing per name.
-pub fn for_each_free<'e, V: Variable + Hash + Eq>(e: &'e Expr<V>, f: &mut dyn FnMut(&'e V)) {
-    walk_free(e, &mut HashSet::default(), f);
+/// What a free-variable walk keeps of the binders around its position,
+/// and what it does with each reference.
+///
+/// The walk calls [`Scope::bind`] as a binder's scope opens and
+/// [`Scope::unbind`] with the same variable as it closes, so bindings
+/// nest; a variable is free at a reference when no binder of it is
+/// open.
+pub(crate) trait Scope<'e, V> {
+    /// A binder of `v` opens.
+    fn bind(&mut self, v: &'e V);
+    /// The innermost open binder of `v` closes.
+    fn unbind(&mut self, v: &'e V);
+    /// A variable read or `set!` target names `v`.
+    fn reference(&mut self, v: &'e V);
 }
 
-/// The variables bound around the expression a free-variable walk is
-/// in.
-type Bound<'e, V> = HashSet<&'e V, <V as Variable>::Hasher>;
+/// The [`Scope`] of [`free_vars`]: counts the open binders of every
+/// variable and calls `f` on each reference to a variable with none.
+struct Unbound<'e, V: Variable, F> {
+    open: HashMap<&'e V, u32, V::Hasher>,
+    f: F,
+}
 
-/// Runs `walk` with `vars` added to `bound`; a variable that was
-/// already bound stays bound afterwards.
-fn with_bound<'e, V: Variable + Hash + Eq>(
-    vars: impl Iterator<Item = &'e V>,
-    bound: &mut Bound<'e, V>,
-    walk: impl FnOnce(&mut Bound<'e, V>),
-) {
-    let added: Vec<&V> = vars.filter(|v| bound.insert(v)).collect();
-    walk(bound);
-    for v in added {
-        bound.remove(v);
+impl<'e, V: Variable, F> Unbound<'e, V, F> {
+    fn new(f: F) -> Self {
+        Unbound {
+            open: HashMap::default(),
+            f,
+        }
     }
 }
 
-fn walk_free_lambda<'e, V: Variable + Hash + Eq>(
-    l: &'e Lambda<V>,
-    bound: &mut Bound<'e, V>,
-    f: &mut dyn FnMut(&'e V),
-) {
-    with_bound(l.params.iter(), bound, |bound| walk_free(&l.body, bound, f));
+impl<'e, V: Variable + Hash + Eq, F: FnMut(&'e V)> Scope<'e, V> for Unbound<'e, V, F> {
+    fn bind(&mut self, v: &'e V) {
+        *self.open.entry(v).or_insert(0) += 1;
+    }
+
+    fn unbind(&mut self, v: &'e V) {
+        if let Entry::Occupied(mut open) = self.open.entry(v) {
+            *open.get_mut() -= 1;
+            if *open.get() == 0 {
+                open.remove();
+            }
+        }
+    }
+
+    fn reference(&mut self, v: &'e V) {
+        if !self.open.contains_key(v) {
+            (self.f)(v);
+        }
+    }
 }
 
-fn walk_free<'e, V: Variable + Hash + Eq>(
-    e: &'e Expr<V>,
-    bound: &mut Bound<'e, V>,
-    f: &mut dyn FnMut(&'e V),
-) {
+/// Walks `e` in evaluation order, telling `scope` of every binder and
+/// every reference; the scoping rules of the language live here once.
+pub(crate) fn walk_free<'e, V, S: Scope<'e, V>>(e: &'e Expr<V>, scope: &mut S) {
     match e {
-        Expr::Lambda(l) => walk_free_lambda(l, bound, f),
+        Expr::Lambda(l) => walk_free_lambda(l, scope),
         Expr::Let(bs, b) => {
             for (_, rhs) in bs {
-                walk_free(rhs, bound, f);
+                walk_free(rhs, scope);
             }
-            with_bound(bs.iter().map(|(v, _)| v), bound, |bound| {
-                walk_free(b, bound, f)
-            });
+            bs.iter().for_each(|(v, _)| scope.bind(v));
+            walk_free(b, scope);
+            bs.iter().for_each(|(v, _)| scope.unbind(v));
         }
-        Expr::Letrec(bs, b) => with_bound(bs.iter().map(|(v, _)| v), bound, |bound| {
+        Expr::Letrec(bs, b) => {
+            bs.iter().for_each(|(v, _)| scope.bind(v));
             for (_, l) in bs {
-                walk_free_lambda(l, bound, f);
+                walk_free_lambda(l, scope);
             }
-            walk_free(b, bound, f);
-        }),
+            walk_free(b, scope);
+            bs.iter().for_each(|(v, _)| scope.unbind(v));
+        }
         _ => {
             if let Expr::Var(v) | Expr::Set(v, _) = e {
-                if !bound.contains(v) {
-                    f(v);
-                }
+                scope.reference(v);
             }
-            e.for_each_child(&mut |c| walk_free(c, bound, f));
+            e.for_each_child(&mut |c| walk_free(c, scope));
         }
     }
+}
+
+fn walk_free_lambda<'e, V, S: Scope<'e, V>>(l: &'e Lambda<V>, scope: &mut S) {
+    l.params.iter().for_each(|v| scope.bind(v));
+    walk_free(&l.body, scope);
+    l.params.iter().for_each(|v| scope.unbind(v));
 }
 
 /// Collects value-position and operator-position references to `names`.

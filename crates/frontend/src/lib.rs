@@ -38,6 +38,7 @@ pub mod lift;
 pub mod names;
 pub mod pipeline;
 pub mod prim;
+pub mod print;
 pub mod program;
 pub mod rename;
 

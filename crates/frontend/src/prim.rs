@@ -502,16 +502,7 @@ impl Prim {
     /// assert_eq!(Prim::lookup("frob"), None);
     /// ```
     pub fn lookup(name: &str) -> Option<(Prim, PrimArity)> {
-        // The search compares the names' first eight bytes as integers
-        // and only the names that share them in full.
-        let key = prefix_key(name);
-        let first = KEYS.partition_point(|&k| k < key);
-        let &(_, prim) = SURFACE[first..]
-            .iter()
-            .zip(&KEYS[first..])
-            .take_while(|&(_, &k)| k == key)
-            .map(|(entry, _)| entry)
-            .find(|(n, _)| *n == name)?;
+        let &prim = find_sorted(&SURFACE, &KEYS, name)?;
         Some((prim, prim.surface_arity()))
     }
 }
@@ -568,9 +559,27 @@ const KEYS: [u64; 58] = {
     keys
 };
 
+/// The entry named `name` in `table`, sorted by name, whose names have
+/// the [`prefix_key`]s `keys`. The search compares the names' first
+/// eight bytes as integers and only the names that share them in full.
+pub(crate) fn find_sorted<'t, T>(
+    table: &'t [(&str, T)],
+    keys: &[u64],
+    name: &str,
+) -> Option<&'t T> {
+    let key = prefix_key(name);
+    let first = keys.partition_point(|&k| k < key);
+    table[first..]
+        .iter()
+        .zip(&keys[first..])
+        .take_while(|&(_, &k)| k == key)
+        .find(|((n, _), _)| *n == name)
+        .map(|((_, entry), _)| entry)
+}
+
 /// The first eight bytes of `name` as a big-endian integer, zero-padded,
 /// so that keys order as the names' first eight bytes do.
-const fn prefix_key(name: &str) -> u64 {
+pub(crate) const fn prefix_key(name: &str) -> u64 {
     let bytes = name.as_bytes();
     let mut key = 0;
     let mut i = 0;

@@ -23,14 +23,15 @@
 //! A [`SurfaceProgram`] lends its names from the text its forms were
 //! read from; prelude names are lent from [`PRELUDE`] itself.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use lesgs_sexpr::{read, Datum};
 
 use crate::ast::{Const, Expr, Lambda};
-use crate::closure::for_each_free;
+use crate::closure::{walk_free, Scope};
 use crate::desugar::{self, SurfaceExpr};
+use crate::prim::{find_sorted, prefix_key};
 use crate::FrontError;
 
 /// The standard library, written in the source language itself.
@@ -164,8 +165,68 @@ struct PreludeDefine {
 struct Prelude {
     /// Defines in prelude order.
     defines: Vec<PreludeDefine>,
-    /// Name → index into `defines`.
-    index: HashMap<&'static str, usize>,
+    /// Each define's name and index into `defines`, sorted by name.
+    names: Vec<(&'static str, usize)>,
+    /// The [`prefix_key`] of each name in `names`, in its order.
+    keys: Vec<u64>,
+}
+
+impl Prelude {
+    /// The index of the prelude define called `name`. A binary search
+    /// of the sorted names, as [`crate::Prim::lookup`] makes: source
+    /// text never reaches a hash table here.
+    fn lookup(&self, name: &str) -> Option<usize> {
+        find_sorted(&self.names, &self.keys, name).copied()
+    }
+
+    /// Appends to `out` the prelude defines each of `exprs` names
+    /// freely, once per reference.
+    fn free_refs<'e, 'a: 'e>(
+        &self,
+        exprs: impl IntoIterator<Item = &'e SurfaceExpr<'a>>,
+        out: &mut Vec<usize>,
+    ) {
+        let mut scope = PreludeRefs {
+            prelude: self,
+            shadowed: vec![0; self.defines.len()],
+            out,
+        };
+        for e in exprs {
+            walk_free(e, &mut scope);
+        }
+    }
+}
+
+/// The [`Scope`] that finds the prelude defines an expression names
+/// freely. It resolves every name against the prelude and keeps count
+/// only of the binders that shadow a prelude name.
+struct PreludeRefs<'p, 'o> {
+    prelude: &'p Prelude,
+    /// The open binders of each prelude define's name.
+    shadowed: Vec<u32>,
+    out: &'o mut Vec<usize>,
+}
+
+impl<'e, 'a> Scope<'e, &'a str> for PreludeRefs<'_, '_> {
+    fn bind(&mut self, v: &'e &'a str) {
+        if let Some(i) = self.prelude.lookup(v) {
+            self.shadowed[i] += 1;
+        }
+    }
+
+    fn unbind(&mut self, v: &'e &'a str) {
+        if let Some(i) = self.prelude.lookup(v) {
+            self.shadowed[i] -= 1;
+        }
+    }
+
+    fn reference(&mut self, v: &'e &'a str) {
+        if let Some(i) = self.prelude.lookup(v) {
+            if self.shadowed[i] == 0 {
+                self.out.push(i);
+            }
+        }
+    }
 }
 
 /// The process-wide prelude, built by the first compile. A `OnceLock`
@@ -175,22 +236,33 @@ fn prelude() -> &'static Prelude {
     static PRELUDE_DEFINES: OnceLock<Prelude> = OnceLock::new();
     PRELUDE_DEFINES.get_or_init(|| {
         let mut defines = Vec::new();
-        let mut index = HashMap::new();
         for form in read(PRELUDE).expect("prelude reads") {
             let items = form.as_slice().expect("prelude form is a list");
             let (name, rhs) = desugar::split_define(items).expect("prelude desugars");
-            index.insert(name, defines.len());
-            defines.push((name, rhs));
+            defines.push(PreludeDefine {
+                name,
+                rhs,
+                deps: Vec::new(),
+            });
         }
-        let defines = defines
-            .into_iter()
-            .map(|(name, rhs)| {
-                let mut deps = Vec::new();
-                for_each_free(&rhs, &mut |n| deps.extend(index.get(n)));
-                PreludeDefine { name, rhs, deps }
-            })
+        let mut names: Vec<(&'static str, usize)> = defines
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (d.name, i))
             .collect();
-        Prelude { defines, index }
+        names.sort_unstable();
+        let keys = names.iter().map(|&(name, _)| prefix_key(name)).collect();
+        let mut prelude = Prelude {
+            defines,
+            names,
+            keys,
+        };
+        for i in 0..prelude.defines.len() {
+            let mut deps = Vec::new();
+            prelude.free_refs([&prelude.defines[i].rhs], &mut deps);
+            prelude.defines[i].deps = deps;
+        }
+        prelude
     })
 }
 
@@ -226,14 +298,12 @@ impl<'a> SurfaceProgram<'a> {
         // done[i]: prelude define i is shadowed or already reached.
         let mut done = vec![false; prelude.defines.len()];
         for (name, _) in &defines {
-            if let Some(&i) = prelude.index.get(*name) {
+            if let Some(i) = prelude.lookup(name) {
                 done[i] = true;
             }
         }
         let mut stack: Vec<usize> = Vec::new();
-        for e in defines.iter().map(|(_, rhs)| rhs).chain(&mains) {
-            for_each_free(e, &mut |n| stack.extend(prelude.index.get(*n)));
-        }
+        prelude.free_refs(defines.iter().map(|(_, rhs)| rhs).chain(&mains), &mut stack);
         let mut wanted = Vec::new();
         while let Some(i) = stack.pop() {
             if !done[i] {
@@ -346,6 +416,41 @@ mod tests {
         let names: Vec<&str> = p.defines.iter().map(|(n, _)| *n).collect();
         assert!(names.contains(&"list-ref"));
         assert!(names.contains(&"list-tail"));
+    }
+
+    fn kept(src: &'static str) -> Vec<&'static str> {
+        let p = program(src);
+        p.defines.iter().map(|(n, _)| *n).collect()
+    }
+
+    #[test]
+    fn a_lambda_parameter_shadows_a_prelude_name() {
+        assert!(kept("((lambda (reverse) (reverse 1)) car)").is_empty());
+        assert_eq!(kept("((lambda (x) (reverse x)) '(1))"), ["reverse"]);
+    }
+
+    #[test]
+    fn a_let_binding_shadows_in_its_body_only() {
+        assert!(kept("(let ((append car)) (append '(1)))").is_empty());
+        assert_eq!(
+            kept("(let ((append (append '(1) '(2)))) append)"),
+            ["append"],
+            "the right-hand side is outside the binding"
+        );
+    }
+
+    #[test]
+    fn a_named_let_loop_shadows_a_prelude_name() {
+        let src = "(let length ((l '(1 2)) (n 0)) (if (null? l) n (length (cdr l) (+ n 1))))";
+        assert!(kept(src).is_empty());
+        let src = "(let loop ((i 0)) (if (= i 2) (length '(1)) (loop (+ i 1))))";
+        assert_eq!(kept(src), ["length"]);
+    }
+
+    #[test]
+    fn a_shadowing_binder_ends_with_its_scope() {
+        let src = "(begin (let ((map 1)) map) (map car '((1))))";
+        assert_eq!(kept(src), ["map"]);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
+use lesgs_frontend::print::{self, Node, Printable};
 use lesgs_frontend::EqualClasses;
 
 use crate::env::Env;
@@ -312,7 +313,7 @@ impl Value {
     /// Renders the value in `display` style (strings and chars raw).
     pub fn display_string(&self) -> String {
         let mut s = String::new();
-        self.render(&mut s, false);
+        print::render(self, &mut s, false);
         s
     }
 
@@ -320,74 +321,39 @@ impl Value {
     /// `#\` syntax).
     pub fn write_string(&self) -> String {
         let mut s = String::new();
-        self.render(&mut s, true);
+        print::render(self, &mut s, true);
         s
     }
+}
 
-    /// Renders with an explicit stack of the lists and vectors being
-    /// printed, so nesting depth costs heap, not call stack.
-    fn render(&self, out: &mut String, write: bool) {
-        let mut open: Vec<Open> = Vec::new();
-        let mut current = Some(self.clone());
-        loop {
-            match current.take() {
-                Some(Value::Pair(p)) => {
-                    out.push('(');
-                    let (car, cdr) = p.borrow().clone();
-                    open.push(Open::List(cdr));
-                    current = Some(car);
-                    continue;
-                }
-                Some(Value::Vector(v)) => {
-                    out.push_str("#(");
-                    open.push(Open::Vector(v, 0));
-                }
-                Some(atom) => atom.render_atom(out, write),
-                None => {}
+impl Printable for Value {
+    fn node(&self) -> Node<Value> {
+        match self {
+            Value::Pair(p) => {
+                let (car, cdr) = p.borrow().clone();
+                Node::Pair(car, cdr)
             }
-            // The current value is printed: go on with the innermost
-            // open list or vector.
-            match open.last_mut() {
-                None => return,
-                Some(Open::List(rest)) => match std::mem::replace(rest, Value::Nil) {
-                    Value::Pair(p) => {
-                        out.push(' ');
-                        let (car, cdr) = p.borrow().clone();
-                        *rest = cdr;
-                        current = Some(car);
-                    }
-                    Value::Nil => {
-                        out.push(')');
-                        open.pop();
-                    }
-                    tail => {
-                        // Printed next; the `()` left in `rest` then
-                        // closes the list.
-                        out.push_str(" . ");
-                        current = Some(tail);
-                    }
-                },
-                Some(Open::Vector(v, next)) => {
-                    let item = v.borrow().get(*next).cloned();
-                    match item {
-                        Some(item) => {
-                            if *next > 0 {
-                                out.push(' ');
-                            }
-                            *next += 1;
-                            current = Some(item);
-                        }
-                        None => {
-                            out.push(')');
-                            open.pop();
-                        }
-                    }
-                }
-            }
+            Value::Vector(_) => Node::Vector,
+            Value::Nil => Node::Nil,
+            _ => Node::Atom,
         }
     }
 
-    /// Renders a value that is neither a pair nor a vector.
+    fn item(&self, i: usize) -> Option<Value> {
+        match self {
+            Value::Vector(items) => items.borrow().get(i).cloned(),
+            _ => None,
+        }
+    }
+
+    fn heap(&self) -> Option<(usize, usize)> {
+        match self {
+            Value::Pair(p) => Some((Rc::as_ptr(p) as usize, Rc::strong_count(p))),
+            Value::Vector(v) => Some((Rc::as_ptr(v) as usize, Rc::strong_count(v))),
+            _ => None,
+        }
+    }
+
     fn render_atom(&self, out: &mut String, write: bool) {
         match self {
             Value::Fixnum(n) => out.push_str(&n.to_string()),
@@ -427,7 +393,9 @@ impl Value {
             Value::Symbol(s) => out.push_str(s),
             Value::Nil => out.push_str("()"),
             Value::Void => out.push_str("#<void>"),
-            Value::Pair(_) | Value::Vector(_) => unreachable!("render walks pairs and vectors"),
+            Value::Pair(_) | Value::Vector(_) => {
+                unreachable!("the printer walks pairs and vectors")
+            }
             Value::Closure(c) => {
                 out.push_str("#<procedure");
                 if let Some(n) = &c.code.name {
@@ -462,14 +430,6 @@ fn heap_addr(v: &Value) -> usize {
         Value::Vector(v) => Rc::as_ptr(v) as usize,
         _ => unreachable!("only pairs and vectors are queued"),
     }
-}
-
-/// A list or vector [`Value::render`] has opened but not closed.
-enum Open {
-    /// A list, with the part not printed yet.
-    List(Value),
-    /// A vector, with the index of the next element to print.
-    Vector(Rc<VectorCell>, usize),
 }
 
 impl fmt::Display for Value {

@@ -6,21 +6,67 @@
 //! with distinct logical ticks, so a replayed workload produces the
 //! same hit/miss/eviction sequence on every run — the property the
 //! bench report's `service_cache` table gates on.
+//!
+//! An entry is a [`Resident`]: the compiled program and, once it has
+//! run, its answer. The answer lives exactly as long as the record, so
+//! a program evicted and compiled again starts without one.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use lesgs_engine::CompiledProgram;
+use lesgs_engine::{CompiledProgram, VmOutcome};
+
+/// What a run of a program ends in: its outcome, or its rendered
+/// run-time error (fuel exhaustion included).
+pub type Answer = Result<Arc<VmOutcome>, String>;
+
+/// A compiled program and the answer of its first run.
+///
+/// The VM reads no input, clock or randomness, so under one engine
+/// configuration every run of a program gives this answer; the service
+/// records the first and serves later run requests from it.
+#[derive(Debug)]
+pub struct Resident {
+    program: CompiledProgram,
+    answer: OnceLock<Answer>,
+}
+
+impl Resident {
+    /// A program that has not run yet.
+    pub fn new(program: CompiledProgram) -> Resident {
+        Resident {
+            program,
+            answer: OnceLock::new(),
+        }
+    }
+
+    /// The compiled program.
+    pub fn program(&self) -> &CompiledProgram {
+        &self.program
+    }
+
+    /// The answer of the program's first run, once recorded.
+    pub fn answer(&self) -> Option<&Answer> {
+        self.answer.get()
+    }
+
+    /// Records the answer of the program's first run; a later one is
+    /// ignored, since it can only be the same.
+    pub fn record(&self, answer: Answer) {
+        let _ = self.answer.set(answer);
+    }
+}
 
 struct Entry {
-    program: Arc<CompiledProgram>,
+    resident: Arc<Resident>,
     /// Logical access time: the cache's tick counter at the last hit
     /// or insert. Logical, not wall-clock, so eviction order is a
     /// pure function of the request sequence.
     last_used: u64,
 }
 
-/// An LRU cache of compiled programs, keyed by source text.
+/// An LRU cache of compiled programs and their answers, keyed by
+/// source text.
 ///
 /// A capacity of zero disables caching: every lookup misses and
 /// nothing is stored (a no-cache baseline).
@@ -61,28 +107,28 @@ impl ProgramCache {
     }
 
     /// Looks up `source`, marking it most-recently-used on a hit.
-    pub fn get(&mut self, source: &str) -> Option<Arc<CompiledProgram>> {
+    pub fn get(&mut self, source: &str) -> Option<Arc<Resident>> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(source).map(|e| {
             e.last_used = tick;
-            Arc::clone(&e.program)
+            Arc::clone(&e.resident)
         })
     }
 
-    /// Inserts `program`, compiled from `source`, evicting
+    /// Inserts `resident`, compiled from `source`, evicting
     /// least-recently-used entries while over capacity. Returns how
     /// many were evicted.
     ///
     /// Every touch gets a distinct tick, so recency never ties and
     /// the victim choice is a pure function of the access sequence.
-    pub fn insert(&mut self, source: &str, program: Arc<CompiledProgram>) -> usize {
+    pub fn insert(&mut self, source: &str, resident: Arc<Resident>) -> usize {
         if self.capacity == 0 {
             return 0;
         }
         self.tick += 1;
         let entry = Entry {
-            program,
+            resident,
             last_used: self.tick,
         };
         self.map.insert(source.into(), entry);
@@ -107,8 +153,9 @@ mod tests {
     use super::*;
     use lesgs_engine::Engine;
 
-    fn program(n: i64) -> Arc<CompiledProgram> {
-        Arc::new(Engine::new().compile(&format!("(+ {n} 1)")).unwrap())
+    fn program(n: i64) -> Arc<Resident> {
+        let program = Engine::new().compile(&format!("(+ {n} 1)")).unwrap();
+        Arc::new(Resident::new(program))
     }
 
     #[test]
@@ -138,5 +185,23 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.insert("c", program(3)), 1);
         assert!(!cache.contains("a"), "\"a\" was least recently used");
+    }
+
+    #[test]
+    fn an_answer_lives_as_long_as_its_entry() {
+        let mut cache = ProgramCache::new(1);
+        cache.insert("a", program(1));
+        let resident = cache.get("a").unwrap();
+        let outcome = Engine::new().execute(resident.program()).unwrap();
+        resident.record(Ok(Arc::new(outcome)));
+        resident.record(Err("a second answer is ignored".to_owned()));
+        let answer = cache.get("a").unwrap().answer().cloned();
+        assert_eq!(answer.unwrap().unwrap().value, "2");
+        cache.insert("b", program(2));
+        cache.insert("a", program(1));
+        assert!(
+            cache.get("a").unwrap().answer().is_none(),
+            "a new residency"
+        );
     }
 }

@@ -15,18 +15,22 @@
 //!    distinct text — fan out over the [`lesgs_exec`] worker pool.
 //! 3. **Admit** (sequential): compiled programs enter the cache in
 //!    classification order, evicting LRU entries over capacity.
-//! 4. **Execute** (parallel): each distinct text with a run request
-//!    executes once — executions fan out over the pool — and every run
-//!    request of that text is answered from that one outcome or
-//!    failure, in submission order.
+//! 4. **Execute** (parallel): each program with a run request and no
+//!    answer yet executes once — executions fan out over the pool — and
+//!    its answer is recorded beside it in the cache; every run request
+//!    is answered from its program's answer, in submission order.
 //!
-//! Phase 4 may share one execution among requests because a program's
-//! run is deterministic: the VM reads no input, clock or randomness,
-//! and within a batch a text names one program (a resident text stays
-//! pinned, an absent one compiles once). So every execution of it would
-//! produce the same value, output and `RunStats`, or the same error —
-//! fuel exhaustion included. A traced engine prints one set of run-time
-//! `trace:` lines per execution, not per run request.
+//! A cache entry ([`Resident`]) holds a compiled program and, once it
+//! has run, its answer: the value, the output and the `RunStats`, or
+//! the run-time error, fuel exhaustion included. Sharing it is exact
+//! because a program's run is deterministic: the VM reads no input,
+//! clock or randomness, and the service's engine configuration is
+//! fixed. The answer lives as long as the entry, so a program runs once
+//! per residency: a text that is evicted and compiled again runs again.
+//! A batch pins the entries its requests hit, so a program keeps its
+//! answer for the batch even when the batch's own admissions evict it.
+//! A traced engine prints a program's run-time `trace:` lines once per
+//! residency, not per run request.
 //!
 //! The service's pool is a default one, so its calling thread is a
 //! worker: a one-worker service runs phases 2 and 4 on the thread that
@@ -45,13 +49,13 @@
 pub mod cache;
 pub mod loadgen;
 
-pub use cache::ProgramCache;
+pub use cache::{Answer, ProgramCache, Resident};
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use lesgs_engine::{CompiledProgram, Engine, VmOutcome};
+use lesgs_engine::{Engine, VmOutcome};
 use lesgs_exec::{map_ordered, PoolConfig, PoolStats};
 use lesgs_metrics::Registry;
 
@@ -116,9 +120,9 @@ pub enum Response {
     /// A [`Request::Run`] completed.
     Ran {
         /// Value, output, and `RunStats` — byte-identical to direct
-        /// execution of the same source. Boxed so a batch of mostly
-        /// `Compiled`/`Failed` responses stays compact.
-        outcome: Box<VmOutcome>,
+        /// execution of the same source. Shared with every other run
+        /// request of the program while it stays resident.
+        outcome: Arc<VmOutcome>,
         /// True when compilation was skipped thanks to the cache.
         cached: bool,
     },
@@ -131,6 +135,19 @@ pub enum Response {
 }
 
 impl Response {
+    /// A run request's response from its program's answer.
+    fn ran(answer: &Answer, cached: bool) -> Response {
+        match answer {
+            Ok(outcome) => Response::Ran {
+                outcome: Arc::clone(outcome),
+                cached,
+            },
+            Err(message) => Response::Failed {
+                message: message.clone(),
+            },
+        }
+    }
+
     /// True for [`Response::Failed`].
     pub fn is_failure(&self) -> bool {
         matches!(self, Response::Failed { .. })
@@ -235,9 +252,10 @@ impl Service {
         // first-occurrence order, and later requests for it coalesce
         // onto its compile slot. Resident programs are pinned (`Arc`)
         // right here so this batch's own admissions can never evict a
-        // program a request ahead of them was already promised.
+        // program (or its answer) a request ahead of them was already
+        // promised.
         enum Program {
-            Pinned(Arc<CompiledProgram>),
+            Pinned(Arc<Resident>),
             Slot(usize),
         }
         let mut pending: Vec<&str> = Vec::new();
@@ -272,14 +290,14 @@ impl Service {
 
         // Phase 3 — admit in classification order. Failures are not
         // cached; reattempting them is a fresh miss in a later batch.
-        let compiled: Vec<Result<Arc<CompiledProgram>, String>> = pending
+        let compiled: Vec<Result<Arc<Resident>, String>> = pending
             .iter()
             .zip(compile_out.results)
             .map(|(&source, job)| match job {
                 Ok(Ok(program)) => {
-                    let program = Arc::new(program);
-                    stats.evictions += self.cache.insert(source, Arc::clone(&program)) as u64;
-                    Ok(program)
+                    let resident = Arc::new(Resident::new(program));
+                    stats.evictions += self.cache.insert(source, Arc::clone(&resident)) as u64;
+                    Ok(resident)
                 }
                 Ok(Err(e)) => Err(e.to_string()),
                 Err(panic) => Err(panic.to_string()),
@@ -287,73 +305,61 @@ impl Service {
             .collect();
         lap(2);
 
-        // Phase 4 — resolve every request; run requests fan out, one
-        // execution per distinct text (deterministic: see the module
-        // docs). `run_job` maps each text to its execution, and `uses`
-        // counts the run requests that share it.
+        // Phase 4 — resolve every request. A run request whose program
+        // has an answer is served from it; the programs without one run
+        // once each (deterministic: see the module docs), keyed by the
+        // record's address, which the pinned `Arc`s keep unique.
         enum Slot {
             Done(Response),
             Running { cached: bool, job: usize },
         }
-        let mut run_jobs: Vec<Arc<CompiledProgram>> = Vec::new();
-        let mut run_job: HashMap<&str, usize> = HashMap::new();
-        let mut uses: Vec<usize> = Vec::new();
+        let mut to_run: Vec<Arc<Resident>> = Vec::new();
+        let mut job_of: HashMap<*const Resident, usize> = HashMap::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(requests.len());
         for (req, (cached, program)) in requests.iter().zip(programs) {
             let program = match program {
                 Program::Pinned(program) => Ok(program),
                 Program::Slot(slot) => compiled[slot].clone(),
             };
-            match program {
-                Err(message) => slots.push(Slot::Done(Response::Failed { message })),
-                Ok(program) => match req {
-                    Request::Compile { .. } => slots.push(Slot::Done(Response::Compiled {
-                        code_size: program.code_size(),
-                        cached,
-                    })),
-                    Request::Run { source } => {
-                        let job = *run_job.entry(source).or_insert_with(|| {
-                            run_jobs.push(program);
-                            uses.push(0);
-                            run_jobs.len() - 1
+            slots.push(match (program, req) {
+                (Err(message), _) => Slot::Done(Response::Failed { message }),
+                (Ok(program), Request::Compile { .. }) => Slot::Done(Response::Compiled {
+                    code_size: program.program().code_size(),
+                    cached,
+                }),
+                (Ok(program), Request::Run { .. }) => match program.answer() {
+                    Some(answer) => Slot::Done(Response::ran(answer, cached)),
+                    None => {
+                        let job = *job_of.entry(Arc::as_ptr(&program)).or_insert_with(|| {
+                            to_run.push(program);
+                            to_run.len() - 1
                         });
-                        uses[job] += 1;
-                        slots.push(Slot::Running { cached, job });
+                        Slot::Running { cached, job }
                     }
                 },
-            }
+            });
         }
-        let run_out = map_ordered(&self.pool, run_jobs, |_, program| engine.execute(&program));
-        let mut outcomes: Vec<Option<Result<Box<VmOutcome>, String>>> = run_out
+        // Each job records its program's answer. A panicked job records
+        // nothing and its requests fail with the panic: that is the
+        // service's fault, not the program's answer.
+        let run_out = map_ordered(&self.pool, to_run, |_, resident| {
+            let answer: Answer = engine
+                .execute(resident.program())
+                .map(Arc::new)
+                .map_err(|e| e.to_string());
+            resident.record(answer.clone());
+            answer
+        });
+        let answers: Vec<Answer> = run_out
             .results
             .into_iter()
-            .map(|job| {
-                Some(match job {
-                    Ok(Ok(outcome)) => Ok(Box::new(outcome)),
-                    Ok(Err(e)) => Err(e.to_string()),
-                    Err(panic) => Err(panic.to_string()),
-                })
-            })
+            .map(|job| job.unwrap_or_else(|panic| Err(panic.to_string())))
             .collect();
-
         let responses: Vec<Response> = slots
             .into_iter()
             .map(|slot| match slot {
                 Slot::Done(r) => r,
-                Slot::Running { cached, job } => {
-                    // The last run request of a text takes the outcome;
-                    // the ones before it copy it.
-                    uses[job] -= 1;
-                    let outcome = if uses[job] == 0 {
-                        outcomes[job].take()
-                    } else {
-                        outcomes[job].clone()
-                    };
-                    match outcome.expect("a job's outcome outlives its last request") {
-                        Ok(outcome) => Response::Ran { outcome, cached },
-                        Err(message) => Response::Failed { message },
-                    }
-                }
+                Slot::Running { cached, job } => Response::ran(&answers[job], cached),
             })
             .collect();
         lap(3);
@@ -400,7 +406,8 @@ impl Service {
         reg.inc("svc.cache.misses", stats.misses);
         reg.inc("svc.cache.evictions", stats.evictions);
         reg.inc("svc.errors", stats.errors);
-        // One execute job per distinct run text that compiled.
+        // One execute job per program run in this batch: a program
+        // with no answer yet that a run request named.
         reg.inc("svc.executions", jobs[1].submitted);
         reg.set_gauge("svc.cache.size", self.cache.len() as f64);
         reg.set_gauge("svc.cache.capacity", self.cache.capacity() as f64);

@@ -1,16 +1,20 @@
-//! Within-batch coalescing.
+//! Coalescing within a batch and answers across batches.
 //!
 //! Phase 1 of `Service::process_batch` coalesces every repeated
 //! source text within one batch onto the first occurrence's
-//! compilation, *independent of cache capacity*, and phase 4 runs
-//! each distinct text once for all of its run requests. These tests
-//! pin that contract (1 compile + N−1 hits for in-batch duplicates,
-//! one execution per run text, invariant under worker count), its two
-//! edge cases (capacity 0 with duplicates still hits, and an
-//! all-unique batch hits nothing), and that every shared answer equals
-//! a compile and run of its request alone.
+//! compilation, *independent of cache capacity*, and phase 4 runs a
+//! program once per residency: the first batch that runs it records
+//! its answer beside it in the cache, and later run requests are served
+//! from that answer until the program is evicted. These tests pin that
+//! contract (1 compile + N−1 hits for in-batch duplicates, one
+//! execution per residency, invariant under worker count), its edge
+//! cases (capacity 0 with duplicates still hits, an all-unique batch
+//! hits nothing, failures are answers too, an evicted program runs
+//! again), and that every shared answer equals a compile and run of
+//! its request alone.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use lesgs_engine::{CompilerConfig, Engine};
 use lesgs_metrics::Registry;
@@ -183,7 +187,7 @@ fn alone(request: &Request) -> Response {
         },
         Request::Run { .. } => match engine.execute(&program) {
             Ok(outcome) => Response::Ran {
-                outcome: Box::new(outcome),
+                outcome: Arc::new(outcome),
                 cached: false,
             },
             Err(e) => Response::Failed {
@@ -207,11 +211,16 @@ fn batch(rng: &mut Rng) -> Vec<Request> {
         .collect()
 }
 
-/// Seeded batches of 1–64 requests over [`TEXTS`], each sent through a
-/// one-worker and a four-worker service with a cache smaller than the
-/// text set: every response equals its request run alone, the cache
-/// accounting agrees across worker counts, and each batch executes
-/// exactly its distinct run texts that compiled.
+/// Seeded runs of 2–6 batches of 1–64 requests over [`TEXTS`], each
+/// sent through a one-worker and a four-worker service whose cache (2–4
+/// programs) is smaller than the text set: every response equals its
+/// request run alone, the cache accounting agrees across worker counts,
+/// and each batch executes exactly the texts a residency model says.
+///
+/// The model: a text absent from the cache when a batch starts misses
+/// there, which starts a new residency (or fails to compile); a text
+/// executes in a batch exactly when it is run there, it compiles, and
+/// it has not run since its last miss.
 #[test]
 fn shared_runs_answer_as_if_run_alone() {
     let engine = Engine::with_config(fueled_config());
@@ -226,14 +235,31 @@ fn shared_runs_answer_as_if_run_alone() {
     );
     let mut expected: HashMap<(bool, String), Response> = HashMap::new();
     run_cases(24, |rng| {
-        let batches: Vec<Vec<Request>> = (0..1 + rng.below(3)).map(|_| batch(rng)).collect();
+        let capacity = 2 + rng.below(3);
+        let batches: Vec<Vec<Request>> = (0..2 + rng.below(5)).map(|_| batch(rng)).collect();
         let accounts: Vec<Vec<(u64, u64, u64, u64)>> = [1usize, 4]
             .iter()
             .map(|&workers| {
-                let mut svc = fueled(workers, 4);
+                let mut svc = fueled(workers, capacity);
+                // Texts that have run since their last miss.
+                let mut ran: HashSet<&str> = HashSet::new();
                 batches
                     .iter()
                     .map(|requests| {
+                        for request in requests {
+                            if !svc.cache().contains(request.source()) {
+                                ran.remove(request.source());
+                            }
+                        }
+                        let runs: HashSet<&str> = requests
+                            .iter()
+                            .filter(|r| matches!(r, Request::Run { .. }))
+                            .map(Request::source)
+                            .filter(|s| compiles.contains(s))
+                            .collect();
+                        let executions = runs.difference(&ran).count() as u64;
+                        ran.extend(runs);
+
                         let mut reg = Registry::new();
                         let (responses, stats) = svc.process_batch(requests, &mut reg);
                         assert_eq!(responses.len(), requests.len());
@@ -243,13 +269,7 @@ fn shared_runs_answer_as_if_run_alone() {
                             let want = expected.entry(key).or_insert_with(|| alone(request));
                             assert_eq!(uncached(response), *want, "{request:?}");
                         }
-                        let ran: HashSet<&str> = requests
-                            .iter()
-                            .filter(|r| matches!(r, Request::Run { .. }))
-                            .map(Request::source)
-                            .filter(|s| compiles.contains(s))
-                            .collect();
-                        assert_eq!(reg.counter("svc.executions"), ran.len() as u64);
+                        assert_eq!(reg.counter("svc.executions"), executions);
                         (stats.hits, stats.misses, stats.evictions, stats.errors)
                     })
                     .collect()
@@ -257,4 +277,47 @@ fn shared_runs_answer_as_if_run_alone() {
             .collect();
         assert_eq!(accounts[0], accounts[1], "workers 1 against workers 4");
     });
+}
+
+/// A run-time error and fuel exhaustion are answers too: the first run
+/// records them, and later batches get the same failure with no second
+/// execution.
+#[test]
+fn failures_are_recorded_answers() {
+    let mut svc = fueled(1, 64);
+    let mut reg = Registry::new();
+    let batch = vec![run("(car 5)"), run(LOOP)];
+    let (first, _) = svc.process_batch(&batch, &mut reg);
+    for (request, response) in batch.iter().zip(&first) {
+        assert!(response.is_failure(), "{response:?}");
+        assert_eq!(*response, alone(request));
+    }
+    let (second, stats) = svc.process_batch(&batch, &mut reg);
+    assert_eq!(first, second);
+    assert_eq!((stats.hits, stats.misses, stats.errors), (2, 0, 2));
+    let samples = reg.histogram("svc.execute_job_ns").map_or(0, |h| h.count);
+    assert_eq!(samples, 2, "each failing program ran once");
+    assert_eq!(reg.counter("svc.executions"), 2);
+}
+
+/// An answer lives as long as its program stays cached: a text that is
+/// evicted and compiled again executes again.
+#[test]
+fn an_evicted_program_runs_again() {
+    let mut svc = fueled(1, 1);
+    let mut reg = Registry::new();
+    let (a, b) = ("(+ 1 2)", "(* 6 7)");
+    let steps = [
+        (vec![run(a), run(a)], 1),
+        (vec![run(a)], 1),
+        (vec![run(b)], 2),
+        (vec![run(a)], 3),
+    ];
+    for (batch, executions) in steps {
+        let (responses, _) = svc.process_batch(&batch, &mut reg);
+        for (request, response) in batch.iter().zip(&responses) {
+            assert_eq!(uncached(response), alone(request));
+        }
+        assert_eq!(reg.counter("svc.executions"), executions, "{batch:?}");
+    }
 }

@@ -29,6 +29,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::rc::{Rc, Weak};
 
+use lesgs_frontend::print::{self, Node, Printable};
 use lesgs_frontend::{Const, EqualClasses, FuncId};
 use lesgs_sexpr::Datum;
 
@@ -573,84 +574,48 @@ impl Value {
     /// Renders in `display` style.
     pub fn display_string(&self) -> String {
         let mut s = String::new();
-        self.render(&mut s, false);
+        print::render(self, &mut s, false);
         s
     }
 
     /// Renders in `write` style.
     pub fn write_string(&self) -> String {
         let mut s = String::new();
-        self.render(&mut s, true);
+        print::render(self, &mut s, true);
         s
     }
+}
 
-    /// Renders with an explicit stack of the lists and vectors being
-    /// printed, so nesting depth costs heap, not call stack.
-    fn render(&self, out: &mut String, write: bool) {
-        let mut open: Vec<Open> = Vec::new();
-        let mut current = Some(self.clone());
-        loop {
-            match current.take() {
-                Some(Value::Pair(p)) => {
-                    out.push('(');
-                    let (car, cdr) = p.borrow().clone();
-                    open.push(Open::List(cdr));
-                    current = Some(car);
-                    continue;
-                }
-                Some(v) if matches!(v.obj(), Some(Obj::Vector(_))) => {
-                    out.push_str("#(");
-                    open.push(Open::Vector(v, 0));
-                }
-                Some(atom) => atom.render_atom(out, write),
-                None => {}
+impl Printable for Value {
+    fn node(&self) -> Node<Value> {
+        match self {
+            Value::Pair(p) => {
+                let (car, cdr) = p.borrow().clone();
+                Node::Pair(car, cdr)
             }
-            // The current value is printed: go on with the innermost
-            // open list or vector.
-            match open.last_mut() {
-                None => return,
-                Some(Open::List(rest)) => match std::mem::replace(rest, Value::NIL) {
-                    Value::Pair(p) => {
-                        out.push(' ');
-                        let (car, cdr) = p.borrow().clone();
-                        *rest = cdr;
-                        current = Some(car);
-                    }
-                    Value::Nil(_) => {
-                        out.push(')');
-                        open.pop();
-                    }
-                    tail => {
-                        // Printed next; the `()` left in `rest` then
-                        // closes the list.
-                        out.push_str(" . ");
-                        current = Some(tail);
-                    }
-                },
-                Some(Open::Vector(v, next)) => {
-                    let Some(Obj::Vector(items)) = v.obj() else {
-                        unreachable!("only vectors are opened as vectors")
-                    };
-                    let item = items.borrow().get(*next).cloned();
-                    match item {
-                        Some(item) => {
-                            if *next > 0 {
-                                out.push(' ');
-                            }
-                            *next += 1;
-                            current = Some(item);
-                        }
-                        None => {
-                            out.push(')');
-                            open.pop();
-                        }
-                    }
-                }
-            }
+            Value::Obj(o) if matches!(**o, Obj::Vector(_)) => Node::Vector,
+            Value::Nil(_) => Node::Nil,
+            _ => Node::Atom,
         }
     }
 
-    /// Renders a value that is neither a pair nor a vector.
+    fn item(&self, i: usize) -> Option<Value> {
+        match self.obj() {
+            Some(Obj::Vector(items)) => items.borrow().get(i).cloned(),
+            _ => None,
+        }
+    }
+
+    fn heap(&self) -> Option<(usize, usize)> {
+        match self {
+            Value::Pair(p) => Some((Rc::as_ptr(p) as usize, Rc::strong_count(p))),
+            Value::Obj(o) if matches!(**o, Obj::Vector(_)) => {
+                Some((Rc::as_ptr(o) as usize, Rc::strong_count(o)))
+            }
+            _ => None,
+        }
+    }
+
     fn render_atom(&self, out: &mut String, write: bool) {
         match self {
             Value::Fixnum(n) => out.push_str(&n.to_string()),
@@ -690,11 +655,11 @@ impl Value {
                 }
                 Obj::Symbol(s) => out.push_str(s),
                 Obj::Cell(_) => out.push_str("#<box>"),
-                Obj::Vector(_) => unreachable!("render walks vectors"),
+                Obj::Vector(_) => unreachable!("the printer walks vectors"),
             },
             Value::Nil(_) => out.push_str("()"),
             Value::Void(_) => out.push_str("#<void>"),
-            Value::Pair(_) => unreachable!("render walks pairs"),
+            Value::Pair(_) => unreachable!("the printer walks pairs"),
             Value::Closure(_) => out.push_str("#<procedure>"),
             Value::RetAddr(_) => out.push_str("#<return-address>"),
             Value::Uninit(_) => out.push_str("#<uninit>"),
@@ -740,14 +705,6 @@ fn heap_addr(v: &Value) -> usize {
         Value::Obj(o) => Rc::as_ptr(o) as usize,
         _ => unreachable!("only pairs and vectors are walked"),
     }
-}
-
-/// A list or vector [`Value::render`] has opened but not closed.
-enum Open {
-    /// A list, with the part not printed yet.
-    List(Value),
-    /// A vector, with the index of the next element to print.
-    Vector(Value, usize),
 }
 
 impl fmt::Display for Value {
