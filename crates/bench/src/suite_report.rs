@@ -175,8 +175,8 @@ struct ServiceMeasurement {
     compile_requests: u64,
     run_requests: u64,
     totals: BatchStats,
-    /// `svc.executions`: programs run, one per distinct run text of a
-    /// batch.
+    /// `svc.executions`: programs run, one per residency that runs;
+    /// later run requests of a resident program reuse its answer.
     executions: u64,
     latency: Histogram,
     /// Each [`PHASES`] entry's `svc.phase.*_ns`, summed over the replay.

@@ -41,12 +41,13 @@ pub mod prim;
 pub mod print;
 pub mod program;
 pub mod rename;
+pub mod value;
 
 pub use ast::{Const, Expr, Lambda, DATUM_MAX_DEPTH};
 pub use desugar::DesugarError;
 pub use first_order::FuncId;
 pub use names::{Interner, VarId};
-pub use prim::{make_vector, EqualClasses, FixnumError, FixnumValue, Prim, PrimArity};
+pub use prim::{make_vector, FixnumError, FixnumValue, Prim, PrimArity};
 pub use rename::RenameError;
 
 /// Any error the frontend can produce.

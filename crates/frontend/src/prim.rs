@@ -5,10 +5,7 @@
 //! `vector`, …) are expanded into fixed-arity applications of these
 //! operations during renaming.
 
-use std::collections::HashMap;
 use std::fmt;
-
-use crate::names::FxBuildHasher;
 
 /// A fixed-arity primitive operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -200,62 +197,6 @@ pub fn make_vector<T: Clone>(len: i64, fill: T) -> Result<Vec<T>, String> {
     }
     v.resize(n, fill);
     Ok(v)
-}
-
-/// The containers an `equal?` walk has entered, in classes of those it
-/// takes as equal: a union-find forest over their addresses.
-///
-/// Before it compares two containers, a walk joins their classes, and
-/// it skips a pair already in one class. That is R7RS's coinductive
-/// `equal?`, under which two values are equal when no walk of them
-/// finds a difference, so the walk ends on cyclic values. A skipped
-/// pair is related through pairs the walk entered, and it checks each
-/// of those; when no check fails, the classes only match containers
-/// whose contents match, so an acyclic value gets the answer it would
-/// get without them.
-/// Each join merges two classes, so a walk over `n` distinct containers
-/// enters at most `n - 1` pairs, whatever the lengths of the cycles.
-/// `equal?` changes nothing, so every container a walk meets stays
-/// reachable from the two values it compares, and an address names one
-/// container for the whole walk. Both VM engines and the interpreter
-/// walk `equal?` with one of these.
-#[derive(Debug, Default)]
-pub struct EqualClasses {
-    /// Each container's node, by address. Addresses are not input, so
-    /// the table needs no protection from chosen keys.
-    node: HashMap<usize, usize, FxBuildHasher>,
-    /// Each node's parent; the root of a class is its own parent.
-    parent: Vec<usize>,
-}
-
-impl EqualClasses {
-    /// Puts the containers at addresses `a` and `b` in one class; false
-    /// when they already were in one.
-    pub fn join(&mut self, a: usize, b: usize) -> bool {
-        let (a, b) = (self.root(a), self.root(b));
-        if a == b {
-            return false;
-        }
-        self.parent[b] = a;
-        true
-    }
-
-    /// The root of the class of the container at `addr`, which is a
-    /// class of its own when first met.
-    fn root(&mut self, addr: usize) -> usize {
-        let fresh = self.parent.len();
-        let mut n = *self.node.entry(addr).or_insert(fresh);
-        if n == fresh {
-            self.parent.push(fresh);
-        }
-        // Path halving: each node passed on the way up skips to its
-        // grandparent.
-        while self.parent[n] != n {
-            self.parent[n] = self.parent[self.parent[n]];
-            n = self.parent[n];
-        }
-        n
-    }
 }
 
 impl Prim {
@@ -624,16 +565,6 @@ impl fmt::Display for Prim {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn equal_classes_join_once() {
-        let mut classes = EqualClasses::default();
-        assert!(classes.join(16, 32));
-        assert!(!classes.join(32, 16));
-        assert!(classes.join(48, 32));
-        assert!(!classes.join(16, 48));
-        assert!(!classes.join(64, 64));
-    }
 
     #[test]
     fn arity_matches_lookup() {

@@ -1,5 +1,9 @@
 //! Printing run-time values: one walk for both VM engines and the
-//! interpreter, which differ only in how they print an atom.
+//! interpreter, which show their values to it through
+//! [`RuntimeValue`]. How each atom prints is said once here too, and a
+//! character or string in `write` style is written by
+//! [`lesgs_sexpr::write_char`] and [`lesgs_sexpr::write_string`], as a
+//! quoted datum is.
 //!
 //! Lists and vectors are printed from an explicit stack, so nesting
 //! depth costs heap, not call stack. A value with a cycle prints with
@@ -25,34 +29,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
 
 use crate::names::FxBuildHasher;
-
-/// What a value is to the printer.
-pub enum Node<V> {
-    /// A pair, with its car and cdr.
-    Pair(V, V),
-    /// A vector, whose items [`Printable::item`] lends.
-    Vector,
-    /// The empty list, which ends a proper list.
-    Nil,
-    /// Anything else.
-    Atom,
-}
-
-/// A run-time value [`render`] can print.
-pub trait Printable: Clone {
-    /// Whether the value is a pair, a vector, the empty list or another
-    /// atom.
-    fn node(&self) -> Node<Self>;
-    /// Item `i` of a vector, `None` past its end.
-    fn item(&self, i: usize) -> Option<Self>;
-    /// The address of the pair or vector the value points at, and the
-    /// number of references that hold it (its `Rc` strong count);
-    /// `None` for any other value.
-    fn heap(&self) -> Option<(usize, usize)>;
-    /// Appends a value that is not a pair or a vector: the empty list
-    /// prints as `()`.
-    fn render_atom(&self, out: &mut String, write: bool);
-}
+use crate::value::{Atom, Node, RuntimeValue};
 
 /// Appends `root` in `write` style (strings quoted, characters in `#\`
 /// syntax) or `display` style (both raw).
@@ -60,10 +37,7 @@ pub trait Printable: Clone {
 /// The value prints in one walk unless the walk meets a cycle. Then
 /// the output so far is dropped, a second walk finds the containers to
 /// label, and the value prints again with them.
-pub fn render<V: Printable>(root: &V, out: &mut String, write: bool) {
-    if root.heap().is_none() {
-        return root.render_atom(out, write);
-    }
+pub fn render<V: RuntimeValue>(root: &V, out: &mut String, write: bool) {
     // One more holder of the root for the whole print (module docs).
     let root = root.clone();
     let start = out.len();
@@ -75,6 +49,24 @@ pub fn render<V: Printable>(root: &V, out: &mut String, write: bool) {
         };
         print(&root, out, write, &mut labelled).expect("the labels break every cycle");
     }
+}
+
+/// Appends an atom: how each prints, in both styles.
+fn print_atom(atom: Atom<'_>, out: &mut String, write: bool) {
+    // Writing to a `String` cannot fail.
+    let _ = match atom {
+        Atom::Fixnum(n) => write!(out, "{n}"),
+        Atom::Bool(b) => out.write_str(if b { "#t" } else { "#f" }),
+        Atom::Char(c) if write => lesgs_sexpr::write_char(c, out),
+        Atom::Str(s) if write => lesgs_sexpr::write_string(s, out),
+        Atom::Char(c) => out.write_char(c),
+        Atom::Str(s) | Atom::Symbol(s) => out.write_str(s),
+        Atom::Nil => out.write_str("()"),
+        Atom::Unspecified => out.write_str("#<void>"),
+        Atom::Procedure => out.write_str("#<procedure>"),
+        Atom::Box => out.write_str("#<box>"),
+        Atom::Opaque(text) => out.write_str(text),
+    };
 }
 
 /// A cycle [`Seen::Plain`] met.
@@ -123,7 +115,7 @@ impl Seen {
     /// `frame` leaves on closing, and prints its label's definition or
     /// reference, if any.
     #[inline(always)]
-    fn enter<V: Printable>(
+    fn enter<V: RuntimeValue>(
         &mut self,
         v: &V,
         frame: usize,
@@ -169,7 +161,7 @@ impl Seen {
     /// Whether the pair `v` has a label, so a list cannot go on
     /// through it.
     #[inline(always)]
-    fn is_labelled<V: Printable>(&self, v: &V) -> bool {
+    fn is_labelled<V: RuntimeValue>(&self, v: &V) -> bool {
         match self {
             Seen::Plain(_) => false,
             Seen::Labelled { labels, .. } => v.heap().is_some_and(|(a, _)| labels.contains_key(&a)),
@@ -201,7 +193,7 @@ enum Open<V> {
 }
 
 /// Appends `root`, entering each container through `seen`.
-fn print<V: Printable>(
+fn print<V: RuntimeValue>(
     root: &V,
     out: &mut String,
     write: bool,
@@ -212,20 +204,21 @@ fn print<V: Printable>(
     loop {
         if let Some(v) = current.take() {
             match v.node() {
-                Node::Nil | Node::Atom => v.render_atom(out, write),
-                node => match (seen.enter(&v, open.len(), out)?, node) {
-                    (Entry::Refer, _) => {}
-                    (Entry::Open, Node::Pair(car, cdr)) => {
+                Node::Atom(atom) => print_atom(atom, out, write),
+                Node::Pair(pair) => {
+                    if let Entry::Open = seen.enter(&v, open.len(), out)? {
                         out.push('(');
-                        open.push(Open::List(Some(cdr)));
-                        current = Some(car);
+                        open.push(Open::List(Some(pair.1.clone())));
+                        current = Some(pair.0.clone());
                         continue;
                     }
-                    (Entry::Open, _) => {
+                }
+                Node::Vector(_) => {
+                    if let Entry::Open = seen.enter(&v, open.len(), out)? {
                         out.push_str("#(");
-                        open.push(Open::Vector(v, 0));
+                        open.push(Open::Vector(v.clone(), 0));
                     }
-                },
+                }
             }
         }
         // The current value is printed: go on with the innermost open
@@ -238,12 +231,12 @@ fn print<V: Printable>(
                 // `None`: the dotted tail is printed.
                 if let Some(tail) = rest.take() {
                     match tail.node() {
-                        Node::Nil => {}
-                        Node::Pair(car, cdr) if !seen.is_labelled(&tail) => {
+                        Node::Atom(Atom::Nil) => {}
+                        Node::Pair(pair) if !seen.is_labelled(&tail) => {
                             seen.enter(&tail, frame, out)?;
                             out.push(' ');
-                            *rest = Some(cdr);
-                            current = Some(car);
+                            *rest = Some(pair.1.clone());
+                            current = Some(pair.0.clone());
                             continue;
                         }
                         _ => {
@@ -251,14 +244,18 @@ fn print<V: Printable>(
                             // labelled pair among them); the `None` left
                             // in `rest` then closes the list.
                             out.push_str(" . ");
-                            current = Some(tail);
+                            current = Some(tail.clone());
                             continue;
                         }
                     }
                 }
             }
             Open::Vector(v, next) => {
-                if let Some(item) = v.item(*next) {
+                let item = match v.node() {
+                    Node::Vector(items) => items.get(*next).cloned(),
+                    _ => None,
+                };
+                if let Some(item) = item {
                     if *next > 0 {
                         out.push(' ');
                     }
@@ -288,7 +285,7 @@ enum Step<V> {
 /// printing them once and referring to them after that ends. The walk
 /// enters each shared container once, and counts as the print does
 /// (module docs).
-fn back_edge_targets<V: Printable>(root: &V) -> Labels {
+fn back_edge_targets<V: RuntimeValue>(root: &V) -> Labels {
     // For each shared container entered: whether the walk is still
     // inside it.
     let mut inside: HashMap<usize, bool, FxBuildHasher> = HashMap::default();
@@ -324,15 +321,13 @@ fn back_edge_targets<V: Printable>(root: &V) -> Labels {
             }
         }
         match v.node() {
-            Node::Pair(car, cdr) if car.heap().is_some() => {
-                steps.push(Step::Enter(cdr));
-                current = Some(car);
+            Node::Pair(pair) if pair.0.heap().is_some() => {
+                steps.push(Step::Enter(pair.1.clone()));
+                current = Some(pair.0.clone());
             }
-            Node::Pair(_, cdr) => current = Some(cdr),
-            _ => {
-                let items: Vec<V> = (0..).map_while(|i| v.item(i)).collect();
-                steps.extend(items.into_iter().rev().map(Step::Enter));
-            }
-        }
+            Node::Pair(pair) => current = Some(pair.1.clone()),
+            Node::Vector(items) => steps.extend(items.iter().rev().cloned().map(Step::Enter)),
+            Node::Atom(_) => {}
+        };
     }
 }

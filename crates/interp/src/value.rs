@@ -1,12 +1,20 @@
 //! Runtime values of the reference interpreter.
+//!
+//! This module says only how a value is laid out and freed. How values
+//! compare under `equal?` and how they print are said once, in
+//! [`lesgs_frontend::value`] and [`lesgs_frontend::print`], for the
+//! interpreter and both VM engines; a value shows itself to those walks
+//! through [`RuntimeValue`]. So the interpreter prints a procedure as
+//! `#<procedure>`, without the name a lambda may carry, as compiled
+//! code does.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use lesgs_frontend::print::{self, Node, Printable};
-use lesgs_frontend::EqualClasses;
+use lesgs_frontend::print;
+use lesgs_frontend::value::{self, Atom, Node, RuntimeValue};
 
 use crate::env::Env;
 use crate::eval::LambdaCode;
@@ -271,43 +279,9 @@ impl Value {
         }
     }
 
-    /// `equal?` — structural equality. Pairs and vectors still to
-    /// compare wait on an explicit stack, so nesting depth costs heap,
-    /// not call stack.
-    ///
-    /// The walk ends on cyclic values too, with the VM's answer: it
-    /// skips two containers it already takes as equal
-    /// ([`EqualClasses`]).
+    /// `equal?` ([`value::equal`]).
     pub fn eq_structural(&self, other: &Value) -> bool {
-        let mut pending = Vec::new();
-        if !compare_or_queue(self, other, &mut pending) {
-            return false;
-        }
-        let mut classes = EqualClasses::default();
-        while let Some((a, b)) = pending.pop() {
-            if !classes.join(heap_addr(&a), heap_addr(&b)) {
-                continue;
-            }
-            let equal = match (&a, &b) {
-                (Value::Pair(x), Value::Pair(y)) => {
-                    let (xa, xd) = &*x.borrow();
-                    let (ya, yd) = &*y.borrow();
-                    // The car is queued last, so it is walked first.
-                    compare_or_queue(xd, yd, &mut pending) && compare_or_queue(xa, ya, &mut pending)
-                }
-                (Value::Vector(x), Value::Vector(y)) => {
-                    let (x, y) = (x.borrow(), y.borrow());
-                    x.len() == y.len()
-                        && (x.iter().zip(y.iter()).rev())
-                            .all(|(p, q)| compare_or_queue(p, q, &mut pending))
-                }
-                _ => unreachable!("only pairs and vectors are queued"),
-            };
-            if !equal {
-                return false;
-            }
-        }
-        true
+        value::equal(self, other)
     }
 
     /// Renders the value in `display` style (strings and chars raw).
@@ -326,26 +300,28 @@ impl Value {
     }
 }
 
-impl Printable for Value {
-    fn node(&self) -> Node<Value> {
-        match self {
-            Value::Pair(p) => {
-                let (car, cdr) = p.borrow().clone();
-                Node::Pair(car, cdr)
-            }
-            Value::Vector(_) => Node::Vector,
-            Value::Nil => Node::Nil,
-            _ => Node::Atom,
-        }
+// The shared walks call these for every value they visit; inlined,
+// each match here folds into the walk's own.
+impl RuntimeValue for Value {
+    #[inline(always)]
+    fn node(&self) -> Node<'_, Value> {
+        let atom = match self {
+            Value::Fixnum(n) => Atom::Fixnum(*n),
+            Value::Bool(b) => Atom::Bool(*b),
+            Value::Char(c) => Atom::Char(*c),
+            Value::Str(s) => Atom::Str(s),
+            Value::Symbol(s) => Atom::Symbol(s),
+            Value::Nil => Atom::Nil,
+            Value::Void => Atom::Unspecified,
+            Value::Pair(p) => return Node::Pair(p.borrow()),
+            Value::Vector(items) => return Node::Vector(items.borrow()),
+            Value::Closure(_) => Atom::Procedure,
+            Value::Cell(_) => Atom::Box,
+        };
+        Node::Atom(atom)
     }
 
-    fn item(&self, i: usize) -> Option<Value> {
-        match self {
-            Value::Vector(items) => items.borrow().get(i).cloned(),
-            _ => None,
-        }
-    }
-
+    #[inline(always)]
     fn heap(&self) -> Option<(usize, usize)> {
         match self {
             Value::Pair(p) => Some((Rc::as_ptr(p) as usize, Rc::strong_count(p))),
@@ -354,81 +330,9 @@ impl Printable for Value {
         }
     }
 
-    fn render_atom(&self, out: &mut String, write: bool) {
-        match self {
-            Value::Fixnum(n) => out.push_str(&n.to_string()),
-            Value::Bool(true) => out.push_str("#t"),
-            Value::Bool(false) => out.push_str("#f"),
-            Value::Char(c) => {
-                if write {
-                    match c {
-                        ' ' => out.push_str("#\\space"),
-                        '\n' => out.push_str("#\\newline"),
-                        '\t' => out.push_str("#\\tab"),
-                        c => {
-                            out.push_str("#\\");
-                            out.push(*c);
-                        }
-                    }
-                } else {
-                    out.push(*c);
-                }
-            }
-            Value::Str(s) => {
-                if write {
-                    out.push('"');
-                    for c in s.chars() {
-                        match c {
-                            '"' => out.push_str("\\\""),
-                            '\\' => out.push_str("\\\\"),
-                            '\n' => out.push_str("\\n"),
-                            c => out.push(c),
-                        }
-                    }
-                    out.push('"');
-                } else {
-                    out.push_str(s);
-                }
-            }
-            Value::Symbol(s) => out.push_str(s),
-            Value::Nil => out.push_str("()"),
-            Value::Void => out.push_str("#<void>"),
-            Value::Pair(_) | Value::Vector(_) => {
-                unreachable!("the printer walks pairs and vectors")
-            }
-            Value::Closure(c) => {
-                out.push_str("#<procedure");
-                if let Some(n) = &c.code.name {
-                    out.push(' ');
-                    out.push_str(n);
-                }
-                out.push('>');
-            }
-            Value::Cell(_) => out.push_str("#<box>"),
-        }
-    }
-}
-
-/// Compares `a` and `b` at once unless they are two distinct pairs or
-/// two distinct vectors, which it queues on `pending` for
-/// [`Value::eq_structural`] to walk; false when they differ.
-fn compare_or_queue(a: &Value, b: &Value, pending: &mut Vec<(Value, Value)>) -> bool {
-    match (a, b) {
-        (Value::Pair(x), Value::Pair(y)) if !Rc::ptr_eq(x, y) => {}
-        (Value::Vector(x), Value::Vector(y)) if !Rc::ptr_eq(x, y) => {}
-        (Value::Str(x), Value::Str(y)) => return x == y,
-        _ => return a.eq_ptr(b),
-    }
-    pending.push((a.clone(), b.clone()));
-    true
-}
-
-/// The address of the heap object a pair or vector points at.
-fn heap_addr(v: &Value) -> usize {
-    match v {
-        Value::Pair(p) => Rc::as_ptr(p) as usize,
-        Value::Vector(v) => Rc::as_ptr(v) as usize,
-        _ => unreachable!("only pairs and vectors are queued"),
+    #[inline(always)]
+    fn is_eq(&self, other: &Value) -> bool {
+        self.eq_ptr(other)
     }
 }
 
@@ -440,6 +344,8 @@ impl fmt::Display for Value {
 
 #[cfg(test)]
 mod tests {
+    use lesgs_testkit::equal::{matches_plain_recursion, Make};
+
     use super::*;
 
     #[test]
@@ -472,5 +378,32 @@ mod tests {
         assert_eq!(dotted.display_string(), "(1 . 2)");
         assert_eq!(Value::Char('a').write_string(), "#\\a");
         assert_eq!(Value::Char('a').display_string(), "a");
+    }
+
+    /// Structural equality by plain recursion, for values small enough
+    /// to recurse over: what `equal?` must answer on acyclic values.
+    fn naive_equal(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Pair(x), Value::Pair(y)) => {
+                let (xa, xd) = &*x.borrow();
+                let (ya, yd) = &*y.borrow();
+                naive_equal(xa, ya) && naive_equal(xd, yd)
+            }
+            (Value::Vector(x), Value::Vector(y)) => {
+                let (x, y) = (x.borrow(), y.borrow());
+                x.len() == y.len() && x.iter().zip(y.iter()).all(|(p, q)| naive_equal(p, q))
+            }
+            _ => a.eq_ptr(b),
+        }
+    }
+
+    #[test]
+    fn equal_matches_plain_recursion_on_shared_acyclic_values() {
+        let make = Make {
+            fixnum: Value::Fixnum,
+            cons: Value::cons,
+            vector: Value::vector,
+        };
+        matches_plain_recursion(make, Value::eq_structural, naive_equal);
     }
 }

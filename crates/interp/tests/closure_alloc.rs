@@ -1,13 +1,15 @@
-//! Making a closure allocates the closure and nothing else.
+//! Making a closure allocates the closure and nothing else, and
+//! comparing two short lists allocates nothing.
 //!
 //! Every closure made from one lambda shares that lambda's parameters,
 //! body and name, so a value nested through millions of closures costs
-//! one heap cell per level, as it does through pairs. This binary
-//! installs a global allocator that counts the allocations of the
-//! thread that asks, so tests running in parallel do not see each
-//! other's.
+//! one heap cell per level, as it does through pairs. `equal?` on two
+//! short lists of atoms walks them with no work stack and no table of
+//! the containers it enters. This binary installs a global allocator
+//! that counts the allocations of the thread that asks, so tests
+//! running in parallel do not see each other's.
 
-use lesgs_interp::run_source;
+use lesgs_interp::{run_source, Value};
 use lesgs_testkit::counting::{allocations, Counting};
 
 #[global_allocator]
@@ -46,4 +48,11 @@ fn creating_a_closure_allocates_only_the_closure() {
         2,
         "a named three-parameter closure and the letrec binding that names it"
     );
+}
+
+#[test]
+fn comparing_two_short_lists_allocates_nothing() {
+    let list = || (0..10).fold(Value::Nil, |acc, i| Value::cons(Value::Fixnum(i), acc));
+    let (a, b) = (list(), list());
+    assert_eq!(allocations(|| a.eq_structural(&b)), (0, true));
 }

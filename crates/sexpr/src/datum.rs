@@ -136,26 +136,59 @@ impl From<bool> for Datum {
     }
 }
 
-fn write_char(c: char, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// Writes a character in `write` style: `#\space`, `#\newline`,
+/// `#\tab`, or `#\` and the character itself. The reader reads each
+/// back as the same character. Both VM engines and the interpreter write
+/// characters through this too.
+///
+/// ```
+/// let mut out = String::new();
+/// lesgs_sexpr::write_char(' ', &mut out)?;
+/// lesgs_sexpr::write_char('a', &mut out)?;
+/// assert_eq!(out, "#\\space#\\a");
+/// # Ok::<(), std::fmt::Error>(())
+/// ```
+///
+/// # Errors
+///
+/// Only those of `out`.
+pub fn write_char(c: char, out: &mut impl fmt::Write) -> fmt::Result {
     match c {
-        ' ' => write!(f, "#\\space"),
-        '\n' => write!(f, "#\\newline"),
-        '\t' => write!(f, "#\\tab"),
-        c => write!(f, "#\\{c}"),
+        ' ' => out.write_str("#\\space"),
+        '\n' => out.write_str("#\\newline"),
+        '\t' => out.write_str("#\\tab"),
+        c => {
+            out.write_str("#\\")?;
+            out.write_char(c)
+        }
     }
 }
 
-fn write_string(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    write!(f, "\"")?;
+/// Writes a string in `write` style: in double quotes, with `"`, `\`
+/// and newline escaped. The reader reads it back as the same string.
+/// Both VM engines and the interpreter write strings through this too.
+///
+/// ```
+/// let mut out = String::new();
+/// lesgs_sexpr::write_string("say \"hi\"\n", &mut out)?;
+/// assert_eq!(out, r#""say \"hi\"\n""#);
+/// # Ok::<(), std::fmt::Error>(())
+/// ```
+///
+/// # Errors
+///
+/// Only those of `out`.
+pub fn write_string(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            c => write!(f, "{c}")?,
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            c => out.write_char(c)?,
         }
     }
-    write!(f, "\"")
+    out.write_char('"')
 }
 
 impl<S: fmt::Display> fmt::Display for Datum<S> {

@@ -21,6 +21,6 @@ mod datum;
 mod lexer;
 mod reader;
 
-pub use datum::Datum;
+pub use datum::{write_char, write_string, Datum};
 pub use lexer::{Lexer, Token, TokenKind};
 pub use reader::{read, ParseError};

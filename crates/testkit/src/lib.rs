@@ -15,11 +15,13 @@
 //! traded away for zero dependencies and perfect reproducibility.
 //!
 //! [`counting`] is the counting global allocator of the tests that bound
-//! allocations or live heap.
+//! allocations or live heap, and [`equal`] holds a value model's
+//! `equal?` to plain recursion.
 
 use std::fmt;
 
 pub mod counting;
+pub mod equal;
 
 /// A deterministic 64-bit generator (SplitMix64, Steele et al. 2014).
 ///

@@ -23,14 +23,21 @@
 //! from glibc's 64-byte chunk to the 80-byte one. Each of the three
 //! cells is at most 40 bytes, so with `Rc`'s two counts every heap
 //! allocation of a value fits a 64-byte chunk.
+//!
+//! This module says only how a value is laid out and freed. How values
+//! compare under `equal?` and how they print are said once, in
+//! [`lesgs_frontend::value`] and [`lesgs_frontend::print`], for both
+//! engines and the interpreter; a value shows itself to those walks
+//! through [`RuntimeValue`].
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Deref;
 use std::rc::{Rc, Weak};
 
-use lesgs_frontend::print::{self, Node, Printable};
-use lesgs_frontend::{Const, EqualClasses, FuncId};
+use lesgs_frontend::print;
+use lesgs_frontend::value::{self, Atom, Node, RuntimeValue};
+use lesgs_frontend::{Const, FuncId};
 use lesgs_sexpr::Datum;
 
 use crate::instr::Imm;
@@ -343,17 +350,17 @@ fn release(children: impl IntoIterator<Item = Value>) {
     }
 }
 
-/// A stack of work put off that keeps its first few items inline, so
-/// that a walk whose stack stays that shallow never allocates.
-struct Pending<T> {
-    inline: [Option<T>; 8],
+/// A stack of values put off that keeps its first few inline, so that a
+/// walk whose stack stays that shallow never allocates.
+struct Pending {
+    inline: [Option<Value>; 8],
     /// Items in `inline`; `spill` is empty unless `inline` is full.
     len: usize,
-    spill: Vec<T>,
+    spill: Vec<Value>,
 }
 
-impl<T> Pending<T> {
-    fn new() -> Pending<T> {
+impl Pending {
+    fn new() -> Pending {
         Pending {
             inline: [const { None }; 8],
             len: 0,
@@ -361,26 +368,24 @@ impl<T> Pending<T> {
         }
     }
 
-    fn push(&mut self, item: T) {
+    fn push(&mut self, value: Value) {
         match self.inline.get_mut(self.len) {
             Some(slot) => {
-                *slot = Some(item);
+                *slot = Some(value);
                 self.len += 1;
             }
-            None => self.spill.push(item),
+            None => self.spill.push(value),
         }
     }
 
-    fn pop(&mut self) -> Option<T> {
-        if let Some(item) = self.spill.pop() {
-            return Some(item);
+    fn pop(&mut self) -> Option<Value> {
+        if let Some(value) = self.spill.pop() {
+            return Some(value);
         }
         self.len = self.len.checked_sub(1)?;
         self.inline[self.len].take()
     }
-}
 
-impl Pending<Value> {
     /// Pushes each of `values` that owns children; drops the rest.
     fn extend(&mut self, values: Vec<Value>) {
         for value in values {
@@ -530,45 +535,9 @@ impl Value {
         }
     }
 
-    /// `equal?` — structural equality. Pairs and vectors still to
-    /// compare wait on an explicit stack, so nesting depth costs heap,
-    /// not call stack.
-    ///
-    /// The walk ends on cyclic values too: it skips two containers it
-    /// already takes as equal ([`EqualClasses`]).
+    /// `equal?` ([`value::equal`]).
     pub fn eq_structural(&self, other: &Value) -> bool {
-        let mut walk = EqWalk {
-            next: None,
-            pending: Pending::new(),
-        };
-        if !walk.compare(self, other) {
-            return false;
-        }
-        let mut classes = EqualClasses::default();
-        while let Some((a, b)) = walk.next.take().or_else(|| walk.pending.pop()) {
-            if !classes.join(heap_addr(&a), heap_addr(&b)) {
-                continue;
-            }
-            let equal = match (&a, &b) {
-                (Value::Pair(x), Value::Pair(y)) => {
-                    let (xa, xd) = &*x.borrow();
-                    let (ya, yd) = &*y.borrow();
-                    walk.compare(xa, ya) && walk.compare(xd, yd)
-                }
-                _ => match (a.obj(), b.obj()) {
-                    (Some(Obj::Vector(x)), Some(Obj::Vector(y))) => {
-                        let (x, y) = (x.borrow(), y.borrow());
-                        x.len() == y.len()
-                            && (x.iter().zip(y.iter())).all(|(p, q)| walk.compare(p, q))
-                    }
-                    _ => unreachable!("only pairs and vectors are walked"),
-                },
-            };
-            if !equal {
-                return false;
-            }
-        }
-        true
+        value::equal(self, other)
     }
 
     /// Renders in `display` style.
@@ -586,26 +555,32 @@ impl Value {
     }
 }
 
-impl Printable for Value {
-    fn node(&self) -> Node<Value> {
-        match self {
-            Value::Pair(p) => {
-                let (car, cdr) = p.borrow().clone();
-                Node::Pair(car, cdr)
-            }
-            Value::Obj(o) if matches!(**o, Obj::Vector(_)) => Node::Vector,
-            Value::Nil(_) => Node::Nil,
-            _ => Node::Atom,
-        }
+// The shared walks call these for every value they visit; inlined,
+// each match here folds into the walk's own.
+impl RuntimeValue for Value {
+    #[inline(always)]
+    fn node(&self) -> Node<'_, Value> {
+        let atom = match self {
+            Value::Fixnum(n) => Atom::Fixnum(*n),
+            Value::Bool(b) => Atom::Bool(b.get()),
+            Value::Char(c) => Atom::Char(c.get()),
+            Value::Nil(_) => Atom::Nil,
+            Value::Void(_) => Atom::Unspecified,
+            Value::RetAddr(_) => Atom::Opaque("#<return-address>"),
+            Value::Uninit(_) => Atom::Opaque("#<uninit>"),
+            Value::Pair(p) => return Node::Pair(p.borrow()),
+            Value::Closure(_) => Atom::Procedure,
+            Value::Obj(o) => match &**o {
+                Obj::Str(s) => Atom::Str(s),
+                Obj::Symbol(s) => Atom::Symbol(s),
+                Obj::Vector(items) => return Node::Vector(items.borrow()),
+                Obj::Cell(_) => Atom::Box,
+            },
+        };
+        Node::Atom(atom)
     }
 
-    fn item(&self, i: usize) -> Option<Value> {
-        match self.obj() {
-            Some(Obj::Vector(items)) => items.borrow().get(i).cloned(),
-            _ => None,
-        }
-    }
-
+    #[inline(always)]
     fn heap(&self) -> Option<(usize, usize)> {
         match self {
             Value::Pair(p) => Some((Rc::as_ptr(p) as usize, Rc::strong_count(p))),
@@ -616,94 +591,9 @@ impl Printable for Value {
         }
     }
 
-    fn render_atom(&self, out: &mut String, write: bool) {
-        match self {
-            Value::Fixnum(n) => out.push_str(&n.to_string()),
-            Value::Bool(b) => out.push_str(if b.get() { "#t" } else { "#f" }),
-            Value::Char(c) => {
-                let c = c.get();
-                if write {
-                    match c {
-                        ' ' => out.push_str("#\\space"),
-                        '\n' => out.push_str("#\\newline"),
-                        '\t' => out.push_str("#\\tab"),
-                        c => {
-                            out.push_str("#\\");
-                            out.push(c);
-                        }
-                    }
-                } else {
-                    out.push(c);
-                }
-            }
-            Value::Obj(o) => match &**o {
-                Obj::Str(s) => {
-                    if write {
-                        out.push('"');
-                        for c in s.chars() {
-                            match c {
-                                '"' => out.push_str("\\\""),
-                                '\\' => out.push_str("\\\\"),
-                                '\n' => out.push_str("\\n"),
-                                c => out.push(c),
-                            }
-                        }
-                        out.push('"');
-                    } else {
-                        out.push_str(s);
-                    }
-                }
-                Obj::Symbol(s) => out.push_str(s),
-                Obj::Cell(_) => out.push_str("#<box>"),
-                Obj::Vector(_) => unreachable!("the printer walks vectors"),
-            },
-            Value::Nil(_) => out.push_str("()"),
-            Value::Void(_) => out.push_str("#<void>"),
-            Value::Pair(_) => unreachable!("the printer walks pairs"),
-            Value::Closure(_) => out.push_str("#<procedure>"),
-            Value::RetAddr(_) => out.push_str("#<return-address>"),
-            Value::Uninit(_) => out.push_str("#<uninit>"),
-        }
-    }
-}
-
-/// The pairs and vectors [`Value::eq_structural`] still has to walk:
-/// the next one, then those put off.
-struct EqWalk {
-    next: Option<(Value, Value)>,
-    pending: Pending<(Value, Value)>,
-}
-
-impl EqWalk {
-    /// Compares `a` and `b` at once unless they are two distinct pairs
-    /// or two distinct vectors, which it queues to walk; false when
-    /// they differ. A car queued before its cdr is walked first.
-    fn compare(&mut self, a: &Value, b: &Value) -> bool {
-        match (a, b) {
-            (Value::Pair(x), Value::Pair(y)) if !Rc::ptr_eq(x, y) => {}
-            (Value::Obj(x), Value::Obj(y)) if !Rc::ptr_eq(x, y) => match (&**x, &**y) {
-                (Obj::Vector(_), Obj::Vector(_)) => {}
-                (Obj::Str(x), Obj::Str(y)) => return x == y,
-                _ => return a.eq_ptr(b),
-            },
-            _ => return a.eq_ptr(b),
-        }
-        let pair = (a.clone(), b.clone());
-        if self.next.is_none() {
-            self.next = Some(pair);
-        } else {
-            self.pending.push(pair);
-        }
-        true
-    }
-}
-
-/// The address of the heap object a pair or vector points at.
-fn heap_addr(v: &Value) -> usize {
-    match v {
-        Value::Pair(p) => Rc::as_ptr(p) as usize,
-        Value::Obj(o) => Rc::as_ptr(o) as usize,
-        _ => unreachable!("only pairs and vectors are walked"),
+    #[inline(always)]
+    fn is_eq(&self, other: &Value) -> bool {
+        self.eq_ptr(other)
     }
 }
 
@@ -761,6 +651,8 @@ pub(crate) fn const_to_value(c: &Const) -> Value {
 
 #[cfg(test)]
 mod tests {
+    use lesgs_testkit::equal::{matches_plain_recursion, Make};
+
     use super::*;
 
     #[test]
@@ -862,84 +754,14 @@ mod tests {
         }
     }
 
-    /// A node of a value [`build`] makes: a fixnum, or a pair or vector
-    /// of earlier nodes.
-    enum Node {
-        Leaf(i64),
-        Pair(usize, usize),
-        Vector(Vec<usize>),
-    }
-
-    /// Builds node `i` of `recipe`. Without `rng` a node named again is
-    /// shared; with it, such a node may be built anew, and each leaf
-    /// built may come out one higher.
-    fn build(
-        recipe: &[Node],
-        i: usize,
-        built: &mut [Option<Value>],
-        mut rng: Option<&mut Rng>,
-    ) -> Value {
-        if let Some(v) = &built[i] {
-            let fresh = rng.as_mut().is_some_and(|r| r.below(2) == 0);
-            if !fresh {
-                return v.clone();
-            }
-        }
-        let v = match &recipe[i] {
-            Node::Leaf(n) => Value::Fixnum(n + rng.map_or(0, |r| i64::from(r.below(8) == 0))),
-            Node::Pair(a, d) => {
-                let car = build(recipe, *a, built, rng.as_deref_mut());
-                Value::cons(car, build(recipe, *d, built, rng))
-            }
-            Node::Vector(items) => Value::vector(
-                items
-                    .iter()
-                    .map(|&j| build(recipe, j, built, rng.as_deref_mut()))
-                    .collect(),
-            ),
-        };
-        built[i] = Some(v.clone());
-        v
-    }
-
-    /// A xorshift generator, so the cases below repeat.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0 % n as u64) as usize
-        }
-    }
-
     #[test]
     fn equal_matches_plain_recursion_on_shared_acyclic_values() {
-        // Two values from one recipe: the first shares every node named
-        // twice, the second builds some of them afresh and may bump a
-        // leaf in any copy, so the classes `equal?` joins meet shared
-        // nodes matched against copies that differ.
-        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
-        let mut answers = [0; 2];
-        for _ in 0..2_000 {
-            let n = 2 + rng.below(14);
-            let mut recipe = Vec::with_capacity(n);
-            for i in 0..n {
-                recipe.push(match if i < 2 { 0 } else { rng.below(3) } {
-                    0 => Node::Leaf(rng.below(2) as i64),
-                    1 => Node::Pair(rng.below(i), rng.below(i)),
-                    _ => Node::Vector((0..rng.below(3)).map(|_| rng.below(i)).collect()),
-                });
-            }
-            let a = build(&recipe, n - 1, &mut vec![None; n], None);
-            let b = build(&recipe, n - 1, &mut vec![None; n], Some(&mut rng));
-            let expected = naive_equal(&a, &b);
-            assert_eq!(a.eq_structural(&b), expected, "{a} against {b}");
-            assert_eq!(b.eq_structural(&a), expected, "{b} against {a}");
-            answers[usize::from(expected)] += 1;
-        }
-        assert!(answers.iter().all(|&k| k > 200), "{answers:?}");
+        let make = Make {
+            fixnum: Value::Fixnum,
+            cons: Value::cons,
+            vector: Value::vector,
+        };
+        matches_plain_recursion(make, Value::eq_structural, naive_equal);
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! A pair or vector that reaches itself makes a walk of its structure
 //! endless, and `equal?` is one VM instruction, so the instruction
-//! budget cannot stop it. Both walks, the VM's and the interpreter's,
-//! keep the containers they enter in classes of those taken as equal
-//! (`lesgs_frontend::EqualClasses`) and skip a pair already in one
-//! class: R7RS's coinductive `equal?`, under which two values are equal
-//! when no walk of them finds a difference. Each program runs through
-//! both VM engines and the reference interpreter, which must give the
-//! same answer.
+//! budget cannot stop it. The one walk both VM engines and the
+//! interpreter compare with, `lesgs_frontend::value::equal`, keeps the
+//! containers it enters past its first few in classes of those taken as
+//! equal and skips a pair already in one class: R7RS's coinductive
+//! `equal?`, under which two values are equal when no walk of them
+//! finds a difference. Each program runs through both VM engines and
+//! the reference interpreter, which must give the same answer.
 
 use lesgs::compiler::{compile, CompilerConfig};
 

@@ -1,7 +1,9 @@
 //! The interpreter and the VM carry separate value representations;
 //! differential testing only works if their `display`/`write`
 //! renderings agree on every datum. This property test hammers that
-//! agreement through the whole pipeline with quoted random data.
+//! agreement through the whole pipeline with quoted random data, whose
+//! strings and characters need escapes and names in `write` style, and
+//! a fixed case covers the atoms `quote` cannot make.
 
 use lesgs_testkit::{run_cases, Rng};
 
@@ -16,11 +18,13 @@ fn gen_symbol(rng: &mut Rng) -> String {
     s
 }
 
+/// A string literal: letters and digits, with escaped quotes,
+/// backslashes, newlines and tabs, a space, and non-ASCII text.
 fn gen_string(rng: &mut Rng) -> String {
-    const CHARS: &[u8] = b" abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
-    let body: String = (0..rng.below(9))
-        .map(|_| *rng.pick(CHARS) as char)
-        .collect();
+    const PIECES: &[&str] = &[
+        "a", "Z", "7", " ", "\\\"", "\\\\", "\\n", "\\t", "é", "λ", "日本",
+    ];
+    let body: String = (0..rng.below(9)).map(|_| *rng.pick(PIECES)).collect();
     format!("\"{body}\"")
 }
 
@@ -32,7 +36,16 @@ fn gen_datum(rng: &mut Rng, depth: u32) -> String {
         2 => "#f".to_owned(),
         3 => gen_symbol(rng),
         4 => "()".to_owned(),
-        5 => (*rng.pick(&["#\\a", "#\\space", "#\\newline"])).to_owned(),
+        5 => (*rng.pick(&[
+            "#\\a",
+            "#\\space",
+            "#\\newline",
+            "#\\tab",
+            "#\\\"",
+            "#\\\\",
+            "#\\λ",
+        ]))
+        .to_owned(),
         _ => gen_string(rng),
     };
     if depth == 0 {
@@ -79,6 +92,43 @@ fn quoted_data_renders_identically() {
         assert_eq!(&vm.output, &oracle.output, "display/write of {d}");
         assert_eq!(&vm.value, &oracle.value, "final value of {d}");
     });
+}
+
+/// Atoms that `quote` cannot make print alike on the interpreter and
+/// the VM, in `display` and `write` style and as the final value. A
+/// procedure prints without its name, because compiled code keeps none
+/// at run time.
+#[test]
+fn run_time_atoms_render_identically() {
+    let cases = [
+        ("f", "#<procedure>"),
+        ("(lambda (y) y)", "#<procedure>"),
+        ("car", "#<procedure>"),
+        ("(let loop ((i 0)) loop)", "#<procedure>"),
+        ("(box 1)", "#<box>"),
+        ("(if #f #f)", "#<void>"),
+    ];
+    for (expr, text) in cases {
+        let src = format!(
+            "(define (f x) x) (define v {expr}) \
+             (display v) (newline) (write v) (newline) (display (list v v)) v"
+        );
+        let oracle = lesgs::interp::run_source(&src, 1_000_000).expect("interpreter runs");
+        let vm = lesgs::engine::Engine::default()
+            .run(&src)
+            .expect("compiler accepts the program");
+        let output = format!("{text}\n{text}\n({text} {text})");
+        assert_eq!(
+            (&*oracle.output, &*oracle.value),
+            (&*output, text),
+            "{expr}"
+        );
+        assert_eq!(
+            (vm.output, vm.value),
+            (oracle.output, oracle.value),
+            "{expr}"
+        );
+    }
 }
 
 /// The reader round-trips its own printer output for quoted data.
